@@ -112,19 +112,22 @@ def _population_spec(doc: dict, seed: int, where: str) -> PopulationSpec:
             seq_len=int(doc["seq_len"]),
             seed=seed,
         )
-    except InputError as exc:
+    except (InputError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _dataset_cfg(doc: dict, where: str) -> dict:
     allowed = {"target_user", "ratio_x", "grouping", "history_fraction"}
     _check_keys(doc, allowed, {"target_user", "ratio_x", "grouping"}, where)
-    out = {
-        "target_user": str(doc["target_user"]),
-        "ratio_x": float(doc["ratio_x"]),
-        "grouping": str(doc["grouping"]),
-        "history_fraction": float(doc.get("history_fraction", 1.0)),
-    }
+    try:
+        out = {
+            "target_user": str(doc["target_user"]),
+            "ratio_x": float(doc["ratio_x"]),
+            "grouping": str(doc["grouping"]),
+            "history_fraction": float(doc.get("history_fraction", 1.0)),
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     if not 0.0 < out["history_fraction"] <= 1.0:
         raise ConfigError(f"{where}: history_fraction must lie in (0, 1]")
     return out
@@ -169,6 +172,15 @@ def _train_config(doc: dict, seed: int, where: str) -> TrainConfig:
         return TrainConfig(**kwargs)
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _run_seed(doc: dict, override: int | None, where: str) -> int:
+    if override is not None:
+        return override
+    try:
+        return int(doc["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: seed must be an integer, got {doc['seed']!r}") from exc
 
 
 def _semantic_hash(parts: dict) -> str:
@@ -245,7 +257,7 @@ def cmd_generate(config_path: str, out: str | None, seed: int | None) -> int:
         doc, {"schema_version", "seed", "out_dir", "population"},
         {"schema_version", "seed", "population"}, "generate config",
     )
-    run_seed = seed if seed is not None else int(doc["seed"])
+    run_seed = _run_seed(doc, seed, "generate config")
     spec = _population_spec(doc["population"], run_seed, "generate config: population")
     out_dir = _resolve_out(doc, out, "generate config")
     population = generate_population(spec)
@@ -262,7 +274,14 @@ def _load_corpus_dir(corpus_dir: str | Path) -> tuple[dict, PopulationSpec]:
     spec_path = corpus_dir / "population_spec.json"
     if not corpus_path.exists() or not spec_path.exists():
         raise ConfigError(f"corpus directory {corpus_dir} is missing corpus.jsonl or population_spec.json")
-    return load_corpus(corpus_path), load_population_spec(spec_path)
+    population, spec = load_corpus(corpus_path), load_population_spec(spec_path)
+    for samples in population.values():
+        for s in samples:
+            if any(t >= spec.vocab_size for t in s.x + s.y):
+                raise InputError(
+                    f"corpus sample of {s.user_id} has a token id >= vocab_size {spec.vocab_size}"
+                )
+    return population, spec
 
 
 def _build_dataset(population: dict, spec: PopulationSpec, dataset_cfg: dict, seed: int):
@@ -322,7 +341,7 @@ def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
         {"schema_version", "seed", "corpus_dir", "dataset", "train"},
         "train config",
     )
-    run_seed = seed if seed is not None else int(doc["seed"])
+    run_seed = _run_seed(doc, seed, "train config")
     out_dir = _resolve_out(doc, out, "train config")
     population, spec = _load_corpus_dir(doc["corpus_dir"])
     dataset_cfg = _dataset_cfg(doc["dataset"], "train config: dataset")
@@ -360,14 +379,21 @@ def cmd_evaluate(checkpoint_path: str, corpus_dir: str, out: str | None) -> int:
         raise ConfigError(
             f"vocab mismatch: corpus has {spec.vocab_size}, checkpoint has {checkpoint.vocab_size}"
         )
+    try:
+        target_user = checkpoint.dataset_meta["target_user"]
+        aux_user_ids = list(checkpoint.dataset_meta["aux_user_ids"])
+        beta = float(checkpoint.config["beta"])
+        method = str(checkpoint.config["method"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"checkpoint {checkpoint_path} is malformed: {exc!r}") from exc
     report = evaluate_policy(
         checkpoint.policy,
         checkpoint.reference,
         population,
-        checkpoint.dataset_meta["target_user"],
-        list(checkpoint.dataset_meta["aux_user_ids"]),
-        beta=float(checkpoint.config["beta"]),
-        method=str(checkpoint.config["method"]),
+        target_user,
+        aux_user_ids,
+        beta=beta,
+        method=method,
         config_hash=str(checkpoint.dataset_meta.get("config_hash", "")),
         checkpoint_step=checkpoint.step,
     )
@@ -390,7 +416,7 @@ def cmd_estimate_alpha(config_path: str, out: str | None, seed: int | None) -> i
         {"schema_version", "seed", "corpus_dir", "dataset"},
         "estimate-alpha config",
     )
-    run_seed = seed if seed is not None else int(doc["seed"])
+    run_seed = _run_seed(doc, seed, "estimate-alpha config")
     out_dir = _resolve_out(doc, out, "estimate-alpha config")
     population, spec = _load_corpus_dir(doc["corpus_dir"])
     dataset_cfg = _dataset_cfg(doc["dataset"], "estimate-alpha config: dataset")
@@ -398,14 +424,20 @@ def cmd_estimate_alpha(config_path: str, out: str | None, seed: int | None) -> i
     _check_keys(
         est_doc, {"heldout_fraction", "epochs", "lr"}, set(), "estimate-alpha config: estimator"
     )
+    try:
+        heldout_fraction = float(est_doc.get("heldout_fraction", DEFAULT_HELDOUT_FRACTION))
+        epochs = int(est_doc.get("epochs", DEFAULT_EPOCHS))
+        lr = float(est_doc.get("lr", DEFAULT_LR))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"estimate-alpha config: estimator: {exc}") from exc
     dataset = _build_dataset(population, spec, dataset_cfg, run_seed)
     estimate = run_alpha_estimation(
         dataset.tar_train,
         dataset.aux_train,
         spec.vocab_size,
-        heldout_fraction=float(est_doc.get("heldout_fraction", DEFAULT_HELDOUT_FRACTION)),
-        epochs=int(est_doc.get("epochs", DEFAULT_EPOCHS)),
-        lr=float(est_doc.get("lr", DEFAULT_LR)),
+        heldout_fraction=heldout_fraction,
+        epochs=epochs,
+        lr=lr,
         seed=run_seed,
     )
     _write_json(
@@ -502,21 +534,17 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
     grid = list(doc["grid"])
     if not grid:
         raise ConfigError("sweep config: grid must be non-empty")
-    n_seeds = int(doc["n_seeds"])
+    try:
+        n_seeds = int(doc["n_seeds"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep config: n_seeds must be an integer: {exc}") from exc
     if n_seeds < 1:
         raise ConfigError("sweep config: n_seeds must be >= 1")
-    base_seed = seed if seed is not None else int(doc["seed"])
+    base_seed = _run_seed(doc, seed, "sweep config")
     out_dir = _resolve_out(doc, out, "sweep config")
     dataset_cfg = _dataset_cfg(doc["dataset"], "sweep config: dataset")
     _check_keys(doc["train"], _TRAIN_KEYS, {"method"}, "sweep config: train")
-    _check_keys(
-        doc["population"],
-        {"n_users", "vocab_size", "overlap_lambda", "samples_per_user",
-         "prompt_pool_size", "seq_len"},
-        {"n_users", "vocab_size", "overlap_lambda", "samples_per_user",
-         "prompt_pool_size", "seq_len"},
-        "sweep config: population",
-    )
+    _population_spec(doc["population"], base_seed, "sweep config: population")
     delta_modes = list(doc.get("delta_modes", [doc["train"].get("delta_mode", "ema")]))
 
     tasks = []

@@ -309,15 +309,22 @@ def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:
 
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != 1:
-        raise InputError(f"unsupported population spec version {doc.get('schema_version')}")
-    return PopulationSpec(
-        n_users=int(doc["n_users"]),
-        vocab_size=int(doc["vocab_size"]),
-        overlap_lambda=float(doc["overlap_lambda"]),
-        samples_per_user=int(doc["samples_per_user"]),
-        prompt_pool_size=int(doc["prompt_pool_size"]),
-        seq_len=int(doc["seq_len"]),
-        seed=int(doc["seed"]),
-    )
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"population spec {path} is not readable JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        raise InputError(f"unsupported population spec version {version}")
+    try:
+        return PopulationSpec(
+            n_users=int(doc["n_users"]),
+            vocab_size=int(doc["vocab_size"]),
+            overlap_lambda=float(doc["overlap_lambda"]),
+            samples_per_user=int(doc["samples_per_user"]),
+            prompt_pool_size=int(doc["prompt_pool_size"]),
+            seq_len=int(doc["seq_len"]),
+            seed=int(doc["seed"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"population spec {path} is malformed: {exc!r}") from exc

@@ -13,11 +13,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .datagen import UserDataset
 from .errors import InputError
-from .losses import sft_loss
-from .policy import PolicyParams, Sample, log_prob
-from .rewards import RewardConfig, implicit_reward
+from .policy import (
+    PolicyParams,
+    Sample,
+    encode,
+    ordered_sum,
+    sequence_log_probs,
+    softmax_tables,
+)
 
 __all__ = ["EvalReport", "evaluate_policy"]
 
@@ -91,19 +95,24 @@ def evaluate_policy(
     if not aux_held:
         raise InputError("no held-out samples for the auxiliary users")
 
-    nll = sft_loss(policy, tar_held)
+    if reference.logits.shape != policy.logits.shape:
+        raise InputError(
+            f"policy and reference shapes differ: {policy.logits.shape} vs "
+            f"{reference.logits.shape}"
+        )
+    n_tar = len(tar_held)
+    codes = encode(
+        ((s.x, s.y) for s in tar_held + aux_held), policy.context_size, policy.vocab_size
+    )
+    log_probs = sequence_log_probs(softmax_tables(policy.logits)[0], codes)
+    log_ratio = log_probs - sequence_log_probs(softmax_tables(reference.logits)[0], codes)
+    tar_tokens = int(codes.lengths[:n_tar].sum())
+    aux_tokens = int(codes.lengths[n_tar:].sum())
 
-    rcfg = RewardConfig(beta=beta)
-    tar_rewards = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in tar_held]
-    aux_rewards = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in aux_held]
-    acc = _pair_accuracy(tar_rewards, aux_rewards)
-
-    diff = 0.0
-    tokens = 0
-    for s in aux_held:
-        diff += log_prob(policy, s.x, s.y) - log_prob(reference, s.x, s.y)
-        tokens += len(s.y)
-    delta_logp = diff / tokens
+    nll = -ordered_sum(log_probs[:n_tar]) / tar_tokens
+    rewards = (beta * log_ratio).tolist()
+    acc = _pair_accuracy(rewards[:n_tar], rewards[n_tar:])
+    delta_logp = ordered_sum(log_ratio[n_tar:]) / aux_tokens
 
     return EvalReport(
         heldout_nll=nll,
@@ -118,22 +127,3 @@ def evaluate_policy(
         checkpoint_step=checkpoint_step,
     )
 
-
-def evaluate_dataset_policy(
-    policy: PolicyParams,
-    reference: PolicyParams,
-    dataset: UserDataset,
-    beta: float,
-) -> EvalReport:
-    """Report computed straight from an in-memory dataset (library convenience)."""
-    population = {dataset.target_user: dataset.h_tar}
-    for s in dataset.h_aux:
-        population.setdefault(s.user_id, []).append(s)
-    return evaluate_policy(
-        policy,
-        reference,
-        population,
-        dataset.target_user,
-        dataset.aux_user_ids,
-        beta,
-    )

@@ -12,6 +12,12 @@ overlap coefficient alpha, from the auxiliary negative-label loss.  Clamping
 that "purified" term at zero prevents the flexible policy from exploiting a
 negative risk estimate.  Gradients are analytic; delta and the leave-one-out
 KTO anchors are treated as constants.
+
+Every method is evaluated by one kernel pass over the batch (see
+:mod:`bfpo.policy`): the batch's sequences are index-encoded, their
+log-probabilities are gathered from the policy's log-softmax table, and the
+gradient of any objective is its per-sample derivative with respect to the
+log-probability, scattered back onto the table once.
 """
 
 from __future__ import annotations
@@ -24,8 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .policy import PolicyParams, Sample, log_prob, log_prob_grad
-from .rewards import RewardConfig, implicit_reward, kto_zref
+from .policy import (
+    Encoded,
+    PolicyParams,
+    Sample,
+    encode,
+    ordered_sum,
+    scatter_grad,
+    sequence_log_probs,
+    softmax_tables,
+)
+from .rewards import kto_zref
 
 __all__ = [
     "Batch",
@@ -34,16 +49,20 @@ __all__ = [
     "LossBreakdown",
     "LossConfig",
     "Method",
+    "Scores",
     "bco_loss",
     "cbpo_loss",
     "cbpo_raw_loss",
     "dpo_loss",
+    "encode_batch",
     "kto_loss",
     "loss_gradients",
     "loss_negative",
     "loss_positive",
     "method_loss",
     "method_loss_and_grad",
+    "score",
+    "scored_loss_and_grad",
     "sft_loss",
 ]
 
@@ -107,12 +126,15 @@ class Batch:
     """One optimization step's worth of samples.
 
     ``pos``/``aux`` feed the binary-feedback objectives (and ``pos`` alone feeds
-    SFT); ``pairs`` feeds DPO.
+    SFT); ``pairs`` feeds DPO.  ``codes`` is the batch's :func:`encode_batch`
+    encoding when the batch was cut from a set encoded beforehand (the trainer
+    encodes its data once per run); otherwise the kernel encodes the samples.
     """
 
     pos: list[Sample] = field(default_factory=list)
     aux: list[Sample] = field(default_factory=list)
     pairs: list[DpoPair] = field(default_factory=list)
+    codes: Encoded | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -131,6 +153,14 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
+
+
+def _sigmoids(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigmoid(z), sigmoid(-z)) elementwise, each without cancellation."""
+    e = np.exp(-np.abs(z))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    up = z >= 0
+    return np.where(up, big, small), np.where(up, small, big)
 
 
 def _neg_log_sigmoid(z: float) -> float:
@@ -153,13 +183,23 @@ def dpo_loss(reward_w: float, reward_l: float) -> float:
     return _neg_log_sigmoid(reward_w - reward_l)
 
 
-def _mean(values: Sequence[float], name: str) -> float:
-    if len(values) == 0:
-        raise InputError(f"{name} must be non-empty")
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return total / len(values)
+def _binary_means(
+    pos_rewards: Sequence[float], aux_rewards: Sequence[float], delta: float
+) -> tuple[float, float, float]:
+    """(l_pos, l_aux_neg, l_tar_neg): batch means of :func:`loss_positive` over
+    the positives and of :func:`loss_negative` over each set, elementwise and
+    summed left to right, so they equal the per-sample loops bit for bit."""
+    pos = np.asarray(pos_rewards, dtype=np.float64)
+    aux = np.asarray(aux_rewards, dtype=np.float64)
+    if len(pos) == 0:
+        raise InputError("pos_rewards must be non-empty")
+    if len(aux) == 0:
+        raise InputError("aux_rewards must be non-empty")
+    return (
+        ordered_sum(np.logaddexp(0.0, -(pos - delta))) / len(pos),
+        ordered_sum(np.logaddexp(0.0, aux - delta)) / len(aux),
+        ordered_sum(np.logaddexp(0.0, pos - delta)) / len(pos),
+    )
 
 
 def kto_loss(
@@ -200,9 +240,7 @@ def bco_loss(
     delta: float,
 ) -> LossBreakdown:
     """Positive-label mean over positives plus negative-label mean over auxiliaries."""
-    l_pos = _mean([loss_positive(r, delta) for r in pos_rewards], "pos_rewards")
-    l_aux_neg = _mean([loss_negative(r, delta) for r in aux_rewards], "aux_rewards")
-    l_tar_neg = _mean([loss_negative(r, delta) for r in pos_rewards], "pos_rewards")
+    l_pos, l_aux_neg, l_tar_neg = _binary_means(pos_rewards, aux_rewards, delta)
     return LossBreakdown(
         method=Method.BCO,
         l_pos=l_pos,
@@ -221,9 +259,7 @@ def cbpo_raw_loss(
     config: CalibrationConfig,
 ) -> LossBreakdown:
     """Unclamped risk-decomposition form with an explicit class prior pi_n."""
-    l_pos = _mean([loss_positive(r, delta) for r in pos_rewards], "pos_rewards")
-    l_aux_neg = _mean([loss_negative(r, delta) for r in aux_rewards], "aux_rewards")
-    l_tar_neg = _mean([loss_negative(r, delta) for r in pos_rewards], "pos_rewards")
+    l_pos, l_aux_neg, l_tar_neg = _binary_means(pos_rewards, aux_rewards, delta)
     raw = l_aux_neg - config.alpha * l_tar_neg
     return LossBreakdown(
         method=Method.CBPO_RAW,
@@ -245,9 +281,7 @@ def cbpo_loss(
     """Calibrated objective: l_pos + max(0, l_aux_neg - alpha*l_tar_neg)/(1-alpha)."""
     if config.alpha >= 1.0:
         raise ConfigError(f"the clamped objective needs alpha < 1, got {config.alpha}")
-    l_pos = _mean([loss_positive(r, delta) for r in pos_rewards], "pos_rewards")
-    l_aux_neg = _mean([loss_negative(r, delta) for r in aux_rewards], "aux_rewards")
-    l_tar_neg = _mean([loss_negative(r, delta) for r in pos_rewards], "pos_rewards")
+    l_pos, l_aux_neg, l_tar_neg = _binary_means(pos_rewards, aux_rewards, delta)
     raw = l_aux_neg - config.alpha * l_tar_neg
     clamped = max(0.0, raw)
     return LossBreakdown(
@@ -265,43 +299,82 @@ def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
     """Per-token cross-entropy: total negative log-probability over total tokens."""
     if len(batch) == 0:
         raise InputError("SFT batch must be non-empty")
-    total_lp = 0.0
-    total_tokens = 0
-    for sample in batch:
-        total_lp += log_prob(policy, sample.x, sample.y)
-        total_tokens += len(sample.y)
-    return -total_lp / total_tokens
+    codes = encode(((s.x, s.y) for s in batch), policy.context_size, policy.vocab_size)
+    log_table, _ = softmax_tables(policy.logits)
+    return -ordered_sum(sequence_log_probs(log_table, codes)) / len(codes.tokens)
 
 
 # ---------------------------------------------------------------------------
-# Method dispatch: loss values and analytic gradients
+# Method dispatch: one kernel pass, then loss values and analytic gradients
 # ---------------------------------------------------------------------------
 
 
-def _rewards_and_grads(
+def encode_batch(
+    batch: Batch, method: Method, context_size: int, vocab_size: int
+) -> Encoded:
+    """The batch's sequences as one encoding: every y_w then every y_l for DPO,
+    the positive then the auxiliary samples otherwise."""
+    if method is Method.DPO:
+        pairs = [(p.x, p.y_w) for p in batch.pairs] + [(p.x, p.y_l) for p in batch.pairs]
+    else:
+        pairs = [(s.x, s.y) for s in batch.pos + batch.aux]
+    return encode(pairs, context_size, vocab_size)
+
+
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """One kernel pass of a batch under the live policy.
+
+    The first ``split`` sequences of ``codes`` are the positives (the preferred
+    completions for DPO), the rest the auxiliaries (the rejected ones).
+    ``rewards`` is beta * (log p - log p_ref) per sequence, or None for SFT,
+    which needs no reference.
+    """
+
+    codes: Encoded
+    split: int
+    probs: np.ndarray
+    log_probs: np.ndarray
+    rewards: np.ndarray | None
+
+
+def score(
+    method: Method,
+    batch: Batch,
     policy: PolicyParams,
-    reference: PolicyParams,
+    reference_log_table: np.ndarray | None,
     beta: float,
-    samples: Sequence[Sample],
-) -> tuple[list[float], list[np.ndarray]]:
-    """Implicit rewards and their gradients d reward / d logits = beta * dlogp."""
-    cfg = RewardConfig(beta=beta)
-    rewards: list[float] = []
-    grads: list[np.ndarray] = []
-    for s in samples:
-        rewards.append(implicit_reward(policy, reference, cfg, s.x, s.y))
-        grads.append(beta * log_prob_grad(policy, s.x, s.y))
-    return rewards, grads
+) -> Scores:
+    """Log-probabilities and rewards of every sequence of the batch.
+
+    ``reference_log_table`` is the frozen reference's log-softmax table (the
+    first table of :func:`softmax_tables`); SFT ignores it.
+    """
+    _check_batch(method, batch)
+    codes = batch.codes
+    if codes is None:
+        codes = encode_batch(batch, method, policy.context_size, policy.vocab_size)
+    log_table, probs = softmax_tables(policy.logits)
+    log_probs = sequence_log_probs(log_table, codes)
+    rewards = None
+    if method is not Method.SFT:
+        if reference_log_table.shape != policy.logits.shape:
+            raise InputError(
+                "policy and reference shapes differ: "
+                f"{policy.logits.shape} vs {reference_log_table.shape}"
+            )
+        rewards = beta * (log_probs - sequence_log_probs(reference_log_table, codes))
+    split = len(batch.pairs) if method is Method.DPO else len(batch.pos)
+    return Scores(codes, split, probs, log_probs, rewards)
 
 
-def _weighted_sum(
-    grads: Sequence[np.ndarray], weights: Sequence[float], shape: tuple[int, int]
-) -> np.ndarray:
-    # Fixed left-to-right accumulation so batch reductions are reproducible.
-    out = np.zeros(shape)
-    for w, g in zip(weights, grads):
-        out += w * g
-    return out
+def scored_loss_and_grad(
+    method: Method, scores: Scores, config: LossConfig, delta: float
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Loss breakdown and gradient w.r.t. the logits from a :func:`score` pass."""
+    breakdown, grad = _dispatch(method, scores, config, delta, None, want_grad=True)
+    assert grad is not None
+    return breakdown, grad
 
 
 def method_loss(
@@ -314,10 +387,9 @@ def method_loss(
     zrefs: Sequence[float] | None = None,
 ) -> LossBreakdown:
     """Evaluate one method's loss on a batch (no gradient)."""
-    breakdown, _ = _dispatch(
-        method, batch, policy, reference_policy, config, delta, zrefs, want_grad=False
-    )
-    return breakdown
+    ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
+    scores = score(method, batch, policy, ref_table, config.beta)
+    return _dispatch(method, scores, config, delta, zrefs, want_grad=False)[0]
 
 
 def method_loss_and_grad(
@@ -329,11 +401,9 @@ def method_loss_and_grad(
     delta: float,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown plus the analytic gradient of the total w.r.t. the logits."""
-    breakdown, grad = _dispatch(
-        method, batch, policy, reference_policy, config, delta, None, want_grad=True
-    )
-    assert grad is not None
-    return breakdown, grad
+    ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
+    scores = score(method, batch, policy, ref_table, config.beta)
+    return scored_loss_and_grad(method, scores, config, delta)
 
 
 def loss_gradients(
@@ -350,110 +420,97 @@ def loss_gradients(
     )[1]
 
 
+def _check_batch(method: Method, batch: Batch) -> None:
+    if method is Method.SFT:
+        if len(batch.pos) == 0:
+            raise InputError("SFT batch must be non-empty")
+    elif method is Method.DPO:
+        if len(batch.pairs) == 0:
+            raise InputError("DPO batch must contain pairs")
+    else:
+        if len(batch.pos) == 0:
+            raise InputError(f"{method.value} batch needs positive samples")
+        if method is not Method.KTO and len(batch.aux) == 0:
+            raise InputError(f"{method.value} batch needs auxiliary samples")
+
+
 def _dispatch(
     method: Method,
-    batch: Batch,
-    policy: PolicyParams,
-    reference: PolicyParams,
+    scores: Scores,
     config: LossConfig,
     delta: float,
     zrefs: Sequence[float] | None,
     want_grad: bool,
 ) -> tuple[LossBreakdown, np.ndarray | None]:
-    shape = (policy.context_size, policy.vocab_size)
+    """Loss value and, if wanted, the gradient as per-sequence weights on
+    d log p / d logits followed by one scatter."""
+    n1 = scores.split
+    weights = np.zeros(scores.codes.n)
 
     if method is Method.SFT:
-        value = sft_loss(policy, batch.pos)
-        grad = None
-        if want_grad:
-            total_tokens = sum(len(s.y) for s in batch.pos)
-            acc = np.zeros(shape)
-            for s in batch.pos:
-                acc += log_prob_grad(policy, s.x, s.y)
-            grad = -acc / total_tokens
-        return LossBreakdown(method=Method.SFT, total=value), grad
+        tokens = int(scores.codes.lengths[:n1].sum())
+        breakdown = LossBreakdown(
+            method=Method.SFT, total=-ordered_sum(scores.log_probs[:n1]) / tokens
+        )
+        weights[:n1] = -1.0 / tokens
 
-    if method is Method.DPO:
-        if len(batch.pairs) == 0:
-            raise InputError("DPO batch must contain pairs")
-        rcfg = RewardConfig(beta=config.beta)
-        total = 0.0
-        grad = np.zeros(shape) if want_grad else None
-        for pair in batch.pairs:
-            r_w = implicit_reward(policy, reference, rcfg, pair.x, pair.y_w)
-            r_l = implicit_reward(policy, reference, rcfg, pair.x, pair.y_l)
-            total += dpo_loss(r_w, r_l)
-            if want_grad:
-                s = _sigmoid(r_w - r_l)
-                grad += (s - 1.0) * config.beta * log_prob_grad(policy, pair.x, pair.y_w)
-                grad += (1.0 - s) * config.beta * log_prob_grad(policy, pair.x, pair.y_l)
-        n = len(batch.pairs)
-        if want_grad:
-            grad /= n
-        return LossBreakdown(method=Method.DPO, total=total / n), grad
+    elif method is Method.DPO:
+        r_w, r_l = scores.rewards[:n1], scores.rewards[n1:]
+        total = ordered_sum(np.logaddexp(0.0, -(r_w - r_l)))  # dpo_loss per pair
+        breakdown = LossBreakdown(method=Method.DPO, total=total / n1)
+        # d dpo_loss / d r_w = -sigmoid(r_l - r_w) = -d dpo_loss / d r_l
+        s = _sigmoids(r_w - r_l)[1] / n1
+        weights[:n1] = -s
+        weights[n1:] = s
 
-    # Binary-feedback methods below share the pos/aux reward computation.
-    if len(batch.pos) == 0:
-        raise InputError(f"{method.value} batch needs positive samples")
-    if method is not Method.KTO and len(batch.aux) == 0:
-        raise InputError(f"{method.value} batch needs auxiliary samples")
-
-    pos_r, pos_g = _rewards_and_grads(policy, reference, config.beta, batch.pos)
-    aux_r, aux_g = _rewards_and_grads(policy, reference, config.beta, batch.aux)
-
-    if method is Method.KTO:
-        rewards = pos_r + aux_r
-        labels = [1] * len(pos_r) + [-1] * len(aux_r)
+    elif method is Method.KTO:
+        rewards = scores.rewards.tolist()
+        labels = [1] * n1 + [-1] * (len(rewards) - n1)
         if zrefs is None:
             if len(rewards) < 2:
                 raise InputError("the leave-one-out anchor needs a batch of size >= 2")
             zrefs = [kto_zref(rewards, i) for i in range(len(rewards))]
         value = kto_loss(rewards, labels, config.lambda_d, config.lambda_u, zrefs=zrefs)
-        grad = None
-        if want_grad:
-            grads = pos_g + aux_g
-            weights = []
-            for r, lab, z in zip(rewards, labels, zrefs):
-                s = _sigmoid(r - z) if lab == 1 else _sigmoid(z - r)
-                w = config.lambda_d if lab == 1 else config.lambda_u
-                sign = -1.0 if lab == 1 else 1.0
-                weights.append(sign * w * s * (1.0 - s) / len(rewards))
-            grad = _weighted_sum(grads, weights, shape)
-        return LossBreakdown(method=Method.KTO, total=value), grad
+        breakdown = LossBreakdown(method=Method.KTO, total=value)
+        # v = sigmoid(+-(r - z)) has dv/dr = +-v(1 - v) = +-sigmoid(m)sigmoid(-m).
+        up, down = _sigmoids(scores.rewards - np.asarray(zrefs, dtype=np.float64))
+        slope = up * down / len(rewards)
+        weights[:n1] = -config.lambda_d * slope[:n1]
+        weights[n1:] = config.lambda_u * slope[n1:]
 
+    else:
+        breakdown, scale, alpha = _binary_breakdown(method, scores, config, delta)
+        # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), with
+        # d loss_positive / d r = -sigmoid(delta - r) and
+        # d loss_negative / d r = sigmoid(r - delta).
+        up, down = _sigmoids(scores.rewards - delta)
+        weights[:n1] = -down[:n1] / n1 - scale * alpha * up[:n1] / n1
+        weights[n1:] = scale * up[n1:] / (len(up) - n1)
+
+    if not want_grad:
+        return breakdown, None
+    if method is not Method.SFT:
+        weights *= config.beta  # d reward / d log p
+    return breakdown, scatter_grad(scores.probs, scores.codes, weights)
+
+
+def _binary_breakdown(
+    method: Method, scores: Scores, config: LossConfig, delta: float
+) -> tuple[LossBreakdown, float, float]:
+    """A BCO-family breakdown, plus the scale and alpha of its negative term.
+
+    BCO is the case alpha = 0, scale = 1; the raw form scales by 1/pi_n; the
+    clamped form by 1/(1 - alpha) while the purified term is positive and by 0
+    (a zero subgradient) once it clamps.
+    """
+    pos, aux = scores.rewards[: scores.split], scores.rewards[scores.split :]
     calib = CalibrationConfig(alpha=config.alpha, pi_n=config.pi_n)
     if method is Method.BCO:
-        breakdown = bco_loss(pos_r, aux_r, delta)
-    elif method is Method.CBPO_RAW:
-        breakdown = cbpo_raw_loss(pos_r, aux_r, delta, calib)
-    elif method is Method.CBPO:
-        breakdown = cbpo_loss(pos_r, aux_r, delta, calib)
-    else:
-        raise ConfigError(f"unknown method {method}")
-
-    grad = None
-    if want_grad:
-        n_p, n_a = len(pos_r), len(aux_r)
-        # d loss_positive / d reward = sigmoid(r - delta) - 1
-        # d loss_negative / d reward = sigmoid(r - delta)
-        pos_grad = _weighted_sum(
-            pos_g, [(_sigmoid(r - delta) - 1.0) / n_p for r in pos_r], shape
-        )
-        aux_neg_grad = _weighted_sum(
-            aux_g, [_sigmoid(r - delta) / n_a for r in aux_r], shape
-        )
-        if method is Method.BCO:
-            grad = pos_grad + aux_neg_grad
-        else:
-            tar_neg_grad = _weighted_sum(
-                pos_g, [_sigmoid(r - delta) / n_p for r in pos_r], shape
-            )
-            if method is Method.CBPO_RAW:
-                grad = pos_grad + (aux_neg_grad - config.alpha * tar_neg_grad) / config.pi_n
-            else:  # CBPO: subgradient 0 on the clamped branch
-                if breakdown.pure_neg_raw > 0.0:
-                    scale = 1.0 / (1.0 - config.alpha)
-                    grad = pos_grad + scale * (aux_neg_grad - config.alpha * tar_neg_grad)
-                else:
-                    grad = pos_grad
-    return breakdown, grad
+        return bco_loss(pos, aux, delta), 1.0, 0.0
+    if method is Method.CBPO_RAW:
+        return cbpo_raw_loss(pos, aux, delta, calib), 1.0 / config.pi_n, config.alpha
+    if method is Method.CBPO:
+        breakdown = cbpo_loss(pos, aux, delta, calib)
+        scale = 1.0 / (1.0 - config.alpha) if breakdown.pure_neg_raw > 0.0 else 0.0
+        return breakdown, scale, config.alpha
+    raise ConfigError(f"unknown method {method}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -27,17 +27,22 @@ from .losses import (
     LossBreakdown,
     LossConfig,
     Method,
+    encode_batch,
     method_loss_and_grad,
+    score,
+    scored_loss_and_grad,
 )
-from .policy import PolicyParams, Sample, sample_completion, snapshot_reference, uniform_params
-from .rewards import (
-    ReferenceState,
-    RewardConfig,
-    delta_ema,
-    delta_joint,
-    ema_update,
-    implicit_reward,
+from .policy import (
+    Encoded,
+    PolicyParams,
+    Sample,
+    encode,
+    sample_completion,
+    snapshot_reference,
+    softmax_tables,
+    uniform_params,
 )
+from .rewards import ReferenceState, delta_ema, delta_joint, ema_update
 
 __all__ = [
     "AdamState",
@@ -152,7 +157,11 @@ class AdamState:
 
 @dataclass
 class RunState:
-    """Mutable state threaded through train_step."""
+    """Mutable state threaded through train_step.
+
+    The reference is frozen for the whole run, so its log-softmax table is
+    computed once, here.
+    """
 
     policy: PolicyParams
     reference: PolicyParams
@@ -164,6 +173,10 @@ class RunState:
     step: int = 0
     epoch: int = 0
     last_delta: float = 0.0
+    reference_log_table: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.reference_log_table = softmax_tables(self.reference.logits)[0]
 
 
 @dataclass
@@ -211,9 +224,22 @@ def make_batches(
     config: TrainConfig,
     epoch_seed: int,
     dpo_pairs: Sequence[DpoPair] | None = None,
+    codes: Encoded | None = None,
 ) -> list[Batch]:
-    """Seeded per-epoch batches: one epoch is one pass over the target side."""
+    """Seeded per-epoch batches: one epoch is one pass over the target side.
+
+    ``codes`` is the :func:`encode_batch` encoding of the whole set the batches
+    are cut from (all ``dpo_pairs`` for DPO, else ``tar_train`` then
+    ``aux_train``); each batch then carries its slice of it.
+    """
     rng = np.random.default_rng(epoch_seed)
+
+    def cut(first: Sequence[int], second: Sequence[int], n_first: int) -> Encoded | None:
+        if codes is None:
+            return None
+        second = np.asarray(second, dtype=np.int64) + n_first
+        return codes.take(np.concatenate([first, second]))
+
     if config.method is Method.DPO:
         if dpo_pairs is None:
             raise ConfigError("DPO requires synthesized pairs but none were supplied")
@@ -222,7 +248,10 @@ def make_batches(
         order = rng.permutation(len(dpo_pairs))
         bs = config.batch_size_pos
         return [
-            Batch(pairs=[dpo_pairs[int(i)] for i in order[lo : lo + bs]])
+            Batch(
+                pairs=[dpo_pairs[int(i)] for i in order[lo : lo + bs]],
+                codes=cut(order[lo : lo + bs], order[lo : lo + bs], len(dpo_pairs)),
+            )
             for lo in range(0, len(dpo_pairs), bs)
         ]
 
@@ -235,7 +264,10 @@ def make_batches(
 
     if config.method is Method.SFT:
         return [
-            Batch(pos=[pos[int(i)] for i in pos_order[lo : lo + bs_pos]])
+            Batch(
+                pos=[pos[int(i)] for i in pos_order[lo : lo + bs_pos]],
+                codes=cut(pos_order[lo : lo + bs_pos], [], len(pos)),
+            )
             for lo in range(0, len(pos), bs_pos)
         ]
 
@@ -248,12 +280,16 @@ def make_batches(
     cursor = 0
     for step in range(n_steps):
         lo = step * bs_pos
-        pos_chunk = [pos[int(i)] for i in pos_order[lo : lo + bs_pos]]
-        aux_chunk = []
-        for _ in range(bs_aux):
-            aux_chunk.append(aux[int(aux_order[cursor % len(aux)])])
-            cursor += 1
-        batches.append(Batch(pos=pos_chunk, aux=aux_chunk))
+        pos_idx = pos_order[lo : lo + bs_pos]
+        aux_idx = [int(aux_order[(cursor + k) % len(aux)]) for k in range(bs_aux)]
+        cursor += bs_aux
+        batches.append(
+            Batch(
+                pos=[pos[int(i)] for i in pos_idx],
+                aux=[aux[i] for i in aux_idx],
+                codes=cut(pos_idx, aux_idx, len(pos)),
+            )
+        )
     return batches
 
 
@@ -292,21 +328,18 @@ def train_step(state: RunState, batch: Batch) -> tuple[RunState, LossBreakdown]:
     """One optimization step; updates the EMA before the anchor is read."""
     state.step += 1
     method = state.config.method
+    if method in _BINARY_METHODS and (len(batch.pos) == 0 or len(batch.aux) == 0):
+        raise InputError(
+            f"{method.value} step needs non-empty positive and auxiliary sides"
+        )
+    # One reward pass, shared by the EMA anchor and the loss.
+    scores = score(
+        method, batch, state.policy, state.reference_log_table, state.loss_config.beta
+    )
     delta = 0.0
     if method in _BINARY_METHODS:
-        if len(batch.pos) == 0 or len(batch.aux) == 0:
-            raise InputError(
-                f"{method.value} step needs non-empty positive and auxiliary sides"
-            )
-        rcfg = RewardConfig(beta=state.config.beta)
-        pos_r = [
-            implicit_reward(state.policy, state.reference, rcfg, s.x, s.y)
-            for s in batch.pos
-        ]
-        aux_r = [
-            implicit_reward(state.policy, state.reference, rcfg, s.x, s.y)
-            for s in batch.aux
-        ]
+        pos_r = scores.rewards[: scores.split].tolist()
+        aux_r = scores.rewards[scores.split :].tolist()
         pos_mean = sum(pos_r) / len(pos_r)
         aux_mean = sum(aux_r) / len(aux_r)
         if not (math.isfinite(pos_mean) and math.isfinite(aux_mean)):
@@ -321,9 +354,7 @@ def train_step(state: RunState, batch: Batch) -> tuple[RunState, LossBreakdown]:
             delta = delta_joint(pos_r, aux_r)
     state.last_delta = delta
 
-    breakdown, grad = method_loss_and_grad(
-        method, batch, state.policy, state.reference, state.loss_config, delta
-    )
+    breakdown, grad = scored_loss_and_grad(method, scores, state.loss_config, delta)
     if not (math.isfinite(breakdown.total) and bool(np.all(np.isfinite(grad)))):
         raise NumericError(
             f"non-finite loss or gradient at step {state.step}",
@@ -393,12 +424,16 @@ def _epoch_seed(rng: np.random.Generator) -> int:
 def _sft_phase(
     policy: PolicyParams,
     samples: Sequence[Sample],
+    codes: Encoded,
     epochs: int,
     lr: float,
     config: TrainConfig,
     seed_rng: np.random.Generator,
 ) -> None:
-    """Plain cross-entropy passes over a sample list (used for the warm start)."""
+    """Plain cross-entropy passes over a sample list (used for the warm start).
+
+    ``codes`` encodes ``samples``, in the same order.
+    """
     if epochs == 0:
         return
     if len(samples) == 0:
@@ -414,7 +449,10 @@ def _sft_phase(
         order = rng.permutation(len(samples))
         for lo in range(0, len(samples), bs):
             step += 1
-            batch = Batch(pos=[samples[int(i)] for i in order[lo : lo + bs]])
+            batch = Batch(
+                pos=[samples[int(i)] for i in order[lo : lo + bs]],
+                codes=codes.take(order[lo : lo + bs]),
+            )
             breakdown, grad = method_loss_and_grad(
                 Method.SFT, batch, policy, policy, loss_cfg, 0.0
             )
@@ -436,9 +474,16 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
     warm_rng = np.random.default_rng(ss_warm)
     method_rng = np.random.default_rng(ss_method)
 
+    # Bucket rows depend on context_size, so the data is encoded once per run.
+    tar_train, aux_train = dataset.tar_train, dataset.aux_train
+    codes = encode(
+        ((s.x, s.y) for s in tar_train + aux_train), config.context_size, vocab_size
+    )
+    aux_codes = codes.take(np.arange(len(tar_train), codes.n))
+
     policy = uniform_params(vocab_size, config.context_size)
     warm_lr = config.warmstart_lr if config.warmstart_lr is not None else config.learning_rate
-    _sft_phase(policy, dataset.aux_train, config.warmstart_epochs, warm_lr, config, warm_rng)
+    _sft_phase(policy, aux_train, aux_codes, config.warmstart_epochs, warm_lr, config, warm_rng)
     reference = snapshot_reference(policy)
 
     alpha_estimate: AlphaEstimate | None = None
@@ -446,8 +491,8 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
     if config.method in (Method.CBPO, Method.CBPO_RAW):
         if config.alpha == "estimate":
             alpha_estimate = run_alpha_estimation(
-                dataset.tar_train,
-                dataset.aux_train,
+                tar_train,
+                aux_train,
                 vocab_size,
                 epochs=config.alpha_estimator_epochs,
                 lr=config.alpha_estimator_lr,
@@ -474,6 +519,9 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
         )
         if len(dpo_pairs) == 0:
             raise InputError("DPO pair synthesis produced no usable pairs")
+        codes = encode_batch(
+            Batch(pairs=dpo_pairs), Method.DPO, config.context_size, vocab_size
+        )
         steps_per_epoch = math.ceil(len(dpo_pairs) / config.batch_size_pos)
     else:
         steps_per_epoch = math.ceil(len(dataset.tar_train) / config.batch_size_pos)
@@ -490,7 +538,7 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
     metrics: list[dict] = []
     for epoch in range(config.epochs):
         state.epoch = epoch
-        batches = make_batches(dataset, config, _epoch_seed(method_rng), dpo_pairs)
+        batches = make_batches(dataset, config, _epoch_seed(method_rng), dpo_pairs, codes)
         for batch in batches:
             state, breakdown = train_step(state, batch)
             metrics.append(
@@ -597,27 +645,35 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != 1:
-        raise InputError(f"unsupported checkpoint version {doc.get('schema_version')}")
-    ema_doc = doc["ema"]
-    opt_doc = doc["optimizer"]
-    return Checkpoint(
-        policy=_params_from_doc(doc["policy"]),
-        reference=_params_from_doc(doc["reference"]),
-        ema=ReferenceState(
-            ema_pos=float(ema_doc["ema_pos"]),
-            ema_aux=float(ema_doc["ema_aux"]),
-            decay=float(ema_doc["decay"]),
-            initialized=bool(ema_doc["initialized"]),
-        ),
-        opt=AdamState(
-            m=np.asarray(opt_doc["m"], dtype=np.float64),
-            v=np.asarray(opt_doc["v"], dtype=np.float64),
-            t=int(opt_doc["t"]),
-        ),
-        step=int(doc["step"]),
-        vocab_size=int(doc["vocab_size"]),
-        config=doc["config"],
-        dataset_meta=doc["dataset_meta"],
-    )
+    """Read a checkpoint; a missing, truncated or malformed file is an InputError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"checkpoint {path} is not readable JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        raise InputError(f"unsupported checkpoint version {version}")
+    try:
+        ema_doc = doc["ema"]
+        opt_doc = doc["optimizer"]
+        return Checkpoint(
+            policy=_params_from_doc(doc["policy"]),
+            reference=_params_from_doc(doc["reference"]),
+            ema=ReferenceState(
+                ema_pos=float(ema_doc["ema_pos"]),
+                ema_aux=float(ema_doc["ema_aux"]),
+                decay=float(ema_doc["decay"]),
+                initialized=bool(ema_doc["initialized"]),
+            ),
+            opt=AdamState(
+                m=np.asarray(opt_doc["m"], dtype=np.float64),
+                v=np.asarray(opt_doc["v"], dtype=np.float64),
+                t=int(opt_doc["t"]),
+            ),
+            step=int(doc["step"]),
+            vocab_size=int(doc["vocab_size"]),
+            config=dict(doc["config"]),
+            dataset_meta=dict(doc["dataset_meta"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"checkpoint {path} is malformed: {exc!r}") from exc

@@ -9,6 +9,8 @@ pass/fail with diagnostic details.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .losses import (
     LossConfig,
     Method,
     cbpo_loss,
+    encode_batch,
     method_loss,
     method_loss_and_grad,
 )
@@ -45,6 +48,10 @@ __all__ = [
 
 FD_STEP = 1e-5
 FD_TOLERANCE = 1e-4
+# A loss value is a short chain of rounded operations (log-softmax, per-token
+# sums, sigmoids, a batch mean), so it is taken as exact to this many ulps of
+# its magnitude when bounding the round-off of a central difference.
+FD_LOSS_ULPS = 16.0
 
 
 def finite_difference_grad(
@@ -139,21 +146,39 @@ def run_gradient_fd_check(
     cases: int = 50,
     tolerance: float = FD_TOLERANCE,
 ) -> CheckResult:
-    """Analytic gradient vs central finite differences over randomized cases."""
+    """Analytic gradient vs central finite differences over randomized cases.
+
+    The error is relative to the FD gradient's norm, but never to less than the
+    norm at which the FD estimate's own round-off would use up the tolerance:
+    each loss value is exact only to ``FD_LOSS_ULPS * eps * |loss|``, so each
+    central difference is uncertain by that much of the largest loss seen,
+    divided by the step.  A gradient that is truly zero then passes; any
+    gradient FD can resolve at this step is judged as before.
+    """
     # Stable per-method stream: str hashes are process-randomized, enum order is not.
     rng = np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
     worst = 0.0
     for _ in range(cases):
         batch, policy, reference, config, delta, zrefs = random_gradient_case(method, rng)
+        # Encoded once: the finite differences below score this batch 2·C·V times.
+        batch = replace(
+            batch, codes=encode_batch(batch, method, policy.context_size, policy.vocab_size)
+        )
         _, analytic = method_loss_and_grad(method, batch, policy, reference, config, delta)
+        largest = 0.0
 
         def value() -> float:
-            return method_loss(
+            nonlocal largest
+            total = method_loss(
                 method, batch, policy, reference, config, delta, zrefs=zrefs
             ).total
+            largest = max(largest, abs(total))
+            return total
 
         numeric = finite_difference_grad(value, policy)
-        scale = max(float(np.linalg.norm(numeric)), 1e-12)
+        eps = FD_LOSS_ULPS * np.finfo(np.float64).eps
+        roundoff = eps * largest / FD_STEP * math.sqrt(numeric.size)
+        scale = max(float(np.linalg.norm(numeric)), roundoff / tolerance)
         rel = float(np.linalg.norm(analytic - numeric)) / scale
         worst = max(worst, rel)
     return CheckResult(

@@ -6,6 +6,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from bfpo.cli import main
 from bfpo.errors import NumericError
 
@@ -287,6 +289,65 @@ class TestVerify:
         assert "gradient_fd_cbpo" in names
         # One entry per registered property.
         assert len(doc["checks"]) == len(names)
+
+
+def _truncate_checkpoint(run: Path, corpus: Path) -> None:
+    path = run / "checkpoint.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _drop_ema(run: Path, corpus: Path) -> None:
+    path = run / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    del doc["ema"]
+    path.write_text(json.dumps(doc))
+
+
+def _corpus_token_past_vocab(run: Path, corpus: Path) -> None:
+    path = corpus / "corpus.jsonl"
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[0])
+    row["y"][0] = POPULATION["vocab_size"]
+    path.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
+
+
+class TestMalformedInputExits2:
+    """Every malformed input is a usage error: exit 2 and one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "command, corrupt, dataset",
+        [
+            ("evaluate", _truncate_checkpoint, {}),
+            ("evaluate", _drop_ema, {}),
+            ("train", None, {"ratio_x": "abc"}),
+            ("train", _corpus_token_past_vocab, {}),
+        ],
+        ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
+             "corpus_token_past_vocab"],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, dataset):
+        corpus = _generate(tmp_path)
+        run = _train(tmp_path, corpus)
+        if corrupt is not None:
+            corrupt(run, corpus)
+        capsys.readouterr()
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(run / "checkpoint.json"),
+                    "--corpus", str(corpus)]
+        else:
+            cfg = _write(
+                tmp_path / "bad_train.json",
+                {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "bad"),
+                 "corpus_dir": str(corpus),
+                 "dataset": {"target_user": "u000", "ratio_x": 1.0,
+                             "grouping": "random", **dataset},
+                 "train": TRAIN},
+            )
+            argv = ["train", "--config", cfg]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestSeedOverride:

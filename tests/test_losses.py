@@ -267,19 +267,36 @@ class TestGradients:
             Method.CBPO, batch, policy, reference, config, 0.0
         )
         assert breakdown.pure_neg_raw < 0.0
-        from bfpo.losses import _sigmoid, _weighted_sum
-        from bfpo.policy import log_prob_grad
+        from bfpo.losses import _sigmoids
+        from bfpo.policy import (
+            encode,
+            log_prob_grad,
+            scatter_grad,
+            sequence_log_probs,
+            softmax_tables,
+        )
         from bfpo.rewards import RewardConfig, implicit_reward
 
-        rcfg = RewardConfig(beta=config.beta)
-        pos_r = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.pos]
-        pos_g = [config.beta * log_prob_grad(policy, s.x, s.y) for s in batch.pos]
-        expected = _weighted_sum(
-            pos_g,
-            [(_sigmoid(r - 0.0) - 1.0) / len(pos_r) for r in pos_r],
-            grad.shape,
+        # The kernel's own pass, with the auxiliary weight zeroed.
+        samples = batch.pos + batch.aux
+        codes = encode([(s.x, s.y) for s in samples], 1, 2)
+        log_table, probs = softmax_tables(policy.logits)
+        ref_table, _ = softmax_tables(reference.logits)
+        rewards = config.beta * (
+            sequence_log_probs(log_table, codes) - sequence_log_probs(ref_table, codes)
         )
+        pos_weight = -_sigmoids(rewards[:1] - 0.0)[1] / len(batch.pos)
+        weights = config.beta * np.concatenate([pos_weight, [0.0]])
+        expected = scatter_grad(probs, codes, weights)
         np.testing.assert_array_equal(grad, expected)
+        # Independent oracle: the per-sample reward and log_prob_grad.
+        rcfg = RewardConfig(beta=config.beta)
+        oracle = np.zeros_like(grad)
+        for s in batch.pos:
+            r = implicit_reward(policy, reference, rcfg, s.x, s.y)
+            w = -1.0 / (1.0 + math.exp(r)) / len(batch.pos)  # sigmoid(r) - 1
+            oracle += config.beta * w * log_prob_grad(policy, s.x, s.y)
+        np.testing.assert_allclose(grad, oracle, rtol=1e-12)
         _, grad_bco = method_loss_and_grad(
             Method.BCO, batch, policy, reference, config, 0.0
         )
@@ -335,3 +352,52 @@ class TestMethodLoss:
             for field in ("l_pos", "l_aux_neg", "l_tar_neg", "pure_neg_raw",
                           "pure_neg_clamped", "total"):
                 assert math.isfinite(getattr(out, field))
+
+
+class TestKernelLossValues:
+    """The kernel's loss values equal the closed forms on per-sample rewards."""
+
+    def test_binary_methods_bit_identical(self, rng):
+        from bfpo.rewards import RewardConfig, implicit_reward
+
+        for _ in range(20):
+            policy = random_params(rng, 5, 3)
+            reference = random_params(rng, 5, 3)
+            batch = _random_batch(rng, 5, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            config = LossConfig(beta=0.7, alpha=0.4, pi_n=0.8)
+            delta = float(rng.normal(0.0, 0.5))
+            rcfg = RewardConfig(beta=config.beta)
+            pos = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.pos]
+            aux = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.aux]
+            calib = CalibrationConfig(alpha=config.alpha, pi_n=config.pi_n)
+            closed = {
+                Method.BCO: bco_loss(pos, aux, delta),
+                Method.CBPO_RAW: cbpo_raw_loss(pos, aux, delta, calib),
+                Method.CBPO: cbpo_loss(pos, aux, delta, calib),
+            }
+            for method, want in closed.items():
+                got = method_loss(method, batch, policy, reference, config, delta)
+                assert got == want
+
+    def test_dpo_and_sft_bit_identical(self, rng):
+        from bfpo.rewards import RewardConfig, implicit_reward
+
+        policy = random_params(rng, 5, 3)
+        reference = random_params(rng, 5, 3)
+        batch = _random_batch(rng, 5, 4, 4)
+        pairs = [DpoPair(x=p.x, y_w=p.y, y_l=a.y) for p, a in zip(batch.pos, batch.aux)]
+        config = LossConfig(beta=0.5)
+        rcfg = RewardConfig(beta=config.beta)
+        total = 0.0
+        for p in pairs:
+            total += dpo_loss(
+                implicit_reward(policy, reference, rcfg, p.x, p.y_w),
+                implicit_reward(policy, reference, rcfg, p.x, p.y_l),
+            )
+        got = method_loss(Method.DPO, Batch(pairs=pairs), policy, reference, config, 0.0)
+        assert got.total == total / len(pairs)
+        total_lp = 0.0
+        for s in batch.pos:
+            total_lp += log_prob(policy, s.x, s.y)
+        tokens = sum(len(s.y) for s in batch.pos)
+        assert sft_loss(policy, batch.pos) == -total_lp / tokens

@@ -12,10 +12,14 @@ from bfpo.policy import (
     PolicyParams,
     Sample,
     bucket,
+    encode,
     log_prob,
     log_prob_grad,
     sample_completion,
+    scatter_grad,
+    sequence_log_probs,
     snapshot_reference,
+    softmax_tables,
     step_log_probs,
     uniform_params,
 )
@@ -170,3 +174,74 @@ class TestValidation:
         s = Sample(user_id="u", x=(0,), y=(1,), split="train")
         with pytest.raises(AttributeError):
             s.user_id = "v"
+
+
+def _random_pairs(rng, vocab, count, context):
+    """Random (x, y) pairs: empty prompts, long completions that revisit
+    buckets, and a small vocabulary so tokens repeat."""
+    pairs = []
+    for _ in range(count):
+        x = tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(0, 3))))
+        y = tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(1, 2 * context + 3))))
+        pairs.append((x, y))
+    return pairs
+
+
+class TestKernels:
+    """The table kernels against the per-sample reference implementations."""
+
+    def test_gathered_log_probs_are_bit_identical(self, rng):
+        for _ in range(40):
+            vocab = int(rng.integers(2, 9))
+            context = int(rng.integers(1, 5))
+            params = random_params(rng, vocab, context)
+            pairs = _random_pairs(rng, vocab, 10, context)
+            codes = encode(pairs, context, vocab)
+            log_table, _ = softmax_tables(params.logits)
+            got = sequence_log_probs(log_table, codes)
+            want = np.array([log_prob(params, x, y) for x, y in pairs])
+            np.testing.assert_array_equal(got, want)
+
+    def test_rows_match_bucket(self, rng):
+        pairs = _random_pairs(rng, 6, 20, 3) + [((), (1, 2, 3))]
+        codes = encode(pairs, 3, 6)
+        for i, (x, y) in enumerate(pairs):
+            span = slice(codes.starts[i], codes.starts[i] + codes.lengths[i])
+            assert codes.rows[span].tolist() == [bucket(x, t, 3) for t in range(len(y))]
+            assert codes.tokens[span].tolist() == list(y)
+            assert set(codes.seq[span].tolist()) == {i}
+
+    def test_scatter_grad_matches_weighted_log_prob_grads(self, rng):
+        for _ in range(40):
+            vocab = int(rng.integers(2, 9))
+            context = int(rng.integers(1, 5))
+            params = random_params(rng, vocab, context)
+            pairs = _random_pairs(rng, vocab, 8, context)
+            weights = rng.normal(0.0, 1.0, len(pairs))
+            _, probs = softmax_tables(params.logits)
+            got = scatter_grad(probs, encode(pairs, context, vocab), weights)
+            want = np.zeros_like(params.logits)
+            for w, (x, y) in zip(weights, pairs):
+                want += w * log_prob_grad(params, x, y)
+            np.testing.assert_allclose(
+                got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
+
+    def test_take_equals_encoding_the_selection(self, rng):
+        pairs = _random_pairs(rng, 5, 12, 3)
+        codes = encode(pairs, 3, 5)
+        index = [7, 0, 7, 11, 3]
+        part = codes.take(index)
+        direct = encode([pairs[i] for i in index], 3, 5)
+        for field in ("rows", "tokens", "seq", "starts", "lengths"):
+            np.testing.assert_array_equal(getattr(part, field), getattr(direct, field))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [((0,), ()), ((-1,), (0,)), ((3,), (0,)), ((0,), (-1,)), ((0,), (1, 3))],
+        ids=["empty_completion", "negative_prompt", "prompt_past_vocab",
+             "negative_completion", "completion_past_vocab"],
+    )
+    def test_encode_rejects(self, pair):
+        with pytest.raises(InputError):
+            encode([((1,), (2,)), pair], 2, 3)
