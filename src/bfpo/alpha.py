@@ -18,12 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, InputError
-from .policy import Sample
+from .policy import Sample, _check_range
 
 __all__ = [
     "AlphaEstimate",
     "ProxyClassifier",
     "embed",
+    "embed_all",
     "estimate_alpha",
     "estimate_propensity",
     "run_alpha_estimation",
@@ -84,8 +85,18 @@ def embed(sample: Sample, vocab_size: int) -> np.ndarray:
     return counts / norm
 
 
-def _embed_all(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
-    return np.stack([embed(s, vocab_size) for s in samples])
+def embed_all(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
+    """Row i is :func:`embed` of ``samples[i]``, bit for bit: one ``np.bincount``
+    over ``row * vocab_size + token``, then each row divided by its norm."""
+    lengths = [len(s.y) for s in samples]
+    tokens = _check_range([t for s in samples for t in s.y], vocab_size, "completion")
+    rows = np.repeat(np.arange(len(samples)), lengths)
+    counts = np.bincount(
+        rows * vocab_size + tokens, minlength=len(samples) * vocab_size
+    ).reshape(len(samples), vocab_size).astype(np.float64)
+    norms = np.sqrt((counts * counts).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+    return counts / norms[:, None]
 
 
 def train_proxy(
@@ -102,7 +113,7 @@ def train_proxy(
     if epochs < 1:
         raise InputError(f"epochs must be >= 1, got {epochs}")
     features = np.concatenate(
-        [_embed_all(target_samples, vocab_size), _embed_all(aux_samples, vocab_size)]
+        [embed_all(target_samples, vocab_size), embed_all(aux_samples, vocab_size)]
     )
     labels = np.concatenate(
         [np.ones(len(target_samples)), np.zeros(len(aux_samples))]
@@ -125,7 +136,7 @@ def estimate_propensity(
     """Mean classifier output over held-out target samples."""
     if len(heldout_target_samples) == 0:
         raise InputError("held-out target set must be non-empty")
-    embeddings = _embed_all(heldout_target_samples, classifier.vocab_size)
+    embeddings = embed_all(heldout_target_samples, classifier.vocab_size)
     return float(classifier.predict_proba(embeddings).mean())
 
 
@@ -140,7 +151,7 @@ def estimate_alpha(
         raise EstimationError(f"propensity must be positive, got {c_hat}")
     if len(aux_samples) == 0:
         raise InputError("auxiliary set must be non-empty")
-    embeddings = _embed_all(aux_samples, classifier.vocab_size)
+    embeddings = embed_all(aux_samples, classifier.vocab_size)
     raw = float(classifier.predict_proba(embeddings).mean()) / c_hat
     alpha_hat = raw
     if raw > ALPHA_CAP:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -23,6 +24,7 @@ from .datagen import (
     generate_population,
     load_corpus,
     load_population_spec,
+    population_spec_from_doc,
     save_corpus,
     save_population_spec,
     truncate_history,
@@ -97,21 +99,10 @@ def _check_version(doc: dict, where: str) -> None:
 
 
 def _population_spec(doc: dict, seed: int, where: str) -> PopulationSpec:
-    allowed = {
-        "n_users", "vocab_size", "overlap_lambda", "samples_per_user",
-        "prompt_pool_size", "seq_len",
-    }
+    allowed = {f.name for f in fields(PopulationSpec)} - {"seed"}
     _check_keys(doc, allowed, allowed, where)
     try:
-        return PopulationSpec(
-            n_users=int(doc["n_users"]),
-            vocab_size=int(doc["vocab_size"]),
-            overlap_lambda=float(doc["overlap_lambda"]),
-            samples_per_user=int(doc["samples_per_user"]),
-            prompt_pool_size=int(doc["prompt_pool_size"]),
-            seq_len=int(doc["seq_len"]),
-            seed=seed,
-        )
+        return population_spec_from_doc({**doc, "seed": seed})
     except (InputError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -309,13 +300,7 @@ def _train_once(
     result = run(dataset, train_cfg, spec.vocab_size)
     config_hash = _semantic_hash(
         {
-            "population": {
-                "n_users": spec.n_users, "vocab_size": spec.vocab_size,
-                "overlap_lambda": spec.overlap_lambda,
-                "samples_per_user": spec.samples_per_user,
-                "prompt_pool_size": spec.prompt_pool_size,
-                "seq_len": spec.seq_len, "seed": spec.seed,
-            },
+            "population": asdict(spec),
             "dataset": dataset_cfg,
             "train": _train_config_doc(train_cfg),
         }
@@ -476,7 +461,11 @@ def _sweep_apply_axis(dataset_cfg: dict, train_doc: dict, axis: str, value: Any)
 
 
 def _sweep_task(task: dict) -> dict:
-    """One grid point: generate (cached per seed by caller), train, evaluate."""
+    """One grid point: generate the seed's population, train, evaluate.
+
+    Every task regenerates its population from the spec; generation is a pure
+    function of the spec, so tasks of one seed see the same corpus.
+    """
     spec = PopulationSpec(**task["population"])
     population = generate_population(spec)
     dataset_cfg = dict(task["dataset"])
@@ -544,7 +533,7 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
     out_dir = _resolve_out(doc, out, "sweep config")
     dataset_cfg = _dataset_cfg(doc["dataset"], "sweep config: dataset")
     _check_keys(doc["train"], _TRAIN_KEYS, {"method"}, "sweep config: train")
-    _population_spec(doc["population"], base_seed, "sweep config: population")
+    spec = _population_spec(doc["population"], base_seed, "sweep config: population")
     delta_modes = list(doc.get("delta_modes", [doc["train"].get("delta_mode", "ema")]))
 
     tasks = []
@@ -559,7 +548,7 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
                         "value": value,
                         "seed": run_seed,
                         "delta_mode": mode,
-                        "population": {**doc["population"], "seed": run_seed},
+                        "population": {**asdict(spec), "seed": run_seed},
                         "dataset": dataset_cfg,
                         "train": doc["train"],
                         "_order": order,

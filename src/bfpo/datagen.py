@@ -5,19 +5,30 @@ distribution supported on tokens no other user emits.  The mixing weight is the
 single ground-truth overlap parameter: at 1.0 all users are indistinguishable,
 at 0.0 their supports are disjoint.  Prompts come from a shared pool, so user
 identity lives entirely in completion style.
+
+Each user's draws come from that user's own PCG64 stream.  The reference
+implementation is a per-token loop of scalar calls (:func:`_draws_loop`): per
+sample one ``integers(0, prompt_pool_size)``, then per token one ``random()``
+to pick the shared or the user's own block and one ``integers(0, block size)``.
+The generator makes the same draws with array operations
+(:func:`_draws_array`): it reads one block of raw 64-bit words and lays the
+loop's call sequence onto it, so the population is equal to the loop's for
+every spec.  Where that layout does not hold (a bound of 1, for which
+``integers`` draws nothing, or a rejected Lemire draw), the user is drawn by
+the loop instead.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .alpha import embed
+from .alpha import embed_all
 from .errors import InputError
 from .policy import Sample
 
@@ -28,6 +39,7 @@ __all__ = [
     "generate_population",
     "load_corpus",
     "load_population_spec",
+    "population_spec_from_doc",
     "save_corpus",
     "save_population_spec",
     "truncate_history",
@@ -90,6 +102,113 @@ def _token_partition(spec: PopulationSpec) -> tuple[np.ndarray, list[np.ndarray]
     return shared, users
 
 
+_HALF_BITS = np.uint64(32)
+_HALF_MASK = np.uint64(0xFFFFFFFF)
+
+
+def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``integers(0, n)`` for 1 < n <= 2**32 from one 32-bit half u each.
+
+    Lemire's method: the value is ``(u * n) >> 32``; it is rejected, and the
+    generator draws another half, when the low 32 bits of ``u * n`` fall below
+    ``2**32 % n``.  Returns the values and the rejection mask.  The generator's
+    bounds are the sizes of the prompt pool and of token blocks held in memory,
+    so they never come near 2**32.
+    """
+    product = halves * bounds
+    rejected = (product & _HALF_MASK) < np.uint64(2**32) % bounds
+    return (product >> _HALF_BITS).astype(np.int64), rejected
+
+
+def _stream_layout(
+    n_samples: int, seq_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Where each call of :func:`_draws_loop` reads the raw word stream.
+
+    The loop's calls, in order, are per sample ``H (R H) * seq_len``, where R
+    (``random()``) takes a whole new word and H (``integers``) takes a 32-bit
+    half.  PCG64 serves halves low half first from a word it then keeps in a
+    buffer, so every second H takes the high half of the word the H before it
+    took, whatever Rs came in between.  Returns the word index of every R,
+    shape (n_samples, seq_len); the word index and high-half flag of every H,
+    shape (n_samples, 1 + seq_len), prompt draw first; and the word count.
+    """
+    step = 1 + 2 * seq_len
+    is_half = np.ones(n_samples * step, dtype=bool)
+    is_half[np.arange(n_samples)[:, None] * step + 1 + 2 * np.arange(seq_len)] = False
+    half_rank = np.cumsum(is_half) - 1
+    high = half_rank[is_half] % 2 == 1
+    new_word = ~is_half
+    new_word[is_half] = ~high
+    word = np.cumsum(new_word) - 1
+    half_word = word[is_half]
+    half_word[high] = half_word[np.flatnonzero(high) - 1]
+    shape = (n_samples, 1 + seq_len)
+    return (
+        word[~is_half].reshape(n_samples, seq_len),
+        half_word.reshape(shape),
+        high.reshape(shape),
+        int(word[-1]) + 1,
+    )
+
+
+def _draws_array(
+    rng: np.random.Generator,
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray, int],
+    overlap: float,
+    prompt_bound: int,
+    shared_bound: int,
+    own_bound: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The draws of :func:`_draws_loop`, from one block of raw words read as
+    ``layout`` (the :func:`_stream_layout` of the sample count and length).
+
+    Returns None, leaving the caller to run the loop on a fresh generator,
+    when a bound is 1 or a draw is rejected.  Every value before the first
+    such draw is computed exactly as the loop computes it, so the first one is
+    always found.
+    """
+    word_of_r, word_of_h, high, n_words = layout
+    raw = rng.bit_generator.random_raw(n_words)
+    uniforms = (raw[word_of_r] >> np.uint64(11)) * 2.0**-53
+    words = raw[word_of_h]
+    halves = np.where(high, words >> _HALF_BITS, words & _HALF_MASK)
+    from_shared = uniforms < overlap
+    bounds = np.empty(halves.shape, dtype=np.uint64)
+    bounds[:, 0] = prompt_bound
+    bounds[:, 1:] = np.where(from_shared, shared_bound, own_bound)
+    values, rejected = _lemire(halves, bounds)
+    if np.any(bounds == 1) or np.any(rejected):
+        return None
+    return values[:, 0], from_shared, values[:, 1:]
+
+
+def _draws_loop(
+    rng: np.random.Generator,
+    n_samples: int,
+    seq_len: int,
+    overlap: float,
+    prompt_bound: int,
+    shared_bound: int,
+    own_bound: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference implementation: one scalar generator call per draw.
+
+    Returns the prompt index per sample, and per token whether it comes from
+    the shared block and its index in that block.
+    """
+    prompt = np.empty(n_samples, dtype=np.int64)
+    from_shared = np.empty((n_samples, seq_len), dtype=bool)
+    index = np.empty((n_samples, seq_len), dtype=np.int64)
+    for i in range(n_samples):
+        prompt[i] = rng.integers(0, prompt_bound)
+        for t in range(seq_len):
+            from_shared[i, t] = rng.random() < overlap
+            bound = shared_bound if from_shared[i, t] else own_bound
+            index[i, t] = rng.integers(0, bound)
+    return prompt, from_shared, index
+
+
 def generate_population(spec: PopulationSpec) -> dict[str, list[Sample]]:
     """Per-user sample lists, canonical order (user id, then sample index)."""
     shared, user_blocks = _token_partition(spec)
@@ -99,23 +218,30 @@ def generate_population(spec: PopulationSpec) -> dict[str, list[Sample]]:
         for _ in range(spec.prompt_pool_size)
     ]
     n_train = math.ceil((1.0 - HELDOUT_FRACTION) * spec.samples_per_user)
+    splits = ["train"] * n_train + ["heldout"] * (spec.samples_per_user - n_train)
+    layout = _stream_layout(spec.samples_per_user, spec.seq_len)
     population: dict[str, list[Sample]] = {}
     for u in range(spec.n_users):
         uid = _user_id(u, spec.n_users)
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2, u]))
         own = user_blocks[u]
-        samples: list[Sample] = []
-        for i in range(spec.samples_per_user):
-            x = prompts[int(rng.integers(0, spec.prompt_pool_size))]
-            y: list[int] = []
-            for _ in range(spec.seq_len):
-                if rng.random() < spec.overlap_lambda:
-                    y.append(int(shared[int(rng.integers(0, len(shared)))]))
-                else:
-                    y.append(int(own[int(rng.integers(0, len(own)))]))
-            split = "train" if i < n_train else "heldout"
-            samples.append(Sample(user_id=uid, x=x, y=tuple(y), split=split))
-        population[uid] = samples
+        seed = np.random.SeedSequence([spec.seed, 2, u])
+        bounds = (spec.prompt_pool_size, len(shared), len(own))
+        draws = _draws_array(
+            np.random.default_rng(seed), layout, spec.overlap_lambda, *bounds
+        )
+        if draws is None:
+            draws = _draws_loop(
+                np.random.default_rng(seed),
+                spec.samples_per_user, spec.seq_len, spec.overlap_lambda, *bounds,
+            )
+        prompt, from_shared, index = draws
+        tokens = np.where(
+            from_shared, shared.take(index, mode="clip"), own.take(index, mode="clip")
+        )
+        population[uid] = [
+            Sample(user_id=uid, x=prompts[p], y=tuple(y), split=split)
+            for p, y, split in zip(prompt.tolist(), tokens.tolist(), splits)
+        ]
     return population
 
 
@@ -155,10 +281,8 @@ def user_mean_embedding(samples: Sequence[Sample], vocab_size: int) -> np.ndarra
     train = [s for s in samples if s.split == "train"]
     if not train:
         train = list(samples)
-    acc = np.zeros(vocab_size)
-    for s in train:
-        acc += embed(s, vocab_size)
-    return acc / len(train)
+    # Summed row by row, as adding each sample's embedding in turn would.
+    return embed_all(train, vocab_size).sum(axis=0) / len(train)
 
 
 def _round_half_up(value: float) -> int:
@@ -294,17 +418,20 @@ def load_corpus(path: str | Path) -> dict[str, list[Sample]]:
     return population
 
 
+def population_spec_from_doc(doc: dict) -> PopulationSpec:
+    """A spec from a JSON document: every field, cast to its declared type.
+
+    Raises ``KeyError`` for a missing field, ``TypeError``/``ValueError`` for a
+    value that does not cast and ``InputError`` for one out of range.
+    """
+    types = get_type_hints(PopulationSpec)
+    return PopulationSpec(
+        **{f.name: types[f.name](doc[f.name]) for f in fields(PopulationSpec)}
+    )
+
+
 def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:
-    doc = {
-        "schema_version": 1,
-        "n_users": spec.n_users,
-        "vocab_size": spec.vocab_size,
-        "overlap_lambda": spec.overlap_lambda,
-        "samples_per_user": spec.samples_per_user,
-        "prompt_pool_size": spec.prompt_pool_size,
-        "seq_len": spec.seq_len,
-        "seed": spec.seed,
-    }
+    doc = {"schema_version": 1, **asdict(spec)}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -317,14 +444,6 @@ def load_population_spec(path: str | Path) -> PopulationSpec:
         version = doc.get("schema_version") if isinstance(doc, dict) else None
         raise InputError(f"unsupported population spec version {version}")
     try:
-        return PopulationSpec(
-            n_users=int(doc["n_users"]),
-            vocab_size=int(doc["vocab_size"]),
-            overlap_lambda=float(doc["overlap_lambda"]),
-            samples_per_user=int(doc["samples_per_user"]),
-            prompt_pool_size=int(doc["prompt_pool_size"]),
-            seq_len=int(doc["seq_len"]),
-            seed=int(doc["seed"]),
-        )
+        return population_spec_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"population spec {path} is malformed: {exc!r}") from exc

@@ -162,9 +162,7 @@ def _one_replication(
     pos = spec.p_pos(rng, n)
     unlabeled, _ = sample_unlabeled(spec, n, seed + 1)
     return estimator(
-        logistic_negative_loss(pos).tolist(),
-        logistic_negative_loss(unlabeled).tolist(),
-        spec.pi_p,
+        logistic_negative_loss(pos), logistic_negative_loss(unlabeled), spec.pi_p
     )
 
 

@@ -25,8 +25,9 @@ from .losses import (
     encode_batch,
     method_loss,
     method_loss_and_grad,
+    score,
 )
-from .policy import PolicyParams, Sample
+from .policy import PolicyParams, Sample, softmax_tables
 from .pu import (
     CheckResult,
     run_convergence_check,
@@ -34,7 +35,6 @@ from .pu import (
     run_unbiasedness_check,
 )
 from .rewards import ReferenceState, delta_ema, ema_update, kto_zref
-from .rewards import RewardConfig, implicit_reward
 
 __all__ = [
     "finite_difference_grad",
@@ -121,22 +121,22 @@ def random_gradient_case(
                 ]
             )
         zrefs = None
-        if method is Method.KTO:
-            rcfg = RewardConfig(beta=config.beta)
-            rewards = [
-                implicit_reward(policy, reference, rcfg, s.x, s.y)
-                for s in batch.pos + batch.aux
-            ]
-            if len(rewards) < 2:
-                continue
-            zrefs = [kto_zref(rewards, i) for i in range(len(rewards))]
-        if method is Method.CBPO:
-            rcfg = RewardConfig(beta=config.beta)
-            pos_r = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.pos]
-            aux_r = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.aux]
-            calib = CalibrationConfig(alpha=config.alpha, pi_n=config.pi_n)
-            if cbpo_loss(pos_r, aux_r, delta, calib).pure_neg_raw <= 0.05:
-                continue
+        if method in (Method.KTO, Method.CBPO):
+            scores = score(
+                method, batch, policy, softmax_tables(reference.logits)[0], config.beta
+            )
+            rewards = scores.rewards
+            if method is Method.KTO:
+                if len(rewards) < 2:
+                    continue
+                zrefs = [kto_zref(rewards, i) for i in range(len(rewards))]
+            else:
+                calib = CalibrationConfig(alpha=config.alpha, pi_n=config.pi_n)
+                breakdown = cbpo_loss(
+                    rewards[: scores.split], rewards[scores.split :], delta, calib
+                )
+                if breakdown.pure_neg_raw <= 0.05:
+                    continue
         return batch, policy, reference, config, delta, zrefs
 
 

@@ -10,6 +10,7 @@ import pytest
 from bfpo.alpha import (
     ProxyClassifier,
     embed,
+    embed_all,
     estimate_alpha,
     estimate_propensity,
     run_alpha_estimation,
@@ -50,6 +51,37 @@ class TestEmbed:
             y = tuple(int(t) for t in rng.integers(0, 6, int(rng.integers(1, 8))))
             e = embed(Sample("u", (0,), y), vocab_size=6)
             assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestEmbedAll:
+    def test_equals_stacked_embed(self, rng):
+        """Random lengths, repeated tokens, single-token completions."""
+        for vocab in (2, 6, 48):
+            samples = [
+                Sample("u", (0,), tuple(int(t) for t in rng.integers(0, vocab, n)))
+                for n in rng.integers(1, 12, 200)
+            ]
+            samples.append(Sample("u", (0,), (vocab - 1,) * 5))
+            expected = np.stack([embed(s, vocab) for s in samples])
+            assert embed_all(samples, vocab).tobytes() == expected.tobytes()
+
+    def test_population_samples(self):
+        spec, pop = small_population(0.6, seed=5, vocab=24)
+        samples = [s for uid in sorted(pop) for s in pop[uid]]
+        expected = np.stack([embed(s, 24) for s in samples])
+        assert embed_all(samples, 24).tobytes() == expected.tobytes()
+
+    def test_empty_completion_is_a_zero_row(self):
+        samples = [Sample("u", (0,), ()), Sample("u", (0,), (1,))]
+        out = embed_all(samples, 3)
+        np.testing.assert_array_equal(out, np.stack([embed(s, 3) for s in samples]))
+        np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_out_of_range_token_rejected(self, token):
+        """A token past the vocabulary would otherwise count in the next row."""
+        with pytest.raises(InputError):
+            embed_all([Sample("u", (0,), (0, token)), Sample("u", (0,), (1,))], 4)
 
 
 class TestTrainProxy:

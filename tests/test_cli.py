@@ -268,6 +268,20 @@ class TestSweep:
         cfg = self._sweep_cfg(tmp_path, None, "temperature", [1], "sw4")
         assert main(["sweep", "--config", cfg]) == 2
 
+    def test_population_values_are_cast_as_validated(self, tmp_path):
+        """A population value the validator casts (here the string "6") reaches
+        every task cast, so the sweep runs as it does with the number."""
+        cfg1 = self._sweep_cfg(tmp_path, None, "alpha", [0.5], "sw7")
+        doc = json.loads(Path(cfg1).read_text())
+        doc["population"] = {**POPULATION, "n_users": str(POPULATION["n_users"])}
+        doc["out_dir"] = str(tmp_path / "sw8")
+        cfg2 = _write(tmp_path / "sweep_sw8.json", doc)
+        assert main(["sweep", "--config", cfg1]) == 0
+        assert main(["sweep", "--config", cfg2]) == 0
+        assert (tmp_path / "sw7" / "sweep.csv").read_bytes() == (
+            tmp_path / "sw8" / "sweep.csv"
+        ).read_bytes()
+
     def test_workers_match_serial(self, tmp_path):
         cfg1 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], "sw5")
         cfg2 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], "sw6")

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from bfpo import datagen
 from bfpo.alpha import embed, train_proxy
 from bfpo.datagen import (
     PopulationSpec,
@@ -52,6 +56,20 @@ class TestGeneratePopulation:
         _, p_value, _, _ = stats.chi2_contingency(table)
         assert p_value > 0.01
 
+    def test_user_mean_embedding_equals_the_sum_loop(self):
+        """The mean of the batched embeddings equals adding each sample's
+        ``embed`` in turn, bit for bit, with and without a train split."""
+        for seed in range(5):
+            spec, pop = small_population(0.4, seed=seed, vocab=24)
+            for samples in pop.values():
+                for subset in (samples, [s for s in samples if s.split == "heldout"]):
+                    train = [s for s in subset if s.split == "train"] or subset
+                    acc = np.zeros(24)
+                    for s in train:
+                        acc += embed(s, 24)
+                    expected = acc / len(train)
+                    assert user_mean_embedding(subset, 24).tobytes() == expected.tobytes()
+
     def test_zero_overlap_maximizes_user_distance(self):
         """Pairwise mean-embedding distances decrease with overlap."""
         distances = []
@@ -95,6 +113,143 @@ class TestGeneratePopulation:
                     samples_per_user=5, prompt_pool_size=4, seq_len=3, seed=0,
                 )
             )
+
+
+def _loop_population(spec, monkeypatch):
+    """The population as the per-token loop alone draws it."""
+    with monkeypatch.context() as m:
+        m.setattr(datagen, "_draws_array", lambda *args: None)
+        return generate_population(spec)
+
+
+def _spy_array_draws(monkeypatch):
+    """Record whether each user's array draws held (True) or fell back (False)."""
+    held = []
+    original = datagen._draws_array
+
+    def spy(*args):
+        out = original(*args)
+        held.append(out is not None)
+        return out
+
+    monkeypatch.setattr(datagen, "_draws_array", spy)
+    return held
+
+
+def _spec(**overrides):
+    base = dict(n_users=4, vocab_size=24, overlap_lambda=0.5, samples_per_user=30,
+                prompt_pool_size=7, seq_len=5, seed=11)
+    return PopulationSpec(**{**base, **overrides})
+
+
+# Both frozen acceptance configs; then overlaps 0, 0.2, 0.8 and 1; seq_len 1.
+ARRAY_SPECS = [
+    PopulationSpec(8, 72, 0.8, 150, 20, 8, 0),
+    PopulationSpec(6, 48, 0.5, 2500, 20, 5, 1),
+    *[_spec(overlap_lambda=lam, seed=seed) for lam in (0.0, 0.2, 0.8, 1.0) for seed in (0, 1)],
+    _spec(seq_len=1),
+]
+# Layouts the array draws do not cover: a prompt pool of one, a user block of
+# one token (4 users, V=8: shared block 4, one token per user).
+FALLBACK_SPECS = [
+    _spec(prompt_pool_size=1),
+    _spec(n_users=4, vocab_size=8, overlap_lambda=0.3),
+]
+
+
+class TestArrayDraws:
+    """The array draws equal the per-token loop of scalar generator calls."""
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS, ids=repr)
+    def test_equals_per_token_loop(self, spec, monkeypatch):
+        expected = _loop_population(spec, monkeypatch)
+        held = _spy_array_draws(monkeypatch)
+        assert generate_population(spec) == expected
+        assert held == [True] * spec.n_users
+        for samples in expected.values():
+            assert all(type(t) is int for s in samples for t in s.x + s.y)
+
+    @pytest.mark.parametrize("spec", FALLBACK_SPECS, ids=repr)
+    def test_fallback_equals_per_token_loop(self, spec, monkeypatch):
+        expected = _loop_population(spec, monkeypatch)
+        held = _spy_array_draws(monkeypatch)
+        assert generate_population(spec) == expected
+        assert held == [False] * spec.n_users
+
+    def test_overlap_one_never_draws_an_own_token(self, monkeypatch):
+        """A block of one token is never drawn at overlap 1, so the array draws hold."""
+        spec = _spec(n_users=4, vocab_size=8, overlap_lambda=1.0)
+        held = _spy_array_draws(monkeypatch)
+        assert generate_population(spec) == _loop_population(spec, monkeypatch)
+        assert held == [True] * spec.n_users
+
+    def test_corpus_matches_the_per_token_generator(self, tmp_path):
+        """SHA-256 of corpora written by the per-token generator before the
+        array draws replaced it."""
+        digests = {
+            PopulationSpec(8, 72, 0.8, 150, 20, 8, 0):
+                "efc67227083cffa0a549d9a8d9fb3613375e3c9c8c7bf6740a70cf8b45549676",
+            PopulationSpec(6, 48, 0.5, 2500, 20, 5, 1):
+                "35f59dbd47e972206598f4b6ccb4e93b079674e904f11bedf109740d0696988b",
+            PopulationSpec(3, 12, 0.4, 30, 1, 4, 2):
+                "01dc44ee7f1de3d8420c96fd10a1bbd76fc5ef17ae18cec46900d0d0d5de4f84",
+        }
+        for spec, digest in digests.items():
+            path = tmp_path / "corpus.jsonl"
+            save_corpus(generate_population(spec), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bound", [3, 20, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32])
+    def test_lemire_matches_scalar_integers(self, bound):
+        """One ``integers(0, n)`` takes the low half of the first word, or the
+        high half when the low one is rejected."""
+        rejections = 0
+        for seed in range(400):
+            raw = np.random.default_rng(seed).bit_generator.random_raw(1)[0]
+            halves = np.array([raw & 0xFFFFFFFF, raw >> 32], dtype=np.uint64)
+            values, rejected = datagen._lemire(halves, np.full(2, bound, dtype=np.uint64))
+            scalar = int(np.random.default_rng(seed).integers(0, bound))
+            if not rejected[0]:
+                assert scalar == values[0]
+            else:
+                rejections += 1
+                if not rejected[1]:
+                    assert scalar == values[1]
+        if bound in (2**31 + 1, 3 * 2**30):
+            assert rejections > 50  # rejects with probability ~1/2 and 1/4
+        if bound == 2**32:
+            assert rejections == 0
+
+    @pytest.mark.parametrize(
+        "bounds", [(3 * 2**30, 5, 7), (9, 2**31 + 1, 3 * 2**30), (2**32, 2**32 - 1, 2**32)]
+    )
+    def test_rejections_are_detected(self, bounds):
+        """Bounds near 2**32 force rejections: wherever the array draws hold
+        they equal the scalar calls, and every rejection makes them give way."""
+        held = 0
+        for seed in range(60):
+            layout = datagen._stream_layout(3, 2)
+            drawn = datagen._draws_array(np.random.default_rng(seed), layout, 0.5, *bounds)
+            expected = datagen._draws_loop(np.random.default_rng(seed), 3, 2, 0.5, *bounds)
+            if drawn is not None:
+                held += 1
+                for a, b in zip(drawn, expected):
+                    np.testing.assert_array_equal(a, b)
+        if bounds[0] == 3 * 2**30:
+            assert 0 < held < 60
+        if bounds == (2**32, 2**32 - 1, 2**32):
+            assert held == 60
+
+    def test_stream_layout_reads_each_word_once(self):
+        """Every word is read by one random() or by two integers() halves."""
+        for n_samples, seq_len in [(1, 1), (3, 2), (4, 5), (5, 8)]:
+            word_of_r, word_of_h, high, n_words = datagen._stream_layout(n_samples, seq_len)
+            uses = np.bincount(word_of_r.ravel(), minlength=n_words) * 2
+            uses += np.bincount(word_of_h.ravel(), minlength=n_words)
+            tail = np.zeros(n_words, dtype=bool)
+            tail[word_of_h.ravel()[-1]] = not high.ravel()[-1]
+            assert np.all(uses[~tail] == 2) and np.all(uses[tail] == 1)
+            assert high.ravel()[::2].sum() == 0 and high.ravel()[1::2].all()
 
 
 class TestBuildUserDataset:
@@ -223,6 +378,40 @@ class TestPersistence:
         path = tmp_path / "spec.json"
         save_population_spec(spec, path)
         assert load_population_spec(path) == spec
+
+    def test_spec_file_bytes(self, tmp_path):
+        """The file the field-list-free writer produces, byte for byte."""
+        path = tmp_path / "spec.json"
+        save_population_spec(PopulationSpec(8, 72, 0.8, 150, 20, 8, 7), path)
+        assert path.read_text() == (
+            '{\n  "n_users": 8,\n  "overlap_lambda": 0.8,\n  "prompt_pool_size": 20,\n'
+            '  "samples_per_user": 150,\n  "schema_version": 1,\n  "seed": 7,\n'
+            '  "seq_len": 8,\n  "vocab_size": 72\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"seq_len": None},
+            {"seq_len": "abc"},
+            {"overlap_lambda": [0.5]},
+            {"overlap_lambda": 1.5},
+            {"n_users": 0},
+        ],
+        ids=repr,
+    )
+    def test_malformed_spec_rejected(self, tmp_path, edit):
+        spec, _ = small_population(0.25, seed=10)
+        path = tmp_path / "spec.json"
+        save_population_spec(spec, path)
+        doc = {**json.loads(path.read_text()), **edit}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            load_population_spec(path)
+        del doc["seed"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            load_population_spec(path)
 
     def test_malformed_lines_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
