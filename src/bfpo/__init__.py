@@ -19,13 +19,10 @@ from .errors import (
 from .evaluation import EvalReport, evaluate_policy
 from .losses import (
     Batch,
-    CalibrationConfig,
     LossBreakdown,
     LossConfig,
     Method,
-    bco_loss,
-    cbpo_loss,
-    cbpo_raw_loss,
+    binary_loss,
     dpo_loss,
     kto_loss,
     loss_negative,
@@ -50,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaEstimate",
     "Batch",
-    "CalibrationConfig",
     "ConfigError",
     "EngineError",
     "EstimationError",
@@ -71,10 +67,8 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "UserDataset",
-    "bco_loss",
+    "binary_loss",
     "build_user_dataset",
-    "cbpo_loss",
-    "cbpo_raw_loss",
     "delta_bco",
     "delta_ema",
     "dpo_loss",

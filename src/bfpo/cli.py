@@ -32,12 +32,14 @@ from .datagen import (
 from .errors import ConfigError, EngineError, InputError, NumericError
 from .evaluation import evaluate_policy
 from .alpha import DEFAULT_EPOCHS, DEFAULT_HELDOUT_FRACTION, DEFAULT_LR, run_alpha_estimation
+from .schema import from_doc
 from .trainer import (
     METRICS_COLUMNS,
     TrainConfig,
     load_checkpoint,
     run,
     save_checkpoint,
+    train_config_doc,
 )
 from .verification import run_all_checks
 
@@ -124,43 +126,13 @@ def _dataset_cfg(doc: dict, where: str) -> dict:
     return out
 
 
-_TRAIN_KEYS = {
-    "method", "epochs", "batch_size_pos", "batch_size_aux", "learning_rate",
-    "beta", "alpha", "ema_decay", "momentum_params", "context_size", "pi_n",
-    "lambda_d", "lambda_u", "delta_mode", "weight_decay", "warmup_fraction",
-    "warmstart_epochs", "warmstart_lr", "dpo_rejection_budget",
-    "alpha_estimator_epochs", "alpha_estimator_lr",
-}
-
-
-_TRAIN_INT_KEYS = {
-    "epochs", "batch_size_pos", "batch_size_aux", "context_size",
-    "warmstart_epochs", "dpo_rejection_budget", "alpha_estimator_epochs",
-}
-_TRAIN_FLOAT_KEYS = {
-    "learning_rate", "beta", "ema_decay", "pi_n", "lambda_d", "lambda_u",
-    "weight_decay", "warmup_fraction", "alpha_estimator_lr",
-}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
 
 
 def _train_config(doc: dict, seed: int, where: str) -> TrainConfig:
     _check_keys(doc, _TRAIN_KEYS, {"method"}, where)
-    kwargs: dict[str, Any] = {"seed": seed}
     try:
-        for key, value in doc.items():
-            if key == "momentum_params":
-                value = tuple(float(v) for v in value)
-            elif key in _TRAIN_INT_KEYS:
-                if value is not None:
-                    value = int(value)
-            elif key in _TRAIN_FLOAT_KEYS:
-                value = float(value)
-            elif key == "warmstart_lr" and value is not None:
-                value = float(value)
-            elif key == "alpha" and not isinstance(value, str):
-                value = float(value)
-            kwargs[key] = value
-        return TrainConfig(**kwargs)
+        return from_doc(TrainConfig, {**doc, "seed": seed})
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -177,33 +149,6 @@ def _run_seed(doc: dict, override: int | None, where: str) -> int:
 def _semantic_hash(parts: dict) -> str:
     blob = json.dumps(parts, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _train_config_doc(config: TrainConfig) -> dict:
-    return {
-        "method": config.method.value,
-        "epochs": config.epochs,
-        "batch_size_pos": config.batch_size_pos,
-        "batch_size_aux": config.batch_size_aux,
-        "learning_rate": config.learning_rate,
-        "beta": config.beta,
-        "alpha": config.alpha if isinstance(config.alpha, str) else float(config.alpha),
-        "ema_decay": config.ema_decay,
-        "seed": config.seed,
-        "momentum_params": list(config.momentum_params),
-        "context_size": config.context_size,
-        "pi_n": config.pi_n,
-        "lambda_d": config.lambda_d,
-        "lambda_u": config.lambda_u,
-        "delta_mode": config.delta_mode,
-        "weight_decay": config.weight_decay,
-        "warmup_fraction": config.warmup_fraction,
-        "warmstart_epochs": config.warmstart_epochs,
-        "warmstart_lr": config.warmstart_lr,
-        "dpo_rejection_budget": config.dpo_rejection_budget,
-        "alpha_estimator_epochs": config.alpha_estimator_epochs,
-        "alpha_estimator_lr": config.alpha_estimator_lr,
-    }
 
 
 def _resolve_out(doc: dict, override: str | None, where: str) -> Path:
@@ -302,7 +247,7 @@ def _train_once(
         {
             "population": asdict(spec),
             "dataset": dataset_cfg,
-            "train": _train_config_doc(train_cfg),
+            "train": train_config_doc(train_cfg),
         }
     )
     meta = {

@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
 from .alpha import embed_all
 from .errors import InputError
 from .policy import Sample
+from .schema import from_doc
 
 __all__ = [
     "PopulationSpec",
@@ -419,15 +420,12 @@ def load_corpus(path: str | Path) -> dict[str, list[Sample]]:
 
 
 def population_spec_from_doc(doc: dict) -> PopulationSpec:
-    """A spec from a JSON document: every field, cast to its declared type.
+    """A spec from a JSON document, through :func:`bfpo.schema.from_doc`.
 
-    Raises ``KeyError`` for a missing field, ``TypeError``/``ValueError`` for a
-    value that does not cast and ``InputError`` for one out of range.
+    Raises ``TypeError`` for a missing field, ``ValueError`` for a value that
+    does not cast and ``InputError`` for one out of range.
     """
-    types = get_type_hints(PopulationSpec)
-    return PopulationSpec(
-        **{f.name: types[f.name](doc[f.name]) for f in fields(PopulationSpec)}
-    )
+    return from_doc(PopulationSpec, doc)
 
 
 def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:
@@ -445,5 +443,5 @@ def load_population_spec(path: str | Path) -> PopulationSpec:
         raise InputError(f"unsupported population spec version {version}")
     try:
         return population_spec_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"population spec {path} is malformed: {exc!r}") from exc

@@ -6,12 +6,24 @@ the anchored reward g = reward - delta:
     positive-label loss  -log sigmoid(g)    (small when the sample is preferred)
     negative-label loss  -log sigmoid(-g)   (small when it is non-preferred)
 
-The calibrated objective treats the auxiliary set as an unlabeled mixture and
-subtracts the expected negative-label loss of the positive set, scaled by the
-overlap coefficient alpha, from the auxiliary negative-label loss.  Clamping
-that "purified" term at zero prevents the flexible policy from exploiting a
-negative risk estimate.  Gradients are analytic; delta and the leave-one-out
-KTO anchors are treated as constants.
+BCO and the two calibrated objectives are one formula, the PU risk of
+Kiryo et al. (2017) with the auxiliary set as the unlabeled mixture:
+
+    total = l_pos + clamp?(l_aux_neg - alpha * l_tar_neg) / divisor
+
+where l_pos is the positive-label mean over the positives and l_aux_neg,
+l_tar_neg are the negative-label means over the auxiliaries and the positives.
+The purified term subtracts the positives' expected share, scaled by the
+overlap coefficient alpha, from the auxiliary negative-label loss; clamping it
+at zero keeps the flexible policy from exploiting a negative risk estimate.
+:func:`binary_loss` reads (alpha, divisor, clamped) from one per-method table:
+
+    bco       (0,     1,         no)
+    cbpo_raw  (alpha, pi_n,      no)
+    cbpo      (alpha, 1 - alpha, yes; alpha < 1)
+
+Gradients are analytic; delta and the leave-one-out KTO anchors are treated as
+constants.
 
 Every method is evaluated by one kernel pass over the batch (see
 :mod:`bfpo.policy`): the batch's sequences are index-encoded, their
@@ -44,19 +56,15 @@ from .rewards import kto_zref
 
 __all__ = [
     "Batch",
-    "CalibrationConfig",
     "DpoPair",
     "LossBreakdown",
     "LossConfig",
     "Method",
     "Scores",
-    "bco_loss",
-    "cbpo_loss",
-    "cbpo_raw_loss",
+    "binary_loss",
     "dpo_loss",
     "encode_batch",
     "kto_loss",
-    "loss_gradients",
     "loss_negative",
     "loss_positive",
     "method_loss",
@@ -74,25 +82,6 @@ class Method(str, Enum):
     BCO = "bco"
     CBPO_RAW = "cbpo_raw"
     CBPO = "cbpo"
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    """Correction coefficient alpha and the class prior used by the raw form.
-
-    alpha = 1 (total overlap) is representable for the unclamped objective; the
-    clamped objective additionally rejects it because of its 1/(1 - alpha)
-    rescaling.
-    """
-
-    alpha: float = 0.0
-    pi_n: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (0.0 < self.pi_n <= 1.0):
-            raise ConfigError(f"pi_n must lie in (0, 1], got {self.pi_n}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +135,14 @@ class LossConfig:
     pi_n: float = 1.0
     lambda_d: float = 1.0
     lambda_u: float = 1.0
+
+    def __post_init__(self) -> None:
+        # alpha = 1 (total overlap) is representable for the unclamped
+        # objective; the clamped one rejects it (see binary_loss).
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not (0.0 < self.pi_n <= 1.0):
+            raise ConfigError(f"pi_n must lie in (0, 1], got {self.pi_n}")
 
 
 def _sigmoid(z: float) -> float:
@@ -234,64 +231,40 @@ def kto_loss(
     return total / len(rewards)
 
 
-def bco_loss(
+def _binary_terms(method: Method, config: LossConfig) -> tuple[float, float, bool]:
+    """(alpha, divisor, clamped) of a BCO-family method: the module docstring's table."""
+    table = {
+        Method.BCO: (0.0, 1.0, False),
+        Method.CBPO_RAW: (config.alpha, config.pi_n, False),
+        Method.CBPO: (config.alpha, 1.0 - config.alpha, True),
+    }
+    if method not in table:
+        raise ConfigError(f"{method} is not a BCO-family method")
+    alpha, divisor, clamped = table[method]
+    if clamped and alpha >= 1.0:
+        raise ConfigError(f"the clamped objective needs alpha < 1, got {alpha}")
+    return alpha, divisor, clamped
+
+
+def binary_loss(
+    method: Method,
     pos_rewards: Sequence[float],
     aux_rewards: Sequence[float],
     delta: float,
+    config: LossConfig,
 ) -> LossBreakdown:
-    """Positive-label mean over positives plus negative-label mean over auxiliaries."""
+    """A BCO-family objective: l_pos + clamp?(l_aux_neg - alpha*l_tar_neg)/divisor."""
+    alpha, divisor, clamped = _binary_terms(method, config)
     l_pos, l_aux_neg, l_tar_neg = _binary_means(pos_rewards, aux_rewards, delta)
+    raw = l_aux_neg - alpha * l_tar_neg
     return LossBreakdown(
-        method=Method.BCO,
-        l_pos=l_pos,
-        l_aux_neg=l_aux_neg,
-        l_tar_neg=l_tar_neg,
-        pure_neg_raw=l_aux_neg,
-        pure_neg_clamped=l_aux_neg,
-        total=l_pos + l_aux_neg,
-    )
-
-
-def cbpo_raw_loss(
-    pos_rewards: Sequence[float],
-    aux_rewards: Sequence[float],
-    delta: float,
-    config: CalibrationConfig,
-) -> LossBreakdown:
-    """Unclamped risk-decomposition form with an explicit class prior pi_n."""
-    l_pos, l_aux_neg, l_tar_neg = _binary_means(pos_rewards, aux_rewards, delta)
-    raw = l_aux_neg - config.alpha * l_tar_neg
-    return LossBreakdown(
-        method=Method.CBPO_RAW,
+        method=method,
         l_pos=l_pos,
         l_aux_neg=l_aux_neg,
         l_tar_neg=l_tar_neg,
         pure_neg_raw=raw,
         pure_neg_clamped=max(0.0, raw),
-        total=l_pos + raw / config.pi_n,
-    )
-
-
-def cbpo_loss(
-    pos_rewards: Sequence[float],
-    aux_rewards: Sequence[float],
-    delta: float,
-    config: CalibrationConfig,
-) -> LossBreakdown:
-    """Calibrated objective: l_pos + max(0, l_aux_neg - alpha*l_tar_neg)/(1-alpha)."""
-    if config.alpha >= 1.0:
-        raise ConfigError(f"the clamped objective needs alpha < 1, got {config.alpha}")
-    l_pos, l_aux_neg, l_tar_neg = _binary_means(pos_rewards, aux_rewards, delta)
-    raw = l_aux_neg - config.alpha * l_tar_neg
-    clamped = max(0.0, raw)
-    return LossBreakdown(
-        method=Method.CBPO,
-        l_pos=l_pos,
-        l_aux_neg=l_aux_neg,
-        l_tar_neg=l_tar_neg,
-        pure_neg_raw=raw,
-        pure_neg_clamped=clamped,
-        total=l_pos + clamped / (1.0 - config.alpha),
+        total=l_pos + (max(0.0, raw) if clamped else raw) / divisor,
     )
 
 
@@ -406,20 +379,6 @@ def method_loss_and_grad(
     return scored_loss_and_grad(method, scores, config, delta)
 
 
-def loss_gradients(
-    method: Method,
-    batch: Batch,
-    policy: PolicyParams,
-    reference_policy: PolicyParams,
-    config: LossConfig,
-    delta: float,
-) -> np.ndarray:
-    """Analytic gradient of the method's total loss w.r.t. the policy logits."""
-    return method_loss_and_grad(
-        method, batch, policy, reference_policy, config, delta
-    )[1]
-
-
 def _check_batch(method: Method, batch: Batch) -> None:
     if method is Method.SFT:
         if len(batch.pos) == 0:
@@ -479,10 +438,16 @@ def _dispatch(
         weights[n1:] = config.lambda_u * slope[n1:]
 
     else:
-        breakdown, scale, alpha = _binary_breakdown(method, scores, config, delta)
-        # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), with
-        # d loss_positive / d r = -sigmoid(delta - r) and
+        breakdown = binary_loss(
+            method, scores.rewards[:n1], scores.rewards[n1:], delta, config
+        )
+        alpha, divisor, clamped = _binary_terms(method, config)
+        # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), where scale
+        # is 1/divisor, or 0 (a zero subgradient) once the clamp is active, and
+        # d loss_positive / d r = -sigmoid(delta - r),
         # d loss_negative / d r = sigmoid(r - delta).
+        active = not clamped or breakdown.pure_neg_raw > 0.0
+        scale = 1.0 / divisor if active else 0.0
         up, down = _sigmoids(scores.rewards - delta)
         weights[:n1] = -down[:n1] / n1 - scale * alpha * up[:n1] / n1
         weights[n1:] = scale * up[n1:] / (len(up) - n1)
@@ -493,24 +458,3 @@ def _dispatch(
         weights *= config.beta  # d reward / d log p
     return breakdown, scatter_grad(scores.probs, scores.codes, weights)
 
-
-def _binary_breakdown(
-    method: Method, scores: Scores, config: LossConfig, delta: float
-) -> tuple[LossBreakdown, float, float]:
-    """A BCO-family breakdown, plus the scale and alpha of its negative term.
-
-    BCO is the case alpha = 0, scale = 1; the raw form scales by 1/pi_n; the
-    clamped form by 1/(1 - alpha) while the purified term is positive and by 0
-    (a zero subgradient) once it clamps.
-    """
-    pos, aux = scores.rewards[: scores.split], scores.rewards[scores.split :]
-    calib = CalibrationConfig(alpha=config.alpha, pi_n=config.pi_n)
-    if method is Method.BCO:
-        return bco_loss(pos, aux, delta), 1.0, 0.0
-    if method is Method.CBPO_RAW:
-        return cbpo_raw_loss(pos, aux, delta, calib), 1.0 / config.pi_n, config.alpha
-    if method is Method.CBPO:
-        breakdown = cbpo_loss(pos, aux, delta, calib)
-        scale = 1.0 / (1.0 - config.alpha) if breakdown.pure_neg_raw > 0.0 else 0.0
-        return breakdown, scale, config.alpha
-    raise ConfigError(f"unknown method {method}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -55,6 +55,7 @@ __all__ = [
     "run",
     "save_checkpoint",
     "synth_dpo_pairs",
+    "train_config_doc",
     "train_step",
 ]
 
@@ -125,8 +126,10 @@ class TrainConfig:
         if isinstance(self.alpha, str):
             if self.alpha != "estimate":
                 raise ConfigError(f"alpha must be a number or 'estimate', got {self.alpha!r}")
-        elif not 0.0 <= float(self.alpha) < 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1), got {self.alpha}")
+        else:
+            self.alpha = float(self.alpha)
+            if not 0.0 <= self.alpha < 1.0:
+                raise ConfigError(f"alpha must lie in [0, 1), got {self.alpha}")
         if not 0.0 < self.pi_n <= 1.0:
             raise ConfigError(f"pi_n must lie in (0, 1], got {self.pi_n}")
         if self.context_size < 1:
@@ -590,6 +593,11 @@ def _params_from_doc(doc: dict) -> PolicyParams:
     )
 
 
+def train_config_doc(config: TrainConfig) -> dict:
+    """Every field of the config as JSON values (the method by its name)."""
+    return {**asdict(config), "method": config.method.value}
+
+
 def save_checkpoint(
     path: str | Path,
     result: TrainResult,
@@ -614,31 +622,7 @@ def save_checkpoint(
             "v": [[float(v) for v in row] for row in result.opt.v],
             "t": result.opt.t,
         },
-        "config": {
-            "method": config.method.value,
-            "epochs": config.epochs,
-            "batch_size_pos": config.batch_size_pos,
-            "batch_size_aux": config.batch_size_aux,
-            "learning_rate": config.learning_rate,
-            "beta": config.beta,
-            "alpha": config.alpha if isinstance(config.alpha, str) else float(config.alpha),
-            "alpha_resolved": result.alpha_resolved,
-            "ema_decay": config.ema_decay,
-            "seed": config.seed,
-            "momentum_params": list(config.momentum_params),
-            "context_size": config.context_size,
-            "pi_n": config.pi_n,
-            "lambda_d": config.lambda_d,
-            "lambda_u": config.lambda_u,
-            "delta_mode": config.delta_mode,
-            "weight_decay": config.weight_decay,
-            "warmup_fraction": config.warmup_fraction,
-            "warmstart_epochs": config.warmstart_epochs,
-            "warmstart_lr": config.warmstart_lr,
-            "dpo_rejection_budget": config.dpo_rejection_budget,
-            "alpha_estimator_epochs": config.alpha_estimator_epochs,
-            "alpha_estimator_lr": config.alpha_estimator_lr,
-        },
+        "config": {**train_config_doc(config), "alpha_resolved": result.alpha_resolved},
         "dataset_meta": dataset_meta,
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")

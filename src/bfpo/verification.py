@@ -17,11 +17,10 @@ import numpy as np
 
 from .losses import (
     Batch,
-    CalibrationConfig,
     DpoPair,
     LossConfig,
     Method,
-    cbpo_loss,
+    binary_loss,
     encode_batch,
     method_loss,
     method_loss_and_grad,
@@ -131,9 +130,8 @@ def random_gradient_case(
                     continue
                 zrefs = [kto_zref(rewards, i) for i in range(len(rewards))]
             else:
-                calib = CalibrationConfig(alpha=config.alpha, pi_n=config.pi_n)
-                breakdown = cbpo_loss(
-                    rewards[: scores.split], rewards[scores.split :], delta, calib
+                breakdown = binary_loss(
+                    method, rewards[: scores.split], rewards[scores.split :], delta, config
                 )
                 if breakdown.pure_neg_raw <= 0.05:
                     continue
@@ -233,13 +231,13 @@ def run_clamp_check(
 ) -> CheckResult:
     """The purified term must go negative on small batches, never post-clamp."""
     rng = np.random.default_rng(seed)
-    calib = CalibrationConfig(alpha=alpha)
+    config = LossConfig(alpha=alpha)
     negatives = 0
     clamp_violations = 0
     for _ in range(replications):
         pos = rng.normal(0.0, 1.0, n).tolist()
         aux = rng.normal(0.0, 1.0, n).tolist()
-        breakdown = cbpo_loss(pos, aux, 0.0, calib)
+        breakdown = binary_loss(Method.CBPO, pos, aux, 0.0, config)
         if breakdown.pure_neg_raw < 0.0:
             negatives += 1
         if breakdown.pure_neg_clamped < 0.0:

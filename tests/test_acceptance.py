@@ -20,7 +20,7 @@ from bfpo.datagen import (
     generate_population,
     truncate_history,
 )
-from bfpo.losses import CalibrationConfig, Method, bco_loss, cbpo_loss
+from bfpo.losses import LossConfig, Method, binary_loss
 from bfpo.evaluation import evaluate_policy
 from bfpo.pu import run_convergence_check, run_unbiasedness_check
 from bfpo.trainer import TrainConfig, run
@@ -115,8 +115,8 @@ class TestCriterion1Reduction:
             aux = rng.normal(0, 2, int(rng.integers(1, 9))).tolist()
             delta = float(rng.normal(0, 1))
             gap = abs(
-                cbpo_loss(pos, aux, delta, CalibrationConfig(alpha=0.0)).total
-                - bco_loss(pos, aux, delta).total
+                binary_loss(Method.CBPO, pos, aux, delta, LossConfig(alpha=0.0)).total
+                - binary_loss(Method.BCO, pos, aux, delta, LossConfig()).total
             )
             worst = max(worst, gap)
 

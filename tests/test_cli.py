@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -107,6 +108,14 @@ class TestTrain:
         # 16 target train samples, batches of 4, 2 epochs.
         assert len(rows) == 8
         assert (out / "checkpoint.json").exists()
+
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        """Checkpoint bytes of a fixed config: the config block, derived from
+        the TrainConfig fields, must not drift."""
+        out = _train(tmp_path, _generate(tmp_path))
+        assert hashlib.sha256((out / "checkpoint.json").read_bytes()).hexdigest() == (
+            "d690ba3c21663f9373e30990eb8f09717601904591f0972cd6abd6841d3f3398"
+        )
 
     def test_alpha_estimate_written(self, tmp_path):
         corpus = _generate(tmp_path)
@@ -268,6 +277,15 @@ class TestSweep:
         cfg = self._sweep_cfg(tmp_path, None, "temperature", [1], "sw4")
         assert main(["sweep", "--config", cfg]) == 2
 
+    def test_config_hash_pinned(self, tmp_path):
+        """Config hashes of a fixed sweep: the hashed train block must not drift,
+        and the integer alpha 0 hashes as 0.0."""
+        cfg = self._sweep_cfg(tmp_path, None, "alpha", [0, "estimate"], "sw9")
+        assert main(["sweep", "--config", cfg]) == 0
+        with (tmp_path / "sw9" / "sweep.csv").open() as fh:
+            hashes = [r["config_hash"] for r in csv.DictReader(fh)]
+        assert hashes == ["5274ca184ffc", "812e9d13d972"]
+
     def test_population_values_are_cast_as_validated(self, tmp_path):
         """A population value the validator casts (here the string "6") reaches
         every task cast, so the sweep runs as it does with the number."""
@@ -330,17 +348,23 @@ class TestMalformedInputExits2:
     """Every malformed input is a usage error: exit 2 and one line on stderr."""
 
     @pytest.mark.parametrize(
-        "command, corrupt, dataset",
+        "command, corrupt, edits",
         [
             ("evaluate", _truncate_checkpoint, {}),
             ("evaluate", _drop_ema, {}),
-            ("train", None, {"ratio_x": "abc"}),
+            ("train", None, {"dataset": {"ratio_x": "abc"}}),
             ("train", _corpus_token_past_vocab, {}),
+            ("generate", None, {"population": {"n_users": 8.7}}),
+            ("generate", None, {"population": {"samples_per_user": True}}),
+            ("train", None, {"train": {"epochs": 2.7}}),
+            ("train", None, {"train": {"learning_rate": True}}),
+            ("train", None, {"train": {"momentum_params": [0.9, 0.99]}}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
-             "corpus_token_past_vocab"],
+             "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
+             "epochs_not_an_integer", "learning_rate_bool", "momentum_params_too_short"],
     )
-    def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, dataset):
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
         run = _train(tmp_path, corpus)
         if corrupt is not None:
@@ -349,14 +373,21 @@ class TestMalformedInputExits2:
         if command == "evaluate":
             argv = ["evaluate", "--checkpoint", str(run / "checkpoint.json"),
                     "--corpus", str(corpus)]
+        elif command == "generate":
+            cfg = _write(
+                tmp_path / "bad_gen.json",
+                {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "bad"),
+                 "population": {**POPULATION, **edits["population"]}},
+            )
+            argv = ["generate", "--config", cfg]
         else:
             cfg = _write(
                 tmp_path / "bad_train.json",
                 {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "bad"),
                  "corpus_dir": str(corpus),
                  "dataset": {"target_user": "u000", "ratio_x": 1.0,
-                             "grouping": "random", **dataset},
-                 "train": TRAIN},
+                             "grouping": "random", **edits.get("dataset", {})},
+                 "train": {**TRAIN, **edits.get("train", {})}},
             )
             argv = ["train", "--config", cfg]
         assert main(argv) == 2

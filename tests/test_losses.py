@@ -10,16 +10,12 @@ import pytest
 from bfpo.errors import ConfigError, InputError
 from bfpo.losses import (
     Batch,
-    CalibrationConfig,
     DpoPair,
     LossConfig,
     Method,
-    bco_loss,
-    cbpo_loss,
-    cbpo_raw_loss,
+    binary_loss,
     dpo_loss,
     kto_loss,
-    loss_gradients,
     loss_negative,
     loss_positive,
     method_loss,
@@ -32,6 +28,10 @@ from bfpo.rewards import kto_zref
 from conftest import random_params
 
 LOG2 = math.log(2.0)
+
+
+def bco(pos, aux, delta):
+    return binary_loss(Method.BCO, pos, aux, delta, LossConfig())
 
 
 def softplus_inverse(y: float) -> float:
@@ -122,14 +122,14 @@ class TestKtoLoss:
 
 class TestBcoLoss:
     def test_all_at_anchor(self):
-        out = bco_loss([0.2, 0.2], [0.2], delta=0.2)
+        out = bco([0.2, 0.2], [0.2], delta=0.2)
         assert out.total == pytest.approx(2 * LOG2, abs=1e-12)
 
     def test_per_sample_oracle(self, rng):
         pos = rng.normal(0, 1, 5).tolist()
         aux = rng.normal(0, 1, 7).tolist()
         delta = 0.3
-        out = bco_loss(pos, aux, delta)
+        out = bco(pos, aux, delta)
         exp_pos = sum(loss_positive(r, delta) for r in pos) / len(pos)
         exp_aux = sum(loss_negative(r, delta) for r in aux) / len(aux)
         assert out.l_pos == pytest.approx(exp_pos, abs=1e-12)
@@ -138,25 +138,25 @@ class TestBcoLoss:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            bco_loss([], [0.1], 0.0)
+            bco([], [0.1], 0.0)
 
 
 class TestCbpoRawLoss:
     def test_reduces_to_bco(self, rng):
         pos = rng.normal(0, 1, 4).tolist()
         aux = rng.normal(0, 1, 4).tolist()
-        raw = cbpo_raw_loss(pos, aux, 0.1, CalibrationConfig(alpha=0.0, pi_n=1.0))
-        assert raw.total == bco_loss(pos, aux, 0.1).total
+        raw = binary_loss(Method.CBPO_RAW, pos, aux, 0.1, LossConfig(alpha=0.0, pi_n=1.0))
+        assert raw.total == bco(pos, aux, 0.1).total
 
     def test_anchor_closed_form(self):
-        cfg = CalibrationConfig(alpha=0.4, pi_n=0.8)
-        out = cbpo_raw_loss([0.0, 0.0], [0.0], 0.0, cfg)
+        cfg = LossConfig(alpha=0.4, pi_n=0.8)
+        out = binary_loss(Method.CBPO_RAW, [0.0, 0.0], [0.0], 0.0, cfg)
         assert out.l_pos == pytest.approx(LOG2, abs=1e-12)
         assert out.total == pytest.approx(LOG2 + (LOG2 - 0.4 * LOG2) / 0.8, abs=1e-12)
 
     def test_full_overlap_cancellation(self):
         rewards = [0.3, -0.2, 0.7]
-        out = cbpo_raw_loss(rewards, list(rewards), 0.1, CalibrationConfig(alpha=1.0))
+        out = binary_loss(Method.CBPO_RAW, rewards, list(rewards), 0.1, LossConfig(alpha=1.0))
         assert out.pure_neg_raw == 0.0
         assert out.total == out.l_pos
 
@@ -167,8 +167,8 @@ class TestCbpoLoss:
             pos = rng.normal(0, 1.5, int(rng.integers(1, 6))).tolist()
             aux = rng.normal(0, 1.5, int(rng.integers(1, 6))).tolist()
             delta = float(rng.normal(0, 1))
-            a = cbpo_loss(pos, aux, delta, CalibrationConfig(alpha=0.0))
-            b = bco_loss(pos, aux, delta)
+            a = binary_loss(Method.CBPO, pos, aux, delta, LossConfig(alpha=0.0))
+            b = bco(pos, aux, delta)
             assert a.total == b.total
             assert a.pure_neg_raw == b.pure_neg_raw
 
@@ -176,7 +176,7 @@ class TestCbpoLoss:
         """l_aux=0.6, l_tar=0.8, alpha=0.5 -> raw 0.2, contribution 0.4."""
         r_tar = softplus_inverse(0.8)
         r_aux = softplus_inverse(0.6)
-        out = cbpo_loss([r_tar], [r_aux], 0.0, CalibrationConfig(alpha=0.5))
+        out = binary_loss(Method.CBPO, [r_tar], [r_aux], 0.0, LossConfig(alpha=0.5))
         assert out.l_tar_neg == pytest.approx(0.8, abs=1e-12)
         assert out.l_aux_neg == pytest.approx(0.6, abs=1e-12)
         assert out.pure_neg_raw == pytest.approx(0.2, abs=1e-12)
@@ -186,7 +186,7 @@ class TestCbpoLoss:
         """l_aux=0.3, l_tar=0.8, alpha=0.5 -> raw -0.1 clamps to 0."""
         r_tar = softplus_inverse(0.8)
         r_aux = softplus_inverse(0.3)
-        out = cbpo_loss([r_tar], [r_aux], 0.0, CalibrationConfig(alpha=0.5))
+        out = binary_loss(Method.CBPO, [r_tar], [r_aux], 0.0, LossConfig(alpha=0.5))
         assert out.pure_neg_raw == pytest.approx(-0.1, abs=1e-12)
         assert out.pure_neg_clamped == 0.0
         assert out.total == out.l_pos
@@ -195,21 +195,27 @@ class TestCbpoLoss:
         for _ in range(200):
             pos = rng.normal(0, 2, 3).tolist()
             aux = rng.normal(0, 2, 3).tolist()
-            out = cbpo_loss(pos, aux, 0.0, CalibrationConfig(alpha=0.9))
+            out = binary_loss(Method.CBPO, pos, aux, 0.0, LossConfig(alpha=0.9))
             assert out.pure_neg_clamped >= 0.0
             assert out.pure_neg_raw <= out.pure_neg_clamped
 
     def test_full_overlap_limit(self):
         """Identical sets and alpha -> 1: the purified term vanishes."""
         rewards = [0.4, -0.1, 0.9]
-        out = cbpo_loss(rewards, list(rewards), 0.2, CalibrationConfig(alpha=1 - 1e-9))
+        out = binary_loss(Method.CBPO, rewards, list(rewards), 0.2, LossConfig(alpha=1 - 1e-9))
         assert abs(out.pure_neg_raw) < 1e-8
 
     def test_alpha_one_rejected(self):
         with pytest.raises(ConfigError):
-            cbpo_loss([0.1], [0.1], 0.0, CalibrationConfig(alpha=1.0))
+            binary_loss(Method.CBPO, [0.1], [0.1], 0.0, LossConfig(alpha=1.0))
         with pytest.raises(ConfigError):
-            CalibrationConfig(alpha=1.2)
+            LossConfig(alpha=1.2)
+
+    @pytest.mark.parametrize("bad", [{"alpha": 1.2}, {"alpha": -0.1}, {"pi_n": 0},
+                                     {"pi_n": 1.5}], ids=repr)
+    def test_loss_config_range_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            LossConfig(**bad)
 
 
 class TestSftLoss:
@@ -308,8 +314,12 @@ class TestGradients:
         pair = DpoPair(x=(0,), y_w=(1, 2), y_l=(3,))
         swapped = DpoPair(x=(0,), y_w=(3,), y_l=(1, 2))
         config = LossConfig(beta=1.0)
-        g1 = loss_gradients(Method.DPO, Batch(pairs=[pair]), policy, reference, config, 0.0)
-        g2 = loss_gradients(Method.DPO, Batch(pairs=[swapped]), policy, reference, config, 0.0)
+        _, g1 = method_loss_and_grad(
+            Method.DPO, Batch(pairs=[pair]), policy, reference, config, 0.0
+        )
+        _, g2 = method_loss_and_grad(
+            Method.DPO, Batch(pairs=[swapped]), policy, reference, config, 0.0
+        )
         np.testing.assert_allclose(g1, -g2, atol=1e-14)
 
     def test_cbpo_step_raises_low_reward_positive(self):
@@ -320,7 +330,7 @@ class TestGradients:
         sample = Sample("u", (0,), (0,))
         other = Sample("u", (0,), (1,))
         config = LossConfig(beta=1.0, alpha=0.3)
-        grad = loss_gradients(
+        _, grad = method_loss_and_grad(
             Method.CBPO, Batch(pos=[sample], aux=[other]), policy, reference, config, 0.5
         )
         before = log_prob(policy, sample.x, sample.y)
@@ -369,11 +379,9 @@ class TestKernelLossValues:
             rcfg = RewardConfig(beta=config.beta)
             pos = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.pos]
             aux = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.aux]
-            calib = CalibrationConfig(alpha=config.alpha, pi_n=config.pi_n)
             closed = {
-                Method.BCO: bco_loss(pos, aux, delta),
-                Method.CBPO_RAW: cbpo_raw_loss(pos, aux, delta, calib),
-                Method.CBPO: cbpo_loss(pos, aux, delta, calib),
+                method: binary_loss(method, pos, aux, delta, config)
+                for method in (Method.BCO, Method.CBPO_RAW, Method.CBPO)
             }
             for method, want in closed.items():
                 got = method_loss(method, batch, policy, reference, config, delta)

@@ -1,0 +1,66 @@
+"""Config documents: the one caster, and every exported name resolves."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import bfpo
+from bfpo.datagen import PopulationSpec
+from bfpo.losses import Method
+from bfpo.schema import from_doc
+from bfpo.trainer import TrainConfig
+
+POPULATION = {"n_users": 6, "vocab_size": 24, "overlap_lambda": 0.5,
+              "samples_per_user": 20, "prompt_pool_size": 8, "seq_len": 5, "seed": 1}
+
+
+class TestFromDoc:
+    @pytest.mark.parametrize(
+        "key, value, cast",
+        [("n_users", "6", 6), ("n_users", 6.0, 6), ("overlap_lambda", 1, 1.0),
+         ("overlap_lambda", "0.5", 0.5)],
+    )
+    def test_accepted_population_values(self, key, value, cast):
+        spec = from_doc(PopulationSpec, {**POPULATION, key: value})
+        assert getattr(spec, key) == cast and type(getattr(spec, key)) is type(cast)
+
+    def test_train_config_types(self):
+        config = from_doc(TrainConfig, {
+            "method": "bco", "alpha": 0, "batch_size_aux": None, "warmstart_lr": None,
+            "momentum_params": [0.5, 0.9, 1], "epochs": 2.0, "schema_version": 1,
+        })
+        assert config.method is Method.BCO
+        assert config.alpha == 0.0 and isinstance(config.alpha, float)
+        assert config.batch_size_aux is None and config.warmstart_lr is None
+        assert config.momentum_params == (0.5, 0.9, 1.0)
+        assert config.epochs == 2 and isinstance(config.epochs, int)
+        assert from_doc(TrainConfig, {"alpha": "estimate"}).alpha == "estimate"
+
+    @pytest.mark.parametrize(
+        "cls, edit",
+        [(PopulationSpec, {"overlap_lambda": False}), (PopulationSpec, {"seq_len": "5.0"}),
+         (TrainConfig, {"momentum_params": "abc"}), (TrainConfig, {"alpha": True}),
+         (TrainConfig, {"delta_mode": 3}), (TrainConfig, {"method": "ppo"})],
+        ids=repr,
+    )
+    def test_rejected_values_name_the_field(self, cls, edit):
+        """Rows beyond the CLI's exit-2 table (tests/test_cli.py)."""
+        base = POPULATION if cls is PopulationSpec else {}
+        with pytest.raises(ValueError, match=next(iter(edit))):
+            from_doc(cls, {**base, **edit})
+
+    def test_library_alpha_is_normalized(self):
+        assert TrainConfig(alpha=0) == TrainConfig(alpha=0.0)
+        assert isinstance(TrainConfig(alpha=0).alpha, float)
+
+
+def test_every_exported_name_resolves():
+    modules = [bfpo] + [
+        importlib.import_module(f"bfpo.{m.name}") for m in pkgutil.iter_modules(bfpo.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
