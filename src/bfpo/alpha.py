@@ -22,6 +22,7 @@ from .policy import Sample, _check_range
 
 __all__ = [
     "AlphaEstimate",
+    "EstimatorConfig",
     "ProxyClassifier",
     "embed",
     "embed_all",
@@ -41,6 +42,15 @@ DEFAULT_HELDOUT_FRACTION = 0.2
 # training keeps the ratio calibrated against the generator's overlap knob.
 DEFAULT_EPOCHS = 30
 DEFAULT_LR = 1.0
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """The proxy classifier's knobs, as :func:`run_alpha_estimation` takes them."""
+
+    heldout_fraction: float = DEFAULT_HELDOUT_FRACTION
+    epochs: int = DEFAULT_EPOCHS
+    lr: float = DEFAULT_LR
 
 
 @dataclass

@@ -11,28 +11,32 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields
+from contextlib import ExitStack
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
+from .alpha import EstimatorConfig, run_alpha_estimation
 from .datagen import (
+    DatasetConfig,
     PopulationSpec,
+    UserDataset,
     build_user_dataset,
     generate_population,
     load_corpus,
     load_population_spec,
-    population_spec_from_doc,
     save_corpus,
     save_population_spec,
     truncate_history,
 )
 from .errors import ConfigError, EngineError, InputError, NumericError
 from .evaluation import evaluate_policy
-from .alpha import DEFAULT_EPOCHS, DEFAULT_HELDOUT_FRACTION, DEFAULT_LR, run_alpha_estimation
-from .schema import from_doc
+from .files import write_atomic
+from .schema import cast, from_doc
 from .trainer import (
     METRICS_COLUMNS,
     TrainConfig,
@@ -72,7 +76,14 @@ SWEEP_COLUMNS = (
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_config(
+    path: str, seed: int | None, where: str, required: set[str], optional: Sequence[str] = ()
+) -> tuple[dict, int]:
+    """A command's config document and its run seed (``--seed`` over ``seed``).
+
+    Besides the command's own keys, every config has ``schema_version`` and
+    ``seed`` and may have ``out_dir``.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -81,7 +92,14 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return doc
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(
+            f"{where}: schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
+        )
+    required = required | {"schema_version", "seed"}
+    _check_keys(doc, required | {*optional, "out_dir"}, required, where)
+    run_seed = _value(doc, "seed", int, where)
+    return doc, run_seed if seed is None else seed
 
 
 def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -93,66 +111,39 @@ def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
-def _check_version(doc: dict, where: str) -> None:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{where}: schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
-        )
-
-
-def _population_spec(doc: dict, seed: int, where: str) -> PopulationSpec:
-    allowed = {f.name for f in fields(PopulationSpec)} - {"seed"}
-    _check_keys(doc, allowed, allowed, where)
+def _value(doc: dict, key: str, tp: Any, where: str) -> Any:
+    """A top-level config value, cast to ``tp`` by the rules of the config blocks."""
     try:
-        return population_spec_from_doc({**doc, "seed": seed})
-    except (InputError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return cast(tp, doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
 
 
-def _dataset_cfg(doc: dict, where: str) -> dict:
-    allowed = {"target_user", "ratio_x", "grouping", "history_fraction"}
-    _check_keys(doc, allowed, {"target_user", "ratio_x", "grouping"}, where)
+def _block(cls: type, doc: Any, where: str, required: set[str] | None = None, **fixed: Any) -> Any:
+    """A config block read into the dataclass ``cls`` by :func:`bfpo.schema.from_doc`.
+
+    Its keys are the fields of ``cls`` less those in ``fixed`` (values the
+    command supplies, such as the seed); the required keys are ``required``,
+    by default the fields without a default.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    if required is None:
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+    _check_keys(doc, names - set(fixed), required - set(fixed), where)
     try:
-        out = {
-            "target_user": str(doc["target_user"]),
-            "ratio_x": float(doc["ratio_x"]),
-            "grouping": str(doc["grouping"]),
-            "history_fraction": float(doc.get("history_fraction", 1.0)),
-        }
+        return from_doc(cls, {**doc, **fixed})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if not 0.0 < out["history_fraction"] <= 1.0:
-        raise ConfigError(f"{where}: history_fraction must lie in (0, 1]")
-    return out
-
-
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
-
-
-def _train_config(doc: dict, seed: int, where: str) -> TrainConfig:
-    _check_keys(doc, _TRAIN_KEYS, {"method"}, where)
-    try:
-        return from_doc(TrainConfig, {**doc, "seed": seed})
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _run_seed(doc: dict, override: int | None, where: str) -> int:
-    if override is not None:
-        return override
-    try:
-        return int(doc["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: seed must be an integer, got {doc['seed']!r}") from exc
-
-
-def _semantic_hash(parts: dict) -> str:
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _resolve_out(doc: dict, override: str | None, where: str) -> Path:
-    out = override if override is not None else doc.get("out_dir")
+    """The output directory, ``--out`` over ``out_dir``, created.  Commands call
+    it once their whole config is cast and their inputs are read."""
+    out = _value(doc, "out_dir", str, where) if "out_dir" in doc else None
+    if override is not None:
+        out = override
     if not out:
         raise ConfigError(f"{where}: an output directory is required (out_dir or --out)")
     path = Path(out)
@@ -170,15 +161,16 @@ def _float_str(value: Any) -> str:
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_float_str(row[c]) for c in columns])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_float_str(row[c]) for c in columns])
+    write_atomic(path, text.getvalue())
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +179,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_generate(config_path: str, out: str | None, seed: int | None) -> int:
-    doc = _load_json(config_path)
-    _check_version(doc, "generate config")
-    _check_keys(
-        doc, {"schema_version", "seed", "out_dir", "population"},
-        {"schema_version", "seed", "population"}, "generate config",
-    )
-    run_seed = _run_seed(doc, seed, "generate config")
-    spec = _population_spec(doc["population"], run_seed, "generate config: population")
+    doc, run_seed = _load_config(config_path, seed, "generate config", {"population"})
+    spec = _block(PopulationSpec, doc["population"], "generate config: population", seed=run_seed)
     out_dir = _resolve_out(doc, out, "generate config")
     population = generate_population(spec)
     save_corpus(population, out_dir / "corpus.jsonl")
@@ -220,64 +206,59 @@ def _load_corpus_dir(corpus_dir: str | Path) -> tuple[dict, PopulationSpec]:
     return population, spec
 
 
-def _build_dataset(population: dict, spec: PopulationSpec, dataset_cfg: dict, seed: int):
+def _build_dataset(
+    population: dict, spec: PopulationSpec, dataset_cfg: DatasetConfig, seed: int
+) -> UserDataset:
     dataset = build_user_dataset(
         population,
-        dataset_cfg["target_user"],
-        dataset_cfg["ratio_x"],
-        dataset_cfg["grouping"],
+        dataset_cfg.target_user,
+        dataset_cfg.ratio_x,
+        dataset_cfg.grouping,
         seed,
         spec.vocab_size,
     )
-    if dataset_cfg["history_fraction"] < 1.0:
-        dataset = truncate_history(dataset, dataset_cfg["history_fraction"])
+    if dataset_cfg.history_fraction < 1.0:
+        dataset = truncate_history(dataset, dataset_cfg.history_fraction)
     return dataset
 
 
 def _train_once(
-    population: dict,
+    dataset: UserDataset,
     spec: PopulationSpec,
-    dataset_cfg: dict,
+    dataset_cfg: DatasetConfig,
     train_cfg: TrainConfig,
-) -> tuple[Any, dict, str]:
-    """Shared by train and sweep: build the dataset, run, assemble metadata."""
-    dataset = _build_dataset(population, spec, dataset_cfg, train_cfg.seed)
+) -> tuple[Any, dict]:
+    """Shared by train and sweep: run on the built dataset, assemble metadata."""
     result = run(dataset, train_cfg, spec.vocab_size)
-    config_hash = _semantic_hash(
-        {
-            "population": asdict(spec),
-            "dataset": dataset_cfg,
-            "train": train_config_doc(train_cfg),
-        }
-    )
+    parts = {
+        "population": asdict(spec),
+        "dataset": asdict(dataset_cfg),
+        "train": train_config_doc(train_cfg),
+    }
+    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"), default=str)
+    config_hash = hashlib.sha256(blob.encode()).hexdigest()[:12]
     meta = {
-        "target_user": dataset.target_user,
+        **asdict(dataset_cfg),
         "aux_user_ids": dataset.aux_user_ids,
-        "ratio_x": dataset.ratio_x,
-        "grouping": dataset.grouping,
-        "history_fraction": dataset_cfg["history_fraction"],
         "config_hash": config_hash,
         "overlap_lambda": spec.overlap_lambda,
     }
-    return result, meta, config_hash
+    return result, meta
 
 
 def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
-    doc = _load_json(config_path)
-    _check_version(doc, "train config")
-    _check_keys(
-        doc,
-        {"schema_version", "seed", "out_dir", "corpus_dir", "dataset", "train"},
-        {"schema_version", "seed", "corpus_dir", "dataset", "train"},
-        "train config",
+    doc, run_seed = _load_config(
+        config_path, seed, "train config", {"corpus_dir", "dataset", "train"}
     )
-    run_seed = _run_seed(doc, seed, "train config")
+    dataset_cfg = _block(DatasetConfig, doc["dataset"], "train config: dataset")
+    train_cfg = _block(
+        TrainConfig, doc["train"], "train config: train", required={"method"}, seed=run_seed
+    )
+    population, spec = _load_corpus_dir(_value(doc, "corpus_dir", str, "train config"))
+    dataset = _build_dataset(population, spec, dataset_cfg, run_seed)
     out_dir = _resolve_out(doc, out, "train config")
-    population, spec = _load_corpus_dir(doc["corpus_dir"])
-    dataset_cfg = _dataset_cfg(doc["dataset"], "train config: dataset")
-    train_cfg = _train_config(doc["train"], run_seed, "train config: train")
     try:
-        result, meta, _ = _train_once(population, spec, dataset_cfg, train_cfg)
+        result, meta = _train_once(dataset, spec, dataset_cfg, train_cfg)
     except NumericError as exc:
         if exc.details is not None:
             _write_json(out_dir / "diagnostic_dump.json", exc.details)
@@ -290,13 +271,7 @@ def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
     if result.alpha_estimate is not None:
         _write_json(
             out_dir / "alpha_estimate.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "c_hat": result.alpha_estimate.c_hat,
-                "alpha_hat": result.alpha_estimate.alpha_hat,
-                "n_heldout": result.alpha_estimate.n_heldout,
-                "n_aux": result.alpha_estimate.n_aux,
-            },
+            {"schema_version": SCHEMA_VERSION, **asdict(result.alpha_estimate)},
         )
     print(f"trained {train_cfg.method.value} for {len(result.metrics)} steps -> {out_dir}")
     return 0
@@ -309,11 +284,17 @@ def cmd_evaluate(checkpoint_path: str, corpus_dir: str, out: str | None) -> int:
         raise ConfigError(
             f"vocab mismatch: corpus has {spec.vocab_size}, checkpoint has {checkpoint.vocab_size}"
         )
+    # The config block is every TrainConfig field, plus the resolved alpha.
+    train_cfg = _block(
+        TrainConfig,
+        {k: v for k, v in checkpoint.config.items() if k != "alpha_resolved"},
+        f"checkpoint {checkpoint_path}: config",
+        required={f.name for f in fields(TrainConfig)},
+    )
     try:
-        target_user = checkpoint.dataset_meta["target_user"]
-        aux_user_ids = list(checkpoint.dataset_meta["aux_user_ids"])
-        beta = float(checkpoint.config["beta"])
-        method = str(checkpoint.config["method"])
+        target_user = cast(str, checkpoint.dataset_meta["target_user"])
+        aux_user_ids = cast(list[str], checkpoint.dataset_meta["aux_user_ids"])
+        config_hash = cast(str, checkpoint.dataset_meta.get("config_hash", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"checkpoint {checkpoint_path} is malformed: {exc!r}") from exc
     report = evaluate_policy(
@@ -322,14 +303,14 @@ def cmd_evaluate(checkpoint_path: str, corpus_dir: str, out: str | None) -> int:
         population,
         target_user,
         aux_user_ids,
-        beta=beta,
-        method=method,
-        config_hash=str(checkpoint.dataset_meta.get("config_hash", "")),
+        beta=train_cfg.beta,
+        method=train_cfg.method.value,
+        config_hash=config_hash,
         checkpoint_step=checkpoint.step,
     )
     doc = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     if out is not None:
-        out_dir = _resolve_out({"out_dir": out}, out, "evaluate")
+        out_dir = _resolve_out({}, out, "evaluate")
         _write_json(out_dir / "eval_report.json", doc)
         print(f"wrote {out_dir / 'eval_report.json'}")
     else:
@@ -338,46 +319,28 @@ def cmd_evaluate(checkpoint_path: str, corpus_dir: str, out: str | None) -> int:
 
 
 def cmd_estimate_alpha(config_path: str, out: str | None, seed: int | None) -> int:
-    doc = _load_json(config_path)
-    _check_version(doc, "estimate-alpha config")
-    _check_keys(
-        doc,
-        {"schema_version", "seed", "out_dir", "corpus_dir", "dataset", "estimator"},
-        {"schema_version", "seed", "corpus_dir", "dataset"},
-        "estimate-alpha config",
+    doc, run_seed = _load_config(
+        config_path, seed, "estimate-alpha config", {"corpus_dir", "dataset"}, ("estimator",)
     )
-    run_seed = _run_seed(doc, seed, "estimate-alpha config")
-    out_dir = _resolve_out(doc, out, "estimate-alpha config")
-    population, spec = _load_corpus_dir(doc["corpus_dir"])
-    dataset_cfg = _dataset_cfg(doc["dataset"], "estimate-alpha config: dataset")
-    est_doc = doc.get("estimator", {})
-    _check_keys(
-        est_doc, {"heldout_fraction", "epochs", "lr"}, set(), "estimate-alpha config: estimator"
+    dataset_cfg = _block(DatasetConfig, doc["dataset"], "estimate-alpha config: dataset")
+    estimator = _block(
+        EstimatorConfig, doc.get("estimator", {}), "estimate-alpha config: estimator"
     )
-    try:
-        heldout_fraction = float(est_doc.get("heldout_fraction", DEFAULT_HELDOUT_FRACTION))
-        epochs = int(est_doc.get("epochs", DEFAULT_EPOCHS))
-        lr = float(est_doc.get("lr", DEFAULT_LR))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"estimate-alpha config: estimator: {exc}") from exc
+    population, spec = _load_corpus_dir(_value(doc, "corpus_dir", str, "estimate-alpha config"))
     dataset = _build_dataset(population, spec, dataset_cfg, run_seed)
+    out_dir = _resolve_out(doc, out, "estimate-alpha config")
     estimate = run_alpha_estimation(
         dataset.tar_train,
         dataset.aux_train,
         spec.vocab_size,
-        heldout_fraction=heldout_fraction,
-        epochs=epochs,
-        lr=lr,
+        **asdict(estimator),
         seed=run_seed,
     )
     _write_json(
         out_dir / "alpha_estimate.json",
         {
             "schema_version": SCHEMA_VERSION,
-            "c_hat": estimate.c_hat,
-            "alpha_hat": estimate.alpha_hat,
-            "n_heldout": estimate.n_heldout,
-            "n_aux": estimate.n_aux,
+            **asdict(estimate),
             "target_user": dataset.target_user,
             "grouping": dataset.grouping,
             "ratio_x": dataset.ratio_x,
@@ -390,35 +353,16 @@ def cmd_estimate_alpha(config_path: str, out: str | None, seed: int | None) -> i
 # --- sweep ------------------------------------------------------------------
 
 
-def _sweep_apply_axis(dataset_cfg: dict, train_doc: dict, axis: str, value: Any) -> None:
-    if axis == "alpha":
-        train_doc["alpha"] = value
-    elif axis == "method":
-        train_doc["method"] = value
-    elif axis == "ratio_x":
-        dataset_cfg["ratio_x"] = float(value)
-    elif axis == "history_fraction":
-        dataset_cfg["history_fraction"] = float(value)
-    elif axis == "grouping":
-        dataset_cfg["grouping"] = str(value)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-
-
-def _sweep_task(task: dict) -> dict:
+def _sweep_task(task: tuple) -> dict:
     """One grid point: generate the seed's population, train, evaluate.
 
     Every task regenerates its population from the spec; generation is a pure
     function of the spec, so tasks of one seed see the same corpus.
     """
-    spec = PopulationSpec(**task["population"])
+    axis, value, spec, dataset_cfg, train_cfg = task
     population = generate_population(spec)
-    dataset_cfg = dict(task["dataset"])
-    train_doc = dict(task["train"])
-    _sweep_apply_axis(dataset_cfg, train_doc, task["axis"], task["value"])
-    train_doc["delta_mode"] = task["delta_mode"]
-    train_cfg = _train_config(train_doc, task["seed"], "sweep grid point")
-    result, meta, config_hash = _train_once(population, spec, dataset_cfg, train_cfg)
+    dataset = _build_dataset(population, spec, dataset_cfg, train_cfg.seed)
+    result, meta = _train_once(dataset, spec, dataset_cfg, train_cfg)
     report = evaluate_policy(
         result.policy,
         result.reference,
@@ -427,100 +371,80 @@ def _sweep_task(task: dict) -> dict:
         meta["aux_user_ids"],
         beta=train_cfg.beta,
         method=train_cfg.method.value,
-        config_hash=config_hash,
+        config_hash=meta["config_hash"],
         checkpoint_step=len(result.metrics),
     )
     return {
-        "axis": task["axis"],
-        "value": task["value"],
-        "seed": task["seed"],
-        "config_hash": config_hash,
+        "axis": axis,
+        "value": value,
+        "seed": train_cfg.seed,
+        "config_hash": meta["config_hash"],
         "method": train_cfg.method.value,
         "alpha": train_cfg.alpha,
         "alpha_resolved": result.alpha_resolved,
-        "ratio_x": dataset_cfg["ratio_x"],
-        "grouping": dataset_cfg["grouping"],
-        "history_fraction": dataset_cfg["history_fraction"],
+        **asdict(dataset_cfg),
         "delta_mode": train_cfg.delta_mode,
         "overlap_lambda": spec.overlap_lambda,
-        "target_user": meta["target_user"],
         "heldout_nll": report.heldout_nll,
         "pref_acc": report.pref_acc,
         "delta_logp_aux": report.delta_logp_aux,
-        "_order": task["_order"],
     }
 
 
 def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int) -> int:
-    doc = _load_json(config_path)
-    _check_version(doc, "sweep config")
-    _check_keys(
-        doc,
-        {"schema_version", "seed", "out_dir", "axis", "grid", "n_seeds",
-         "delta_modes", "population", "dataset", "train"},
-        {"schema_version", "seed", "axis", "grid", "n_seeds", "population",
-         "dataset", "train"},
-        "sweep config",
+    doc, base_seed = _load_config(
+        config_path, seed, "sweep config",
+        {"axis", "grid", "n_seeds", "population", "dataset", "train"}, ("delta_modes",),
     )
-    axis = str(doc["axis"])
+    axis = _value(doc, "axis", str, "sweep config")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep config: axis must be one of {SWEEP_AXES}, got {axis!r}")
-    grid = list(doc["grid"])
+    grid = _value(doc, "grid", list, "sweep config")
     if not grid:
         raise ConfigError("sweep config: grid must be non-empty")
-    try:
-        n_seeds = int(doc["n_seeds"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep config: n_seeds must be an integer: {exc}") from exc
+    n_seeds = _value(doc, "n_seeds", int, "sweep config")
     if n_seeds < 1:
         raise ConfigError("sweep config: n_seeds must be >= 1")
-    base_seed = _run_seed(doc, seed, "sweep config")
-    out_dir = _resolve_out(doc, out, "sweep config")
-    dataset_cfg = _dataset_cfg(doc["dataset"], "sweep config: dataset")
-    _check_keys(doc["train"], _TRAIN_KEYS, {"method"}, "sweep config: train")
-    spec = _population_spec(doc["population"], base_seed, "sweep config: population")
-    delta_modes = list(doc.get("delta_modes", [doc["train"].get("delta_mode", "ema")]))
+    spec = _block(PopulationSpec, doc["population"], "sweep config: population", seed=base_seed)
+    _block(DatasetConfig, doc["dataset"], "sweep config: dataset")
+    base_train = _block(
+        TrainConfig, doc["train"], "sweep config: train", required={"method"}, seed=base_seed
+    )
+    if "delta_modes" in doc:
+        delta_modes = _value(doc, "delta_modes", list[str], "sweep config")
+    else:
+        delta_modes = [base_train.delta_mode]
 
+    # Every grid point is cast and checked before anything is written.
     tasks = []
-    order = 0
     for value in grid:
+        where = f"sweep config: {axis} grid value {value!r}"
+        block = "train" if axis in ("alpha", "method") else "dataset"
+        point = {**doc, block: {**doc[block], axis: value}}
+        dataset_cfg = _block(DatasetConfig, point["dataset"], f"{where}: dataset")
         for mode in delta_modes:
-            for s in range(n_seeds):
-                run_seed = base_seed + s
-                tasks.append(
-                    {
-                        "axis": axis,
-                        "value": value,
-                        "seed": run_seed,
-                        "delta_mode": mode,
-                        "population": {**asdict(spec), "seed": run_seed},
-                        "dataset": dataset_cfg,
-                        "train": doc["train"],
-                        "_order": order,
-                    }
+            for run_seed in range(base_seed, base_seed + n_seeds):
+                train_cfg = _block(
+                    TrainConfig, {**point["train"], "delta_mode": mode}, f"{where}: train",
+                    required={"method"}, seed=run_seed,
                 )
-                order += 1
+                tasks.append((axis, value, replace(spec, seed=run_seed), dataset_cfg, train_cfg))
+    out_dir = _resolve_out(doc, out, "sweep config")
 
     partial_path = out_dir / "sweep_partial.csv"
     rows: list[dict] = []
-    with partial_path.open("w", newline="") as fh:
+    with partial_path.open("w", newline="") as fh, ExitStack() as stack:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         fh.flush()
+        mapper = map
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for row in pool.map(_sweep_task, tasks):
-                    rows.append(row)
-                    writer.writerow([_float_str(row[c]) for c in SWEEP_COLUMNS])
-                    fh.flush()
-        else:
-            for task in tasks:
-                row = _sweep_task(task)
-                rows.append(row)
-                writer.writerow([_float_str(row[c]) for c in SWEEP_COLUMNS])
-                fh.flush()
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for row in mapper(_sweep_task, tasks):
+            rows.append(row)
+            writer.writerow([_float_str(row[c]) for c in SWEEP_COLUMNS])
+            fh.flush()
 
-    rows.sort(key=lambda r: r["_order"])
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     partial_path.unlink()
     print(f"wrote {len(rows)} rows to {out_dir / 'sweep.csv'}")
@@ -537,7 +461,7 @@ def cmd_verify(out: str | None, seed: int | None, fd_cases: int) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if out is not None:
-        out_dir = _resolve_out({"out_dir": out}, out, "verify")
+        out_dir = _resolve_out({}, out, "verify")
         _write_json(out_dir / "verify_report.json", doc)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")

@@ -29,18 +29,19 @@ from typing import Sequence
 import numpy as np
 
 from .alpha import embed_all
-from .errors import InputError
+from .errors import ConfigError, InputError
+from .files import write_atomic
 from .policy import Sample
 from .schema import from_doc
 
 __all__ = [
+    "DatasetConfig",
     "PopulationSpec",
     "UserDataset",
     "build_user_dataset",
     "generate_population",
     "load_corpus",
     "load_population_spec",
-    "population_spec_from_doc",
     "save_corpus",
     "save_population_spec",
     "truncate_history",
@@ -51,6 +52,25 @@ PROMPT_LEN = 3
 HELDOUT_FRACTION = 0.2
 SHARED_FRACTION = 0.5
 GROUPINGS = ("random", "unique", "non_unique")
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """How one target user's dataset is cut from a population: the arguments of
+    :func:`build_user_dataset` and :func:`truncate_history` besides the data."""
+
+    target_user: str
+    ratio_x: float
+    grouping: str
+    history_fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.grouping not in GROUPINGS:
+            raise ConfigError(f"grouping must be one of {GROUPINGS}, got {self.grouping!r}")
+        if not self.ratio_x > 0:
+            raise ConfigError(f"ratio_x must be positive, got {self.ratio_x}")
+        if not 0.0 < self.history_fraction <= 1.0:
+            raise ConfigError(f"history_fraction must lie in (0, 1], got {self.history_fraction}")
 
 
 @dataclass(frozen=True)
@@ -386,7 +406,7 @@ def save_corpus(population: dict[str, list[Sample]], path: str | Path) -> None:
                     separators=(",", ":"),
                 )
             )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_corpus(path: str | Path) -> dict[str, list[Sample]]:
@@ -419,18 +439,9 @@ def load_corpus(path: str | Path) -> dict[str, list[Sample]]:
     return population
 
 
-def population_spec_from_doc(doc: dict) -> PopulationSpec:
-    """A spec from a JSON document, through :func:`bfpo.schema.from_doc`.
-
-    Raises ``TypeError`` for a missing field, ``ValueError`` for a value that
-    does not cast and ``InputError`` for one out of range.
-    """
-    return from_doc(PopulationSpec, doc)
-
-
 def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:
     doc = {"schema_version": 1, **asdict(spec)}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
@@ -442,6 +453,6 @@ def load_population_spec(path: str | Path) -> PopulationSpec:
         version = doc.get("schema_version") if isinstance(doc, dict) else None
         raise InputError(f"unsupported population spec version {version}")
     try:
-        return population_spec_from_doc(doc)
+        return from_doc(PopulationSpec, doc)
     except (TypeError, ValueError) as exc:
         raise InputError(f"population spec {path} is malformed: {exc!r}") from exc

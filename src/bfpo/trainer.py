@@ -21,6 +21,7 @@ import numpy as np
 from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, AlphaEstimate, run_alpha_estimation
 from .datagen import UserDataset
 from .errors import ConfigError, InputError, NumericError
+from .files import write_atomic
 from .losses import (
     Batch,
     DpoPair,
@@ -625,7 +626,7 @@ def save_checkpoint(
         "config": {**train_config_doc(config), "alpha_resolved": result.alpha_resolved},
         "dataset_meta": dataset_meta,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from bfpo import files
 from bfpo.cli import main
 from bfpo.errors import NumericError
 
@@ -344,8 +347,35 @@ def _corpus_token_past_vocab(run: Path, corpus: Path) -> None:
     path.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
 
 
+def _edit_checkpoint_config(**edits):
+    def corrupt(run: Path, corpus: Path) -> None:
+        path = run / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["config"].update(edits)
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+def _config(command: str, corpus: Path, out: Path, edits: dict) -> dict:
+    """A valid config of ``command`` with ``edits`` applied; an edit to a block
+    (a dict) is merged into it, any other edit replaces the value."""
+    dataset = {"target_user": "u000", "ratio_x": 1.0, "grouping": "random"}
+    blocks = {
+        "generate": {"population": POPULATION},
+        "train": {"corpus_dir": str(corpus), "dataset": dataset, "train": TRAIN},
+        "estimate-alpha": {"corpus_dir": str(corpus), "dataset": dataset, "estimator": {}},
+        "sweep": {"axis": "alpha", "grid": [0.5], "n_seeds": 1, "population": POPULATION,
+                  "dataset": dataset, "train": {**TRAIN, "epochs": 1}},
+    }[command]
+    doc = {"schema_version": 1, "seed": 5, "out_dir": str(out), **blocks}
+    for key, value in edits.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    return doc
+
+
 class TestMalformedInputExits2:
-    """Every malformed input is a usage error: exit 2 and one line on stderr."""
+    """Every malformed input is a usage error: exit 2, one line on stderr, and
+    no output directory."""
 
     @pytest.mark.parametrize(
         "command, corrupt, edits",
@@ -359,10 +389,32 @@ class TestMalformedInputExits2:
             ("train", None, {"train": {"epochs": 2.7}}),
             ("train", None, {"train": {"learning_rate": True}}),
             ("train", None, {"train": {"momentum_params": [0.9, 0.99]}}),
+            ("train", None, {"seed": 2.7}),
+            ("generate", None, {"seed": True}),
+            ("generate", None, {"out_dir": 5}),
+            ("train", None, {"corpus_dir": 5}),
+            ("train", None, {"dataset": {"ratio_x": True}}),
+            ("estimate-alpha", None, {"estimator": {"epochs": 2.7}}),
+            ("estimate-alpha", None, {"estimator": {"lr": "nan"}}),
+            ("sweep", None, {"n_seeds": 2.5}),
+            ("sweep", None, {"grid": 5}),
+            ("sweep", None, {"axis": "ratio_x", "grid": [1.0, "abc"]}),
+            ("sweep", None, {"axis": "history_fraction", "grid": [0.5, 1.5]}),
+            ("sweep", None, {"axis": "grouping", "grid": ["random", "bogus"]}),
+            ("sweep", None, {"train": {"epochs": 2.7}}),
+            ("evaluate", _edit_checkpoint_config(beta=True), {}),
+            ("evaluate", _edit_checkpoint_config(beta=-1), {}),
+            ("evaluate", _edit_checkpoint_config(method=5), {}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
-             "epochs_not_an_integer", "learning_rate_bool", "momentum_params_too_short"],
+             "epochs_not_an_integer", "learning_rate_bool", "momentum_params_too_short",
+             "seed_not_an_integer", "seed_bool", "out_dir_not_a_string",
+             "corpus_dir_not_a_string", "ratio_x_bool", "estimator_epochs_not_an_integer",
+             "estimator_lr_nan", "sweep_n_seeds_not_an_integer", "sweep_grid_not_a_list",
+             "sweep_ratio_x_grid_value_not_a_number", "sweep_history_fraction_grid_value_above_1",
+             "sweep_grouping_grid_value_unknown", "sweep_epochs_not_an_integer",
+             "checkpoint_beta_bool", "checkpoint_beta_negative", "checkpoint_method_not_a_name"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -370,29 +422,38 @@ class TestMalformedInputExits2:
         if corrupt is not None:
             corrupt(run, corpus)
         capsys.readouterr()
+        out = tmp_path / "bad"
         if command == "evaluate":
             argv = ["evaluate", "--checkpoint", str(run / "checkpoint.json"),
-                    "--corpus", str(corpus)]
-        elif command == "generate":
-            cfg = _write(
-                tmp_path / "bad_gen.json",
-                {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "bad"),
-                 "population": {**POPULATION, **edits["population"]}},
-            )
-            argv = ["generate", "--config", cfg]
+                    "--corpus", str(corpus), "--out", str(out)]
         else:
-            cfg = _write(
-                tmp_path / "bad_train.json",
-                {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "bad"),
-                 "corpus_dir": str(corpus),
-                 "dataset": {"target_user": "u000", "ratio_x": 1.0,
-                             "grouping": "random", **edits.get("dataset", {})},
-                 "train": {**TRAIN, **edits.get("train", {})}},
-            )
-            argv = ["train", "--config", cfg]
+            cfg = _write(tmp_path / "bad.json", _config(command, corpus, out, edits))
+            argv = [command, "--config", cfg]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A write that fails half-way leaves the old bytes and no temp file."""
+        corpus = _generate(tmp_path)
+        run = _train(tmp_path, corpus)
+        before = (run / "checkpoint.json").read_bytes()
+
+        class HalfWritten(io.BufferedWriter):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                self.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(files, "open", lambda fd, mode: HalfWritten(io.FileIO(fd, "w")),
+                            raising=False)
+        with pytest.raises(OSError):
+            main(["train", "--config", str(tmp_path / "train_run.json"), "--seed", "6"])
+        assert (run / "checkpoint.json").read_bytes() == before
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.json", "metrics.csv"]
 
 
 class TestSeedOverride:

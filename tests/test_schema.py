@@ -8,13 +8,15 @@ import pkgutil
 import pytest
 
 import bfpo
-from bfpo.datagen import PopulationSpec
+from bfpo.alpha import EstimatorConfig
+from bfpo.datagen import DatasetConfig, PopulationSpec
 from bfpo.losses import Method
-from bfpo.schema import from_doc
+from bfpo.schema import cast, from_doc
 from bfpo.trainer import TrainConfig
 
 POPULATION = {"n_users": 6, "vocab_size": 24, "overlap_lambda": 0.5,
               "samples_per_user": 20, "prompt_pool_size": 8, "seq_len": 5, "seed": 1}
+DATASET = {"target_user": "u000", "ratio_x": 1.5, "grouping": "random"}
 
 
 class TestFromDoc:
@@ -39,18 +41,36 @@ class TestFromDoc:
         assert config.epochs == 2 and isinstance(config.epochs, int)
         assert from_doc(TrainConfig, {"alpha": "estimate"}).alpha == "estimate"
 
+    def test_dataset_and_estimator_types(self):
+        dataset = from_doc(DatasetConfig, {**DATASET, "ratio_x": 2, "history_fraction": "0.5"})
+        assert dataset == DatasetConfig("u000", 2.0, "random", 0.5)
+        assert isinstance(dataset.ratio_x, float)
+        assert from_doc(DatasetConfig, DATASET).history_fraction == 1.0
+        assert from_doc(EstimatorConfig, {"epochs": 40.0}) == EstimatorConfig(epochs=40)
+
     @pytest.mark.parametrize(
         "cls, edit",
         [(PopulationSpec, {"overlap_lambda": False}), (PopulationSpec, {"seq_len": "5.0"}),
          (TrainConfig, {"momentum_params": "abc"}), (TrainConfig, {"alpha": True}),
-         (TrainConfig, {"delta_mode": 3}), (TrainConfig, {"method": "ppo"})],
+         (TrainConfig, {"delta_mode": 3}), (TrainConfig, {"method": "ppo"}),
+         (TrainConfig, {"learning_rate": "nan"}), (TrainConfig, {"beta": float("inf")}),
+         (DatasetConfig, {"target_user": 0}), (DatasetConfig, {"ratio_x": 0}),
+         (DatasetConfig, {"ratio_x": "inf"}), (DatasetConfig, {"grouping": "bogus"}),
+         (DatasetConfig, {"history_fraction": 0}), (EstimatorConfig, {"lr": "nan"})],
         ids=repr,
     )
     def test_rejected_values_name_the_field(self, cls, edit):
         """Rows beyond the CLI's exit-2 table (tests/test_cli.py)."""
-        base = POPULATION if cls is PopulationSpec else {}
+        base = {PopulationSpec: POPULATION, DatasetConfig: DATASET}.get(cls, {})
         with pytest.raises(ValueError, match=next(iter(edit))):
             from_doc(cls, {**base, **edit})
+
+    def test_lists(self):
+        assert cast(list, [1, "a"]) == [1, "a"]
+        assert cast(list[str], ["ema", "batch"]) == ["ema", "batch"]
+        for tp, value in ((list, 5), (list, "ab"), (list[str], ["ema", 1])):
+            with pytest.raises((TypeError, ValueError)):
+                cast(tp, value)
 
     def test_library_alpha_is_normalized(self):
         assert TrainConfig(alpha=0) == TrainConfig(alpha=0.0)
