@@ -3,7 +3,8 @@
 All commands read strict JSON configs (unknown keys are errors, a schema
 version is required), write only under the configured output directory, and are
 byte-reproducible for fixed seeds.  Exit codes: 0 success, 1 property or
-experiment failure, 2 usage/validation error.
+experiment failure or a failed file operation (an ``OSError``, such as a full
+disk), 2 usage/validation error.
 """
 
 from __future__ import annotations
@@ -429,6 +430,11 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
                     required={"method"}, seed=run_seed,
                 )
                 tasks.append((axis, value, replace(spec, seed=run_seed), dataset_cfg, train_cfg))
+    # So is each distinct dataset: a bad target user or ratio_x fails here.
+    for run_seed in range(base_seed, base_seed + n_seeds):
+        population = generate_population(replace(spec, seed=run_seed))
+        for dataset_cfg in dict.fromkeys(task[3] for task in tasks):
+            _build_dataset(population, spec, dataset_cfg, run_seed)
     out_dir = _resolve_out(doc, out, "sweep config")
 
     partial_path = out_dir / "sweep_partial.csv"
@@ -533,7 +539,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ were eroded).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InputError
 from .policy import (
@@ -40,18 +40,7 @@ class EvalReport:
     checkpoint_step: int
 
     def to_dict(self) -> dict:
-        return {
-            "heldout_nll": self.heldout_nll,
-            "pref_acc": self.pref_acc,
-            "delta_logp_aux": self.delta_logp_aux,
-            "target_user": self.target_user,
-            "method": self.method,
-            "n_tar_heldout": self.n_tar_heldout,
-            "n_aux_heldout": self.n_aux_heldout,
-            "n_pairs": self.n_pairs,
-            "config_hash": self.config_hash,
-            "checkpoint_step": self.checkpoint_step,
-        }
+        return asdict(self)
 
 
 def _heldout(population: dict[str, list[Sample]], user_ids: list[str]) -> list[Sample]:

@@ -29,7 +29,11 @@ Every method is evaluated by one kernel pass over the batch (see
 :mod:`bfpo.policy`): the batch's sequences are index-encoded, their
 log-probabilities are gathered from the policy's log-softmax table, and the
 gradient of any objective is its per-sample derivative with respect to the
-log-probability, scattered back onto the table once.
+log-probability, scattered back onto the table once; KTO's anchors come from
+:func:`bfpo.rewards.kto_zrefs`.  No training path calls the scalar
+:func:`loss_positive`, :func:`loss_negative`, :func:`dpo_loss`, or
+:func:`bfpo.rewards.implicit_reward` and :func:`bfpo.rewards.kto_zref`: they
+are the reference implementations the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .policy import (
     sequence_log_probs,
     softmax_tables,
 )
-from .rewards import kto_zref
+from .rewards import kto_zref, kto_zrefs
 
 __all__ = [
     "Batch",
@@ -70,6 +74,7 @@ __all__ = [
     "method_loss",
     "method_loss_and_grad",
     "score",
+    "scored_loss",
     "scored_loss_and_grad",
     "sft_loss",
 ]
@@ -110,20 +115,33 @@ class DpoPair:
     y_l: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
-    """One optimization step's worth of samples.
+    """One optimization step: index arrays into two pools, plus their encoding.
 
-    ``pos``/``aux`` feed the binary-feedback objectives (and ``pos`` alone feeds
-    SFT); ``pairs`` feeds DPO.  ``codes`` is the batch's :func:`encode_batch`
-    encoding when the batch was cut from a set encoded beforehand (the trainer
-    encodes its data once per run); otherwise the kernel encodes the samples.
+    ``pos`` indexes ``pos_pool`` (the target samples; the pairs for DPO),
+    ``aux`` indexes ``aux_pool`` (the auxiliary samples).  ``codes`` is the
+    batch's :func:`encode_batch` encoding, a slice of the trainer's per-epoch
+    one; when it is None, :func:`score` encodes the samples.
     """
 
-    pos: list[Sample] = field(default_factory=list)
-    aux: list[Sample] = field(default_factory=list)
-    pairs: list[DpoPair] = field(default_factory=list)
-    codes: Encoded | None = field(default=None, compare=False, repr=False)
+    pos: np.ndarray
+    aux: np.ndarray
+    pos_pool: Sequence = ()
+    aux_pool: Sequence[Sample] = ()
+    codes: Encoded | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, pos: Sequence[Sample] = (), aux: Sequence[Sample] = (),
+           pairs: Sequence[DpoPair] = ()) -> "Batch":
+        """A batch of exactly these samples (of these pairs, for DPO)."""
+        first = list(pairs or pos)
+        return cls(np.arange(len(first)), np.arange(len(aux)), first, list(aux))
+
+    def samples(self) -> tuple[list, list[Sample]]:
+        """The positives (pairs, for DPO) and auxiliaries, looked up by index."""
+        pos = [self.pos_pool[i] for i in self.pos.tolist()]
+        return pos, [self.aux_pool[i] for i in self.aux.tolist()]
 
 
 @dataclass(frozen=True)
@@ -287,10 +305,11 @@ def encode_batch(
 ) -> Encoded:
     """The batch's sequences as one encoding: every y_w then every y_l for DPO,
     the positive then the auxiliary samples otherwise."""
+    pos, aux = batch.samples()
     if method is Method.DPO:
-        pairs = [(p.x, p.y_w) for p in batch.pairs] + [(p.x, p.y_l) for p in batch.pairs]
+        pairs = [(p.x, p.y_w) for p in pos] + [(p.x, p.y_l) for p in pos]
     else:
-        pairs = [(s.x, s.y) for s in batch.pos + batch.aux]
+        pairs = [(s.x, s.y) for s in pos + aux]
     return encode(pairs, context_size, vocab_size)
 
 
@@ -323,7 +342,10 @@ def score(
     ``reference_log_table`` is the frozen reference's log-softmax table (the
     first table of :func:`softmax_tables`); SFT ignores it.
     """
-    _check_batch(method, batch)
+    if len(batch.pos) == 0:
+        raise InputError(f"{method.value} batch needs positive samples (pairs, for DPO)")
+    if method in (Method.BCO, Method.CBPO_RAW, Method.CBPO) and len(batch.aux) == 0:
+        raise InputError(f"{method.value} batch needs auxiliary samples")
     codes = batch.codes
     if codes is None:
         codes = encode_batch(batch, method, policy.context_size, policy.vocab_size)
@@ -337,15 +359,14 @@ def score(
                 f"{policy.logits.shape} vs {reference_log_table.shape}"
             )
         rewards = beta * (log_probs - sequence_log_probs(reference_log_table, codes))
-    split = len(batch.pairs) if method is Method.DPO else len(batch.pos)
-    return Scores(codes, split, probs, log_probs, rewards)
+    return Scores(codes, len(batch.pos), probs, log_probs, rewards)
 
 
 def scored_loss_and_grad(
     method: Method, scores: Scores, config: LossConfig, delta: float
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown and gradient w.r.t. the logits from a :func:`score` pass."""
-    breakdown, grad = _dispatch(method, scores, config, delta, None, want_grad=True)
+    breakdown, grad = scored_loss(method, scores, config, delta, want_grad=True)
     assert grad is not None
     return breakdown, grad
 
@@ -362,7 +383,7 @@ def method_loss(
     """Evaluate one method's loss on a batch (no gradient)."""
     ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
     scores = score(method, batch, policy, ref_table, config.beta)
-    return _dispatch(method, scores, config, delta, zrefs, want_grad=False)[0]
+    return scored_loss(method, scores, config, delta, zrefs)[0]
 
 
 def method_loss_and_grad(
@@ -379,30 +400,17 @@ def method_loss_and_grad(
     return scored_loss_and_grad(method, scores, config, delta)
 
 
-def _check_batch(method: Method, batch: Batch) -> None:
-    if method is Method.SFT:
-        if len(batch.pos) == 0:
-            raise InputError("SFT batch must be non-empty")
-    elif method is Method.DPO:
-        if len(batch.pairs) == 0:
-            raise InputError("DPO batch must contain pairs")
-    else:
-        if len(batch.pos) == 0:
-            raise InputError(f"{method.value} batch needs positive samples")
-        if method is not Method.KTO and len(batch.aux) == 0:
-            raise InputError(f"{method.value} batch needs auxiliary samples")
-
-
-def _dispatch(
+def scored_loss(
     method: Method,
     scores: Scores,
     config: LossConfig,
     delta: float,
-    zrefs: Sequence[float] | None,
-    want_grad: bool,
+    zrefs: Sequence[float] | None = None,
+    want_grad: bool = False,
 ) -> tuple[LossBreakdown, np.ndarray | None]:
-    """Loss value and, if wanted, the gradient as per-sequence weights on
-    d log p / d logits followed by one scatter."""
+    """Loss breakdown from a :func:`score` pass and, if wanted, the gradient as
+    per-sequence weights on d log p / d logits followed by one scatter.
+    ``zrefs`` overrides KTO's leave-one-out anchors."""
     n1 = scores.split
     weights = np.zeros(scores.codes.n)
 
@@ -423,17 +431,15 @@ def _dispatch(
         weights[n1:] = s
 
     elif method is Method.KTO:
-        rewards = scores.rewards.tolist()
-        labels = [1] * n1 + [-1] * (len(rewards) - n1)
-        if zrefs is None:
-            if len(rewards) < 2:
-                raise InputError("the leave-one-out anchor needs a batch of size >= 2")
-            zrefs = [kto_zref(rewards, i) for i in range(len(rewards))]
-        value = kto_loss(rewards, labels, config.lambda_d, config.lambda_u, zrefs=zrefs)
+        n = len(scores.rewards)
+        zrefs = np.asarray(kto_zrefs(scores.rewards) if zrefs is None else zrefs, np.float64)
+        labels = [1] * n1 + [-1] * (n - n1)
+        value = kto_loss(scores.rewards.tolist(), labels, config.lambda_d, config.lambda_u,
+                         zrefs=zrefs.tolist())
         breakdown = LossBreakdown(method=Method.KTO, total=value)
         # v = sigmoid(+-(r - z)) has dv/dr = +-v(1 - v) = +-sigmoid(m)sigmoid(-m).
-        up, down = _sigmoids(scores.rewards - np.asarray(zrefs, dtype=np.float64))
-        slope = up * down / len(rewards)
+        up, down = _sigmoids(scores.rewards - zrefs)
+        slope = up * down / n
         weights[:n1] = -config.lambda_d * slope[:n1]
         weights[n1:] = config.lambda_u * slope[n1:]
 

@@ -10,19 +10,21 @@ Training, evaluation and the losses run on table-level kernels over the whole
 C x V table:
 
 * :func:`encode` turns (prompt, completion) pairs into int arrays (bucket row,
-  token id, sequence index) and is the one place token ranges and empty
-  completions are checked;
+  token id, flat cell ``row * V + token``, sequence index) and is the one place
+  token ranges and empty completions are checked;
 * :func:`softmax_tables` normalizes every row at once;
-* :func:`sequence_log_probs` gathers per-token log-probabilities from the table
-  and sums them per sequence with ``np.bincount``;
+* :func:`sequence_log_probs` gathers per-token log-probabilities from the
+  flattened table by cell and sums them per sequence with ``np.bincount``;
 * :func:`scatter_grad` turns per-sequence weights ``w`` into the gradient of
-  ``sum_i w_i log p(y_i | x_i)`` with one scatter.
+  ``sum_i w_i log p(y_i | x_i)`` with two ``np.bincount`` passes, one over rows
+  and one over cells.
 
-:func:`log_prob`, :func:`step_log_probs` and :func:`log_prob_grad` score one
-sample at a time, row by row.  They are the reference implementations the
-kernels are tested against: the gathered log-probabilities equal
-:func:`log_prob` bit for bit, because both normalize each row with the same
-operations and sum a sequence's tokens left to right.
+:func:`log_prob`, :func:`step_log_probs`, :func:`log_prob_grad` and
+:func:`sample_completion` work one sample, row by row.  No training path calls
+them: they are the references the kernels and the trainer's one-table DPO
+sampling are tested against.  The gathered log-probabilities equal
+:func:`log_prob` bit for bit: both normalize each row with the same operations
+and sum a sequence's tokens left to right.
 """
 
 from __future__ import annotations
@@ -120,13 +122,15 @@ def _check_range(tokens: Sequence[int], vocab_size: int, name: str) -> np.ndarra
 class Encoded:
     """Sequences as flat int arrays, one entry per completion token.
 
-    Token ``k`` sits in bucket row ``rows[k]``, has id ``tokens[k]`` and belongs
-    to sequence ``seq[k]``.  A sequence's tokens are contiguous and in position
-    order, from ``starts[i]`` for ``lengths[i]`` entries.
+    Token ``k`` sits in bucket row ``rows[k]``, has id ``tokens[k]``, is entry
+    ``cells[k] = rows[k] * V + tokens[k]`` of the flattened C x V table and
+    belongs to sequence ``seq[k]``.  A sequence's tokens are contiguous and in
+    position order, from ``starts[i]`` for ``lengths[i]`` entries.
     """
 
     rows: np.ndarray
     tokens: np.ndarray
+    cells: np.ndarray
     seq: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
@@ -142,7 +146,18 @@ class Encoded:
         starts = np.cumsum(lengths) - lengths
         seq = np.repeat(np.arange(len(index)), lengths)
         pos = np.arange(len(seq)) + (self.starts[index] - starts)[seq]
-        return Encoded(self.rows[pos], self.tokens[pos], seq, starts, lengths)
+        return Encoded(self.rows[pos], self.tokens[pos], self.cells[pos], seq, starts, lengths)
+
+    def split(self, sizes: Sequence[int]) -> list["Encoded"]:
+        """Consecutive runs of ``sizes`` sequences, each renumbered from 0; the
+        arrays are slices of this encoding's, not copies."""
+        seqs = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        toks = np.concatenate([[0], np.cumsum(self.lengths)])[seqs].tolist()
+        return [
+            Encoded(self.rows[lo:hi], self.tokens[lo:hi], self.cells[lo:hi],
+                    self.seq[lo:hi] - a, self.starts[a:b] - lo, self.lengths[a:b])
+            for a, b, lo, hi in zip(seqs, seqs[1:], toks, toks[1:])
+        ]
 
 
 def encode(
@@ -175,7 +190,7 @@ def encode(
     first = np.asarray(firsts, dtype=np.int64)[seq]
     # bucket(), vectorized: every operand is a small non-negative int64.
     rows = ((first + 1) * _MIX_A + position * _MIX_B) % context_size
-    return Encoded(rows, tokens, seq, starts, length_arr)
+    return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, length_arr)
 
 
 def softmax_tables(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,9 +211,7 @@ def sequence_log_probs(log_table: np.ndarray, codes: Encoded) -> np.ndarray:
     ``np.bincount`` adds each sequence's tokens left to right from 0.0, the same
     order as :func:`log_prob`.
     """
-    return np.bincount(
-        codes.seq, weights=log_table[codes.rows, codes.tokens], minlength=codes.n
-    )
+    return np.bincount(codes.seq, weights=log_table.ravel()[codes.cells], minlength=codes.n)
 
 
 def ordered_sum(values: np.ndarray) -> float:
@@ -215,18 +228,19 @@ def scatter_grad(probs: np.ndarray, codes: Encoded, weights: np.ndarray) -> np.n
 
     Every token adds ``w * (onehot(y_t) - softmax(row))`` to its row: the
     softmax part is one row-weighted copy of the table, the one-hot part one
-    scatter-add.  A used cell is then written as (own - row) + row * (1 - p)
-    rather than own - row * p, which would cancel w against w * p as p -> 1.
+    ``np.bincount`` over the cells, which adds each cell's weights in token
+    order from 0.0 as ``np.add.at`` would.  A used cell is then written as
+    (own - row) + row * (1 - p) rather than own - row * p, which would cancel w
+    against w * p as p -> 1.
     """
     token_weights = np.asarray(weights, dtype=np.float64)[codes.seq]
     row_weights = np.bincount(codes.rows, weights=token_weights, minlength=len(probs))
-    grad = -row_weights[:, None] * probs
-    own = np.zeros_like(grad)
-    np.add.at(own, (codes.rows, codes.tokens), token_weights)
-    rows, tokens = codes.rows, codes.tokens
-    row = row_weights[rows]
-    grad[rows, tokens] = (own[rows, tokens] - row) + row * (1.0 - probs[rows, tokens])
-    return grad
+    grad = (-row_weights[:, None] * probs).ravel()
+    cells = codes.cells
+    own = np.bincount(cells, weights=token_weights, minlength=probs.size)[cells]
+    row = row_weights[codes.rows]
+    grad[cells] = (own - row) + row * (1.0 - probs.ravel()[cells])
+    return grad.reshape(probs.shape)
 
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:

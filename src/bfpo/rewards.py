@@ -10,8 +10,10 @@ to batch-level imbalance between positive and auxiliary samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import InputError, NumericError, StateError
 from .policy import PolicyParams, log_prob
@@ -25,6 +27,7 @@ __all__ = [
     "ema_update",
     "implicit_reward",
     "kto_zref",
+    "kto_zrefs",
 ]
 
 
@@ -101,10 +104,7 @@ def delta_joint(pos_rewards: Sequence[float], aux_rewards: Sequence[float]) -> f
     """
     if len(pos_rewards) == 0 or len(aux_rewards) == 0:
         raise InputError("both reward sets must be non-empty")
-    total = 0.0
-    for v in list(pos_rewards) + list(aux_rewards):
-        total += float(v)
-    return total / (len(pos_rewards) + len(aux_rewards))
+    return _mean(list(pos_rewards) + list(aux_rewards), "rewards")
 
 
 def kto_zref(batch_rewards: Sequence[float], index: int) -> float:
@@ -120,6 +120,20 @@ def kto_zref(batch_rewards: Sequence[float], index: int) -> float:
     return max(0.0, total / (len(batch_rewards) - 1))
 
 
+def kto_zrefs(batch_rewards: np.ndarray) -> np.ndarray:
+    """:func:`kto_zref` of every index, bit for bit (KTO's z_ref, Ethayarajh et
+    al. 2024, arXiv:2402.01306): ``np.cumsum`` adds row i of the reward matrix,
+    diagonal zeroed, in the loop's order, and the clip maps NaN to 0.0 as
+    ``max(0.0, nan)`` does."""
+    n = len(batch_rewards)
+    if n < 2:
+        raise InputError("the leave-one-out anchor needs a batch of size >= 2")
+    others = np.tile(np.asarray(batch_rewards, dtype=np.float64), (n, 1))
+    np.fill_diagonal(others, 0.0)
+    z = np.cumsum(others, axis=1)[:, -1] / (n - 1)
+    return np.where(z > 0.0, z, 0.0)
+
+
 def ema_update(
     state: ReferenceState, batch_pos_mean: float, batch_aux_mean: float
 ) -> ReferenceState:
@@ -128,18 +142,14 @@ def ema_update(
         raise NumericError(
             f"non-finite batch reward means ({batch_pos_mean}, {batch_aux_mean})"
         )
-    if not state.initialized:
-        return replace(
-            state,
-            ema_pos=float(batch_pos_mean),
-            ema_aux=float(batch_aux_mean),
-            initialized=True,
-        )
     d = state.decay
-    return replace(
-        state,
-        ema_pos=d * state.ema_pos + (1.0 - d) * batch_pos_mean,
-        ema_aux=d * state.ema_aux + (1.0 - d) * batch_aux_mean,
+    if not state.initialized:
+        return ReferenceState(float(batch_pos_mean), float(batch_aux_mean), d, True)
+    return ReferenceState(
+        d * state.ema_pos + (1.0 - d) * batch_pos_mean,
+        d * state.ema_aux + (1.0 - d) * batch_aux_mean,
+        d,
+        True,
     )
 
 

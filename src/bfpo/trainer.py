@@ -38,7 +38,6 @@ from .policy import (
     PolicyParams,
     Sample,
     encode,
-    sample_completion,
     snapshot_reference,
     softmax_tables,
     uniform_params,
@@ -61,6 +60,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+_NONE = np.zeros(0, dtype=np.int64)  # an empty index array
 
 METRICS_COLUMNS = (
     "step",
@@ -223,108 +224,79 @@ def _adamw_apply(
     params.logits -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * params.logits)
 
 
+def _chunks(order: np.ndarray, size: int) -> list[np.ndarray]:
+    return [order[lo : lo + size] for lo in range(0, len(order), size)]
+
+
+def _slices(codes: Encoded, parts: list[np.ndarray]) -> list[Encoded]:
+    """Each part's sequences of ``codes``, from one ``take`` over all parts."""
+    return codes.take(np.concatenate(parts)).split([len(p) for p in parts])
+
+
 def make_batches(
     dataset: UserDataset,
     config: TrainConfig,
     epoch_seed: int,
+    codes: Encoded,
     dpo_pairs: Sequence[DpoPair] | None = None,
-    codes: Encoded | None = None,
 ) -> list[Batch]:
     """Seeded per-epoch batches: one epoch is one pass over the target side.
 
     ``codes`` is the :func:`encode_batch` encoding of the whole set the batches
     are cut from (all ``dpo_pairs`` for DPO, else ``tar_train`` then
-    ``aux_train``); each batch then carries its slice of it.
+    ``aux_train``); each batch carries its slice of the epoch's one ``take``.
     """
     rng = np.random.default_rng(epoch_seed)
-
-    def cut(first: Sequence[int], second: Sequence[int], n_first: int) -> Encoded | None:
-        if codes is None:
-            return None
-        second = np.asarray(second, dtype=np.int64) + n_first
-        return codes.take(np.concatenate([first, second]))
 
     if config.method is Method.DPO:
         if dpo_pairs is None:
             raise ConfigError("DPO requires synthesized pairs but none were supplied")
         if len(dpo_pairs) == 0:
             raise InputError("DPO pair set is empty")
-        order = rng.permutation(len(dpo_pairs))
-        bs = config.batch_size_pos
-        return [
-            Batch(
-                pairs=[dpo_pairs[int(i)] for i in order[lo : lo + bs]],
-                codes=cut(order[lo : lo + bs], order[lo : lo + bs], len(dpo_pairs)),
-            )
-            for lo in range(0, len(dpo_pairs), bs)
-        ]
+        chunks = _chunks(rng.permutation(len(dpo_pairs)), config.batch_size_pos)
+        pieces = _slices(codes, [np.concatenate([c, c + len(dpo_pairs)]) for c in chunks])
+        return [Batch(c, _NONE, dpo_pairs, codes=piece) for c, piece in zip(chunks, pieces)]
 
     pos = dataset.tar_train
     if len(pos) == 0:
         raise InputError("target training split is empty")
-    pos_order = rng.permutation(len(pos))
-    bs_pos = config.batch_size_pos
-    n_steps = math.ceil(len(pos) / bs_pos)
+    chunks = _chunks(rng.permutation(len(pos)), config.batch_size_pos)
 
     if config.method is Method.SFT:
-        return [
-            Batch(
-                pos=[pos[int(i)] for i in pos_order[lo : lo + bs_pos]],
-                codes=cut(pos_order[lo : lo + bs_pos], [], len(pos)),
-            )
-            for lo in range(0, len(pos), bs_pos)
-        ]
+        return [Batch(c, _NONE, pos, codes=p) for c, p in zip(chunks, _slices(codes, chunks))]
 
     aux = dataset.aux_train
     if len(aux) == 0:
         raise InputError("auxiliary training split is empty")
     aux_order = rng.permutation(len(aux))
     bs_aux = config.resolved_aux_batch(dataset.ratio_x)
-    batches = []
-    cursor = 0
-    for step in range(n_steps):
-        lo = step * bs_pos
-        pos_idx = pos_order[lo : lo + bs_pos]
-        aux_idx = [int(aux_order[(cursor + k) % len(aux)]) for k in range(bs_aux)]
-        cursor += bs_aux
-        batches.append(
-            Batch(
-                pos=[pos[int(i)] for i in pos_idx],
-                aux=[aux[i] for i in aux_idx],
-                codes=cut(pos_idx, aux_idx, len(pos)),
-            )
-        )
-    return batches
+    # The auxiliary side cycles through its permutation across the epoch.
+    aux_idx = aux_order[np.arange(len(chunks) * bs_aux) % len(aux)].reshape(-1, bs_aux)
+    pieces = _slices(codes, [np.concatenate([c, a + len(pos)]) for c, a in zip(chunks, aux_idx)])
+    return [Batch(c, a, pos, aux, piece) for c, a, piece in zip(chunks, aux_idx, pieces)]
 
 
 def _diagnostic_dump(
     batch: Batch, breakdown: LossBreakdown | None, state: RunState
 ) -> dict:
+    pos, aux = batch.samples()
+    dpo = state.config.method is Method.DPO
+
     def _samples(samples: Sequence[Sample]) -> list[dict]:
-        return [
-            {"user_id": s.user_id, "x": list(s.x), "y": list(s.y), "split": s.split}
-            for s in samples
-        ]
+        return [{**vars(s), "x": list(s.x), "y": list(s.y)} for s in samples]
 
     dump = {
         "step": state.step,
         "epoch": state.epoch,
         "method": state.config.method.value,
-        "pos": _samples(batch.pos),
-        "aux": _samples(batch.aux),
+        "pos": [] if dpo else _samples(pos),
+        "aux": _samples(aux),
         "pairs": [
-            {"x": list(p.x), "y_w": list(p.y_w), "y_l": list(p.y_l)} for p in batch.pairs
+            {"x": list(p.x), "y_w": list(p.y_w), "y_l": list(p.y_l)} for p in pos if dpo
         ],
     }
     if breakdown is not None:
-        dump["breakdown"] = {
-            "l_pos": breakdown.l_pos,
-            "l_aux_neg": breakdown.l_aux_neg,
-            "l_tar_neg": breakdown.l_tar_neg,
-            "pure_neg_raw": breakdown.pure_neg_raw,
-            "pure_neg_clamped": breakdown.pure_neg_clamped,
-            "total": breakdown.total,
-        }
+        dump["breakdown"] = {k: v for k, v in vars(breakdown).items() if k != "method"}
     return dump
 
 
@@ -359,7 +331,7 @@ def train_step(state: RunState, batch: Batch) -> tuple[RunState, LossBreakdown]:
     state.last_delta = delta
 
     breakdown, grad = scored_loss_and_grad(method, scores, state.loss_config, delta)
-    if not (math.isfinite(breakdown.total) and bool(np.all(np.isfinite(grad)))):
+    if not (math.isfinite(breakdown.total) and np.isfinite(grad).all()):
         raise NumericError(
             f"non-finite loss or gradient at step {state.step}",
             details=_diagnostic_dump(batch, breakdown, state),
@@ -382,22 +354,29 @@ def synth_dpo_pairs(
 ) -> tuple[list[DpoPair], int]:
     """Rejection-sample a distinct completion per target sample from the policy.
 
-    Samples whose rejection budget is exhausted are skipped and counted.
+    Samples whose rejection budget is exhausted are skipped and counted.  A
+    candidate is what :func:`bfpo.policy.sample_completion` draws: its
+    ``rng.choice(V, p=row)`` reads one ``rng.random()`` u per token and returns
+    ``searchsorted(cdf, u, side="right")``, the count of the row's normalized
+    cdf entries <= u; here one ``rng.random(L)`` reads a candidate's L draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    samples = dataset.tar_train
+    # Checks every prompt's range and every completion's length >= 1.
+    codes = encode(((s.x, s.y) for s in samples), policy.context_size, policy.vocab_size)
+    cdf = np.cumsum(softmax_tables(policy.logits)[1], axis=1)
+    cdf /= cdf[:, -1:]
     pairs: list[DpoPair] = []
     skipped = 0
-    for s in dataset.tar_train:
-        found = None
+    for s, row_cdf in zip(samples, np.split(cdf[codes.rows], codes.starts[1:])):
         for _ in range(budget):
-            candidate = sample_completion(policy, s.x, len(s.y), rng)
+            draws = rng.random(len(s.y))
+            candidate = tuple((row_cdf <= draws[:, None]).sum(axis=1).tolist())
             if candidate != s.y:
-                found = candidate
+                pairs.append(DpoPair(x=s.x, y_w=s.y, y_l=candidate))
                 break
-        if found is None:
-            skipped += 1
         else:
-            pairs.append(DpoPair(x=s.x, y_w=s.y, y_l=found))
+            skipped += 1
     if skipped:
         logger.warning("DPO pair synthesis skipped %d samples (budget exhausted)", skipped)
     return pairs, skipped
@@ -408,13 +387,8 @@ def _metrics_row(step: int, epoch: int, breakdown: LossBreakdown, delta: float,
     return {
         "step": step,
         "epoch": epoch,
+        **vars(breakdown),
         "method": breakdown.method.value,
-        "l_pos": breakdown.l_pos,
-        "l_aux_neg": breakdown.l_aux_neg,
-        "l_tar_neg": breakdown.l_tar_neg,
-        "pure_neg_raw": breakdown.pure_neg_raw,
-        "pure_neg_clamped": breakdown.pure_neg_clamped,
-        "total": breakdown.total,
         "delta": delta,
         "ema_pos": ema.ema_pos if ema.initialized else 0.0,
         "ema_aux": ema.ema_aux if ema.initialized else 0.0,
@@ -427,36 +401,29 @@ def _epoch_seed(rng: np.random.Generator) -> int:
 
 def _sft_phase(
     policy: PolicyParams,
-    samples: Sequence[Sample],
     codes: Encoded,
     epochs: int,
     lr: float,
     config: TrainConfig,
     seed_rng: np.random.Generator,
 ) -> None:
-    """Plain cross-entropy passes over a sample list (used for the warm start).
-
-    ``codes`` encodes ``samples``, in the same order.
-    """
+    """Plain cross-entropy passes over encoded samples (used for the warm start)."""
     if epochs == 0:
         return
-    if len(samples) == 0:
+    if codes.n == 0:
         raise InputError("warm-start sample pool is empty")
     bs = config.batch_size_pos
-    steps_per_epoch = math.ceil(len(samples) / bs)
+    steps_per_epoch = math.ceil(codes.n / bs)
     total = epochs * steps_per_epoch
     opt = AdamState.zeros(policy.logits.shape)
     loss_cfg = LossConfig(beta=config.beta)
     step = 0
     for _ in range(epochs):
         rng = np.random.default_rng(_epoch_seed(seed_rng))
-        order = rng.permutation(len(samples))
-        for lo in range(0, len(samples), bs):
+        chunks = _chunks(rng.permutation(codes.n), bs)
+        for chunk, piece in zip(chunks, _slices(codes, chunks)):
             step += 1
-            batch = Batch(
-                pos=[samples[int(i)] for i in order[lo : lo + bs]],
-                codes=codes.take(order[lo : lo + bs]),
-            )
+            batch = Batch(chunk, _NONE, codes=piece)
             breakdown, grad = method_loss_and_grad(
                 Method.SFT, batch, policy, policy, loss_cfg, 0.0
             )
@@ -483,11 +450,11 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
     codes = encode(
         ((s.x, s.y) for s in tar_train + aux_train), config.context_size, vocab_size
     )
-    aux_codes = codes.take(np.arange(len(tar_train), codes.n))
+    aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
 
     policy = uniform_params(vocab_size, config.context_size)
     warm_lr = config.warmstart_lr if config.warmstart_lr is not None else config.learning_rate
-    _sft_phase(policy, aux_train, aux_codes, config.warmstart_epochs, warm_lr, config, warm_rng)
+    _sft_phase(policy, aux_codes, config.warmstart_epochs, warm_lr, config, warm_rng)
     reference = snapshot_reference(policy)
 
     alpha_estimate: AlphaEstimate | None = None
@@ -524,7 +491,7 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
         if len(dpo_pairs) == 0:
             raise InputError("DPO pair synthesis produced no usable pairs")
         codes = encode_batch(
-            Batch(pairs=dpo_pairs), Method.DPO, config.context_size, vocab_size
+            Batch.of(pairs=dpo_pairs), Method.DPO, config.context_size, vocab_size
         )
         steps_per_epoch = math.ceil(len(dpo_pairs) / config.batch_size_pos)
     else:
@@ -542,7 +509,7 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
     metrics: list[dict] = []
     for epoch in range(config.epochs):
         state.epoch = epoch
-        batches = make_batches(dataset, config, _epoch_seed(method_rng), dpo_pairs, codes)
+        batches = make_batches(dataset, config, _epoch_seed(method_rng), codes, dpo_pairs)
         for batch in batches:
             state, breakdown = train_step(state, batch)
             metrics.append(

@@ -22,9 +22,9 @@ from .losses import (
     Method,
     binary_loss,
     encode_batch,
-    method_loss,
     method_loss_and_grad,
     score,
+    scored_loss,
 )
 from .policy import PolicyParams, Sample, softmax_tables
 from .pu import (
@@ -33,7 +33,7 @@ from .pu import (
     run_negativity_check,
     run_unbiasedness_check,
 )
-from .rewards import ReferenceState, delta_ema, ema_update, kto_zref
+from .rewards import ReferenceState, delta_ema, ema_update, kto_zrefs
 
 __all__ = [
     "finite_difference_grad",
@@ -58,9 +58,7 @@ def finite_difference_grad(
 ) -> np.ndarray:
     """Central differences of a scalar loss over every logit entry."""
     grad = np.zeros_like(params.logits)
-    it = np.nditer(params.logits, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(params.logits.shape):
         original = params.logits[idx]
         params.logits[idx] = original + step
         up = loss_fn()
@@ -68,7 +66,6 @@ def finite_difference_grad(
         down = loss_fn()
         params.logits[idx] = original
         grad[idx] = (up - down) / (2.0 * step)
-        it.iternext()
     return grad
 
 
@@ -105,12 +102,12 @@ def random_gradient_case(
             lambda_u=float(rng.uniform(0.5, 2.0)),
         )
         delta = float(rng.uniform(-1.0, 1.0))
-        batch = Batch(
+        batch = Batch.of(
             pos=_random_samples(rng, vocab, int(rng.integers(1, 4))),
             aux=_random_samples(rng, vocab, int(rng.integers(1, 4))),
         )
         if method is Method.DPO:
-            batch = Batch(
+            batch = Batch.of(
                 pairs=[
                     DpoPair(x=s.x, y_w=s.y, y_l=t.y)
                     for s, t in zip(
@@ -128,7 +125,7 @@ def random_gradient_case(
             if method is Method.KTO:
                 if len(rewards) < 2:
                     continue
-                zrefs = [kto_zref(rewards, i) for i in range(len(rewards))]
+                zrefs = kto_zrefs(rewards).tolist()
             else:
                 breakdown = binary_loss(
                     method, rewards[: scores.split], rewards[scores.split :], delta, config
@@ -163,13 +160,14 @@ def run_gradient_fd_check(
             batch, codes=encode_batch(batch, method, policy.context_size, policy.vocab_size)
         )
         _, analytic = method_loss_and_grad(method, batch, policy, reference, config, delta)
+        # The reference is fixed, so its table is too.
+        ref_table = None if method is Method.SFT else softmax_tables(reference.logits)[0]
         largest = 0.0
 
         def value() -> float:
             nonlocal largest
-            total = method_loss(
-                method, batch, policy, reference, config, delta, zrefs=zrefs
-            ).total
+            scores = score(method, batch, policy, ref_table, config.beta)
+            total = scored_loss(method, scores, config, delta, zrefs)[0].total
             largest = max(largest, abs(total))
             return total
 

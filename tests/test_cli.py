@@ -120,6 +120,45 @@ class TestTrain:
             "d690ba3c21663f9373e30990eb8f09717601904591f0972cd6abd6841d3f3398"
         )
 
+    # sha256 of (checkpoint.json, metrics.csv) per method on the default config.
+    PINNED = {
+        "sft": (
+            "b87ca0b044009a0a91e7b092b04259cffe52b866266dfa693367bd0e8c4b9ca2",
+            "7637c6184289c5bc3b7b7981083e7058a6396e6faff524a4f344f297891cadda",
+        ),
+        "dpo": (
+            "bff848890ad5f2f28745e67f3b6e9d21190f7145c99479511d7da00d8f03cde2",
+            "d39ca803f9256a8f562b85537443ee24f2627f4176ebcc972755fb62c71afefc",
+        ),
+        "kto": (
+            "5e849947631e99946b47010ee022d3bce9282ed0984724983c544f6a87f23bb6",
+            "7ab331ba14524eb02f656e76c88c082d5e27259a68674207831afed9cefce812",
+        ),
+        "bco": (
+            "ad010fd930536f4ec84e715635dc87d3933ff411e5c97530237eb102378862eb",
+            "24fa41f0bffd649d0249db746be77a8cd3b04e9da7a4e9207f3efb2c7ccf79e4",
+        ),
+        "cbpo_raw": (
+            "82bda1b4386d8654d1a420d666d9fd9ba3245e6b52063b4692b81d91ba4b8faf",
+            "5a1b631ae7873843a1ea39ede3af12c0d79dd02fac2fac77ec398e7aaf7e3457",
+        ),
+        "cbpo": (
+            "d690ba3c21663f9373e30990eb8f09717601904591f0972cd6abd6841d3f3398",
+            "de5a26d0d5e0b517b734e4960ec2ed806623fef542ce227f42cc550f350f841e",
+        ),
+    }
+
+    @pytest.mark.parametrize("method", list(PINNED))
+    def test_artifact_bytes_pinned_every_method(self, tmp_path, method):
+        """The trained artifacts of every method: a change to batching, the
+        kernels or the optimizer that moves a single bit shows here."""
+        out = _train(tmp_path, _generate(tmp_path), train_overrides={"method": method})
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("checkpoint.json", "metrics.csv")
+        )
+        assert got == self.PINNED[method]
+
     def test_alpha_estimate_written(self, tmp_path):
         corpus = _generate(tmp_path)
         out = _train(tmp_path, corpus, out="est", train_overrides={"alpha": "estimate"})
@@ -402,6 +441,8 @@ class TestMalformedInputExits2:
             ("sweep", None, {"axis": "history_fraction", "grid": [0.5, 1.5]}),
             ("sweep", None, {"axis": "grouping", "grid": ["random", "bogus"]}),
             ("sweep", None, {"train": {"epochs": 2.7}}),
+            ("sweep", None, {"dataset": {"target_user": "u999"}}),
+            ("sweep", None, {"axis": "ratio_x", "grid": [1.0, 100.0]}),
             ("evaluate", _edit_checkpoint_config(beta=True), {}),
             ("evaluate", _edit_checkpoint_config(beta=-1), {}),
             ("evaluate", _edit_checkpoint_config(method=5), {}),
@@ -414,6 +455,7 @@ class TestMalformedInputExits2:
              "estimator_lr_nan", "sweep_n_seeds_not_an_integer", "sweep_grid_not_a_list",
              "sweep_ratio_x_grid_value_not_a_number", "sweep_history_fraction_grid_value_above_1",
              "sweep_grouping_grid_value_unknown", "sweep_epochs_not_an_integer",
+             "sweep_unknown_target_user", "sweep_ratio_x_grid_value_past_the_population",
              "checkpoint_beta_bool", "checkpoint_beta_negative", "checkpoint_method_not_a_name"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
@@ -436,8 +478,9 @@ class TestMalformedInputExits2:
 
 
 class TestAtomicWrites:
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        """A write that fails half-way leaves the old bytes and no temp file."""
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, capsys):
+        """A write that fails half-way exits 1 with one error line, and leaves
+        the old bytes and no temp file."""
         corpus = _generate(tmp_path)
         run = _train(tmp_path, corpus)
         before = (run / "checkpoint.json").read_bytes()
@@ -450,8 +493,11 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(files, "open", lambda fd, mode: HalfWritten(io.FileIO(fd, "w")),
                             raising=False)
-        with pytest.raises(OSError):
-            main(["train", "--config", str(tmp_path / "train_run.json"), "--seed", "6"])
+        capsys.readouterr()
+        assert main(["train", "--config", str(tmp_path / "train_run.json"), "--seed", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "No space left on device" in err
         assert (run / "checkpoint.json").read_bytes() == before
         assert sorted(p.name for p in run.iterdir()) == ["checkpoint.json", "metrics.csv"]
 

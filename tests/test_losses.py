@@ -256,7 +256,7 @@ def _random_batch(rng, vocab, n_pos, n_aux):
             for _ in range(n)
         ]
 
-    return Batch(pos=mk(n_pos), aux=mk(n_aux))
+    return Batch.of(pos=mk(n_pos), aux=mk(n_aux))
 
 
 class TestGradients:
@@ -267,7 +267,7 @@ class TestGradients:
         policy = uniform_params(2, 1)
         policy.logits[0] = [5.0, -5.0]
         reference = uniform_params(2, 1)
-        batch = Batch(pos=[Sample("u", (0,), (0,))], aux=[Sample("u", (0,), (1,))])
+        batch = Batch.of(pos=[Sample("u", (0,), (0,))], aux=[Sample("u", (0,), (1,))])
         config = LossConfig(beta=1.0, alpha=0.9)
         breakdown, grad = method_loss_and_grad(
             Method.CBPO, batch, policy, reference, config, 0.0
@@ -284,7 +284,8 @@ class TestGradients:
         from bfpo.rewards import RewardConfig, implicit_reward
 
         # The kernel's own pass, with the auxiliary weight zeroed.
-        samples = batch.pos + batch.aux
+        pos, aux = batch.samples()
+        samples = pos + aux
         codes = encode([(s.x, s.y) for s in samples], 1, 2)
         log_table, probs = softmax_tables(policy.logits)
         ref_table, _ = softmax_tables(reference.logits)
@@ -298,7 +299,7 @@ class TestGradients:
         # Independent oracle: the per-sample reward and log_prob_grad.
         rcfg = RewardConfig(beta=config.beta)
         oracle = np.zeros_like(grad)
-        for s in batch.pos:
+        for s in pos:
             r = implicit_reward(policy, reference, rcfg, s.x, s.y)
             w = -1.0 / (1.0 + math.exp(r)) / len(batch.pos)  # sigmoid(r) - 1
             oracle += config.beta * w * log_prob_grad(policy, s.x, s.y)
@@ -315,10 +316,10 @@ class TestGradients:
         swapped = DpoPair(x=(0,), y_w=(3,), y_l=(1, 2))
         config = LossConfig(beta=1.0)
         _, g1 = method_loss_and_grad(
-            Method.DPO, Batch(pairs=[pair]), policy, reference, config, 0.0
+            Method.DPO, Batch.of(pairs=[pair]), policy, reference, config, 0.0
         )
         _, g2 = method_loss_and_grad(
-            Method.DPO, Batch(pairs=[swapped]), policy, reference, config, 0.0
+            Method.DPO, Batch.of(pairs=[swapped]), policy, reference, config, 0.0
         )
         np.testing.assert_allclose(g1, -g2, atol=1e-14)
 
@@ -331,7 +332,7 @@ class TestGradients:
         other = Sample("u", (0,), (1,))
         config = LossConfig(beta=1.0, alpha=0.3)
         _, grad = method_loss_and_grad(
-            Method.CBPO, Batch(pos=[sample], aux=[other]), policy, reference, config, 0.5
+            Method.CBPO, Batch.of(pos=[sample], aux=[other]), policy, reference, config, 0.5
         )
         before = log_prob(policy, sample.x, sample.y)
         policy.logits -= 0.05 * grad
@@ -351,7 +352,7 @@ class TestMethodLoss:
         policy = random_params(rng, 4, 3)
         batch = _random_batch(rng, 4, 3, 0)
         out = method_loss(Method.SFT, batch, policy, policy, LossConfig(), 0.0)
-        assert out.total == sft_loss(policy, batch.pos)
+        assert out.total == sft_loss(policy, batch.samples()[0])
 
     def test_breakdown_fields_finite(self, rng):
         policy = random_params(rng, 4, 3)
@@ -377,8 +378,9 @@ class TestKernelLossValues:
             config = LossConfig(beta=0.7, alpha=0.4, pi_n=0.8)
             delta = float(rng.normal(0.0, 0.5))
             rcfg = RewardConfig(beta=config.beta)
-            pos = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.pos]
-            aux = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in batch.aux]
+            pos_s, aux_s = batch.samples()
+            pos = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in pos_s]
+            aux = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in aux_s]
             closed = {
                 method: binary_loss(method, pos, aux, delta, config)
                 for method in (Method.BCO, Method.CBPO_RAW, Method.CBPO)
@@ -392,8 +394,8 @@ class TestKernelLossValues:
 
         policy = random_params(rng, 5, 3)
         reference = random_params(rng, 5, 3)
-        batch = _random_batch(rng, 5, 4, 4)
-        pairs = [DpoPair(x=p.x, y_w=p.y, y_l=a.y) for p, a in zip(batch.pos, batch.aux)]
+        pos, aux = _random_batch(rng, 5, 4, 4).samples()
+        pairs = [DpoPair(x=p.x, y_w=p.y, y_l=a.y) for p, a in zip(pos, aux)]
         config = LossConfig(beta=0.5)
         rcfg = RewardConfig(beta=config.beta)
         total = 0.0
@@ -402,10 +404,10 @@ class TestKernelLossValues:
                 implicit_reward(policy, reference, rcfg, p.x, p.y_w),
                 implicit_reward(policy, reference, rcfg, p.x, p.y_l),
             )
-        got = method_loss(Method.DPO, Batch(pairs=pairs), policy, reference, config, 0.0)
+        got = method_loss(Method.DPO, Batch.of(pairs=pairs), policy, reference, config, 0.0)
         assert got.total == total / len(pairs)
         total_lp = 0.0
-        for s in batch.pos:
+        for s in pos:
             total_lp += log_prob(policy, s.x, s.y)
-        tokens = sum(len(s.y) for s in batch.pos)
-        assert sft_loss(policy, batch.pos) == -total_lp / tokens
+        tokens = sum(len(s.y) for s in pos)
+        assert sft_loss(policy, pos) == -total_lp / tokens

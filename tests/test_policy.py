@@ -176,6 +176,9 @@ class TestValidation:
             s.user_id = "v"
 
 
+ENCODED_FIELDS = ("rows", "tokens", "cells", "seq", "starts", "lengths")
+
+
 def _random_pairs(rng, vocab, count, context):
     """Random (x, y) pairs: empty prompts, long completions that revisit
     buckets, and a small vocabulary so tokens repeat."""
@@ -233,8 +236,60 @@ class TestKernels:
         index = [7, 0, 7, 11, 3]
         part = codes.take(index)
         direct = encode([pairs[i] for i in index], 3, 5)
-        for field in ("rows", "tokens", "seq", "starts", "lengths"):
+        for field in ENCODED_FIELDS:
             np.testing.assert_array_equal(getattr(part, field), getattr(direct, field))
+
+    def test_cells_index_the_flat_table(self, rng):
+        pairs = _random_pairs(rng, 5, 12, 3)
+        codes = encode(pairs, 3, 5)
+        np.testing.assert_array_equal(codes.cells, codes.rows * 5 + codes.tokens)
+
+    def test_split_equals_encoding_each_run(self, rng):
+        pairs = _random_pairs(rng, 5, 12, 3)
+        codes = encode(pairs, 3, 5)
+        sizes = [3, 1, 0, 8]
+        pieces = codes.split(sizes)
+        lo = 0
+        for size, piece in zip(sizes, pieces):
+            if size:
+                direct = encode(pairs[lo : lo + size], 3, 5)
+                for field in ENCODED_FIELDS:
+                    np.testing.assert_array_equal(getattr(piece, field), getattr(direct, field))
+            assert piece.n == size
+            lo += size
+
+    def test_scatter_grad_bit_identical_to_add_at(self, rng):
+        """The bincount scatter equals the np.add.at form it replaced, bit for
+        bit, with many tokens landing in the same (row, token) cell."""
+        repeated = 0
+        for _ in range(200):
+            vocab = int(rng.integers(2, 5))
+            context = int(rng.integers(1, 3))
+            params = random_params(rng, vocab, context)
+            pairs = _random_pairs(rng, vocab, int(rng.integers(1, 12)), context)
+            weights = rng.normal(0.0, 1.0, len(pairs))
+            codes = encode(pairs, context, vocab)
+            repeated += len(np.unique(codes.cells)) < len(codes.cells)
+            _, probs = softmax_tables(params.logits)
+            token_weights = weights[codes.seq]
+            row_weights = np.bincount(codes.rows, token_weights, minlength=context)
+            want = -row_weights[:, None] * probs
+            own = np.zeros_like(want)
+            np.add.at(own, (codes.rows, codes.tokens), token_weights)
+            rows, tokens = codes.rows, codes.tokens
+            row = row_weights[rows]
+            want[rows, tokens] = (own[rows, tokens] - row) + row * (1.0 - probs[rows, tokens])
+            np.testing.assert_array_equal(scatter_grad(probs, codes, weights), want)
+        assert repeated > 150
+
+    def test_scatter_grad_repeated_cells_match_log_prob_grad(self, rng):
+        params = random_params(rng, 3, 1)
+        pairs = [((0,), (2, 2, 2, 1)), ((1,), (2,)), ((), (2, 0))]
+        weights = np.array([0.7, -1.3, 0.4])
+        _, probs = softmax_tables(params.logits)
+        got = scatter_grad(probs, encode(pairs, 1, 3), weights)
+        want = sum(w * log_prob_grad(params, x, y) for w, (x, y) in zip(weights, pairs))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize(
         "pair",

@@ -18,6 +18,7 @@ from bfpo.rewards import (
     ema_update,
     implicit_reward,
     kto_zref,
+    kto_zrefs,
 )
 
 from conftest import random_params
@@ -102,6 +103,30 @@ class TestKtoZref:
     def test_singleton_rejected(self):
         with pytest.raises(InputError):
             kto_zref([0.5], 0)
+        with pytest.raises(InputError):
+            kto_zrefs(np.array([0.5]))
+
+    def test_vectorized_anchors_bit_identical(self, rng):
+        """kto_zrefs equals kto_zref at every index, bit for bit, from n = 2
+        up, with the clip at 0 active on some anchors and not on others."""
+        clipped = unclipped = 0
+        for _ in range(500):
+            rewards = rng.normal(0.0, 2.0, int(rng.integers(2, 25)))
+            got = kto_zrefs(rewards)
+            want = [kto_zref(rewards.tolist(), i) for i in range(len(rewards))]
+            assert got.tolist() == want
+            clipped += sum(z == 0.0 for z in want)
+            unclipped += sum(z > 0.0 for z in want)
+        assert clipped > 0 and unclipped > 0
+
+    @pytest.mark.parametrize(
+        "rewards",
+        [[0.3, -0.7], [-0.3, 0.7], [-1.0, -2.0], [0.0, -0.0, 0.0], [-0.0, 5e-324, 1.0],
+         [float("nan"), 1.0, 2.0], [float("inf"), -1.0, 0.5]],
+    )
+    def test_vectorized_anchors_edge_cases(self, rewards):
+        got = kto_zrefs(np.array(rewards))
+        assert got.tolist() == [kto_zref(rewards, i) for i in range(len(rewards))]
 
 
 class TestEma:

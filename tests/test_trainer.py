@@ -8,10 +8,17 @@ import math
 import numpy as np
 import pytest
 
-from bfpo.datagen import build_user_dataset
+from bfpo.datagen import UserDataset, build_user_dataset
 from bfpo.errors import ConfigError, NumericError
-from bfpo.losses import Batch, LossConfig, Method
-from bfpo.policy import Sample, snapshot_reference, uniform_params
+from bfpo.losses import Batch, DpoPair, LossConfig, Method, encode_batch
+from bfpo.policy import (
+    Sample,
+    bucket,
+    encode,
+    sample_completion,
+    snapshot_reference,
+    uniform_params,
+)
 from bfpo.rewards import ReferenceState
 from bfpo.trainer import (
     AdamState,
@@ -38,37 +45,93 @@ def _hash(arr) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
+def _codes(ds, cfg, vocab):
+    """The trainer's once-per-run encoding: target then auxiliary samples."""
+    return encode(((s.x, s.y) for s in ds.tar_train + ds.aux_train), cfg.context_size, vocab)
+
+
+def _assert_encodes(piece, pairs, context, vocab):
+    direct = encode(pairs, context, vocab)
+    for name in ("rows", "tokens", "cells", "seq", "starts", "lengths"):
+        np.testing.assert_array_equal(getattr(piece, name), getattr(direct, name))
+
+
 class TestMakeBatches:
     def test_batch_count(self):
         spec, ds = _dataset(samples_per_user=12)  # 10 train samples per side
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, alpha=0.0)
-        batches = make_batches(ds, cfg, epoch_seed=0)
+        batches = make_batches(ds, cfg, 0, _codes(ds, cfg, spec.vocab_size))
         assert len(batches) == 5
 
     def test_fixed_per_batch_ratio(self):
         spec, ds = _dataset(samples_per_user=12)
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, batch_size_aux=3, alpha=0.0)
-        for batch in make_batches(ds, cfg, epoch_seed=1):
+        for batch in make_batches(ds, cfg, 1, _codes(ds, cfg, spec.vocab_size)):
             assert len(batch.aux) == 3
 
     def test_epoch_seed_determinism(self):
         spec, ds = _dataset()
         cfg = TrainConfig(method=Method.CBPO, batch_size_pos=4, alpha=0.0)
-        a = make_batches(ds, cfg, epoch_seed=42)
-        b = make_batches(ds, cfg, epoch_seed=42)
-        assert a == b
+        codes = _codes(ds, cfg, spec.vocab_size)
+        a = make_batches(ds, cfg, 42, codes)
+        b = make_batches(ds, cfg, 42, codes)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.pos.tolist() == y.pos.tolist() and x.aux.tolist() == y.aux.tolist()
+            assert x.samples() == y.samples()
+            np.testing.assert_array_equal(x.codes.cells, y.codes.cells)
 
     def test_dpo_without_pairs_is_config_error(self):
         spec, ds = _dataset()
         cfg = TrainConfig(method=Method.DPO, alpha=0.0)
         with pytest.raises(ConfigError):
-            make_batches(ds, cfg, epoch_seed=0)
+            make_batches(ds, cfg, 0, _codes(ds, cfg, spec.vocab_size))
 
     def test_aux_cycles_when_short(self):
         spec, ds = _dataset(samples_per_user=12, ratio=0.5)
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, batch_size_aux=4, alpha=0.0)
-        batches = make_batches(ds, cfg, epoch_seed=0)
+        batches = make_batches(ds, cfg, 0, _codes(ds, cfg, spec.vocab_size))
         assert all(len(b.aux) == 4 for b in batches)
+        # The auxiliary side runs through one permutation, then starts it again.
+        n_aux = len(ds.aux_train)
+        cycle = np.concatenate([b.aux for b in batches])
+        assert len(cycle) > n_aux
+        assert sorted(cycle[:n_aux].tolist()) == list(range(n_aux))
+        np.testing.assert_array_equal(cycle, cycle[np.arange(len(cycle)) % n_aux])
+        for b in batches:
+            pos, aux = b.samples()
+            _assert_encodes(
+                b.codes, [(s.x, s.y) for s in pos + aux], cfg.context_size, spec.vocab_size
+            )
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("bs_pos, bs_aux, ratio", [(3, None, 1.0), (4, 7, 0.5), (64, 2, 2.0)])
+    def test_slices_encode_the_named_samples(self, method, bs_pos, bs_aux, ratio):
+        """Each batch's slice of the epoch encoding equals encoding the samples
+        (or pairs) its index arrays name, and the positive side is one
+        permutation of the target samples (of the pairs, for DPO)."""
+        spec, ds = _dataset(ratio=ratio)
+        cfg = TrainConfig(method=method, batch_size_pos=bs_pos, batch_size_aux=bs_aux,
+                          alpha=0.0, context_size=5)
+        vocab = spec.vocab_size
+        pairs = None
+        codes = _codes(ds, cfg, vocab)
+        if method is Method.DPO:
+            pairs, _ = synth_dpo_pairs(ds, uniform_params(vocab, 5), seed=2)
+            codes = encode_batch(Batch.of(pairs=pairs), Method.DPO, 5, vocab)
+        batches = make_batches(ds, cfg, 7, codes, pairs)
+        n_pos = len(pairs) if pairs is not None else len(ds.tar_train)
+        binary = method not in (Method.SFT, Method.DPO)
+        n_aux = cfg.resolved_aux_batch(ds.ratio_x) if binary else 0
+        assert sorted(np.concatenate([b.pos for b in batches]).tolist()) == list(range(n_pos))
+        for b in batches:
+            pos, aux = b.samples()
+            if method is Method.DPO:
+                seqs = [(p.x, p.y_w) for p in pos] + [(p.x, p.y_l) for p in pos]
+            else:
+                seqs = [(s.x, s.y) for s in pos + aux]
+            assert len(aux) == n_aux
+            _assert_encodes(b.codes, seqs, 5, vocab)
 
 
 class TestTrainStep:
@@ -88,7 +151,7 @@ class TestTrainStep:
     def test_null_step_at_zero_lr(self):
         state = self._state(lr=0.0)
         before = state.policy.logits.copy()
-        batch = Batch(pos=[Sample("u", (0,), (1, 2))], aux=[Sample("v", (1,), (3,))])
+        batch = Batch.of(pos=[Sample("u", (0,), (1, 2))], aux=[Sample("v", (1,), (3,))])
         _, breakdown = train_step(state, batch)
         np.testing.assert_array_equal(state.policy.logits, before)
         assert math.isfinite(breakdown.total)
@@ -103,7 +166,7 @@ class TestTrainStep:
         # Pre-seeded EMA keeps the anchor above the (zero) initial rewards.
         state.ema = ReferenceState(ema_pos=1.0, ema_aux=1.0, decay=0.99, initialized=True)
         sample = Sample("u", (0,), (1, 1))
-        batch = Batch(pos=[sample], aux=[Sample("v", (0,), (2,))])
+        batch = Batch.of(pos=[sample], aux=[Sample("v", (0,), (2,))])
         rcfg = RewardConfig(beta=state.config.beta)
 
         def pos_loss():
@@ -116,7 +179,7 @@ class TestTrainStep:
 
     def test_ema_updated_before_delta_read(self):
         state = self._state(method=Method.BCO)
-        batch = Batch(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
+        batch = Batch.of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
         train_step(state, batch)
         # First step: policy == reference, so rewards are zero and the seeded
         # EMA makes the anchor exactly zero.
@@ -127,18 +190,65 @@ class TestTrainStep:
         state = self._state()
         state.policy.logits[0, 0] = 1.0  # make it mutable sanity
         state.policy.logits[:] = np.nan
-        batch = Batch(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
+        batch = Batch.of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
         with pytest.raises(NumericError) as err:
             train_step(state, batch)
         assert err.value.details is not None
         assert err.value.details["pos"][0]["user_id"] == "u"
 
 
-class TestSynthDpoPairs:
-    def test_deterministic_policy_skips_everything(self):
-        from bfpo.datagen import UserDataset
-        from bfpo.policy import bucket
+def _synth_with_sample_completion(ds, policy, seed, budget):
+    """The per-token reference: one ``sample_completion`` per candidate."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    pairs, skipped = [], 0
+    for s in ds.tar_train:
+        for _ in range(budget):
+            candidate = sample_completion(policy, s.x, len(s.y), rng)
+            if candidate != s.y:
+                pairs.append(DpoPair(x=s.x, y_w=s.y, y_l=candidate))
+                break
+        else:
+            skipped += 1
+    return pairs, skipped, rng
 
+
+def _synth_with_generator(monkeypatch, ds, policy, seed, budget):
+    """synth_dpo_pairs, plus the generator it drew from."""
+    made = []
+    real = np.random.default_rng
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda *a: made.append(real(*a)) or made[-1])
+        pairs, skipped = synth_dpo_pairs(ds, policy, seed, budget)
+    (rng,) = made
+    return pairs, skipped, rng
+
+
+class TestSynthDpoPairs:
+    @pytest.mark.parametrize("case", range(12))
+    def test_one_table_sampling_equals_sample_completion(self, monkeypatch, case):
+        """The same pairs, skipped count and generator state afterwards as one
+        sample_completion per candidate, on sharp and flat policies where
+        rejections, repeats of y_w and exhausted budgets all happen."""
+        rng = np.random.default_rng(case)
+        vocab, context = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        policy = uniform_params(vocab, context)
+        policy.logits[:] = rng.normal(0.0, [0.0, 1.0, 4.0, 30.0][case % 4], (context, vocab))
+        samples = [
+            Sample("t", tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(0, 3)))),
+                   tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(1, 4)))))
+            for _ in range(40)
+        ]
+        ds = UserDataset(target_user="t", h_tar=samples, h_aux=[], ratio_x=1.0)
+        budget = int(rng.integers(1, 4))
+        want_pairs, want_skipped, want_rng = _synth_with_sample_completion(
+            ds, policy, case, budget
+        )
+        pairs, skipped, got_rng = _synth_with_generator(monkeypatch, ds, policy, case, budget)
+        assert pairs == want_pairs
+        assert skipped == want_skipped
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_deterministic_policy_skips_everything(self, monkeypatch):
         shared = Sample("t", (0,), (1, 2))
         ds = UserDataset(
             target_user="t",
@@ -153,6 +263,10 @@ class TestSynthDpoPairs:
         pairs, skipped = synth_dpo_pairs(ds, policy, seed=0, budget=8)
         assert pairs == []
         assert skipped == 6
+        want = _synth_with_sample_completion(ds, policy, 0, 8)
+        got = _synth_with_generator(monkeypatch, ds, policy, 0, 8)
+        assert got[:2] == want[:2]
+        assert got[2].bit_generator.state == want[2].bit_generator.state
 
     def test_uniform_policy_collision_rate(self):
         """vocab 4, |y| = 2: a draw collides with y_w at rate 1/16."""
@@ -164,8 +278,6 @@ class TestSynthDpoPairs:
             "o": [Sample("o", (0,), tuple(int(v) for v in rng.integers(0, 4, 2)))
                   for _ in range(n)],
         }
-        from bfpo.datagen import UserDataset
-
         ds = UserDataset(target_user="t", h_tar=pop["t"], h_aux=pop["o"], ratio_x=1.0)
         policy = uniform_params(4, 2)
         _, skipped = synth_dpo_pairs(ds, policy, seed=1, budget=1)
