@@ -358,7 +358,10 @@ def _sweep_task(task: tuple) -> dict:
     """One grid point: generate the seed's population, train, evaluate.
 
     Every task regenerates its population from the spec; generation is a pure
-    function of the spec, so tasks of one seed see the same corpus.
+    function of the spec, so tasks of one seed see the same corpus.  Handing
+    built objects to the task instead saves nothing: on the frozen acceptance
+    config a pickle round trip of the population and its dataset (58 KB) takes
+    as long as generating and building them (3.3 ms each, median, 2-vCPU host).
     """
     axis, value, spec, dataset_cfg, train_cfg = task
     population = generate_population(spec)

@@ -75,7 +75,6 @@ __all__ = [
     "method_loss_and_grad",
     "score",
     "scored_loss",
-    "scored_loss_and_grad",
     "sft_loss",
 ]
 
@@ -362,15 +361,6 @@ def score(
     return Scores(codes, len(batch.pos), probs, log_probs, rewards)
 
 
-def scored_loss_and_grad(
-    method: Method, scores: Scores, config: LossConfig, delta: float
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Loss breakdown and gradient w.r.t. the logits from a :func:`score` pass."""
-    breakdown, grad = scored_loss(method, scores, config, delta, want_grad=True)
-    assert grad is not None
-    return breakdown, grad
-
-
 def method_loss(
     method: Method,
     batch: Batch,
@@ -397,7 +387,7 @@ def method_loss_and_grad(
     """Loss breakdown plus the analytic gradient of the total w.r.t. the logits."""
     ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
     scores = score(method, batch, policy, ref_table, config.beta)
-    return scored_loss_and_grad(method, scores, config, delta)
+    return scored_loss(method, scores, config, delta, want_grad=True)
 
 
 def scored_loss(

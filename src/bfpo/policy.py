@@ -216,7 +216,8 @@ def sequence_log_probs(log_table: np.ndarray, codes: Encoded) -> np.ndarray:
 
 def ordered_sum(values: np.ndarray) -> float:
     """Left-to-right sum from 0.0: the order of the per-sample loops, so batch
-    totals repeat bit for bit (``np.sum`` adds pairwise)."""
+    totals repeat bit for bit (``np.sum`` adds pairwise, and from Python 3.12
+    the builtin ``sum`` of floats is compensated)."""
     total = 0.0
     for v in values.tolist():
         total += v

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericError, StateError
-from .policy import PolicyParams, log_prob
+from .policy import PolicyParams, log_prob, ordered_sum
 
 __all__ = [
     "ReferenceState",
@@ -84,10 +84,7 @@ def implicit_reward(
 def _mean(values: Sequence[float], name: str) -> float:
     if len(values) == 0:
         raise InputError(f"{name} must be non-empty")
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return total / len(values)
+    return ordered_sum(np.asarray(values, dtype=np.float64)) / len(values)
 
 
 def delta_bco(pos_rewards: Sequence[float], aux_rewards: Sequence[float]) -> float:

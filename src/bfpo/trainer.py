@@ -1,10 +1,12 @@
 """Optimization loop: batching, method dispatch, EMA wiring and run state.
 
-A run has three phases: a warm-start SFT pass over the pooled auxiliary data
-(the stand-in for a general task model), a reference freeze, and the configured
-method's optimization over the target/auxiliary split.  Everything is a pure
-function of (dataset, config, seed): batch order, the optimizer trajectory and
-the metrics log reproduce byte-identically.
+A run has three phases: a warm start (the stand-in for a general task model),
+a reference freeze, and the configured method's optimization over the
+target/auxiliary split.  The warm start is the SFT method with the pooled
+auxiliary data as its target history, run by the same epoch loop, batching and
+optimizer step as the method.  Everything is a pure function of (dataset,
+config, seed): batch order, the optimizer trajectory and the metrics log
+reproduce byte-identically.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -29,15 +31,15 @@ from .losses import (
     LossConfig,
     Method,
     encode_batch,
-    method_loss_and_grad,
     score,
-    scored_loss_and_grad,
+    scored_loss,
 )
 from .policy import (
     Encoded,
     PolicyParams,
     Sample,
     encode,
+    ordered_sum,
     snapshot_reference,
     softmax_tables,
     uniform_params,
@@ -138,6 +140,8 @@ class TrainConfig:
             raise ConfigError("context_size must be >= 1")
         if self.warmstart_epochs < 0:
             raise ConfigError("warmstart_epochs must be >= 0")
+        if self.warmstart_lr is not None and self.warmstart_lr < 0:
+            raise ConfigError(f"warmstart_lr must be >= 0, got {self.warmstart_lr}")
         if self.method is Method.KTO and self.batch_size_pos + (self.batch_size_aux or 1) < 2:
             raise ConfigError("KTO needs a combined batch size of >= 2")
 
@@ -314,10 +318,9 @@ def train_step(state: RunState, batch: Batch) -> tuple[RunState, LossBreakdown]:
     )
     delta = 0.0
     if method in _BINARY_METHODS:
-        pos_r = scores.rewards[: scores.split].tolist()
-        aux_r = scores.rewards[scores.split :].tolist()
-        pos_mean = sum(pos_r) / len(pos_r)
-        aux_mean = sum(aux_r) / len(aux_r)
+        pos_r, aux_r = scores.rewards[: scores.split], scores.rewards[scores.split :]
+        pos_mean = ordered_sum(pos_r) / len(pos_r)
+        aux_mean = ordered_sum(aux_r) / len(aux_r)
         if not (math.isfinite(pos_mean) and math.isfinite(aux_mean)):
             raise NumericError(
                 f"non-finite batch rewards at step {state.step}",
@@ -330,7 +333,7 @@ def train_step(state: RunState, batch: Batch) -> tuple[RunState, LossBreakdown]:
             delta = delta_joint(pos_r, aux_r)
     state.last_delta = delta
 
-    breakdown, grad = scored_loss_and_grad(method, scores, state.loss_config, delta)
+    breakdown, grad = scored_loss(method, scores, state.loss_config, delta, want_grad=True)
     if not (math.isfinite(breakdown.total) and np.isfinite(grad).all()):
         raise NumericError(
             f"non-finite loss or gradient at step {state.step}",
@@ -399,41 +402,43 @@ def _epoch_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def _sft_phase(
+def _train_epochs(
     policy: PolicyParams,
-    codes: Encoded,
-    epochs: int,
-    lr: float,
+    reference: PolicyParams,
     config: TrainConfig,
-    seed_rng: np.random.Generator,
-) -> None:
-    """Plain cross-entropy passes over encoded samples (used for the warm start)."""
-    if epochs == 0:
-        return
-    if codes.n == 0:
-        raise InputError("warm-start sample pool is empty")
-    bs = config.batch_size_pos
-    steps_per_epoch = math.ceil(codes.n / bs)
-    total = epochs * steps_per_epoch
-    opt = AdamState.zeros(policy.logits.shape)
-    loss_cfg = LossConfig(beta=config.beta)
-    step = 0
-    for _ in range(epochs):
-        rng = np.random.default_rng(_epoch_seed(seed_rng))
-        chunks = _chunks(rng.permutation(codes.n), bs)
-        for chunk, piece in zip(chunks, _slices(codes, chunks)):
-            step += 1
-            batch = Batch(chunk, _NONE, codes=piece)
-            breakdown, grad = method_loss_and_grad(
-                Method.SFT, batch, policy, policy, loss_cfg, 0.0
+    alpha: float,
+    dataset: UserDataset,
+    codes: Encoded,
+    rng: np.random.Generator,
+    dpo_pairs: list[DpoPair] | None = None,
+) -> tuple[RunState, list[dict]]:
+    """``config.epochs`` seeded epochs of :func:`make_batches` and
+    :func:`train_step` from a fresh optimizer and EMA; one metrics row a step."""
+    n = len(dataset.tar_train) if dpo_pairs is None else len(dpo_pairs)
+    state = RunState(
+        policy=policy,
+        reference=reference,
+        ema=ReferenceState(decay=config.ema_decay),
+        opt=AdamState.zeros(policy.logits.shape),
+        config=config,
+        loss_config=LossConfig(
+            beta=config.beta,
+            alpha=alpha,
+            pi_n=config.pi_n,
+            lambda_d=config.lambda_d,
+            lambda_u=config.lambda_u,
+        ),
+        total_steps=config.epochs * math.ceil(n / config.batch_size_pos),
+    )
+    metrics: list[dict] = []
+    for epoch in range(config.epochs):
+        state.epoch = epoch
+        for batch in make_batches(dataset, config, _epoch_seed(rng), codes, dpo_pairs):
+            state, breakdown = train_step(state, batch)
+            metrics.append(
+                _metrics_row(state.step, epoch, breakdown, state.last_delta, state.ema)
             )
-            if not math.isfinite(breakdown.total):
-                raise NumericError(f"non-finite warm-start loss at step {step}")
-            _adamw_apply(
-                policy, grad, opt,
-                _lr_at(step, total, lr, config.warmup_fraction),
-                config.momentum_params, config.weight_decay,
-            )
+    return state, metrics
 
 
 def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResult:
@@ -453,8 +458,19 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
     aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
 
     policy = uniform_params(vocab_size, config.context_size)
-    warm_lr = config.warmstart_lr if config.warmstart_lr is not None else config.learning_rate
-    _sft_phase(policy, aux_codes, config.warmstart_epochs, warm_lr, config, warm_rng)
+    if config.warmstart_epochs > 0:
+        if len(aux_train) == 0:
+            raise InputError("warm-start sample pool is empty")
+        warm_lr = config.learning_rate if config.warmstart_lr is None else config.warmstart_lr
+        sft = replace(
+            config, method=Method.SFT, epochs=config.warmstart_epochs, learning_rate=warm_lr
+        )
+        aux_as_target = UserDataset(dataset.target_user, aux_train, [], dataset.ratio_x)
+        try:
+            # SFT reads no reference, so the policy stands in for it.
+            _train_epochs(policy, policy, sft, 0.0, aux_as_target, aux_codes, warm_rng)
+        except NumericError as exc:
+            raise NumericError(f"warm start: {exc}", exc.details) from exc
     reference = snapshot_reference(policy)
 
     alpha_estimate: AlphaEstimate | None = None
@@ -473,14 +489,6 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
         else:
             alpha_resolved = float(config.alpha)
 
-    loss_config = LossConfig(
-        beta=config.beta,
-        alpha=alpha_resolved,
-        pi_n=config.pi_n,
-        lambda_d=config.lambda_d,
-        lambda_u=config.lambda_u,
-    )
-
     dpo_pairs: list[DpoPair] | None = None
     skipped = 0
     if config.method is Method.DPO:
@@ -493,28 +501,10 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
         codes = encode_batch(
             Batch.of(pairs=dpo_pairs), Method.DPO, config.context_size, vocab_size
         )
-        steps_per_epoch = math.ceil(len(dpo_pairs) / config.batch_size_pos)
-    else:
-        steps_per_epoch = math.ceil(len(dataset.tar_train) / config.batch_size_pos)
 
-    state = RunState(
-        policy=policy,
-        reference=reference,
-        ema=ReferenceState(decay=config.ema_decay),
-        opt=AdamState.zeros(policy.logits.shape),
-        config=config,
-        loss_config=loss_config,
-        total_steps=config.epochs * steps_per_epoch,
+    state, metrics = _train_epochs(
+        policy, reference, config, alpha_resolved, dataset, codes, method_rng, dpo_pairs
     )
-    metrics: list[dict] = []
-    for epoch in range(config.epochs):
-        state.epoch = epoch
-        batches = make_batches(dataset, config, _epoch_seed(method_rng), codes, dpo_pairs)
-        for batch in batches:
-            state, breakdown = train_step(state, batch)
-            metrics.append(
-                _metrics_row(state.step, epoch, breakdown, state.last_delta, state.ema)
-            )
     return TrainResult(
         policy=state.policy,
         reference=state.reference,

@@ -7,6 +7,7 @@ import errno
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,98 @@ class TestTrain:
             for name in ("checkpoint.json", "metrics.csv")
         )
         assert got == self.PINNED[method]
+
+    # sha256 of (checkpoint.json, metrics.csv) per (method, warmstart_epochs),
+    # with a warm-start lr of 0.05 against the method's 0.1.
+    PINNED_WARMSTART = {
+        ("sft", 0): (
+            "5f4976241b7462fd30e0d417b02cfdcdfeef988e02c004fe4a3258d29e523b37",
+            "74609db9ca5252f401103174e9918f7b1064c23fecb8ef4cbc31a7f22d43bc02",
+        ),
+        ("dpo", 0): (
+            "64a2a2f27d982b5139a55a4b6aa9b918788dde3d5ffaa0fb73c1bee711452c79",
+            "1088e9529a7614464a9d3a47c258049c29c269ed490abefc12e98d8bd6c5c69b",
+        ),
+        ("kto", 0): (
+            "6139bb5b1451b0cbb812a59539444735ed2dba1f7e14dc6f0d821f051c1af186",
+            "9069a2a970f4b92668b8830c2d998438bccf0932ccbd02ea85cd2f31cd67c495",
+        ),
+        ("bco", 0): (
+            "64c6a6dce6b92c3ddd0739fad000ef59078b7922e18b968f90bbf720ed1b7283",
+            "fd4de327be42059e489783f749361a7d78da2937112440e5960d695b29a92e5b",
+        ),
+        ("cbpo_raw", 0): (
+            "7fff95737ef9e6b9974d9a21910a8d48093d118b19d747fd8643484bf5faced2",
+            "2d7ba02ce4ba009704859c9c53919c42a84dc403eb0d18074b27cf7af7d27051",
+        ),
+        ("cbpo", 0): (
+            "e4dd18bd5cd236de69398e9b3a7511995ecc747b5f786720361b0e1c2fd6aaa0",
+            "9805a2275b7762246f661a914246eee49c4749579dc77a7bc2d6d6611ce28229",
+        ),
+        ("sft", 2): (
+            "da4b385e7c2b8805a5f6f94c3c21aaa6fb806a020e24fdb74b807e65b6346780",
+            "5867f7fa97c326006d5b179af5453d760d2d69c9d9a77d6a2bc92186260c8818",
+        ),
+        ("dpo", 2): (
+            "e32cef9d5df8beee57451efb0a730598f68a9202f39fe79f24a4d9e293a81a9a",
+            "bd5f016a1b923c8a692f57b0eaf41232912f0930d7e7deccfded82ba9824cb37",
+        ),
+        ("kto", 2): (
+            "78585ec215f0c2b0ab8fbadb65782698d325acbc3eadd95aa09818eb539c66d8",
+            "5a2dbf92d389589c45a1a4ecb0f393aea6bece1d7006a91e242b65baad962f9d",
+        ),
+        ("bco", 2): (
+            "ac5c0d4c6867f77ea79fed6105bc37ab013822128d6338aae546949637eb9333",
+            "e7a7daa026ce03df74dd7ca0224c51acafaec9d408e92f3de1fc6fe1b8914895",
+        ),
+        ("cbpo_raw", 2): (
+            "cb5517a88a5a1fe8560688ead6562e7b36680974a430ab94d9d169604ab518b6",
+            "c8b04075b97023bcd6f7c3a9e6f74c1595f1ac8215d313e78a0367054741115c",
+        ),
+        ("cbpo", 2): (
+            "5396f021e86eb4952fc6b5dac414bec1c13d3a53ce300fc1ad01688e40038309",
+            "92493afebd69dc34df1ad585d084bd4a829aae0945a0546dadf3d6976f69b030",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "method,warmstart_epochs", list(PINNED_WARMSTART), ids=lambda v: str(v)
+    )
+    def test_artifact_bytes_pinned_warmstart_variants(self, tmp_path, method,
+                                                      warmstart_epochs):
+        """No warm start, and two warm-start epochs at their own learning rate:
+        the warm start's batching, schedule and optimizer state show here."""
+        out = _train(tmp_path, _generate(tmp_path), train_overrides={
+            "method": method, "warmstart_epochs": warmstart_epochs, "warmstart_lr": 0.05,
+        })
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("checkpoint.json", "metrics.csv")
+        )
+        assert got == self.PINNED_WARMSTART[(method, warmstart_epochs)]
+
+    def test_warmstart_abort_writes_dump(self, tmp_path, capsys):
+        """A warm start that diverges exits 1 with a dump of the batch that
+        failed, and the one ``aborted:`` line names the warm start."""
+        corpus = _generate(tmp_path)
+        cfg = _write(
+            tmp_path / "t.json",
+            {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "crash"),
+             "corpus_dir": str(corpus),
+             "dataset": {"target_user": "u000", "ratio_x": 1.0, "grouping": "random"},
+             "train": {**TRAIN, "warmstart_lr": 1e308}},
+        )
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("aborted:")
+        assert re.search(r"warm.start", lines[0])
+        dump = json.loads((tmp_path / "crash" / "diagnostic_dump.json").read_text())
+        assert (dump["method"], dump["epoch"], dump["step"]) == ("sft", 0, 2)
+        assert len(dump["pos"]) == TRAIN["batch_size_pos"]
+        assert dump["aux"] == [] and dump["pairs"] == []
+        assert all(s["user_id"] != "u000" for s in dump["pos"])
+        assert not (tmp_path / "crash" / "checkpoint.json").exists()
 
     def test_alpha_estimate_written(self, tmp_path):
         corpus = _generate(tmp_path)
@@ -342,11 +435,12 @@ class TestSweep:
             tmp_path / "sw8" / "sweep.csv"
         ).read_bytes()
 
-    def test_workers_match_serial(self, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_match_serial(self, tmp_path, workers):
         cfg1 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], "sw5")
         cfg2 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], "sw6")
         assert main(["sweep", "--config", cfg1]) == 0
-        assert main(["sweep", "--config", cfg2, "--workers", "2"]) == 0
+        assert main(["sweep", "--config", cfg2, "--workers", str(workers)]) == 0
         assert (tmp_path / "sw5" / "sweep.csv").read_bytes() == (
             tmp_path / "sw6" / "sweep.csv"
         ).read_bytes()
@@ -446,6 +540,7 @@ class TestMalformedInputExits2:
             ("evaluate", _edit_checkpoint_config(beta=True), {}),
             ("evaluate", _edit_checkpoint_config(beta=-1), {}),
             ("evaluate", _edit_checkpoint_config(method=5), {}),
+            ("train", None, {"train": {"warmstart_lr": -0.05}}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -456,7 +551,8 @@ class TestMalformedInputExits2:
              "sweep_ratio_x_grid_value_not_a_number", "sweep_history_fraction_grid_value_above_1",
              "sweep_grouping_grid_value_unknown", "sweep_epochs_not_an_integer",
              "sweep_unknown_target_user", "sweep_ratio_x_grid_value_past_the_population",
-             "checkpoint_beta_bool", "checkpoint_beta_negative", "checkpoint_method_not_a_name"],
+             "checkpoint_beta_bool", "checkpoint_beta_negative", "checkpoint_method_not_a_name",
+             "warmstart_lr_negative"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bfpo.errors import InputError, NumericError, StateError
-from bfpo.policy import bucket, snapshot_reference
+from bfpo.policy import bucket, ordered_sum, snapshot_reference
 from bfpo.rewards import (
     ReferenceState,
     RewardConfig,
@@ -67,6 +67,18 @@ class TestImplicitReward:
                 (0,),
                 (1,),
             )
+
+
+class TestLeftToRightSum:
+    """Batch means add left to right from 0.0, so they do not depend on the
+    Python version (3.12's builtin ``sum`` of floats is compensated)."""
+
+    def test_cancellation_is_not_compensated(self):
+        values = [1e16, 1.0, -1e16]
+        assert ordered_sum(np.array(values)) == 0.0
+        assert math.fsum(values) == 1.0
+        assert delta_joint(values[:2], values[2:]) == 0.0
+        assert delta_bco(values, [0.0]) == 0.0
 
 
 class TestDeltaBco:

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from bfpo.datagen import UserDataset, build_user_dataset
-from bfpo.errors import ConfigError, NumericError
-from bfpo.losses import Batch, DpoPair, LossConfig, Method, encode_batch
+from bfpo.errors import ConfigError, InputError, NumericError
+from bfpo.losses import Batch, DpoPair, LossConfig, Method, encode_batch, score
 from bfpo.policy import (
     Sample,
     bucket,
     encode,
+    ordered_sum,
     sample_completion,
     snapshot_reference,
     uniform_params,
@@ -33,7 +34,7 @@ from bfpo.trainer import (
     train_step,
 )
 
-from conftest import small_population
+from conftest import random_params, small_population
 
 
 def _dataset(lam=0.5, seed=0, ratio=1.0, **kw):
@@ -185,6 +186,33 @@ class TestTrainStep:
         # EMA makes the anchor exactly zero.
         assert state.ema.initialized
         assert state.last_delta == 0.0
+
+    def test_ema_batch_means_add_left_to_right(self):
+        """The EMA is seeded with left-to-right batch means; numpy's pairwise
+        sum reorders a batch of 8 or more and differs here."""
+        rng = np.random.default_rng(7)
+        config = TrainConfig(method=Method.BCO, alpha=0.0, beta=1.0, context_size=4)
+        reference = random_params(rng, 6, config.context_size)
+
+        def samples(user):
+            return [Sample(user, (int(rng.integers(6)),), tuple(rng.integers(6, size=3).tolist()))
+                    for _ in range(24)]
+
+        batch = Batch.of(pos=samples("u"), aux=samples("v"))
+        state = RunState(
+            policy=random_params(rng, 6, config.context_size), reference=reference,
+            ema=ReferenceState(decay=config.ema_decay), opt=AdamState.zeros((4, 6)),
+            config=config, loss_config=LossConfig(beta=1.0), total_steps=1,
+        )
+        rewards = score(Method.BCO, batch, state.policy, state.reference_log_table, 1.0).rewards
+        pos_r, aux_r = rewards[:24], rewards[24:]
+        train_step(state, batch)
+        assert (state.ema.ema_pos, state.ema.ema_aux) == (
+            ordered_sum(pos_r) / 24, ordered_sum(aux_r) / 24
+        )
+        assert (float(np.sum(pos_r)), float(np.sum(aux_r))) != (
+            ordered_sum(pos_r), ordered_sum(aux_r)
+        )
 
     def test_non_finite_loss_aborts_with_dump(self):
         state = self._state()
@@ -346,6 +374,45 @@ class TestRun:
                 if col != "method":
                     assert ra[col] == rb[col]
 
+    def test_warm_start_is_sft_through_train_step(self, monkeypatch):
+        """The warm start is the SFT method with the auxiliary pool as its
+        target history, at the warm-start lr, stepped by ``train_step``."""
+        import bfpo.trainer as trainer_mod
+
+        seen = []
+        step = trainer_mod.train_step
+
+        def spy(state, batch):
+            seen.append((state.config, state.total_steps, batch.samples()))
+            return step(state, batch)
+
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        spec, ds = _dataset()
+        result = run(ds, self._config(warmstart_epochs=2, warmstart_lr=0.05), spec.vocab_size)
+        per_epoch = math.ceil(len(ds.aux_train) / 4)
+        warm, method = seen[: 2 * per_epoch], seen[2 * per_epoch :]
+        assert len(method) == len(result.metrics)
+        for config, total, (_, aux) in warm:
+            assert (config.method, config.learning_rate, config.epochs) == (Method.SFT, 0.05, 2)
+            assert total == 2 * per_epoch and aux == []
+        # Each warm-start epoch visits every auxiliary sample once.
+        for epoch in range(2):
+            steps = warm[epoch * per_epoch : (epoch + 1) * per_epoch]
+            visited = [s for _, _, (pos, _) in steps for s in pos]
+            assert sorted(map(repr, visited)) == sorted(map(repr, ds.aux_train))
+        assert all(c.method is Method.CBPO and c.learning_rate == 0.1 for c, _, _ in method)
+
+    def test_empty_warm_start_pool(self):
+        spec, ds = _dataset()
+        no_aux = UserDataset(ds.target_user, ds.h_tar, [], ds.ratio_x)
+        with pytest.raises(InputError, match="warm-start sample pool is empty"):
+            run(no_aux, self._config(method=Method.SFT), spec.vocab_size)
+        result = run(no_aux, self._config(method=Method.SFT, warmstart_epochs=0),
+                     spec.vocab_size)
+        np.testing.assert_array_equal(
+            result.reference.logits, uniform_params(spec.vocab_size, 4).logits
+        )
+
     def test_sft_method_runs_and_improves_target_fit(self):
         from bfpo.losses import sft_loss
 
@@ -399,6 +466,11 @@ class TestConfigValidation:
             TrainConfig(delta_mode="average")
         with pytest.raises(ConfigError):
             TrainConfig(ema_decay=0.0)
+
+    def test_negative_warmstart_lr_rejected(self):
+        with pytest.raises(ConfigError, match="warmstart_lr"):
+            TrainConfig(warmstart_lr=-0.05)
+        assert TrainConfig(warmstart_lr=0.0).warmstart_lr == 0.0
 
     def test_method_coercion(self):
         assert TrainConfig(method="bco").method is Method.BCO
