@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .alpha import EstimatorConfig, run_alpha_estimation
 from .datagen import (
@@ -40,9 +40,11 @@ from .files import write_atomic
 from .schema import cast, from_doc
 from .trainer import (
     METRICS_COLUMNS,
+    STACK_CELLS,
     TrainConfig,
     load_checkpoint,
     run,
+    run_many,
     save_checkpoint,
     train_config_doc,
 )
@@ -223,28 +225,25 @@ def _build_dataset(
     return dataset
 
 
-def _train_once(
+def _run_meta(
     dataset: UserDataset,
     spec: PopulationSpec,
     dataset_cfg: DatasetConfig,
     train_cfg: TrainConfig,
-) -> tuple[Any, dict]:
-    """Shared by train and sweep: run on the built dataset, assemble metadata."""
-    result = run(dataset, train_cfg, spec.vocab_size)
+) -> dict:
+    """Shared by train and sweep: a run's dataset metadata and config hash."""
     parts = {
         "population": asdict(spec),
         "dataset": asdict(dataset_cfg),
         "train": train_config_doc(train_cfg),
     }
     blob = json.dumps(parts, sort_keys=True, separators=(",", ":"), default=str)
-    config_hash = hashlib.sha256(blob.encode()).hexdigest()[:12]
-    meta = {
+    return {
         **asdict(dataset_cfg),
         "aux_user_ids": dataset.aux_user_ids,
-        "config_hash": config_hash,
+        "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:12],
         "overlap_lambda": spec.overlap_lambda,
     }
-    return result, meta
 
 
 def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
@@ -259,7 +258,7 @@ def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
     dataset = _build_dataset(population, spec, dataset_cfg, run_seed)
     out_dir = _resolve_out(doc, out, "train config")
     try:
-        result, meta = _train_once(dataset, spec, dataset_cfg, train_cfg)
+        result = run(dataset, train_cfg, spec.vocab_size)
     except NumericError as exc:
         if exc.details is not None:
             _write_json(out_dir / "diagnostic_dump.json", exc.details)
@@ -267,6 +266,7 @@ def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
         else:
             print(f"aborted: {exc}", file=sys.stderr)
         return 1
+    meta = _run_meta(dataset, spec, dataset_cfg, train_cfg)
     save_checkpoint(out_dir / "checkpoint.json", result, train_cfg, spec.vocab_size, meta)
     _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, result.metrics)
     if result.alpha_estimate is not None:
@@ -354,45 +354,73 @@ def cmd_estimate_alpha(config_path: str, out: str | None, seed: int | None) -> i
 # --- sweep ------------------------------------------------------------------
 
 
-def _sweep_task(task: tuple) -> dict:
-    """One grid point: generate the seed's population, train, evaluate.
+class _SweepTask(NamedTuple):
+    """One grid point: its population (seeded), dataset and train config."""
 
-    Every task regenerates its population from the spec; generation is a pure
-    function of the spec, so tasks of one seed see the same corpus.  Handing
-    built objects to the task instead saves nothing: on the frozen acceptance
-    config a pickle round trip of the population and its dataset (58 KB) takes
-    as long as generating and building them (3.3 ms each, median, 2-vCPU host).
+    axis: str
+    value: Any
+    spec: PopulationSpec
+    dataset: DatasetConfig
+    train: TrainConfig
+
+
+def _sweep_stack(tasks: list[tuple[int, _SweepTask]]) -> list[tuple[int, dict]]:
+    """A stack of indexed grid points, ordered by seed and dataset: generate
+    each seed's population once, build each dataset once, train the runs
+    through :func:`bfpo.trainer.run_many` and evaluate each.  Returns each
+    task's index and ``sweep.csv`` row.
+
+    The runs go to ``run_many`` in slices of at most ``STACK_CELLS`` table
+    cells, so a long stack holds one slice's results at a time.
     """
-    axis, value, spec, dataset_cfg, train_cfg = task
-    population = generate_population(spec)
-    dataset = _build_dataset(population, spec, dataset_cfg, train_cfg.seed)
-    result, meta = _train_once(dataset, spec, dataset_cfg, train_cfg)
-    report = evaluate_policy(
-        result.policy,
-        result.reference,
-        population,
-        meta["target_user"],
-        meta["aux_user_ids"],
-        beta=train_cfg.beta,
-        method=train_cfg.method.value,
-        config_hash=meta["config_hash"],
-        checkpoint_step=len(result.metrics),
-    )
-    return {
-        "axis": axis,
-        "value": value,
-        "seed": train_cfg.seed,
-        "config_hash": meta["config_hash"],
-        "method": train_cfg.method.value,
-        "alpha": train_cfg.alpha,
-        "alpha_resolved": result.alpha_resolved,
-        **asdict(dataset_cfg),
-        "delta_mode": train_cfg.delta_mode,
-        "overlap_lambda": spec.overlap_lambda,
-        "heldout_nll": report.heldout_nll,
-        "pref_acc": report.pref_acc,
-        "delta_logp_aux": report.delta_logp_aux,
-    }
+    first = tasks[0][1]
+    per_slice = max(1, STACK_CELLS // (first.train.context_size * first.spec.vocab_size))
+    population_of: dict[PopulationSpec, dict] = {}
+    dataset_of: dict[tuple, UserDataset] = {}
+    rows = []
+    for lo in range(0, len(tasks), per_slice):
+        part = tasks[lo : lo + per_slice]
+        # Tasks come seed by seed, so a slice keeps what it shares with the last.
+        population_of = {
+            spec: population_of.get(spec) or generate_population(spec)
+            for spec in dict.fromkeys(task.spec for _, task in part)
+        }
+        dataset_of = {
+            (spec, cfg): dataset_of.get((spec, cfg))
+            or _build_dataset(population_of[spec], spec, cfg, spec.seed)
+            for spec, cfg in dict.fromkeys((task.spec, task.dataset) for _, task in part)
+        }
+        datasets = [dataset_of[task.spec, task.dataset] for _, task in part]
+        results = run_many(datasets, [task.train for _, task in part], first.spec.vocab_size)
+        for (index, task), dataset, result in zip(part, datasets, results):
+            meta = _run_meta(dataset, task.spec, task.dataset, task.train)
+            report = evaluate_policy(
+                result.policy,
+                result.reference,
+                population_of[task.spec],
+                meta["target_user"],
+                meta["aux_user_ids"],
+                beta=task.train.beta,
+                method=task.train.method.value,
+                config_hash=meta["config_hash"],
+                checkpoint_step=len(result.metrics),
+            )
+            rows.append((index, {
+                "axis": task.axis,
+                "value": task.value,
+                "seed": task.train.seed,
+                "config_hash": meta["config_hash"],
+                "method": task.train.method.value,
+                "alpha": task.train.alpha,
+                "alpha_resolved": result.alpha_resolved,
+                **asdict(task.dataset),
+                "delta_mode": task.train.delta_mode,
+                "overlap_lambda": task.spec.overlap_lambda,
+                "heldout_nll": report.heldout_nll,
+                "pref_acc": report.pref_acc,
+                "delta_logp_aux": report.delta_logp_aux,
+            }))
+    return rows
 
 
 def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int) -> int:
@@ -432,26 +460,39 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
                     TrainConfig, {**point["train"], "delta_mode": mode}, f"{where}: train",
                     required={"method"}, seed=run_seed,
                 )
-                tasks.append((axis, value, replace(spec, seed=run_seed), dataset_cfg, train_cfg))
+                tasks.append(_SweepTask(
+                    axis, value, replace(spec, seed=run_seed), dataset_cfg, train_cfg
+                ))
     # So is each distinct dataset: a bad target user or ratio_x fails here.
+    datasets = list(dict.fromkeys(task.dataset for task in tasks))
     for run_seed in range(base_seed, base_seed + n_seeds):
         population = generate_population(replace(spec, seed=run_seed))
-        for dataset_cfg in dict.fromkeys(task[3] for task in tasks):
+        for dataset_cfg in datasets:
             _build_dataset(population, spec, dataset_cfg, run_seed)
     out_dir = _resolve_out(doc, out, "sweep config")
 
+    # Ordered by seed, then dataset, and cut into at most `workers` contiguous
+    # stacks of near-equal size: a stack shares populations and lockstep steps.
+    order = sorted(
+        range(len(tasks)), key=lambda i: (tasks[i].spec.seed, datasets.index(tasks[i].dataset))
+    )
+    count = max(1, min(workers, len(tasks)))
+    bounds = [len(tasks) * k // count for k in range(count + 1)]
+    stacks = [[(i, tasks[i]) for i in order[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+
     partial_path = out_dir / "sweep_partial.csv"
-    rows: list[dict] = []
+    rows: list[dict | None] = [None] * len(tasks)
     with partial_path.open("w", newline="") as fh, ExitStack() as stack:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         fh.flush()
         mapper = map
         if workers > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for row in mapper(_sweep_task, tasks):
-            rows.append(row)
-            writer.writerow([_float_str(row[c]) for c in SWEEP_COLUMNS])
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=count)).map
+        for done in mapper(_sweep_stack, stacks):
+            for index, row in done:
+                rows[index] = row
+                writer.writerow([_float_str(row[c]) for c in SWEEP_COLUMNS])
             fh.flush()
 
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)

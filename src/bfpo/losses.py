@@ -25,12 +25,15 @@ at zero keeps the flexible policy from exploiting a negative risk estimate.
 Gradients are analytic; delta and the leave-one-out KTO anchors are treated as
 constants.
 
-Every method is evaluated by one kernel pass over the batch (see
-:mod:`bfpo.policy`): the batch's sequences are index-encoded, their
-log-probabilities are gathered from the policy's log-softmax table, and the
-gradient of any objective is its per-sample derivative with respect to the
-log-probability, scattered back onto the table once; KTO's anchors come from
-:func:`bfpo.rewards.kto_zrefs`.  No training path calls the scalar
+Every method is evaluated by one kernel pass over a :class:`Stack`, the
+batches of R runs trained in lockstep (R = 1 for a lone batch; see
+:mod:`bfpo.policy`): the sequences are index-encoded, their log-probabilities
+are gathered from the runs' stacked log-softmax table, and the gradient of any
+objective is its per-sample derivative with respect to the log-probability,
+scattered back onto the table once.  Each run's means add its own samples left
+to right (:func:`bfpo.policy.ordered_sums`) and use its own alpha and anchor,
+so a run's values do not depend on the other runs of its stack; KTO's anchors
+come from :func:`bfpo.rewards.kto_zrefs`, run by run.  No training path calls the scalar
 :func:`loss_positive`, :func:`loss_negative`, :func:`dpo_loss`, or
 :func:`bfpo.rewards.implicit_reward` and :func:`bfpo.rewards.kto_zref`: they
 are the reference implementations the kernels are tested against.
@@ -38,6 +41,7 @@ are the reference implementations the kernels are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -52,6 +56,7 @@ from .policy import (
     Sample,
     encode,
     ordered_sum,
+    ordered_sums,
     scatter_grad,
     sequence_log_probs,
     softmax_tables,
@@ -63,8 +68,10 @@ __all__ = [
     "DpoPair",
     "LossBreakdown",
     "LossConfig",
+    "Layout",
     "Method",
     "Scores",
+    "Stack",
     "binary_loss",
     "dpo_loss",
     "encode_batch",
@@ -116,19 +123,16 @@ class DpoPair:
 
 @dataclass(eq=False)
 class Batch:
-    """One optimization step: index arrays into two pools, plus their encoding.
+    """One run's optimization step: index arrays into two pools.
 
     ``pos`` indexes ``pos_pool`` (the target samples; the pairs for DPO),
-    ``aux`` indexes ``aux_pool`` (the auxiliary samples).  ``codes`` is the
-    batch's :func:`encode_batch` encoding, a slice of the trainer's per-epoch
-    one; when it is None, :func:`score` encodes the samples.
+    ``aux`` indexes ``aux_pool`` (the auxiliary samples).
     """
 
     pos: np.ndarray
     aux: np.ndarray
     pos_pool: Sequence = ()
     aux_pool: Sequence[Sample] = ()
-    codes: Encoded | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, pos: Sequence[Sample] = (), aux: Sequence[Sample] = (),
@@ -136,6 +140,11 @@ class Batch:
         """A batch of exactly these samples (of these pairs, for DPO)."""
         first = list(pairs or pos)
         return cls(np.arange(len(first)), np.arange(len(aux)), first, list(aux))
+
+    def sizes(self, method: "Method") -> tuple[int, int]:
+        """The batch's (positive, auxiliary) sequence counts: for DPO, its
+        pairs' preferred and rejected completions."""
+        return len(self.pos), len(self.pos if method is Method.DPO else self.aux)
 
     def samples(self) -> tuple[list, list[Sample]]:
         """The positives (pairs, for DPO) and auxiliaries, looked up by index."""
@@ -197,25 +206,6 @@ def dpo_loss(reward_w: float, reward_l: float) -> float:
     return _neg_log_sigmoid(reward_w - reward_l)
 
 
-def _binary_means(
-    pos_rewards: Sequence[float], aux_rewards: Sequence[float], delta: float
-) -> tuple[float, float, float]:
-    """(l_pos, l_aux_neg, l_tar_neg): batch means of :func:`loss_positive` over
-    the positives and of :func:`loss_negative` over each set, elementwise and
-    summed left to right, so they equal the per-sample loops bit for bit."""
-    pos = np.asarray(pos_rewards, dtype=np.float64)
-    aux = np.asarray(aux_rewards, dtype=np.float64)
-    if len(pos) == 0:
-        raise InputError("pos_rewards must be non-empty")
-    if len(aux) == 0:
-        raise InputError("aux_rewards must be non-empty")
-    return (
-        ordered_sum(np.logaddexp(0.0, -(pos - delta))) / len(pos),
-        ordered_sum(np.logaddexp(0.0, aux - delta)) / len(aux),
-        ordered_sum(np.logaddexp(0.0, pos - delta)) / len(pos),
-    )
-
-
 def kto_loss(
     rewards: Sequence[float],
     labels: Sequence[int],
@@ -263,6 +253,35 @@ def _binary_terms(method: Method, config: LossConfig) -> tuple[float, float, boo
     return alpha, divisor, clamped
 
 
+def _binary_parts(
+    method: Method, configs: Sequence[LossConfig], z: np.ndarray, layout: Layout
+) -> tuple[list[LossBreakdown], list[tuple[float, float, bool]]]:
+    """Each run's BCO-family breakdown from the anchored rewards ``z`` (reward
+    minus delta) of its positives and auxiliaries, and its (alpha, divisor,
+    clamped).  The means add left to right, so they equal the per-sample loops
+    of :func:`loss_positive` and :func:`loss_negative` bit for bit."""
+    terms = [_binary_terms(method, c) for c in configs]
+    # Bin 2r holds run r's positives, bin 2r + 1 its auxiliaries.
+    bins = len(layout.sides)
+    pos_loss = (ordered_sums(np.logaddexp(0.0, -z), layout.seg, bins) / layout.sides).tolist()
+    neg_loss = (ordered_sums(np.logaddexp(0.0, z), layout.seg, bins) / layout.sides).tolist()
+    breakdowns = []
+    for (alpha, divisor, clamped), l_pos, l_tar_neg, l_aux_neg in zip(
+        terms, pos_loss[0::2], neg_loss[0::2], neg_loss[1::2]
+    ):
+        raw = l_aux_neg - alpha * l_tar_neg
+        breakdowns.append(LossBreakdown(
+            method=method,
+            l_pos=l_pos,
+            l_aux_neg=l_aux_neg,
+            l_tar_neg=l_tar_neg,
+            pure_neg_raw=raw,
+            pure_neg_clamped=max(0.0, raw),
+            total=l_pos + (max(0.0, raw) if clamped else raw) / divisor,
+        ))
+    return breakdowns, terms
+
+
 def binary_loss(
     method: Method,
     pos_rewards: Sequence[float],
@@ -271,18 +290,14 @@ def binary_loss(
     config: LossConfig,
 ) -> LossBreakdown:
     """A BCO-family objective: l_pos + clamp?(l_aux_neg - alpha*l_tar_neg)/divisor."""
-    alpha, divisor, clamped = _binary_terms(method, config)
-    l_pos, l_aux_neg, l_tar_neg = _binary_means(pos_rewards, aux_rewards, delta)
-    raw = l_aux_neg - alpha * l_tar_neg
-    return LossBreakdown(
-        method=method,
-        l_pos=l_pos,
-        l_aux_neg=l_aux_neg,
-        l_tar_neg=l_tar_neg,
-        pure_neg_raw=raw,
-        pure_neg_clamped=max(0.0, raw),
-        total=l_pos + (max(0.0, raw) if clamped else raw) / divisor,
-    )
+    pos = np.asarray(pos_rewards, dtype=np.float64)
+    aux = np.asarray(aux_rewards, dtype=np.float64)
+    if len(pos) == 0:
+        raise InputError("pos_rewards must be non-empty")
+    if len(aux) == 0:
+        raise InputError("aux_rewards must be non-empty")
+    layout = Layout.of([len(pos)], [len(aux)])
+    return _binary_parts(method, [config], np.concatenate([pos, aux]) - delta, layout)[0][0]
 
 
 def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
@@ -313,17 +328,84 @@ def encode_batch(
 
 
 @dataclass(frozen=True, eq=False)
-class Scores:
-    """One kernel pass of a batch under the live policy.
+class Layout:
+    """Where R runs' sequences sit in a stack: run r's are contiguous, its
+    ``n_pos[r]`` positives (preferred completions, for DPO), then its
+    auxiliaries (rejected completions).
 
-    The first ``split`` sequences of ``codes`` are the positives (the preferred
-    completions for DPO), the rest the auxiliaries (the rejected ones).
-    ``rewards`` is beta * (log p - log p_ref) per sequence, or None for SFT,
-    which needs no reference.
+    Per sequence, ``run`` is its run, ``pos`` whether it is a positive,
+    ``seg`` its (run, side) bin 2*run + (0 if positive else 1) and ``count``
+    the size of its run's side.  ``sides`` holds each bin's size, ``sizes``
+    each run's and ``spans`` each run's (first, end, positives) as ints;
+    ``empty_pos`` and ``empty_aux`` say whether some run has no positives or
+    no auxiliaries.
     """
 
-    codes: Encoded
-    split: int
+    n_pos: np.ndarray
+    run: np.ndarray
+    pos: np.ndarray
+    seg: np.ndarray
+    count: np.ndarray
+    sides: np.ndarray
+    sizes: np.ndarray
+    spans: tuple[tuple[int, int, int], ...]
+    empty_pos: bool
+    empty_aux: bool
+
+    @classmethod
+    def of(cls, n_pos: Sequence[int], n_aux: Sequence[int]) -> "Layout":
+        """The layout of these sizes; the trainer's steps repeat a few sizes,
+        so layouts are made once and shared (their arrays are read-only)."""
+        return _layout(tuple(n_pos), tuple(n_aux))
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(n_pos: tuple[int, ...], n_aux: tuple[int, ...]) -> Layout:
+    n_pos, n_aux = np.array(n_pos, np.int64), np.array(n_aux, np.int64)
+    sizes = n_pos + n_aux
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    pos = np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run] < n_pos[run]
+    arrays = (n_pos, run, pos, 2 * run + ~pos, np.where(pos, n_pos[run], n_aux[run]),
+              np.stack([n_pos, n_aux], axis=1).ravel(), sizes)
+    for a in arrays:
+        a.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    spans = tuple(zip([0] + ends[:-1], ends, n_pos.tolist()))
+    return Layout(*arrays, spans, bool((n_pos == 0).any()), bool((n_aux == 0).any()))
+
+
+@dataclass(eq=False)
+class Stack:
+    """One step of R runs in lockstep; a lone batch is a stack of one.
+
+    ``batches[r]`` is run r's batch and ``codes`` every run's
+    :func:`encode_batch` encoding in run order, stacked by
+    :func:`bfpo.policy.stack_codes` for the runs' (R*C, V) table, as
+    ``layout`` places it.
+    """
+
+    batches: Sequence[Batch]
+    codes: Encoded = field(repr=False)
+    layout: Layout = field(repr=False)
+
+    @classmethod
+    def of(cls, method: Method, batch: Batch, context_size: int, vocab_size: int) -> "Stack":
+        """A lone batch, encoded."""
+        n_pos, n_aux = batch.sizes(method)
+        codes = encode_batch(batch, method, context_size, vocab_size)
+        return cls([batch], codes, Layout.of([n_pos], [n_aux]))
+
+
+@dataclass(eq=False)
+class Scores:
+    """One kernel pass of a stack under the live policy.
+
+    ``rewards`` is ``beta * (log p - log p_ref)`` per sequence, or None for
+    SFT, which needs no reference.
+    """
+
+    stack: Stack
+    beta: float
     probs: np.ndarray
     log_probs: np.ndarray
     rewards: np.ndarray | None
@@ -331,25 +413,23 @@ class Scores:
 
 def score(
     method: Method,
-    batch: Batch,
+    stack: Stack,
     policy: PolicyParams,
     reference_log_table: np.ndarray | None,
     beta: float,
 ) -> Scores:
-    """Log-probabilities and rewards of every sequence of the batch.
+    """Log-probabilities and rewards of every sequence of the stack.
 
-    ``reference_log_table`` is the frozen reference's log-softmax table (the
-    first table of :func:`softmax_tables`); SFT ignores it.
+    ``policy`` and ``reference_log_table`` (the frozen reference's log-softmax
+    table, the first table of :func:`softmax_tables`; SFT ignores it) are the
+    runs' stacked tables.
     """
-    if len(batch.pos) == 0:
+    if stack.layout.empty_pos:
         raise InputError(f"{method.value} batch needs positive samples (pairs, for DPO)")
-    if method in (Method.BCO, Method.CBPO_RAW, Method.CBPO) and len(batch.aux) == 0:
+    if method in (Method.BCO, Method.CBPO_RAW, Method.CBPO) and stack.layout.empty_aux:
         raise InputError(f"{method.value} batch needs auxiliary samples")
-    codes = batch.codes
-    if codes is None:
-        codes = encode_batch(batch, method, policy.context_size, policy.vocab_size)
     log_table, probs = softmax_tables(policy.logits)
-    log_probs = sequence_log_probs(log_table, codes)
+    log_probs = sequence_log_probs(log_table, stack.codes)
     rewards = None
     if method is not Method.SFT:
         if reference_log_table.shape != policy.logits.shape:
@@ -357,8 +437,8 @@ def score(
                 "policy and reference shapes differ: "
                 f"{policy.logits.shape} vs {reference_log_table.shape}"
             )
-        rewards = beta * (log_probs - sequence_log_probs(reference_log_table, codes))
-    return Scores(codes, len(batch.pos), probs, log_probs, rewards)
+        rewards = beta * (log_probs - sequence_log_probs(reference_log_table, stack.codes))
+    return Scores(stack, beta, probs, log_probs, rewards)
 
 
 def method_loss(
@@ -372,8 +452,9 @@ def method_loss(
 ) -> LossBreakdown:
     """Evaluate one method's loss on a batch (no gradient)."""
     ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
-    scores = score(method, batch, policy, ref_table, config.beta)
-    return scored_loss(method, scores, config, delta, zrefs)[0]
+    stack = Stack.of(method, batch, policy.context_size, policy.vocab_size)
+    scores = score(method, stack, policy, ref_table, config.beta)
+    return scored_loss(method, scores, [config], [delta], zrefs)[0][0]
 
 
 def method_loss_and_grad(
@@ -386,71 +467,97 @@ def method_loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown plus the analytic gradient of the total w.r.t. the logits."""
     ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
-    scores = score(method, batch, policy, ref_table, config.beta)
-    return scored_loss(method, scores, config, delta, want_grad=True)
+    stack = Stack.of(method, batch, policy.context_size, policy.vocab_size)
+    scores = score(method, stack, policy, ref_table, config.beta)
+    breakdowns, grad = scored_loss(method, scores, [config], [delta], want_grad=True)
+    return breakdowns[0], grad
 
 
 def scored_loss(
     method: Method,
     scores: Scores,
-    config: LossConfig,
-    delta: float,
+    configs: Sequence[LossConfig],
+    deltas: Sequence[float],
     zrefs: Sequence[float] | None = None,
     want_grad: bool = False,
-) -> tuple[LossBreakdown, np.ndarray | None]:
-    """Loss breakdown from a :func:`score` pass and, if wanted, the gradient as
-    per-sequence weights on d log p / d logits followed by one scatter.
-    ``zrefs`` overrides KTO's leave-one-out anchors."""
-    n1 = scores.split
-    weights = np.zeros(scores.codes.n)
+) -> tuple[list[LossBreakdown], np.ndarray | None]:
+    """Each run's loss breakdown from a :func:`score` pass and, if wanted, the
+    gradient of every run's total: per-sequence weights on d log p / d logits,
+    then one scatter onto the stacked table.
+
+    ``configs[r]`` is run r's objective and ``deltas[r]`` its anchor (BCO
+    family); ``zrefs`` overrides KTO's leave-one-out anchors.
+    """
+    layout = scores.stack.layout
+    run, pos = layout.run, layout.pos
+    weights = None
 
     if method is Method.SFT:
-        tokens = int(scores.codes.lengths[:n1].sum())
-        breakdown = LossBreakdown(
-            method=Method.SFT, total=-ordered_sum(scores.log_probs[:n1]) / tokens
-        )
-        weights[:n1] = -1.0 / tokens
+        # Bin 2r holds run r's positives (its targets), bin 2r + 1 the rest.
+        bins = len(layout.sides)
+        tokens = ordered_sums(scores.stack.codes.lengths, layout.seg, bins)[0::2]
+        totals = -ordered_sums(scores.log_probs, layout.seg, bins)[0::2] / tokens
+        breakdowns = [LossBreakdown(method=Method.SFT, total=t) for t in totals.tolist()]
+        if want_grad:
+            weights = np.where(pos, (-1.0 / tokens)[run], 0.0)
 
     elif method is Method.DPO:
-        r_w, r_l = scores.rewards[:n1], scores.rewards[n1:]
-        total = ordered_sum(np.logaddexp(0.0, -(r_w - r_l)))  # dpo_loss per pair
-        breakdown = LossBreakdown(method=Method.DPO, total=total / n1)
-        # d dpo_loss / d r_w = -sigmoid(r_l - r_w) = -d dpo_loss / d r_l
-        s = _sigmoids(r_w - r_l)[1] / n1
-        weights[:n1] = -s
-        weights[n1:] = s
+        rejected = ~pos
+        r_w, r_l = scores.rewards[pos], scores.rewards[rejected]
+        # dpo_loss per pair, each run's summed left to right.
+        totals = ordered_sums(np.logaddexp(0.0, -(r_w - r_l)), run[pos], len(layout.n_pos))
+        totals = (totals / layout.n_pos).tolist()
+        breakdowns = [LossBreakdown(method=Method.DPO, total=t) for t in totals]
+        if want_grad:
+            # d dpo_loss / d r_w = -sigmoid(r_l - r_w) = -d dpo_loss / d r_l
+            s = _sigmoids(r_w - r_l)[1] / layout.count[pos]
+            weights = np.empty(len(run))
+            weights[pos] = -s
+            weights[rejected] = s
 
     elif method is Method.KTO:
-        n = len(scores.rewards)
-        zrefs = np.asarray(kto_zrefs(scores.rewards) if zrefs is None else zrefs, np.float64)
-        labels = [1] * n1 + [-1] * (n - n1)
-        value = kto_loss(scores.rewards.tolist(), labels, config.lambda_d, config.lambda_u,
-                         zrefs=zrefs.tolist())
-        breakdown = LossBreakdown(method=Method.KTO, total=value)
-        # v = sigmoid(+-(r - z)) has dv/dr = +-v(1 - v) = +-sigmoid(m)sigmoid(-m).
-        up, down = _sigmoids(scores.rewards - zrefs)
-        slope = up * down / n
-        weights[:n1] = -config.lambda_d * slope[:n1]
-        weights[n1:] = config.lambda_u * slope[n1:]
+        rewards, spans = scores.rewards, layout.spans
+        if zrefs is None:
+            zrefs = np.concatenate([kto_zrefs(rewards[a:b]) for a, b, _ in spans])
+        zrefs = np.asarray(zrefs, dtype=np.float64)
+        breakdowns = [
+            LossBreakdown(method=Method.KTO, total=kto_loss(
+                rewards[a:b].tolist(), [1] * p + [-1] * (b - a - p), c.lambda_d, c.lambda_u,
+                zrefs=zrefs[a:b].tolist(),
+            ))
+            for (a, b, p), c in zip(spans, configs)
+        ]
+        if want_grad:
+            # v = sigmoid(+-(r - z)) has dv/dr = +-v(1 - v) = +-sigmoid(m)sigmoid(-m).
+            up, down = _sigmoids(rewards - zrefs)
+            weights = np.empty(len(rewards))
+            for (a, b, p), c in zip(spans, configs):
+                slope = up[a:b] * down[a:b] / (b - a)
+                weights[a : a + p] = -c.lambda_d * slope[:p]
+                weights[a + p : b] = c.lambda_u * slope[p:]
 
     else:
-        breakdown = binary_loss(
-            method, scores.rewards[:n1], scores.rewards[n1:], delta, config
-        )
-        alpha, divisor, clamped = _binary_terms(method, config)
-        # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), where scale
-        # is 1/divisor, or 0 (a zero subgradient) once the clamp is active, and
-        # d loss_positive / d r = -sigmoid(delta - r),
-        # d loss_negative / d r = sigmoid(r - delta).
-        active = not clamped or breakdown.pure_neg_raw > 0.0
-        scale = 1.0 / divisor if active else 0.0
-        up, down = _sigmoids(scores.rewards - delta)
-        weights[:n1] = -down[:n1] / n1 - scale * alpha * up[:n1] / n1
-        weights[n1:] = scale * up[n1:] / (len(up) - n1)
+        z = scores.rewards - np.repeat(deltas, layout.sizes)
+        breakdowns, terms = _binary_parts(method, configs, z, layout)
+        if want_grad:
+            # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), where scale
+            # is 1/divisor, or 0 (a zero subgradient) once the clamp is active, and
+            # d loss_positive / d r = -sigmoid(delta - r),
+            # d loss_negative / d r = sigmoid(r - delta).
+            scale = [
+                1.0 / divisor if not clamped or b.pure_neg_raw > 0.0 else 0.0
+                for (_, divisor, clamped), b in zip(terms, breakdowns)
+            ]
+            # Per (run, side) bin: scale * alpha on the positives, scale on the
+            # auxiliaries, each rounded as the scalar formula rounds it.
+            bin_scale = np.array([x for s, (a, _, _) in zip(scale, terms) for x in (s * a, s)])
+            up, down = _sigmoids(z)
+            count = layout.count
+            scaled = bin_scale[layout.seg] * up / count
+            weights = np.where(pos, -down / count - scaled, scaled)
 
     if not want_grad:
-        return breakdown, None
+        return breakdowns, None
     if method is not Method.SFT:
-        weights *= config.beta  # d reward / d log p
-    return breakdown, scatter_grad(scores.probs, scores.codes, weights)
-
+        weights *= scores.beta  # d reward / d log p
+    return breakdowns, scatter_grad(scores.probs, scores.stack.codes, weights)

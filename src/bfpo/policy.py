@@ -19,6 +19,11 @@ C x V table:
   ``sum_i w_i log p(y_i | x_i)`` with two ``np.bincount`` passes, one over rows
   and one over cells.
 
+The kernels never look past a row, so R tables of C rows stacked into one
+(R*C, V) table serve R runs at once: :func:`stack_codes` offsets run r's
+encoded rows by r*C, and :func:`ordered_sums` adds each run's values left to
+right, as :func:`ordered_sum` adds one run's.
+
 :func:`log_prob`, :func:`step_log_probs`, :func:`log_prob_grad` and
 :func:`sample_completion` work one sample, row by row.  No training path calls
 them: they are the references the kernels and the trainer's one-table DPO
@@ -45,11 +50,13 @@ __all__ = [
     "log_prob",
     "log_prob_grad",
     "ordered_sum",
+    "ordered_sums",
     "sample_completion",
     "scatter_grad",
     "sequence_log_probs",
     "snapshot_reference",
     "softmax_tables",
+    "stack_codes",
     "step_log_probs",
     "uniform_params",
 ]
@@ -118,14 +125,17 @@ def _check_range(tokens: Sequence[int], vocab_size: int, name: str) -> np.ndarra
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Encoded:
     """Sequences as flat int arrays, one entry per completion token.
 
     Token ``k`` sits in bucket row ``rows[k]``, has id ``tokens[k]``, is entry
     ``cells[k] = rows[k] * V + tokens[k]`` of the flattened C x V table and
     belongs to sequence ``seq[k]``.  A sequence's tokens are contiguous and in
-    position order, from ``starts[i]`` for ``lengths[i]`` entries.
+    position order, from ``starts[i]`` for ``lengths[i]`` entries.  Nothing
+    writes to an encoding once made (the class is not frozen only because the
+    trainer makes one per step, and a frozen dataclass is five times slower
+    to construct).
     """
 
     rows: np.ndarray
@@ -150,13 +160,21 @@ class Encoded:
 
     def split(self, sizes: Sequence[int]) -> list["Encoded"]:
         """Consecutive runs of ``sizes`` sequences, each renumbered from 0; the
-        arrays are slices of this encoding's, not copies."""
-        seqs = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-        toks = np.concatenate([[0], np.cumsum(self.lengths)])[seqs].tolist()
+        token arrays are slices of this encoding's, not copies."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        seq_ends = np.cumsum(sizes)
+        seq_firsts = seq_ends - sizes
+        tok_bounds = np.concatenate([[0], np.cumsum(self.lengths)])
+        tok_firsts, tok_ends = tok_bounds[seq_firsts], tok_bounds[seq_ends]
+        # Every part's first sequence and token, repeated over its tokens and
+        # its sequences, renumber all parts at once.
+        seq = self.seq - np.repeat(seq_firsts, tok_ends - tok_firsts)
+        starts = self.starts - np.repeat(tok_firsts, sizes)
         return [
             Encoded(self.rows[lo:hi], self.tokens[lo:hi], self.cells[lo:hi],
-                    self.seq[lo:hi] - a, self.starts[a:b] - lo, self.lengths[a:b])
-            for a, b, lo, hi in zip(seqs, seqs[1:], toks, toks[1:])
+                    seq[lo:hi], starts[a:b], self.lengths[a:b])
+            for a, b, lo, hi in zip(seq_firsts.tolist(), seq_ends.tolist(),
+                                    tok_firsts.tolist(), tok_ends.tolist())
         ]
 
 
@@ -193,6 +211,18 @@ def encode(
     return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, length_arr)
 
 
+def stack_codes(parts: Sequence[Encoded], context_size: int, vocab_size: int) -> Encoded:
+    """The encodings of R runs as one, in run order, for their stacked (R*C, V)
+    table: run r's rows are offset by r*C and its cells by r*C*V."""
+    lengths = np.concatenate([p.lengths for p in parts])
+    starts = np.cumsum(lengths) - lengths
+    offsets = np.repeat(np.arange(len(parts)) * context_size, [len(p.rows) for p in parts])
+    rows = np.concatenate([p.rows for p in parts]) + offsets
+    tokens = np.concatenate([p.tokens for p in parts])
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, lengths)
+
+
 def softmax_tables(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (log-softmax, softmax) of a logits table.
 
@@ -222,6 +252,13 @@ def ordered_sum(values: np.ndarray) -> float:
     for v in values.tolist():
         total += v
     return total
+
+
+def ordered_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    """:func:`ordered_sum` of each group's values: entry g adds, left to right
+    from 0.0, the values whose ``groups`` entry is g (``np.bincount`` keeps
+    each bin's additions in input order)."""
+    return np.bincount(groups, weights=values, minlength=count)
 
 
 def scatter_grad(probs: np.ndarray, codes: Encoded, weights: np.ndarray) -> np.ndarray:

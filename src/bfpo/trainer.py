@@ -7,6 +7,17 @@ auxiliary data as its target history, run by the same epoch loop, batching and
 optimizer step as the method.  Everything is a pure function of (dataset,
 config, seed): batch order, the optimizer trajectory and the metrics log
 reproduce byte-identically.
+
+:func:`run_many` trains R runs in lockstep.  In each phase, runs whose config
+agrees in every field but ``seed`` and ``alpha`` and whose epochs have as many
+steps form a group, which :func:`train_step` steps as one stacked (R*C, V)
+table: run r's encoded rows are offset by r*C, so each kernel and the AdamW
+update serve the whole group with one call.  What differs between runs stays
+per run: the alpha, the EMA, the left-to-right batch sums, the generators,
+batches and metrics rows, and the DPO pairs and alpha estimate made between the
+phases.  The learning rate and AdamW's step count are shared scalars, since a
+group's runs step together.  :func:`run` is the case R = 1; every run's result
+equals training it alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ from .losses import (
     DpoPair,
     LossBreakdown,
     LossConfig,
+    Layout,
     Method,
+    Stack,
     encode_batch,
     score,
     scored_loss,
@@ -39,12 +52,13 @@ from .policy import (
     PolicyParams,
     Sample,
     encode,
-    ordered_sum,
+    ordered_sums,
     snapshot_reference,
     softmax_tables,
+    stack_codes,
     uniform_params,
 )
-from .rewards import ReferenceState, delta_ema, delta_joint, ema_update
+from .rewards import ReferenceState, delta_ema, ema_update
 
 __all__ = [
     "AdamState",
@@ -53,9 +67,12 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "load_checkpoint",
+    "STACK_CELLS",
     "make_batches",
     "run",
+    "run_many",
     "save_checkpoint",
+    "stack_batches",
     "synth_dpo_pairs",
     "train_config_doc",
     "train_step",
@@ -81,6 +98,11 @@ METRICS_COLUMNS = (
 )
 
 _BINARY_METHODS = (Method.KTO, Method.BCO, Method.CBPO_RAW, Method.CBPO)
+
+# Bound on the table cells (R * C * V) of one lockstep stack: on the frozen
+# config a run's cost stops falling at about 24 runs of 576 cells, so wider
+# stacks would only hold more memory (BENCH_lockstep.json, stack_cells).
+STACK_CELLS = 16384
 
 
 @dataclass
@@ -166,25 +188,38 @@ class AdamState:
 
 @dataclass
 class RunState:
-    """Mutable state threaded through train_step.
+    """Mutable state of R runs stepped in lockstep by :func:`train_step`; R = 1
+    is a lone run.
 
-    The reference is frozen for the whole run, so its log-softmax table is
-    computed once, here.
+    Run r owns rows r*C to (r+1)*C of the stacked policy, reference and AdamW
+    moment tables, and entry r of ``alphas``, ``ema`` and ``last_delta``.  The
+    runs share ``config`` and the step count, so the learning rate and AdamW's
+    ``t`` are shared scalars.  The reference is frozen for the whole run, so
+    its log-softmax table is computed once, here.
     """
 
     policy: PolicyParams
     reference: PolicyParams
-    ema: ReferenceState
     opt: AdamState
     config: TrainConfig
-    loss_config: LossConfig
+    alphas: Sequence[float]
     total_steps: int
     step: int = 0
     epoch: int = 0
-    last_delta: float = 0.0
+    ema: list[ReferenceState] = field(init=False)
+    last_delta: list[float] = field(init=False)
+    loss_configs: list[LossConfig] = field(init=False, repr=False)
     reference_log_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        c = self.config
+        self.loss_configs = [
+            LossConfig(beta=c.beta, alpha=a, pi_n=c.pi_n, lambda_d=c.lambda_d,
+                       lambda_u=c.lambda_u)
+            for a in self.alphas
+        ]
+        self.ema = [ReferenceState(decay=c.ema_decay) for _ in self.alphas]
+        self.last_delta = [0.0] * len(self.alphas)
         self.reference_log_table = softmax_tables(self.reference.logits)[0]
 
 
@@ -219,37 +254,38 @@ def _adamw_apply(
     momentum: tuple[float, float, float],
     weight_decay: float,
 ) -> None:
+    """logits -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * logits),
+    in place, one rounding per operation as the expression spells it."""
     b1, b2, eps = momentum
     opt.t += 1
-    opt.m = b1 * opt.m + (1.0 - b1) * grad
-    opt.v = b2 * opt.v + (1.0 - b2) * grad * grad
-    m_hat = opt.m / (1.0 - b1**opt.t)
-    v_hat = opt.v / (1.0 - b2**opt.t)
-    params.logits -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * params.logits)
+    opt.m *= b1
+    opt.m += (1.0 - b1) * grad
+    square = (1.0 - b2) * grad
+    square *= grad
+    opt.v *= b2
+    opt.v += square
+    step = opt.m / (1.0 - b1**opt.t)
+    root = np.divide(opt.v, 1.0 - b2**opt.t, out=square)
+    np.sqrt(root, out=root)
+    root += eps
+    step /= root
+    step += weight_decay * params.logits
+    step *= lr
+    params.logits -= step
 
 
 def _chunks(order: np.ndarray, size: int) -> list[np.ndarray]:
     return [order[lo : lo + size] for lo in range(0, len(order), size)]
 
 
-def _slices(codes: Encoded, parts: list[np.ndarray]) -> list[Encoded]:
-    """Each part's sequences of ``codes``, from one ``take`` over all parts."""
-    return codes.take(np.concatenate(parts)).split([len(p) for p in parts])
-
-
 def make_batches(
     dataset: UserDataset,
     config: TrainConfig,
     epoch_seed: int,
-    codes: Encoded,
     dpo_pairs: Sequence[DpoPair] | None = None,
 ) -> list[Batch]:
-    """Seeded per-epoch batches: one epoch is one pass over the target side.
-
-    ``codes`` is the :func:`encode_batch` encoding of the whole set the batches
-    are cut from (all ``dpo_pairs`` for DPO, else ``tar_train`` then
-    ``aux_train``); each batch carries its slice of the epoch's one ``take``.
-    """
+    """Seeded per-epoch batches: one epoch is one pass over the target side
+    (over ``dpo_pairs``, for DPO).  :func:`stack_batches` encodes them."""
     rng = np.random.default_rng(epoch_seed)
 
     if config.method is Method.DPO:
@@ -258,8 +294,7 @@ def make_batches(
         if len(dpo_pairs) == 0:
             raise InputError("DPO pair set is empty")
         chunks = _chunks(rng.permutation(len(dpo_pairs)), config.batch_size_pos)
-        pieces = _slices(codes, [np.concatenate([c, c + len(dpo_pairs)]) for c in chunks])
-        return [Batch(c, _NONE, dpo_pairs, codes=piece) for c, piece in zip(chunks, pieces)]
+        return [Batch(c, _NONE, dpo_pairs) for c in chunks]
 
     pos = dataset.tar_train
     if len(pos) == 0:
@@ -267,7 +302,7 @@ def make_batches(
     chunks = _chunks(rng.permutation(len(pos)), config.batch_size_pos)
 
     if config.method is Method.SFT:
-        return [Batch(c, _NONE, pos, codes=p) for c, p in zip(chunks, _slices(codes, chunks))]
+        return [Batch(c, _NONE, pos) for c in chunks]
 
     aux = dataset.aux_train
     if len(aux) == 0:
@@ -276,8 +311,40 @@ def make_batches(
     bs_aux = config.resolved_aux_batch(dataset.ratio_x)
     # The auxiliary side cycles through its permutation across the epoch.
     aux_idx = aux_order[np.arange(len(chunks) * bs_aux) % len(aux)].reshape(-1, bs_aux)
-    pieces = _slices(codes, [np.concatenate([c, a + len(pos)]) for c, a in zip(chunks, aux_idx)])
-    return [Batch(c, a, pos, aux, piece) for c, a, piece in zip(chunks, aux_idx, pieces)]
+    return [Batch(c, a, pos, aux) for c, a in zip(chunks, aux_idx)]
+
+
+def stack_batches(
+    method: Method,
+    batches: Sequence[Sequence[Batch]],
+    codes: Encoded,
+    firsts: Sequence[int],
+) -> list[Stack]:
+    """R runs' batches in lockstep: step k stacks every run's k-th batch.
+
+    ``batches[r]`` is run r's batches, one or more :func:`make_batches`
+    epochs.  ``codes`` is the runs' encodings stacked by
+    :func:`bfpo.policy.stack_codes`, run r's from sequence ``firsts[r]``: each
+    the :func:`encode_batch` encoding of the set its batches index (all pairs
+    for DPO, else ``tar_train`` then ``aux_train``).  Each step carries its
+    slice of one ``take`` over ``codes``.
+    """
+    if len({len(b) for b in batches}) != 1:
+        raise ConfigError("runs stepped in lockstep need the same number of batches")
+    steps = list(zip(*batches))
+    # A batch's sequences: its positives (preferred completions, for DPO), then
+    # its auxiliaries (rejected completions), which follow the first pool.
+    dpo = method is Method.DPO
+    parts = [a for step in steps for b in step for a in (b.pos, b.pos if dpo else b.aux)]
+    counts = np.fromiter(map(len, parts), np.int64, len(parts))
+    bases = [(first, first + len(b[0].pos_pool)) for b, first in zip(batches, firsts)]
+    index = np.concatenate(parts) + np.repeat(np.tile(np.ravel(bases), len(steps)), counts)
+    counts = counts.reshape(len(steps), len(batches), 2)
+    pieces = codes.take(index).split(counts.sum(axis=(1, 2)))
+    return [
+        Stack(step, piece, Layout.of(*sizes))
+        for step, piece, sizes in zip(steps, pieces, counts.transpose(0, 2, 1).tolist())
+    ]
 
 
 def _diagnostic_dump(
@@ -304,40 +371,45 @@ def _diagnostic_dump(
     return dump
 
 
-def train_step(state: RunState, batch: Batch) -> tuple[RunState, LossBreakdown]:
-    """One optimization step; updates the EMA before the anchor is read."""
+def train_step(state: RunState, batch: Stack) -> tuple[RunState, list[LossBreakdown]]:
+    """One optimization step of every run of the stack; each run's EMA is
+    updated before its anchor is read.  Returns each run's loss breakdown."""
     state.step += 1
     method = state.config.method
-    if method in _BINARY_METHODS and (len(batch.pos) == 0 or len(batch.aux) == 0):
+    layout = batch.layout
+    runs = len(layout.n_pos)
+    if method in _BINARY_METHODS and (layout.empty_pos or layout.empty_aux):
         raise InputError(
             f"{method.value} step needs non-empty positive and auxiliary sides"
         )
-    # One reward pass, shared by the EMA anchor and the loss.
+    # One reward pass, shared by the EMA anchors and the losses.
     scores = score(
-        method, batch, state.policy, state.reference_log_table, state.loss_config.beta
+        method, batch, state.policy, state.reference_log_table, state.config.beta
     )
-    delta = 0.0
+    delta = [0.0] * runs
     if method in _BINARY_METHODS:
-        pos_r, aux_r = scores.rewards[: scores.split], scores.rewards[scores.split :]
-        pos_mean = ordered_sum(pos_r) / len(pos_r)
-        aux_mean = ordered_sum(aux_r) / len(aux_r)
-        if not (math.isfinite(pos_mean) and math.isfinite(aux_mean)):
+        # Bin 2r adds run r's positive rewards, bin 2r + 1 its auxiliary ones.
+        means = (ordered_sums(scores.rewards, layout.seg, 2 * runs) / layout.sides).tolist()
+        if not all(map(math.isfinite, means)):
+            bad = next(i for i, m in enumerate(means) if not math.isfinite(m)) // 2
             raise NumericError(
                 f"non-finite batch rewards at step {state.step}",
-                details=_diagnostic_dump(batch, None, state),
+                details=_diagnostic_dump(batch.batches[bad], None, state),
             )
-        state.ema = ema_update(state.ema, pos_mean, aux_mean)
+        state.ema = list(map(ema_update, state.ema, means[0::2], means[1::2]))
         if state.config.delta_mode == "ema":
-            delta = delta_ema(state.ema)
-        else:
-            delta = delta_joint(pos_r, aux_r)
+            delta = list(map(delta_ema, state.ema))
+        else:  # delta_joint of each run's batch
+            delta = (ordered_sums(scores.rewards, layout.run, runs) / layout.sizes).tolist()
     state.last_delta = delta
 
-    breakdown, grad = scored_loss(method, scores, state.loss_config, delta, want_grad=True)
-    if not (math.isfinite(breakdown.total) and np.isfinite(grad).all()):
+    breakdowns, grad = scored_loss(method, scores, state.loss_configs, delta, want_grad=True)
+    if not (all(math.isfinite(b.total) for b in breakdowns) and np.isfinite(grad).all()):
+        finite = np.isfinite(grad.reshape(runs, -1)).all(axis=1)
+        r = next(r for r, b in enumerate(breakdowns) if not (math.isfinite(b.total) and finite[r]))
         raise NumericError(
             f"non-finite loss or gradient at step {state.step}",
-            details=_diagnostic_dump(batch, breakdown, state),
+            details=_diagnostic_dump(batch.batches[r], breakdowns[r], state),
         )
     lr = _lr_at(
         state.step, state.total_steps, state.config.learning_rate, state.config.warmup_fraction
@@ -346,7 +418,7 @@ def train_step(state: RunState, batch: Batch) -> tuple[RunState, LossBreakdown]:
         state.policy, grad, state.opt, lr, state.config.momentum_params,
         state.config.weight_decay,
     )
-    return state, breakdown
+    return state, breakdowns
 
 
 def synth_dpo_pairs(
@@ -402,120 +474,219 @@ def _epoch_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def _train_epochs(
-    policy: PolicyParams,
-    reference: PolicyParams,
-    config: TrainConfig,
-    alpha: float,
-    dataset: UserDataset,
-    codes: Encoded,
-    rng: np.random.Generator,
-    dpo_pairs: list[DpoPair] | None = None,
-) -> tuple[RunState, list[dict]]:
+@dataclass
+class _PhaseRun:
+    """One run's part of a phase (the warm start or the method): what it
+    trains from, and on what."""
+
+    config: TrainConfig
+    dataset: UserDataset
+    codes: Encoded  # the set make_batches indexes, encoded
+    rng: np.random.Generator  # draws the epoch seeds
+    policy: PolicyParams
+    reference: PolicyParams
+    alpha: float = 0.0
+    dpo_pairs: list[DpoPair] | None = None
+
+    def steps_per_epoch(self) -> int:
+        n = len(self.dataset.tar_train) if self.dpo_pairs is None else len(self.dpo_pairs)
+        return math.ceil(n / self.config.batch_size_pos)
+
+
+@dataclass
+class _PhaseResult:
+    policy: PolicyParams
+    ema: ReferenceState
+    opt: AdamState
+    metrics: list[dict]
+
+
+def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResult]:
     """``config.epochs`` seeded epochs of :func:`make_batches` and
-    :func:`train_step` from a fresh optimizer and EMA; one metrics row a step."""
-    n = len(dataset.tar_train) if dpo_pairs is None else len(dpo_pairs)
-    state = RunState(
-        policy=policy,
-        reference=reference,
-        ema=ReferenceState(decay=config.ema_decay),
-        opt=AdamState.zeros(policy.logits.shape),
-        config=config,
-        loss_config=LossConfig(
-            beta=config.beta,
-            alpha=alpha,
-            pi_n=config.pi_n,
-            lambda_d=config.lambda_d,
-            lambda_u=config.lambda_u,
-        ),
-        total_steps=config.epochs * math.ceil(n / config.batch_size_pos),
+    :func:`train_step` from a fresh optimizer and EMA, for runs that share
+    every config field but ``seed`` and ``alpha`` and their steps per epoch;
+    one metrics row per run and step."""
+    config = runs[0].config
+    context = config.context_size
+    stacked = PolicyParams(
+        vocab_size, len(runs) * context, np.concatenate([r.policy.logits for r in runs])
     )
-    metrics: list[dict] = []
+    state = RunState(
+        policy=stacked,
+        reference=PolicyParams(
+            vocab_size, len(runs) * context, np.concatenate([r.reference.logits for r in runs])
+        ),
+        opt=AdamState.zeros(stacked.logits.shape),
+        config=config,
+        alphas=[r.alpha for r in runs],
+        total_steps=config.epochs * runs[0].steps_per_epoch(),
+    )
+    metrics: list[list[dict]] = [[] for _ in runs]
+    codes = stack_codes([r.codes for r in runs], context, vocab_size)
+    firsts = np.cumsum([0] + [r.codes.n for r in runs[:-1]]).tolist()
     for epoch in range(config.epochs):
         state.epoch = epoch
-        for batch in make_batches(dataset, config, _epoch_seed(rng), codes, dpo_pairs):
-            state, breakdown = train_step(state, batch)
-            metrics.append(
-                _metrics_row(state.step, epoch, breakdown, state.last_delta, state.ema)
+        batches = [
+            make_batches(r.dataset, r.config, _epoch_seed(r.rng), r.dpo_pairs) for r in runs
+        ]
+        for stack in stack_batches(config.method, batches, codes, firsts):
+            state, breakdowns = train_step(state, stack)
+            for rows, breakdown, delta, ema in zip(
+                metrics, breakdowns, state.last_delta, state.ema
+            ):
+                rows.append(_metrics_row(state.step, epoch, breakdown, delta, ema))
+    results = []
+    for r, (ema, rows) in enumerate(zip(state.ema, metrics)):
+        own = slice(r * context, (r + 1) * context)
+        results.append(_PhaseResult(
+            policy=PolicyParams(vocab_size, context, state.policy.logits[own].copy()),
+            ema=ema,
+            opt=AdamState(m=state.opt.m[own].copy(), v=state.opt.v[own].copy(), t=state.opt.t),
+            metrics=rows,
+        ))
+    return results
+
+
+def _train_phase(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResult]:
+    """Each run's phase, its lockstep groups trained in stacks of at most
+    :data:`STACK_CELLS` table cells."""
+    groups: dict[tuple, list[int]] = {}
+    for i, r in enumerate(runs):
+        key = (repr(replace(r.config, seed=0, alpha=0.0)), r.steps_per_epoch())
+        groups.setdefault(key, []).append(i)
+    results: list[_PhaseResult | None] = [None] * len(runs)
+    for members in groups.values():
+        size = max(1, STACK_CELLS // (runs[members[0]].config.context_size * vocab_size))
+        for lo in range(0, len(members), size):
+            chunk = members[lo : lo + size]
+            for i, result in zip(chunk, _train_epochs([runs[i] for i in chunk], vocab_size)):
+                results[i] = result
+    return results
+
+
+def run_many(
+    datasets: Sequence[UserDataset], configs: Sequence[TrainConfig], vocab_size: int
+) -> list[TrainResult]:
+    """Train run r on ``datasets[r]`` with ``configs[r]``, as :func:`run` would,
+    with the runs of each phase stepped in lockstep where they can be.
+
+    Each phase (the warm start, then the method) groups the runs whose config
+    agrees in every field but ``seed`` and ``alpha`` and whose epochs have as
+    many steps; a group trains as one stacked (R*C, V) table through
+    :func:`train_step`.  Every run's result equals training it alone, bit for
+    bit.  Alpha estimation and DPO pair synthesis run per run between the
+    phases.
+    """
+    if len(datasets) != len(configs):
+        raise ConfigError(f"{len(datasets)} datasets for {len(configs)} configs")
+    # A diverging run overflows numpy before train_step's checks catch it;
+    # those checks raise NumericError, so the warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run_many(datasets, configs, vocab_size)
+
+
+def _run_many(
+    datasets: Sequence[UserDataset], configs: Sequence[TrainConfig], vocab_size: int
+) -> list[TrainResult]:
+    warm: list[_PhaseRun] = []
+    methods: list[_PhaseRun] = []
+    between: list[tuple[np.random.SeedSequence, np.random.SeedSequence]] = []
+    for dataset, config in zip(datasets, configs):
+        if len(dataset.tar_train) == 0:
+            raise InputError("dataset has no target training samples")
+        ss_warm, ss_method, ss_pairs, ss_alpha = np.random.SeedSequence(config.seed).spawn(4)
+        between.append((ss_pairs, ss_alpha))
+        # Bucket rows depend on context_size, so the data is encoded once per run.
+        tar_train, aux_train = dataset.tar_train, dataset.aux_train
+        codes = encode(
+            ((s.x, s.y) for s in tar_train + aux_train), config.context_size, vocab_size
+        )
+        policy = uniform_params(vocab_size, config.context_size)
+        if config.warmstart_epochs > 0:
+            if len(aux_train) == 0:
+                raise InputError("warm-start sample pool is empty")
+            # The SFT method at the warm-start lr, with what its steps read of
+            # the config: runs that differ in the rest warm up in one stack.
+            sft = TrainConfig(
+                method=Method.SFT,
+                epochs=config.warmstart_epochs,
+                batch_size_pos=config.batch_size_pos,
+                learning_rate=(
+                    config.learning_rate if config.warmstart_lr is None else config.warmstart_lr
+                ),
+                seed=config.seed,
+                momentum_params=config.momentum_params,
+                context_size=config.context_size,
+                weight_decay=config.weight_decay,
+                warmup_fraction=config.warmup_fraction,
             )
-    return state, metrics
+            aux_as_target = UserDataset(dataset.target_user, aux_train, [], dataset.ratio_x)
+            aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
+            # SFT reads no reference, so the policy stands in for it.
+            warm.append(_PhaseRun(sft, aux_as_target, aux_codes,
+                                  np.random.default_rng(ss_warm), policy, policy))
+        methods.append(_PhaseRun(config, dataset, codes,
+                                 np.random.default_rng(ss_method), policy, policy))
+    try:
+        warmed = iter(_train_phase(warm, vocab_size))
+    except NumericError as exc:
+        raise NumericError(f"warm start: {exc}", exc.details) from exc
+
+    prepared = []
+    for job, (ss_pairs, ss_alpha) in zip(methods, between):
+        config, dataset = job.config, job.dataset
+        if config.warmstart_epochs > 0:
+            job.policy = next(warmed).policy
+        job.reference = snapshot_reference(job.policy)
+        alpha_estimate: AlphaEstimate | None = None
+        if config.method in (Method.CBPO, Method.CBPO_RAW):
+            if config.alpha == "estimate":
+                alpha_estimate = run_alpha_estimation(
+                    dataset.tar_train,
+                    dataset.aux_train,
+                    vocab_size,
+                    epochs=config.alpha_estimator_epochs,
+                    lr=config.alpha_estimator_lr,
+                    seed=int(np.random.default_rng(ss_alpha).integers(0, 2**31)),
+                )
+                job.alpha = alpha_estimate.alpha_hat
+            else:
+                job.alpha = float(config.alpha)
+        skipped = 0
+        if config.method is Method.DPO:
+            job.dpo_pairs, skipped = synth_dpo_pairs(
+                dataset, job.policy,
+                int(np.random.default_rng(ss_pairs).integers(0, 2**31)),
+                budget=config.dpo_rejection_budget,
+            )
+            if len(job.dpo_pairs) == 0:
+                raise InputError("DPO pair synthesis produced no usable pairs")
+            job.codes = encode_batch(
+                Batch.of(pairs=job.dpo_pairs), Method.DPO, config.context_size, vocab_size
+            )
+        prepared.append((job, alpha_estimate, skipped))
+
+    trained = _train_phase(methods, vocab_size)
+    return [
+        TrainResult(
+            policy=out.policy,
+            reference=job.reference,
+            ema=out.ema,
+            opt=out.opt,
+            metrics=out.metrics,
+            alpha_estimate=alpha_estimate,
+            alpha_resolved=job.alpha,
+            aux_user_ids=job.dataset.aux_user_ids,
+            dpo_pairs_skipped=skipped,
+        )
+        for (job, alpha_estimate, skipped), out in zip(prepared, trained)
+    ]
 
 
 def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResult:
-    """Warm start on the auxiliary pool, freeze the reference, run the method."""
-    if len(dataset.tar_train) == 0:
-        raise InputError("dataset has no target training samples")
-    root = np.random.SeedSequence(config.seed)
-    ss_warm, ss_method, ss_pairs, ss_alpha = root.spawn(4)
-    warm_rng = np.random.default_rng(ss_warm)
-    method_rng = np.random.default_rng(ss_method)
-
-    # Bucket rows depend on context_size, so the data is encoded once per run.
-    tar_train, aux_train = dataset.tar_train, dataset.aux_train
-    codes = encode(
-        ((s.x, s.y) for s in tar_train + aux_train), config.context_size, vocab_size
-    )
-    aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
-
-    policy = uniform_params(vocab_size, config.context_size)
-    if config.warmstart_epochs > 0:
-        if len(aux_train) == 0:
-            raise InputError("warm-start sample pool is empty")
-        warm_lr = config.learning_rate if config.warmstart_lr is None else config.warmstart_lr
-        sft = replace(
-            config, method=Method.SFT, epochs=config.warmstart_epochs, learning_rate=warm_lr
-        )
-        aux_as_target = UserDataset(dataset.target_user, aux_train, [], dataset.ratio_x)
-        try:
-            # SFT reads no reference, so the policy stands in for it.
-            _train_epochs(policy, policy, sft, 0.0, aux_as_target, aux_codes, warm_rng)
-        except NumericError as exc:
-            raise NumericError(f"warm start: {exc}", exc.details) from exc
-    reference = snapshot_reference(policy)
-
-    alpha_estimate: AlphaEstimate | None = None
-    alpha_resolved = 0.0
-    if config.method in (Method.CBPO, Method.CBPO_RAW):
-        if config.alpha == "estimate":
-            alpha_estimate = run_alpha_estimation(
-                tar_train,
-                aux_train,
-                vocab_size,
-                epochs=config.alpha_estimator_epochs,
-                lr=config.alpha_estimator_lr,
-                seed=int(np.random.default_rng(ss_alpha).integers(0, 2**31)),
-            )
-            alpha_resolved = alpha_estimate.alpha_hat
-        else:
-            alpha_resolved = float(config.alpha)
-
-    dpo_pairs: list[DpoPair] | None = None
-    skipped = 0
-    if config.method is Method.DPO:
-        dpo_pairs, skipped = synth_dpo_pairs(
-            dataset, policy, int(np.random.default_rng(ss_pairs).integers(0, 2**31)),
-            budget=config.dpo_rejection_budget,
-        )
-        if len(dpo_pairs) == 0:
-            raise InputError("DPO pair synthesis produced no usable pairs")
-        codes = encode_batch(
-            Batch.of(pairs=dpo_pairs), Method.DPO, config.context_size, vocab_size
-        )
-
-    state, metrics = _train_epochs(
-        policy, reference, config, alpha_resolved, dataset, codes, method_rng, dpo_pairs
-    )
-    return TrainResult(
-        policy=state.policy,
-        reference=state.reference,
-        ema=state.ema,
-        opt=state.opt,
-        metrics=metrics,
-        alpha_estimate=alpha_estimate,
-        alpha_resolved=alpha_resolved,
-        aux_user_ids=dataset.aux_user_ids,
-        dpo_pairs_skipped=skipped,
-    )
+    """Warm start on the auxiliary pool, freeze the reference, run the method:
+    :func:`run_many` of one run."""
+    return run_many([dataset], [config], vocab_size)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ pass/fail with diagnostic details.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +19,8 @@ from .losses import (
     DpoPair,
     LossConfig,
     Method,
+    Stack,
     binary_loss,
-    encode_batch,
     method_loss_and_grad,
     score,
     scored_loss,
@@ -119,19 +118,15 @@ def random_gradient_case(
         zrefs = None
         if method in (Method.KTO, Method.CBPO):
             scores = score(
-                method, batch, policy, softmax_tables(reference.logits)[0], config.beta
+                method, Stack.of(method, batch, context, vocab), policy,
+                softmax_tables(reference.logits)[0], config.beta,
             )
-            rewards = scores.rewards
             if method is Method.KTO:
-                if len(rewards) < 2:
+                if len(scores.rewards) < 2:
                     continue
-                zrefs = kto_zrefs(rewards).tolist()
-            else:
-                breakdown = binary_loss(
-                    method, rewards[: scores.split], rewards[scores.split :], delta, config
-                )
-                if breakdown.pure_neg_raw <= 0.05:
-                    continue
+                zrefs = kto_zrefs(scores.rewards).tolist()
+            elif scored_loss(method, scores, [config], [delta])[0][0].pure_neg_raw <= 0.05:
+                continue
         return batch, policy, reference, config, delta, zrefs
 
 
@@ -156,9 +151,7 @@ def run_gradient_fd_check(
     for _ in range(cases):
         batch, policy, reference, config, delta, zrefs = random_gradient_case(method, rng)
         # Encoded once: the finite differences below score this batch 2·C·V times.
-        batch = replace(
-            batch, codes=encode_batch(batch, method, policy.context_size, policy.vocab_size)
-        )
+        stack = Stack.of(method, batch, policy.context_size, policy.vocab_size)
         _, analytic = method_loss_and_grad(method, batch, policy, reference, config, delta)
         # The reference is fixed, so its table is too.
         ref_table = None if method is Method.SFT else softmax_tables(reference.logits)[0]
@@ -166,8 +159,8 @@ def run_gradient_fd_check(
 
         def value() -> float:
             nonlocal largest
-            scores = score(method, batch, policy, ref_table, config.beta)
-            total = scored_loss(method, scores, config, delta, zrefs)[0].total
+            scores = score(method, stack, policy, ref_table, config.beta)
+            total = scored_loss(method, scores, [config], [delta], zrefs)[0][0].total
             largest = max(largest, abs(total))
             return total
 

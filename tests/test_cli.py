@@ -7,7 +7,10 @@ import errno
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -252,6 +255,28 @@ class TestTrain:
         assert all(s["user_id"] != "u000" for s in dump["pos"])
         assert not (tmp_path / "crash" / "checkpoint.json").exists()
 
+    def test_diverging_train_prints_one_line(self, tmp_path):
+        """Run as a program, a diverging warm start exits 1 and its stderr is
+        the one ``aborted:`` line: no numpy overflow warning before it."""
+        corpus = _generate(tmp_path)
+        cfg = _write(
+            tmp_path / "t.json",
+            {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "crash"),
+             "corpus_dir": str(corpus),
+             "dataset": {"target_user": "u000", "ratio_x": 1.0, "grouping": "random"},
+             "train": {**TRAIN, "warmstart_lr": 1e308}},
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bfpo.cli", "train", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("aborted:"), proc.stderr
+
     def test_alpha_estimate_written(self, tmp_path):
         corpus = _generate(tmp_path)
         out = _train(tmp_path, corpus, out="est", train_overrides={"alpha": "estimate"})
@@ -435,15 +460,44 @@ class TestSweep:
             tmp_path / "sw8" / "sweep.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_workers_match_serial(self, tmp_path, workers):
-        cfg1 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], "sw5")
-        cfg2 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], "sw6")
+        """Six tasks cut into `workers` stacks (3/3, 2/2/2, 2/2/1/1) give the
+        serial sweep's bytes."""
+        cfg1 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5, 0.7], "sw5", n_seeds=2)
+        cfg2 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5, 0.7], "sw6", n_seeds=2)
         assert main(["sweep", "--config", cfg1]) == 0
         assert main(["sweep", "--config", cfg2, "--workers", str(workers)]) == 0
         assert (tmp_path / "sw5" / "sweep.csv").read_bytes() == (
             tmp_path / "sw6" / "sweep.csv"
         ).read_bytes()
+
+
+    # sha256 of sweep.csv for one n_seeds 2 sweep per axis, recorded from the
+    # commit before sweeps trained their runs in lockstep.
+    PINNED_SWEEPS = {
+        "alpha": ([0, 0.5, "estimate"], None,
+                  "43be5b7fc716ab44a3e3d6caaafcb5c577c4e5770578f2252d38cebc357672cc"),
+        "ratio_x": ([0.5, 1.0, 1.5], ["ema", "batch"],
+                    "b0463f0fe034789c21f8bc41f18d0c731f6a33b5df349c6a706d09dc79d5276f"),
+        "history_fraction": ([0.25, 0.5, 1.0], None,
+                             "7b825c3f08f796ea3a794eb27461db9c46dfdf5aace30c64c7593b74ee3f1902"),
+        "grouping": (["random", "unique", "non_unique"], None,
+                     "13cc0137460bb13a0ca3e1d3935deafa2a57ad00d80efc2d2ddcc7a09c15740f"),
+        "method": (["sft", "dpo", "kto", "bco", "cbpo_raw", "cbpo"], None,
+                   "266bf26b5daae20ec856d0e2b3a454b49bfa12dd5c3bd74f15df546c007ee65a"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("axis", list(PINNED_SWEEPS))
+    def test_sweep_bytes_pinned(self, tmp_path, axis, workers):
+        """Every axis, with ragged auxiliary batches (ratio_x), per-run DPO
+        pair counts and KTO anchors (method) and estimated alphas: stacking
+        the runs moves no byte of sweep.csv."""
+        grid, modes, digest = self.PINNED_SWEEPS[axis]
+        cfg = self._sweep_cfg(tmp_path, None, axis, grid, "pin", n_seeds=2, delta_modes=modes)
+        assert main(["sweep", "--config", cfg, "--workers", str(workers)]) == 0
+        assert hashlib.sha256((tmp_path / "pin" / "sweep.csv").read_bytes()).hexdigest() == digest
 
 
 class TestVerify:

@@ -411,3 +411,77 @@ class TestKernelLossValues:
             total_lp += log_prob(policy, s.x, s.y)
         tokens = sum(len(s.y) for s in pos)
         assert sft_loss(policy, pos) == -total_lp / tokens
+
+    @pytest.mark.parametrize("method", [Method.SFT, Method.DPO, Method.BCO, Method.CBPO_RAW,
+                                        Method.CBPO])
+    def test_stacked_runs_equal_per_sample_loops(self, rng, method):
+        """Four runs scored as one stack, each with its own table, alpha and
+        anchor and 30 to 60 samples a side (where numpy's pairwise sum would
+        reorder a mean): every run's breakdown equals its per-sample loops."""
+        from bfpo.losses import LossBreakdown, Layout, Stack, encode_batch, score, scored_loss
+        from bfpo.policy import PolicyParams, softmax_tables, stack_codes
+        from bfpo.rewards import RewardConfig, implicit_reward
+
+        vocab, context, beta = 5, 3, 0.7
+        policies = [random_params(rng, vocab, context) for _ in range(4)]
+        references = [random_params(rng, vocab, context) for _ in range(4)]
+        batches = [_random_batch(rng, vocab, int(rng.integers(30, 61)), int(rng.integers(30, 61)))
+                   for _ in range(4)]
+        if method is Method.DPO:
+            batches = [Batch.of(pairs=[DpoPair(p.x, p.y, a.y) for p, a in zip(*b.samples())])
+                       for b in batches]
+        configs = [LossConfig(beta=beta, alpha=a, pi_n=0.8) for a in (0.1, 0.45, 0.8, 0.3)]
+        deltas = [float(d) for d in rng.normal(0.0, 0.5, 4)]
+        sizes = [b.sizes(method) for b in batches]
+        codes = [encode_batch(b, method, context, vocab) for b in batches]
+        stack = Stack(batches, stack_codes(codes, context, vocab),
+                      Layout.of([n for n, _ in sizes], [n for _, n in sizes]))
+        table = PolicyParams(vocab, 4 * context, np.concatenate([p.logits for p in policies]))
+        ref_table = softmax_tables(np.concatenate([r.logits for r in references]))[0]
+        got, _ = scored_loss(method, score(method, stack, table, ref_table, beta), configs, deltas)
+
+        rcfg = RewardConfig(beta=beta)
+        reordered = False  # whether np.sum would give some mean another value
+        for run, (policy, reference, batch, config, delta) in enumerate(
+            zip(policies, references, batches, configs, deltas)
+        ):
+            pos, aux = batch.samples()
+            if method is Method.SFT:
+                terms = [[log_prob(policy, s.x, s.y) for s in pos]]
+                tokens = sum(len(s.y) for s in pos)
+                want = LossBreakdown(method, total=-_loop_sum(terms[0]) / tokens)
+            elif method is Method.DPO:
+                terms = [[dpo_loss(implicit_reward(policy, reference, rcfg, p.x, p.y_w),
+                                   implicit_reward(policy, reference, rcfg, p.x, p.y_l))
+                          for p in pos]]
+                want = LossBreakdown(method, total=_loop_sum(terms[0]) / len(pos))
+            else:
+                r_pos = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in pos]
+                r_aux = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in aux]
+                terms = [[loss_positive(r, delta) for r in r_pos],
+                         [loss_negative(r, delta) for r in r_aux],
+                         [loss_negative(r, delta) for r in r_pos]]
+                sums = [_loop_sum(t) for t in terms]
+                l_pos, l_aux_neg, l_tar_neg = (
+                    sums[0] / len(r_pos), sums[1] / len(r_aux), sums[2] / len(r_pos)
+                )
+                alpha, divisor, clamped = {
+                    Method.BCO: (0.0, 1.0, False),
+                    Method.CBPO_RAW: (config.alpha, config.pi_n, False),
+                    Method.CBPO: (config.alpha, 1.0 - config.alpha, True),
+                }[method]
+                raw = l_aux_neg - alpha * l_tar_neg
+                want = LossBreakdown(
+                    method, l_pos, l_aux_neg, l_tar_neg, raw, max(0.0, raw),
+                    l_pos + (max(0.0, raw) if clamped else raw) / divisor,
+                )
+            assert got[run] == want, run
+            reordered |= any(float(np.sum(t)) != _loop_sum(t) for t in terms)
+        assert reordered
+
+
+def _loop_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total

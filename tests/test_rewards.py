@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bfpo.errors import InputError, NumericError, StateError
-from bfpo.policy import bucket, ordered_sum, snapshot_reference
+from bfpo.policy import bucket, ordered_sum, ordered_sums, snapshot_reference
 from bfpo.rewards import (
     ReferenceState,
     RewardConfig,
@@ -79,6 +79,31 @@ class TestLeftToRightSum:
         assert math.fsum(values) == 1.0
         assert delta_joint(values[:2], values[2:]) == 0.0
         assert delta_bco(values, [0.0]) == 0.0
+
+    def test_per_group_sums_equal_ordered_sum(self):
+        """ordered_sums adds each group's values left to right from 0.0, as
+        ordered_sum adds one group's, even with the groups interleaved: equal
+        bit for bit through signed zeros, NaN, inf and subnormals, and for a
+        group of 24 where numpy's pairwise sum differs."""
+        tiny = 5e-324  # the smallest subnormal
+        wide = np.random.default_rng(0).normal(size=24).tolist()
+        groups = [
+            [-0.0], [-0.0, -0.0], [0.0, -0.0], [math.nan, 1.0], [math.inf, -1e308],
+            [math.inf, -math.inf], [tiny, tiny, -tiny], [tiny / 2 + tiny, 1e-310],
+            [1e16, 1.0, -1e16], wide,
+        ]
+        # Round-robin over the groups, each group's values in their order.
+        values, ids = [], []
+        for k in range(max(map(len, groups))):
+            for g, group in enumerate(groups):
+                if k < len(group):
+                    values.append(group[k])
+                    ids.append(g)
+        got = ordered_sums(np.array(values), np.array(ids), len(groups))
+        want = np.array([ordered_sum(np.array(group)) for group in groups])
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[0]) == 1.0  # 0.0 + -0.0 is +0.0
+        assert float(np.sum(wide)) != want[-1]
 
 
 class TestDeltaBco:

@@ -8,16 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from bfpo.datagen import UserDataset, build_user_dataset
+from bfpo.datagen import UserDataset, build_user_dataset, truncate_history
 from bfpo.errors import ConfigError, InputError, NumericError
-from bfpo.losses import Batch, DpoPair, LossConfig, Method, encode_batch, score
+from bfpo.losses import Batch, DpoPair, Method, Stack, encode_batch, score
 from bfpo.policy import (
+    Encoded,
     Sample,
     bucket,
     encode,
     ordered_sum,
     sample_completion,
     snapshot_reference,
+    stack_codes,
     uniform_params,
 )
 from bfpo.rewards import ReferenceState
@@ -29,7 +31,9 @@ from bfpo.trainer import (
     load_checkpoint,
     make_batches,
     run,
+    run_many,
     save_checkpoint,
+    stack_batches,
     synth_dpo_pairs,
     train_step,
 )
@@ -57,41 +61,60 @@ def _assert_encodes(piece, pairs, context, vocab):
         np.testing.assert_array_equal(getattr(piece, name), getattr(direct, name))
 
 
+def _run_pieces(stack, context, vocab):
+    """Each run's part of a stack's encoding, its row offset taken off."""
+    pieces = stack.codes.split(stack.layout.sizes.tolist())
+    return [
+        Encoded(p.rows - r * context, p.tokens, p.cells - r * context * vocab, p.seq,
+                p.starts, p.lengths)
+        for r, p in enumerate(pieces)
+    ]
+
+
+def _named_sequences(method, batch):
+    pos, aux = batch.samples()
+    if method is Method.DPO:
+        return [(p.x, p.y_w) for p in pos] + [(p.x, p.y_l) for p in pos]
+    return [(s.x, s.y) for s in pos + aux]
+
+
 class TestMakeBatches:
     def test_batch_count(self):
         spec, ds = _dataset(samples_per_user=12)  # 10 train samples per side
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, alpha=0.0)
-        batches = make_batches(ds, cfg, 0, _codes(ds, cfg, spec.vocab_size))
+        batches = make_batches(ds, cfg, 0)
         assert len(batches) == 5
 
     def test_fixed_per_batch_ratio(self):
         spec, ds = _dataset(samples_per_user=12)
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, batch_size_aux=3, alpha=0.0)
-        for batch in make_batches(ds, cfg, 1, _codes(ds, cfg, spec.vocab_size)):
+        for batch in make_batches(ds, cfg, 1):
             assert len(batch.aux) == 3
 
     def test_epoch_seed_determinism(self):
         spec, ds = _dataset()
         cfg = TrainConfig(method=Method.CBPO, batch_size_pos=4, alpha=0.0)
         codes = _codes(ds, cfg, spec.vocab_size)
-        a = make_batches(ds, cfg, 42, codes)
-        b = make_batches(ds, cfg, 42, codes)
+        a = make_batches(ds, cfg, 42)
+        b = make_batches(ds, cfg, 42)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.pos.tolist() == y.pos.tolist() and x.aux.tolist() == y.aux.tolist()
             assert x.samples() == y.samples()
+        stacks = [stack_batches(cfg.method, [e], codes, [0]) for e in (a, b)]
+        for x, y in zip(*stacks):
             np.testing.assert_array_equal(x.codes.cells, y.codes.cells)
 
     def test_dpo_without_pairs_is_config_error(self):
         spec, ds = _dataset()
         cfg = TrainConfig(method=Method.DPO, alpha=0.0)
         with pytest.raises(ConfigError):
-            make_batches(ds, cfg, 0, _codes(ds, cfg, spec.vocab_size))
+            make_batches(ds, cfg, 0)
 
     def test_aux_cycles_when_short(self):
         spec, ds = _dataset(samples_per_user=12, ratio=0.5)
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, batch_size_aux=4, alpha=0.0)
-        batches = make_batches(ds, cfg, 0, _codes(ds, cfg, spec.vocab_size))
+        batches = make_batches(ds, cfg, 0)
         assert all(len(b.aux) == 4 for b in batches)
         # The auxiliary side runs through one permutation, then starts it again.
         n_aux = len(ds.aux_train)
@@ -99,40 +122,56 @@ class TestMakeBatches:
         assert len(cycle) > n_aux
         assert sorted(cycle[:n_aux].tolist()) == list(range(n_aux))
         np.testing.assert_array_equal(cycle, cycle[np.arange(len(cycle)) % n_aux])
-        for b in batches:
-            pos, aux = b.samples()
+        codes = _codes(ds, cfg, spec.vocab_size)
+        for b, stack in zip(batches, stack_batches(cfg.method, [batches], codes, [0])):
             _assert_encodes(
-                b.codes, [(s.x, s.y) for s in pos + aux], cfg.context_size, spec.vocab_size
+                stack.codes, _named_sequences(cfg.method, b), cfg.context_size, spec.vocab_size
             )
+
+    def test_unequal_epochs_cannot_stack(self):
+        spec, ds = _dataset(samples_per_user=12)
+        cfg = TrainConfig(method=Method.SFT, batch_size_pos=2, alpha=0.0)
+        short = TrainConfig(method=Method.SFT, batch_size_pos=5, alpha=0.0)
+        codes = _codes(ds, cfg, spec.vocab_size)
+        with pytest.raises(ConfigError, match="same number of batches"):
+            stack_batches(Method.SFT, [make_batches(ds, cfg, 0), make_batches(ds, short, 0)],
+                        stack_codes([codes, codes], cfg.context_size, spec.vocab_size),
+                        [0, codes.n])
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("bs_pos, bs_aux, ratio", [(3, None, 1.0), (4, 7, 0.5), (64, 2, 2.0)])
     def test_slices_encode_the_named_samples(self, method, bs_pos, bs_aux, ratio):
-        """Each batch's slice of the epoch encoding equals encoding the samples
-        (or pairs) its index arrays name, and the positive side is one
-        permutation of the target samples (of the pairs, for DPO)."""
-        spec, ds = _dataset(ratio=ratio)
-        cfg = TrainConfig(method=method, batch_size_pos=bs_pos, batch_size_aux=bs_aux,
-                          alpha=0.0, context_size=5)
-        vocab = spec.vocab_size
-        pairs = None
-        codes = _codes(ds, cfg, vocab)
-        if method is Method.DPO:
-            pairs, _ = synth_dpo_pairs(ds, uniform_params(vocab, 5), seed=2)
-            codes = encode_batch(Batch.of(pairs=pairs), Method.DPO, 5, vocab)
-        batches = make_batches(ds, cfg, 7, codes, pairs)
-        n_pos = len(pairs) if pairs is not None else len(ds.tar_train)
-        binary = method not in (Method.SFT, Method.DPO)
-        n_aux = cfg.resolved_aux_batch(ds.ratio_x) if binary else 0
-        assert sorted(np.concatenate([b.pos for b in batches]).tolist()) == list(range(n_pos))
-        for b in batches:
-            pos, aux = b.samples()
+        """Each run's part of a step's stacked encoding equals encoding the
+        samples (or pairs) its batch names, offset to the run's rows, and the
+        positive side is one permutation of the target samples (of the pairs,
+        for DPO).  The two runs differ in their auxiliary pools, so their
+        auxiliary batches differ in size unless fixed."""
+        vocab, context = 24, 5
+        runs = []
+        for r, run_ratio in enumerate((ratio, 2 * ratio)):
+            spec, ds = _dataset(ratio=run_ratio)
+            cfg = TrainConfig(method=method, batch_size_pos=bs_pos, batch_size_aux=bs_aux,
+                              alpha=0.0, context_size=context)
+            pairs = None
+            codes = _codes(ds, cfg, vocab)
             if method is Method.DPO:
-                seqs = [(p.x, p.y_w) for p in pos] + [(p.x, p.y_l) for p in pos]
-            else:
-                seqs = [(s.x, s.y) for s in pos + aux]
-            assert len(aux) == n_aux
-            _assert_encodes(b.codes, seqs, 5, vocab)
+                pairs, _ = synth_dpo_pairs(ds, uniform_params(vocab, context), seed=2)
+                pairs = pairs[: len(pairs) - r]  # a different pair count per run
+                codes = encode_batch(Batch.of(pairs=pairs), Method.DPO, context, vocab)
+            runs.append((ds, cfg, pairs, codes, make_batches(ds, cfg, 7 + r, pairs)))
+        assert len(runs[0][4]) == len(runs[1][4])
+        stacked = stack_codes([r[3] for r in runs], context, vocab)
+        stacks = stack_batches(method, [r[4] for r in runs], stacked, [0, runs[0][3].n])
+        binary = method not in (Method.SFT, Method.DPO)
+        for r, (ds, cfg, pairs, _, batches) in enumerate(runs):
+            n_pos = len(pairs) if pairs is not None else len(ds.tar_train)
+            n_aux = cfg.resolved_aux_batch(ds.ratio_x) if binary else 0
+            assert sorted(np.concatenate([b.pos for b in batches]).tolist()) == list(range(n_pos))
+            for b, stack in zip(batches, stacks):
+                assert stack.batches[r] is b
+                assert len(b.aux) == n_aux
+                _assert_encodes(_run_pieces(stack, context, vocab)[r],
+                                _named_sequences(method, b), context, vocab)
 
 
 class TestTrainStep:
@@ -142,18 +181,22 @@ class TestTrainStep:
         return RunState(
             policy=policy,
             reference=snapshot_reference(policy),
-            ema=ReferenceState(decay=config.ema_decay),
             opt=AdamState.zeros(policy.logits.shape),
             config=config,
-            loss_config=LossConfig(beta=config.beta),
+            alphas=[0.0],
             total_steps=10,
         )
+
+    @staticmethod
+    def _stack(state, batch):
+        return Stack.of(state.config.method, batch, state.config.context_size,
+                        state.policy.vocab_size)
 
     def test_null_step_at_zero_lr(self):
         state = self._state(lr=0.0)
         before = state.policy.logits.copy()
         batch = Batch.of(pos=[Sample("u", (0,), (1, 2))], aux=[Sample("v", (1,), (3,))])
-        _, breakdown = train_step(state, batch)
+        _, (breakdown,) = train_step(state, self._stack(state, batch))
         np.testing.assert_array_equal(state.policy.logits, before)
         assert math.isfinite(breakdown.total)
 
@@ -165,27 +208,27 @@ class TestTrainStep:
 
         state = self._state(method=Method.CBPO, lr=0.01)
         # Pre-seeded EMA keeps the anchor above the (zero) initial rewards.
-        state.ema = ReferenceState(ema_pos=1.0, ema_aux=1.0, decay=0.99, initialized=True)
+        state.ema = [ReferenceState(ema_pos=1.0, ema_aux=1.0, decay=0.99, initialized=True)]
         sample = Sample("u", (0,), (1, 1))
         batch = Batch.of(pos=[sample], aux=[Sample("v", (0,), (2,))])
         rcfg = RewardConfig(beta=state.config.beta)
 
         def pos_loss():
             r = implicit_reward(state.policy, state.reference, rcfg, sample.x, sample.y)
-            return loss_positive(r, state.last_delta)
+            return loss_positive(r, state.last_delta[0])
 
-        train_step(state, batch)
+        train_step(state, self._stack(state, batch))
         after_first = pos_loss()
-        assert after_first < loss_positive(0.0, state.last_delta)
+        assert after_first < loss_positive(0.0, state.last_delta[0])
 
     def test_ema_updated_before_delta_read(self):
         state = self._state(method=Method.BCO)
         batch = Batch.of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
-        train_step(state, batch)
+        train_step(state, self._stack(state, batch))
         # First step: policy == reference, so rewards are zero and the seeded
         # EMA makes the anchor exactly zero.
-        assert state.ema.initialized
-        assert state.last_delta == 0.0
+        assert state.ema[0].initialized
+        assert state.last_delta == [0.0]
 
     def test_ema_batch_means_add_left_to_right(self):
         """The EMA is seeded with left-to-right batch means; numpy's pairwise
@@ -198,16 +241,15 @@ class TestTrainStep:
             return [Sample(user, (int(rng.integers(6)),), tuple(rng.integers(6, size=3).tolist()))
                     for _ in range(24)]
 
-        batch = Batch.of(pos=samples("u"), aux=samples("v"))
+        batch = Stack.of(Method.BCO, Batch.of(pos=samples("u"), aux=samples("v")), 4, 6)
         state = RunState(
             policy=random_params(rng, 6, config.context_size), reference=reference,
-            ema=ReferenceState(decay=config.ema_decay), opt=AdamState.zeros((4, 6)),
-            config=config, loss_config=LossConfig(beta=1.0), total_steps=1,
+            opt=AdamState.zeros((4, 6)), config=config, alphas=[0.0], total_steps=1,
         )
         rewards = score(Method.BCO, batch, state.policy, state.reference_log_table, 1.0).rewards
         pos_r, aux_r = rewards[:24], rewards[24:]
         train_step(state, batch)
-        assert (state.ema.ema_pos, state.ema.ema_aux) == (
+        assert (state.ema[0].ema_pos, state.ema[0].ema_aux) == (
             ordered_sum(pos_r) / 24, ordered_sum(aux_r) / 24
         )
         assert (float(np.sum(pos_r)), float(np.sum(aux_r))) != (
@@ -220,7 +262,7 @@ class TestTrainStep:
         state.policy.logits[:] = np.nan
         batch = Batch.of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
         with pytest.raises(NumericError) as err:
-            train_step(state, batch)
+            train_step(state, self._stack(state, batch))
         assert err.value.details is not None
         assert err.value.details["pos"][0]["user_id"] == "u"
 
@@ -383,7 +425,7 @@ class TestRun:
         step = trainer_mod.train_step
 
         def spy(state, batch):
-            seen.append((state.config, state.total_steps, batch.samples()))
+            seen.append((state.config, state.total_steps, batch.batches[0].samples()))
             return step(state, batch)
 
         monkeypatch.setattr(trainer_mod, "train_step", spy)
@@ -450,6 +492,103 @@ class TestRun:
         spec, ds = _dataset()
         result = run(ds, self._config(alpha=0.8, epochs=3), spec.vocab_size)
         assert all(row["pure_neg_clamped"] >= 0.0 for row in result.metrics)
+
+
+class TestRunMany:
+    """R runs in lockstep: each equals the same run trained alone, bit for bit."""
+
+    @staticmethod
+    def _runs(method):
+        base = dict(method=method, epochs=2, batch_size_pos=4, learning_rate=0.1, beta=0.1,
+                    context_size=4, warmstart_epochs=2, warmstart_lr=0.05,
+                    alpha_estimator_epochs=10)
+        spec, full0 = _dataset(seed=0)
+        _, full1 = _dataset(seed=1)
+        _, ragged = _dataset(seed=0, ratio=1.5)
+        runs = [
+            (full0, dict(seed=0, alpha=0.3)),
+            (full1, dict(seed=1, alpha="estimate")),
+            (ragged, dict(seed=2, alpha=0.5)),  # more auxiliaries per batch
+            (truncate_history(full0, 0.75), dict(seed=3, alpha=0.1)),  # a short last batch
+            (truncate_history(full1, 0.25), dict(seed=4, alpha=0.3)),
+            (truncate_history(full0, 0.25), dict(seed=5, alpha="estimate")),
+            (full0, dict(seed=6, alpha=0.3, warmstart_epochs=0)),
+            (full1, dict(seed=7, alpha=0.2, warmstart_epochs=0)),
+            (full0, dict(seed=8, alpha=0.3, delta_mode="batch")),
+            (ragged, dict(seed=9, alpha="estimate", delta_mode="batch")),
+            (full0, dict(seed=10, alpha=0.7)),
+        ]
+        return spec, [(ds, TrainConfig(**{**base, **kw})) for ds, kw in runs]
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_each_run_equals_run_alone(self, method, monkeypatch):
+        import bfpo.trainer as trainer_mod
+
+        spec, runs = self._runs(method)
+        alone = [run(ds, cfg, spec.vocab_size) for ds, cfg in runs]
+        widths = []
+        step = trainer_mod.train_step
+
+        def spy(state, batch):
+            warm = state.config.learning_rate == 0.05
+            widths.append(("warm" if warm else "method", len(batch.batches)))
+            return step(state, batch)
+
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        together = run_many([ds for ds, _ in runs], [cfg for _, cfg in runs], spec.vocab_size)
+        for a, b in zip(alone, together):
+            for name in ("policy", "reference"):
+                assert getattr(a, name).logits.tobytes() == getattr(b, name).logits.tobytes()
+            assert a.opt.m.tobytes() == b.opt.m.tobytes()
+            assert a.opt.v.tobytes() == b.opt.v.tobytes()
+            assert a.opt.t == b.opt.t
+            assert repr(a.ema) == repr(b.ema)
+            assert repr(a.metrics) == repr(b.metrics)
+            assert a.alpha_resolved == b.alpha_resolved
+            assert a.dpo_pairs_skipped == b.dpo_pairs_skipped
+        if method is Method.DPO:
+            # Runs 0 and 3 share a group (8 steps an epoch) with different pair counts.
+            pairs = [len(ds.tar_train) - r.dpo_pairs_skipped for (ds, _), r in zip(runs, alone)]
+            assert pairs[0] != pairs[3] and len(alone[0].metrics) == len(alone[3].metrics)
+        # Both phases stepped several runs at once, in fewer steps than alone.
+        assert max(w for phase, w in widths if phase == "warm") >= 3
+        assert max(w for phase, w in widths if phase == "method") >= 3
+        assert sum(w for phase, w in widths if phase == "method") == sum(
+            len(r.metrics) for r in alone
+        )
+        assert len(widths) < sum(w for _, w in widths)
+
+    def test_run_is_run_many_of_one(self):
+        spec, runs = self._runs(Method.CBPO)
+        ds, cfg = runs[1]
+        (many,) = run_many([ds], [cfg], spec.vocab_size)
+        one = run(ds, cfg, spec.vocab_size)
+        assert repr(one.metrics) == repr(many.metrics)
+        assert one.policy.logits.tobytes() == many.policy.logits.tobytes()
+
+    def test_runs_and_configs_must_pair_up(self):
+        spec, runs = self._runs(Method.BCO)
+        with pytest.raises(ConfigError):
+            run_many([runs[0][0]], [], spec.vocab_size)
+
+    def test_stack_size_is_bounded(self, monkeypatch):
+        """A group wider than STACK_CELLS allows trains as several stacks."""
+        import bfpo.trainer as trainer_mod
+
+        spec, runs = self._runs(Method.BCO)
+        runs = [(ds, cfg) for ds, cfg in runs[:2]] * 3
+        monkeypatch.setattr(trainer_mod, "STACK_CELLS", 2 * 4 * spec.vocab_size)
+        widths = []
+        step = trainer_mod.train_step
+
+        def spy(state, batch):
+            widths.append(len(batch.batches))
+            return step(state, batch)
+
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        results = run_many([ds for ds, _ in runs], [cfg for _, cfg in runs], spec.vocab_size)
+        assert max(widths) == 2
+        assert repr(results[0].metrics) == repr(results[2].metrics)
 
 
 class TestConfigValidation:
