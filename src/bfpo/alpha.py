@@ -157,12 +157,14 @@ def estimate_alpha(
     n_heldout: int = 0,
 ) -> AlphaEstimate:
     """Mean auxiliary prediction divided by the propensity, capped for divisor safety."""
-    if c_hat <= 0.0:
+    if not c_hat > 0.0:  # NaN too
         raise EstimationError(f"propensity must be positive, got {c_hat}")
     if len(aux_samples) == 0:
         raise InputError("auxiliary set must be non-empty")
     embeddings = embed_all(aux_samples, classifier.vocab_size)
     raw = float(classifier.predict_proba(embeddings).mean()) / c_hat
+    if not math.isfinite(raw):  # a diverged proxy; clamping would read it as alpha 0
+        raise EstimationError(f"alpha estimate is not finite: {raw}")
     alpha_hat = raw
     if raw > ALPHA_CAP:
         logger.warning(

@@ -40,12 +40,13 @@ from .files import write_atomic
 from .schema import cast, from_doc
 from .trainer import (
     METRICS_COLUMNS,
-    STACK_CELLS,
     TrainConfig,
     load_checkpoint,
+    lockstep_key,
     run,
     run_many,
     save_checkpoint,
+    stack_runs,
     train_config_doc,
 )
 from .verification import run_all_checks
@@ -364,62 +365,49 @@ class _SweepTask(NamedTuple):
     train: TrainConfig
 
 
-def _sweep_stack(tasks: list[tuple[int, _SweepTask]]) -> list[tuple[int, dict]]:
-    """A stack of indexed grid points, ordered by seed and dataset: generate
-    each seed's population once, build each dataset once, train the runs
-    through :func:`bfpo.trainer.run_many` and evaluate each.  Returns each
-    task's index and ``sweep.csv`` row.
-
-    The runs go to ``run_many`` in slices of at most ``STACK_CELLS`` table
-    cells, so a long stack holds one slice's results at a time.
-    """
-    first = tasks[0][1]
-    per_slice = max(1, STACK_CELLS // (first.train.context_size * first.spec.vocab_size))
-    population_of: dict[PopulationSpec, dict] = {}
-    dataset_of: dict[tuple, UserDataset] = {}
+def _sweep_unit(tasks: list[tuple[int, _SweepTask]]) -> list[tuple[int, dict]]:
+    """One unit of a sweep: indexed grid points that differ only in seed and
+    alpha.  Generate each seed's population once, build each dataset once,
+    train the runs through one :func:`bfpo.trainer.run_many` call and evaluate
+    each.  Returns each task's index and ``sweep.csv`` row."""
+    population_of = {
+        spec: generate_population(spec) for spec in dict.fromkeys(task.spec for _, task in tasks)
+    }
+    dataset_of = {
+        (spec, cfg): _build_dataset(population_of[spec], spec, cfg, spec.seed)
+        for spec, cfg in dict.fromkeys((task.spec, task.dataset) for _, task in tasks)
+    }
+    datasets = [dataset_of[task.spec, task.dataset] for _, task in tasks]
+    results = run_many(datasets, [task.train for _, task in tasks], tasks[0][1].spec.vocab_size)
     rows = []
-    for lo in range(0, len(tasks), per_slice):
-        part = tasks[lo : lo + per_slice]
-        # Tasks come seed by seed, so a slice keeps what it shares with the last.
-        population_of = {
-            spec: population_of.get(spec) or generate_population(spec)
-            for spec in dict.fromkeys(task.spec for _, task in part)
-        }
-        dataset_of = {
-            (spec, cfg): dataset_of.get((spec, cfg))
-            or _build_dataset(population_of[spec], spec, cfg, spec.seed)
-            for spec, cfg in dict.fromkeys((task.spec, task.dataset) for _, task in part)
-        }
-        datasets = [dataset_of[task.spec, task.dataset] for _, task in part]
-        results = run_many(datasets, [task.train for _, task in part], first.spec.vocab_size)
-        for (index, task), dataset, result in zip(part, datasets, results):
-            meta = _run_meta(dataset, task.spec, task.dataset, task.train)
-            report = evaluate_policy(
-                result.policy,
-                result.reference,
-                population_of[task.spec],
-                meta["target_user"],
-                meta["aux_user_ids"],
-                beta=task.train.beta,
-                method=task.train.method.value,
-                config_hash=meta["config_hash"],
-                checkpoint_step=len(result.metrics),
-            )
-            rows.append((index, {
-                "axis": task.axis,
-                "value": task.value,
-                "seed": task.train.seed,
-                "config_hash": meta["config_hash"],
-                "method": task.train.method.value,
-                "alpha": task.train.alpha,
-                "alpha_resolved": result.alpha_resolved,
-                **asdict(task.dataset),
-                "delta_mode": task.train.delta_mode,
-                "overlap_lambda": task.spec.overlap_lambda,
-                "heldout_nll": report.heldout_nll,
-                "pref_acc": report.pref_acc,
-                "delta_logp_aux": report.delta_logp_aux,
-            }))
+    for (index, task), dataset, result in zip(tasks, datasets, results):
+        meta = _run_meta(dataset, task.spec, task.dataset, task.train)
+        report = evaluate_policy(
+            result.policy,
+            result.reference,
+            population_of[task.spec],
+            meta["target_user"],
+            meta["aux_user_ids"],
+            beta=task.train.beta,
+            method=task.train.method.value,
+            config_hash=meta["config_hash"],
+            checkpoint_step=len(result.metrics),
+        )
+        rows.append((index, {
+            "axis": task.axis,
+            "value": task.value,
+            "seed": task.train.seed,
+            "config_hash": meta["config_hash"],
+            "method": task.train.method.value,
+            "alpha": task.train.alpha,
+            "alpha_resolved": result.alpha_resolved,
+            **asdict(task.dataset),
+            "delta_mode": task.train.delta_mode,
+            "overlap_lambda": task.spec.overlap_lambda,
+            "heldout_nll": report.heldout_nll,
+            "pref_acc": report.pref_acc,
+            "delta_logp_aux": report.delta_logp_aux,
+        }))
     return rows
 
 
@@ -471,14 +459,20 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
             _build_dataset(population, spec, dataset_cfg, run_seed)
     out_dir = _resolve_out(doc, out, "sweep config")
 
-    # Ordered by seed, then dataset, and cut into at most `workers` contiguous
-    # stacks of near-equal size: a stack shares populations and lockstep steps.
-    order = sorted(
-        range(len(tasks)), key=lambda i: (tasks[i].spec.seed, datasets.index(tasks[i].dataset))
-    )
-    count = max(1, min(workers, len(tasks)))
-    bounds = [len(tasks) * k // count for k in range(count + 1)]
-    stacks = [[(i, tasks[i]) for i in order[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+    # Tasks that differ only in seed and alpha can train in lockstep.  Each
+    # such group, ordered by seed, is cut into units of at most one stack and
+    # at most ceil(n / workers) tasks.  The pool hands the units out as workers
+    # come free, and sweep_partial.csv gets each unit's rows in unit order.
+    groups: dict[tuple, list[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault((lockstep_key(task.train), task.dataset), []).append(i)
+    share = -(-len(tasks) // max(1, workers))
+    units = []
+    for members in groups.values():
+        members.sort(key=lambda i: tasks[i].spec.seed)
+        size = min(share, stack_runs(tasks[members[0]].train.context_size, spec.vocab_size))
+        units += [[(i, tasks[i]) for i in members[lo : lo + size]]
+                  for lo in range(0, len(members), size)]
 
     partial_path = out_dir / "sweep_partial.csv"
     rows: list[dict | None] = [None] * len(tasks)
@@ -488,8 +482,9 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
         fh.flush()
         mapper = map
         if workers > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=count)).map
-        for done in mapper(_sweep_stack, stacks):
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(units)))
+            mapper = stack.enter_context(pool).map
+        for done in mapper(_sweep_unit, units):
             for index, row in done:
                 rows[index] = row
                 writer.writerow([_float_str(row[c]) for c in SWEEP_COLUMNS])

@@ -12,7 +12,9 @@ reproduce byte-identically.
 agrees in every field but ``seed`` and ``alpha`` and whose epochs have as many
 steps form a group, which :func:`train_step` steps as one stacked (R*C, V)
 table: run r's encoded rows are offset by r*C, so each kernel and the AdamW
-update serve the whole group with one call.  What differs between runs stays
+update serve the whole group with one call.  The warm start's SFT steps read
+fewer fields, so runs that differ in the method or in fields only the method
+phase reads warm up in one group.  What differs between runs stays
 per run: the alpha, the EMA, the left-to-right batch sums, the generators,
 batches and metrics rows, and the DPO pairs and alpha estimate made between the
 phases.  The learning rate and AdamW's step count are shared scalars, since a
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -67,12 +69,14 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "load_checkpoint",
+    "lockstep_key",
     "STACK_CELLS",
     "make_batches",
     "run",
     "run_many",
     "save_checkpoint",
     "stack_batches",
+    "stack_runs",
     "synth_dpo_pairs",
     "train_config_doc",
     "train_step",
@@ -171,6 +175,30 @@ class TrainConfig:
         if self.batch_size_aux is not None:
             return self.batch_size_aux
         return max(1, int(math.floor(self.batch_size_pos * ratio_x + 0.5)))
+
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(TrainConfig))
+# Config fields runs may differ in and still share a lockstep group: a run's
+# seed and alpha are per run, and no step reads the rest.
+_PER_RUN = ("seed", "alpha")
+_SFT_UNREAD = _PER_RUN + (
+    "beta", "ema_decay", "pi_n", "lambda_d", "lambda_u", "delta_mode", "batch_size_aux",
+    "warmstart_epochs", "warmstart_lr", "dpo_rejection_budget", "alpha_estimator_epochs",
+    "alpha_estimator_lr",
+)
+
+
+def lockstep_key(config: TrainConfig, free: Sequence[str] = _PER_RUN) -> str:
+    """What the runs of one lockstep group share of their configs: every field
+    but those named in ``free``.  Runs whose epochs also have as many steps
+    step together."""
+    return repr([getattr(config, name) for name in _CONFIG_FIELDS if name not in free])
+
+
+def stack_runs(context_size: int, vocab_size: int) -> int:
+    """How many runs of a (context_size, vocab_size) table one lockstep stack
+    holds: :data:`STACK_CELLS` cells, and at least one run."""
+    return max(1, STACK_CELLS // (context_size * vocab_size))
 
 
 @dataclass
@@ -503,9 +531,9 @@ class _PhaseResult:
 
 def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResult]:
     """``config.epochs`` seeded epochs of :func:`make_batches` and
-    :func:`train_step` from a fresh optimizer and EMA, for runs that share
-    every config field but ``seed`` and ``alpha`` and their steps per epoch;
-    one metrics row per run and step."""
+    :func:`train_step` from a fresh optimizer and EMA, for the runs of one
+    lockstep group, stepped with the first run's config; one metrics row per
+    run and step."""
     config = runs[0].config
     context = config.context_size
     stacked = PolicyParams(
@@ -547,20 +575,25 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResu
     return results
 
 
-def _train_phase(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResult]:
-    """Each run's phase, its lockstep groups trained in stacks of at most
-    :data:`STACK_CELLS` table cells."""
+def _train_phase(
+    runs: Sequence[_PhaseRun], vocab_size: int, free: Sequence[str] = _PER_RUN
+) -> list[_PhaseResult]:
+    """Each run's phase, its lockstep groups (by :func:`lockstep_key` and steps
+    per epoch) trained in stacks of at most :func:`stack_runs` runs."""
     groups: dict[tuple, list[int]] = {}
     for i, r in enumerate(runs):
-        key = (repr(replace(r.config, seed=0, alpha=0.0)), r.steps_per_epoch())
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((lockstep_key(r.config, free), r.steps_per_epoch()), []).append(i)
     results: list[_PhaseResult | None] = [None] * len(runs)
-    for members in groups.values():
-        size = max(1, STACK_CELLS // (runs[members[0]].config.context_size * vocab_size))
-        for lo in range(0, len(members), size):
-            chunk = members[lo : lo + size]
-            for i, result in zip(chunk, _train_epochs([runs[i] for i in chunk], vocab_size)):
-                results[i] = result
+    # A diverging run overflows numpy before train_step's finite checks catch
+    # it; those raise NumericError, so the warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in groups.values():
+            size = stack_runs(runs[members[0]].config.context_size, vocab_size)
+            for lo in range(0, len(members), size):
+                chunk = members[lo : lo + size]
+                trained = _train_epochs([runs[i] for i in chunk], vocab_size)
+                for i, result in zip(chunk, trained):
+                    results[i] = result
     return results
 
 
@@ -579,15 +612,6 @@ def run_many(
     """
     if len(datasets) != len(configs):
         raise ConfigError(f"{len(datasets)} datasets for {len(configs)} configs")
-    # A diverging run overflows numpy before train_step's checks catch it;
-    # those checks raise NumericError, so the warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_many(datasets, configs, vocab_size)
-
-
-def _run_many(
-    datasets: Sequence[UserDataset], configs: Sequence[TrainConfig], vocab_size: int
-) -> list[TrainResult]:
     warm: list[_PhaseRun] = []
     methods: list[_PhaseRun] = []
     between: list[tuple[np.random.SeedSequence, np.random.SeedSequence]] = []
@@ -605,20 +629,9 @@ def _run_many(
         if config.warmstart_epochs > 0:
             if len(aux_train) == 0:
                 raise InputError("warm-start sample pool is empty")
-            # The SFT method at the warm-start lr, with what its steps read of
-            # the config: runs that differ in the rest warm up in one stack.
-            sft = TrainConfig(
-                method=Method.SFT,
-                epochs=config.warmstart_epochs,
-                batch_size_pos=config.batch_size_pos,
-                learning_rate=(
-                    config.learning_rate if config.warmstart_lr is None else config.warmstart_lr
-                ),
-                seed=config.seed,
-                momentum_params=config.momentum_params,
-                context_size=config.context_size,
-                weight_decay=config.weight_decay,
-                warmup_fraction=config.warmup_fraction,
+            warm_lr = config.learning_rate if config.warmstart_lr is None else config.warmstart_lr
+            sft = replace(
+                config, method=Method.SFT, epochs=config.warmstart_epochs, learning_rate=warm_lr
             )
             aux_as_target = UserDataset(dataset.target_user, aux_train, [], dataset.ratio_x)
             aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
@@ -628,7 +641,8 @@ def _run_many(
         methods.append(_PhaseRun(config, dataset, codes,
                                  np.random.default_rng(ss_method), policy, policy))
     try:
-        warmed = iter(_train_phase(warm, vocab_size))
+        # Runs that differ only in what an SFT step does not read warm up together.
+        warmed = iter(_train_phase(warm, vocab_size, _SFT_UNREAD))
     except NumericError as exc:
         raise NumericError(f"warm start: {exc}", exc.details) from exc
 

@@ -182,6 +182,14 @@ class TestEstimateAlpha:
         with pytest.raises(EstimationError):
             estimate_alpha(clf, _samples_from_tokens([[0]]), c_hat=0.0)
 
+    @pytest.mark.parametrize("weight, c_hat", [(0.0, float("nan")), (float("nan"), 0.5)])
+    def test_non_finite_estimate_rejected(self, weight, c_hat):
+        """A diverged proxy (NaN propensity or predictions) raises instead of
+        clamping to alpha 0."""
+        clf = ProxyClassifier(weights=np.full(2, weight), bias=0.0)
+        with pytest.raises(EstimationError):
+            estimate_alpha(clf, _samples_from_tokens([[0]]), c_hat=c_hat)
+
 
 class TestSplitHeldout:
     def test_disjoint_and_complete(self):

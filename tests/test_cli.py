@@ -460,18 +460,48 @@ class TestSweep:
             tmp_path / "sw8" / "sweep.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_workers_match_serial(self, tmp_path, workers):
-        """Six tasks cut into `workers` stacks (3/3, 2/2/2, 2/2/1/1) give the
-        serial sweep's bytes."""
+    @pytest.mark.parametrize("workers, stack_cells", [(2, None), (3, None), (4, None), (2, 1)])
+    def test_workers_match_serial(self, tmp_path, monkeypatch, workers, stack_cells):
+        """Six tasks cut into units of ceil(6 / workers) tasks (3/3, 2/2/2,
+        2/2/2), or of one task each when a stack holds one run (six units on
+        two workers), give the serial sweep's bytes."""
+        import bfpo.trainer as trainer_mod
+
         cfg1 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5, 0.7], "sw5", n_seeds=2)
         cfg2 = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5, 0.7], "sw6", n_seeds=2)
         assert main(["sweep", "--config", cfg1]) == 0
+        if stack_cells is not None:
+            monkeypatch.setattr(trainer_mod, "STACK_CELLS", stack_cells)
         assert main(["sweep", "--config", cfg2, "--workers", str(workers)]) == 0
         assert (tmp_path / "sw5" / "sweep.csv").read_bytes() == (
             tmp_path / "sw6" / "sweep.csv"
         ).read_bytes()
 
+    def test_failed_unit_keeps_earlier_rows(self, tmp_path, monkeypatch):
+        """A NumericError in a later unit leaves the rows of the units that
+        finished before it in sweep_partial.csv."""
+        import bfpo.cli as cli_mod
+        import bfpo.trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "STACK_CELLS", 1)  # one run per unit
+        widths = []
+        real = cli_mod.run_many
+
+        def fail_third(datasets, configs, vocab_size):
+            widths.append(len(configs))
+            if len(widths) == 3:
+                raise NumericError("boom")
+            return real(datasets, configs, vocab_size)
+
+        monkeypatch.setattr(cli_mod, "run_many", fail_third)
+        cfg = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], "sw10", n_seeds=2)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert widths == [1, 1, 1]
+        with (tmp_path / "sw10" / "sweep_partial.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        # Units run seed by seed: the first seed's two runs finished.
+        assert [(r["seed"], r["value"]) for r in rows] == [("3", "0.0"), ("3", "0.5")]
+        assert not (tmp_path / "sw10" / "sweep.csv").exists()
 
     # sha256 of sweep.csv for one n_seeds 2 sweep per axis, recorded from the
     # commit before sweeps trained their runs in lockstep.

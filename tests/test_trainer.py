@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -557,6 +558,48 @@ class TestRunMany:
             len(r.metrics) for r in alone
         )
         assert len(widths) < sum(w for _, w in widths)
+
+    def test_warm_start_stacks_across_unread_fields(self, monkeypatch):
+        """Runs that differ in the method and in every field an SFT step does
+        not read warm up as one stack, and each still equals its run alone."""
+        import bfpo.trainer as trainer_mod
+
+        spec, ds = _dataset()
+        shared = dict(epochs=2, batch_size_pos=4, learning_rate=0.1, context_size=4,
+                      momentum_params=(0.8, 0.99, 1e-7), weight_decay=0.02,
+                      warmup_fraction=0.2, warmstart_epochs=2, warmstart_lr=0.05)
+        varied = [
+            dict(method=Method.CBPO, batch_size_aux=3, beta=0.2, alpha=0.3, ema_decay=0.8,
+                 seed=1, pi_n=0.5, lambda_d=0.7, lambda_u=1.3, delta_mode="batch",
+                 dpo_rejection_budget=4, alpha_estimator_epochs=5, alpha_estimator_lr=0.3),
+            dict(method=Method.KTO, batch_size_aux=5, beta=0.3, alpha=0.5, ema_decay=0.95,
+                 seed=2, pi_n=0.8, lambda_d=1.1, lambda_u=0.9, delta_mode="ema",
+                 dpo_rejection_budget=8, alpha_estimator_epochs=7, alpha_estimator_lr=0.2),
+            dict(method=Method.DPO, batch_size_aux=2, beta=0.05, alpha=0.1, ema_decay=0.7,
+                 seed=3, pi_n=0.9, lambda_d=0.8, lambda_u=1.2, delta_mode="ema",
+                 dpo_rejection_budget=2, alpha_estimator_epochs=9, alpha_estimator_lr=0.1),
+        ]
+        configs = [TrainConfig(**{**shared, **kw}) for kw in varied]
+        # The warm start at learning_rate 0.05 reads warmstart_lr 0.05 or None.
+        configs.append(replace(configs[0], seed=4, learning_rate=0.05, warmstart_lr=None))
+        for name in trainer_mod._SFT_UNREAD:
+            if name != "warmstart_epochs":  # it is the warm start's epochs
+                assert len({repr(getattr(c, name)) for c in configs}) > 1, name
+        alone = [run(ds, cfg, spec.vocab_size) for cfg in configs]
+        widths = []
+        step = trainer_mod.train_step
+
+        def spy(state, batch):
+            widths.append((state.config.method, len(batch.batches)))
+            return step(state, batch)
+
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        together = run_many([ds] * len(configs), configs, spec.vocab_size)
+        assert {w for method, w in widths if method is Method.SFT} == {len(configs)}
+        for a, b in zip(alone, together):
+            assert a.reference.logits.tobytes() == b.reference.logits.tobytes()
+            assert a.policy.logits.tobytes() == b.policy.logits.tobytes()
+            assert repr(a.metrics) == repr(b.metrics)
 
     def test_run_is_run_many_of_one(self):
         spec, runs = self._runs(Method.CBPO)
