@@ -83,7 +83,8 @@ SWEEP_COLUMNS = (
 def _load_config(
     path: str, seed: int | None, where: str, required: set[str], optional: Sequence[str] = ()
 ) -> tuple[dict, int]:
-    """A command's config document and its run seed (``--seed`` over ``seed``).
+    """A command's config document and its run seed (``--seed`` over ``seed``;
+    a negative one is a :class:`ConfigError`).
 
     Besides the command's own keys, every config has ``schema_version`` and
     ``seed`` and may have ``out_dir``.
@@ -103,7 +104,10 @@ def _load_config(
     required = required | {"schema_version", "seed"}
     _check_keys(doc, required | {*optional, "out_dir"}, required, where)
     run_seed = _value(doc, "seed", int, where)
-    return doc, run_seed if seed is None else seed
+    run_seed = run_seed if seed is None else seed
+    if run_seed < 0:
+        raise ConfigError(f"{where}: seed must be >= 0, got {run_seed}")
+    return doc, run_seed
 
 
 def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -497,6 +501,10 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
 
 
 def cmd_verify(out: str | None, seed: int | None, fd_cases: int) -> int:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"verify: --seed must be >= 0, got {seed}")
+    if fd_cases < 1:
+        raise ConfigError(f"verify: --fd-cases must be >= 1, got {fd_cases}")
     results = run_all_checks(seed=seed if seed is not None else 0, fd_cases=fd_cases)
     doc = {
         "schema_version": SCHEMA_VERSION,

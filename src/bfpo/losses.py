@@ -30,7 +30,9 @@ batches of R runs trained in lockstep (R = 1 for a lone batch; see
 :mod:`bfpo.policy`): the sequences are index-encoded, their log-probabilities
 are gathered from the runs' stacked log-softmax table, and the gradient of any
 objective is its per-sample derivative with respect to the log-probability,
-scattered back onto the table once.  Each run's means add its own samples left
+scattered back onto the table once.  The frozen reference's log-probabilities
+come with the stack, computed when it is made (by :meth:`Stack.of`, or once
+per phase by the trainer).  Each run's means add its own samples left
 to right (:func:`bfpo.policy.ordered_sums`) and use its own alpha and anchor,
 so a run's values do not depend on the other runs of its stack; KTO's anchors
 come from :func:`bfpo.rewards.kto_zrefs`, run by run.  No training path calls the scalar
@@ -336,9 +338,7 @@ class Layout:
     Per sequence, ``run`` is its run, ``pos`` whether it is a positive,
     ``seg`` its (run, side) bin 2*run + (0 if positive else 1) and ``count``
     the size of its run's side.  ``sides`` holds each bin's size, ``sizes``
-    each run's and ``spans`` each run's (first, end, positives) as ints;
-    ``empty_pos`` and ``empty_aux`` say whether some run has no positives or
-    no auxiliaries.
+    each run's and ``spans`` each run's (first, end, positives) as ints.
     """
 
     n_pos: np.ndarray
@@ -349,8 +349,6 @@ class Layout:
     sides: np.ndarray
     sizes: np.ndarray
     spans: tuple[tuple[int, int, int], ...]
-    empty_pos: bool
-    empty_aux: bool
 
     @classmethod
     def of(cls, n_pos: Sequence[int], n_aux: Sequence[int]) -> "Layout":
@@ -371,7 +369,7 @@ def _layout(n_pos: tuple[int, ...], n_aux: tuple[int, ...]) -> Layout:
         a.flags.writeable = False
     ends = np.cumsum(sizes).tolist()
     spans = tuple(zip([0] + ends[:-1], ends, n_pos.tolist()))
-    return Layout(*arrays, spans, bool((n_pos == 0).any()), bool((n_aux == 0).any()))
+    return Layout(*arrays, spans)
 
 
 @dataclass(eq=False)
@@ -381,19 +379,36 @@ class Stack:
     ``batches[r]`` is run r's batch and ``codes`` every run's
     :func:`encode_batch` encoding in run order, stacked by
     :func:`bfpo.policy.stack_codes` for the runs' (R*C, V) table, as
-    ``layout`` places it.
+    ``layout`` places it; ``reference`` is each sequence's log-probability
+    under its run's frozen reference (None for SFT, which reads none).
     """
 
     batches: Sequence[Batch]
     codes: Encoded = field(repr=False)
     layout: Layout = field(repr=False)
+    reference: np.ndarray | None = field(repr=False)
 
     @classmethod
-    def of(cls, method: Method, batch: Batch, context_size: int, vocab_size: int) -> "Stack":
-        """A lone batch, encoded."""
+    def of(
+        cls, method: Method, batch: Batch, policy: PolicyParams, reference: PolicyParams | None
+    ) -> "Stack":
+        """A lone batch, encoded for ``policy``'s table, with its sequences'
+        log-probabilities under ``reference`` (SFT reads none)."""
         n_pos, n_aux = batch.sizes(method)
-        codes = encode_batch(batch, method, context_size, vocab_size)
-        return cls([batch], codes, Layout.of([n_pos], [n_aux]))
+        if n_pos == 0:
+            raise InputError(f"{method.value} batch needs positive samples (pairs, for DPO)")
+        if method in (Method.BCO, Method.CBPO_RAW, Method.CBPO) and n_aux == 0:
+            raise InputError(f"{method.value} batch needs auxiliary samples")
+        codes = encode_batch(batch, method, policy.context_size, policy.vocab_size)
+        ref_log_probs = None
+        if method is not Method.SFT:
+            if reference.logits.shape != policy.logits.shape:
+                raise InputError(
+                    "policy and reference shapes differ: "
+                    f"{policy.logits.shape} vs {reference.logits.shape}"
+                )
+            ref_log_probs = sequence_log_probs(softmax_tables(reference.logits)[0], codes)
+        return cls([batch], codes, Layout.of([n_pos], [n_aux]), ref_log_probs)
 
 
 @dataclass(eq=False)
@@ -411,33 +426,12 @@ class Scores:
     rewards: np.ndarray | None
 
 
-def score(
-    method: Method,
-    stack: Stack,
-    policy: PolicyParams,
-    reference_log_table: np.ndarray | None,
-    beta: float,
-) -> Scores:
-    """Log-probabilities and rewards of every sequence of the stack.
-
-    ``policy`` and ``reference_log_table`` (the frozen reference's log-softmax
-    table, the first table of :func:`softmax_tables`; SFT ignores it) are the
-    runs' stacked tables.
-    """
-    if stack.layout.empty_pos:
-        raise InputError(f"{method.value} batch needs positive samples (pairs, for DPO)")
-    if method in (Method.BCO, Method.CBPO_RAW, Method.CBPO) and stack.layout.empty_aux:
-        raise InputError(f"{method.value} batch needs auxiliary samples")
+def score(method: Method, stack: Stack, policy: PolicyParams, beta: float) -> Scores:
+    """Log-probabilities of every sequence of the stack under ``policy``, the
+    runs' stacked table, and their rewards against ``stack.reference``."""
     log_table, probs = softmax_tables(policy.logits)
     log_probs = sequence_log_probs(log_table, stack.codes)
-    rewards = None
-    if method is not Method.SFT:
-        if reference_log_table.shape != policy.logits.shape:
-            raise InputError(
-                "policy and reference shapes differ: "
-                f"{policy.logits.shape} vs {reference_log_table.shape}"
-            )
-        rewards = beta * (log_probs - sequence_log_probs(reference_log_table, stack.codes))
+    rewards = None if method is Method.SFT else beta * (log_probs - stack.reference)
     return Scores(stack, beta, probs, log_probs, rewards)
 
 
@@ -451,9 +445,8 @@ def method_loss(
     zrefs: Sequence[float] | None = None,
 ) -> LossBreakdown:
     """Evaluate one method's loss on a batch (no gradient)."""
-    ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
-    stack = Stack.of(method, batch, policy.context_size, policy.vocab_size)
-    scores = score(method, stack, policy, ref_table, config.beta)
+    stack = Stack.of(method, batch, policy, reference_policy)
+    scores = score(method, stack, policy, config.beta)
     return scored_loss(method, scores, [config], [delta], zrefs)[0][0]
 
 
@@ -466,9 +459,8 @@ def method_loss_and_grad(
     delta: float,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown plus the analytic gradient of the total w.r.t. the logits."""
-    ref_table = None if method is Method.SFT else softmax_tables(reference_policy.logits)[0]
-    stack = Stack.of(method, batch, policy.context_size, policy.vocab_size)
-    scores = score(method, stack, policy, ref_table, config.beta)
+    stack = Stack.of(method, batch, policy, reference_policy)
+    scores = score(method, stack, policy, config.beta)
     breakdowns, grad = scored_loss(method, scores, [config], [delta], want_grad=True)
     return breakdowns[0], grad
 

@@ -12,7 +12,9 @@ reproduce byte-identically.
 agrees in every field but ``seed`` and ``alpha`` and whose epochs have as many
 steps form a group, which :func:`train_step` steps as one stacked (R*C, V)
 table: run r's encoded rows are offset by r*C, so each kernel and the AdamW
-update serve the whole group with one call.  The warm start's SFT steps read
+update serve the whole group with one call.  A method phase scores its
+stacked encoding under the runs' frozen references once, and each step's
+:class:`~bfpo.losses.Stack` carries its slice.  The warm start's SFT steps read
 fewer fields, so runs that differ in the method or in fields only the method
 phase reads warm up in one group.  What differs between runs stays
 per run: the alpha, the EMA, the left-to-right batch sums, the generators,
@@ -55,6 +57,7 @@ from .policy import (
     Sample,
     encode,
     ordered_sums,
+    sequence_log_probs,
     snapshot_reference,
     softmax_tables,
     stack_codes,
@@ -219,15 +222,13 @@ class RunState:
     """Mutable state of R runs stepped in lockstep by :func:`train_step`; R = 1
     is a lone run.
 
-    Run r owns rows r*C to (r+1)*C of the stacked policy, reference and AdamW
-    moment tables, and entry r of ``alphas``, ``ema`` and ``last_delta``.  The
-    runs share ``config`` and the step count, so the learning rate and AdamW's
-    ``t`` are shared scalars.  The reference is frozen for the whole run, so
-    its log-softmax table is computed once, here.
+    Run r owns rows r*C to (r+1)*C of the stacked policy and AdamW moment
+    tables, and entry r of ``alphas``, ``ema`` and ``last_delta``.  The runs
+    share ``config`` and the step count, so the learning rate and AdamW's
+    ``t`` are shared scalars.  Each step's stack carries the frozen reference.
     """
 
     policy: PolicyParams
-    reference: PolicyParams
     opt: AdamState
     config: TrainConfig
     alphas: Sequence[float]
@@ -237,7 +238,6 @@ class RunState:
     ema: list[ReferenceState] = field(init=False)
     last_delta: list[float] = field(init=False)
     loss_configs: list[LossConfig] = field(init=False, repr=False)
-    reference_log_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = self.config
@@ -248,7 +248,6 @@ class RunState:
         ]
         self.ema = [ReferenceState(decay=c.ema_decay) for _ in self.alphas]
         self.last_delta = [0.0] * len(self.alphas)
-        self.reference_log_table = softmax_tables(self.reference.logits)[0]
 
 
 @dataclass
@@ -347,6 +346,7 @@ def stack_batches(
     batches: Sequence[Sequence[Batch]],
     codes: Encoded,
     firsts: Sequence[int],
+    reference: np.ndarray | None,
 ) -> list[Stack]:
     """R runs' batches in lockstep: step k stacks every run's k-th batch.
 
@@ -354,8 +354,9 @@ def stack_batches(
     epochs.  ``codes`` is the runs' encodings stacked by
     :func:`bfpo.policy.stack_codes`, run r's from sequence ``firsts[r]``: each
     the :func:`encode_batch` encoding of the set its batches index (all pairs
-    for DPO, else ``tar_train`` then ``aux_train``).  Each step carries its
-    slice of one ``take`` over ``codes``.
+    for DPO, else ``tar_train`` then ``aux_train``), and ``reference`` their
+    reference log-probabilities (None for SFT).  Each step carries its slice
+    of one ``take`` over both.
     """
     if len({len(b) for b in batches}) != 1:
         raise ConfigError("runs stepped in lockstep need the same number of batches")
@@ -368,10 +369,14 @@ def stack_batches(
     bases = [(first, first + len(b[0].pos_pool)) for b, first in zip(batches, firsts)]
     index = np.concatenate(parts) + np.repeat(np.tile(np.ravel(bases), len(steps)), counts)
     counts = counts.reshape(len(steps), len(batches), 2)
-    pieces = codes.take(index).split(counts.sum(axis=(1, 2)))
+    sizes = counts.sum(axis=(1, 2))
+    pieces = codes.take(index).split(sizes)
+    refs = [None] * len(steps)
+    if reference is not None:
+        refs = np.split(reference[index], np.cumsum(sizes)[:-1])
     return [
-        Stack(step, piece, Layout.of(*sizes))
-        for step, piece, sizes in zip(steps, pieces, counts.transpose(0, 2, 1).tolist())
+        Stack(step, piece, Layout.of(*sides), ref)
+        for step, piece, sides, ref in zip(steps, pieces, counts.transpose(0, 2, 1).tolist(), refs)
     ]
 
 
@@ -406,14 +411,12 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, list[LossBreakd
     method = state.config.method
     layout = batch.layout
     runs = len(layout.n_pos)
-    if method in _BINARY_METHODS and (layout.empty_pos or layout.empty_aux):
+    if method in _BINARY_METHODS and not layout.sides.all():
         raise InputError(
             f"{method.value} step needs non-empty positive and auxiliary sides"
         )
     # One reward pass, shared by the EMA anchors and the losses.
-    scores = score(
-        method, batch, state.policy, state.reference_log_table, state.config.beta
-    )
+    scores = score(method, batch, state.policy, state.config.beta)
     delta = [0.0] * runs
     if method in _BINARY_METHODS:
         # Bin 2r adds run r's positive rewards, bin 2r + 1 its auxiliary ones.
@@ -512,7 +515,7 @@ class _PhaseRun:
     codes: Encoded  # the set make_batches indexes, encoded
     rng: np.random.Generator  # draws the epoch seeds
     policy: PolicyParams
-    reference: PolicyParams
+    reference: PolicyParams | None = None  # the method phase's frozen reference
     alpha: float = 0.0
     dpo_pairs: list[DpoPair] | None = None
 
@@ -541,9 +544,6 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResu
     )
     state = RunState(
         policy=stacked,
-        reference=PolicyParams(
-            vocab_size, len(runs) * context, np.concatenate([r.reference.logits for r in runs])
-        ),
         opt=AdamState.zeros(stacked.logits.shape),
         config=config,
         alphas=[r.alpha for r in runs],
@@ -552,12 +552,17 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResu
     metrics: list[list[dict]] = [[] for _ in runs]
     codes = stack_codes([r.codes for r in runs], context, vocab_size)
     firsts = np.cumsum([0] + [r.codes.n for r in runs[:-1]]).tolist()
+    reference = None
+    if config.method is not Method.SFT:
+        # The references are frozen: score every sequence under them once.
+        ref_table = softmax_tables(np.concatenate([r.reference.logits for r in runs]))[0]
+        reference = sequence_log_probs(ref_table, codes)
     for epoch in range(config.epochs):
         state.epoch = epoch
         batches = [
             make_batches(r.dataset, r.config, _epoch_seed(r.rng), r.dpo_pairs) for r in runs
         ]
-        for stack in stack_batches(config.method, batches, codes, firsts):
+        for stack in stack_batches(config.method, batches, codes, firsts, reference):
             state, breakdowns = train_step(state, stack)
             for rows, breakdown, delta, ema in zip(
                 metrics, breakdowns, state.last_delta, state.ema
@@ -635,11 +640,10 @@ def run_many(
             )
             aux_as_target = UserDataset(dataset.target_user, aux_train, [], dataset.ratio_x)
             aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
-            # SFT reads no reference, so the policy stands in for it.
             warm.append(_PhaseRun(sft, aux_as_target, aux_codes,
-                                  np.random.default_rng(ss_warm), policy, policy))
+                                  np.random.default_rng(ss_warm), policy))
         methods.append(_PhaseRun(config, dataset, codes,
-                                 np.random.default_rng(ss_method), policy, policy))
+                                 np.random.default_rng(ss_method), policy))
     try:
         # Runs that differ only in what an SFT step does not read warm up together.
         warmed = iter(_train_phase(warm, vocab_size, _SFT_UNREAD))

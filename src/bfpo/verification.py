@@ -25,7 +25,7 @@ from .losses import (
     score,
     scored_loss,
 )
-from .policy import PolicyParams, Sample, softmax_tables
+from .policy import PolicyParams, Sample
 from .pu import (
     CheckResult,
     run_convergence_check,
@@ -117,10 +117,7 @@ def random_gradient_case(
             )
         zrefs = None
         if method in (Method.KTO, Method.CBPO):
-            scores = score(
-                method, Stack.of(method, batch, context, vocab), policy,
-                softmax_tables(reference.logits)[0], config.beta,
-            )
+            scores = score(method, Stack.of(method, batch, policy, reference), policy, config.beta)
             if method is Method.KTO:
                 if len(scores.rewards) < 2:
                     continue
@@ -150,16 +147,14 @@ def run_gradient_fd_check(
     worst = 0.0
     for _ in range(cases):
         batch, policy, reference, config, delta, zrefs = random_gradient_case(method, rng)
-        # Encoded once: the finite differences below score this batch 2·C·V times.
-        stack = Stack.of(method, batch, policy.context_size, policy.vocab_size)
+        # Encoded and scored under the fixed reference once: FD scores it 2·C·V times.
+        stack = Stack.of(method, batch, policy, reference)
         _, analytic = method_loss_and_grad(method, batch, policy, reference, config, delta)
-        # The reference is fixed, so its table is too.
-        ref_table = None if method is Method.SFT else softmax_tables(reference.logits)[0]
         largest = 0.0
 
         def value() -> float:
             nonlocal largest
-            scores = score(method, stack, policy, ref_table, config.beta)
+            scores = score(method, stack, policy, config.beta)
             total = scored_loss(method, scores, [config], [delta], zrefs)[0][0].total
             largest = max(largest, abs(total))
             return total

@@ -23,7 +23,7 @@ from bfpo.datagen import (
 from bfpo.losses import LossConfig, Method, binary_loss
 from bfpo.evaluation import evaluate_policy
 from bfpo.pu import run_convergence_check, run_unbiasedness_check
-from bfpo.trainer import TrainConfig, run
+from bfpo.trainer import TrainConfig, run, run_many
 from bfpo.verification import (
     run_clamp_check,
     run_ema_invariance_check,
@@ -62,7 +62,13 @@ def _report(criterion: int, passed: bool, detail: str) -> None:
 
 
 class RunPool:
-    """Caches populations and training runs shared across criteria."""
+    """Caches populations and training runs shared across criteria.
+
+    A run's key is (lam, method, alpha, seed, history_fraction, delta_mode);
+    :meth:`train` trains every missing key of a list with one
+    :func:`bfpo.trainer.run_many` call, which steps runs of one shape in
+    lockstep, and :meth:`result` trains a missing key alone.
+    """
 
     def __init__(self) -> None:
         self._populations: dict = {}
@@ -76,10 +82,18 @@ class RunPool:
             self._populations[key] = (spec, generate_population(spec))
         return self._populations[key]
 
-    def result(self, lam: float, method: str, alpha, seed: int,
-               history_fraction: float = 1.0, delta_mode: str = "ema"):
-        key = (lam, method, alpha, seed, history_fraction, delta_mode)
-        if key not in self._runs:
+    @staticmethod
+    def key(lam: float, method: str, alpha, seed: int,
+            history_fraction: float = 1.0, delta_mode: str = "ema") -> tuple:
+        return (lam, method, alpha, seed, history_fraction, delta_mode)
+
+    def train(self, keys) -> None:
+        """Train every key of ``keys`` not pooled yet with one ``run_many``."""
+        missing = [k for k in dict.fromkeys(self.key(*k) for k in keys) if k not in self._runs]
+        if not missing:
+            return
+        jobs = []
+        for lam, method, alpha, seed, history_fraction, delta_mode in missing:
             spec, population = self.population(lam, seed)
             dataset = build_user_dataset(
                 population, "u000", DIRECTIONAL_RATIO, "random", seed, spec.vocab_size
@@ -90,13 +104,19 @@ class RunPool:
                 method=Method(method), alpha=alpha, seed=seed,
                 delta_mode=delta_mode, **DIRECTIONAL_TRAIN,
             )
-            result = run(dataset, config, spec.vocab_size)
-            report = evaluate_policy(
+            jobs.append((population, dataset, config))
+        vocab = DIRECTIONAL_POPULATION["vocab_size"]
+        results = run_many([d for _, d, _ in jobs], [c for _, _, c in jobs], vocab)
+        for key, (population, dataset, config), result in zip(missing, jobs, results):
+            self._runs[key] = evaluate_policy(
                 result.policy, result.reference, population, "u000",
-                dataset.aux_user_ids, beta=config.beta, method=method,
+                dataset.aux_user_ids, beta=config.beta, method=config.method.value,
             )
             self.all_metrics.extend(result.metrics)
-            self._runs[key] = report
+
+    def result(self, *key, **kw):
+        key = self.key(*key, **kw)
+        self.train([key])
         return self._runs[key]
 
 
@@ -223,11 +243,14 @@ class TestCriterion6AlphaRecovery:
 
 
 class TestCriterion7MethodOrdering:
+    METHODS = (("sft", 0.0), ("bco", 0.0), ("cbpo", "estimate"))
+
     def test_high_overlap_ordering(self, pool):
         start = time.time()
+        pool.train([(0.8, m, a, s) for m, a in self.METHODS for s in SEEDS])
         nll = {
             m: [pool.result(0.8, m, a, s).heldout_nll for s in SEEDS]
-            for m, a in (("sft", 0.0), ("bco", 0.0), ("cbpo", "estimate"))
+            for m, a in self.METHODS
         }
         wins = sum(
             1 for i in range(len(SEEDS))
@@ -244,9 +267,10 @@ class TestCriterion7MethodOrdering:
 
     def test_low_overlap_ordering(self, pool):
         start = time.time()
+        pool.train([(0.2, m, a, s) for m, a in self.METHODS for s in SEEDS])
         nll = {
             m: [pool.result(0.2, m, a, s).heldout_nll for s in SEEDS]
-            for m, a in (("sft", 0.0), ("bco", 0.0), ("cbpo", "estimate"))
+            for m, a in self.METHODS
         }
         wins = sum(
             1 for i in range(len(SEEDS))
@@ -266,6 +290,7 @@ class TestCriterion8AlphaSweep:
     def test_optimal_alpha_tracks_overlap(self, pool):
         grid = (0.0, 0.25, 0.5, 0.75)
         levels = (0.2, 0.5, 0.8)
+        pool.train([(lam, "cbpo", a, s) for lam in levels for a in grid for s in SEEDS])
         optima = []
         for lam in levels:
             means = [
@@ -285,6 +310,8 @@ class TestCriterion8AlphaSweep:
 
 class TestCriterion9SharedPreferenceErosion:
     def test_delta_logp_protection(self, pool):
+        pool.train([(0.8, m, a, s) for m, a in (("bco", 0.0), ("cbpo", "estimate"))
+                    for s in SEEDS])
         dlp = {
             m: [pool.result(0.8, m, a, s).delta_logp_aux for s in SEEDS]
             for m, a in (("bco", 0.0), ("cbpo", "estimate"))
@@ -300,6 +327,8 @@ class TestCriterion9SharedPreferenceErosion:
 
 class TestCriterion10EmaUnderImbalance:
     def test_truncated_history_imbalance(self, pool):
+        pool.train([(0.8, "cbpo", "estimate", s, 0.25, mode)
+                    for mode in ("ema", "batch") for s in SEEDS])
         nll = {
             mode: [
                 pool.result(0.8, "cbpo", "estimate", s,

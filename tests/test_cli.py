@@ -625,6 +625,10 @@ class TestMalformedInputExits2:
             ("evaluate", _edit_checkpoint_config(beta=-1), {}),
             ("evaluate", _edit_checkpoint_config(method=5), {}),
             ("train", None, {"train": {"warmstart_lr": -0.05}}),
+            ("generate", None, {"seed": -1}),
+            ("train", None, {"seed": -1}),
+            ("estimate-alpha", None, {"seed": -1}),
+            ("sweep", None, {"seed": -1}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -636,7 +640,8 @@ class TestMalformedInputExits2:
              "sweep_grouping_grid_value_unknown", "sweep_epochs_not_an_integer",
              "sweep_unknown_target_user", "sweep_ratio_x_grid_value_past_the_population",
              "checkpoint_beta_bool", "checkpoint_beta_negative", "checkpoint_method_not_a_name",
-             "warmstart_lr_negative"],
+             "warmstart_lr_negative", "generate_seed_negative", "train_seed_negative",
+             "estimate_alpha_seed_negative", "sweep_seed_negative"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -654,6 +659,34 @@ class TestMalformedInputExits2:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "estimate-alpha", "sweep",
+                                         "verify"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        """``--seed -1`` over a valid config (and for verify) exits 2 with one
+        line and creates no output directory."""
+        out = tmp_path / "bad"
+        if command == "verify":
+            argv = ["verify", "--out", str(out)]
+        else:
+            corpus = tmp_path / "corpus"
+            if command in ("train", "estimate-alpha"):
+                corpus = _generate(tmp_path)
+            argv = [command, "--config",
+                    _write(tmp_path / "ok.json", _config(command, corpus, out, {}))]
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_verify_needs_an_fd_case(self, tmp_path, capsys, cases):
+        out = tmp_path / "bad"
+        assert main(["verify", "--out", str(out), "--fd-cases", cases]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--fd-cases" in err and err.count("\n") == 1, err
         assert not out.exists()
 
 

@@ -364,6 +364,46 @@ class TestMethodLoss:
                           "pure_neg_clamped", "total"):
                 assert math.isfinite(getattr(out, field))
 
+    @staticmethod
+    def _batch(rng, method, n_pos, n_aux):
+        batch = _random_batch(rng, 4, n_pos, n_aux)
+        if method is Method.DPO:
+            pos, aux = _random_batch(rng, 4, n_pos, n_pos).samples()
+            batch = Batch.of(pairs=[DpoPair(p.x, p.y, a.y) for p, a in zip(pos, aux)])
+        return batch
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_reference_shape_must_match_the_policy(self, rng, method):
+        """Every method but SFT, which reads no reference, rejects a reference
+        of another shape."""
+        policy = random_params(rng, 4, 3)
+        reference = random_params(rng, 4, 2)
+        batch = self._batch(rng, method, 2, 3)
+        config = LossConfig(alpha=0.3)
+        if method is Method.SFT:
+            out = method_loss(method, batch, policy, reference, config, 0.0)
+            assert out.total == sft_loss(policy, batch.samples()[0])
+            return
+        for loss_fn in (method_loss, method_loss_and_grad):
+            with pytest.raises(InputError, match="shapes differ"):
+                loss_fn(method, batch, policy, reference, config, 0.0)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_batch_without_positives_rejected(self, rng, method):
+        policy = random_params(rng, 4, 3)
+        batch = self._batch(rng, method, 0, 3)
+        for loss_fn in (method_loss, method_loss_and_grad):
+            with pytest.raises(InputError, match="needs positive samples"):
+                loss_fn(method, batch, policy, policy, LossConfig(alpha=0.3), 0.0)
+
+    @pytest.mark.parametrize("method", [Method.BCO, Method.CBPO_RAW, Method.CBPO])
+    def test_binary_batch_without_auxiliaries_rejected(self, rng, method):
+        policy = random_params(rng, 4, 3)
+        batch = self._batch(rng, method, 3, 0)
+        for loss_fn in (method_loss, method_loss_and_grad):
+            with pytest.raises(InputError, match="needs auxiliary samples"):
+                loss_fn(method, batch, policy, policy, LossConfig(alpha=0.3), 0.0)
+
 
 class TestKernelLossValues:
     """The kernel's loss values equal the closed forms on per-sample rewards."""
@@ -419,7 +459,7 @@ class TestKernelLossValues:
         anchor and 30 to 60 samples a side (where numpy's pairwise sum would
         reorder a mean): every run's breakdown equals its per-sample loops."""
         from bfpo.losses import LossBreakdown, Layout, Stack, encode_batch, score, scored_loss
-        from bfpo.policy import PolicyParams, softmax_tables, stack_codes
+        from bfpo.policy import PolicyParams, sequence_log_probs, softmax_tables, stack_codes
         from bfpo.rewards import RewardConfig, implicit_reward
 
         vocab, context, beta = 5, 3, 0.7
@@ -434,11 +474,12 @@ class TestKernelLossValues:
         deltas = [float(d) for d in rng.normal(0.0, 0.5, 4)]
         sizes = [b.sizes(method) for b in batches]
         codes = [encode_batch(b, method, context, vocab) for b in batches]
-        stack = Stack(batches, stack_codes(codes, context, vocab),
-                      Layout.of([n for n, _ in sizes], [n for _, n in sizes]))
-        table = PolicyParams(vocab, 4 * context, np.concatenate([p.logits for p in policies]))
+        codes = stack_codes(codes, context, vocab)
         ref_table = softmax_tables(np.concatenate([r.logits for r in references]))[0]
-        got, _ = scored_loss(method, score(method, stack, table, ref_table, beta), configs, deltas)
+        stack = Stack(batches, codes, Layout.of([n for n, _ in sizes], [n for _, n in sizes]),
+                      None if method is Method.SFT else sequence_log_probs(ref_table, codes))
+        table = PolicyParams(vocab, 4 * context, np.concatenate([p.logits for p in policies]))
+        got, _ = scored_loss(method, score(method, stack, table, beta), configs, deltas)
 
         rcfg = RewardConfig(beta=beta)
         reordered = False  # whether np.sum would give some mean another value

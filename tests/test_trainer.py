@@ -19,7 +19,9 @@ from bfpo.policy import (
     encode,
     ordered_sum,
     sample_completion,
+    sequence_log_probs,
     snapshot_reference,
+    softmax_tables,
     stack_codes,
     uniform_params,
 )
@@ -102,7 +104,7 @@ class TestMakeBatches:
         for x, y in zip(a, b):
             assert x.pos.tolist() == y.pos.tolist() and x.aux.tolist() == y.aux.tolist()
             assert x.samples() == y.samples()
-        stacks = [stack_batches(cfg.method, [e], codes, [0]) for e in (a, b)]
+        stacks = [stack_batches(cfg.method, [e], codes, [0], None) for e in (a, b)]
         for x, y in zip(*stacks):
             np.testing.assert_array_equal(x.codes.cells, y.codes.cells)
 
@@ -124,7 +126,7 @@ class TestMakeBatches:
         assert sorted(cycle[:n_aux].tolist()) == list(range(n_aux))
         np.testing.assert_array_equal(cycle, cycle[np.arange(len(cycle)) % n_aux])
         codes = _codes(ds, cfg, spec.vocab_size)
-        for b, stack in zip(batches, stack_batches(cfg.method, [batches], codes, [0])):
+        for b, stack in zip(batches, stack_batches(cfg.method, [batches], codes, [0], None)):
             _assert_encodes(
                 stack.codes, _named_sequences(cfg.method, b), cfg.context_size, spec.vocab_size
             )
@@ -137,7 +139,7 @@ class TestMakeBatches:
         with pytest.raises(ConfigError, match="same number of batches"):
             stack_batches(Method.SFT, [make_batches(ds, cfg, 0), make_batches(ds, short, 0)],
                         stack_codes([codes, codes], cfg.context_size, spec.vocab_size),
-                        [0, codes.n])
+                        [0, codes.n], None)
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("bs_pos, bs_aux, ratio", [(3, None, 1.0), (4, 7, 0.5), (64, 2, 2.0)])
@@ -146,7 +148,8 @@ class TestMakeBatches:
         samples (or pairs) its batch names, offset to the run's rows, and the
         positive side is one permutation of the target samples (of the pairs,
         for DPO).  The two runs differ in their auxiliary pools, so their
-        auxiliary batches differ in size unless fixed."""
+        auxiliary batches differ in size unless fixed.  A step's reference
+        slice is the per-sequence values of its own sequences."""
         vocab, context = 24, 5
         runs = []
         for r, run_ratio in enumerate((ratio, 2 * ratio)):
@@ -162,7 +165,16 @@ class TestMakeBatches:
             runs.append((ds, cfg, pairs, codes, make_batches(ds, cfg, 7 + r, pairs)))
         assert len(runs[0][4]) == len(runs[1][4])
         stacked = stack_codes([r[3] for r in runs], context, vocab)
-        stacks = stack_batches(method, [r[4] for r in runs], stacked, [0, runs[0][3].n])
+        table = np.random.default_rng(0).normal(size=(2 * context, vocab))
+        reference = None if method is Method.SFT else sequence_log_probs(table, stacked)
+        stacks = stack_batches(method, [r[4] for r in runs], stacked, [0, runs[0][3].n],
+                               reference)
+        for stack in stacks:
+            if method is Method.SFT:
+                assert stack.reference is None
+            else:
+                want = sequence_log_probs(table, stack.codes)
+                assert stack.reference.tobytes() == want.tobytes()
         binary = method not in (Method.SFT, Method.DPO)
         for r, (ds, cfg, pairs, _, batches) in enumerate(runs):
             n_pos = len(pairs) if pairs is not None else len(ds.tar_train)
@@ -181,7 +193,6 @@ class TestTrainStep:
         policy = uniform_params(vocab, config.context_size)
         return RunState(
             policy=policy,
-            reference=snapshot_reference(policy),
             opt=AdamState.zeros(policy.logits.shape),
             config=config,
             alphas=[0.0],
@@ -190,8 +201,9 @@ class TestTrainStep:
 
     @staticmethod
     def _stack(state, batch):
-        return Stack.of(state.config.method, batch, state.config.context_size,
-                        state.policy.vocab_size)
+        """The batch scored under the state's starting (uniform) policy."""
+        reference = uniform_params(state.policy.vocab_size, state.config.context_size)
+        return Stack.of(state.config.method, batch, state.policy, reference)
 
     def test_null_step_at_zero_lr(self):
         state = self._state(lr=0.0)
@@ -208,6 +220,7 @@ class TestTrainStep:
         from bfpo.rewards import RewardConfig, implicit_reward
 
         state = self._state(method=Method.CBPO, lr=0.01)
+        reference = snapshot_reference(state.policy)
         # Pre-seeded EMA keeps the anchor above the (zero) initial rewards.
         state.ema = [ReferenceState(ema_pos=1.0, ema_aux=1.0, decay=0.99, initialized=True)]
         sample = Sample("u", (0,), (1, 1))
@@ -215,7 +228,7 @@ class TestTrainStep:
         rcfg = RewardConfig(beta=state.config.beta)
 
         def pos_loss():
-            r = implicit_reward(state.policy, state.reference, rcfg, sample.x, sample.y)
+            r = implicit_reward(state.policy, reference, rcfg, sample.x, sample.y)
             return loss_positive(r, state.last_delta[0])
 
         train_step(state, self._stack(state, batch))
@@ -242,12 +255,13 @@ class TestTrainStep:
             return [Sample(user, (int(rng.integers(6)),), tuple(rng.integers(6, size=3).tolist()))
                     for _ in range(24)]
 
-        batch = Stack.of(Method.BCO, Batch.of(pos=samples("u"), aux=samples("v")), 4, 6)
         state = RunState(
-            policy=random_params(rng, 6, config.context_size), reference=reference,
+            policy=random_params(rng, 6, config.context_size),
             opt=AdamState.zeros((4, 6)), config=config, alphas=[0.0], total_steps=1,
         )
-        rewards = score(Method.BCO, batch, state.policy, state.reference_log_table, 1.0).rewards
+        batch = Stack.of(Method.BCO, Batch.of(pos=samples("u"), aux=samples("v")),
+                         state.policy, reference)
+        rewards = score(Method.BCO, batch, state.policy, 1.0).rewards
         pos_r, aux_r = rewards[:24], rewards[24:]
         train_step(state, batch)
         assert (state.ema[0].ema_pos, state.ema[0].ema_aux) == (
@@ -632,6 +646,80 @@ class TestRunMany:
         results = run_many([ds for ds, _ in runs], [cfg for _, cfg in runs], spec.vocab_size)
         assert max(widths) == 2
         assert repr(results[0].metrics) == repr(results[2].metrics)
+
+
+class TestFrozenReference:
+    """The reference is frozen for a phase, so its log-probabilities are
+    computed once per phase stack and sliced per step."""
+
+    def test_one_pass_per_step_and_one_per_method_phase(self, monkeypatch):
+        """On the frozen acceptance config (V=72, 210 method steps), a cbpo run
+        calls ``sequence_log_probs`` once per warm-start and method step, plus
+        once over the method phase's encoding for the reference."""
+        import bfpo.losses as losses_mod
+        import bfpo.trainer as trainer_mod
+        from bfpo.datagen import PopulationSpec, generate_population
+
+        spec = PopulationSpec(n_users=8, vocab_size=72, overlap_lambda=0.8,
+                              samples_per_user=150, prompt_pool_size=20, seq_len=8, seed=0)
+        ds = build_user_dataset(generate_population(spec), "u000", 1.5, "random", 0,
+                                spec.vocab_size)
+        config = TrainConfig(method=Method.CBPO, alpha=0.5, seed=0, epochs=14,
+                             batch_size_pos=8, learning_rate=0.2, beta=0.075,
+                             warmstart_epochs=2, warmstart_lr=0.2)
+        calls = []
+        steps = []
+        real_pass, real_step = losses_mod.sequence_log_probs, trainer_mod.train_step
+
+        def counting(table, codes):
+            calls.append(codes.n)
+            return real_pass(table, codes)
+
+        def spy(state, batch):
+            steps.append(state.config.method)
+            return real_step(state, batch)
+
+        for module in (losses_mod, trainer_mod):
+            monkeypatch.setattr(module, "sequence_log_probs", counting, raising=False)
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        result = run(ds, config, spec.vocab_size)
+        assert len(result.metrics) == steps.count(Method.CBPO) == 210
+        assert len(calls) == len(steps) + 1
+        assert calls.count(len(ds.tar_train) + len(ds.aux_train)) == 1
+
+    @pytest.mark.parametrize("method", [Method.DPO, Method.KTO, Method.CBPO])
+    def test_each_stack_carries_its_runs_reference(self, monkeypatch, method):
+        """Three runs with different warm starts, so different references,
+        stepped as one stack: every step's ``reference`` is its sequences'
+        log-probabilities under their own run's reference, bit for bit; the
+        warm start's SFT stacks carry none."""
+        import bfpo.trainer as trainer_mod
+
+        spec, ds = _dataset()
+        configs = [
+            TrainConfig(method=method, epochs=2, batch_size_pos=4, learning_rate=0.1, beta=0.1,
+                        alpha=0.3, seed=seed, warmstart_epochs=1, context_size=4)
+            for seed in range(3)
+        ]
+        stacks = []
+        step = trainer_mod.train_step
+
+        def spy(state, batch):
+            stacks.append(batch)
+            return step(state, batch)
+
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        results = run_many([ds] * 3, configs, spec.vocab_size)
+        references = [r.reference.logits for r in results]
+        assert len({_hash(r) for r in references}) == 3
+        ref_table = softmax_tables(np.concatenate(references))[0]
+        n_warm = len(stacks) - len(results[0].metrics)
+        warm, method_stacks = stacks[:n_warm], stacks[n_warm:]
+        assert n_warm > 0 and all(s.reference is None for s in warm)
+        for stack in method_stacks:
+            assert len(stack.batches) == 3
+            want = sequence_log_probs(ref_table, stack.codes)
+            assert stack.reference.tobytes() == want.tobytes()
 
 
 class TestConfigValidation:
