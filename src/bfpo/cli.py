@@ -416,6 +416,8 @@ def _sweep_unit(tasks: list[tuple[int, _SweepTask]]) -> list[tuple[int, dict]]:
 
 
 def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int) -> int:
+    if workers < 1:
+        raise ConfigError(f"sweep: --workers must be >= 1, got {workers}")
     doc, base_seed = _load_config(
         config_path, seed, "sweep config",
         {"axis", "grid", "n_seeds", "population", "dataset", "train"}, ("delta_modes",),
@@ -470,7 +472,7 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
     groups: dict[tuple, list[int]] = {}
     for i, task in enumerate(tasks):
         groups.setdefault((lockstep_key(task.train), task.dataset), []).append(i)
-    share = -(-len(tasks) // max(1, workers))
+    share = -(-len(tasks) // workers)
     units = []
     for members in groups.values():
         members.sort(key=lambda i: tasks[i].spec.seed)

@@ -32,7 +32,7 @@ from .alpha import embed_all
 from .errors import ConfigError, InputError
 from .files import write_atomic
 from .policy import Sample
-from .schema import from_doc
+from .schema import cast, from_doc
 
 __all__ = [
     "DatasetConfig",
@@ -420,10 +420,10 @@ def load_corpus(path: str | Path) -> dict[str, list[Sample]]:
             raise InputError(f"corpus line {lineno}: invalid JSON ({exc})") from exc
         try:
             sample = Sample(
-                user_id=str(row["user_id"]),
-                x=tuple(int(t) for t in row["x"]),
-                y=tuple(int(t) for t in row["y"]),
-                split=str(row["split"]),
+                user_id=cast(str, row["user_id"]),
+                x=tuple(cast(list[int], row["x"])),
+                y=tuple(cast(list[int], row["y"])),
+                split=cast(str, row["split"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"corpus line {lineno}: malformed sample ({exc})") from exc

@@ -127,29 +127,29 @@ class DpoPair:
 class Batch:
     """One run's optimization step: index arrays into two pools.
 
-    ``pos`` indexes ``pos_pool`` (the target samples; the pairs for DPO),
-    ``aux`` indexes ``aux_pool`` (the auxiliary samples).
+    ``pos`` indexes ``pos_pool`` (the target samples) and ``aux`` indexes
+    ``aux_pool`` (the auxiliary samples).  A DPO batch is shaped the same way:
+    its pools are the pairs' preferred completions and their rejected ones, in
+    the same order, and ``pos`` and ``aux`` take the same indices.
     """
 
     pos: np.ndarray
     aux: np.ndarray
-    pos_pool: Sequence = ()
+    pos_pool: Sequence[Sample] = ()
     aux_pool: Sequence[Sample] = ()
 
     @classmethod
     def of(cls, pos: Sequence[Sample] = (), aux: Sequence[Sample] = (),
            pairs: Sequence[DpoPair] = ()) -> "Batch":
-        """A batch of exactly these samples (of these pairs, for DPO)."""
-        first = list(pairs or pos)
-        return cls(np.arange(len(first)), np.arange(len(aux)), first, list(aux))
+        """A batch of exactly these samples, or of these pairs: the one place
+        pairs become the two pools (their completions, with no user)."""
+        if pairs:
+            pos = [Sample("", p.x, p.y_w) for p in pairs]
+            aux = [Sample("", p.x, p.y_l) for p in pairs]
+        return cls(np.arange(len(pos)), np.arange(len(aux)), list(pos), list(aux))
 
-    def sizes(self, method: "Method") -> tuple[int, int]:
-        """The batch's (positive, auxiliary) sequence counts: for DPO, its
-        pairs' preferred and rejected completions."""
-        return len(self.pos), len(self.pos if method is Method.DPO else self.aux)
-
-    def samples(self) -> tuple[list, list[Sample]]:
-        """The positives (pairs, for DPO) and auxiliaries, looked up by index."""
+    def samples(self) -> tuple[list[Sample], list[Sample]]:
+        """The positives and auxiliaries, looked up by index."""
         pos = [self.pos_pool[i] for i in self.pos.tolist()]
         return pos, [self.aux_pool[i] for i in self.aux.tolist()]
 
@@ -316,17 +316,11 @@ def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def encode_batch(
-    batch: Batch, method: Method, context_size: int, vocab_size: int
-) -> Encoded:
-    """The batch's sequences as one encoding: every y_w then every y_l for DPO,
-    the positive then the auxiliary samples otherwise."""
+def encode_batch(batch: Batch, context_size: int, vocab_size: int) -> Encoded:
+    """The batch's sequences as one encoding: the positives then the
+    auxiliaries (for DPO, every preferred then every rejected completion)."""
     pos, aux = batch.samples()
-    if method is Method.DPO:
-        pairs = [(p.x, p.y_w) for p in pos] + [(p.x, p.y_l) for p in pos]
-    else:
-        pairs = [(s.x, s.y) for s in pos + aux]
-    return encode(pairs, context_size, vocab_size)
+    return encode(((s.x, s.y) for s in pos + aux), context_size, vocab_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,12 +388,14 @@ class Stack:
     ) -> "Stack":
         """A lone batch, encoded for ``policy``'s table, with its sequences'
         log-probabilities under ``reference`` (SFT reads none)."""
-        n_pos, n_aux = batch.sizes(method)
+        n_pos, n_aux = len(batch.pos), len(batch.aux)
         if n_pos == 0:
-            raise InputError(f"{method.value} batch needs positive samples (pairs, for DPO)")
+            raise InputError(f"{method.value} batch needs positive samples")
         if method in (Method.BCO, Method.CBPO_RAW, Method.CBPO) and n_aux == 0:
             raise InputError(f"{method.value} batch needs auxiliary samples")
-        codes = encode_batch(batch, method, policy.context_size, policy.vocab_size)
+        if method is Method.DPO and n_aux != n_pos:
+            raise InputError(f"dpo batch: {n_pos} preferred completions for {n_aux} rejected")
+        codes = encode_batch(batch, policy.context_size, policy.vocab_size)
         ref_log_probs = None
         if method is not Method.SFT:
             if reference.logits.shape != policy.logits.shape:

@@ -22,7 +22,8 @@ def from_doc(cls: type, doc: dict) -> Any:
     to its declared type; keys that are not fields are the caller's to check.
 
     An int field takes an integer, an integral float or an integer string; a
-    float field a finite number or a numeric string; neither takes a bool.
+    float field a finite number or a numeric string; neither takes a bool, and
+    a bool field takes only a bool.
     ``X | None`` passes None through, ``float | str`` passes a string through,
     a fixed-length tuple takes a list of exactly that length, and ``list[X]`` a
     list of any length (``list`` leaves the items as they are).  A value that
@@ -43,6 +44,8 @@ def from_doc(cls: type, doc: dict) -> Any:
 def cast(tp: Any, value: Any) -> Any:
     """``value`` as type ``tp`` by the rules of :func:`from_doc`; raises
     ``TypeError`` or ``ValueError``."""
+    if type(value) is tp and tp in (int, str, bool):
+        return value  # already of the type, so nothing to cast or check
     origin = get_origin(tp)
     if origin in (Union, types.UnionType):
         args = get_args(tp)
@@ -65,7 +68,11 @@ def cast(tp: Any, value: Any) -> Any:
         if origin is None:
             return list(value)
         (item,) = get_args(tp)
+        if item in (int, str) and all(type(v) is item for v in value):
+            return list(value)  # as above, for every item
         return [cast(item, v) for v in value]
+    if tp is bool:  # a bool returned above
+        raise TypeError(f"expected true or false, got {value!r}")
     if tp in (int, float) and isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
     if tp is int and isinstance(value, float) and not value.is_integer():

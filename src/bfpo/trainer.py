@@ -1,12 +1,13 @@
 """Optimization loop: batching, method dispatch, EMA wiring and run state.
 
 A run has three phases: a warm start (the stand-in for a general task model),
-a reference freeze, and the configured method's optimization over the
-target/auxiliary split.  The warm start is the SFT method with the pooled
-auxiliary data as its target history, run by the same epoch loop, batching and
-optimizer step as the method.  Everything is a pure function of (dataset,
-config, seed): batch order, the optimizer trajectory and the metrics log
-reproduce byte-identically.
+a reference freeze, and the configured method's optimization.  Each trains one
+shape, by one epoch loop, batching and optimizer step: a dataset whose target
+side the phase learns from and whose auxiliary side it contrasts.  The warm
+start is SFT on the pooled auxiliary data; DPO's dataset is its pairs, the
+preferred completions then the rejected ones in the same order.  Everything is
+a pure function of (dataset, config, seed): batch order, the optimizer
+trajectory and the metrics log reproduce byte-identically.
 
 :func:`run_many` trains R runs in lockstep.  In each phase, runs whose config
 agrees in every field but ``seed`` and ``alpha`` and whose epochs have as many
@@ -14,14 +15,14 @@ steps form a group, which :func:`train_step` steps as one stacked (R*C, V)
 table: run r's encoded rows are offset by r*C, so each kernel and the AdamW
 update serve the whole group with one call.  A method phase scores its
 stacked encoding under the runs' frozen references once, and each step's
-:class:`~bfpo.losses.Stack` carries its slice.  The warm start's SFT steps read
-fewer fields, so runs that differ in the method or in fields only the method
-phase reads warm up in one group.  What differs between runs stays
-per run: the alpha, the EMA, the left-to-right batch sums, the generators,
-batches and metrics rows, and the DPO pairs and alpha estimate made between the
-phases.  The learning rate and AdamW's step count are shared scalars, since a
-group's runs step together.  :func:`run` is the case R = 1; every run's result
-equals training it alone, bit for bit.
+:class:`~bfpo.losses.Stack` carries its slice.  The warm start's config is the
+SFT method's, so runs that differ only in the method warm up in one group.
+What differs between runs stays per run: the alpha, the EMA, the left-to-right
+batch sums, the generators, batches, metrics rows and trained results, and the
+DPO pairs and alpha estimate made between the phases.  The learning rate and
+AdamW's step count are shared scalars, since a group's runs step together.
+:func:`run` is the case R = 1; every run's result equals training it alone,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .policy import (
     uniform_params,
 )
 from .rewards import ReferenceState, delta_ema, ema_update
+from .schema import cast
 
 __all__ = [
     "AdamState",
@@ -180,22 +182,16 @@ class TrainConfig:
         return max(1, int(math.floor(self.batch_size_pos * ratio_x + 0.5)))
 
 
-_CONFIG_FIELDS = tuple(f.name for f in fields(TrainConfig))
-# Config fields runs may differ in and still share a lockstep group: a run's
-# seed and alpha are per run, and no step reads the rest.
-_PER_RUN = ("seed", "alpha")
-_SFT_UNREAD = _PER_RUN + (
-    "beta", "ema_decay", "pi_n", "lambda_d", "lambda_u", "delta_mode", "batch_size_aux",
-    "warmstart_epochs", "warmstart_lr", "dpo_rejection_budget", "alpha_estimator_epochs",
-    "alpha_estimator_lr",
-)
+# Every config field but those that are per run, so that runs may differ in them
+# and still share a lockstep group.
+_SHARED_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("seed", "alpha"))
 
 
-def lockstep_key(config: TrainConfig, free: Sequence[str] = _PER_RUN) -> str:
+def lockstep_key(config: TrainConfig) -> str:
     """What the runs of one lockstep group share of their configs: every field
-    but those named in ``free``.  Runs whose epochs also have as many steps
-    step together."""
-    return repr([getattr(config, name) for name in _CONFIG_FIELDS if name not in free])
+    but ``seed`` and ``alpha``.  Runs whose epochs also have as many steps step
+    together."""
+    return repr([getattr(config, name) for name in _SHARED_FIELDS])
 
 
 def stack_runs(context_size: int, vocab_size: int) -> int:
@@ -305,24 +301,13 @@ def _chunks(order: np.ndarray, size: int) -> list[np.ndarray]:
     return [order[lo : lo + size] for lo in range(0, len(order), size)]
 
 
-def make_batches(
-    dataset: UserDataset,
-    config: TrainConfig,
-    epoch_seed: int,
-    dpo_pairs: Sequence[DpoPair] | None = None,
-) -> list[Batch]:
-    """Seeded per-epoch batches: one epoch is one pass over the target side
-    (over ``dpo_pairs``, for DPO).  :func:`stack_batches` encodes them."""
+def make_batches(dataset: UserDataset, config: TrainConfig, epoch_seed: int) -> list[Batch]:
+    """Seeded per-epoch batches: one epoch is one pass over the target side.
+    A DPO dataset holds the run's pairs, the preferred completions as its
+    target side and the rejected ones, in the same order, as its auxiliary
+    side, so a DPO batch takes the same indices from both.
+    :func:`stack_batches` encodes the batches."""
     rng = np.random.default_rng(epoch_seed)
-
-    if config.method is Method.DPO:
-        if dpo_pairs is None:
-            raise ConfigError("DPO requires synthesized pairs but none were supplied")
-        if len(dpo_pairs) == 0:
-            raise InputError("DPO pair set is empty")
-        chunks = _chunks(rng.permutation(len(dpo_pairs)), config.batch_size_pos)
-        return [Batch(c, _NONE, dpo_pairs) for c in chunks]
-
     pos = dataset.tar_train
     if len(pos) == 0:
         raise InputError("target training split is empty")
@@ -332,6 +317,10 @@ def make_batches(
         return [Batch(c, _NONE, pos) for c in chunks]
 
     aux = dataset.aux_train
+    if config.method is Method.DPO:
+        if len(aux) != len(pos):
+            raise ConfigError(f"DPO: {len(pos)} preferred completions for {len(aux)} rejected")
+        return [Batch(c, c, pos, aux) for c in chunks]
     if len(aux) == 0:
         raise InputError("auxiliary training split is empty")
     aux_order = rng.permutation(len(aux))
@@ -342,7 +331,6 @@ def make_batches(
 
 
 def stack_batches(
-    method: Method,
     batches: Sequence[Sequence[Batch]],
     codes: Encoded,
     firsts: Sequence[int],
@@ -353,18 +341,17 @@ def stack_batches(
     ``batches[r]`` is run r's batches, one or more :func:`make_batches`
     epochs.  ``codes`` is the runs' encodings stacked by
     :func:`bfpo.policy.stack_codes`, run r's from sequence ``firsts[r]``: each
-    the :func:`encode_batch` encoding of the set its batches index (all pairs
-    for DPO, else ``tar_train`` then ``aux_train``), and ``reference`` their
-    reference log-probabilities (None for SFT).  Each step carries its slice
-    of one ``take`` over both.
+    the encoding of the pools its batches index, ``tar_train`` then
+    ``aux_train`` of its dataset (for DPO, the preferred then the rejected
+    completions), and ``reference`` their reference log-probabilities (None
+    for SFT).  Each step carries its slice of one ``take`` over both.
     """
     if len({len(b) for b in batches}) != 1:
         raise ConfigError("runs stepped in lockstep need the same number of batches")
     steps = list(zip(*batches))
-    # A batch's sequences: its positives (preferred completions, for DPO), then
-    # its auxiliaries (rejected completions), which follow the first pool.
-    dpo = method is Method.DPO
-    parts = [a for step in steps for b in step for a in (b.pos, b.pos if dpo else b.aux)]
+    # A batch's sequences: its positives, then its auxiliaries, whose pool
+    # follows the positives' in the encoding.
+    parts = [a for step in steps for b in step for a in (b.pos, b.aux)]
     counts = np.fromiter(map(len, parts), np.int64, len(parts))
     bases = [(first, first + len(b[0].pos_pool)) for b, first in zip(batches, firsts)]
     index = np.concatenate(parts) + np.repeat(np.tile(np.ravel(bases), len(steps)), counts)
@@ -389,14 +376,15 @@ def _diagnostic_dump(
     def _samples(samples: Sequence[Sample]) -> list[dict]:
         return [{**vars(s), "x": list(s.x), "y": list(s.y)} for s in samples]
 
+    # A DPO batch's samples are its pairs' completions: it is dumped as pairs.
     dump = {
         "step": state.step,
         "epoch": state.epoch,
         "method": state.config.method.value,
         "pos": [] if dpo else _samples(pos),
-        "aux": _samples(aux),
+        "aux": [] if dpo else _samples(aux),
         "pairs": [
-            {"x": list(p.x), "y_w": list(p.y_w), "y_l": list(p.y_l)} for p in pos if dpo
+            {"x": list(w.x), "y_w": list(w.y), "y_l": list(l.y)} for w, l in zip(pos, aux) if dpo
         ],
     }
     if breakdown is not None:
@@ -507,36 +495,31 @@ def _epoch_seed(rng: np.random.Generator) -> int:
 
 @dataclass
 class _PhaseRun:
-    """One run's part of a phase (the warm start or the method): what it
-    trains from, and on what."""
+    """One run's part of a phase (the warm start or the method): what it trains
+    from and on, then what it trained.  The dataset's target side is what the
+    phase learns from and its auxiliary side what it contrasts."""
 
     config: TrainConfig
     dataset: UserDataset
-    codes: Encoded  # the set make_batches indexes, encoded
+    codes: Encoded  # the dataset's tar_train then aux_train, encoded
     rng: np.random.Generator  # draws the epoch seeds
-    policy: PolicyParams
+    policy: PolicyParams  # the starting policy, then the trained one
     reference: PolicyParams | None = None  # the method phase's frozen reference
     alpha: float = 0.0
-    dpo_pairs: list[DpoPair] | None = None
+    ema: ReferenceState | None = None
+    opt: AdamState | None = None
+    metrics: list[dict] = field(default_factory=list)
 
     def steps_per_epoch(self) -> int:
-        n = len(self.dataset.tar_train) if self.dpo_pairs is None else len(self.dpo_pairs)
-        return math.ceil(n / self.config.batch_size_pos)
+        return math.ceil(len(self.dataset.tar_train) / self.config.batch_size_pos)
 
 
-@dataclass
-class _PhaseResult:
-    policy: PolicyParams
-    ema: ReferenceState
-    opt: AdamState
-    metrics: list[dict]
-
-
-def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResult]:
+def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
     """``config.epochs`` seeded epochs of :func:`make_batches` and
     :func:`train_step` from a fresh optimizer and EMA, for the runs of one
-    lockstep group, stepped with the first run's config; one metrics row per
-    run and step."""
+    lockstep group, stepped with the first run's config.  Each run is left
+    holding its trained policy, EMA, AdamW state and one metrics row per
+    step."""
     config = runs[0].config
     context = config.context_size
     stacked = PolicyParams(
@@ -549,7 +532,6 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResu
         alphas=[r.alpha for r in runs],
         total_steps=config.epochs * runs[0].steps_per_epoch(),
     )
-    metrics: list[list[dict]] = [[] for _ in runs]
     codes = stack_codes([r.codes for r in runs], context, vocab_size)
     firsts = np.cumsum([0] + [r.codes.n for r in runs[:-1]]).tolist()
     reference = None
@@ -559,47 +541,31 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> list[_PhaseResu
         reference = sequence_log_probs(ref_table, codes)
     for epoch in range(config.epochs):
         state.epoch = epoch
-        batches = [
-            make_batches(r.dataset, r.config, _epoch_seed(r.rng), r.dpo_pairs) for r in runs
-        ]
-        for stack in stack_batches(config.method, batches, codes, firsts, reference):
+        batches = [make_batches(r.dataset, r.config, _epoch_seed(r.rng)) for r in runs]
+        for stack in stack_batches(batches, codes, firsts, reference):
             state, breakdowns = train_step(state, stack)
-            for rows, breakdown, delta, ema in zip(
-                metrics, breakdowns, state.last_delta, state.ema
-            ):
-                rows.append(_metrics_row(state.step, epoch, breakdown, delta, ema))
-    results = []
-    for r, (ema, rows) in enumerate(zip(state.ema, metrics)):
-        own = slice(r * context, (r + 1) * context)
-        results.append(_PhaseResult(
-            policy=PolicyParams(vocab_size, context, state.policy.logits[own].copy()),
-            ema=ema,
-            opt=AdamState(m=state.opt.m[own].copy(), v=state.opt.v[own].copy(), t=state.opt.t),
-            metrics=rows,
-        ))
-    return results
+            for r, breakdown, delta, ema in zip(runs, breakdowns, state.last_delta, state.ema):
+                r.metrics.append(_metrics_row(state.step, epoch, breakdown, delta, ema))
+    for i, (r, ema) in enumerate(zip(runs, state.ema)):
+        own = slice(i * context, (i + 1) * context)
+        r.policy = PolicyParams(vocab_size, context, state.policy.logits[own].copy())
+        r.ema = ema
+        r.opt = AdamState(m=state.opt.m[own].copy(), v=state.opt.v[own].copy(), t=state.opt.t)
 
 
-def _train_phase(
-    runs: Sequence[_PhaseRun], vocab_size: int, free: Sequence[str] = _PER_RUN
-) -> list[_PhaseResult]:
-    """Each run's phase, its lockstep groups (by :func:`lockstep_key` and steps
-    per epoch) trained in stacks of at most :func:`stack_runs` runs."""
-    groups: dict[tuple, list[int]] = {}
-    for i, r in enumerate(runs):
-        groups.setdefault((lockstep_key(r.config, free), r.steps_per_epoch()), []).append(i)
-    results: list[_PhaseResult | None] = [None] * len(runs)
+def _train_phase(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
+    """Train each run's phase, its lockstep groups (by :func:`lockstep_key`
+    and steps per epoch) in stacks of at most :func:`stack_runs` runs."""
+    groups: dict[tuple, list[_PhaseRun]] = {}
+    for r in runs:
+        groups.setdefault((lockstep_key(r.config), r.steps_per_epoch()), []).append(r)
     # A diverging run overflows numpy before train_step's finite checks catch
     # it; those raise NumericError, so the warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for members in groups.values():
-            size = stack_runs(runs[members[0]].config.context_size, vocab_size)
+            size = stack_runs(members[0].config.context_size, vocab_size)
             for lo in range(0, len(members), size):
-                chunk = members[lo : lo + size]
-                trained = _train_epochs([runs[i] for i in chunk], vocab_size)
-                for i, result in zip(chunk, trained):
-                    results[i] = result
-    return results
+                _train_epochs(members[lo : lo + size], vocab_size)
 
 
 def run_many(
@@ -611,9 +577,10 @@ def run_many(
     Each phase (the warm start, then the method) groups the runs whose config
     agrees in every field but ``seed`` and ``alpha`` and whose epochs have as
     many steps; a group trains as one stacked (R*C, V) table through
-    :func:`train_step`.  Every run's result equals training it alone, bit for
-    bit.  Alpha estimation and DPO pair synthesis run per run between the
-    phases.
+    :func:`train_step`.  The warm start's config is the SFT method's, so runs
+    that differ only in the method warm up together.  Every run's result
+    equals training it alone, bit for bit.  Alpha estimation and DPO pair
+    synthesis run per run between the phases.
     """
     if len(datasets) != len(configs):
         raise ConfigError(f"{len(datasets)} datasets for {len(configs)} configs")
@@ -638,18 +605,18 @@ def run_many(
             sft = replace(
                 config, method=Method.SFT, epochs=config.warmstart_epochs, learning_rate=warm_lr
             )
-            aux_as_target = UserDataset(dataset.target_user, aux_train, [], dataset.ratio_x)
+            aux_as_target = replace(dataset, h_tar=aux_train, h_aux=[])
             aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
             warm.append(_PhaseRun(sft, aux_as_target, aux_codes,
                                   np.random.default_rng(ss_warm), policy))
         methods.append(_PhaseRun(config, dataset, codes,
                                  np.random.default_rng(ss_method), policy))
     try:
-        # Runs that differ only in what an SFT step does not read warm up together.
-        warmed = iter(_train_phase(warm, vocab_size, _SFT_UNREAD))
+        _train_phase(warm, vocab_size)
     except NumericError as exc:
         raise NumericError(f"warm start: {exc}", exc.details) from exc
 
+    warmed = iter(warm)
     prepared = []
     for job, (ss_pairs, ss_alpha) in zip(methods, between):
         config, dataset = job.config, job.dataset
@@ -672,32 +639,33 @@ def run_many(
                 job.alpha = float(config.alpha)
         skipped = 0
         if config.method is Method.DPO:
-            job.dpo_pairs, skipped = synth_dpo_pairs(
+            pairs, skipped = synth_dpo_pairs(
                 dataset, job.policy,
                 int(np.random.default_rng(ss_pairs).integers(0, 2**31)),
                 budget=config.dpo_rejection_budget,
             )
-            if len(job.dpo_pairs) == 0:
+            if len(pairs) == 0:
                 raise InputError("DPO pair synthesis produced no usable pairs")
-            job.codes = encode_batch(
-                Batch.of(pairs=job.dpo_pairs), Method.DPO, config.context_size, vocab_size
-            )
-        prepared.append((job, alpha_estimate, skipped))
+            # The pairs as a dataset: preferred completions, then rejected ones.
+            both = Batch.of(pairs=pairs)
+            job.dataset = replace(dataset, h_tar=both.pos_pool, h_aux=both.aux_pool)
+            job.codes = encode_batch(both, config.context_size, vocab_size)
+        prepared.append((alpha_estimate, skipped))
 
-    trained = _train_phase(methods, vocab_size)
+    _train_phase(methods, vocab_size)
     return [
         TrainResult(
-            policy=out.policy,
+            policy=job.policy,
             reference=job.reference,
-            ema=out.ema,
-            opt=out.opt,
-            metrics=out.metrics,
+            ema=job.ema,
+            opt=job.opt,
+            metrics=job.metrics,
             alpha_estimate=alpha_estimate,
             alpha_resolved=job.alpha,
-            aux_user_ids=job.dataset.aux_user_ids,
+            aux_user_ids=dataset.aux_user_ids,
             dpo_pairs_skipped=skipped,
         )
-        for (job, alpha_estimate, skipped), out in zip(prepared, trained)
+        for dataset, job, (alpha_estimate, skipped) in zip(datasets, methods, prepared)
     ]
 
 
@@ -734,8 +702,8 @@ def _params_doc(params: PolicyParams) -> dict:
 
 def _params_from_doc(doc: dict) -> PolicyParams:
     return PolicyParams(
-        vocab_size=int(doc["vocab_size"]),
-        context_size=int(doc["context_size"]),
+        vocab_size=cast(int, doc["vocab_size"]),
+        context_size=cast(int, doc["context_size"]),
         logits=np.asarray(doc["logits"], dtype=np.float64),
     )
 
@@ -776,7 +744,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a missing, truncated or malformed file is an InputError."""
+    """Read a checkpoint; a missing, truncated or malformed file is an InputError.
+    Its scalars are cast by the config rules (:func:`bfpo.schema.cast`)."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -791,18 +760,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             policy=_params_from_doc(doc["policy"]),
             reference=_params_from_doc(doc["reference"]),
             ema=ReferenceState(
-                ema_pos=float(ema_doc["ema_pos"]),
-                ema_aux=float(ema_doc["ema_aux"]),
-                decay=float(ema_doc["decay"]),
-                initialized=bool(ema_doc["initialized"]),
+                ema_pos=cast(float, ema_doc["ema_pos"]),
+                ema_aux=cast(float, ema_doc["ema_aux"]),
+                decay=cast(float, ema_doc["decay"]),
+                initialized=cast(bool, ema_doc["initialized"]),
             ),
             opt=AdamState(
                 m=np.asarray(opt_doc["m"], dtype=np.float64),
                 v=np.asarray(opt_doc["v"], dtype=np.float64),
-                t=int(opt_doc["t"]),
+                t=cast(int, opt_doc["t"]),
             ),
-            step=int(doc["step"]),
-            vocab_size=int(doc["vocab_size"]),
+            step=cast(int, doc["step"]),
+            vocab_size=cast(int, doc["vocab_size"]),
             config=dict(doc["config"]),
             dataset_meta=dict(doc["dataset_meta"]),
         )

@@ -277,12 +277,44 @@ class TestTrain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("aborted:"), proc.stderr
 
+    def test_diverging_dpo_dump_bytes_pinned(self, tmp_path):
+        """A DPO run that diverges in the method phase dumps its batch as pairs
+        (x, y_w, y_l) with empty sample lists; sha256 recorded before DPO
+        pairs became a (preferred, rejected) dataset."""
+        corpus = _generate(tmp_path)
+        cfg = _write(
+            tmp_path / "t.json",
+            {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "crash"),
+             "corpus_dir": str(corpus),
+             "dataset": {"target_user": "u000", "ratio_x": 1.0, "grouping": "random"},
+             "train": {**TRAIN, "method": "dpo", "learning_rate": 1e308,
+                       "warmstart_lr": 0.1}},
+        )
+        assert main(["train", "--config", cfg]) == 1
+        path = tmp_path / "crash" / "diagnostic_dump.json"
+        dump = json.loads(path.read_text())
+        assert (dump["method"], dump["epoch"], dump["step"]) == ("dpo", 0, 2)
+        assert len(dump["pairs"]) == TRAIN["batch_size_pos"]
+        assert dump["pos"] == [] and dump["aux"] == []
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6ad56f2e3cd40a02478a17f66a36a507f79b49eb59e34477d7368fab532bbde0"
+        )
+
     def test_alpha_estimate_written(self, tmp_path):
         corpus = _generate(tmp_path)
         out = _train(tmp_path, corpus, out="est", train_overrides={"alpha": "estimate"})
         doc = json.loads((out / "alpha_estimate.json").read_text())
         assert 0.0 <= doc["alpha_hat"] <= 0.99
         assert doc["n_aux"] > 0
+
+    def test_alpha_estimate_bytes_pinned(self, tmp_path):
+        """sha256 of alpha_estimate.json from the default run with an estimated
+        alpha, recorded before DPO pairs became a (preferred, rejected)
+        dataset."""
+        out = _train(tmp_path, _generate(tmp_path), train_overrides={"alpha": "estimate"})
+        assert hashlib.sha256((out / "alpha_estimate.json").read_bytes()).hexdigest() == (
+            "3e260035cd6a034cdcf341e24081c0d92b408669c1d7678a549ef767af82f442"
+        )
 
     def test_missing_corpus_exits_2(self, tmp_path):
         cfg = _write(
@@ -358,6 +390,20 @@ class TestEvaluate:
         doc = json.loads(r1)
         assert 0.0 <= doc["pref_acc"] <= 1.0
         assert doc["target_user"] == "u000"
+
+    def test_report_bytes_pinned(self, tmp_path):
+        """sha256 of the default run's eval_report.json, recorded before DPO
+        pairs became a (preferred, rejected) dataset."""
+        corpus = _generate(tmp_path)
+        out = _train(tmp_path, corpus)
+        assert main([
+            "evaluate", "--checkpoint", str(out / "checkpoint.json"),
+            "--corpus", str(corpus), "--out", str(tmp_path / "eval"),
+        ]) == 0
+        report = (tmp_path / "eval" / "eval_report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "492f8a84b1eebc20b8aa5a04da776027a51867035b28ff86e2ae2f2840ace8ec"
+        )
 
     def test_vocab_mismatch_exits_2(self, tmp_path):
         corpus = _generate(tmp_path)
@@ -556,21 +602,32 @@ def _drop_ema(run: Path, corpus: Path) -> None:
     path.write_text(json.dumps(doc))
 
 
-def _corpus_token_past_vocab(run: Path, corpus: Path) -> None:
-    path = corpus / "corpus.jsonl"
-    lines = path.read_text().splitlines()
-    row = json.loads(lines[0])
-    row["y"][0] = POPULATION["vocab_size"]
-    path.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
+def _edit_corpus_token(side: str, value):
+    """Set the first token of the first corpus sample's ``side`` (x or y)."""
+    def corrupt(run: Path, corpus: Path) -> None:
+        path = corpus / "corpus.jsonl"
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[0])
+        row[side] = [value] + row[side][1:]
+        path.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
+    return corrupt
 
 
-def _edit_checkpoint_config(**edits):
+_corpus_token_past_vocab = _edit_corpus_token("y", POPULATION["vocab_size"])
+
+
+def _edit_checkpoint(block: str | None = None, **edits):
+    """Update the checkpoint's top level, or its ``block``, with ``edits``."""
     def corrupt(run: Path, corpus: Path) -> None:
         path = run / "checkpoint.json"
         doc = json.loads(path.read_text())
-        doc["config"].update(edits)
+        (doc if block is None else doc[block]).update(edits)
         path.write_text(json.dumps(doc))
     return corrupt
+
+
+def _edit_checkpoint_config(**edits):
+    return _edit_checkpoint("config", **edits)
 
 
 def _config(command: str, corpus: Path, out: Path, edits: dict) -> dict:
@@ -629,6 +686,11 @@ class TestMalformedInputExits2:
             ("train", None, {"seed": -1}),
             ("estimate-alpha", None, {"seed": -1}),
             ("sweep", None, {"seed": -1}),
+            ("train", _edit_corpus_token("x", 1.5), {}),
+            ("train", _edit_corpus_token("y", True), {}),
+            ("evaluate", _edit_checkpoint(step=2.7), {}),
+            ("evaluate", _edit_checkpoint(step=True), {}),
+            ("evaluate", _edit_checkpoint("ema", initialized="no"), {}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -641,7 +703,10 @@ class TestMalformedInputExits2:
              "sweep_unknown_target_user", "sweep_ratio_x_grid_value_past_the_population",
              "checkpoint_beta_bool", "checkpoint_beta_negative", "checkpoint_method_not_a_name",
              "warmstart_lr_negative", "generate_seed_negative", "train_seed_negative",
-             "estimate_alpha_seed_negative", "sweep_seed_negative"],
+             "estimate_alpha_seed_negative", "sweep_seed_negative",
+             "corpus_token_not_an_integer", "corpus_token_bool",
+             "checkpoint_step_not_an_integer", "checkpoint_step_bool",
+             "checkpoint_ema_initialized_not_a_bool"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -688,6 +753,52 @@ class TestMalformedInputExits2:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--fd-cases" in err and err.count("\n") == 1, err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_needs_a_worker(self, tmp_path, capsys, workers):
+        out = tmp_path / "bad"
+        cfg = _write(tmp_path / "ok.json", _config("sweep", tmp_path / "corpus", out, {}))
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--workers" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+class TestReadmeExamples:
+    """The README's JSON config examples cast as their commands cast them, so a
+    renamed field or a changed cast rule fails here rather than leaving the
+    docs wrong."""
+
+    # Each command's required top-level keys (beyond schema_version and seed)
+    # and its optional ones.
+    COMMANDS = {
+        "generate": ({"population"}, ()),
+        "train": ({"corpus_dir", "dataset", "train"}, ()),
+        "sweep": ({"axis", "grid", "n_seeds", "population", "dataset", "train"},
+                  ("delta_modes",)),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_example_casts(self, tmp_path, command):
+        from bfpo.cli import _block, _load_config
+        from bfpo.datagen import DatasetConfig, PopulationSpec
+        from bfpo.trainer import TrainConfig
+
+        required, optional = self.COMMANDS[command]
+        allowed = required | {*optional, "schema_version", "seed", "out_dir"}
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+        (example,) = [doc for doc in examples if required <= set(doc) <= allowed]
+        path = _write(tmp_path / "example.json", example)
+        doc, seed = _load_config(path, None, command, required, optional)
+        if "population" in doc:
+            _block(PopulationSpec, doc["population"], "population", seed=seed)
+        if "dataset" in doc:
+            _block(DatasetConfig, doc["dataset"], "dataset")
+        if "train" in doc:
+            _block(TrainConfig, doc["train"], "train", required={"method"}, seed=seed)
 
 
 class TestAtomicWrites:

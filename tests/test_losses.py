@@ -405,6 +405,15 @@ class TestMethodLoss:
                 loss_fn(method, batch, policy, policy, LossConfig(alpha=0.3), 0.0)
 
 
+    def test_dpo_batch_of_unequal_sides_rejected(self, rng):
+        """A DPO batch pairs its i-th positive with its i-th auxiliary."""
+        policy = random_params(rng, 4, 3)
+        batch = _random_batch(rng, 4, 2, 3)
+        for loss_fn in (method_loss, method_loss_and_grad):
+            with pytest.raises(InputError, match="2 preferred completions for 3 rejected"):
+                loss_fn(Method.DPO, batch, policy, policy, LossConfig(), 0.0)
+
+
 class TestKernelLossValues:
     """The kernel's loss values equal the closed forms on per-sample rewards."""
 
@@ -472,11 +481,11 @@ class TestKernelLossValues:
                        for b in batches]
         configs = [LossConfig(beta=beta, alpha=a, pi_n=0.8) for a in (0.1, 0.45, 0.8, 0.3)]
         deltas = [float(d) for d in rng.normal(0.0, 0.5, 4)]
-        sizes = [b.sizes(method) for b in batches]
-        codes = [encode_batch(b, method, context, vocab) for b in batches]
+        codes = [encode_batch(b, context, vocab) for b in batches]
         codes = stack_codes(codes, context, vocab)
         ref_table = softmax_tables(np.concatenate([r.logits for r in references]))[0]
-        stack = Stack(batches, codes, Layout.of([n for n, _ in sizes], [n for _, n in sizes]),
+        stack = Stack(batches, codes, Layout.of([len(b.pos) for b in batches],
+                                                [len(b.aux) for b in batches]),
                       None if method is Method.SFT else sequence_log_probs(ref_table, codes))
         table = PolicyParams(vocab, 4 * context, np.concatenate([p.logits for p in policies]))
         got, _ = scored_loss(method, score(method, stack, table, beta), configs, deltas)
@@ -492,9 +501,9 @@ class TestKernelLossValues:
                 tokens = sum(len(s.y) for s in pos)
                 want = LossBreakdown(method, total=-_loop_sum(terms[0]) / tokens)
             elif method is Method.DPO:
-                terms = [[dpo_loss(implicit_reward(policy, reference, rcfg, p.x, p.y_w),
-                                   implicit_reward(policy, reference, rcfg, p.x, p.y_l))
-                          for p in pos]]
+                terms = [[dpo_loss(implicit_reward(policy, reference, rcfg, w.x, w.y),
+                                   implicit_reward(policy, reference, rcfg, l.x, l.y))
+                          for w, l in zip(pos, aux)]]
                 want = LossBreakdown(method, total=_loop_sum(terms[0]) / len(pos))
             else:
                 r_pos = [implicit_reward(policy, reference, rcfg, s.x, s.y) for s in pos]

@@ -72,6 +72,16 @@ class TestFromDoc:
             with pytest.raises((TypeError, ValueError)):
                 cast(tp, value)
 
+    def test_int_lists_and_bools(self):
+        """Corpus tokens and checkpoint flags: an int list casts its items by
+        the int rules, and a bool takes only a bool."""
+        assert cast(list[int], [3, 4.0, "5"]) == [3, 4, 5]
+        assert cast(bool, False) is False
+        for tp, value in ((list[int], [1, True]), (list[int], [1.5]), (list[int], "12"),
+                          (bool, "no"), (bool, 1), (bool, None)):
+            with pytest.raises((TypeError, ValueError)):
+                cast(tp, value)
+
     def test_library_alpha_is_normalized(self):
         assert TrainConfig(alpha=0) == TrainConfig(alpha=0.0)
         assert isinstance(TrainConfig(alpha=0).alpha, float)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from bfpo.datagen import UserDataset, build_user_dataset, truncate_history
 from bfpo.errors import ConfigError, InputError, NumericError
-from bfpo.losses import Batch, DpoPair, Method, Stack, encode_batch, score
+from bfpo.losses import Batch, DpoPair, Method, Stack, score
 from bfpo.policy import (
     Encoded,
     Sample,
@@ -32,6 +33,7 @@ from bfpo.trainer import (
     RunState,
     TrainConfig,
     load_checkpoint,
+    lockstep_key,
     make_batches,
     run,
     run_many,
@@ -74,11 +76,15 @@ def _run_pieces(stack, context, vocab):
     ]
 
 
-def _named_sequences(method, batch):
+def _named_sequences(batch):
     pos, aux = batch.samples()
-    if method is Method.DPO:
-        return [(p.x, p.y_w) for p in pos] + [(p.x, p.y_l) for p in pos]
     return [(s.x, s.y) for s in pos + aux]
+
+
+def _pairs_dataset(ds, pairs):
+    """The trainer's DPO dataset: preferred completions, then rejected ones."""
+    both = Batch.of(pairs=pairs)
+    return replace(ds, h_tar=both.pos_pool, h_aux=both.aux_pool)
 
 
 class TestMakeBatches:
@@ -104,15 +110,23 @@ class TestMakeBatches:
         for x, y in zip(a, b):
             assert x.pos.tolist() == y.pos.tolist() and x.aux.tolist() == y.aux.tolist()
             assert x.samples() == y.samples()
-        stacks = [stack_batches(cfg.method, [e], codes, [0], None) for e in (a, b)]
+        stacks = [stack_batches([e], codes, [0], None) for e in (a, b)]
         for x, y in zip(*stacks):
             np.testing.assert_array_equal(x.codes.cells, y.codes.cells)
 
-    def test_dpo_without_pairs_is_config_error(self):
-        spec, ds = _dataset()
+    def test_dpo_sides_of_unequal_length_are_config_error(self):
+        """A DPO dataset pairs its i-th preferred completion with its i-th
+        rejected one, so its two sides must be equally long."""
+        spec, ds = _dataset(ratio=1.5)
         cfg = TrainConfig(method=Method.DPO, alpha=0.0)
-        with pytest.raises(ConfigError):
+        assert len(ds.aux_train) > len(ds.tar_train)
+        with pytest.raises(ConfigError, match="preferred completion"):
             make_batches(ds, cfg, 0)
+        pairs, _ = synth_dpo_pairs(ds, uniform_params(spec.vocab_size, cfg.context_size), 0)
+        short = _pairs_dataset(ds, pairs)
+        short = replace(short, h_aux=short.h_aux[:-1])
+        with pytest.raises(ConfigError, match="preferred completion"):
+            make_batches(short, cfg, 0)
 
     def test_aux_cycles_when_short(self):
         spec, ds = _dataset(samples_per_user=12, ratio=0.5)
@@ -126,10 +140,8 @@ class TestMakeBatches:
         assert sorted(cycle[:n_aux].tolist()) == list(range(n_aux))
         np.testing.assert_array_equal(cycle, cycle[np.arange(len(cycle)) % n_aux])
         codes = _codes(ds, cfg, spec.vocab_size)
-        for b, stack in zip(batches, stack_batches(cfg.method, [batches], codes, [0], None)):
-            _assert_encodes(
-                stack.codes, _named_sequences(cfg.method, b), cfg.context_size, spec.vocab_size
-            )
+        for b, stack in zip(batches, stack_batches([batches], codes, [0], None)):
+            _assert_encodes(stack.codes, _named_sequences(b), cfg.context_size, spec.vocab_size)
 
     def test_unequal_epochs_cannot_stack(self):
         spec, ds = _dataset(samples_per_user=12)
@@ -137,7 +149,7 @@ class TestMakeBatches:
         short = TrainConfig(method=Method.SFT, batch_size_pos=5, alpha=0.0)
         codes = _codes(ds, cfg, spec.vocab_size)
         with pytest.raises(ConfigError, match="same number of batches"):
-            stack_batches(Method.SFT, [make_batches(ds, cfg, 0), make_batches(ds, short, 0)],
+            stack_batches([make_batches(ds, cfg, 0), make_batches(ds, short, 0)],
                         stack_codes([codes, codes], cfg.context_size, spec.vocab_size),
                         [0, codes.n], None)
 
@@ -157,18 +169,17 @@ class TestMakeBatches:
             cfg = TrainConfig(method=method, batch_size_pos=bs_pos, batch_size_aux=bs_aux,
                               alpha=0.0, context_size=context)
             pairs = None
-            codes = _codes(ds, cfg, vocab)
             if method is Method.DPO:
                 pairs, _ = synth_dpo_pairs(ds, uniform_params(vocab, context), seed=2)
                 pairs = pairs[: len(pairs) - r]  # a different pair count per run
-                codes = encode_batch(Batch.of(pairs=pairs), Method.DPO, context, vocab)
-            runs.append((ds, cfg, pairs, codes, make_batches(ds, cfg, 7 + r, pairs)))
+                ds = _pairs_dataset(ds, pairs)
+            codes = _codes(ds, cfg, vocab)
+            runs.append((ds, cfg, pairs, codes, make_batches(ds, cfg, 7 + r)))
         assert len(runs[0][4]) == len(runs[1][4])
         stacked = stack_codes([r[3] for r in runs], context, vocab)
         table = np.random.default_rng(0).normal(size=(2 * context, vocab))
         reference = None if method is Method.SFT else sequence_log_probs(table, stacked)
-        stacks = stack_batches(method, [r[4] for r in runs], stacked, [0, runs[0][3].n],
-                               reference)
+        stacks = stack_batches([r[4] for r in runs], stacked, [0, runs[0][3].n], reference)
         for stack in stacks:
             if method is Method.SFT:
                 assert stack.reference is None
@@ -182,9 +193,12 @@ class TestMakeBatches:
             assert sorted(np.concatenate([b.pos for b in batches]).tolist()) == list(range(n_pos))
             for b, stack in zip(batches, stacks):
                 assert stack.batches[r] is b
-                assert len(b.aux) == n_aux
+                if method is Method.DPO:  # each preferred completion's rejected one
+                    assert b.aux.tolist() == b.pos.tolist()
+                else:
+                    assert len(b.aux) == n_aux
                 _assert_encodes(_run_pieces(stack, context, vocab)[r],
-                                _named_sequences(method, b), context, vocab)
+                                _named_sequences(b), context, vocab)
 
 
 class TestTrainStep:
@@ -566,54 +580,21 @@ class TestRunMany:
             pairs = [len(ds.tar_train) - r.dpo_pairs_skipped for (ds, _), r in zip(runs, alone)]
             assert pairs[0] != pairs[3] and len(alone[0].metrics) == len(alone[3].metrics)
         # Both phases stepped several runs at once, in fewer steps than alone.
-        assert max(w for phase, w in widths if phase == "warm") >= 3
+        # The warm start's groups are its runs' SFT configs by lockstep_key and
+        # steps per epoch over the auxiliary pool.
+        warm_groups = Counter(
+            (lockstep_key(replace(cfg, method=Method.SFT, epochs=cfg.warmstart_epochs,
+                                  learning_rate=cfg.warmstart_lr)),
+             math.ceil(len(ds.aux_train) / cfg.batch_size_pos))
+            for ds, cfg in runs if cfg.warmstart_epochs > 0
+        )
+        assert {w for phase, w in widths if phase == "warm"} == set(warm_groups.values())
+        assert max(warm_groups.values()) == 2
         assert max(w for phase, w in widths if phase == "method") >= 3
         assert sum(w for phase, w in widths if phase == "method") == sum(
             len(r.metrics) for r in alone
         )
         assert len(widths) < sum(w for _, w in widths)
-
-    def test_warm_start_stacks_across_unread_fields(self, monkeypatch):
-        """Runs that differ in the method and in every field an SFT step does
-        not read warm up as one stack, and each still equals its run alone."""
-        import bfpo.trainer as trainer_mod
-
-        spec, ds = _dataset()
-        shared = dict(epochs=2, batch_size_pos=4, learning_rate=0.1, context_size=4,
-                      momentum_params=(0.8, 0.99, 1e-7), weight_decay=0.02,
-                      warmup_fraction=0.2, warmstart_epochs=2, warmstart_lr=0.05)
-        varied = [
-            dict(method=Method.CBPO, batch_size_aux=3, beta=0.2, alpha=0.3, ema_decay=0.8,
-                 seed=1, pi_n=0.5, lambda_d=0.7, lambda_u=1.3, delta_mode="batch",
-                 dpo_rejection_budget=4, alpha_estimator_epochs=5, alpha_estimator_lr=0.3),
-            dict(method=Method.KTO, batch_size_aux=5, beta=0.3, alpha=0.5, ema_decay=0.95,
-                 seed=2, pi_n=0.8, lambda_d=1.1, lambda_u=0.9, delta_mode="ema",
-                 dpo_rejection_budget=8, alpha_estimator_epochs=7, alpha_estimator_lr=0.2),
-            dict(method=Method.DPO, batch_size_aux=2, beta=0.05, alpha=0.1, ema_decay=0.7,
-                 seed=3, pi_n=0.9, lambda_d=0.8, lambda_u=1.2, delta_mode="ema",
-                 dpo_rejection_budget=2, alpha_estimator_epochs=9, alpha_estimator_lr=0.1),
-        ]
-        configs = [TrainConfig(**{**shared, **kw}) for kw in varied]
-        # The warm start at learning_rate 0.05 reads warmstart_lr 0.05 or None.
-        configs.append(replace(configs[0], seed=4, learning_rate=0.05, warmstart_lr=None))
-        for name in trainer_mod._SFT_UNREAD:
-            if name != "warmstart_epochs":  # it is the warm start's epochs
-                assert len({repr(getattr(c, name)) for c in configs}) > 1, name
-        alone = [run(ds, cfg, spec.vocab_size) for cfg in configs]
-        widths = []
-        step = trainer_mod.train_step
-
-        def spy(state, batch):
-            widths.append((state.config.method, len(batch.batches)))
-            return step(state, batch)
-
-        monkeypatch.setattr(trainer_mod, "train_step", spy)
-        together = run_many([ds] * len(configs), configs, spec.vocab_size)
-        assert {w for method, w in widths if method is Method.SFT} == {len(configs)}
-        for a, b in zip(alone, together):
-            assert a.reference.logits.tobytes() == b.reference.logits.tobytes()
-            assert a.policy.logits.tobytes() == b.policy.logits.tobytes()
-            assert repr(a.metrics) == repr(b.metrics)
 
     def test_run_is_run_many_of_one(self):
         spec, runs = self._runs(Method.CBPO)
