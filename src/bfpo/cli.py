@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
@@ -204,14 +203,8 @@ def _load_corpus_dir(corpus_dir: str | Path) -> tuple[dict, PopulationSpec]:
     spec_path = corpus_dir / "population_spec.json"
     if not corpus_path.exists() or not spec_path.exists():
         raise ConfigError(f"corpus directory {corpus_dir} is missing corpus.jsonl or population_spec.json")
-    population, spec = load_corpus(corpus_path), load_population_spec(spec_path)
-    for samples in population.values():
-        for s in samples:
-            if any(t >= spec.vocab_size for t in s.x + s.y):
-                raise InputError(
-                    f"corpus sample of {s.user_id} has a token id >= vocab_size {spec.vocab_size}"
-                )
-    return population, spec
+    spec = load_population_spec(spec_path)
+    return load_corpus(corpus_path, spec.vocab_size), spec
 
 
 def _build_dataset(
@@ -488,6 +481,9 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
         fh.flush()
         mapper = map
         if workers > 1:
+            # Imported here, so that no other command pays for the pool's modules.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=min(workers, len(units)))
             mapper = stack.enter_context(pool).map
         for done in mapper(_sweep_unit, units):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .alpha import embed_all
 from .errors import ConfigError, InputError
 from .files import write_atomic
 from .policy import Sample
-from .schema import cast, from_doc
+from .schema import from_doc
 
 __all__ = [
     "DatasetConfig",
@@ -409,34 +410,85 @@ def save_corpus(population: dict[str, list[Sample]], path: str | Path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_corpus(path: str | Path) -> dict[str, list[Sample]]:
-    population: dict[str, list[Sample]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+def load_corpus(path: str | Path, vocab_size: int | None = None) -> dict[str, list[Sample]]:
+    """Read a corpus written by :func:`save_corpus`.
+
+    Each line holds a string ``user_id``, token lists ``x`` and ``y`` (``y``
+    non-empty) and a ``split`` of train or heldout; a token is a JSON integer,
+    at least 0 and, when ``vocab_size`` is given, below it.  A fault raises
+    :class:`InputError` naming the first bad line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"corpus {path} is not UTF-8 text (line {line}: {exc.reason})") from exc
+    samples: list[Sample] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
+            user_id, x, y, split = row["user_id"], row["x"], row["y"], row["split"]
         except json.JSONDecodeError as exc:
-            raise InputError(f"corpus line {lineno}: invalid JSON ({exc})") from exc
-        try:
-            sample = Sample(
-                user_id=cast(str, row["user_id"]),
-                x=tuple(cast(list[int], row["x"])),
-                y=tuple(cast(list[int], row["y"])),
-                split=cast(str, row["split"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"corpus line {lineno}: malformed sample ({exc})") from exc
-        if len(sample.y) == 0:
-            raise InputError(f"corpus line {lineno}: empty completion")
-        if sample.split not in ("train", "heldout"):
-            raise InputError(f"corpus line {lineno}: bad split {sample.split!r}")
-        if any(t < 0 for t in sample.x) or any(t < 0 for t in sample.y):
-            raise InputError(f"corpus line {lineno}: negative token id")
-        population.setdefault(sample.user_id, []).append(sample)
-    if not population:
+            fault = f"invalid JSON ({exc})"
+        except (KeyError, TypeError) as exc:
+            fault = f"malformed sample ({exc})"
+        else:
+            if type(user_id) is not str:
+                fault = f"malformed sample (user_id {user_id!r} is not a string)"
+            elif type(x) is not list or type(y) is not list:
+                fault = "malformed sample (x and y must be lists of token ids)"
+            elif not y:
+                fault = "empty completion"
+            elif split not in ("train", "heldout"):
+                fault = f"bad split {split!r}"
+            else:
+                samples.append(Sample(user_id, tuple(x), tuple(y), split))
+                linenos.append(lineno)
+                continue
+        _check_tokens(samples, linenos, vocab_size)  # an earlier line may be the first bad one
+        raise InputError(f"corpus line {lineno}: {fault}")
+    if not samples:
         raise InputError(f"corpus {path} is empty")
+    _check_tokens(samples, linenos, vocab_size)
+    population: dict[str, list[Sample]] = {}
+    for sample in samples:
+        population.setdefault(sample.user_id, []).append(sample)
     return population
+
+
+def _check_tokens(samples: list[Sample], linenos: list[int], vocab_size: int | None) -> None:
+    """Raise :class:`InputError` naming the line of the first sample with a
+    token that is not an integer in [0, vocab_size).
+
+    The tokens are checked as one int64 array; only when that check fails are
+    the samples scanned one by one for the first bad token.
+    """
+    tokens = list(chain.from_iterable(chain.from_iterable((s.x, s.y) for s in samples)))
+    if not tokens:
+        return
+    if {*map(type, tokens)} == {int}:
+        try:
+            array = np.array(tokens, dtype=np.int64)
+        except OverflowError:
+            pass  # a token past int64, so no vocabulary holds it
+        else:
+            if array.min() >= 0 and (vocab_size is None or array.max() < vocab_size):
+                return
+    for lineno, sample in zip(linenos, samples):
+        for token in sample.x + sample.y:
+            if type(token) is not int:
+                fault = f"malformed sample (token {token!r} is not an integer)"
+            elif token < 0:
+                fault = "negative token id"
+            elif vocab_size is not None and token >= vocab_size:
+                fault = f"token id {token} >= vocab_size {vocab_size}"
+            else:
+                continue
+            raise InputError(f"corpus line {lineno}: {fault}")
 
 
 def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:

@@ -31,6 +31,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -700,11 +701,25 @@ def _params_doc(params: PolicyParams) -> dict:
     }
 
 
-def _params_from_doc(doc: dict) -> PolicyParams:
+def _table_from_doc(rows: object, name: str) -> np.ndarray:
+    """A checkpoint table as float64: a list of rows of equal length whose
+    entries are JSON numbers (an int or a float, not a bool or a string).
+    Raises ``ValueError`` naming the table."""
+    if type(rows) is not list or not all(type(row) is list for row in rows):
+        raise ValueError(f"{name} must be a list of rows")
+    if not {*map(type, chain.from_iterable(rows))} <= {int, float}:
+        raise ValueError(f"{name} must hold only numbers")
+    try:
+        return np.array(rows, dtype=np.float64)  # rows of unequal length raise ValueError
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds a number out of range ({exc})") from exc
+
+
+def _params_from_doc(doc: dict, name: str) -> PolicyParams:
     return PolicyParams(
         vocab_size=cast(int, doc["vocab_size"]),
         context_size=cast(int, doc["context_size"]),
-        logits=np.asarray(doc["logits"], dtype=np.float64),
+        logits=_table_from_doc(doc["logits"], f"{name}.logits"),
     )
 
 
@@ -757,8 +772,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         ema_doc = doc["ema"]
         opt_doc = doc["optimizer"]
         return Checkpoint(
-            policy=_params_from_doc(doc["policy"]),
-            reference=_params_from_doc(doc["reference"]),
+            policy=_params_from_doc(doc["policy"], "policy"),
+            reference=_params_from_doc(doc["reference"], "reference"),
             ema=ReferenceState(
                 ema_pos=cast(float, ema_doc["ema_pos"]),
                 ema_aux=cast(float, ema_doc["ema_aux"]),
@@ -766,8 +781,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 initialized=cast(bool, ema_doc["initialized"]),
             ),
             opt=AdamState(
-                m=np.asarray(opt_doc["m"], dtype=np.float64),
-                v=np.asarray(opt_doc["v"], dtype=np.float64),
+                m=_table_from_doc(opt_doc["m"], "optimizer.m"),
+                v=_table_from_doc(opt_doc["v"], "optimizer.v"),
                 t=cast(int, opt_doc["t"]),
             ),
             step=cast(int, doc["step"]),

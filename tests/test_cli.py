@@ -616,6 +616,11 @@ def _edit_corpus_token(side: str, value):
 _corpus_token_past_vocab = _edit_corpus_token("y", POPULATION["vocab_size"])
 
 
+def _corpus_not_utf8(run: Path, corpus: Path) -> None:
+    with (corpus / "corpus.jsonl").open("ab") as fh:
+        fh.write(b'{"user_id": "\xff"}\n')
+
+
 def _edit_checkpoint(block: str | None = None, **edits):
     """Update the checkpoint's top level, or its ``block``, with ``edits``."""
     def corrupt(run: Path, corpus: Path) -> None:
@@ -628,6 +633,16 @@ def _edit_checkpoint(block: str | None = None, **edits):
 
 def _edit_checkpoint_config(**edits):
     return _edit_checkpoint("config", **edits)
+
+
+def _edit_checkpoint_logit(table: str, value):
+    """Set the first cell of the checkpoint's ``table`` (policy or reference) logits."""
+    def corrupt(run: Path, corpus: Path) -> None:
+        path = run / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc[table]["logits"][0][0] = value
+        path.write_text(json.dumps(doc))
+    return corrupt
 
 
 def _config(command: str, corpus: Path, out: Path, edits: dict) -> dict:
@@ -691,6 +706,9 @@ class TestMalformedInputExits2:
             ("evaluate", _edit_checkpoint(step=2.7), {}),
             ("evaluate", _edit_checkpoint(step=True), {}),
             ("evaluate", _edit_checkpoint("ema", initialized="no"), {}),
+            ("evaluate", _edit_checkpoint_logit("policy", True), {}),
+            ("evaluate", _edit_checkpoint_logit("reference", "1.5"), {}),
+            ("train", _corpus_not_utf8, {}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -706,7 +724,8 @@ class TestMalformedInputExits2:
              "estimate_alpha_seed_negative", "sweep_seed_negative",
              "corpus_token_not_an_integer", "corpus_token_bool",
              "checkpoint_step_not_an_integer", "checkpoint_step_bool",
-             "checkpoint_ema_initialized_not_a_bool"],
+             "checkpoint_ema_initialized_not_a_bool", "checkpoint_policy_logit_bool",
+             "checkpoint_reference_logit_string", "corpus_not_utf8"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -763,6 +782,54 @@ class TestMalformedInputExits2:
         assert main(["sweep", "--config", cfg, "--workers", workers]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--workers" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def _rewrite_line_3(corpus: Path, edit) -> None:
+    """Rewrite line 3 of the corpus: ``edit`` takes the line's row and returns
+    the new line's text."""
+    path = corpus / "corpus.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = edit(json.loads(lines[2]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _row_with(**edits):
+    return lambda row: json.dumps({**row, **edits})
+
+
+def _row_with_token(side: str, value):
+    return lambda row: json.dumps({**row, side: [value] + row[side][1:]})
+
+
+class TestCorpusFaultNamesTheLine:
+    """A corpus fault on line 3 is a usage error whose one line names line 3."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: json.dumps(row)[:-5],
+            lambda row: json.dumps({k: v for k, v in row.items() if k != "split"}),
+            _row_with_token("x", 1.5),
+            _row_with_token("y", True),
+            _row_with_token("y", -1),
+            _row_with_token("y", POPULATION["vocab_size"]),
+            _row_with(y=[]),
+            _row_with(split="test"),
+        ],
+        ids=["invalid_json", "missing_key", "token_float", "token_bool", "token_negative",
+             "token_past_vocab", "empty_completion", "bad_split"],
+    )
+    def test_exit_2_naming_line_3(self, tmp_path, capsys, edit):
+        corpus = _generate(tmp_path)
+        _rewrite_line_3(corpus, edit)
+        out = tmp_path / "bad"
+        cfg = _write(tmp_path / "bad.json", _config("train", corpus, out, {}))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "line 3" in err, err
         assert not out.exists()
 
 

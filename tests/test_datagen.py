@@ -421,3 +421,32 @@ class TestPersistence:
         path.write_text("not json\n")
         with pytest.raises(InputError):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "later_fault",
+        [{"split": "test"}, {"y": []}, {"user_id": 5}, {"x": "abc"}],
+        ids=repr,
+    )
+    def test_token_fault_before_a_line_fault_is_named(self, tmp_path, later_fault):
+        """Tokens are checked per file, yet a bad token on line 2 is the
+        fault named when line 4 is also bad."""
+        spec, pop = small_population(0.5, seed=8)
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(pop, path)
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "y": [spec.vocab_size]})
+        lines[3] = json.dumps({**json.loads(lines[3]), **later_fault})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="line 4"):
+            load_corpus(path)
+        with pytest.raises(InputError, match=r"line 2: token id 24 >= vocab_size 24"):
+            load_corpus(path, spec.vocab_size)
+
+    def test_token_past_int64(self, tmp_path):
+        """A token too large for an int64 is an integer past any vocabulary."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"user_id": "u", "x": [0], "y": [1, 99999999999999999999], '
+                        '"split": "train"}\n')
+        assert load_corpus(path)["u"][0].y == (1, 99999999999999999999)
+        with pytest.raises(InputError, match="line 1: token id 99999999999999999999"):
+            load_corpus(path, vocab_size=24)

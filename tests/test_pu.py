@@ -121,6 +121,20 @@ class TestPuTotalRisk:
         assert abs(estimate - oracle) < spread
 
 
+class TestQuadratureTruth:
+    @pytest.mark.parametrize(
+        "pi_p, value",
+        [(0.0, 0.2762918736512922), (0.3, 0.19340431155590454), (0.7, 0.08288756209538767)],
+    )
+    def test_bit_equal_to_adaptive_quadrature(self, pi_p, value):
+        """The truth equals, to the bit, what adaptive quadrature
+        (``scipy.integrate.quad`` on [-40, 40], limit 200) gave for
+        pi_n * E_neg[softplus(x)], and it is a Python float."""
+        truth = true_weighted_negative_risk(pi_p)
+        assert type(truth) is float
+        assert truth == value
+
+
 class TestChecks:
     def test_unbiasedness_check_passes(self):
         result = run_unbiasedness_check(seed=0, n=2_000, replications=60)
