@@ -410,13 +410,13 @@ def save_corpus(population: dict[str, list[Sample]], path: str | Path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_corpus(path: str | Path, vocab_size: int | None = None) -> dict[str, list[Sample]]:
+def load_corpus(path: str | Path, vocab_size: int) -> dict[str, list[Sample]]:
     """Read a corpus written by :func:`save_corpus`.
 
     Each line holds a string ``user_id``, token lists ``x`` and ``y`` (``y``
-    non-empty) and a ``split`` of train or heldout; a token is a JSON integer,
-    at least 0 and, when ``vocab_size`` is given, below it.  A fault raises
-    :class:`InputError` naming the first bad line.
+    non-empty) and a ``split`` of train or heldout; a token is a JSON integer
+    in [0, vocab_size).  A fault raises :class:`InputError` naming the first
+    bad line.
     """
     data = Path(path).read_bytes()
     try:
@@ -460,35 +460,32 @@ def load_corpus(path: str | Path, vocab_size: int | None = None) -> dict[str, li
     return population
 
 
-def _check_tokens(samples: list[Sample], linenos: list[int], vocab_size: int | None) -> None:
+def _check_tokens(samples: list[Sample], linenos: list[int], vocab_size: int) -> None:
     """Raise :class:`InputError` naming the line of the first sample with a
-    token that is not an integer in [0, vocab_size).
+    bad token.
 
-    The tokens are checked as one int64 array; only when that check fails are
-    the samples scanned one by one for the first bad token.
+    The tokens of all samples are checked at once, which costs about half as
+    much as a check per sample; only when they fail are the samples checked
+    one by one to find the line.
     """
     tokens = list(chain.from_iterable(chain.from_iterable((s.x, s.y) for s in samples)))
-    if not tokens:
+    if _token_fault(tokens, vocab_size) is None:
         return
-    if {*map(type, tokens)} == {int}:
-        try:
-            array = np.array(tokens, dtype=np.int64)
-        except OverflowError:
-            pass  # a token past int64, so no vocabulary holds it
-        else:
-            if array.min() >= 0 and (vocab_size is None or array.max() < vocab_size):
-                return
     for lineno, sample in zip(linenos, samples):
-        for token in sample.x + sample.y:
-            if type(token) is not int:
-                fault = f"malformed sample (token {token!r} is not an integer)"
-            elif token < 0:
-                fault = "negative token id"
-            elif vocab_size is not None and token >= vocab_size:
-                fault = f"token id {token} >= vocab_size {vocab_size}"
-            else:
-                continue
+        if fault := _token_fault(sample.x + sample.y, vocab_size):
             raise InputError(f"corpus line {lineno}: {fault}")
+
+
+def _token_fault(tokens: Sequence, vocab_size: int) -> str | None:
+    """Why ``tokens`` are not all integers in [0, vocab_size), or None."""
+    if not {*map(type, tokens)} <= {int}:
+        bad = next(t for t in tokens if type(t) is not int)
+        return f"malformed sample (token {bad!r} is not an integer)"
+    if min(tokens, default=0) < 0:
+        return "negative token id"
+    if max(tokens, default=0) >= vocab_size:
+        return f"token id {max(tokens)} >= vocab_size {vocab_size}"
+    return None
 
 
 def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:

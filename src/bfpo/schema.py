@@ -68,8 +68,6 @@ def cast(tp: Any, value: Any) -> Any:
         if origin is None:
             return list(value)
         (item,) = get_args(tp)
-        if item in (int, str) and all(type(v) is item for v in value):
-            return list(value)  # as above, for every item
         return [cast(item, v) for v in value]
     if tp is bool:  # a bool returned above
         raise TypeError(f"expected true or false, got {value!r}")

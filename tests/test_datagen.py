@@ -364,7 +364,7 @@ class TestPersistence:
         spec, pop = small_population(0.5, seed=8)
         path = tmp_path / "corpus.jsonl"
         save_corpus(pop, path)
-        assert load_corpus(path) == pop
+        assert load_corpus(path, spec.vocab_size) == pop
 
     def test_byte_stability(self, tmp_path):
         spec, pop = small_population(0.5, seed=9)
@@ -417,10 +417,10 @@ class TestPersistence:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"user_id": "u", "x": [0], "y": [], "split": "train"}\n')
         with pytest.raises(InputError):
-            load_corpus(path)
+            load_corpus(path, 24)
         path.write_text("not json\n")
         with pytest.raises(InputError):
-            load_corpus(path)
+            load_corpus(path, 24)
 
     @pytest.mark.parametrize(
         "later_fault",
@@ -437,8 +437,6 @@ class TestPersistence:
         lines[1] = json.dumps({**json.loads(lines[1]), "y": [spec.vocab_size]})
         lines[3] = json.dumps({**json.loads(lines[3]), **later_fault})
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InputError, match="line 4"):
-            load_corpus(path)
         with pytest.raises(InputError, match=r"line 2: token id 24 >= vocab_size 24"):
             load_corpus(path, spec.vocab_size)
 
@@ -447,6 +445,5 @@ class TestPersistence:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"user_id": "u", "x": [0], "y": [1, 99999999999999999999], '
                         '"split": "train"}\n')
-        assert load_corpus(path)["u"][0].y == (1, 99999999999999999999)
         with pytest.raises(InputError, match="line 1: token id 99999999999999999999"):
             load_corpus(path, vocab_size=24)
