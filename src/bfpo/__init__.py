@@ -29,7 +29,14 @@ from .losses import (
     loss_positive,
     sft_loss,
 )
-from .policy import PolicyParams, Sample, log_prob, log_prob_grad, snapshot_reference
+from .policy import (
+    PolicyParams,
+    Sample,
+    SampleTable,
+    log_prob,
+    log_prob_grad,
+    snapshot_reference,
+)
 from .pu import MixtureSpec, negative_risk_pu, pu_total_risk, sample_unlabeled
 from .rewards import (
     ReferenceState,
@@ -63,6 +70,7 @@ __all__ = [
     "ReferenceState",
     "RewardConfig",
     "Sample",
+    "SampleTable",
     "StateError",
     "TrainConfig",
     "TrainResult",

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, InputError
-from .policy import Sample, _check_range
+from .policy import Sample, SampleTable, _check_range
 
 __all__ = [
     "AlphaEstimate",
@@ -97,13 +97,15 @@ def embed(sample: Sample, vocab_size: int) -> np.ndarray:
 
 def embed_all(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
     """Row i is :func:`embed` of ``samples[i]``, bit for bit: one ``np.bincount``
-    over ``row * vocab_size + token``, then each row divided by its norm."""
-    lengths = [len(s.y) for s in samples]
-    tokens = _check_range([t for s in samples for t in s.y], vocab_size, "completion")
-    rows = np.repeat(np.arange(len(samples)), lengths)
+    over ``row * vocab_size + token`` of the table's completion column, then
+    each row divided by its norm."""
+    table = SampleTable.of(samples)
+    n = len(table)
+    tokens = _check_range(table.y_tokens, vocab_size, "completion")
+    rows = np.repeat(np.arange(n), table.y_lengths)
     counts = np.bincount(
-        rows * vocab_size + tokens, minlength=len(samples) * vocab_size
-    ).reshape(len(samples), vocab_size).astype(np.float64)
+        rows * vocab_size + tokens, minlength=n * vocab_size
+    ).reshape(n, vocab_size).astype(np.float64)
     norms = np.sqrt((counts * counts).sum(axis=1))
     norms[norms == 0.0] = 1.0
     return counts / norms[:, None]
@@ -182,8 +184,9 @@ def estimate_alpha(
 
 def split_heldout(
     samples: Sequence[Sample], fraction: float, seed: int
-) -> tuple[list[Sample], list[Sample]]:
-    """Seeded disjoint (train, heldout) split; heldout gets ceil(fraction * n)."""
+) -> tuple[SampleTable, SampleTable]:
+    """Seeded disjoint (train, heldout) split of the rows, each in order;
+    heldout gets ceil(fraction * n)."""
     if not 0.0 < fraction < 1.0:
         raise InputError(f"heldout fraction must lie in (0, 1), got {fraction}")
     if len(samples) < 2:
@@ -192,10 +195,10 @@ def split_heldout(
     n_held = max(1, math.ceil(fraction * len(samples)))
     if n_held >= len(samples):
         n_held = len(samples) - 1
-    held_idx = set(int(i) for i in order[:n_held])
-    train = [s for i, s in enumerate(samples) if i not in held_idx]
-    heldout = [s for i, s in enumerate(samples) if i in held_idx]
-    return train, heldout
+    held = np.zeros(len(samples), dtype=bool)
+    held[order[:n_held]] = True
+    table = SampleTable.of(samples)
+    return table.take(np.flatnonzero(~held)), table.take(np.flatnonzero(held))
 
 
 def run_alpha_estimation(

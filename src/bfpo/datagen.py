@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,7 @@ import numpy as np
 from .alpha import embed_all
 from .errors import ConfigError, InputError
 from .files import write_atomic
-from .policy import Sample
+from .policy import Sample, SampleTable
 from .schema import from_doc
 
 __all__ = [
@@ -231,20 +232,25 @@ def _draws_loop(
     return prompt, from_shared, index
 
 
-def generate_population(spec: PopulationSpec) -> dict[str, list[Sample]]:
-    """Per-user sample lists, canonical order (user id, then sample index)."""
+def generate_population(spec: PopulationSpec) -> dict[str, SampleTable]:
+    """Per-user sample tables, canonical order (user id, then sample index)."""
     shared, user_blocks = _token_partition(spec)
     prompt_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-    prompts = [
-        tuple(int(t) for t in prompt_rng.integers(0, spec.vocab_size, PROMPT_LEN))
+    prompts = np.array([
+        prompt_rng.integers(0, spec.vocab_size, PROMPT_LEN)
         for _ in range(spec.prompt_pool_size)
-    ]
-    n_train = math.ceil((1.0 - HELDOUT_FRACTION) * spec.samples_per_user)
-    splits = ["train"] * n_train + ["heldout"] * (spec.samples_per_user - n_train)
-    layout = _stream_layout(spec.samples_per_user, spec.seq_len)
-    population: dict[str, list[Sample]] = {}
-    for u in range(spec.n_users):
-        uid = _user_id(u, spec.n_users)
+    ])
+    n = spec.samples_per_user
+    # Every user's table shares these, read-only.
+    x_offsets = np.arange(n + 1) * PROMPT_LEN
+    y_offsets = np.arange(n + 1) * spec.seq_len
+    heldout = np.arange(n) >= math.ceil((1.0 - HELDOUT_FRACTION) * n)
+    for shared_array in (x_offsets, y_offsets, heldout):
+        shared_array.flags.writeable = False
+    user_ids = tuple(_user_id(u, spec.n_users) for u in range(spec.n_users))
+    layout = _stream_layout(n, spec.seq_len)
+    population: dict[str, SampleTable] = {}
+    for u, uid in enumerate(user_ids):
         own = user_blocks[u]
         seed = np.random.SeedSequence([spec.seed, 2, u])
         bounds = (spec.prompt_pool_size, len(shared), len(own))
@@ -260,49 +266,58 @@ def generate_population(spec: PopulationSpec) -> dict[str, list[Sample]]:
         tokens = np.where(
             from_shared, shared.take(index, mode="clip"), own.take(index, mode="clip")
         )
-        population[uid] = [
-            Sample(user_id=uid, x=prompts[p], y=tuple(y), split=split)
-            for p, y, split in zip(prompt.tolist(), tokens.tolist(), splits)
-        ]
+        population[uid] = SampleTable(
+            prompts[prompt].ravel(), x_offsets, tokens.ravel(), y_offsets,
+            np.full(n, u), user_ids, heldout,
+        )
     return population
 
 
 @dataclass
 class UserDataset:
-    """A target user's positive history plus the selected auxiliary pool."""
+    """A target user's positive history plus the selected auxiliary pool.
+
+    Both sides are tables (a list of samples is taken through
+    :meth:`SampleTable.of`); each split view is cut on first use, then kept.
+    """
 
     target_user: str
-    h_tar: list[Sample]
-    h_aux: list[Sample]
+    h_tar: SampleTable
+    h_aux: SampleTable
     ratio_x: float
     grouping: str = "random"
 
-    @property
-    def tar_train(self) -> list[Sample]:
-        return [s for s in self.h_tar if s.split == "train"]
+    def __post_init__(self) -> None:
+        self.h_tar = SampleTable.of(self.h_tar)
+        self.h_aux = SampleTable.of(self.h_aux)
 
-    @property
-    def tar_heldout(self) -> list[Sample]:
-        return [s for s in self.h_tar if s.split == "heldout"]
+    @cached_property
+    def tar_train(self) -> SampleTable:
+        return self.h_tar.split_rows("train")
 
-    @property
-    def aux_train(self) -> list[Sample]:
-        return [s for s in self.h_aux if s.split == "train"]
+    @cached_property
+    def tar_heldout(self) -> SampleTable:
+        return self.h_tar.split_rows("heldout")
 
-    @property
-    def aux_heldout(self) -> list[Sample]:
-        return [s for s in self.h_aux if s.split == "heldout"]
+    @cached_property
+    def aux_train(self) -> SampleTable:
+        return self.h_aux.split_rows("train")
+
+    @cached_property
+    def aux_heldout(self) -> SampleTable:
+        return self.h_aux.split_rows("heldout")
 
     @property
     def aux_user_ids(self) -> list[str]:
-        return sorted({s.user_id for s in self.h_aux})
+        return sorted(self.h_aux.user_ids[u] for u in set(self.h_aux.user.tolist()))
 
 
 def user_mean_embedding(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
     """Mean bag-of-tokens embedding of a user's training history."""
-    train = [s for s in samples if s.split == "train"]
-    if not train:
-        train = list(samples)
+    table = SampleTable.of(samples)
+    train = table.split_rows("train")
+    if not len(train):
+        train = table
     # Summed row by row, as adding each sample's embedding in turn would.
     return embed_all(train, vocab_size).sum(axis=0) / len(train)
 
@@ -312,7 +327,7 @@ def _round_half_up(value: float) -> int:
 
 
 def build_user_dataset(
-    population: dict[str, list[Sample]],
+    population: dict[str, Sequence[Sample]],
     target_user: str,
     ratio_x: float,
     grouping: str,
@@ -332,33 +347,35 @@ def build_user_dataset(
         raise InputError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
     if ratio_x <= 0:
         raise InputError(f"ratio_x must be positive, got {ratio_x}")
-    h_tar = list(population[target_user])
+    tables = {uid: SampleTable.of(samples) for uid, samples in population.items()}
+    h_tar = tables[target_user]
     n_aux = _round_half_up(ratio_x * len(h_tar))
-    others = sorted(uid for uid in population if uid != target_user)
-    pool = [s for uid in others for s in population[uid]]
-    if n_aux > len(pool):
+    others = sorted(uid for uid in tables if uid != target_user)
+    available = sum(len(tables[uid]) for uid in others)
+    if n_aux > available:
         raise InputError(
-            f"need {n_aux} auxiliary samples but only {len(pool)} available"
+            f"need {n_aux} auxiliary samples but only {available} available"
         )
 
     if grouping == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-        idx = np.sort(rng.choice(len(pool), size=n_aux, replace=False))
-        h_aux = [pool[int(i)] for i in idx]
+        idx = np.sort(rng.choice(available, size=n_aux, replace=False))
+        h_aux = SampleTable.concat([tables[uid] for uid in others]).take(idx)
     else:
         target_emb = user_mean_embedding(h_tar, vocab_size)
         distances = []
         for uid in others:
-            emb = user_mean_embedding(population[uid], vocab_size)
+            emb = user_mean_embedding(tables[uid], vocab_size)
             distances.append((float(np.linalg.norm(emb - target_emb)), uid))
         reverse = grouping == "unique"
         distances.sort(key=lambda pair: (-pair[0], pair[1]) if reverse else pair)
-        h_aux = []
+        parts, need = [], n_aux
         for _, uid in distances:
-            if len(h_aux) >= n_aux:
+            if need <= 0:
                 break
-            take = min(n_aux - len(h_aux), len(population[uid]))
-            h_aux.extend(population[uid][:take])
+            parts.append(tables[uid][:need])
+            need -= len(parts[-1])
+        h_aux = SampleTable.concat(parts)
     return UserDataset(
         target_user=target_user,
         h_tar=h_tar,
@@ -391,26 +408,17 @@ def truncate_history(dataset: UserDataset, fraction: float) -> UserDataset:
 # ---------------------------------------------------------------------------
 
 
-def save_corpus(population: dict[str, list[Sample]], path: str | Path) -> None:
+def save_corpus(population: dict[str, Sequence[Sample]], path: str | Path) -> None:
     """One sample per line, canonical user order, byte-stable."""
-    lines = []
-    for uid in sorted(population):
-        for s in population[uid]:
-            lines.append(
-                json.dumps(
-                    {
-                        "user_id": s.user_id,
-                        "x": list(s.x),
-                        "y": list(s.y),
-                        "split": s.split,
-                    },
-                    separators=(",", ":"),
-                )
-            )
+    lines = [
+        json.dumps({"user_id": user_id, "x": x, "y": y, "split": split}, separators=(",", ":"))
+        for uid in sorted(population)
+        for user_id, x, y, split in SampleTable.of(population[uid]).rows()
+    ]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_corpus(path: str | Path, vocab_size: int) -> dict[str, list[Sample]]:
+def load_corpus(path: str | Path, vocab_size: int) -> dict[str, SampleTable]:
     """Read a corpus written by :func:`save_corpus`.
 
     Each line holds a string ``user_id``, token lists ``x`` and ``y`` (``y``
@@ -424,7 +432,10 @@ def load_corpus(path: str | Path, vocab_size: int) -> dict[str, list[Sample]]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"corpus {path} is not UTF-8 text (line {line}: {exc.reason})") from exc
-    samples: list[Sample] = []
+    users: list[str] = []
+    xs: list[list] = []
+    ys: list[list] = []
+    heldout: list[bool] = []
     linenos: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -446,21 +457,28 @@ def load_corpus(path: str | Path, vocab_size: int) -> dict[str, list[Sample]]:
             elif split not in ("train", "heldout"):
                 fault = f"bad split {split!r}"
             else:
-                samples.append(Sample(user_id, tuple(x), tuple(y), split))
+                users.append(user_id)
+                xs.append(x)
+                ys.append(y)
+                heldout.append(split == "heldout")
                 linenos.append(lineno)
                 continue
-        _check_tokens(samples, linenos, vocab_size)  # an earlier line may be the first bad one
+        _check_tokens(xs, ys, linenos, vocab_size)  # an earlier line may be the first bad one
         raise InputError(f"corpus line {lineno}: {fault}")
-    if not samples:
+    if not linenos:
         raise InputError(f"corpus {path} is empty")
-    _check_tokens(samples, linenos, vocab_size)
-    population: dict[str, list[Sample]] = {}
-    for sample in samples:
-        population.setdefault(sample.user_id, []).append(sample)
-    return population
+    _check_tokens(xs, ys, linenos, vocab_size)
+    table = SampleTable.from_rows(users, xs, ys, heldout)
+    # Each user's rows in file order, users in order of first appearance.
+    order = np.argsort(table.user, kind="stable")
+    ends = np.cumsum(np.bincount(table.user))
+    return {
+        uid: table.take(rows)
+        for uid, rows in zip(table.user_ids, np.split(order, ends[:-1]))
+    }
 
 
-def _check_tokens(samples: list[Sample], linenos: list[int], vocab_size: int) -> None:
+def _check_tokens(xs: list[list], ys: list[list], linenos: list[int], vocab_size: int) -> None:
     """Raise :class:`InputError` naming the line of the first sample with a
     bad token.
 
@@ -468,11 +486,11 @@ def _check_tokens(samples: list[Sample], linenos: list[int], vocab_size: int) ->
     much as a check per sample; only when they fail are the samples checked
     one by one to find the line.
     """
-    tokens = list(chain.from_iterable(chain.from_iterable((s.x, s.y) for s in samples)))
+    tokens = list(chain.from_iterable(chain.from_iterable(zip(xs, ys))))
     if _token_fault(tokens, vocab_size) is None:
         return
-    for lineno, sample in zip(linenos, samples):
-        if fault := _token_fault(sample.x + sample.y, vocab_size):
+    for lineno, x, y in zip(linenos, xs, ys):
+        if fault := _token_fault(x + y, vocab_size):
             raise InputError(f"corpus line {lineno}: {fault}")
 
 

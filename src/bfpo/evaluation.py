@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .errors import InputError
 from .policy import (
     PolicyParams,
     Sample,
-    encode,
+    SampleTable,
+    encode_table,
     ordered_sum,
     sequence_log_probs,
     softmax_tables,
@@ -43,15 +45,6 @@ class EvalReport:
         return asdict(self)
 
 
-def _heldout(population: dict[str, list[Sample]], user_ids: list[str]) -> list[Sample]:
-    out: list[Sample] = []
-    for uid in user_ids:
-        if uid not in population:
-            raise InputError(f"user {uid!r} missing from corpus")
-        out.extend(s for s in population[uid] if s.split == "heldout")
-    return out
-
-
 def _pair_accuracy(tar_rewards: list[float], aux_rewards: list[float]) -> float:
     """Fraction of (target, aux) pairs won by the target sample; ties count half."""
     ordered = sorted(aux_rewards)
@@ -66,7 +59,7 @@ def _pair_accuracy(tar_rewards: list[float], aux_rewards: list[float]) -> float:
 def evaluate_policy(
     policy: PolicyParams,
     reference: PolicyParams,
-    population: dict[str, list[Sample]],
+    population: dict[str, Sequence[Sample]],
     target_user: str,
     aux_user_ids: list[str],
     beta: float,
@@ -77,11 +70,17 @@ def evaluate_policy(
     """Deterministic held-out report for a (policy, reference) pair."""
     if target_user not in population:
         raise InputError(f"target user {target_user!r} missing from corpus")
-    tar_held = [s for s in population[target_user] if s.split == "heldout"]
-    aux_held = _heldout(population, aux_user_ids)
-    if not tar_held:
+    for uid in aux_user_ids:
+        if uid not in population:
+            raise InputError(f"user {uid!r} missing from corpus")
+    tables = [SampleTable.of(population[uid]) for uid in [target_user, *aux_user_ids]]
+    # The target's held-out rows, then each auxiliary user's in turn.
+    held = SampleTable.concat(tables).split_rows("heldout")
+    n_tar = int(tables[0].heldout.sum())
+    n_aux = len(held) - n_tar
+    if not n_tar:
         raise InputError(f"no held-out samples for target user {target_user!r}")
-    if not aux_held:
+    if not n_aux:
         raise InputError("no held-out samples for the auxiliary users")
 
     if reference.logits.shape != policy.logits.shape:
@@ -89,10 +88,7 @@ def evaluate_policy(
             f"policy and reference shapes differ: {policy.logits.shape} vs "
             f"{reference.logits.shape}"
         )
-    n_tar = len(tar_held)
-    codes = encode(
-        ((s.x, s.y) for s in tar_held + aux_held), policy.context_size, policy.vocab_size
-    )
+    codes = encode_table(held, policy.context_size, policy.vocab_size)
     log_probs = sequence_log_probs(softmax_tables(policy.logits)[0], codes)
     log_ratio = log_probs - sequence_log_probs(softmax_tables(reference.logits)[0], codes)
     tar_tokens = int(codes.lengths[:n_tar].sum())
@@ -109,9 +105,9 @@ def evaluate_policy(
         delta_logp_aux=delta_logp,
         target_user=target_user,
         method=method,
-        n_tar_heldout=len(tar_held),
-        n_aux_heldout=len(aux_held),
-        n_pairs=len(tar_held) * len(aux_held),
+        n_tar_heldout=n_tar,
+        n_aux_heldout=n_aux,
+        n_pairs=n_tar * n_aux,
         config_hash=config_hash,
         checkpoint_step=checkpoint_step,
     )

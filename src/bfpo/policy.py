@@ -9,9 +9,10 @@ by hand and verified against finite differences.
 Training, evaluation and the losses run on table-level kernels over the whole
 C x V table:
 
-* :func:`encode` turns (prompt, completion) pairs into int arrays (bucket row,
-  token id, flat cell ``row * V + token``, sequence index) and is the one place
-  token ranges and empty completions are checked;
+* :func:`encode` turns (prompt, completion) pairs, and :func:`encode_table` the
+  rows of a :class:`SampleTable`, into int arrays (bucket row, token id, flat
+  cell ``row * V + token``, sequence index); both end in one array core, the
+  one place token ranges and empty completions are checked;
 * :func:`softmax_tables` normalizes every row at once;
 * :func:`sequence_log_probs` gathers per-token log-probabilities from the
   flattened table by cell and sums them per sequence with ``np.bincount``;
@@ -35,7 +36,8 @@ and sum a sequence's tokens left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,8 +47,10 @@ __all__ = [
     "Encoded",
     "PolicyParams",
     "Sample",
+    "SampleTable",
     "bucket",
     "encode",
+    "encode_table",
     "log_prob",
     "log_prob_grad",
     "ordered_sum",
@@ -67,6 +71,8 @@ __all__ = [
 _MIX_A = 2654435761
 _MIX_B = 40503
 
+_EMPTY_COMPLETION = "empty completion: |y| = 0 is rejected at ingestion"
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -76,6 +82,179 @@ class Sample:
     x: tuple[int, ...]
     y: tuple[int, ...]
     split: str = "train"
+
+
+def _take_ragged(
+    tokens: np.ndarray, offsets: np.ndarray, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``index`` of ragged rows stored as flat ``tokens`` and ``offsets``."""
+    starts = offsets[:-1][index]
+    lengths = offsets[1:][index] - starts
+    new_offsets = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_offsets[1:])
+    pos = np.arange(new_offsets[-1]) + np.repeat(starts - new_offsets[:-1], lengths)
+    return tokens[pos], new_offsets
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _token_array(tokens: Iterable[int]) -> np.ndarray:
+    try:
+        return np.array(list(tokens), dtype=np.int64)
+    except OverflowError as exc:
+        raise InputError(f"token out of range ({exc})") from exc
+
+
+@dataclass(eq=False)
+class SampleTable(Sequence[Sample]):
+    """Samples as columns: the shape of a population and of a dataset's sides.
+
+    Row i's prompt is ``x_tokens[x_offsets[i]:x_offsets[i + 1]]`` and its
+    completion ``y_tokens[y_offsets[i]:y_offsets[i + 1]]`` (int64; a loaded
+    corpus can be ragged), its user ``user_ids[user[i]]`` and its split
+    ``heldout`` if ``heldout[i]``, else ``train``.  As a sequence, ``[i]`` and
+    iteration build each :class:`Sample` only when asked, with tuples of
+    Python ints; a slice, :meth:`take` and ``+`` give tables.  Nothing writes to
+    a table once made, so tables share their arrays.
+    """
+
+    x_tokens: np.ndarray
+    x_offsets: np.ndarray
+    y_tokens: np.ndarray
+    y_offsets: np.ndarray
+    user: np.ndarray
+    user_ids: tuple[str, ...]
+    heldout: np.ndarray
+
+    @classmethod
+    def of(cls, samples: Sequence[Sample]) -> "SampleTable":
+        """The table of ``samples``, in order; a table is returned as it is."""
+        if isinstance(samples, SampleTable):
+            return samples
+        samples = list(samples)
+        splits = {s.split for s in samples}
+        if not splits <= {"train", "heldout"}:
+            raise InputError(f"unknown split in {sorted(splits)}")
+        return cls.from_rows(
+            [s.user_id for s in samples], [s.x for s in samples], [s.y for s in samples],
+            [s.split == "heldout" for s in samples],
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        users: Sequence[str],
+        xs: Sequence[Sequence[int]],
+        ys: Sequence[Sequence[int]],
+        heldout: Sequence[bool],
+    ) -> "SampleTable":
+        """A table of rows given field by field: row i is ``(users[i], xs[i],
+        ys[i])``, held out where ``heldout[i]``; ``user_ids`` lists the users
+        in order of first appearance."""
+        ids: dict[str, int] = {}
+        user = [ids.setdefault(uid, len(ids)) for uid in users]
+        return cls(
+            _token_array(chain.from_iterable(xs)),
+            _offsets(np.fromiter(map(len, xs), np.int64, len(xs))),
+            _token_array(chain.from_iterable(ys)),
+            _offsets(np.fromiter(map(len, ys), np.int64, len(ys))),
+            np.array(user, dtype=np.int64),
+            tuple(ids),
+            np.array(heldout, dtype=bool),
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
+        """The rows of ``tables``, one table after another."""
+        user_ids = tuple(dict.fromkeys(chain.from_iterable(t.user_ids for t in tables)))
+        ids = {uid: i for i, uid in enumerate(user_ids)}
+        user = [
+            t.user if t.user_ids == user_ids
+            else np.array([ids[u] for u in t.user_ids], dtype=np.int64)[t.user]
+            for t in tables
+        ]
+
+        def joined(parts: list[np.ndarray], dtype: type = np.int64) -> np.ndarray:
+            return np.concatenate(parts + [np.zeros(0, dtype)])  # no tables: no rows
+
+        def joined_offsets(offsets: list[np.ndarray]) -> np.ndarray:
+            # Each table's offsets, moved past the tokens of the tables before it.
+            bases = np.cumsum([0] + [int(o[-1]) for o in offsets])
+            moved = [o[:-1] + base for o, base in zip(offsets, bases.tolist())]
+            return joined(moved + [bases[-1:]])
+
+        return cls(
+            joined([t.x_tokens for t in tables]),
+            joined_offsets([t.x_offsets for t in tables]),
+            joined([t.y_tokens for t in tables]),
+            joined_offsets([t.y_offsets for t in tables]),
+            joined(user),
+            user_ids,
+            joined([t.heldout for t in tables], bool),
+        )
+
+    def take(self, index: Sequence[int] | np.ndarray) -> "SampleTable":
+        """The rows at ``index``, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        x_tokens, x_offsets = _take_ragged(self.x_tokens, self.x_offsets, index)
+        y_tokens, y_offsets = _take_ragged(self.y_tokens, self.y_offsets, index)
+        return SampleTable(x_tokens, x_offsets, y_tokens, y_offsets, self.user[index],
+                           self.user_ids, self.heldout[index])
+
+    def split_rows(self, split: str) -> "SampleTable":
+        """The rows of ``split``, train or heldout, in order."""
+        return self.take(np.flatnonzero({"train": ~self.heldout, "heldout": self.heldout}[split]))
+
+    @property
+    def y_lengths(self) -> np.ndarray:
+        return self.y_offsets[1:] - self.y_offsets[:-1]
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        # range() counts a negative index from the end and raises IndexError past it.
+        return next(iter(self.take([range(len(self))[i]])))
+
+    def rows(self) -> Iterator[tuple[str, list[int], list[int], str]]:
+        """Each row as (user id, prompt, completion, split), the tokens as
+        lists of Python ints."""
+        xs, xo = self.x_tokens.tolist(), self.x_offsets.tolist()
+        ys, yo = self.y_tokens.tolist(), self.y_offsets.tolist()
+        for i, (u, held) in enumerate(zip(self.user.tolist(), self.heldout.tolist())):
+            yield (self.user_ids[u], xs[xo[i]:xo[i + 1]], ys[yo[i]:yo[i + 1]],
+                   "heldout" if held else "train")
+
+    def __iter__(self) -> Iterator[Sample]:
+        prompts: dict[tuple[int, ...], tuple[int, ...]] = {}  # rows share equal prompts
+        for user_id, x, y, split in self.rows():
+            x = tuple(x)
+            yield Sample(user_id, prompts.setdefault(x, x), tuple(y), split)
+
+    def __add__(self, other: Sequence[Sample]) -> "SampleTable":
+        return SampleTable.concat([self, SampleTable.of(other)])
+
+    def __eq__(self, other: object) -> bool:
+        """Equal rows: the same tokens, users and splits in the same order."""
+        if not isinstance(other, SampleTable):
+            return NotImplemented
+        return (
+            all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("x_offsets", "x_tokens", "y_offsets", "y_tokens", "heldout")
+            )
+            # Tables may number the same users differently: compare the ids.
+            and [self.user_ids[u] for u in self.user.tolist()]
+            == [other.user_ids[u] for u in other.user.tolist()]
+        )
+
+    __hash__ = None
 
 
 @dataclass(eq=False)
@@ -194,11 +373,38 @@ def encode(
     completion_tokens: list[int] = []
     for x, y in pairs:
         if len(y) == 0:
-            raise InputError("empty completion: |y| = 0 is rejected at ingestion")
+            raise InputError(_EMPTY_COMPLETION)
         firsts.append(x[0] if len(x) else 0)
         lengths.append(len(y))
         prompt_tokens.extend(x)
         completion_tokens.extend(y)
+    return _encode(firsts, lengths, prompt_tokens, completion_tokens, context_size, vocab_size)
+
+
+def encode_table(table: SampleTable, context_size: int, vocab_size: int) -> Encoded:
+    """:func:`encode` of the table's (prompt, completion) rows, read from its
+    columns."""
+    lengths = table.y_lengths
+    if (lengths == 0).any():
+        raise InputError(_EMPTY_COMPLETION)
+    starts = table.x_offsets[:-1]
+    has_prompt = table.x_offsets[1:] > starts
+    firsts = np.zeros(len(table), dtype=np.int64)
+    firsts[has_prompt] = table.x_tokens[starts[has_prompt]]
+    return _encode(firsts, lengths, table.x_tokens, table.y_tokens, context_size, vocab_size)
+
+
+def _encode(
+    firsts: Sequence[int] | np.ndarray,
+    lengths: Sequence[int] | np.ndarray,
+    prompt_tokens: Sequence[int] | np.ndarray,
+    completion_tokens: Sequence[int] | np.ndarray,
+    context_size: int,
+    vocab_size: int,
+) -> Encoded:
+    """The array core of :func:`encode` and :func:`encode_table`: each
+    sequence's first prompt token (0 for an empty prompt) and completion
+    length, every prompt token, and the completion tokens in sequence order."""
     _check_range(prompt_tokens, vocab_size, "prompt")
     tokens = _check_range(completion_tokens, vocab_size, "completion")
     length_arr = np.asarray(lengths, dtype=np.int64)

@@ -57,7 +57,7 @@ from .policy import (
     Encoded,
     PolicyParams,
     Sample,
-    encode,
+    encode_table,
     ordered_sums,
     sequence_log_probs,
     snapshot_reference,
@@ -458,7 +458,7 @@ def synth_dpo_pairs(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     samples = dataset.tar_train
     # Checks every prompt's range and every completion's length >= 1.
-    codes = encode(((s.x, s.y) for s in samples), policy.context_size, policy.vocab_size)
+    codes = encode_table(samples, policy.context_size, policy.vocab_size)
     cdf = np.cumsum(softmax_tables(policy.logits)[1], axis=1)
     cdf /= cdf[:, -1:]
     pairs: list[DpoPair] = []
@@ -595,9 +595,7 @@ def run_many(
         between.append((ss_pairs, ss_alpha))
         # Bucket rows depend on context_size, so the data is encoded once per run.
         tar_train, aux_train = dataset.tar_train, dataset.aux_train
-        codes = encode(
-            ((s.x, s.y) for s in tar_train + aux_train), config.context_size, vocab_size
-        )
+        codes = encode_table(tar_train + aux_train, config.context_size, vocab_size)
         policy = uniform_params(vocab_size, config.context_size)
         if config.warmstart_epochs > 0:
             if len(aux_train) == 0:

@@ -197,7 +197,9 @@ class TestSplitHeldout:
         train, held = split_heldout(samples, 0.2, seed=0)
         assert len(held) == 2
         assert len(train) == 8
-        assert {id(s) for s in train}.isdisjoint({id(s) for s in held})
+        # The halves are tables, whose rows are built afresh on each read, so
+        # a row is told by its completion, unique to each sample here.
+        assert {s.y for s in train}.isdisjoint({s.y for s in held})
         assert sorted(train + held, key=lambda s: s.y) == samples
 
     def test_deterministic(self):

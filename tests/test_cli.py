@@ -17,6 +17,7 @@ import pytest
 
 from bfpo import files
 from bfpo.cli import main
+from bfpo.datagen import load_corpus, save_corpus
 from bfpo.errors import NumericError
 
 POPULATION = {
@@ -81,6 +82,22 @@ class TestGenerate:
         a = _generate(tmp_path, out="c1")
         b = _generate(tmp_path, out="c2")
         assert (a / "corpus.jsonl").read_bytes() == (b / "corpus.jsonl").read_bytes()
+
+    # sha256 of corpus.jsonl on the default config, written from Sample lists
+    # before populations became columns.
+    CORPUS_SHA256 = "12795cdafc51d13120d827a691614c72aed8c08e253fc2b0053e8141cf3fcbf3"
+
+    def test_corpus_bytes_pinned(self, tmp_path):
+        out = _generate(tmp_path)
+        assert hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest() == (
+            self.CORPUS_SHA256
+        )
+
+    def test_loaded_corpus_saves_the_same_bytes(self, tmp_path):
+        out = _generate(tmp_path)
+        again = tmp_path / "again.jsonl"
+        save_corpus(load_corpus(out / "corpus.jsonl", POPULATION["vocab_size"]), again)
+        assert hashlib.sha256(again.read_bytes()).hexdigest() == self.CORPUS_SHA256
 
     def test_invalid_overlap_exits_2(self, tmp_path):
         cfg = _write(
@@ -621,6 +638,11 @@ def _corpus_not_utf8(run: Path, corpus: Path) -> None:
         fh.write(b'{"user_id": "\xff"}\n')
 
 
+# A config seed holding byte 0xff: the config is written as JSON, then the
+# escaped character is replaced by the raw byte, which is not UTF-8.
+_NOT_UTF8 = "\xff"
+
+
 def _edit_checkpoint(block: str | None = None, **edits):
     """Update the checkpoint's top level, or its ``block``, with ``edits``."""
     def corrupt(run: Path, corpus: Path) -> None:
@@ -709,6 +731,10 @@ class TestMalformedInputExits2:
             ("evaluate", _edit_checkpoint_logit("policy", True), {}),
             ("evaluate", _edit_checkpoint_logit("reference", "1.5"), {}),
             ("train", _corpus_not_utf8, {}),
+            ("generate", None, {"seed": _NOT_UTF8}),
+            ("train", None, {"seed": _NOT_UTF8}),
+            ("estimate-alpha", None, {"seed": _NOT_UTF8}),
+            ("sweep", None, {"seed": _NOT_UTF8}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -725,7 +751,9 @@ class TestMalformedInputExits2:
              "corpus_token_not_an_integer", "corpus_token_bool",
              "checkpoint_step_not_an_integer", "checkpoint_step_bool",
              "checkpoint_ema_initialized_not_a_bool", "checkpoint_policy_logit_bool",
-             "checkpoint_reference_logit_string", "corpus_not_utf8"],
+             "checkpoint_reference_logit_string", "corpus_not_utf8",
+             "generate_config_not_utf8", "train_config_not_utf8",
+             "estimate_alpha_config_not_utf8", "sweep_config_not_utf8"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -739,10 +767,15 @@ class TestMalformedInputExits2:
                     "--corpus", str(corpus), "--out", str(out)]
         else:
             cfg = _write(tmp_path / "bad.json", _config(command, corpus, out, edits))
+            if edits.get("seed") == _NOT_UTF8:
+                path = Path(cfg)
+                path.write_bytes(path.read_bytes().replace(b"\\u00ff", b"\xff"))
             argv = [command, "--config", cfg]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if edits.get("seed") == _NOT_UTF8:
+            assert "bad.json" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "train", "estimate-alpha", "sweep",
