@@ -111,21 +111,27 @@ def embed_all(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
     return counts / norms[:, None]
 
 
+def _embedded(samples: Sequence[Sample] | np.ndarray, vocab_size: int) -> np.ndarray:
+    """:func:`embed_all` of the samples, or the rows themselves if given as an array."""
+    return samples if isinstance(samples, np.ndarray) else embed_all(samples, vocab_size)
+
+
 def train_proxy(
     target_samples: Sequence[Sample],
-    aux_samples: Sequence[Sample],
+    aux_samples: Sequence[Sample] | np.ndarray,
     epochs: int,
     lr: float,
     seed: int,
     vocab_size: int,
 ) -> ProxyClassifier:
-    """Fit the target-vs-auxiliary logistic classifier by full-batch gradient descent."""
+    """Fit the target-vs-auxiliary logistic classifier by full-batch gradient
+    descent; the auxiliary pool may come as its :func:`embed_all` rows."""
     if len(target_samples) == 0 or len(aux_samples) == 0:
         raise InputError("both classes must be non-empty")
     if epochs < 1:
         raise InputError(f"epochs must be >= 1, got {epochs}")
     features = np.concatenate(
-        [embed_all(target_samples, vocab_size), embed_all(aux_samples, vocab_size)]
+        [embed_all(target_samples, vocab_size), _embedded(aux_samples, vocab_size)]
     )
     labels = np.concatenate(
         [np.ones(len(target_samples)), np.zeros(len(aux_samples))]
@@ -154,16 +160,17 @@ def estimate_propensity(
 
 def estimate_alpha(
     classifier: ProxyClassifier,
-    aux_samples: Sequence[Sample],
+    aux_samples: Sequence[Sample] | np.ndarray,
     c_hat: float,
     n_heldout: int = 0,
 ) -> AlphaEstimate:
-    """Mean auxiliary prediction divided by the propensity, capped for divisor safety."""
+    """Mean auxiliary prediction divided by the propensity, capped for divisor
+    safety; the auxiliary pool may come as its :func:`embed_all` rows."""
     if not c_hat > 0.0:  # NaN too
         raise EstimationError(f"propensity must be positive, got {c_hat}")
     if len(aux_samples) == 0:
         raise InputError("auxiliary set must be non-empty")
-    embeddings = embed_all(aux_samples, classifier.vocab_size)
+    embeddings = _embedded(aux_samples, classifier.vocab_size)
     raw = float(classifier.predict_proba(embeddings).mean()) / c_hat
     if not math.isfinite(raw):  # a diverged proxy; clamping would read it as alpha 0
         raise EstimationError(f"alpha estimate is not finite: {raw}")
@@ -213,8 +220,10 @@ def run_alpha_estimation(
     """Full pipeline: split, train the proxy, estimate the propensity, then alpha.
 
     The held-out slice used for the propensity never enters classifier training.
+    The auxiliary pool is embedded once, for the training and the estimate.
     """
     train, heldout = split_heldout(target_samples, heldout_fraction, seed)
-    classifier = train_proxy(train, aux_samples, epochs, lr, seed, vocab_size)
+    aux = embed_all(aux_samples, vocab_size)
+    classifier = train_proxy(train, aux, epochs, lr, seed, vocab_size)
     c_hat = estimate_propensity(classifier, heldout)
-    return estimate_alpha(classifier, aux_samples, c_hat, n_heldout=len(heldout))
+    return estimate_alpha(classifier, aux, c_hat, n_heldout=len(heldout))

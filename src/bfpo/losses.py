@@ -35,17 +35,20 @@ come with the stack, computed when it is made (by :meth:`Stack.of`, or once
 per phase by the trainer).  Each run's means add its own samples left
 to right (:func:`bfpo.policy.ordered_sums`) and use its own alpha and anchor,
 so a run's values do not depend on the other runs of its stack; KTO's anchors
-come from :func:`bfpo.rewards.kto_zrefs`, run by run.  No training path calls the scalar
-:func:`loss_positive`, :func:`loss_negative`, :func:`dpo_loss`, or
-:func:`bfpo.rewards.implicit_reward` and :func:`bfpo.rewards.kto_zref`: they
-are the reference implementations the kernels are tested against.
+come from :func:`bfpo.rewards.kto_zrefs`, run by run.  :func:`scored_loss`
+returns each run's breakdown as a row of columns (:data:`BREAKDOWN_COLUMNS`),
+so a stack of thousands of runs builds no :class:`LossBreakdown`.  No training path
+calls the scalar :func:`loss_positive`, :func:`loss_negative`,
+:func:`dpo_loss`, :func:`kto_loss`, or :func:`bfpo.rewards.implicit_reward`
+and :func:`bfpo.rewards.kto_zref`: they are the reference implementations the
+kernels are tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
@@ -66,6 +69,7 @@ from .policy import (
 from .rewards import kto_zref, kto_zrefs
 
 __all__ = [
+    "BREAKDOWN_COLUMNS",
     "Batch",
     "DpoPair",
     "LossBreakdown",
@@ -75,6 +79,7 @@ __all__ = [
     "Scores",
     "Stack",
     "binary_loss",
+    "binary_losses",
     "dpo_loss",
     "encode_batch",
     "kto_loss",
@@ -112,6 +117,16 @@ class LossBreakdown:
     pure_neg_raw: float = 0.0
     pure_neg_clamped: float = 0.0
     total: float = 0.0
+
+    @classmethod
+    def of(cls, method: Method, row: np.ndarray) -> "LossBreakdown":
+        """A run's breakdown from its row of :func:`scored_loss`'s columns."""
+        return cls(method, *row.tolist())
+
+
+# The columns of :func:`scored_loss`'s per-run values: LossBreakdown's fields.
+BREAKDOWN_COLUMNS = tuple(f.name for f in fields(LossBreakdown) if f.name != "method")
+_RAW, _TOTAL = BREAKDOWN_COLUMNS.index("pure_neg_raw"), BREAKDOWN_COLUMNS.index("total")
 
 
 @dataclass(frozen=True)
@@ -242,46 +257,53 @@ def kto_loss(
 
 def _binary_terms(method: Method, config: LossConfig) -> tuple[float, float, bool]:
     """(alpha, divisor, clamped) of a BCO-family method: the module docstring's table."""
-    table = {
-        Method.BCO: (0.0, 1.0, False),
-        Method.CBPO_RAW: (config.alpha, config.pi_n, False),
-        Method.CBPO: (config.alpha, 1.0 - config.alpha, True),
-    }
-    if method not in table:
+    if method is Method.BCO:
+        return 0.0, 1.0, False
+    if method is Method.CBPO_RAW:
+        return config.alpha, config.pi_n, False
+    if method is not Method.CBPO:
         raise ConfigError(f"{method} is not a BCO-family method")
-    alpha, divisor, clamped = table[method]
-    if clamped and alpha >= 1.0:
-        raise ConfigError(f"the clamped objective needs alpha < 1, got {alpha}")
-    return alpha, divisor, clamped
+    if config.alpha >= 1.0:
+        raise ConfigError(f"the clamped objective needs alpha < 1, got {config.alpha}")
+    return config.alpha, 1.0 - config.alpha, True
 
 
-def _binary_parts(
+def _binary_row(
+    terms: tuple[float, float, bool], l_pos: float, l_aux_neg: float, l_tar_neg: float
+) -> tuple[float, ...]:
+    """One run's breakdown columns from its means.  The clamp is
+    ``max(0.0, raw)``, which is 0.0 for a raw of -0.0 or NaN where
+    ``np.maximum`` would keep either and change the logged bytes."""
+    alpha, divisor, clamped = terms
+    raw = l_aux_neg - alpha * l_tar_neg
+    kept = max(0.0, raw)
+    return l_pos, l_aux_neg, l_tar_neg, raw, kept, l_pos + (kept if clamped else raw) / divisor
+
+
+def _binary_columns(
     method: Method, configs: Sequence[LossConfig], z: np.ndarray, layout: Layout
-) -> tuple[list[LossBreakdown], list[tuple[float, float, bool]]]:
-    """Each run's BCO-family breakdown from the anchored rewards ``z`` (reward
-    minus delta) of its positives and auxiliaries, and its (alpha, divisor,
-    clamped).  The means add left to right, so they equal the per-sample loops
-    of :func:`loss_positive` and :func:`loss_negative` bit for bit."""
+) -> tuple[np.ndarray, list[tuple[float, float, bool]]]:
+    """Each run's BCO-family breakdown columns from the anchored rewards ``z``
+    (reward minus delta) of its positives and auxiliaries, and its (alpha,
+    divisor, clamped).  The means add left to right, so they equal the
+    per-sample loops of :func:`loss_positive` and :func:`loss_negative` bit
+    for bit."""
     terms = [_binary_terms(method, c) for c in configs]
     # Bin 2r holds run r's positives, bin 2r + 1 its auxiliaries.
     bins = len(layout.sides)
     pos_loss = (ordered_sums(np.logaddexp(0.0, -z), layout.seg, bins) / layout.sides).tolist()
     neg_loss = (ordered_sums(np.logaddexp(0.0, z), layout.seg, bins) / layout.sides).tolist()
-    breakdowns = []
-    for (alpha, divisor, clamped), l_pos, l_tar_neg, l_aux_neg in zip(
-        terms, pos_loss[0::2], neg_loss[0::2], neg_loss[1::2]
-    ):
-        raw = l_aux_neg - alpha * l_tar_neg
-        breakdowns.append(LossBreakdown(
-            method=method,
-            l_pos=l_pos,
-            l_aux_neg=l_aux_neg,
-            l_tar_neg=l_tar_neg,
-            pure_neg_raw=raw,
-            pure_neg_clamped=max(0.0, raw),
-            total=l_pos + (max(0.0, raw) if clamped else raw) / divisor,
-        ))
-    return breakdowns, terms
+    rows = list(map(_binary_row, terms, pos_loss[0::2], neg_loss[1::2], neg_loss[0::2]))
+    return np.array(rows), terms
+
+
+def binary_losses(
+    method: Method, z: np.ndarray, layout: Layout, configs: Sequence[LossConfig]
+) -> np.ndarray:
+    """A BCO-family objective for each run of ``layout``, as the rows of
+    :data:`BREAKDOWN_COLUMNS`: ``z`` holds every sequence's anchored reward
+    (reward minus delta), run r's under ``configs[r]``."""
+    return _binary_columns(method, configs, z, layout)[0]
 
 
 def binary_loss(
@@ -298,8 +320,9 @@ def binary_loss(
         raise InputError("pos_rewards must be non-empty")
     if len(aux) == 0:
         raise InputError("aux_rewards must be non-empty")
+    z = np.concatenate([pos, aux]) - delta
     layout = Layout.of([len(pos)], [len(aux)])
-    return _binary_parts(method, [config], np.concatenate([pos, aux]) - delta, layout)[0][0]
+    return LossBreakdown.of(method, binary_losses(method, z, layout, [config])[0])
 
 
 def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
@@ -350,20 +373,26 @@ class Layout:
         so layouts are made once and shared (their arrays are read-only)."""
         return _layout(tuple(n_pos), tuple(n_aux))
 
+    @classmethod
+    def build(cls, n_pos: Sequence[int], n_aux: Sequence[int]) -> "Layout":
+        """The layout of these sizes, made afresh and not kept: for a one-off
+        stack, such as a property check's many runs."""
+        n_pos, n_aux = np.array(n_pos, np.int64), np.array(n_aux, np.int64)
+        sizes = n_pos + n_aux
+        sides = np.stack([n_pos, n_aux], axis=1).ravel()
+        # Each per-sequence array repeats a per-run or per-bin one.
+        run = np.repeat(np.arange(len(sizes)), sizes)
+        pos = np.repeat(np.tile([True, False], len(sizes)), sides)
+        arrays = (n_pos, run, pos, np.repeat(np.arange(len(sides)), sides),
+                  np.repeat(sides, sides), sides, sizes)
+        for a in arrays:
+            a.flags.writeable = False
+        ends = np.cumsum(sizes).tolist()
+        spans = tuple(zip([0] + ends[:-1], ends, n_pos.tolist()))
+        return cls(*arrays, spans)
 
-@functools.lru_cache(maxsize=256)
-def _layout(n_pos: tuple[int, ...], n_aux: tuple[int, ...]) -> Layout:
-    n_pos, n_aux = np.array(n_pos, np.int64), np.array(n_aux, np.int64)
-    sizes = n_pos + n_aux
-    run = np.repeat(np.arange(len(sizes)), sizes)
-    pos = np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run] < n_pos[run]
-    arrays = (n_pos, run, pos, 2 * run + ~pos, np.where(pos, n_pos[run], n_aux[run]),
-              np.stack([n_pos, n_aux], axis=1).ravel(), sizes)
-    for a in arrays:
-        a.flags.writeable = False
-    ends = np.cumsum(sizes).tolist()
-    spans = tuple(zip([0] + ends[:-1], ends, n_pos.tolist()))
-    return Layout(*arrays, spans)
+
+_layout = functools.lru_cache(maxsize=256)(Layout.build)
 
 
 @dataclass(eq=False)
@@ -443,7 +472,7 @@ def method_loss(
     """Evaluate one method's loss on a batch (no gradient)."""
     stack = Stack.of(method, batch, policy, reference_policy)
     scores = score(method, stack, policy, config.beta)
-    return scored_loss(method, scores, [config], [delta], zrefs)[0][0]
+    return LossBreakdown.of(method, scored_loss(method, scores, [config], [delta], zrefs)[0][0])
 
 
 def method_loss_and_grad(
@@ -457,8 +486,8 @@ def method_loss_and_grad(
     """Loss breakdown plus the analytic gradient of the total w.r.t. the logits."""
     stack = Stack.of(method, batch, policy, reference_policy)
     scores = score(method, stack, policy, config.beta)
-    breakdowns, grad = scored_loss(method, scores, [config], [delta], want_grad=True)
-    return breakdowns[0], grad
+    values, grad = scored_loss(method, scores, [config], [delta], want_grad=True)
+    return LossBreakdown.of(method, values[0]), grad
 
 
 def scored_loss(
@@ -468,24 +497,27 @@ def scored_loss(
     deltas: Sequence[float],
     zrefs: Sequence[float] | None = None,
     want_grad: bool = False,
-) -> tuple[list[LossBreakdown], np.ndarray | None]:
-    """Each run's loss breakdown from a :func:`score` pass and, if wanted, the
-    gradient of every run's total: per-sequence weights on d log p / d logits,
-    then one scatter onto the stacked table.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each run's loss breakdown from a :func:`score` pass, as row r of an
+    (R, 6) array whose columns are :data:`BREAKDOWN_COLUMNS` (0.0 where a
+    field does not apply), and, if wanted, the gradient of every run's total:
+    per-sequence weights on d log p / d logits, then one scatter onto the
+    stacked table.
 
     ``configs[r]`` is run r's objective and ``deltas[r]`` its anchor (BCO
     family); ``zrefs`` overrides KTO's leave-one-out anchors.
     """
     layout = scores.stack.layout
     run, pos = layout.run, layout.pos
+    runs = len(layout.n_pos)
+    values = np.zeros((runs, len(BREAKDOWN_COLUMNS)))
     weights = None
 
     if method is Method.SFT:
         # Bin 2r holds run r's positives (its targets), bin 2r + 1 the rest.
         bins = len(layout.sides)
         tokens = ordered_sums(scores.stack.codes.lengths, layout.seg, bins)[0::2]
-        totals = -ordered_sums(scores.log_probs, layout.seg, bins)[0::2] / tokens
-        breakdowns = [LossBreakdown(method=Method.SFT, total=t) for t in totals.tolist()]
+        values[:, _TOTAL] = -ordered_sums(scores.log_probs, layout.seg, bins)[0::2] / tokens
         if want_grad:
             weights = np.where(pos, (-1.0 / tokens)[run], 0.0)
 
@@ -493,9 +525,8 @@ def scored_loss(
         rejected = ~pos
         r_w, r_l = scores.rewards[pos], scores.rewards[rejected]
         # dpo_loss per pair, each run's summed left to right.
-        totals = ordered_sums(np.logaddexp(0.0, -(r_w - r_l)), run[pos], len(layout.n_pos))
-        totals = (totals / layout.n_pos).tolist()
-        breakdowns = [LossBreakdown(method=Method.DPO, total=t) for t in totals]
+        totals = ordered_sums(np.logaddexp(0.0, -(r_w - r_l)), run[pos], runs)
+        values[:, _TOTAL] = totals / layout.n_pos
         if want_grad:
             # d dpo_loss / d r_w = -sigmoid(r_l - r_w) = -d dpo_loss / d r_l
             s = _sigmoids(r_w - r_l)[1] / layout.count[pos]
@@ -504,37 +535,40 @@ def scored_loss(
             weights[rejected] = s
 
     elif method is Method.KTO:
-        rewards, spans = scores.rewards, layout.spans
+        rewards = scores.rewards
+        if min(b - a for a, b, _ in layout.spans) < 2:
+            raise InputError("the leave-one-out anchor needs a batch of size >= 2")
         if zrefs is None:
-            zrefs = np.concatenate([kto_zrefs(rewards[a:b]) for a, b, _ in spans])
+            zrefs = np.concatenate([kto_zrefs(rewards[a:b]) for a, b, _ in layout.spans])
         zrefs = np.asarray(zrefs, dtype=np.float64)
-        breakdowns = [
-            LossBreakdown(method=Method.KTO, total=kto_loss(
-                rewards[a:b].tolist(), [1] * p + [-1] * (b - a - p), c.lambda_d, c.lambda_u,
-                zrefs=zrefs[a:b].tolist(),
-            ))
-            for (a, b, p), c in zip(spans, configs)
-        ]
+        if len(zrefs) != len(rewards):
+            raise InputError("zrefs must match the batch length")
+        gap = rewards - zrefs
+        # kto_loss's terms lambda * (1 - v): v = sigmoid(gap) on a positive and
+        # sigmoid(z - r) = sigmoid(-gap) on the rest, each from libm's exp of
+        # -|gap| as kto_loss takes it.
+        e = np.array(list(map(math.exp, (-np.abs(gap)).tolist())))
+        denominator = 1.0 + e
+        v = np.where(pos == (gap >= 0), 1.0 / denominator, e / denominator)
+        # Per (run, side) bin: lambda_d on the positives, lambda_u on the rest.
+        lambdas = np.array([x for c in configs for x in (c.lambda_d, c.lambda_u)])[layout.seg]
+        values[:, _TOTAL] = ordered_sums(lambdas * (1.0 - v), run, runs) / layout.sizes
         if want_grad:
-            # v = sigmoid(+-(r - z)) has dv/dr = +-v(1 - v) = +-sigmoid(m)sigmoid(-m).
-            up, down = _sigmoids(rewards - zrefs)
-            weights = np.empty(len(rewards))
-            for (a, b, p), c in zip(spans, configs):
-                slope = up[a:b] * down[a:b] / (b - a)
-                weights[a : a + p] = -c.lambda_d * slope[:p]
-                weights[a + p : b] = c.lambda_u * slope[p:]
+            # v = sigmoid(+-gap) has dv/dr = +-v(1 - v) = +-sigmoid(gap)sigmoid(-gap).
+            up, down = _sigmoids(gap)
+            weights = np.where(pos, -lambdas, lambdas) * (up * down / layout.sizes[run])
 
     else:
         z = scores.rewards - np.repeat(deltas, layout.sizes)
-        breakdowns, terms = _binary_parts(method, configs, z, layout)
+        values, terms = _binary_columns(method, configs, z, layout)
         if want_grad:
             # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), where scale
             # is 1/divisor, or 0 (a zero subgradient) once the clamp is active, and
             # d loss_positive / d r = -sigmoid(delta - r),
             # d loss_negative / d r = sigmoid(r - delta).
             scale = [
-                1.0 / divisor if not clamped or b.pure_neg_raw > 0.0 else 0.0
-                for (_, divisor, clamped), b in zip(terms, breakdowns)
+                1.0 / divisor if not clamped or raw > 0.0 else 0.0
+                for (_, divisor, clamped), raw in zip(terms, values[:, _RAW].tolist())
             ]
             # Per (run, side) bin: scale * alpha on the positives, scale on the
             # auxiliaries, each rounded as the scalar formula rounds it.
@@ -545,7 +579,7 @@ def scored_loss(
             weights = np.where(pos, -down / count - scaled, scaled)
 
     if not want_grad:
-        return breakdowns, None
+        return values, None
     if method is not Method.SFT:
         weights *= scores.beta  # d reward / d log p
-    return breakdowns, scatter_grad(scores.probs, scores.stack.codes, weights)
+    return values, scatter_grad(scores.probs, scores.stack.codes, weights)

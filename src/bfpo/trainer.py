@@ -42,9 +42,9 @@ from .datagen import UserDataset
 from .errors import ConfigError, InputError, NumericError
 from .files import write_atomic
 from .losses import (
+    BREAKDOWN_COLUMNS,
     Batch,
     DpoPair,
-    LossBreakdown,
     LossConfig,
     Layout,
     Method,
@@ -92,20 +92,8 @@ logger = logging.getLogger(__name__)
 
 _NONE = np.zeros(0, dtype=np.int64)  # an empty index array
 
-METRICS_COLUMNS = (
-    "step",
-    "epoch",
-    "method",
-    "l_pos",
-    "l_aux_neg",
-    "l_tar_neg",
-    "pure_neg_raw",
-    "pure_neg_clamped",
-    "total",
-    "delta",
-    "ema_pos",
-    "ema_aux",
-)
+METRICS_COLUMNS = ("step", "epoch", "method", *BREAKDOWN_COLUMNS, "delta", "ema_pos", "ema_aux")
+_TOTAL = BREAKDOWN_COLUMNS.index("total")
 
 _BINARY_METHODS = (Method.KTO, Method.BCO, Method.CBPO_RAW, Method.CBPO)
 
@@ -368,9 +356,7 @@ def stack_batches(
     ]
 
 
-def _diagnostic_dump(
-    batch: Batch, breakdown: LossBreakdown | None, state: RunState
-) -> dict:
+def _diagnostic_dump(batch: Batch, breakdown: np.ndarray | None, state: RunState) -> dict:
     pos, aux = batch.samples()
     dpo = state.config.method is Method.DPO
 
@@ -389,13 +375,14 @@ def _diagnostic_dump(
         ],
     }
     if breakdown is not None:
-        dump["breakdown"] = {k: v for k, v in vars(breakdown).items() if k != "method"}
+        dump["breakdown"] = dict(zip(BREAKDOWN_COLUMNS, breakdown.tolist()))
     return dump
 
 
-def train_step(state: RunState, batch: Stack) -> tuple[RunState, list[LossBreakdown]]:
+def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
     """One optimization step of every run of the stack; each run's EMA is
-    updated before its anchor is read.  Returns each run's loss breakdown."""
+    updated before its anchor is read.  Returns each run's loss breakdown, as
+    the rows of :func:`bfpo.losses.scored_loss`'s columns."""
     state.step += 1
     method = state.config.method
     layout = batch.layout
@@ -423,13 +410,13 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, list[LossBreakd
             delta = (ordered_sums(scores.rewards, layout.run, runs) / layout.sizes).tolist()
     state.last_delta = delta
 
-    breakdowns, grad = scored_loss(method, scores, state.loss_configs, delta, want_grad=True)
-    if not (all(math.isfinite(b.total) for b in breakdowns) and np.isfinite(grad).all()):
-        finite = np.isfinite(grad.reshape(runs, -1)).all(axis=1)
-        r = next(r for r, b in enumerate(breakdowns) if not (math.isfinite(b.total) and finite[r]))
+    values, grad = scored_loss(method, scores, state.loss_configs, delta, want_grad=True)
+    if not (all(map(math.isfinite, values[:, _TOTAL].tolist())) and np.isfinite(grad).all()):
+        finite = np.isfinite(grad.reshape(runs, -1)).all(axis=1) & np.isfinite(values[:, _TOTAL])
+        r = int(np.argmin(finite))
         raise NumericError(
             f"non-finite loss or gradient at step {state.step}",
-            details=_diagnostic_dump(batch.batches[r], breakdowns[r], state),
+            details=_diagnostic_dump(batch.batches[r], values[r], state),
         )
     lr = _lr_at(
         state.step, state.total_steps, state.config.learning_rate, state.config.warmup_fraction
@@ -438,7 +425,7 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, list[LossBreakd
         state.policy, grad, state.opt, lr, state.config.momentum_params,
         state.config.weight_decay,
     )
-    return state, breakdowns
+    return state, values
 
 
 def synth_dpo_pairs(
@@ -475,19 +462,6 @@ def synth_dpo_pairs(
     if skipped:
         logger.warning("DPO pair synthesis skipped %d samples (budget exhausted)", skipped)
     return pairs, skipped
-
-
-def _metrics_row(step: int, epoch: int, breakdown: LossBreakdown, delta: float,
-                 ema: ReferenceState) -> dict:
-    return {
-        "step": step,
-        "epoch": epoch,
-        **vars(breakdown),
-        "method": breakdown.method.value,
-        "delta": delta,
-        "ema_pos": ema.ema_pos if ema.initialized else 0.0,
-        "ema_aux": ema.ema_aux if ema.initialized else 0.0,
-    }
 
 
 def _epoch_seed(rng: np.random.Generator) -> int:
@@ -540,13 +514,21 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
         # The references are frozen: score every sequence under them once.
         ref_table = softmax_tables(np.concatenate([r.reference.logits for r in runs]))[0]
         reference = sequence_log_probs(ref_table, codes)
+    logged = []  # per step: (step, epoch, loss columns, deltas, EMAs)
     for epoch in range(config.epochs):
         state.epoch = epoch
         batches = [make_batches(r.dataset, r.config, _epoch_seed(r.rng)) for r in runs]
         for stack in stack_batches(batches, codes, firsts, reference):
-            state, breakdowns = train_step(state, stack)
-            for r, breakdown, delta, ema in zip(runs, breakdowns, state.last_delta, state.ema):
-                r.metrics.append(_metrics_row(state.step, epoch, breakdown, delta, ema))
+            state, values = train_step(state, stack)
+            logged.append((state.step, epoch, values, state.last_delta, state.ema))
+    # The metrics rows, from each step's loss columns, once the phase is done.
+    method = config.method.value
+    for step, epoch, values, deltas, emas in logged:
+        for r, row, delta, ema in zip(runs, values.tolist(), deltas, emas):
+            ema_pair = (ema.ema_pos, ema.ema_aux) if ema.initialized else (0.0, 0.0)
+            r.metrics.append(
+                dict(zip(METRICS_COLUMNS, (step, epoch, method, *row, delta, *ema_pair)))
+            )
     for i, (r, ema) in enumerate(zip(runs, state.ema)):
         own = slice(i * context, (i + 1) * context)
         r.policy = PolicyParams(vocab_size, context, state.policy.logits[own].copy())

@@ -5,6 +5,12 @@ deliberately re-runnable with any seed: each one draws its own randomized
 instances, compares against an independent oracle (central finite differences,
 closed-form weighted-mean gaps, direct sign counting) and reports a single
 pass/fail with diagnostic details.
+
+The finite-difference and clamp checks evaluate in stacks (see
+:mod:`bfpo.losses`): a case's 2·C·V perturbed tables are one lockstep pass, and
+the clamp check's replications are the runs of a few many-run layouts.  A
+run's values do not depend on the other runs of its stack, so each equals its
+lone evaluation.
 """
 
 from __future__ import annotations
@@ -14,18 +20,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InputError
 from .losses import (
+    BREAKDOWN_COLUMNS,
     Batch,
     DpoPair,
+    Layout,
     LossConfig,
     Method,
     Stack,
-    binary_loss,
+    binary_losses,
     method_loss_and_grad,
     score,
     scored_loss,
 )
-from .policy import PolicyParams, Sample
+from .policy import PolicyParams, Sample, stack_codes
 from .pu import (
     CheckResult,
     run_convergence_check,
@@ -51,21 +60,35 @@ FD_TOLERANCE = 1e-4
 # its magnitude when bounding the round-off of a central difference.
 FD_LOSS_ULPS = 16.0
 
+# Runs per layout of the clamp check: at n = 10 a layout's per-sequence arrays
+# take 16 kB each.  Scoring all 2,000 runs as one layout (about 1 MB of such
+# arrays and their temporaries) raised the suite's peak RSS by about 1.2 MB;
+# layouts of 100 runs cost no more time than layouts of 500 and hold less.
+CLAMP_RUNS = 100
+
+_RAW, _CLAMPED, _TOTAL = map(
+    BREAKDOWN_COLUMNS.index, ("pure_neg_raw", "pure_neg_clamped", "total")
+)
+
 
 def finite_difference_grad(
-    loss_fn: Callable[[], float], params: PolicyParams, step: float = FD_STEP
+    loss_fn: Callable[[np.ndarray], np.ndarray], params: PolicyParams, step: float = FD_STEP
 ) -> np.ndarray:
-    """Central differences of a scalar loss over every logit entry."""
-    grad = np.zeros_like(params.logits)
-    for idx in np.ndindex(params.logits.shape):
-        original = params.logits[idx]
-        params.logits[idx] = original + step
-        up = loss_fn()
-        params.logits[idx] = original - step
-        down = loss_fn()
-        params.logits[idx] = original
-        grad[idx] = (up - down) / (2.0 * step)
-    return grad
+    """Central differences of a scalar loss over every logit entry, from one
+    call of ``loss_fn`` on all the perturbed tables.
+
+    With the K = C*V entries in row-major order, table 2k is ``params.logits``
+    with entry k raised by ``step`` and table 2k + 1 with it lowered;
+    ``loss_fn`` maps the (2K, C, V) tables to their 2K losses, each table's
+    its own.
+    """
+    flat = params.logits.ravel()
+    entry = np.arange(flat.size)
+    tables = np.tile(flat, (flat.size, 2, 1))
+    tables[entry, 0, entry] = flat + step
+    tables[entry, 1, entry] = flat - step
+    losses = np.asarray(loss_fn(tables.reshape(-1, *params.logits.shape)))
+    return ((losses[0::2] - losses[1::2]) / (2.0 * step)).reshape(params.logits.shape)
 
 
 def _random_samples(
@@ -81,8 +104,12 @@ def _random_samples(
 
 def random_gradient_case(
     method: Method, rng: np.random.Generator
-) -> tuple[Batch, PolicyParams, PolicyParams, LossConfig, float, list[float] | None]:
-    """One randomized (batch, policy, reference, config, delta, zrefs) instance.
+) -> tuple[
+    Batch, PolicyParams, PolicyParams, LossConfig, float, list[float] | None, Stack | None
+]:
+    """One randomized (batch, policy, reference, config, delta, zrefs, stack)
+    instance; ``stack`` is the batch's :meth:`Stack.of` under the policy and
+    reference where the draw was screened with one (KTO and cbpo), else None.
 
     For the clamped method the draw is repeated until the purified term is
     safely positive, because the acceptance check only covers clamp-inactive
@@ -115,16 +142,17 @@ def random_gradient_case(
                     )
                 ]
             )
-        zrefs = None
+        zrefs, stack = None, None
         if method in (Method.KTO, Method.CBPO):
-            scores = score(method, Stack.of(method, batch, policy, reference), policy, config.beta)
+            stack = Stack.of(method, batch, policy, reference)
+            scores = score(method, stack, policy, config.beta)
             if method is Method.KTO:
                 if len(scores.rewards) < 2:
                     continue
                 zrefs = kto_zrefs(scores.rewards).tolist()
-            elif scored_loss(method, scores, [config], [delta])[0][0].pure_neg_raw <= 0.05:
+            elif scored_loss(method, scores, [config], [delta])[0][0, _RAW] <= 0.05:
                 continue
-        return batch, policy, reference, config, delta, zrefs
+        return batch, policy, reference, config, delta, zrefs, stack
 
 
 def run_gradient_fd_check(
@@ -141,25 +169,38 @@ def run_gradient_fd_check(
     central difference is uncertain by that much of the largest loss seen,
     divided by the step.  A gradient that is truly zero then passes; any
     gradient FD can resolve at this step is judged as before.
+
+    A case's perturbed tables are scored as one stack of 2·C·V runs, its
+    encoding stacked and its reference log-probabilities tiled.
     """
     # Stable per-method stream: str hashes are process-randomized, enum order is not.
     rng = np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
     worst = 0.0
     for _ in range(cases):
-        batch, policy, reference, config, delta, zrefs = random_gradient_case(method, rng)
-        # Encoded and scored under the fixed reference once: FD scores it 2·C·V times.
-        stack = Stack.of(method, batch, policy, reference)
+        batch, policy, reference, config, delta, zrefs, stack = random_gradient_case(method, rng)
+        if stack is None:
+            # Encoded and scored under the fixed reference once for every table.
+            stack = Stack.of(method, batch, policy, reference)
         _, analytic = method_loss_and_grad(method, batch, policy, reference, config, delta)
         largest = 0.0
 
-        def value() -> float:
+        def totals(tables: np.ndarray) -> np.ndarray:
             nonlocal largest
-            scores = score(method, stack, policy, config.beta)
-            total = scored_loss(method, scores, [config], [delta], zrefs)[0][0].total
-            largest = max(largest, abs(total))
-            return total
+            runs, context, vocab = tables.shape
+            tiled = Stack(
+                [batch] * runs,
+                stack_codes([stack.codes] * runs, context, vocab),
+                Layout.build([len(batch.pos)] * runs, [len(batch.aux)] * runs),
+                None if stack.reference is None else np.tile(stack.reference, runs),
+            )
+            table = PolicyParams(vocab, runs * context, tables.reshape(runs * context, vocab))
+            scores = score(method, tiled, table, config.beta)
+            run_zrefs = None if zrefs is None else np.tile(zrefs, runs)
+            values = scored_loss(method, scores, [config] * runs, [delta] * runs, run_zrefs)[0]
+            largest = max([largest, *np.abs(values[:, _TOTAL]).tolist()])
+            return values[:, _TOTAL]
 
-        numeric = finite_difference_grad(value, policy)
+        numeric = finite_difference_grad(totals, policy)
         eps = FD_LOSS_ULPS * np.finfo(np.float64).eps
         roundoff = eps * largest / FD_STEP * math.sqrt(numeric.size)
         scale = max(float(np.linalg.norm(numeric)), roundoff / tolerance)
@@ -215,19 +256,24 @@ def run_clamp_check(
     n: int = 10,
     alpha: float = 0.9,
 ) -> CheckResult:
-    """The purified term must go negative on small batches, never post-clamp."""
-    rng = np.random.default_rng(seed)
+    """The purified term must go negative on small batches, never post-clamp.
+
+    Each replication draws n positive rewards, then n auxiliary ones, at
+    delta 0; one draw of every replication's rewards reads the same stream.
+    The replications are scored as the runs of a few layouts of at most
+    :data:`CLAMP_RUNS` runs each.
+    """
+    if n < 1:
+        raise InputError(f"the clamp check needs n >= 1 rewards a side, got {n}")
+    rewards = np.random.default_rng(seed).normal(0.0, 1.0, (replications, 2, n))
     config = LossConfig(alpha=alpha)
-    negatives = 0
-    clamp_violations = 0
-    for _ in range(replications):
-        pos = rng.normal(0.0, 1.0, n).tolist()
-        aux = rng.normal(0.0, 1.0, n).tolist()
-        breakdown = binary_loss(Method.CBPO, pos, aux, 0.0, config)
-        if breakdown.pure_neg_raw < 0.0:
-            negatives += 1
-        if breakdown.pure_neg_clamped < 0.0:
-            clamp_violations += 1
+    negatives = clamp_violations = 0
+    for lo in range(0, replications, CLAMP_RUNS):
+        chunk = rewards[lo : lo + CLAMP_RUNS]
+        layout = Layout.build([n] * len(chunk), [n] * len(chunk))
+        values = binary_losses(Method.CBPO, chunk.ravel(), layout, [config] * len(chunk))
+        negatives += int(np.count_nonzero(values[:, _RAW] < 0.0))
+        clamp_violations += int(np.count_nonzero(values[:, _CLAMPED] < 0.0))
     frequency = negatives / replications
     return CheckResult(
         name="clamp_negativity_exposure",

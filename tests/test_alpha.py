@@ -225,3 +225,31 @@ class TestOverlapRecovery:
             estimates.append(np.mean(vals))
         assert estimates[0] < estimates[1]
         assert estimates[1] > 0.5
+
+
+class TestRunAlphaEstimation:
+    def test_embeds_each_pool_once(self, monkeypatch):
+        """The auxiliary pool is embedded once, for the proxy's training and for
+        the estimate, and the estimate equals embedding it for each."""
+        from bfpo import alpha as alpha_mod
+
+        _, pop = small_population(0.5, 3, n_users=6, vocab=24, samples_per_user=100)
+        ds = build_user_dataset(pop, sorted(pop)[0], 1.5, "random", 3, 24)
+        seen = []
+        real = alpha_mod.embed_all
+
+        def spy(samples, vocab_size):
+            seen.append(samples)
+            return real(samples, vocab_size)
+
+        monkeypatch.setattr(alpha_mod, "embed_all", spy)
+        got = run_alpha_estimation(ds.tar_train, ds.aux_train, 24, seed=3)
+        train, heldout = split_heldout(ds.tar_train, alpha_mod.DEFAULT_HELDOUT_FRACTION, 3)
+        assert sorted(map(len, seen)) == sorted([len(train), len(heldout), len(ds.aux_train)])
+        assert [s is ds.aux_train for s in seen].count(True) == 1
+
+        monkeypatch.undo()
+        clf = train_proxy(train, ds.aux_train, alpha_mod.DEFAULT_EPOCHS, alpha_mod.DEFAULT_LR,
+                          3, 24)
+        c_hat = estimate_propensity(clf, heldout)
+        assert got == estimate_alpha(clf, ds.aux_train, c_hat, n_heldout=len(heldout))

@@ -467,7 +467,9 @@ class TestKernelLossValues:
         """Four runs scored as one stack, each with its own table, alpha and
         anchor and 30 to 60 samples a side (where numpy's pairwise sum would
         reorder a mean): every run's breakdown equals its per-sample loops."""
-        from bfpo.losses import LossBreakdown, Layout, Stack, encode_batch, score, scored_loss
+        from bfpo.losses import (
+            BREAKDOWN_COLUMNS, LossBreakdown, Layout, Stack, encode_batch, score, scored_loss,
+        )
         from bfpo.policy import PolicyParams, sequence_log_probs, softmax_tables, stack_codes
         from bfpo.rewards import RewardConfig, implicit_reward
 
@@ -525,7 +527,7 @@ class TestKernelLossValues:
                     method, l_pos, l_aux_neg, l_tar_neg, raw, max(0.0, raw),
                     l_pos + (max(0.0, raw) if clamped else raw) / divisor,
                 )
-            assert got[run] == want, run
+            assert got[run].tolist() == [getattr(want, c) for c in BREAKDOWN_COLUMNS], run
             reordered |= any(float(np.sum(t)) != _loop_sum(t) for t in terms)
         assert reordered
 
@@ -535,3 +537,98 @@ def _loop_sum(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def _lone_breakdown_row(breakdown):
+    from bfpo.losses import BREAKDOWN_COLUMNS
+
+    return [getattr(breakdown, c) for c in BREAKDOWN_COLUMNS]
+
+
+class TestScoredLossColumns:
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_columns_equal_lone_breakdowns(self, rng, method):
+        """Row r of the columns holds run r's breakdown fields, for a lone
+        batch (R = 1) and for every run of an R = 3 stack, 0.0 where a field
+        does not apply."""
+        from bfpo.losses import BREAKDOWN_COLUMNS, Layout, Stack, encode_batch, score, scored_loss
+        from bfpo.policy import PolicyParams, sequence_log_probs, softmax_tables, stack_codes
+
+        vocab, context, beta = 5, 3, 0.7
+        policies = [random_params(rng, vocab, context) for _ in range(3)]
+        references = [random_params(rng, vocab, context) for _ in range(3)]
+        batches = [_random_batch(rng, vocab, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+                   for _ in range(3)]
+        if method is Method.DPO:
+            batches = [Batch.of(pairs=[DpoPair(p.x, p.y, a.y) for p, a in zip(*b.samples())])
+                       for b in batches]
+        configs = [LossConfig(beta=beta, alpha=a, pi_n=0.8, lambda_d=d, lambda_u=u)
+                   for a, d, u in ((0.1, 1.0, 0.5), (0.45, 1.5, 1.0), (0.8, 0.7, 2.0))]
+        deltas = [float(d) for d in rng.normal(0.0, 0.5, 3)]
+        lone = [method_loss(method, *args) for args in
+                zip(batches, policies, references, configs, deltas)]
+        unused = len(BREAKDOWN_COLUMNS) - 1 if method in (Method.SFT, Method.DPO, Method.KTO) else 0
+
+        for args, want in zip(zip(batches, policies, references, configs, deltas), lone):
+            batch, policy, reference, config, delta = args
+            stack = Stack.of(method, batch, policy, reference)
+            values, _ = scored_loss(method, score(method, stack, policy, beta), [config], [delta])
+            assert values.shape == (1, len(BREAKDOWN_COLUMNS))
+            assert values[0].tolist() == _lone_breakdown_row(want)
+            assert values[0, :unused].tolist() == [0.0] * unused
+
+        codes = stack_codes([encode_batch(b, context, vocab) for b in batches], context, vocab)
+        ref_table = softmax_tables(np.concatenate([r.logits for r in references]))[0]
+        stack = Stack(batches, codes, Layout.of([len(b.pos) for b in batches],
+                                                [len(b.aux) for b in batches]),
+                      None if method is Method.SFT else sequence_log_probs(ref_table, codes))
+        table = PolicyParams(vocab, 3 * context, np.concatenate([p.logits for p in policies]))
+        values, _ = scored_loss(method, score(method, stack, table, beta), configs, deltas)
+        assert values.shape == (3, len(BREAKDOWN_COLUMNS))
+        for row, want in zip(values.tolist(), lone):
+            assert row == _lone_breakdown_row(want)
+
+    def test_clamp_is_python_max(self):
+        """The clamped column is max(0.0, raw): 0.0 for a raw of -0.0 or NaN,
+        where np.maximum would give -0.0 or NaN."""
+        from bfpo.losses import _binary_row
+
+        for l_aux_neg, raw_is in ((-0.0, np.signbit), (float("nan"), np.isnan)):
+            row = _binary_row((0.5, 0.5, True), 0.25, l_aux_neg, 0.0)
+            assert raw_is(row[3]) and raw_is(np.maximum(0.0, row[3]))
+            assert row[4] == 0.0 and not np.signbit(row[4])
+            assert row[5] == 0.25
+            unclamped = _binary_row((0.5, 0.5, False), 0.25, l_aux_neg, 0.0)
+            assert unclamped[4] == 0.0 and not np.signbit(unclamped[4])
+
+    def test_nan_raw_clamps_to_zero(self):
+        with np.errstate(invalid="ignore"):  # softplus of a NaN reward
+            out = binary_loss(Method.CBPO, [float("nan")], [0.1], 0.0, LossConfig(alpha=0.5))
+        assert math.isnan(out.pure_neg_raw)
+        assert out.pure_neg_clamped == 0.0 and not math.copysign(1.0, out.pure_neg_clamped) < 0
+
+    def test_kto_values_equal_kto_loss(self, rng):
+        """The one-pass KTO value equals :func:`kto_loss`, run by run, bit for
+        bit, on random stacks of 1-4 runs, with the anchors computed or given."""
+        from bfpo.losses import BREAKDOWN_COLUMNS, Layout, Scores, Stack, scored_loss
+        from bfpo.rewards import kto_zrefs
+
+        total = BREAKDOWN_COLUMNS.index("total")
+        for trial in range(300):
+            runs = int(rng.integers(1, 5))
+            n_pos, n_aux = rng.integers(1, 6, runs), rng.integers(1, 6, runs)
+            layout = Layout.build(n_pos.tolist(), n_aux.tolist())
+            rewards = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0])), int(layout.sizes.sum()))
+            rewards[rng.random(len(rewards)) < 0.1] = 0.0
+            configs = [LossConfig(lambda_d=float(rng.uniform(0.5, 2.0)),
+                                  lambda_u=float(rng.uniform(0.5, 2.0))) for _ in range(runs)]
+            zrefs = None
+            if trial % 2:
+                zrefs = rng.normal(0.0, 1.0, len(rewards)).tolist()
+            scores = Scores(Stack([], None, layout, None), 1.0, None, None, rewards)
+            got = scored_loss(Method.KTO, scores, configs, [0.0] * runs, zrefs)[0][:, total]
+            for (a, b, p), config, value in zip(layout.spans, configs, got.tolist()):
+                anchors = kto_zrefs(rewards[a:b]) if zrefs is None else zrefs[a:b]
+                want = kto_loss(rewards[a:b].tolist(), [1] * p + [-1] * (b - a - p),
+                                config.lambda_d, config.lambda_u, zrefs=list(anchors))
+                assert value == want or (math.isnan(value) and math.isnan(want))

@@ -12,7 +12,7 @@ import pytest
 
 from bfpo.datagen import UserDataset, build_user_dataset, truncate_history
 from bfpo.errors import ConfigError, InputError, NumericError
-from bfpo.losses import Batch, DpoPair, Method, Stack, score
+from bfpo.losses import BREAKDOWN_COLUMNS, Batch, DpoPair, Method, Stack, score
 from bfpo.policy import (
     Encoded,
     Sample,
@@ -223,9 +223,10 @@ class TestTrainStep:
         state = self._state(lr=0.0)
         before = state.policy.logits.copy()
         batch = Batch.of(pos=[Sample("u", (0,), (1, 2))], aux=[Sample("v", (1,), (3,))])
-        _, (breakdown,) = train_step(state, self._stack(state, batch))
+        _, values = train_step(state, self._stack(state, batch))
         np.testing.assert_array_equal(state.policy.logits, before)
-        assert math.isfinite(breakdown.total)
+        assert values.shape == (1, len(BREAKDOWN_COLUMNS))
+        assert math.isfinite(values[0, BREAKDOWN_COLUMNS.index("total")])
 
     def test_single_step_descends_positive_loss(self):
         """With the reward below the anchor, one small step lowers the
