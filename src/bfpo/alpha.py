@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EstimationError, InputError
+from .errors import ConfigError, EstimationError, InputError
 from .policy import Sample, SampleTable, _check_range
 
 __all__ = [
@@ -51,6 +51,15 @@ class EstimatorConfig:
     heldout_fraction: float = DEFAULT_HELDOUT_FRACTION
     epochs: int = DEFAULT_EPOCHS
     lr: float = DEFAULT_LR
+
+    def __post_init__(self) -> None:
+        # Each message starts with the field's name (the train config prefixes it).
+        if not 0.0 < self.heldout_fraction < 1.0:
+            raise ConfigError(f"heldout_fraction must lie in (0, 1), got {self.heldout_fraction}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.lr < 0:  # lr 0 is allowed, as for the train config's learning_rate
+            raise ConfigError(f"lr must be >= 0, got {self.lr}")
 
 
 @dataclass

@@ -71,7 +71,6 @@ from .rewards import kto_zref, kto_zrefs
 __all__ = [
     "BREAKDOWN_COLUMNS",
     "Batch",
-    "DpoPair",
     "LossBreakdown",
     "LossConfig",
     "Layout",
@@ -129,23 +128,16 @@ BREAKDOWN_COLUMNS = tuple(f.name for f in fields(LossBreakdown) if f.name != "me
 _RAW, _TOTAL = BREAKDOWN_COLUMNS.index("pure_neg_raw"), BREAKDOWN_COLUMNS.index("total")
 
 
-@dataclass(frozen=True)
-class DpoPair:
-    """A prompt with a preferred and a rejected completion."""
-
-    x: tuple[int, ...]
-    y_w: tuple[int, ...]
-    y_l: tuple[int, ...]
-
-
 @dataclass(eq=False)
 class Batch:
     """One run's optimization step: index arrays into two pools.
 
     ``pos`` indexes ``pos_pool`` (the target samples) and ``aux`` indexes
     ``aux_pool`` (the auxiliary samples).  A DPO batch is shaped the same way:
-    its pools are the pairs' preferred completions and their rejected ones, in
-    the same order, and ``pos`` and ``aux`` take the same indices.
+    its pools are the two sides of a pairs dataset
+    (:func:`bfpo.trainer.synth_dpo_pairs`), the preferred completions and
+    their rejected ones row for row, and ``pos`` and ``aux`` take the same
+    indices.
     """
 
     pos: np.ndarray
@@ -154,13 +146,9 @@ class Batch:
     aux_pool: Sequence[Sample] = ()
 
     @classmethod
-    def of(cls, pos: Sequence[Sample] = (), aux: Sequence[Sample] = (),
-           pairs: Sequence[DpoPair] = ()) -> "Batch":
-        """A batch of exactly these samples, or of these pairs: the one place
-        pairs become the two pools (their completions, with no user)."""
-        if pairs:
-            pos = [Sample("", p.x, p.y_w) for p in pairs]
-            aux = [Sample("", p.x, p.y_l) for p in pairs]
+    def of(cls, pos: Sequence[Sample] = (), aux: Sequence[Sample] = ()) -> "Batch":
+        """A batch of exactly these samples; for DPO, ``aux[i]`` is the
+        rejected completion of ``pos[i]``'s prompt."""
         return cls(np.arange(len(pos)), np.arange(len(aux)), list(pos), list(aux))
 
     def samples(self) -> tuple[list[Sample], list[Sample]]:

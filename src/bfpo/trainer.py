@@ -4,8 +4,9 @@ A run has three phases: a warm start (the stand-in for a general task model),
 a reference freeze, and the configured method's optimization.  Each trains one
 shape, by one epoch loop, batching and optimizer step: a dataset whose target
 side the phase learns from and whose auxiliary side it contrasts.  The warm
-start is SFT on the pooled auxiliary data; DPO's dataset is its pairs, the
-preferred completions then the rejected ones in the same order.  Everything is
+start is SFT on the pooled auxiliary data; DPO's dataset is the pairs dataset
+of :func:`synth_dpo_pairs`, the preferred completions as its target side and
+the rejected ones, row for row, as its auxiliary side.  Everything is
 a pure function of (dataset, config, seed): batch order, the optimizer
 trajectory and the metrics log reproduce byte-identically.
 
@@ -37,19 +38,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, AlphaEstimate, run_alpha_estimation
+from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, AlphaEstimate, EstimatorConfig, run_alpha_estimation
 from .datagen import UserDataset
 from .errors import ConfigError, InputError, NumericError
 from .files import write_atomic
 from .losses import (
     BREAKDOWN_COLUMNS,
     Batch,
-    DpoPair,
     LossConfig,
     Layout,
     Method,
     Stack,
-    encode_batch,
     score,
     scored_loss,
 )
@@ -164,6 +163,12 @@ class TrainConfig:
             raise ConfigError(f"warmstart_lr must be >= 0, got {self.warmstart_lr}")
         if self.method is Method.KTO and self.batch_size_pos + (self.batch_size_aux or 1) < 2:
             raise ConfigError("KTO needs a combined batch size of >= 2")
+        if self.dpo_rejection_budget < 1:
+            raise ConfigError("dpo_rejection_budget must be >= 1")
+        try:
+            EstimatorConfig(epochs=self.alpha_estimator_epochs, lr=self.alpha_estimator_lr)
+        except ConfigError as exc:
+            raise ConfigError(f"alpha_estimator_{exc}") from exc
 
     def resolved_aux_batch(self, ratio_x: float) -> int:
         if self.batch_size_aux is not None:
@@ -429,39 +434,44 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
 
 
 def synth_dpo_pairs(
-    dataset: UserDataset,
-    policy: PolicyParams,
-    seed: int,
-    budget: int = 16,
-) -> tuple[list[DpoPair], int]:
-    """Rejection-sample a distinct completion per target sample from the policy.
+    dataset: UserDataset, policy: PolicyParams, seed: int, budget: int
+) -> tuple[UserDataset, int]:
+    """The pairs dataset DPO trains on, and how many target samples it skipped.
 
-    Samples whose rejection budget is exhausted are skipped and counted.  A
-    candidate is what :func:`bfpo.policy.sample_completion` draws: its
-    ``rng.choice(V, p=row)`` reads one ``rng.random()`` u per token and returns
-    ``searchsorted(cdf, u, side="right")``, the count of the row's normalized
-    cdf entries <= u; here one ``rng.random(L)`` reads a candidate's L draws.
+    Each target training completion is paired with a distinct completion of
+    its length rejection-sampled from the policy, or skipped once ``budget``
+    candidates have all repeated it.  The target side is the kept rows of
+    ``tar_train``; the auxiliary side is that table with each completion
+    replaced by its rejected one, so the sides share prompts, offsets, users
+    and splits row for row.  A candidate is what
+    :func:`bfpo.policy.sample_completion` draws: its ``rng.choice(V, p=row)``
+    reads one ``rng.random()`` u per token and returns ``searchsorted(cdf, u,
+    side="right")``, the count of the row's normalized cdf entries <= u; here
+    one ``rng.random(L)`` reads a candidate's L draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    samples = dataset.tar_train
+    table = dataset.tar_train
     # Checks every prompt's range and every completion's length >= 1.
-    codes = encode_table(samples, policy.context_size, policy.vocab_size)
+    codes = encode_table(table, policy.context_size, policy.vocab_size)
     cdf = np.cumsum(softmax_tables(policy.logits)[1], axis=1)
     cdf /= cdf[:, -1:]
-    pairs: list[DpoPair] = []
-    skipped = 0
-    for s, row_cdf in zip(samples, np.split(cdf[codes.rows], codes.starts[1:])):
+    tokens = codes.tokens.tolist()
+    kept, rejected = [], []  # the kept rows, and their candidates end to end
+    row_cdfs = np.split(cdf[codes.rows], codes.starts[1:])
+    for i, (start, row_cdf) in enumerate(zip(codes.starts.tolist(), row_cdfs)):
+        completion = tokens[start : start + len(row_cdf)]
         for _ in range(budget):
-            draws = rng.random(len(s.y))
-            candidate = tuple((row_cdf <= draws[:, None]).sum(axis=1).tolist())
-            if candidate != s.y:
-                pairs.append(DpoPair(x=s.x, y_w=s.y, y_l=candidate))
+            candidate = (row_cdf <= rng.random(len(completion))[:, None]).sum(axis=1).tolist()
+            if candidate != completion:
+                kept.append(i)
+                rejected += candidate
                 break
-        else:
-            skipped += 1
+    skipped = len(table) - len(kept)
     if skipped:
         logger.warning("DPO pair synthesis skipped %d samples (budget exhausted)", skipped)
-    return pairs, skipped
+    preferred = table.take(kept)
+    rejected_side = replace(preferred, y_tokens=np.array(rejected, dtype=np.int64))
+    return replace(dataset, h_tar=preferred, h_aux=rejected_side), skipped
 
 
 def _epoch_seed(rng: np.random.Generator) -> int:
@@ -620,17 +630,13 @@ def run_many(
                 job.alpha = float(config.alpha)
         skipped = 0
         if config.method is Method.DPO:
-            pairs, skipped = synth_dpo_pairs(
-                dataset, job.policy,
-                int(np.random.default_rng(ss_pairs).integers(0, 2**31)),
-                budget=config.dpo_rejection_budget,
-            )
-            if len(pairs) == 0:
+            pair_seed = int(np.random.default_rng(ss_pairs).integers(0, 2**31))
+            budget = config.dpo_rejection_budget
+            job.dataset, skipped = synth_dpo_pairs(dataset, job.policy, pair_seed, budget)
+            preferred, rejected = job.dataset.tar_train, job.dataset.aux_train
+            if len(preferred) == 0:
                 raise InputError("DPO pair synthesis produced no usable pairs")
-            # The pairs as a dataset: preferred completions, then rejected ones.
-            both = Batch.of(pairs=pairs)
-            job.dataset = replace(dataset, h_tar=both.pos_pool, h_aux=both.aux_pool)
-            job.codes = encode_batch(both, config.context_size, vocab_size)
+            job.codes = encode_table(preferred + rejected, config.context_size, vocab_size)
         prepared.append((alpha_estimate, skipped))
 
     _train_phase(methods, vocab_size)

@@ -24,7 +24,6 @@ from .errors import InputError
 from .losses import (
     BREAKDOWN_COLUMNS,
     Batch,
-    DpoPair,
     Layout,
     LossConfig,
     Method,
@@ -66,9 +65,7 @@ FD_LOSS_ULPS = 16.0
 # layouts of 100 runs cost no more time than layouts of 500 and hold less.
 CLAMP_RUNS = 100
 
-_RAW, _CLAMPED, _TOTAL = map(
-    BREAKDOWN_COLUMNS.index, ("pure_neg_raw", "pure_neg_clamped", "total")
-)
+_L_POS, _RAW, _TOTAL = map(BREAKDOWN_COLUMNS.index, ("l_pos", "pure_neg_raw", "total"))
 
 
 def finite_difference_grad(
@@ -133,15 +130,10 @@ def random_gradient_case(
             aux=_random_samples(rng, vocab, int(rng.integers(1, 4))),
         )
         if method is Method.DPO:
-            batch = Batch.of(
-                pairs=[
-                    DpoPair(x=s.x, y_w=s.y, y_l=t.y)
-                    for s, t in zip(
-                        _random_samples(rng, vocab, int(rng.integers(1, 4))),
-                        _random_samples(rng, vocab, 3),
-                    )
-                ]
-            )
+            # Each preferred completion, and a rejected one for its prompt.
+            pos = _random_samples(rng, vocab, int(rng.integers(1, 4)))
+            aux = [Sample("v", s.x, t.y) for s, t in zip(pos, _random_samples(rng, vocab, 3))]
+            batch = Batch.of(pos=pos, aux=aux)
         zrefs, stack = None, None
         if method in (Method.KTO, Method.CBPO):
             stack = Stack.of(method, batch, policy, reference)
@@ -256,7 +248,9 @@ def run_clamp_check(
     n: int = 10,
     alpha: float = 0.9,
 ) -> CheckResult:
-    """The purified term must go negative on small batches, never post-clamp.
+    """The purified term must go negative on small batches, and the clamp must
+    then keep it out of the objective: a replication whose raw term is
+    negative but whose total is not exactly its ``l_pos`` is a violation.
 
     Each replication draws n positive rewards, then n auxiliary ones, at
     delta 0; one draw of every replication's rewards reads the same stream.
@@ -272,8 +266,10 @@ def run_clamp_check(
         chunk = rewards[lo : lo + CLAMP_RUNS]
         layout = Layout.build([n] * len(chunk), [n] * len(chunk))
         values = binary_losses(Method.CBPO, chunk.ravel(), layout, [config] * len(chunk))
-        negatives += int(np.count_nonzero(values[:, _RAW] < 0.0))
-        clamp_violations += int(np.count_nonzero(values[:, _CLAMPED] < 0.0))
+        negative = values[:, _RAW] < 0.0
+        leaked = values[:, _TOTAL] != values[:, _L_POS]
+        negatives += int(np.count_nonzero(negative))
+        clamp_violations += int(np.count_nonzero(negative & leaked))
     frequency = negatives / replications
     return CheckResult(
         name="clamp_negativity_exposure",

@@ -735,6 +735,13 @@ class TestMalformedInputExits2:
             ("train", None, {"seed": _NOT_UTF8}),
             ("estimate-alpha", None, {"seed": _NOT_UTF8}),
             ("sweep", None, {"seed": _NOT_UTF8}),
+            ("train", None, {"train": {"method": "dpo", "dpo_rejection_budget": 0}}),
+            ("train", None, {"train": {"method": "dpo", "dpo_rejection_budget": -3}}),
+            ("train", None, {"train": {"alpha": "estimate", "alpha_estimator_epochs": 0}}),
+            ("train", None, {"train": {"alpha": "estimate", "alpha_estimator_lr": -1}}),
+            ("estimate-alpha", None, {"estimator": {"epochs": 0}}),
+            ("estimate-alpha", None, {"estimator": {"heldout_fraction": 1.0}}),
+            ("estimate-alpha", None, {"estimator": {"lr": -1}}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -753,7 +760,11 @@ class TestMalformedInputExits2:
              "checkpoint_ema_initialized_not_a_bool", "checkpoint_policy_logit_bool",
              "checkpoint_reference_logit_string", "corpus_not_utf8",
              "generate_config_not_utf8", "train_config_not_utf8",
-             "estimate_alpha_config_not_utf8", "sweep_config_not_utf8"],
+             "estimate_alpha_config_not_utf8", "sweep_config_not_utf8",
+             "dpo_rejection_budget_zero", "dpo_rejection_budget_negative",
+             "alpha_estimator_epochs_zero", "alpha_estimator_lr_negative",
+             "estimator_epochs_zero", "estimator_heldout_fraction_one",
+             "estimator_lr_negative"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)

@@ -10,7 +10,6 @@ import pytest
 from bfpo.errors import ConfigError, InputError
 from bfpo.losses import (
     Batch,
-    DpoPair,
     LossConfig,
     Method,
     binary_loss,
@@ -259,6 +258,13 @@ def _random_batch(rng, vocab, n_pos, n_aux):
     return Batch.of(pos=mk(n_pos), aux=mk(n_aux))
 
 
+def _pairs_batch(pos, aux):
+    """A DPO batch pairing each ``pos[i]`` with ``aux[i]``'s completion as the
+    rejected one for its prompt (as many pairs as the shorter side)."""
+    rejected = [Sample(p.user_id, p.x, a.y) for p, a in zip(pos, aux)]
+    return Batch.of(pos=pos[: len(rejected)], aux=rejected)
+
+
 class TestGradients:
     def test_clamp_active_gradient_is_positive_term_only(self):
         """When the purified term clamps, its gradient contribution is zero."""
@@ -309,18 +315,35 @@ class TestGradients:
         )
         assert not np.array_equal(grad, grad_bco)
 
+    def test_clamped_gradient_ignores_the_auxiliary_completions(self):
+        """While the purified term is clamped, a cbpo run's gradient is its
+        positives' alone: other auxiliary completions, still clamped, leave it
+        unchanged bit for bit, where the unclamped objective's moves."""
+        policy = uniform_params(3, 1)
+        policy.logits[0] = [3.0, 0.0, 0.0]  # token 0 favored over the reference
+        reference = uniform_params(3, 1)
+        config = LossConfig(beta=1.0, alpha=0.9)
+        pos = [Sample("u", (0,), (0, 0)), Sample("u", (1,), (0,))]
+        grads = {}
+        for method in (Method.CBPO, Method.CBPO_RAW):
+            for aux in ([(1,), (2, 2)], [(2, 1, 2), (1, 1)]):
+                batch = Batch.of(pos=pos, aux=[Sample("v", (0,), y) for y in aux])
+                breakdown, grads[method, aux[0]] = method_loss_and_grad(
+                    method, batch, policy, reference, config, 0.0
+                )
+                assert breakdown.pure_neg_raw < 0.0
+        np.testing.assert_array_equal(grads[Method.CBPO, (1,)], grads[Method.CBPO, (2, 1, 2)])
+        assert not np.array_equal(grads[Method.CBPO_RAW, (1,)], grads[Method.CBPO_RAW, (2, 1, 2)])
+
     def test_dpo_antisymmetric_at_equal_rewards(self, rng):
         policy = random_params(rng, 4, 3)
         reference = snapshot_reference(policy)  # all rewards are 0
-        pair = DpoPair(x=(0,), y_w=(1, 2), y_l=(3,))
-        swapped = DpoPair(x=(0,), y_w=(3,), y_l=(1, 2))
+        long, short = Sample("u", (0,), (1, 2)), Sample("u", (0,), (3,))
+        pair = Batch.of(pos=[long], aux=[short])
+        swapped = Batch.of(pos=[short], aux=[long])
         config = LossConfig(beta=1.0)
-        _, g1 = method_loss_and_grad(
-            Method.DPO, Batch.of(pairs=[pair]), policy, reference, config, 0.0
-        )
-        _, g2 = method_loss_and_grad(
-            Method.DPO, Batch.of(pairs=[swapped]), policy, reference, config, 0.0
-        )
+        _, g1 = method_loss_and_grad(Method.DPO, pair, policy, reference, config, 0.0)
+        _, g2 = method_loss_and_grad(Method.DPO, swapped, policy, reference, config, 0.0)
         np.testing.assert_allclose(g1, -g2, atol=1e-14)
 
     def test_cbpo_step_raises_low_reward_positive(self):
@@ -369,7 +392,7 @@ class TestMethodLoss:
         batch = _random_batch(rng, 4, n_pos, n_aux)
         if method is Method.DPO:
             pos, aux = _random_batch(rng, 4, n_pos, n_pos).samples()
-            batch = Batch.of(pairs=[DpoPair(p.x, p.y, a.y) for p, a in zip(pos, aux)])
+            batch = _pairs_batch(pos, aux)
         return batch
 
     @pytest.mark.parametrize("method", list(Method))
@@ -444,17 +467,17 @@ class TestKernelLossValues:
         policy = random_params(rng, 5, 3)
         reference = random_params(rng, 5, 3)
         pos, aux = _random_batch(rng, 5, 4, 4).samples()
-        pairs = [DpoPair(x=p.x, y_w=p.y, y_l=a.y) for p, a in zip(pos, aux)]
+        pairs = _pairs_batch(pos, aux)
         config = LossConfig(beta=0.5)
         rcfg = RewardConfig(beta=config.beta)
         total = 0.0
-        for p in pairs:
+        for win, lose in zip(*pairs.samples()):
             total += dpo_loss(
-                implicit_reward(policy, reference, rcfg, p.x, p.y_w),
-                implicit_reward(policy, reference, rcfg, p.x, p.y_l),
+                implicit_reward(policy, reference, rcfg, win.x, win.y),
+                implicit_reward(policy, reference, rcfg, lose.x, lose.y),
             )
-        got = method_loss(Method.DPO, Batch.of(pairs=pairs), policy, reference, config, 0.0)
-        assert got.total == total / len(pairs)
+        got = method_loss(Method.DPO, pairs, policy, reference, config, 0.0)
+        assert got.total == total / len(pairs.pos)
         total_lp = 0.0
         for s in pos:
             total_lp += log_prob(policy, s.x, s.y)
@@ -479,8 +502,7 @@ class TestKernelLossValues:
         batches = [_random_batch(rng, vocab, int(rng.integers(30, 61)), int(rng.integers(30, 61)))
                    for _ in range(4)]
         if method is Method.DPO:
-            batches = [Batch.of(pairs=[DpoPair(p.x, p.y, a.y) for p, a in zip(*b.samples())])
-                       for b in batches]
+            batches = [_pairs_batch(*b.samples()) for b in batches]
         configs = [LossConfig(beta=beta, alpha=a, pi_n=0.8) for a in (0.1, 0.45, 0.8, 0.3)]
         deltas = [float(d) for d in rng.normal(0.0, 0.5, 4)]
         codes = [encode_batch(b, context, vocab) for b in batches]
@@ -560,8 +582,7 @@ class TestScoredLossColumns:
         batches = [_random_batch(rng, vocab, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
                    for _ in range(3)]
         if method is Method.DPO:
-            batches = [Batch.of(pairs=[DpoPair(p.x, p.y, a.y) for p, a in zip(*b.samples())])
-                       for b in batches]
+            batches = [_pairs_batch(*b.samples()) for b in batches]
         configs = [LossConfig(beta=beta, alpha=a, pi_n=0.8, lambda_d=d, lambda_u=u)
                    for a, d, u in ((0.1, 1.0, 0.5), (0.45, 1.5, 1.0), (0.8, 0.7, 2.0))]
         deltas = [float(d) for d in rng.normal(0.0, 0.5, 3)]

@@ -128,9 +128,11 @@ class TestSampleTable:
         }
 
 
-def test_the_data_path_builds_no_sample(monkeypatch):
-    """Generation, selection, truncation, alpha estimation, a cbpo run and its
-    evaluation read columns: not one Sample is built."""
+@pytest.mark.parametrize("method", list(Method))
+def test_the_data_path_builds_no_sample(monkeypatch, method):
+    """Generation, selection, truncation, alpha estimation, a run of each
+    method (DPO's pair synthesis included) and its evaluation read columns:
+    not one Sample is built."""
     built = []
     init = Sample.__init__
 
@@ -148,7 +150,7 @@ def test_the_data_path_builds_no_sample(monkeypatch):
     ]
     short = truncate_history(datasets[0], 0.5)
     run_alpha_estimation(short.tar_train, short.aux_train, spec.vocab_size, seed=0)
-    config = trainer.TrainConfig(method=Method.CBPO, alpha="estimate", epochs=1,
+    config = trainer.TrainConfig(method=method, alpha="estimate", epochs=1,
                                  context_size=4, warmstart_epochs=1)
     result = trainer.run(datasets[1], config, spec.vocab_size)
     evaluate_policy(result.policy, result.reference, population, "u000",

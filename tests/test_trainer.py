@@ -12,7 +12,7 @@ import pytest
 
 from bfpo.datagen import UserDataset, build_user_dataset, truncate_history
 from bfpo.errors import ConfigError, InputError, NumericError
-from bfpo.losses import BREAKDOWN_COLUMNS, Batch, DpoPair, Method, Stack, score
+from bfpo.losses import BREAKDOWN_COLUMNS, Batch, Method, Stack, score
 from bfpo.policy import (
     Encoded,
     Sample,
@@ -81,12 +81,6 @@ def _named_sequences(batch):
     return [(s.x, s.y) for s in pos + aux]
 
 
-def _pairs_dataset(ds, pairs):
-    """The trainer's DPO dataset: preferred completions, then rejected ones."""
-    both = Batch.of(pairs=pairs)
-    return replace(ds, h_tar=both.pos_pool, h_aux=both.aux_pool)
-
-
 class TestMakeBatches:
     def test_batch_count(self):
         spec, ds = _dataset(samples_per_user=12)  # 10 train samples per side
@@ -122,9 +116,10 @@ class TestMakeBatches:
         assert len(ds.aux_train) > len(ds.tar_train)
         with pytest.raises(ConfigError, match="preferred completion"):
             make_batches(ds, cfg, 0)
-        pairs, _ = synth_dpo_pairs(ds, uniform_params(spec.vocab_size, cfg.context_size), 0)
-        short = _pairs_dataset(ds, pairs)
-        short = replace(short, h_aux=short.h_aux[:-1])
+        pairs, _ = synth_dpo_pairs(
+            ds, uniform_params(spec.vocab_size, cfg.context_size), 0, budget=16
+        )
+        short = replace(pairs, h_aux=pairs.h_aux[:-1])
         with pytest.raises(ConfigError, match="preferred completion"):
             make_batches(short, cfg, 0)
 
@@ -168,18 +163,17 @@ class TestMakeBatches:
             spec, ds = _dataset(ratio=run_ratio)
             cfg = TrainConfig(method=method, batch_size_pos=bs_pos, batch_size_aux=bs_aux,
                               alpha=0.0, context_size=context)
-            pairs = None
             if method is Method.DPO:
-                pairs, _ = synth_dpo_pairs(ds, uniform_params(vocab, context), seed=2)
-                pairs = pairs[: len(pairs) - r]  # a different pair count per run
-                ds = _pairs_dataset(ds, pairs)
+                ds, _ = synth_dpo_pairs(ds, uniform_params(vocab, context), seed=2, budget=16)
+                kept = len(ds.tar_train) - r  # a different pair count per run
+                ds = replace(ds, h_tar=ds.h_tar[:kept], h_aux=ds.h_aux[:kept])
             codes = _codes(ds, cfg, vocab)
-            runs.append((ds, cfg, pairs, codes, make_batches(ds, cfg, 7 + r)))
-        assert len(runs[0][4]) == len(runs[1][4])
-        stacked = stack_codes([r[3] for r in runs], context, vocab)
+            runs.append((ds, cfg, codes, make_batches(ds, cfg, 7 + r)))
+        assert len(runs[0][3]) == len(runs[1][3])
+        stacked = stack_codes([r[2] for r in runs], context, vocab)
         table = np.random.default_rng(0).normal(size=(2 * context, vocab))
         reference = None if method is Method.SFT else sequence_log_probs(table, stacked)
-        stacks = stack_batches([r[4] for r in runs], stacked, [0, runs[0][3].n], reference)
+        stacks = stack_batches([r[3] for r in runs], stacked, [0, runs[0][2].n], reference)
         for stack in stacks:
             if method is Method.SFT:
                 assert stack.reference is None
@@ -187,8 +181,8 @@ class TestMakeBatches:
                 want = sequence_log_probs(table, stack.codes)
                 assert stack.reference.tobytes() == want.tobytes()
         binary = method not in (Method.SFT, Method.DPO)
-        for r, (ds, cfg, pairs, _, batches) in enumerate(runs):
-            n_pos = len(pairs) if pairs is not None else len(ds.tar_train)
+        for r, (ds, cfg, _, batches) in enumerate(runs):
+            n_pos = len(ds.tar_train)
             n_aux = cfg.resolved_aux_batch(ds.ratio_x) if binary else 0
             assert sorted(np.concatenate([b.pos for b in batches]).tolist()) == list(range(n_pos))
             for b, stack in zip(batches, stacks):
@@ -298,29 +292,41 @@ class TestTrainStep:
 
 
 def _synth_with_sample_completion(ds, policy, seed, budget):
-    """The per-token reference: one ``sample_completion`` per candidate."""
+    """The per-token reference: one ``sample_completion`` per candidate; each
+    pair as (prompt, preferred completion, rejected completion)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     pairs, skipped = [], 0
     for s in ds.tar_train:
         for _ in range(budget):
             candidate = sample_completion(policy, s.x, len(s.y), rng)
             if candidate != s.y:
-                pairs.append(DpoPair(x=s.x, y_w=s.y, y_l=candidate))
+                pairs.append((s.x, s.y, candidate))
                 break
         else:
             skipped += 1
     return pairs, skipped, rng
 
 
+def _pair_rows(pairs):
+    """A pairs dataset's rows as (prompt, preferred, rejected), once its two
+    sides are seen to share everything but the completion tokens."""
+    preferred, rejected = pairs.h_tar, pairs.h_aux
+    for name in ("x_tokens", "x_offsets", "y_offsets", "user", "heldout"):
+        np.testing.assert_array_equal(getattr(preferred, name), getattr(rejected, name))
+    assert preferred.user_ids == rejected.user_ids
+    assert pairs.tar_train == preferred and pairs.aux_train == rejected
+    return [(w.x, w.y, lose.y) for w, lose in zip(preferred, rejected)]
+
+
 def _synth_with_generator(monkeypatch, ds, policy, seed, budget):
-    """synth_dpo_pairs, plus the generator it drew from."""
+    """synth_dpo_pairs, its rows as pairs, plus the generator it drew from."""
     made = []
     real = np.random.default_rng
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", lambda *a: made.append(real(*a)) or made[-1])
         pairs, skipped = synth_dpo_pairs(ds, policy, seed, budget)
     (rng,) = made
-    return pairs, skipped, rng
+    return _pair_rows(pairs), skipped, rng
 
 
 class TestSynthDpoPairs:
@@ -361,7 +367,8 @@ class TestSynthDpoPairs:
             policy.logits[bucket(shared.x, t, 4), :] = 0.0
             policy.logits[bucket(shared.x, t, 4), tok] = 60.0
         pairs, skipped = synth_dpo_pairs(ds, policy, seed=0, budget=8)
-        assert pairs == []
+        assert len(pairs.h_tar) == len(pairs.h_aux) == 0
+        assert _pair_rows(pairs) == []
         assert skipped == 6
         want = _synth_with_sample_completion(ds, policy, 0, 8)
         got = _synth_with_generator(monkeypatch, ds, policy, 0, 8)
@@ -388,8 +395,8 @@ class TestSynthDpoPairs:
     def test_seed_determinism(self):
         spec, ds = _dataset(samples_per_user=10)
         policy = uniform_params(spec.vocab_size, 4)
-        a, _ = synth_dpo_pairs(ds, policy, seed=3)
-        b, _ = synth_dpo_pairs(ds, policy, seed=3)
+        a, _ = synth_dpo_pairs(ds, policy, seed=3, budget=16)
+        b, _ = synth_dpo_pairs(ds, policy, seed=3, budget=16)
         assert a == b
 
 
@@ -723,6 +730,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="warmstart_lr"):
             TrainConfig(warmstart_lr=-0.05)
         assert TrainConfig(warmstart_lr=0.0).warmstart_lr == 0.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha_estimator_epochs", 0), ("alpha_estimator_lr", -1.0),
+        ("dpo_rejection_budget", 0), ("dpo_rejection_budget", -3),
+    ])
+    def test_unusable_estimator_and_dpo_settings_name_the_field(self, name, value):
+        """The alpha estimator's fields are checked by its own config's rule,
+        under the train config's names."""
+        with pytest.raises(ConfigError, match=f"^{name} must be >= "):
+            TrainConfig(**{name: value})
+        assert TrainConfig(alpha_estimator_lr=0.0).alpha_estimator_lr == 0.0
 
     def test_method_coercion(self):
         assert TrainConfig(method="bco").method is Method.BCO

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bfpo import verification
+from bfpo import losses, verification
 from bfpo.errors import InputError
 from bfpo.losses import BREAKDOWN_COLUMNS, LossConfig, Method, Stack, binary_loss, score, scored_loss
 from bfpo.policy import PolicyParams
@@ -133,7 +133,7 @@ def _per_replication_clamp(seed, replications=2_000, n=10, alpha=0.9) -> CheckRe
         aux = rng.normal(0.0, 1.0, n).tolist()
         breakdown = binary_loss(Method.CBPO, pos, aux, 0.0, config)
         negatives += breakdown.pure_neg_raw < 0.0
-        clamp_violations += breakdown.pure_neg_clamped < 0.0
+        clamp_violations += breakdown.pure_neg_raw < 0.0 and breakdown.total != breakdown.l_pos
     frequency = negatives / replications
     return CheckResult(
         name="clamp_negativity_exposure",
@@ -167,6 +167,22 @@ def test_clamp_check_spans_several_layouts():
     got = verification.run_clamp_check(seed=6, replications=replications, n=3)
     want = _per_replication_clamp(6, replications=replications, n=3)
     assert repr(got.details) == repr(want.details)
+
+
+def test_clamp_check_fails_on_an_unclamped_objective(monkeypatch):
+    """With the cbpo row left unclamped, the purified term's negative values
+    reach the total and the check counts them."""
+    real = losses._binary_terms
+
+    def unclamped(method, config):
+        alpha, divisor, _ = real(method, config)
+        return alpha, divisor, False
+
+    assert verification.run_clamp_check(seed=4).passed
+    monkeypatch.setattr(losses, "_binary_terms", unclamped)
+    got = verification.run_clamp_check(seed=4)
+    assert not got.passed
+    assert got.details["clamp_violations"] > 0
 
 
 def test_clamp_check_rejects_empty_batches():
