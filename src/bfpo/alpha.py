@@ -44,6 +44,23 @@ DEFAULT_EPOCHS = 30
 DEFAULT_LR = 1.0
 
 
+def _check_knobs(
+    error: type[Exception],
+    heldout_fraction: float = DEFAULT_HELDOUT_FRACTION,
+    epochs: int = DEFAULT_EPOCHS,
+    lr: float = DEFAULT_LR,
+) -> None:
+    """The estimator's range rule, for the config (``ConfigError``) and for
+    library calls (``InputError``) alike."""
+    # Each message starts with the knob's name (the train config prefixes it).
+    if not 0.0 < heldout_fraction < 1.0:
+        raise error(f"heldout_fraction must lie in (0, 1), got {heldout_fraction}")
+    if not epochs >= 1:
+        raise error(f"epochs must be >= 1, got {epochs}")
+    if not lr >= 0.0:  # lr 0 is allowed, as for the train config's learning_rate
+        raise error(f"lr must be >= 0, got {lr}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """The proxy classifier's knobs, as :func:`run_alpha_estimation` takes them."""
@@ -53,13 +70,7 @@ class EstimatorConfig:
     lr: float = DEFAULT_LR
 
     def __post_init__(self) -> None:
-        # Each message starts with the field's name (the train config prefixes it).
-        if not 0.0 < self.heldout_fraction < 1.0:
-            raise ConfigError(f"heldout_fraction must lie in (0, 1), got {self.heldout_fraction}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:  # lr 0 is allowed, as for the train config's learning_rate
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        _check_knobs(ConfigError, self.heldout_fraction, self.epochs, self.lr)
 
 
 @dataclass
@@ -137,8 +148,7 @@ def train_proxy(
     descent; the auxiliary pool may come as its :func:`embed_all` rows."""
     if len(target_samples) == 0 or len(aux_samples) == 0:
         raise InputError("both classes must be non-empty")
-    if epochs < 1:
-        raise InputError(f"epochs must be >= 1, got {epochs}")
+    _check_knobs(InputError, epochs=epochs, lr=lr)
     features = np.concatenate(
         [embed_all(target_samples, vocab_size), _embedded(aux_samples, vocab_size)]
     )
@@ -203,8 +213,7 @@ def split_heldout(
 ) -> tuple[SampleTable, SampleTable]:
     """Seeded disjoint (train, heldout) split of the rows, each in order;
     heldout gets ceil(fraction * n)."""
-    if not 0.0 < fraction < 1.0:
-        raise InputError(f"heldout fraction must lie in (0, 1), got {fraction}")
+    _check_knobs(InputError, heldout_fraction=fraction)
     if len(samples) < 2:
         raise InputError("need at least 2 samples to split off a held-out set")
     order = np.random.default_rng(seed).permutation(len(samples))
@@ -230,6 +239,7 @@ def run_alpha_estimation(
 
     The held-out slice used for the propensity never enters classifier training.
     The auxiliary pool is embedded once, for the training and the estimate.
+    Knobs outside :class:`EstimatorConfig`'s ranges raise ``InputError``.
     """
     train, heldout = split_heldout(target_samples, heldout_fraction, seed)
     aux = embed_all(aux_samples, vocab_size)

@@ -8,6 +8,12 @@ negative risk pi_n * R_n be estimated from positive and unlabeled draws alone:
 Instances here are abstract loss-carrying draws, deliberately decoupled from
 the policy, so unbiasedness can be checked against exact ground truth computed
 by Gauss-Hermite quadrature (numpy only) rather than against training dynamics.
+
+The checks score draws with softplus as max(x, 0) + log1p(exp(-|x|)): numpy's
+``np.logaddexp`` is a scalar libm loop, ~7x slower, and the two agree within a
+few ulps. The quadrature truth (pinned to the bit) and ``losses`` (about 20
+values a step, with pinned artifacts) keep ``np.logaddexp``. Replications are
+drawn into blocks of rows, each row on a lone replication's streams.
 """
 
 from __future__ import annotations
@@ -63,11 +69,18 @@ def sample_unlabeled(
         raise InputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(rng_seed)
     from_positive = rng.random(n) < spec.pi_p
-    k = int(from_positive.sum())
+    k = int(np.count_nonzero(from_positive))
     values = np.empty(n, dtype=np.float64)
     values[from_positive] = spec.p_pos(rng, k)
     values[~from_positive] = spec.p_neg(rng, n - k)
     return values, from_positive
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``np.mean`` bit for bit (the same pairwise ``add.reduce``, then one
+    division) without its per-call overhead."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(values.sum()) / values.size
 
 
 def negative_risk_pu(
@@ -78,7 +91,7 @@ def negative_risk_pu(
         raise InputError("loss lists must be non-empty")
     if not 0.0 <= pi_p <= 1.0:
         raise InputError(f"pi_p must lie in [0, 1], got {pi_p}")
-    return float(np.mean(unlabeled_losses) - pi_p * np.mean(pos_losses))
+    return _mean(unlabeled_losses) - pi_p * _mean(pos_losses)
 
 
 def pu_total_risk(
@@ -96,10 +109,10 @@ def pu_total_risk(
         raise InputError("loss lists must be non-empty")
     if not 0.0 <= pi_p <= 1.0:
         raise InputError(f"pi_p must lie in [0, 1], got {pi_p}")
-    return float(
-        pi_p * np.mean(pos_losses_as_pos)
-        + np.mean(unlabeled_losses_as_neg)
-        - pi_p * np.mean(pos_losses_as_neg)
+    return (
+        pi_p * _mean(pos_losses_as_pos)
+        + _mean(unlabeled_losses_as_neg)
+        - pi_p * _mean(pos_losses_as_neg)
     )
 
 
@@ -113,14 +126,28 @@ _POS_MEAN, _NEG_MEAN, _STD = 1.5, -1.5, 1.0
 _HERMITE_NODES = 40
 
 
+def _log1p_exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """log1p(exp(-|x|)) in one new array: the part of softplus both signs share."""
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    return np.log1p(out, out=out)
+
+
 def logistic_negative_loss(x: np.ndarray) -> np.ndarray:
-    """softplus(x): the negative-label logistic loss of a score x."""
-    return np.logaddexp(0.0, x)
+    """softplus(x) = max(x, 0) + log1p(exp(-|x|)): the negative-label logistic
+    loss of a score x."""
+    x = np.asarray(x, dtype=np.float64)
+    out = _log1p_exp_neg_abs(x)
+    return np.add(out, np.maximum(x, 0.0), out=out)
 
 
 def logistic_positive_loss(x: np.ndarray) -> np.ndarray:
-    """softplus(-x): the positive-label logistic loss of a score x."""
-    return np.logaddexp(0.0, -x)
+    """softplus(-x) = max(-x, 0) + log1p(exp(-|x|)): the positive-label
+    logistic loss of a score x."""
+    x = np.asarray(x, dtype=np.float64)
+    out = _log1p_exp_neg_abs(x)
+    return np.subtract(out, np.minimum(x, 0.0), out=out)
 
 
 def default_mixture(pi_p: float = 0.3) -> MixtureSpec:
@@ -157,15 +184,39 @@ class CheckResult:
 Estimator = Callable[[Sequence[float], Sequence[float], float], float]
 
 
-def _one_replication(
-    spec: MixtureSpec, n: int, seed: int, estimator: Estimator
-) -> float:
-    rng = np.random.default_rng(seed)
-    pos = spec.p_pos(rng, n)
-    unlabeled, _ = sample_unlabeled(spec, n, seed + 1)
-    return estimator(
-        logistic_negative_loss(pos), logistic_negative_loss(unlabeled), spec.pi_p
-    )
+# A block of replications holds at most this many draws per side (a replication
+# at n >= _BLOCK_CELLS is a block of one row). Blocks of 16,384 were no faster
+# and raised the suite's peak RSS by 0.3 MB.
+_BLOCK_CELLS = 4_096
+
+
+def _replicate(
+    spec: MixtureSpec, n: int, seeds: np.ndarray, estimator: Estimator
+) -> np.ndarray:
+    """The estimator's value for each seed: its positives are drawn with
+    ``default_rng(seed)`` and its unlabeled set with ``sample_unlabeled(spec,
+    n, seed + 1)``, into row r of a block; each block's losses are taken at once."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    rows = max(1, _BLOCK_CELLS // n)
+    estimates = np.empty(len(seeds))
+    for start in range(0, len(seeds), rows):
+        block = [int(s) for s in seeds[start:start + rows]]
+        pos = np.empty((len(block), n))
+        unlabeled = np.empty((len(block), n))
+        for r, seed in enumerate(block):
+            pos[r] = spec.p_pos(np.random.default_rng(seed), n)
+            unlabeled[r] = sample_unlabeled(spec, n, seed + 1)[0]
+        pos_losses = logistic_negative_loss(pos)
+        unlabeled_losses = logistic_negative_loss(unlabeled)
+        for r in range(len(block)):
+            estimates[start + r] = estimator(pos_losses[r], unlabeled_losses[r], spec.pi_p)
+    return estimates
+
+
+def _check_replications(replications: int, least: int) -> None:
+    if replications < least:
+        raise InputError(f"replications must be >= {least}, got {replications}")
 
 
 def run_unbiasedness_check(
@@ -176,12 +227,11 @@ def run_unbiasedness_check(
     estimator: Estimator = negative_risk_pu,
 ) -> CheckResult:
     """Monte-Carlo mean of the estimator must sit within 4 SE of the quadrature truth."""
+    _check_replications(replications, 2)
     spec = default_mixture(pi_p)
     truth = true_weighted_negative_risk(pi_p)
     seeds = np.random.SeedSequence(seed).generate_state(replications)
-    estimates = np.array(
-        [_one_replication(spec, n, int(s), estimator) for s in seeds]
-    )
+    estimates = _replicate(spec, n, seeds, estimator)
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / np.sqrt(replications))
     deviation = abs(mean - truth)
@@ -206,14 +256,15 @@ def run_convergence_check(
     replications: int = 200,
 ) -> CheckResult:
     """Estimator spread must shrink like 1/sqrt(n): log-log slope -0.5 +/- 0.1."""
+    _check_replications(replications, 2)
+    if len({int(n) for n in ns}) < 2:
+        raise InputError(f"a slope needs at least two distinct ns, got {tuple(ns)}")
     spec = default_mixture(pi_p)
     stds = []
     root = np.random.SeedSequence(seed)
     for child, n in zip(root.spawn(len(ns)), ns):
         seeds = child.generate_state(replications)
-        estimates = np.array(
-            [_one_replication(spec, int(n), int(s), negative_risk_pu) for s in seeds]
-        )
+        estimates = _replicate(spec, int(n), seeds, negative_risk_pu)
         stds.append(float(estimates.std(ddof=1)))
     slope = float(np.polyfit(np.log(np.asarray(ns, float)), np.log(stds), 1)[0])
     return CheckResult(
@@ -235,11 +286,10 @@ def run_negativity_check(
     replications: int = 2_000,
 ) -> CheckResult:
     """At tiny n the unclamped estimator must go negative in > 1% of replications."""
+    _check_replications(replications, 1)
     spec = default_mixture(pi_p)
     seeds = np.random.SeedSequence(seed).generate_state(replications)
-    estimates = np.array(
-        [_one_replication(spec, n, int(s), negative_risk_pu) for s in seeds]
-    )
+    estimates = _replicate(spec, n, seeds, negative_risk_pu)
     frequency = float((estimates < 0.0).mean())
     return CheckResult(
         name="pu_negativity_exposure",

@@ -253,3 +253,24 @@ class TestRunAlphaEstimation:
                           3, 24)
         c_hat = estimate_propensity(clf, heldout)
         assert got == estimate_alpha(clf, ds.aux_train, c_hat, n_heldout=len(heldout))
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"lr": -1.0}, {"lr": float("nan")}, {"epochs": 0}, {"heldout_fraction": 1.0},
+         {"heldout_fraction": 0.0}],
+        ids=["lr_negative", "lr_nan", "epochs_zero", "heldout_fraction_one",
+             "heldout_fraction_zero"],
+    )
+    def test_out_of_range_knob_raises_as_the_config_does(self, knobs):
+        """A library call takes the config's range rule: at lr -1 it would
+        otherwise run gradient ascent and report alpha 0.99."""
+        from bfpo.alpha import EstimatorConfig
+        from bfpo.errors import ConfigError
+
+        _, pop = small_population(0.5, 3, n_users=4, vocab=24, samples_per_user=40)
+        ds = build_user_dataset(pop, sorted(pop)[0], 1.0, "random", 3, 24)
+        with pytest.raises(ConfigError) as config_error:
+            EstimatorConfig(**knobs)
+        with pytest.raises(InputError) as call_error:
+            run_alpha_estimation(ds.tar_train, ds.aux_train, 24, seed=3, **knobs)
+        assert str(call_error.value) == str(config_error.value)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,16 @@ from bfpo.pu import (
     MixtureSpec,
     default_mixture,
     logistic_negative_loss,
+    logistic_positive_loss,
     negative_risk_pu,
     pu_total_risk,
+    run_convergence_check,
     run_negativity_check,
     run_unbiasedness_check,
     sample_unlabeled,
     true_weighted_negative_risk,
 )
+from bfpo.verification import registered_checks
 
 
 class TestSampleUnlabeled:
@@ -45,6 +50,39 @@ class TestSampleUnlabeled:
         with pytest.raises(InputError):
             MixtureSpec(pi_p=1.5, p_pos=lambda r, n: r.normal(0, 1, n),
                         p_neg=lambda r, n: r.normal(0, 1, n))
+
+
+class TestSoftplus:
+    """The losses are max(+-x, 0) + log1p(exp(-|x|)), not np.logaddexp."""
+
+    LOSSES = [
+        (logistic_negative_loss, lambda x: np.logaddexp(0.0, x)),
+        (logistic_positive_loss, lambda x: np.logaddexp(0.0, -x)),
+    ]
+
+    @pytest.mark.parametrize("loss, reference", LOSSES, ids=["negative", "positive"])
+    @pytest.mark.parametrize("draw", ["normal", "uniform"])
+    def test_within_4_ulps_of_logaddexp(self, loss, reference, draw):
+        rng = np.random.default_rng(11)
+        x = rng.normal(0.0, 3.0, 50_000) if draw == "normal" else rng.uniform(-750, 750, 50_000)
+        got, want = loss(x), reference(x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    @pytest.mark.parametrize("loss, reference", LOSSES, ids=["negative", "positive"])
+    def test_exact_at_the_edges_and_quiet(self, loss, reference):
+        x = np.array([0.0, -0.0, 710.0, -710.0, 745.0, -745.0, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loss(x)
+            nan = loss(np.array([np.nan, 1.0]))
+        np.testing.assert_array_equal(got, reference(x))
+        assert np.isnan(nan[0]) and nan[1] == reference(np.array([1.0]))[0]
+
+    def test_input_is_left_alone(self):
+        x = np.array([-2.0, 0.5, 3.0])
+        logistic_negative_loss(x)
+        logistic_positive_loss(x)
+        np.testing.assert_array_equal(x, [-2.0, 0.5, 3.0])
 
 
 class TestNegativeRiskPu:
@@ -83,6 +121,18 @@ class TestNegativeRiskPu:
         with pytest.raises(InputError):
             negative_risk_pu([], [0.1], 0.3)
 
+    @pytest.mark.parametrize("size", [1, 7, 129, 10_000, 100_003])
+    def test_means_equal_np_mean_bit_for_bit(self, size):
+        """Each mean is a sum over a length: the same pairwise reduction and one
+        division that np.mean makes, also past numpy's 8,192-element blocks."""
+        rng = np.random.default_rng(size)
+        a, b, c = rng.normal(0.0, 3.0, (3, size))
+        assert negative_risk_pu(a, b, 0.3) == float(np.mean(b) - 0.3 * np.mean(a))
+        assert negative_risk_pu(a.tolist(), b.tolist(), 0.3) == negative_risk_pu(a, b, 0.3)
+        assert pu_total_risk(a, b, c, 0.3) == float(
+            0.3 * np.mean(a) + np.mean(c) - 0.3 * np.mean(b)
+        )
+
 
 class TestPuTotalRisk:
     def test_pi_zero_reduces_to_unlabeled_mean(self):
@@ -101,8 +151,6 @@ class TestPuTotalRisk:
         pos = spec.p_pos(rng, n)
         neg = spec.p_neg(rng, n)
         unl, _ = sample_unlabeled(spec, n, rng_seed=10)
-
-        from bfpo.pu import logistic_positive_loss
 
         estimate = pu_total_risk(
             logistic_positive_loss(pos).tolist(),
@@ -153,3 +201,92 @@ class TestChecks:
 
         result = run_unbiasedness_check(seed=0, n=2_000, replications=60, estimator=broken)
         assert not result.passed
+
+    @pytest.mark.parametrize("n, replications", [(1_000, 37), (10, 500), (20_000, 3)])
+    def test_blocked_estimates_equal_a_loop(self, n, replications):
+        """Replications scored in blocks (4 rows at n = 1,000, 409 at n = 10,
+        one at n = 20,000; none a divisor of the count) equal a loop that draws
+        and scores each replication alone, bit for bit and in order."""
+        pi_p, seed = 0.3, 8
+        spec = default_mixture(pi_p)
+        loop = []
+        for s in np.random.SeedSequence(seed).generate_state(replications):
+            pos = spec.p_pos(np.random.default_rng(int(s)), n)
+            unlabeled, _ = sample_unlabeled(spec, n, int(s) + 1)
+            loop.append(negative_risk_pu(
+                logistic_negative_loss(pos), logistic_negative_loss(unlabeled), pi_p
+            ))
+        seen = []
+
+        def recording(pos_losses, unlabeled_losses, pi):
+            assert len(pos_losses) == len(unlabeled_losses) == n
+            seen.append(negative_risk_pu(pos_losses, unlabeled_losses, pi))
+            return seen[-1]
+
+        result = run_unbiasedness_check(
+            seed=seed, pi_p=pi_p, n=n, replications=replications, estimator=recording
+        )
+        assert seen == loop
+        loop = np.array(loop)
+        assert result.details["estimate_mean"] == float(loop.mean())
+        assert result.details["standard_error"] == float(
+            loop.std(ddof=1) / np.sqrt(replications)
+        )
+
+
+class TestDegenerateArguments:
+    """Arguments that leave a check nothing to measure raise instead of
+    returning a NaN or a slope through one point."""
+
+    @pytest.mark.parametrize(
+        "check, kwargs",
+        [
+            (run_unbiasedness_check, {"n": 100, "replications": 1}),
+            (run_unbiasedness_check, {"n": 100, "replications": 0}),
+            (run_convergence_check, {"ns": (100, 1_000), "replications": 1}),
+            (run_convergence_check, {"ns": (100,), "replications": 20}),
+            (run_convergence_check, {"ns": (100, 100), "replications": 20}),
+            (run_negativity_check, {"replications": 0}),
+        ],
+        ids=[
+            "unbiasedness_one_replication",
+            "unbiasedness_no_replications",
+            "convergence_one_replication",
+            "convergence_one_n",
+            "convergence_repeated_n",
+            "negativity_no_replications",
+        ],
+    )
+    def test_raises(self, check, kwargs):
+        with pytest.raises(InputError):
+            check(**kwargs)
+
+
+class TestRegisteredPuDetails:
+    """The suite's PU checks at seed 0, pinned before softplus left
+    np.logaddexp: the floats move by a few ulps at most, and the frequency and
+    the printed spreads not at all."""
+
+    def test_seed_0(self):
+        results = [check() for check in registered_checks(seed=0)[:3]]
+        assert [(r.name, r.passed) for r in results] == [
+            ("pu_unbiasedness", True),
+            ("pu_convergence_rate", True),
+            ("pu_negativity_exposure", True),
+        ]
+        unbiased, convergence, negativity = (r.details for r in results)
+        assert unbiased == {
+            "estimate_mean": pytest.approx(0.19326881484934685, rel=1e-12, abs=0),
+            "truth": 0.19340431155590454,
+            "standard_error": pytest.approx(0.0005983991157267649, rel=1e-12, abs=0),
+            "deviation_in_se": pytest.approx(0.22643199663342312, rel=1e-12, abs=0),
+            "replications": 200,
+            "n": 10_000,
+        }
+        assert convergence == {
+            "slope": pytest.approx(-0.4911478958978325, rel=1e-12, abs=0),
+            "stds": "0.0877251, 0.0262237, 0.00913751",
+            "ns": "100, 1000, 10000",
+            "replications": 200,
+        }
+        assert negativity == {"negative_frequency": 0.411, "replications": 2_000, "n": 10}
