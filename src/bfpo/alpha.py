@@ -86,12 +86,12 @@ class ProxyClassifier:
 
     def predict_proba(self, embeddings: np.ndarray) -> np.ndarray:
         z = embeddings @ self.weights + self.bias
-        out = np.empty_like(z)
+        # 1 / (1 + exp(-z)) where z >= 0 and e / (1 + e), e = exp(z), elsewhere
+        # (NaN too): one exp of -|z|, which never overflows.
         pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        e = np.exp(z[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        e = np.exp(np.where(pos, -z, z))
+        denominator = 1.0 + e
+        return np.where(pos, 1.0 / denominator, e / denominator)
 
 
 @dataclass(frozen=True)

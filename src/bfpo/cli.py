@@ -40,6 +40,7 @@ from .schema import cast, from_doc
 from .trainer import (
     METRICS_COLUMNS,
     TrainConfig,
+    check_trainable,
     load_checkpoint,
     lockstep_key,
     run,
@@ -92,6 +93,8 @@ def _load_config(
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"config {path} is not readable: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -256,6 +259,7 @@ def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
     )
     population, spec = _load_corpus_dir(_value(doc, "corpus_dir", str, "train config"))
     dataset = _build_dataset(population, spec, dataset_cfg, run_seed)
+    check_trainable(dataset, train_cfg)
     out_dir = _resolve_out(doc, out, "train config")
     try:
         result = run(dataset, train_cfg, spec.vocab_size)
@@ -452,12 +456,15 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
                 tasks.append(_SweepTask(
                     axis, value, replace(spec, seed=run_seed), dataset_cfg, train_cfg
                 ))
-    # So is each distinct dataset: a bad target user or ratio_x fails here.
+    # So is each distinct dataset, and each task's run on it: a bad target
+    # user or ratio_x, or a dataset a task cannot train, fails here.
     datasets = list(dict.fromkeys(task.dataset for task in tasks))
     for run_seed in range(base_seed, base_seed + n_seeds):
         population = generate_population(replace(spec, seed=run_seed))
-        for dataset_cfg in datasets:
-            _build_dataset(population, spec, dataset_cfg, run_seed)
+        built = {cfg: _build_dataset(population, spec, cfg, run_seed) for cfg in datasets}
+        for task in tasks:
+            if task.spec.seed == run_seed:
+                check_trainable(built[task.dataset], task.train)
     out_dir = _resolve_out(doc, out, "sweep config")
 
     # Tasks that differ only in seed and alpha can train in lockstep.  Each

@@ -186,7 +186,8 @@ def _sigmoid(z: float) -> float:
 def _sigmoids(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigmoid(z), sigmoid(-z)) elementwise, each without cancellation."""
     e = np.exp(-np.abs(z))
-    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    denominator = 1.0 + e
+    big, small = 1.0 / denominator, e / denominator
     up = z >= 0
     return np.where(up, big, small), np.where(up, small, big)
 
@@ -343,7 +344,9 @@ class Layout:
     Per sequence, ``run`` is its run, ``pos`` whether it is a positive,
     ``seg`` its (run, side) bin 2*run + (0 if positive else 1) and ``count``
     the size of its run's side.  ``sides`` holds each bin's size, ``sizes``
-    each run's and ``spans`` each run's (first, end, positives) as ints.
+    each run's and ``spans`` each run's (first, end, positives) as ints;
+    ``both_sides`` is whether every bin is non-empty, as the BCO family and
+    KTO's steps need.
     """
 
     n_pos: np.ndarray
@@ -354,6 +357,7 @@ class Layout:
     sides: np.ndarray
     sizes: np.ndarray
     spans: tuple[tuple[int, int, int], ...]
+    both_sides: bool
 
     @classmethod
     def of(cls, n_pos: Sequence[int], n_aux: Sequence[int]) -> "Layout":
@@ -377,7 +381,7 @@ class Layout:
             a.flags.writeable = False
         ends = np.cumsum(sizes).tolist()
         spans = tuple(zip([0] + ends[:-1], ends, n_pos.tolist()))
-        return cls(*arrays, spans)
+        return cls(*arrays, spans, bool(sides.all()))
 
 
 _layout = functools.lru_cache(maxsize=256)(Layout.build)
@@ -390,8 +394,10 @@ class Stack:
     ``batches[r]`` is run r's batch and ``codes`` every run's
     :func:`encode_batch` encoding in run order, stacked by
     :func:`bfpo.policy.stack_codes` for the runs' (R*C, V) table, as
-    ``layout`` places it; ``reference`` is each sequence's log-probability
-    under its run's frozen reference (None for SFT, which reads none).
+    ``layout`` places it (a trainer step's is a
+    :class:`~bfpo.policy.StepCodes` slice of its phase plan); ``reference`` is
+    each sequence's log-probability under its run's frozen reference (None
+    for SFT, which reads none).
     """
 
     batches: Sequence[Batch]
@@ -547,7 +553,7 @@ def scored_loss(
             weights = np.where(pos, -lambdas, lambdas) * (up * down / layout.sizes[run])
 
     else:
-        z = scores.rewards - np.repeat(deltas, layout.sizes)
+        z = scores.rewards - np.array(deltas)[layout.run]
         values, terms = _binary_columns(method, configs, z, layout)
         if want_grad:
             # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), where scale

@@ -48,6 +48,7 @@ __all__ = [
     "PolicyParams",
     "Sample",
     "SampleTable",
+    "StepCodes",
     "bucket",
     "encode",
     "encode_table",
@@ -313,8 +314,8 @@ class Encoded:
     belongs to sequence ``seq[k]``.  A sequence's tokens are contiguous and in
     position order, from ``starts[i]`` for ``lengths[i]`` entries.  Nothing
     writes to an encoding once made (the class is not frozen only because the
-    trainer makes one per step, and a frozen dataclass is five times slower
-    to construct).
+    trainer's phase plan makes one per step, and a frozen dataclass is five
+    times slower to construct).
     """
 
     rows: np.ndarray
@@ -355,6 +356,28 @@ class Encoded:
             for a, b, lo, hi in zip(seq_firsts.tolist(), seq_ends.tolist(),
                                     tok_firsts.tolist(), tok_ends.tolist())
         ]
+
+
+class StepCodes(Encoded):
+    """One step's encoding as the trainer's phase plan holds it: ``rows``,
+    ``cells``, ``seq`` and ``lengths``, the arrays a step reads, as slices of
+    the plan's.  ``tokens`` (``cells - rows * vocab_size``) and ``starts`` are
+    derived when read, so a plan holds three arrays per token, not four."""
+
+    def __init__(
+        self, rows: np.ndarray, cells: np.ndarray, seq: np.ndarray, lengths: np.ndarray,
+        vocab_size: int,
+    ) -> None:
+        self.rows, self.cells, self.seq, self.lengths = rows, cells, seq, lengths
+        self.vocab_size = vocab_size
+
+    @property
+    def tokens(self) -> np.ndarray:
+        return self.cells - self.rows * self.vocab_size
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
 
 
 def encode(
@@ -435,9 +458,11 @@ def softmax_tables(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each row goes through the same operations as :func:`_log_softmax`, so
     ``log_table[b]`` equals ``_log_softmax(logits[b])`` bit for bit.
     """
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # The ufunc reductions themselves: ``ndarray.max`` and ``sum`` reach them
+    # through Python wrappers that cost more than the table's arithmetic.
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
+    total = np.add.reduce(exp, axis=1, keepdims=True)
     return shifted - np.log(total), exp / total
 
 

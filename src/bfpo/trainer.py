@@ -10,6 +10,13 @@ the rejected ones, row for row, as its auxiliary side.  Everything is
 a pure function of (dataset, config, seed): batch order, the optimizer
 trajectory and the metrics log reproduce byte-identically.
 
+A phase is planned in blocks of epochs, each of about :data:`PLAN_TOKENS`
+tokens: :func:`make_batches` draws a block's epochs (a run's generator draws
+only the epoch seeds, so the stream is the per-epoch loop's), then one
+:func:`stack_batches` call gathers all of the block's steps, holding only the
+arrays a step reads.  A lone run's step is dozens of numpy calls on small
+arrays, so :func:`train_step` avoids what costs more than their arithmetic.
+
 :func:`run_many` trains R runs in lockstep.  In each phase, runs whose config
 agrees in every field but ``seed`` and ``alpha`` and whose epochs have as many
 steps form a group, which :func:`train_step` steps as one stacked (R*C, V)
@@ -56,6 +63,7 @@ from .policy import (
     Encoded,
     PolicyParams,
     Sample,
+    StepCodes,
     encode_table,
     ordered_sums,
     sequence_log_probs,
@@ -73,8 +81,10 @@ __all__ = [
     "RunState",
     "TrainConfig",
     "TrainResult",
+    "check_trainable",
     "load_checkpoint",
     "lockstep_key",
+    "PLAN_TOKENS",
     "STACK_CELLS",
     "make_batches",
     "run",
@@ -100,6 +110,12 @@ _BINARY_METHODS = (Method.KTO, Method.BCO, Method.CBPO_RAW, Method.CBPO)
 # config a run's cost stops falling at about 24 runs of 576 cells, so wider
 # stacks would only hold more memory (BENCH_lockstep.json, stack_cells).
 STACK_CELLS = 16384
+
+# Bound on the tokens one phase plan (:func:`stack_batches`) holds, three int64
+# arrays of them.  A lone frozen-config run (2,400 tokens an epoch) plans six
+# epochs a pass, as fast as one pass for all 14; a 4-run stack plans one epoch a
+# pass, as wider plans raised a sweep worker's peak RSS (BENCH_lone_run.json).
+PLAN_TOKENS = 16384
 
 
 @dataclass
@@ -329,16 +345,21 @@ def stack_batches(
     codes: Encoded,
     firsts: Sequence[int],
     reference: np.ndarray | None,
+    vocab_size: int,
 ) -> list[Stack]:
     """R runs' batches in lockstep: step k stacks every run's k-th batch.
 
     ``batches[r]`` is run r's batches, one or more :func:`make_batches`
     epochs.  ``codes`` is the runs' encodings stacked by
-    :func:`bfpo.policy.stack_codes`, run r's from sequence ``firsts[r]``: each
-    the encoding of the pools its batches index, ``tar_train`` then
-    ``aux_train`` of its dataset (for DPO, the preferred then the rejected
-    completions), and ``reference`` their reference log-probabilities (None
-    for SFT).  Each step carries its slice of one ``take`` over both.
+    :func:`bfpo.policy.stack_codes` for a table of ``vocab_size`` columns, run
+    r's from sequence ``firsts[r]``: each the encoding of the pools its
+    batches index, ``tar_train`` then ``aux_train`` of its dataset (for DPO,
+    the preferred then the rejected completions), and ``reference`` their
+    reference log-probabilities (None for SFT).  One pass gathers every step's
+    sequences into a plan of the arrays a step reads, per token its row, cell
+    and sequence (numbered from 0 in its step), per sequence its length and
+    reference value; each step's :class:`~bfpo.policy.StepCodes` and
+    reference are slices of it.
     """
     if len({len(b) for b in batches}) != 1:
         raise ConfigError("runs stepped in lockstep need the same number of batches")
@@ -351,13 +372,30 @@ def stack_batches(
     index = np.concatenate(parts) + np.repeat(np.tile(np.ravel(bases), len(steps)), counts)
     counts = counts.reshape(len(steps), len(batches), 2)
     sizes = counts.sum(axis=(1, 2))
-    pieces = codes.take(index).split(sizes)
-    refs = [None] * len(steps)
-    if reference is not None:
-        refs = np.split(reference[index], np.cumsum(sizes)[:-1])
+    seq_ends = np.cumsum(sizes)
+    lengths = codes.lengths[index]
+    ends = np.cumsum(lengths)
+    # Each sequence's tokens, read from where they sit in ``codes`` (the
+    # positions are freed before the sequence numbers are made).
+    where = np.repeat(codes.starts[index] - (ends - lengths), lengths)
+    where += np.arange(len(where))
+    rows, cells = codes.rows[where], codes.cells[where]
+    del where
+    seq = np.repeat(np.arange(len(index)) - np.repeat(seq_ends - sizes, sizes), lengths)
+    seq_bounds = [0] + seq_ends.tolist()
+    tok_bounds = [0] + ends[seq_ends - 1].tolist()
+    refs = None if reference is None else reference[index]
     return [
-        Stack(step, piece, Layout.of(*sides), ref)
-        for step, piece, sides, ref in zip(steps, pieces, counts.transpose(0, 2, 1).tolist(), refs)
+        Stack(
+            step,
+            StepCodes(rows[lo:hi], cells[lo:hi], seq[lo:hi], lengths[a:b], vocab_size),
+            Layout.of(*sides),
+            None if refs is None else refs[a:b],
+        )
+        for step, sides, a, b, lo, hi in zip(
+            steps, counts.transpose(0, 2, 1).tolist(), seq_bounds, seq_bounds[1:],
+            tok_bounds, tok_bounds[1:],
+        )
     ]
 
 
@@ -392,7 +430,7 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
     method = state.config.method
     layout = batch.layout
     runs = len(layout.n_pos)
-    if method in _BINARY_METHODS and not layout.sides.all():
+    if method in _BINARY_METHODS and not layout.both_sides:
         raise InputError(
             f"{method.value} step needs non-empty positive and auxiliary sides"
         )
@@ -416,7 +454,8 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
     state.last_delta = delta
 
     values, grad = scored_loss(method, scores, state.loss_configs, delta, want_grad=True)
-    if not (all(map(math.isfinite, values[:, _TOTAL].tolist())) and np.isfinite(grad).all()):
+    grad_finite = np.logical_and.reduce(np.isfinite(grad), axis=None)
+    if not (all(map(math.isfinite, values[:, _TOTAL].tolist())) and grad_finite):
         finite = np.isfinite(grad.reshape(runs, -1)).all(axis=1) & np.isfinite(values[:, _TOTAL])
         r = int(np.argmin(finite))
         raise NumericError(
@@ -502,11 +541,14 @@ class _PhaseRun:
 def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
     """``config.epochs`` seeded epochs of :func:`make_batches` and
     :func:`train_step` from a fresh optimizer and EMA, for the runs of one
-    lockstep group, stepped with the first run's config.  Each run is left
+    lockstep group, stepped with the first run's config; the epochs are
+    stacked in blocks of about :data:`PLAN_TOKENS` tokens, one
+    :func:`stack_batches` call a block.  Each run is left
     holding its trained policy, EMA, AdamW state and one metrics row per
     step."""
     config = runs[0].config
     context = config.context_size
+    steps = runs[0].steps_per_epoch()
     stacked = PolicyParams(
         vocab_size, len(runs) * context, np.concatenate([r.policy.logits for r in runs])
     )
@@ -515,7 +557,7 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
         opt=AdamState.zeros(stacked.logits.shape),
         config=config,
         alphas=[r.alpha for r in runs],
-        total_steps=config.epochs * runs[0].steps_per_epoch(),
+        total_steps=config.epochs * steps,
     )
     codes = stack_codes([r.codes for r in runs], context, vocab_size)
     firsts = np.cumsum([0] + [r.codes.n for r in runs[:-1]]).tolist()
@@ -525,12 +567,19 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
         ref_table = softmax_tables(np.concatenate([r.reference.logits for r in runs]))[0]
         reference = sequence_log_probs(ref_table, codes)
     logged = []  # per step: (step, epoch, loss columns, deltas, EMAs)
-    for epoch in range(config.epochs):
-        state.epoch = epoch
-        batches = [make_batches(r.dataset, r.config, _epoch_seed(r.rng)) for r in runs]
-        for stack in stack_batches(batches, codes, firsts, reference):
+    # An epoch is counted as many tokens as the encoding: each target once,
+    # and auxiliaries at the dataset's ratio.
+    block = max(1, PLAN_TOKENS // len(codes.cells))
+    for first in range(0, config.epochs, block):
+        epochs = range(first, min(first + block, config.epochs))
+        batches = [
+            [b for _ in epochs for b in make_batches(r.dataset, r.config, _epoch_seed(r.rng))]
+            for r in runs
+        ]
+        for k, stack in enumerate(stack_batches(batches, codes, firsts, reference, vocab_size)):
+            state.epoch = first + k // steps
             state, values = train_step(state, stack)
-            logged.append((state.step, epoch, values, state.last_delta, state.ema))
+            logged.append((state.step, state.epoch, values, state.last_delta, state.ema))
     # The metrics rows, from each step's loss columns, once the phase is done.
     method = config.method.value
     for step, epoch, values, deltas, emas in logged:
@@ -561,6 +610,25 @@ def _train_phase(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
                 _train_epochs(members[lo : lo + size], vocab_size)
 
 
+def check_trainable(dataset: UserDataset, config: TrainConfig) -> None:
+    """Raise the :class:`InputError` a run of ``config`` on ``dataset`` would
+    meet before its first step: no target training samples, an empty
+    warm-start (auxiliary) pool, fewer than two target samples to estimate
+    alpha from, or no auxiliary samples for the BCO family or KTO.  The DPO
+    pairs a run draws are not checked: whether any are usable shows only once
+    the warm start is trained."""
+    n_tar, n_aux = len(dataset.tar_train), len(dataset.aux_train)
+    if n_tar == 0:
+        raise InputError("dataset has no target training samples")
+    if config.warmstart_epochs > 0 and n_aux == 0:
+        raise InputError("warm-start sample pool is empty")
+    estimates = config.method in (Method.CBPO, Method.CBPO_RAW) and config.alpha == "estimate"
+    if estimates and n_tar < 2:
+        raise InputError("need at least 2 samples to split off a held-out set")
+    if config.method in _BINARY_METHODS and n_aux == 0:
+        raise InputError("auxiliary training split is empty")
+
+
 def run_many(
     datasets: Sequence[UserDataset], configs: Sequence[TrainConfig], vocab_size: int
 ) -> list[TrainResult]:
@@ -573,7 +641,9 @@ def run_many(
     :func:`train_step`.  The warm start's config is the SFT method's, so runs
     that differ only in the method warm up together.  Every run's result
     equals training it alone, bit for bit.  Alpha estimation and DPO pair
-    synthesis run per run between the phases.
+    synthesis run per run between the phases.  Every run is checked by
+    :func:`check_trainable` first, so an untrainable one fails before any
+    trains.
     """
     if len(datasets) != len(configs):
         raise ConfigError(f"{len(datasets)} datasets for {len(configs)} configs")
@@ -581,8 +651,7 @@ def run_many(
     methods: list[_PhaseRun] = []
     between: list[tuple[np.random.SeedSequence, np.random.SeedSequence]] = []
     for dataset, config in zip(datasets, configs):
-        if len(dataset.tar_train) == 0:
-            raise InputError("dataset has no target training samples")
+        check_trainable(dataset, config)
         ss_warm, ss_method, ss_pairs, ss_alpha = np.random.SeedSequence(config.seed).spawn(4)
         between.append((ss_pairs, ss_alpha))
         # Bucket rows depend on context_size, so the data is encoded once per run.
@@ -590,8 +659,6 @@ def run_many(
         codes = encode_table(tar_train + aux_train, config.context_size, vocab_size)
         policy = uniform_params(vocab_size, config.context_size)
         if config.warmstart_epochs > 0:
-            if len(aux_train) == 0:
-                raise InputError("warm-start sample pool is empty")
             warm_lr = config.learning_rate if config.warmstart_lr is None else config.warmstart_lr
             sft = replace(
                 config, method=Method.SFT, epochs=config.warmstart_epochs, learning_rate=warm_lr

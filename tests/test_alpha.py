@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,40 @@ class TestTrainProxy:
     def test_empty_class_rejected(self):
         with pytest.raises(InputError):
             train_proxy([], _samples_from_tokens([[0]]), 10, 1.0, 0, 4)
+
+
+def _masked_proba(clf: ProxyClassifier, embeddings: np.ndarray) -> np.ndarray:
+    """The two-branch logistic by masked fancy indexing: the reference form."""
+    z = embeddings @ clf.weights + clf.bias
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestPredictProba:
+    def test_equals_the_masked_form_bit_for_bit(self, rng):
+        """On random logits and on +-0, +-745 (where exp of -|z| is
+        subnormal), +-800 and NaN, with no RuntimeWarning."""
+        special = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.nan]
+        z = np.concatenate([rng.normal(0, 8, 500), special])
+        # Weight 1 and bias 0 carry every z through unchanged, but -0.0 as
+        # +0.0: a dot product adds from +0.0, so no classifier yields -0.0.
+        clf = ProxyClassifier(weights=np.ones(1), bias=0.0)
+        embeddings = z[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = clf.predict_proba(embeddings)
+        assert got.tobytes() == _masked_proba(clf, embeddings).tobytes()
+        assert np.isnan(got[-1]) and got[-3] == 1.0 and got[-2] == 0.0
+
+    def test_equals_the_masked_form_on_embeddings(self, rng):
+        clf = ProxyClassifier(weights=rng.normal(0, 3, 6), bias=-0.4)
+        embeddings = embed_all(_samples_from_tokens(rng.integers(0, 6, (200, 4)).tolist()), 6)
+        got = clf.predict_proba(embeddings)
+        assert got.tobytes() == _masked_proba(clf, embeddings).tobytes()
 
 
 class TestPropensity:

@@ -742,6 +742,13 @@ class TestMalformedInputExits2:
             ("estimate-alpha", None, {"estimator": {"epochs": 0}}),
             ("estimate-alpha", None, {"estimator": {"heldout_fraction": 1.0}}),
             ("estimate-alpha", None, {"estimator": {"lr": -1}}),
+            ("train", None, {"dataset": {"ratio_x": 1e-9}}),
+            ("train", None, {"dataset": {"ratio_x": 1e-9}, "train": {"warmstart_epochs": 0}}),
+            ("train", None, {"dataset": {"history_fraction": 0.01},
+                             "train": {"alpha": "estimate"}}),
+            ("sweep", None, {"axis": "ratio_x", "grid": [1.0, 1e-9]}),
+            ("sweep", None, {"axis": "history_fraction", "grid": [1.0, 0.01],
+                             "train": {"alpha": "estimate"}}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -764,7 +771,10 @@ class TestMalformedInputExits2:
              "dpo_rejection_budget_zero", "dpo_rejection_budget_negative",
              "alpha_estimator_epochs_zero", "alpha_estimator_lr_negative",
              "estimator_epochs_zero", "estimator_heldout_fraction_one",
-             "estimator_lr_negative"],
+             "estimator_lr_negative", "train_empty_warm_start_pool",
+             "train_empty_auxiliary_split", "train_one_target_sample_to_estimate_alpha",
+             "sweep_grid_point_with_empty_warm_start_pool",
+             "sweep_grid_point_with_one_target_sample_to_estimate_alpha"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -788,6 +798,16 @@ class TestMalformedInputExits2:
         if edits.get("seed") == _NOT_UTF8:
             assert "bad.json" in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "estimate-alpha", "sweep"])
+    def test_config_naming_a_directory(self, tmp_path, capsys, command):
+        """A ``--config`` that names a directory is a usage error, as a
+        missing file is: exit 2 and one line naming it."""
+        directory = tmp_path / "configs"
+        directory.mkdir()
+        assert main([command, "--config", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(directory) in err and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", ["generate", "train", "estimate-alpha", "sweep",
                                          "verify"])

@@ -437,6 +437,20 @@ class TestMethodLoss:
                 loss_fn(Method.DPO, batch, policy, policy, LossConfig(), 0.0)
 
 
+class TestLayout:
+    @pytest.mark.parametrize("n_pos, n_aux", [
+        ([3], [2]), ([3], [0]), ([0], [2]), ([4, 1, 2], [5, 3, 6]), ([4, 1, 2], [5, 0, 6]),
+    ])
+    def test_both_sides_is_every_bin_non_empty(self, n_pos, n_aux):
+        """The guard field, computed once per layout, equals ``sides.all()``
+        for a layout made afresh and for the cached one."""
+        from bfpo.losses import Layout
+
+        for layout in (Layout.build(n_pos, n_aux), Layout.of(n_pos, n_aux)):
+            assert layout.both_sides is bool(layout.sides.all())
+        assert Layout.of(n_pos, n_aux) is Layout.of(n_pos, n_aux)
+
+
 class TestKernelLossValues:
     """The kernel's loss values equal the closed forms on per-sample rewards."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -104,7 +105,7 @@ class TestMakeBatches:
         for x, y in zip(a, b):
             assert x.pos.tolist() == y.pos.tolist() and x.aux.tolist() == y.aux.tolist()
             assert x.samples() == y.samples()
-        stacks = [stack_batches([e], codes, [0], None) for e in (a, b)]
+        stacks = [stack_batches([e], codes, [0], None, spec.vocab_size) for e in (a, b)]
         for x, y in zip(*stacks):
             np.testing.assert_array_equal(x.codes.cells, y.codes.cells)
 
@@ -135,7 +136,7 @@ class TestMakeBatches:
         assert sorted(cycle[:n_aux].tolist()) == list(range(n_aux))
         np.testing.assert_array_equal(cycle, cycle[np.arange(len(cycle)) % n_aux])
         codes = _codes(ds, cfg, spec.vocab_size)
-        for b, stack in zip(batches, stack_batches([batches], codes, [0], None)):
+        for b, stack in zip(batches, stack_batches([batches], codes, [0], None, spec.vocab_size)):
             _assert_encodes(stack.codes, _named_sequences(b), cfg.context_size, spec.vocab_size)
 
     def test_unequal_epochs_cannot_stack(self):
@@ -146,7 +147,7 @@ class TestMakeBatches:
         with pytest.raises(ConfigError, match="same number of batches"):
             stack_batches([make_batches(ds, cfg, 0), make_batches(ds, short, 0)],
                         stack_codes([codes, codes], cfg.context_size, spec.vocab_size),
-                        [0, codes.n], None)
+                        [0, codes.n], None, spec.vocab_size)
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("bs_pos, bs_aux, ratio", [(3, None, 1.0), (4, 7, 0.5), (64, 2, 2.0)])
@@ -173,7 +174,8 @@ class TestMakeBatches:
         stacked = stack_codes([r[2] for r in runs], context, vocab)
         table = np.random.default_rng(0).normal(size=(2 * context, vocab))
         reference = None if method is Method.SFT else sequence_log_probs(table, stacked)
-        stacks = stack_batches([r[3] for r in runs], stacked, [0, runs[0][2].n], reference)
+        stacks = stack_batches([r[3] for r in runs], stacked, [0, runs[0][2].n], reference,
+                               vocab)
         for stack in stacks:
             if method is Method.SFT:
                 assert stack.reference is None
@@ -279,6 +281,30 @@ class TestTrainStep:
         assert (float(np.sum(pos_r)), float(np.sum(aux_r))) != (
             ordered_sum(pos_r), ordered_sum(aux_r)
         )
+
+    @pytest.mark.parametrize("method", [Method.KTO, Method.BCO, Method.CBPO_RAW, Method.CBPO])
+    def test_empty_side_is_input_error(self, method):
+        """A stack in which a run has no auxiliaries (or no positives) cannot
+        take a BCO-family or KTO step; Stack.of refuses such a batch, so the
+        stack is put together by hand, as a lone run and inside a lockstep
+        stack of two."""
+        from bfpo.losses import Layout, encode_batch
+
+        full = Batch.of(pos=[Sample("u", (0,), (1,)), Sample("u", (1,), (2,))],
+                        aux=[Sample("v", (0,), (3,))])
+        no_aux = Batch.of(pos=[Sample("u", (0,), (1, 2))])
+        config = TrainConfig(method=method, alpha=0.0)
+        context = config.context_size
+        for batches in ([no_aux], [full, no_aux]):
+            policy = uniform_params(6, len(batches) * context)
+            state = RunState(policy=policy, opt=AdamState.zeros(policy.logits.shape),
+                             config=config, alphas=[0.0] * len(batches), total_steps=10)
+            codes = stack_codes([encode_batch(b, context, 6) for b in batches], context, 6)
+            layout = Layout.of([len(b.pos) for b in batches], [len(b.aux) for b in batches])
+            assert not layout.both_sides
+            stack = Stack(batches, codes, layout, np.zeros(codes.n))
+            with pytest.raises(InputError, match="non-empty positive and auxiliary sides"):
+                train_step(state, stack)
 
     def test_non_finite_loss_aborts_with_dump(self):
         state = self._state()
@@ -491,6 +517,36 @@ class TestRun:
         np.testing.assert_array_equal(
             result.reference.logits, uniform_params(spec.vocab_size, 4).logits
         )
+
+    @pytest.mark.parametrize("method, alpha, warm, keep_tar, keep_aux, message", [
+        (Method.SFT, 0.3, 1, 0, None, "no target training samples"),
+        (Method.SFT, 0.3, 1, None, 0, "warm-start sample pool is empty"),
+        (Method.CBPO, "estimate", 0, 1, None, "need at least 2 samples"),
+        (Method.CBPO_RAW, "estimate", 0, 1, None, "need at least 2 samples"),
+        (Method.KTO, 0.3, 0, None, 0, "auxiliary training split is empty"),
+        (Method.BCO, 0.3, 0, None, 0, "auxiliary training split is empty"),
+        (Method.CBPO, 0.3, 0, None, 0, "auxiliary training split is empty"),
+    ])
+    def test_untrainable_dataset_fails_before_any_step(
+        self, monkeypatch, method, alpha, warm, keep_tar, keep_aux, message
+    ):
+        """check_trainable holds run_many's input rules: run_many checks
+        every run with it before training any, so a bad second run stops the
+        first before its first step."""
+        import bfpo.trainer as trainer_mod
+        from bfpo.trainer import check_trainable
+
+        spec, ds = _dataset()
+        bad = replace(ds, h_tar=ds.h_tar[:keep_tar], h_aux=ds.h_aux[:keep_aux])
+        config = self._config(method=method, alpha=alpha, warmstart_epochs=warm)
+        with pytest.raises(InputError, match=message):
+            check_trainable(bad, config)
+        check_trainable(ds, config)
+        steps = []
+        monkeypatch.setattr(trainer_mod, "train_step", lambda *a: steps.append(a))
+        with pytest.raises(InputError, match=message):
+            run_many([ds, bad], [config, config], spec.vocab_size)
+        assert steps == []
 
     def test_sft_method_runs_and_improves_target_fit(self):
         from bfpo.losses import sft_loss
@@ -709,6 +765,141 @@ class TestFrozenReference:
             assert len(stack.batches) == 3
             want = sequence_log_probs(ref_table, stack.codes)
             assert stack.reference.tobytes() == want.tobytes()
+
+
+class TestPhasePlan:
+    """A phase's batches are drawn and stacked in blocks of about PLAN_TOKENS
+    tokens: one block for the whole phase, or one per epoch, steps the same
+    stacks as per-epoch make_batches and stack_batches did."""
+
+    @staticmethod
+    def _steps(monkeypatch, plan_tokens, datasets, configs, vocab):
+        """What train_step saw: per step, its epoch and the fields of its stack
+        a step reads; and the number of stack_batches calls."""
+        import bfpo.trainer as trainer_mod
+
+        seen, calls = [], []
+        step, stack = trainer_mod.train_step, trainer_mod.stack_batches
+
+        def spy_step(state, batch):
+            codes = batch.codes
+            seen.append((
+                state.config.method, state.epoch, [(b.pos.tolist(), b.aux.tolist())
+                                                   for b in batch.batches],
+                codes.rows.tolist(), codes.cells.tolist(), codes.seq.tolist(),
+                codes.lengths.tolist(), codes.n, batch.layout,
+                None if batch.reference is None else batch.reference.tobytes(),
+            ))
+            return step(state, batch)
+
+        def spy_stack(*args):
+            calls.append(args[0])
+            return stack(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer_mod, "PLAN_TOKENS", plan_tokens)
+            patch.setattr(trainer_mod, "train_step", spy_step)
+            patch.setattr(trainer_mod, "stack_batches", spy_stack)
+            results = run_many(datasets, configs, vocab)
+        return seen, calls, results
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_blocks_step_the_per_epoch_stacks(self, monkeypatch, method):
+        spec, ds = _dataset()
+        configs = [
+            TrainConfig(method=method, epochs=5, batch_size_pos=4, learning_rate=0.1,
+                        beta=0.1, alpha=alpha, seed=seed, warmstart_epochs=2, context_size=4)
+            for seed, alpha in ((3, 0.2), (4, 0.5))
+        ]
+        runs = {}
+        for label, plan_tokens in (("per_epoch", 1), ("two_epochs", None), ("phase", 10**9)):
+            if plan_tokens is None:  # two epochs of the method phase's encoding a block
+                codes = _codes(ds, configs[0], spec.vocab_size)
+                plan_tokens = 2 * 2 * len(codes.cells)
+            runs[label] = self._steps(monkeypatch, plan_tokens, [ds, ds], configs,
+                                      spec.vocab_size)
+        per_epoch, _, alone = runs["per_epoch"]
+        method_steps = len(alone[0].metrics)
+        steps_per_epoch = method_steps // 5
+        assert len(per_epoch) == 2 * math.ceil(len(ds.aux_train) / 4) + method_steps
+        for seen, calls, results in runs.values():
+            assert len(seen) == len(per_epoch)
+            for got, want in zip(seen, per_epoch):
+                assert got[:-2] == want[:-2] and got[-2] is want[-2] and got[-1] == want[-1]
+            for a, b in zip(alone, results):
+                assert a.policy.logits.tobytes() == b.policy.logits.tobytes()
+                assert repr(a.metrics) == repr(b.metrics)
+            # The method phase comes last; each of its epochs is numbered.
+            epochs = [e for e in range(5) for _ in range(steps_per_epoch)]
+            assert [s[1] for s in seen[-method_steps:]] == epochs
+            assert [row["epoch"] for row in results[0].metrics] == epochs
+        # stack_batches calls: one per epoch of either phase, some, or one per phase.
+        assert len(runs["per_epoch"][1]) == 2 + 5
+        assert 2 < len(runs["two_epochs"][1]) < 7
+        assert len(runs["phase"][1]) == 2
+
+    def test_each_run_draws_only_its_epoch_seeds(self, monkeypatch):
+        """Drawing every epoch before the first step leaves each run's
+        generator where the per-epoch loop left it: the method phase of a run
+        trained with one block equals its per-epoch training bit for bit."""
+        spec, ds = _dataset()
+        config = TrainConfig(method=Method.CBPO, epochs=6, batch_size_pos=4, learning_rate=0.1,
+                             beta=0.1, alpha="estimate", seed=8, warmstart_epochs=2,
+                             context_size=4, alpha_estimator_epochs=10)
+        (_, _, (a,)), (_, _, (b,)) = (
+            self._steps(monkeypatch, tokens, [ds], [config], spec.vocab_size)
+            for tokens in (1, 10**9)
+        )
+        assert a.opt.m.tobytes() == b.opt.m.tobytes() and a.opt.v.tobytes() == b.opt.v.tobytes()
+        assert repr(a.metrics) == repr(b.metrics) and a.alpha_resolved == b.alpha_resolved
+
+
+class TestFrozenConfigDigests:
+    """sha256 of the trained logits, reference, AdamW moments and metrics
+    rows of the frozen acceptance config's seven runs at seed 3 (each method,
+    and criterion 10's cbpo on a quarter of the history with the batch
+    anchor), recorded before the lone run's step path was cut down and its
+    phases planned in blocks: any change of arithmetic or order moves one."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        from bfpo.datagen import PopulationSpec, generate_population
+
+        spec = PopulationSpec(n_users=8, vocab_size=72, overlap_lambda=0.8,
+                              samples_per_user=150, prompt_pool_size=20, seq_len=8, seed=3)
+        full = build_user_dataset(generate_population(spec), "u000", 1.5, "random", 3,
+                                  spec.vocab_size)
+        return spec.vocab_size, {1.0: full, 0.25: truncate_history(full, 0.25)}
+
+    @pytest.mark.parametrize("method, history, delta_mode, digest", [
+        ("sft", 1.0, "ema",
+         "b59d0afb2e41dc400b73fa2fbee788c35c103cc05d519e1a8aeaec6d4e2be918"),
+        ("dpo", 1.0, "ema",
+         "48e7490acd72ecc616e587b39cb3e137099b593b52f99f09034a79858839cb26"),
+        ("kto", 1.0, "ema",
+         "879393b3f7e9ccd77629e37c682dba9aedd6323e1fd467a332718f3fe4e21724"),
+        ("bco", 1.0, "ema",
+         "2f817640c1f234d709a033b6cd9c498286badb569e2a9fa7bfe0de12f9bbb4c9"),
+        ("cbpo_raw", 1.0, "ema",
+         "4a040bd450b6b8789e80a02c33fa7ccb6a54631bdee61cbb3de5acc3dbce571d"),
+        ("cbpo", 1.0, "ema",
+         "f170e542e41b9a78c31fb2fefbb52a56b234a261ac2715cf240f45ee2b185595"),
+        ("cbpo", 0.25, "batch",
+         "d5cb256aea3fa43aa831e4a69e30aa82d31096c4f60c426f2aa1670eb072a0e5"),
+    ])
+    def test_run_digest(self, datasets, method, history, delta_mode, digest):
+        vocab, by_history = datasets
+        config = TrainConfig(
+            method=Method(method), alpha="estimate", seed=3, delta_mode=delta_mode, epochs=14,
+            batch_size_pos=8, learning_rate=0.2, beta=0.075, ema_decay=0.9,
+            warmstart_epochs=2, warmstart_lr=0.2, alpha_estimator_epochs=60,
+        )
+        result = run(by_history[history], config, vocab)
+        h = hashlib.sha256()
+        for table in (result.policy.logits, result.reference.logits, result.opt.m, result.opt.v):
+            h.update(table.tobytes())
+        h.update(json.dumps(result.metrics).encode())
+        assert h.hexdigest() == digest
 
 
 class TestConfigValidation:
