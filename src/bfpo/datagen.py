@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -143,6 +143,7 @@ def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (product >> _HALF_BITS).astype(np.int64), rejected
 
 
+@lru_cache(maxsize=8)
 def _stream_layout(
     n_samples: int, seq_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -155,6 +156,7 @@ def _stream_layout(
     took, whatever Rs came in between.  Returns the word index of every R,
     shape (n_samples, seq_len); the word index and high-half flag of every H,
     shape (n_samples, 1 + seq_len), prompt draw first; and the word count.
+    The layout is cached by shape, so its arrays are read-only.
     """
     step = 1 + 2 * seq_len
     is_half = np.ones(n_samples * step, dtype=bool)
@@ -167,12 +169,11 @@ def _stream_layout(
     half_word = word[is_half]
     half_word[high] = half_word[np.flatnonzero(high) - 1]
     shape = (n_samples, 1 + seq_len)
-    return (
-        word[~is_half].reshape(n_samples, seq_len),
-        half_word.reshape(shape),
-        high.reshape(shape),
-        int(word[-1]) + 1,
-    )
+    arrays = (word[~is_half].reshape(n_samples, seq_len), half_word.reshape(shape),
+              high.reshape(shape))
+    for array in arrays:
+        array.flags.writeable = False
+    return (*arrays, int(word[-1]) + 1)
 
 
 def _draws_array(
@@ -409,12 +410,21 @@ def truncate_history(dataset: UserDataset, fraction: float) -> UserDataset:
 
 
 def save_corpus(population: dict[str, Sequence[Sample]], path: str | Path) -> None:
-    """One sample per line, canonical user order, byte-stable."""
-    lines = [
-        json.dumps({"user_id": user_id, "x": x, "y": y, "split": split}, separators=(",", ":"))
-        for uid in sorted(population)
-        for user_id, x, y, split in SampleTable.of(population[uid]).rows()
-    ]
+    """One sample per line, canonical user order, byte-stable: each line is
+    ``json.dumps`` of ``{"user_id", "x", "y", "split"}`` with separators
+    ``(",", ":")``, written field by field (user ids quoted by ``json.dumps``)."""
+    lines = []
+    for uid in sorted(population):
+        table = SampleTable.of(population[uid])
+        quoted = [json.dumps(user_id) for user_id in table.user_ids]
+        xs, xo = table.x_tokens.tolist(), table.x_offsets.tolist()
+        ys, yo = table.y_tokens.tolist(), table.y_offsets.tolist()
+        lines += [
+            f'{{"user_id":{quoted[u]},"x":[{",".join(map(str, xs[xo[i]:xo[i + 1]]))}],'
+            f'"y":[{",".join(map(str, ys[yo[i]:yo[i + 1]]))}],'
+            f'"split":"{"heldout" if held else "train"}"}}'
+            for i, (u, held) in enumerate(zip(table.user.tolist(), table.heldout.tolist()))
+        ]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -432,14 +442,69 @@ def load_corpus(path: str | Path, vocab_size: int) -> dict[str, SampleTable]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"corpus {path} is not UTF-8 text (line {line}: {exc.reason})") from exc
+    numbered = [
+        (lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+        if line and not line.isspace()
+    ]
+    if not numbered:
+        raise InputError(f"corpus {path} is empty")
+    linenos = [lineno for lineno, _ in numbered]
+    columns = _sample_columns([line for _, line in numbered])
+    if columns is None:
+        columns = _sample_columns_by_line(numbered, vocab_size)
+    users, xs, ys, heldout = columns
+    _check_tokens(xs, ys, linenos, vocab_size)
+    table = SampleTable.from_rows(users, xs, ys, heldout)
+    # Each user's rows in file order, users in order of first appearance.
+    order = np.argsort(table.user, kind="stable")
+    ends = np.cumsum(np.bincount(table.user))
+    return {
+        uid: table.take(rows)
+        for uid, rows in zip(table.user_ids, np.split(order, ends[:-1]))
+    }
+
+
+_decode = json.JSONDecoder().decode
+
+_Columns = tuple[list[str], list[list], list[list], list[bool]]
+
+
+def _sample_columns(lines: list[str]) -> _Columns | None:
+    """The user ids, prompts, completions and held-out flags of ``lines``,
+    each line decoded on its own and the fields checked as columns; None if any
+    line is not a well-formed sample (its tokens aside).
+
+    Checking columns costs a fraction of checking line by line, so the lines
+    are read one by one (:func:`_sample_columns_by_line`) only to name a fault.
+    """
+    try:
+        rows = [_decode(line) for line in lines]
+        users = [row["user_id"] for row in rows]
+        xs = [row["x"] for row in rows]
+        ys = [row["y"] for row in rows]
+        splits = [row["split"] for row in rows]
+        if (
+            {*map(type, users)} <= {str}
+            and {*map(type, xs), *map(type, ys)} <= {list}
+            and all(ys)
+            and {*splits} <= {"train", "heldout"}
+        ):
+            return users, xs, ys, [split == "heldout" for split in splits]
+    except (ValueError, KeyError, TypeError, RecursionError):
+        pass  # a JSON fault, a missing field, a non-object line or an unhashable split
+    return None
+
+
+def _sample_columns_by_line(numbered: list[tuple[int, str]], vocab_size: int) -> _Columns:
+    """:func:`_sample_columns` of the numbered lines, read one by one: raises
+    :class:`InputError` naming the first bad line, a token fault on an earlier
+    line first."""
     users: list[str] = []
     xs: list[list] = []
     ys: list[list] = []
     heldout: list[bool] = []
     linenos: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in numbered:
         try:
             row = json.loads(line)
             user_id, x, y, split = row["user_id"], row["x"], row["y"], row["split"]
@@ -465,17 +530,7 @@ def load_corpus(path: str | Path, vocab_size: int) -> dict[str, SampleTable]:
                 continue
         _check_tokens(xs, ys, linenos, vocab_size)  # an earlier line may be the first bad one
         raise InputError(f"corpus line {lineno}: {fault}")
-    if not linenos:
-        raise InputError(f"corpus {path} is empty")
-    _check_tokens(xs, ys, linenos, vocab_size)
-    table = SampleTable.from_rows(users, xs, ys, heldout)
-    # Each user's rows in file order, users in order of first appearance.
-    order = np.argsort(table.user, kind="stable")
-    ends = np.cumsum(np.bincount(table.user))
-    return {
-        uid: table.take(rows)
-        for uid, rows in zip(table.user_ids, np.split(order, ends[:-1]))
-    }
+    return users, xs, ys, heldout
 
 
 def _check_tokens(xs: list[list], ys: list[list], linenos: list[int], vocab_size: int) -> None:

@@ -329,15 +329,6 @@ class Encoded:
     def n(self) -> int:
         return len(self.lengths)
 
-    def take(self, index: Sequence[int] | np.ndarray) -> "Encoded":
-        """The sequences at ``index``, in that order, renumbered from 0."""
-        index = np.asarray(index, dtype=np.int64)
-        lengths = self.lengths[index]
-        starts = np.cumsum(lengths) - lengths
-        seq = np.repeat(np.arange(len(index)), lengths)
-        pos = np.arange(len(seq)) + (self.starts[index] - starts)[seq]
-        return Encoded(self.rows[pos], self.tokens[pos], self.cells[pos], seq, starts, lengths)
-
     def split(self, sizes: Sequence[int]) -> list["Encoded"]:
         """Consecutive runs of ``sizes`` sequences, each renumbered from 0; the
         token arrays are slices of this encoding's, not copies."""

@@ -12,6 +12,7 @@ import math
 import types
 from dataclasses import fields
 from enum import Enum
+from functools import cache
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 __all__ = ["cast", "from_doc"]
@@ -30,15 +31,22 @@ def from_doc(cls: type, doc: dict) -> Any:
     does not cast raises ``ValueError`` naming the field; the dataclass's own
     ``__post_init__`` checks ranges.
     """
-    hints = get_type_hints(cls)
     kwargs = {}
-    for f in fields(cls):
-        if f.name in doc:
+    for name, tp in _field_types(cls):
+        if name in doc:
             try:
-                kwargs[f.name] = cast(hints[f.name], doc[f.name])
+                kwargs[name] = cast(tp, doc[name])
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{f.name}: {exc}") from exc
+                raise ValueError(f"{name}: {exc}") from exc
     return cls(**kwargs)
+
+
+@cache
+def _field_types(cls: type) -> tuple[tuple[str, Any], ...]:
+    """Each field of the dataclass ``cls`` and its declared type, resolved once
+    per class: ``get_type_hints`` evaluates every annotation string each call."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
 def cast(tp: Any, value: Any) -> Any:

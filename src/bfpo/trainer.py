@@ -750,7 +750,7 @@ def _params_doc(params: PolicyParams) -> dict:
     return {
         "vocab_size": params.vocab_size,
         "context_size": params.context_size,
-        "logits": [[float(v) for v in row] for row in params.logits],
+        "logits": params.logits.tolist(),
     }
 
 
@@ -801,8 +801,8 @@ def save_checkpoint(
             "initialized": result.ema.initialized,
         },
         "optimizer": {
-            "m": [[float(v) for v in row] for row in result.opt.m],
-            "v": [[float(v) for v in row] for row in result.opt.v],
+            "m": result.opt.m.tolist(),
+            "v": result.opt.v.tolist(),
             "t": result.opt.t,
         },
         "config": {**train_config_doc(config), "alpha_resolved": result.alpha_resolved},

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bfpo import files
@@ -592,6 +593,50 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--workers", str(workers)]) == 0
         assert hashlib.sha256((tmp_path / "pin" / "sweep.csv").read_bytes()).hexdigest() == digest
 
+    def test_units_train_on_the_sweeps_own_builds(self, tmp_path, monkeypatch):
+        """The sweep generates each seed's population and builds each dataset
+        once, for its checks; the units train on those and build nothing."""
+        import bfpo.cli as cli_mod
+
+        calls = {"generate_population": 0, "build_user_dataset": 0}
+        for name in calls:
+            real = getattr(cli_mod, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli_mod, name, spy)
+        in_units = []
+        real_unit = cli_mod._sweep_unit
+
+        def unit_spy(unit):
+            before = dict(calls)
+            rows = real_unit(unit)
+            in_units.append({name: calls[name] - before[name] for name in calls})
+            return rows
+
+        monkeypatch.setattr(cli_mod, "_sweep_unit", unit_spy)
+        cfg = self._sweep_cfg(tmp_path, None, "ratio_x", [0.5, 1.0], "sw11", n_seeds=2)
+        assert main(["sweep", "--config", cfg]) == 0
+        assert calls == {"generate_population": 2, "build_user_dataset": 4}
+        # One unit per dataset, each training both seeds.
+        assert in_units == [{"generate_population": 0, "build_user_dataset": 0}] * 2
+
+
+class TestCsvCells:
+    def test_cells_are_written_as_str_writes_them(self, tmp_path):
+        """A float as its repr, a numpy float as the same digits (not its numpy
+        repr), and every other value as ``str``."""
+        from bfpo.cli import _write_csv
+
+        row = {"a": np.float64(0.1), "b": 0.1, "c": -0.0, "d": float("nan"),
+               "e": float("inf"), "f": 1e-300, "g": 3, "h": "x,y", "i": 2 / 3}
+        _write_csv(tmp_path / "t.csv", list(row), [row])
+        assert (tmp_path / "t.csv").read_text() == (
+            "a,b,c,d,e,f,g,h,i\n0.1,0.1,-0.0,nan,inf,1e-300,3,\"x,y\",0.6666666666666666\n"
+        )
+
 
 class TestVerify:
     def test_fresh_install_passes(self, tmp_path):
@@ -880,9 +925,14 @@ class TestCorpusFaultNamesTheLine:
             _row_with_token("y", POPULATION["vocab_size"]),
             _row_with(y=[]),
             _row_with(split="test"),
+            lambda row: json.dumps(row) + json.dumps(row),
+            lambda row: json.dumps(row) + "," + json.dumps(row),
+            lambda row: json.dumps([row]),
+            _row_with(split=["train"]),
         ],
         ids=["invalid_json", "missing_key", "token_float", "token_bool", "token_negative",
-             "token_past_vocab", "empty_completion", "bad_split"],
+             "token_past_vocab", "empty_completion", "bad_split", "two_objects",
+             "two_objects_and_a_comma", "not_an_object", "split_not_hashable"],
     )
     def test_exit_2_naming_line_3(self, tmp_path, capsys, edit):
         corpus = _generate(tmp_path)
@@ -894,6 +944,27 @@ class TestCorpusFaultNamesTheLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "line 3" in err, err
+        assert not out.exists()
+
+    def test_object_split_across_lines_names_line_1(self, tmp_path, capsys):
+        """Line 1 ends inside an object that line 2 closes, and line 3 holds
+        two objects: joined by commas the lines are one valid array of the
+        same samples, yet line 1 is not a sample."""
+        corpus = _generate(tmp_path)
+        path = corpus / "corpus.jsonl"
+        lines = path.read_text().splitlines()
+        cut = lines[0].index(',"split"')
+        lines[:3] = [lines[0][:cut], lines[0][cut + 1:], lines[1] + "," + lines[2]]
+        assert json.loads("[" + ",".join(lines) + "]") == [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bad"
+        cfg = _write(tmp_path / "bad.json", _config("train", corpus, out, {}))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus line 1: invalid JSON") and err.count("\n") == 1, err
         assert not out.exists()
 
 

@@ -23,6 +23,7 @@ from bfpo.datagen import (
     user_mean_embedding,
 )
 from bfpo.errors import InputError
+from bfpo.policy import SampleTable
 
 from conftest import small_population
 
@@ -251,6 +252,28 @@ class TestArrayDraws:
             assert np.all(uses[~tail] == 2) and np.all(uses[tail] == 1)
             assert high.ravel()[::2].sum() == 0 and high.ravel()[1::2].all()
 
+    def test_stream_layout_is_shared_and_read_only(self, monkeypatch):
+        """Populations of one shape read one cached layout, which refuses
+        writes; the pinned corpora above hold with it."""
+        layouts = []
+        original = datagen._draws_array
+
+        def spy(rng, layout, *args):
+            layouts.append(layout)
+            return original(rng, layout, *args)
+
+        monkeypatch.setattr(datagen, "_draws_array", spy)
+        spec = _spec()
+        generate_population(spec)
+        generate_population(_spec(seed=spec.seed + 1))
+        assert len(layouts) == 2 * spec.n_users
+        assert all(layout is layouts[0] for layout in layouts)
+        assert layouts[0] is datagen._stream_layout(spec.samples_per_user, spec.seq_len)
+        for array in layouts[0][:3]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
 
 class TestBuildUserDataset:
     def test_ratio_arithmetic(self):
@@ -439,6 +462,65 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=r"line 2: token id 24 >= vocab_size 24"):
             load_corpus(path, spec.vocab_size)
+
+    # A valid corpus with its first lines replaced: (the lines, the line named).
+    # The first case is one valid JSON array when its lines are joined by
+    # commas, so only a reading line by line finds the fault.
+    LINE_FAULTS = {
+        "object_closed_on_the_next_line": (
+            ['{"user_id":"u","x":[0],"y":[1]', '"split":"train"}',
+             '{"user_id":"u","x":[0],"y":[1],"split":"train"},'
+             '{"user_id":"u","x":[0],"y":[2],"split":"train"}'],
+            r"line 1: invalid JSON \(Expecting ',' delimiter",
+        ),
+        "two_objects_on_a_line": (
+            ['{"user_id":"u","x":[0],"y":[1],"split":"train"}',
+             '{"user_id":"u","x":[0],"y":[1],"split":"train"}'
+             '{"user_id":"u","x":[0],"y":[2],"split":"train"}'],
+            r"line 2: invalid JSON \(Extra data",
+        ),
+        "two_objects_and_a_comma_on_a_line": (
+            ['{"user_id":"u","x":[0],"y":[1],"split":"train"},'
+             '{"user_id":"u","x":[0],"y":[2],"split":"train"}'],
+            r"line 1: invalid JSON \(Extra data",
+        ),
+        "a_list": (["[1, 2]"], r"line 1: malformed sample \(list indices"),
+        "a_string": (['"u"'], r"line 1: malformed sample \(string indices"),
+        "null": (["null"], r"line 1: malformed sample \('NoneType'"),
+        "missing_split": (['{"user_id":"u","x":[0],"y":[1]}'],
+                          r"line 1: malformed sample \('split'\)"),
+        "split_a_list": (['{"user_id":"u","x":[0],"y":[1],"split":["train"]}'],
+                         r"line 1: bad split \['train'\]"),
+        "user_id_a_number": (['{"user_id":5,"x":[0],"y":[1],"split":"train"}'],
+                             r"line 1: malformed sample \(user_id 5 is not a string\)"),
+    }
+
+    @pytest.mark.parametrize("case", list(LINE_FAULTS))
+    def test_line_faults_name_the_line(self, tmp_path, case):
+        lines, message = self.LINE_FAULTS[case]
+        spec, pop = small_population(0.5, seed=8)
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(pop, path)
+        rest = path.read_text().splitlines()[len(lines):]
+        path.write_text("\n".join(lines + rest) + "\n")
+        with pytest.raises(InputError, match=message):
+            load_corpus(path, spec.vocab_size)
+
+    def test_user_ids_are_written_as_json_dumps_writes_them(self, tmp_path):
+        """A quote, a backslash, non-ASCII letters and control characters in a
+        user id: each line is ``json.dumps`` of the sample, and loads back."""
+        ids = ['say "hi"', "back\\slash", "caf\u00e9", "tab\tnew\nline\x1f", "\U0001d518"]
+        pop = {
+            uid: SampleTable.from_rows([uid, uid], [[0, 1], []], [[2], [3, 4]], [False, True])
+            for uid in ids
+        }
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(pop, path)
+        assert path.read_text().splitlines() == [
+            json.dumps({"user_id": u, "x": x, "y": y, "split": split}, separators=(",", ":"))
+            for uid in sorted(pop) for u, x, y, split in pop[uid].rows()
+        ]
+        assert load_corpus(path, vocab_size=5) == pop
 
     def test_token_past_int64(self, tmp_path):
         """A token too large for an int64 is an integer past any vocabulary."""

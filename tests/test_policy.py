@@ -230,15 +230,6 @@ class TestKernels:
                 got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
             )
 
-    def test_take_equals_encoding_the_selection(self, rng):
-        pairs = _random_pairs(rng, 5, 12, 3)
-        codes = encode(pairs, 3, 5)
-        index = [7, 0, 7, 11, 3]
-        part = codes.take(index)
-        direct = encode([pairs[i] for i in index], 3, 5)
-        for field in ENCODED_FIELDS:
-            np.testing.assert_array_equal(getattr(part, field), getattr(direct, field))
-
     def test_cells_index_the_flat_table(self, rng):
         pairs = _random_pairs(rng, 5, 12, 3)
         codes = encode(pairs, 3, 5)

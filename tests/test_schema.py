@@ -82,6 +82,19 @@ class TestFromDoc:
             with pytest.raises((TypeError, ValueError)):
                 cast(tp, value)
 
+    def test_type_hints_are_resolved_once_per_class(self, monkeypatch):
+        from bfpo import schema
+
+        resolved = []
+        real = schema.get_type_hints
+        monkeypatch.setattr(schema, "get_type_hints", lambda cls: resolved.append(cls) or real(cls))
+        schema._field_types.cache_clear()
+        for _ in range(3):
+            from_doc(TrainConfig, {"method": "bco", "epochs": 2})
+            from_doc(DatasetConfig, DATASET)
+        assert resolved == [TrainConfig, DatasetConfig]
+        schema._field_types.cache_clear()
+
     def test_library_alpha_is_normalized(self):
         assert TrainConfig(alpha=0) == TrainConfig(alpha=0.0)
         assert isinstance(TrainConfig(alpha=0).alpha, float)
