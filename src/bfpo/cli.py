@@ -454,7 +454,9 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
     # user or ratio_x, or a dataset a task cannot train, fails here.  The
     # units then train on these populations and datasets: on the frozen
     # acceptance config a pickle round trip of one of each takes about 0.3 ms,
-    # and building them again about 1.6 ms.
+    # and building them again about 1.6 ms.  So the sweep holds every seed's
+    # population and datasets until it ends, and its memory grows with
+    # n_seeds times the dataset configs (BENCH_cli_io.json, sweep_memory).
     configs = list(dict.fromkeys(task.dataset for task in tasks))
     population_of: dict[int, dict[str, SampleTable]] = {}
     dataset_of: dict[tuple[int, DatasetConfig], UserDataset] = {}

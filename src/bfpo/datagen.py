@@ -143,7 +143,7 @@ def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (product >> _HALF_BITS).astype(np.int64), rejected
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _stream_layout(
     n_samples: int, seq_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -156,7 +156,8 @@ def _stream_layout(
     took, whatever Rs came in between.  Returns the word index of every R,
     shape (n_samples, seq_len); the word index and high-half flag of every H,
     shape (n_samples, 1 + seq_len), prompt draw first; and the word count.
-    The layout is cached by shape, so its arrays are read-only.
+    The last shape's layout is kept (a process generates populations of one
+    shape), so its arrays are read-only.
     """
     step = 1 + 2 * seq_len
     is_half = np.ones(n_samples * step, dtype=bool)
@@ -442,69 +443,14 @@ def load_corpus(path: str | Path, vocab_size: int) -> dict[str, SampleTable]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"corpus {path} is not UTF-8 text (line {line}: {exc.reason})") from exc
-    numbered = [
-        (lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
-        if line and not line.isspace()
-    ]
-    if not numbered:
-        raise InputError(f"corpus {path} is empty")
-    linenos = [lineno for lineno, _ in numbered]
-    columns = _sample_columns([line for _, line in numbered])
-    if columns is None:
-        columns = _sample_columns_by_line(numbered, vocab_size)
-    users, xs, ys, heldout = columns
-    _check_tokens(xs, ys, linenos, vocab_size)
-    table = SampleTable.from_rows(users, xs, ys, heldout)
-    # Each user's rows in file order, users in order of first appearance.
-    order = np.argsort(table.user, kind="stable")
-    ends = np.cumsum(np.bincount(table.user))
-    return {
-        uid: table.take(rows)
-        for uid, rows in zip(table.user_ids, np.split(order, ends[:-1]))
-    }
-
-
-_decode = json.JSONDecoder().decode
-
-_Columns = tuple[list[str], list[list], list[list], list[bool]]
-
-
-def _sample_columns(lines: list[str]) -> _Columns | None:
-    """The user ids, prompts, completions and held-out flags of ``lines``,
-    each line decoded on its own and the fields checked as columns; None if any
-    line is not a well-formed sample (its tokens aside).
-
-    Checking columns costs a fraction of checking line by line, so the lines
-    are read one by one (:func:`_sample_columns_by_line`) only to name a fault.
-    """
-    try:
-        rows = [_decode(line) for line in lines]
-        users = [row["user_id"] for row in rows]
-        xs = [row["x"] for row in rows]
-        ys = [row["y"] for row in rows]
-        splits = [row["split"] for row in rows]
-        if (
-            {*map(type, users)} <= {str}
-            and {*map(type, xs), *map(type, ys)} <= {list}
-            and all(ys)
-            and {*splits} <= {"train", "heldout"}
-        ):
-            return users, xs, ys, [split == "heldout" for split in splits]
-    except (ValueError, KeyError, TypeError, RecursionError):
-        pass  # a JSON fault, a missing field, a non-object line or an unhashable split
-    return None
-
-
-def _sample_columns_by_line(numbered: list[tuple[int, str]], vocab_size: int) -> _Columns:
-    """:func:`_sample_columns` of the numbered lines, read one by one: raises
-    :class:`InputError` naming the first bad line, a token fault on an earlier
-    line first."""
     users: list[str] = []
     xs: list[list] = []
     ys: list[list] = []
     heldout: list[bool] = []
     linenos: list[int] = []
-    for lineno, line in numbered:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
             row = json.loads(line)
             user_id, x, y, split = row["user_id"], row["x"], row["y"], row["split"]
@@ -530,7 +476,17 @@ def _sample_columns_by_line(numbered: list[tuple[int, str]], vocab_size: int) ->
                 continue
         _check_tokens(xs, ys, linenos, vocab_size)  # an earlier line may be the first bad one
         raise InputError(f"corpus line {lineno}: {fault}")
-    return users, xs, ys, heldout
+    if not linenos:
+        raise InputError(f"corpus {path} is empty")
+    _check_tokens(xs, ys, linenos, vocab_size)
+    table = SampleTable.from_rows(users, xs, ys, heldout)
+    # Each user's rows in file order, users in order of first appearance.
+    order = np.argsort(table.user, kind="stable")
+    ends = np.cumsum(np.bincount(table.user))
+    return {
+        uid: table.take(rows)
+        for uid, rows in zip(table.user_ids, np.split(order, ends[:-1]))
+    }
 
 
 def _check_tokens(xs: list[list], ys: list[list], linenos: list[int], vocab_size: int) -> None:
