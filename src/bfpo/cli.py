@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -35,7 +36,7 @@ from .datagen import (
 )
 from .errors import ConfigError, EngineError, InputError, NumericError
 from .evaluation import evaluate_policy
-from .files import write_atomic
+from .files import decode_json, write_atomic
 from .policy import SampleTable
 from .schema import cast, from_doc
 from .trainer import (
@@ -91,15 +92,14 @@ def _load_config(
     ``seed`` and may have ``out_dir``.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:  # a directory, say
         raise ConfigError(f"config {path} is not readable: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}") from exc
+    doc = decode_json(text, ConfigError, f"config {path}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -543,7 +543,11 @@ def cmd_verify(out: str | None, seed: int | None, fd_cases: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (building it costs
+    about 1 ms, mostly in gettext); each ``parse_args`` call makes its own
+    namespace, so successive calls share nothing else."""
     parser = argparse.ArgumentParser(
         prog="bfpo",
         description="Binary-feedback preference optimization experiment harness",
@@ -578,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "generate":
             return cmd_generate(args.config, args.out, args.seed)

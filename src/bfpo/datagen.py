@@ -32,7 +32,7 @@ import numpy as np
 
 from .alpha import embed_all
 from .errors import ConfigError, InputError
-from .files import write_atomic
+from .files import decode_json, write_atomic
 from .policy import Sample, SampleTable
 from .schema import from_doc
 
@@ -452,10 +452,11 @@ def load_corpus(path: str | Path, vocab_size: int) -> dict[str, SampleTable]:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = decode_json(line, InputError, f"corpus line {lineno}")
             user_id, x, y, split = row["user_id"], row["x"], row["y"], row["split"]
-        except json.JSONDecodeError as exc:
-            fault = f"invalid JSON ({exc})"
+        except InputError:
+            _check_tokens(xs, ys, linenos, vocab_size)  # an earlier line may be the first bad one
+            raise
         except (KeyError, TypeError) as exc:
             fault = f"malformed sample ({exc})"
         else:
@@ -524,9 +525,10 @@ def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
     except (OSError, ValueError) as exc:
-        raise InputError(f"population spec {path} is not readable JSON: {exc}") from exc
+        raise InputError(f"population spec {path} is not readable: {exc}") from exc
+    doc = decode_json(text, InputError, f"population spec {path}")
     if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         version = doc.get("schema_version") if isinstance(doc, dict) else None
         raise InputError(f"unsupported population spec version {version}")

@@ -1,12 +1,26 @@
-"""Artifact files are replaced whole: a reader sees the old file or the new one."""
+"""Artifact files are replaced whole: a reader sees the old file or the new
+one.  Every JSON document read back is decoded by :func:`decode_json`."""
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
 from pathlib import Path
+from typing import Any
 
-__all__ = ["write_atomic"]
+__all__ = ["decode_json", "write_atomic"]
+
+
+def decode_json(text: str, error: type[Exception], where: str) -> Any:
+    """``json.loads(text)``; text that is not a JSON document raises
+    ``error`` naming ``where``.  That is invalid syntax (``JSONDecodeError``),
+    an integer past the interpreter's digit limit (a plain ``ValueError``) or
+    nesting past its recursion limit (``RecursionError``)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON ({exc})") from exc
 
 
 def write_atomic(path: str | Path, text: str) -> None:

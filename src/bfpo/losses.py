@@ -435,19 +435,23 @@ class Scores:
     """One kernel pass of a stack under the live policy.
 
     ``rewards`` is ``beta * (log p - log p_ref)`` per sequence, or None for
-    SFT, which needs no reference.
+    SFT, which needs no reference; ``beta`` is one value for every sequence
+    or one per sequence.
     """
 
     stack: Stack
-    beta: float
+    beta: float | np.ndarray
     probs: np.ndarray
     log_probs: np.ndarray
     rewards: np.ndarray | None
 
 
-def score(method: Method, stack: Stack, policy: PolicyParams, beta: float) -> Scores:
+def score(
+    method: Method, stack: Stack, policy: PolicyParams, beta: float | np.ndarray
+) -> Scores:
     """Log-probabilities of every sequence of the stack under ``policy``, the
-    runs' stacked table, and their rewards against ``stack.reference``."""
+    runs' stacked table, and their rewards against ``stack.reference``, under
+    one ``beta`` or one per sequence (runs with different configs)."""
     log_table, probs = softmax_tables(policy.logits)
     log_probs = sequence_log_probs(log_table, stack.codes)
     rewards = None if method is Method.SFT else beta * (log_probs - stack.reference)

@@ -22,7 +22,8 @@ C x V table:
 
 The kernels never look past a row, so R tables of C rows stacked into one
 (R*C, V) table serve R runs at once: :func:`stack_codes` offsets run r's
-encoded rows by r*C, and :func:`ordered_sums` adds each run's values left to
+encoded rows by r*C (or by the rows of the runs before it, when the runs'
+tables differ in size), and :func:`ordered_sums` adds each run's values left to
 right, as :func:`ordered_sum` adds one run's.
 
 :func:`log_prob`, :func:`step_log_probs`, :func:`log_prob_grad` and
@@ -431,12 +432,18 @@ def _encode(
     return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, length_arr)
 
 
-def stack_codes(parts: Sequence[Encoded], context_size: int, vocab_size: int) -> Encoded:
-    """The encodings of R runs as one, in run order, for their stacked (R*C, V)
-    table: run r's rows are offset by r*C and its cells by r*C*V."""
+def stack_codes(
+    parts: Sequence[Encoded], context_sizes: int | Sequence[int], vocab_size: int
+) -> Encoded:
+    """The encodings of R runs as one, in run order, for their tables stacked
+    into one of V columns: run r's rows are offset by the rows of the runs
+    before it (r*C when ``context_sizes`` is one C for every run, else one
+    context size per part) and its cells by V times that."""
     lengths = np.concatenate([p.lengths for p in parts])
     starts = np.cumsum(lengths) - lengths
-    offsets = np.repeat(np.arange(len(parts)) * context_size, [len(p.rows) for p in parts])
+    contexts = np.broadcast_to(np.asarray(context_sizes, dtype=np.int64), len(parts))
+    firsts = np.cumsum(contexts) - contexts
+    offsets = np.repeat(firsts, [len(p.rows) for p in parts])
     rows = np.concatenate([p.rows for p in parts]) + offsets
     tokens = np.concatenate([p.tokens for p in parts])
     seq = np.repeat(np.arange(len(lengths)), lengths)

@@ -13,7 +13,9 @@ The checks score draws with softplus as max(x, 0) + log1p(exp(-|x|)): numpy's
 ``np.logaddexp`` is a scalar libm loop, ~7x slower, and the two agree within a
 few ulps. The quadrature truth (pinned to the bit) and ``losses`` (about 20
 values a step, with pinned artifacts) keep ``np.logaddexp``. Replications are
-drawn into blocks of rows, each row on a lone replication's streams.
+drawn into blocks of rows, each row on a lone replication's streams (a block of
+one row is the draws themselves), and an unlabeled set's draws are placed
+through index arrays.
 """
 
 from __future__ import annotations
@@ -69,10 +71,13 @@ def sample_unlabeled(
         raise InputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(rng_seed)
     from_positive = rng.random(n) < spec.pi_p
-    k = int(np.count_nonzero(from_positive))
+    # Index arrays place the draws in about half the time two boolean-mask
+    # scatters take at n = 10,000 (the same values; no slower at n = 10).
+    positives = from_positive.nonzero()[0]
+    negatives = (~from_positive).nonzero()[0]
     values = np.empty(n, dtype=np.float64)
-    values[from_positive] = spec.p_pos(rng, k)
-    values[~from_positive] = spec.p_neg(rng, n - k)
+    values[positives] = spec.p_pos(rng, len(positives))
+    values[negatives] = spec.p_neg(rng, len(negatives))
     return values, from_positive
 
 
@@ -202,11 +207,15 @@ def _replicate(
     estimates = np.empty(len(seeds))
     for start in range(0, len(seeds), rows):
         block = [int(s) for s in seeds[start:start + rows]]
-        pos = np.empty((len(block), n))
-        unlabeled = np.empty((len(block), n))
-        for r, seed in enumerate(block):
-            pos[r] = spec.p_pos(np.random.default_rng(seed), n)
-            unlabeled[r] = sample_unlabeled(spec, n, seed + 1)[0]
+        if len(block) == 1:  # the draws are the block's one row: no copy
+            pos = spec.p_pos(np.random.default_rng(block[0]), n)[None]
+            unlabeled = sample_unlabeled(spec, n, block[0] + 1)[0][None]
+        else:
+            pos = np.empty((len(block), n))
+            unlabeled = np.empty((len(block), n))
+            for r, seed in enumerate(block):
+                pos[r] = spec.p_pos(np.random.default_rng(seed), n)
+                unlabeled[r] = sample_unlabeled(spec, n, seed + 1)[0]
         pos_losses = logistic_negative_loss(pos)
         unlabeled_losses = logistic_negative_loss(unlabeled)
         for r in range(len(block)):

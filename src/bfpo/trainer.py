@@ -48,7 +48,7 @@ import numpy as np
 from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, AlphaEstimate, EstimatorConfig, run_alpha_estimation
 from .datagen import UserDataset
 from .errors import ConfigError, InputError, NumericError
-from .files import write_atomic
+from .files import decode_json, write_atomic
 from .losses import (
     BREAKDOWN_COLUMNS,
     Batch,
@@ -815,9 +815,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; a missing, truncated or malformed file is an InputError.
     Its scalars are cast by the config rules (:func:`bfpo.schema.cast`)."""
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
     except (OSError, ValueError) as exc:
-        raise InputError(f"checkpoint {path} is not readable JSON: {exc}") from exc
+        raise InputError(f"checkpoint {path} is not readable: {exc}") from exc
+    doc = decode_json(text, InputError, f"checkpoint {path}")
     if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         version = doc.get("schema_version") if isinstance(doc, dict) else None
         raise InputError(f"unsupported checkpoint version {version}")

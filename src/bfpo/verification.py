@@ -7,15 +7,18 @@ closed-form weighted-mean gaps, direct sign counting) and reports a single
 pass/fail with diagnostic details.
 
 The finite-difference and clamp checks evaluate in stacks (see
-:mod:`bfpo.losses`): a case's 2·C·V perturbed tables are one lockstep pass, and
-the clamp check's replications are the runs of a few many-run layouts.  A
-run's values do not depend on the other runs of its stack, so each equals its
-lone evaluation.
+:mod:`bfpo.losses`).  A gradient check draws all its cases first, then scores
+them across cases on the training kernels, one vocabulary size at a time: one
+stack gives every case's analytic gradient, and a few more the losses of
+every case's 2·C·V perturbed tables.  The clamp check's replications are the
+runs of a few many-run layouts.  A run's values do not depend on the other
+runs of its stack, so each equals its lone evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,11 +32,18 @@ from .losses import (
     Method,
     Stack,
     binary_losses,
-    method_loss_and_grad,
+    encode_batch,
     score,
     scored_loss,
 )
-from .policy import PolicyParams, Sample, stack_codes
+from .policy import (
+    Encoded,
+    PolicyParams,
+    Sample,
+    sequence_log_probs,
+    softmax_tables,
+    stack_codes,
+)
 from .pu import (
     CheckResult,
     run_convergence_check,
@@ -43,6 +53,8 @@ from .pu import (
 from .rewards import ReferenceState, delta_ema, ema_update, kto_zrefs
 
 __all__ = [
+    "GradientCase",
+    "draw_gradient_cases",
     "finite_difference_grad",
     "random_gradient_case",
     "registered_checks",
@@ -59,33 +71,49 @@ FD_TOLERANCE = 1e-4
 # its magnitude when bounding the round-off of a central difference.
 FD_LOSS_ULPS = 16.0
 
-# Runs per layout of the clamp check: at n = 10 a layout's per-sequence arrays
-# take 16 kB each.  Scoring all 2,000 runs as one layout (about 1 MB of such
-# arrays and their temporaries) raised the suite's peak RSS by about 1.2 MB;
-# layouts of 100 runs cost no more time than layouts of 500 and hold less.
-CLAMP_RUNS = 100
+# Runs per stack of the clamp and finite-difference checks.  At n = 10 a clamp
+# layout's per-sequence arrays take 16 kB each.  Scoring all 2,000 runs as one
+# layout (about 1 MB of such arrays and their temporaries) raised the suite's
+# peak RSS by about 1.2 MB; layouts of 100 runs cost no more time than layouts
+# of 500 and hold less.  Likewise, one finite-difference stack of all a
+# vocabulary size's perturbed tables (up to 620 runs, 5,000 tokens) raised it
+# by about 0.7 MB, and stacks of at most 100 runs by none, in no more time.
+CHECK_RUNS = 100
 
 _L_POS, _RAW, _TOTAL = map(BREAKDOWN_COLUMNS.index, ("l_pos", "pure_neg_raw", "total"))
 
 
 def finite_difference_grad(
-    loss_fn: Callable[[np.ndarray], np.ndarray], params: PolicyParams, step: float = FD_STEP
-) -> np.ndarray:
-    """Central differences of a scalar loss over every logit entry, from one
-    call of ``loss_fn`` on all the perturbed tables.
+    loss_fn: Callable[[np.ndarray], np.ndarray],
+    params: Sequence[PolicyParams],
+    step: float = FD_STEP,
+) -> list[np.ndarray]:
+    """Central differences of scalar losses over every logit entry of several
+    tables of one vocabulary, from one call of ``loss_fn`` on all their
+    perturbed tables.
 
-    With the K = C*V entries in row-major order, table 2k is ``params.logits``
-    with entry k raised by ``step`` and table 2k + 1 with it lowered;
-    ``loss_fn`` maps the (2K, C, V) tables to their 2K losses, each table's
-    its own.
+    With table i's K_i = C_i*V entries in row-major order, its perturbed
+    table 2k is ``params[i].logits`` with entry k raised by ``step`` and table
+    2k + 1 with it lowered.  ``loss_fn`` maps every perturbed table, table 0's
+    first, stacked into one (sum of 2*K_i*C_i, V) array, to their losses in
+    that order, each table's its own.
     """
-    flat = params.logits.ravel()
-    entry = np.arange(flat.size)
-    tables = np.tile(flat, (flat.size, 2, 1))
-    tables[entry, 0, entry] = flat + step
-    tables[entry, 1, entry] = flat - step
-    losses = np.asarray(loss_fn(tables.reshape(-1, *params.logits.shape)))
-    return ((losses[0::2] - losses[1::2]) / (2.0 * step)).reshape(params.logits.shape)
+    if len({p.vocab_size for p in params}) > 1:
+        raise InputError("finite_difference_grad stacks tables of one vocabulary size")
+    perturbed = []
+    for p in params:
+        flat = p.logits.ravel()
+        entry = np.arange(flat.size)
+        tables = np.tile(flat, (flat.size, 2, 1))
+        tables[entry, 0, entry] = flat + step
+        tables[entry, 1, entry] = flat - step
+        perturbed.append(tables.reshape(-1, p.vocab_size))
+    losses = np.asarray(loss_fn(np.concatenate(perturbed)))
+    ends = np.cumsum([2 * p.logits.size for p in params]).tolist()
+    return [
+        ((losses[lo:hi:2] - losses[lo + 1:hi:2]) / (2.0 * step)).reshape(p.logits.shape)
+        for p, lo, hi in zip(params, [0] + ends[:-1], ends)
+    ]
 
 
 def _random_samples(
@@ -93,58 +121,181 @@ def _random_samples(
 ) -> list[Sample]:
     samples = []
     for _ in range(count):
-        x = tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(0, 3))))
-        y = tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(1, max_len + 1))))
+        x = tuple(rng.integers(0, vocab, int(rng.integers(0, 3))).tolist())
+        y = tuple(rng.integers(0, vocab, int(rng.integers(1, max_len + 1))).tolist())
         samples.append(Sample(user_id="v", x=x, y=y))
     return samples
 
 
-def random_gradient_case(
-    method: Method, rng: np.random.Generator
-) -> tuple[
-    Batch, PolicyParams, PolicyParams, LossConfig, float, list[float] | None, Stack | None
-]:
-    """One randomized (batch, policy, reference, config, delta, zrefs, stack)
-    instance; ``stack`` is the batch's :meth:`Stack.of` under the policy and
-    reference where the draw was screened with one (KTO and cbpo), else None.
+@dataclass(eq=False)
+class GradientCase:
+    """One randomized instance of a method's gradient check: a batch under a
+    policy and a frozen reference, with the objective's config and anchor.
 
-    For the clamped method the draw is repeated until the purified term is
-    safely positive, because the acceptance check only covers clamp-inactive
-    regions (the clamped branch has an exactly-zero gradient by construction).
+    Scoring the case (:func:`draw_gradient_cases`) fills in the rest: the
+    batch's encoding for the policy's table, each sequence's log-probability
+    under the reference, KTO's leave-one-out anchors (held constant while the
+    logits are perturbed) and the analytic gradient of the total.
     """
-    while True:
-        vocab = int(rng.integers(3, 6))
-        context = int(rng.integers(2, 5))
-        policy = PolicyParams(vocab, context, rng.normal(0.0, 1.0, (context, vocab)))
-        reference = PolicyParams(vocab, context, rng.normal(0.0, 1.0, (context, vocab)))
-        config = LossConfig(
-            beta=float(rng.uniform(0.3, 2.0)),
-            alpha=float(rng.uniform(0.0, 0.9)),
-            pi_n=float(rng.uniform(0.3, 1.0)),
-            lambda_d=float(rng.uniform(0.5, 2.0)),
-            lambda_u=float(rng.uniform(0.5, 2.0)),
-        )
-        delta = float(rng.uniform(-1.0, 1.0))
-        batch = Batch.of(
-            pos=_random_samples(rng, vocab, int(rng.integers(1, 4))),
-            aux=_random_samples(rng, vocab, int(rng.integers(1, 4))),
-        )
-        if method is Method.DPO:
-            # Each preferred completion, and a rejected one for its prompt.
-            pos = _random_samples(rng, vocab, int(rng.integers(1, 4)))
-            aux = [Sample("v", s.x, t.y) for s, t in zip(pos, _random_samples(rng, vocab, 3))]
-            batch = Batch.of(pos=pos, aux=aux)
-        zrefs, stack = None, None
-        if method in (Method.KTO, Method.CBPO):
-            stack = Stack.of(method, batch, policy, reference)
-            scores = score(method, stack, policy, config.beta)
-            if method is Method.KTO:
-                if len(scores.rewards) < 2:
-                    continue
-                zrefs = kto_zrefs(scores.rewards).tolist()
-            elif scored_loss(method, scores, [config], [delta])[0][0, _RAW] <= 0.05:
-                continue
-        return batch, policy, reference, config, delta, zrefs, stack
+
+    batch: Batch
+    policy: PolicyParams
+    reference: PolicyParams
+    config: LossConfig
+    delta: float
+    codes: Encoded | None = field(default=None, repr=False)
+    ref_log_probs: np.ndarray | None = field(default=None, repr=False)
+    zrefs: np.ndarray | None = field(default=None, repr=False)
+    analytic: np.ndarray | None = field(default=None, repr=False)
+
+
+def random_gradient_case(method: Method, rng: np.random.Generator) -> GradientCase:
+    """One randomized draw, not yet screened or scored."""
+    vocab = int(rng.integers(3, 6))
+    context = int(rng.integers(2, 5))
+    policy = PolicyParams(vocab, context, rng.normal(0.0, 1.0, (context, vocab)))
+    reference = PolicyParams(vocab, context, rng.normal(0.0, 1.0, (context, vocab)))
+    config = LossConfig(
+        beta=float(rng.uniform(0.3, 2.0)),
+        alpha=float(rng.uniform(0.0, 0.9)),
+        pi_n=float(rng.uniform(0.3, 1.0)),
+        lambda_d=float(rng.uniform(0.5, 2.0)),
+        lambda_u=float(rng.uniform(0.5, 2.0)),
+    )
+    delta = float(rng.uniform(-1.0, 1.0))
+    batch = Batch.of(
+        pos=_random_samples(rng, vocab, int(rng.integers(1, 4))),
+        aux=_random_samples(rng, vocab, int(rng.integers(1, 4))),
+    )
+    if method is Method.DPO:
+        # Each preferred completion, and a rejected one for its prompt.
+        pos = _random_samples(rng, vocab, int(rng.integers(1, 4)))
+        aux = [Sample("v", s.x, t.y) for s, t in zip(pos, _random_samples(rng, vocab, 3))]
+        batch = Batch.of(pos=pos, aux=aux)
+    return GradientCase(batch, policy, reference, config, delta)
+
+
+def _by_vocab(cases: Sequence[GradientCase]) -> list[list[GradientCase]]:
+    """The cases grouped by vocabulary size, in order within each group."""
+    groups: dict[int, list[GradientCase]] = {}
+    for case in cases:
+        groups.setdefault(case.policy.vocab_size, []).append(case)
+    return list(groups.values())
+
+
+def _stack(method: Method, runs: Sequence[GradientCase]) -> tuple[Stack, np.ndarray, list, list]:
+    """The runs' stack (cases of one vocabulary size, each encoded), with each
+    sequence's beta and each run's config and anchor.  The reference
+    log-probabilities are the runs' own once scored, else gathered from
+    their stacked reference tables."""
+    codes = stack_codes([c.codes for c in runs], [c.policy.context_size for c in runs],
+                        runs[0].policy.vocab_size)
+    layout = Layout.build([len(c.batch.pos) for c in runs], [len(c.batch.aux) for c in runs])
+    reference = None
+    if method is not Method.SFT and runs[0].ref_log_probs is None:
+        ref_table = softmax_tables(np.concatenate([c.reference.logits for c in runs]))[0]
+        reference = sequence_log_probs(ref_table, codes)
+    elif method is not Method.SFT:
+        reference = np.concatenate([c.ref_log_probs for c in runs])
+    stack = Stack([c.batch for c in runs], codes, layout, reference)
+    betas = np.array([c.config.beta for c in runs])[layout.run]
+    return stack, betas, [c.config for c in runs], [c.delta for c in runs]
+
+
+def _score_group(method: Method, cases: Sequence[GradientCase]) -> np.ndarray:
+    """Score drawn cases of one vocabulary size as one stack, a run each,
+    under their own policies: fill in what :class:`GradientCase` leaves to
+    scoring, and return the runs' :data:`BREAKDOWN_COLUMNS` rows."""
+    vocab = cases[0].policy.vocab_size
+    for case in cases:
+        case.codes = encode_batch(case.batch, case.policy.context_size, vocab)
+    stack, betas, configs, deltas = _stack(method, cases)
+    contexts = [c.policy.context_size for c in cases]
+    policy = PolicyParams(vocab, sum(contexts), np.concatenate([c.policy.logits for c in cases]))
+    scores = score(method, stack, policy, betas)
+    spans = stack.layout.spans
+    zrefs = None
+    if method is Method.KTO:
+        zrefs = np.concatenate([kto_zrefs(scores.rewards[a:b]) for a, b, _ in spans])
+    values, grad = scored_loss(method, scores, configs, deltas, zrefs, want_grad=True)
+    row_ends = np.cumsum(contexts).tolist()
+    for case, (a, b, _), lo, hi in zip(cases, spans, [0] + row_ends[:-1], row_ends):
+        case.analytic = grad[lo:hi]
+        if stack.reference is not None:
+            case.ref_log_probs = stack.reference[a:b]
+        if zrefs is not None:
+            case.zrefs = zrefs[a:b]
+    return values
+
+
+def draw_gradient_cases(
+    method: Method, rng: np.random.Generator, cases: int
+) -> list[GradientCase]:
+    """The first ``cases`` draws of :func:`random_gradient_case` from ``rng``
+    that pass screening, scored (see :class:`GradientCase`).
+
+    For the clamped method a draw is kept only if its purified term is safely
+    positive, because the acceptance check only covers clamp-inactive regions
+    (the clamped branch has an exactly-zero gradient by construction).  A
+    draw reads the stream alike whether it is kept or not, so each round
+    draws as many cases as are still missing and scores them in one stack
+    per vocabulary size; no round keeps more than are missing.  A KTO batch
+    always holds a positive and an auxiliary, so its leave-one-out anchors
+    always exist.
+    """
+    kept: list[GradientCase] = []
+    while len(kept) < cases:
+        drawn = [random_gradient_case(method, rng) for _ in range(cases - len(kept))]
+        raws = {}
+        for group in _by_vocab(drawn):
+            raws.update(zip(map(id, group), _score_group(method, group)[:, _RAW].tolist()))
+        kept += [c for c in drawn if method is not Method.CBPO or raws[id(c)] > 0.05]
+    return kept
+
+
+def _fd_stacks(cases: Sequence[GradientCase]) -> list[list[GradientCase]]:
+    """The cases grouped by vocabulary size, each group cut into runs of
+    consecutive cases holding at most :data:`CHECK_RUNS` perturbed tables
+    (at least one case each)."""
+    stacks: list[list[GradientCase]] = []
+    for group in _by_vocab(cases):
+        runs = CHECK_RUNS
+        for case in group:
+            size = 2 * case.policy.logits.size
+            if runs + size > CHECK_RUNS:
+                stacks.append([])
+                runs = 0
+            stacks[-1].append(case)
+            runs += size
+    return stacks
+
+
+def _fd_errors(method: Method, cases: Sequence[GradientCase], tolerance: float) -> list[float]:
+    """Each scored case's relative error (see :func:`run_gradient_fd_check`)
+    for cases of one vocabulary size.  Case i's 2·C_i·V perturbed tables are
+    as many runs of one stack, each with its case's batch, reference
+    log-probabilities, config, anchor and (KTO) leave-one-out anchors, and
+    each run's total is its loss."""
+    runs = [case for case in cases for _ in range(2 * case.policy.logits.size)]
+    stack, betas, configs, deltas = _stack(method, runs)
+    zrefs = None if method is not Method.KTO else np.concatenate([c.zrefs for c in runs])
+    totals = []
+
+    def loss_fn(tables: np.ndarray) -> np.ndarray:
+        scores = score(method, stack, PolicyParams(tables.shape[1], len(tables), tables), betas)
+        totals.append(scored_loss(method, scores, configs, deltas, zrefs)[0][:, _TOTAL])
+        return totals[-1]
+
+    numeric = finite_difference_grad(loss_fn, [c.policy for c in cases])
+    eps = FD_LOSS_ULPS * np.finfo(np.float64).eps
+    ends = np.cumsum([2 * c.policy.logits.size for c in cases]).tolist()
+    errors = []
+    for case, grad, lo, hi in zip(cases, numeric, [0] + ends[:-1], ends):
+        largest = float(np.abs(totals[0][lo:hi]).max())
+        roundoff = eps * largest / FD_STEP * math.sqrt(grad.size)
+        scale = max(float(np.linalg.norm(grad)), roundoff / tolerance)
+        errors.append(float(np.linalg.norm(case.analytic - grad)) / scale)
+    return errors
 
 
 def run_gradient_fd_check(
@@ -162,42 +313,19 @@ def run_gradient_fd_check(
     divided by the step.  A gradient that is truly zero then passes; any
     gradient FD can resolve at this step is judged as before.
 
-    A case's perturbed tables are scored as one stack of 2·C·V runs, its
-    encoding stacked and its reference log-probabilities tiled.
+    Every case is drawn first (:func:`draw_gradient_cases`), and the cases of
+    each vocabulary size are scored in cross-case stacks on the training
+    kernels: their analytic gradients come from one stack, a run per case,
+    and the losses of their perturbed tables from stacks of 2·C·V runs per
+    case and at most :data:`CHECK_RUNS` runs.
     """
     # Stable per-method stream: str hashes are process-randomized, enum order is not.
     rng = np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
-    worst = 0.0
-    for _ in range(cases):
-        batch, policy, reference, config, delta, zrefs, stack = random_gradient_case(method, rng)
-        if stack is None:
-            # Encoded and scored under the fixed reference once for every table.
-            stack = Stack.of(method, batch, policy, reference)
-        _, analytic = method_loss_and_grad(method, batch, policy, reference, config, delta)
-        largest = 0.0
-
-        def totals(tables: np.ndarray) -> np.ndarray:
-            nonlocal largest
-            runs, context, vocab = tables.shape
-            tiled = Stack(
-                [batch] * runs,
-                stack_codes([stack.codes] * runs, context, vocab),
-                Layout.build([len(batch.pos)] * runs, [len(batch.aux)] * runs),
-                None if stack.reference is None else np.tile(stack.reference, runs),
-            )
-            table = PolicyParams(vocab, runs * context, tables.reshape(runs * context, vocab))
-            scores = score(method, tiled, table, config.beta)
-            run_zrefs = None if zrefs is None else np.tile(zrefs, runs)
-            values = scored_loss(method, scores, [config] * runs, [delta] * runs, run_zrefs)[0]
-            largest = max([largest, *np.abs(values[:, _TOTAL]).tolist()])
-            return values[:, _TOTAL]
-
-        numeric = finite_difference_grad(totals, policy)
-        eps = FD_LOSS_ULPS * np.finfo(np.float64).eps
-        roundoff = eps * largest / FD_STEP * math.sqrt(numeric.size)
-        scale = max(float(np.linalg.norm(numeric)), roundoff / tolerance)
-        rel = float(np.linalg.norm(analytic - numeric)) / scale
-        worst = max(worst, rel)
+    drawn = draw_gradient_cases(method, rng, cases)
+    errors = {}
+    for stack in _fd_stacks(drawn):
+        errors.update(zip(map(id, stack), _fd_errors(method, stack, tolerance)))
+    worst = max([0.0, *(errors[id(case)] for case in drawn)])
     return CheckResult(
         name=f"gradient_fd_{method.value}",
         passed=bool(worst < tolerance),
@@ -255,15 +383,15 @@ def run_clamp_check(
     Each replication draws n positive rewards, then n auxiliary ones, at
     delta 0; one draw of every replication's rewards reads the same stream.
     The replications are scored as the runs of a few layouts of at most
-    :data:`CLAMP_RUNS` runs each.
+    :data:`CHECK_RUNS` runs each.
     """
     if n < 1:
         raise InputError(f"the clamp check needs n >= 1 rewards a side, got {n}")
     rewards = np.random.default_rng(seed).normal(0.0, 1.0, (replications, 2, n))
     config = LossConfig(alpha=alpha)
     negatives = clamp_violations = 0
-    for lo in range(0, replications, CLAMP_RUNS):
-        chunk = rewards[lo : lo + CLAMP_RUNS]
+    for lo in range(0, replications, CHECK_RUNS):
+        chunk = rewards[lo : lo + CHECK_RUNS]
         layout = Layout.build([n] * len(chunk), [n] * len(chunk))
         values = binary_losses(Method.CBPO, chunk.ravel(), layout, [config] * len(chunk))
         negative = values[:, _RAW] < 0.0

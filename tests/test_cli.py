@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfpo import files
+from bfpo import cli, files
 from bfpo.cli import main
 from bfpo.datagen import load_corpus, save_corpus
 from bfpo.errors import NumericError
@@ -687,6 +687,31 @@ def _corpus_not_utf8(run: Path, corpus: Path) -> None:
 # escaped character is replaced by the raw byte, which is not UTF-8.
 _NOT_UTF8 = "\xff"
 
+# JSON text the decoder rejects without a JSONDecodeError: arrays nested past
+# the recursion limit (RecursionError) and an integer past the digit limit
+# for int() (ValueError).
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+_LONG_INT = "1" * 5_000
+# Config seeds standing for that text: each is written as JSON, then its
+# quoted escape is replaced by the raw text.
+_RAW_SEEDS = {"\x01deep": _DEEP_JSON, "\x01digits": _LONG_INT}
+_DEEP_SEED, _DIGITS_SEED = _RAW_SEEDS
+
+
+def _corpus_first_line(line: str):
+    def corrupt(run: Path, corpus: Path) -> None:
+        path = corpus / "corpus.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([line] + lines[1:]) + "\n")
+    return corrupt
+
+
+def _replace_file(name: str, text: str):
+    """Replace the run's (``checkpoint.json``) or the corpus's file ``name``."""
+    def corrupt(run: Path, corpus: Path) -> None:
+        ((run if name == "checkpoint.json" else corpus) / name).write_text(text)
+    return corrupt
+
 
 def _edit_checkpoint(block: str | None = None, **edits):
     """Update the checkpoint's top level, or its ``block``, with ``edits``."""
@@ -794,6 +819,16 @@ class TestMalformedInputExits2:
             ("sweep", None, {"axis": "ratio_x", "grid": [1.0, 1e-9]}),
             ("sweep", None, {"axis": "history_fraction", "grid": [1.0, 0.01],
                              "train": {"alpha": "estimate"}}),
+            ("train", _corpus_first_line(_DEEP_JSON), {}),
+            ("train", _corpus_first_line(
+                f'{{"user_id":"u000","x":[1],"y":[{_LONG_INT}],"split":"train"}}'), {}),
+            ("generate", None, {"seed": _DEEP_SEED}),
+            ("train", None, {"seed": _DEEP_SEED}),
+            ("sweep", None, {"seed": _DIGITS_SEED}),
+            ("estimate-alpha", None, {"seed": _DIGITS_SEED}),
+            ("evaluate", _replace_file("checkpoint.json", _DEEP_JSON), {}),
+            ("evaluate", _replace_file("checkpoint.json", f'{{"step":{_LONG_INT}}}'), {}),
+            ("train", _replace_file("population_spec.json", _DEEP_JSON), {}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -819,7 +854,12 @@ class TestMalformedInputExits2:
              "estimator_lr_negative", "train_empty_warm_start_pool",
              "train_empty_auxiliary_split", "train_one_target_sample_to_estimate_alpha",
              "sweep_grid_point_with_empty_warm_start_pool",
-             "sweep_grid_point_with_one_target_sample_to_estimate_alpha"],
+             "sweep_grid_point_with_one_target_sample_to_estimate_alpha",
+             "corpus_line_nested_deep", "corpus_token_of_5000_digits",
+             "generate_config_nested_deep", "train_config_nested_deep",
+             "sweep_config_int_of_5000_digits", "estimate_alpha_config_int_of_5000_digits",
+             "checkpoint_nested_deep", "checkpoint_int_of_5000_digits",
+             "population_spec_nested_deep"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -833,14 +873,17 @@ class TestMalformedInputExits2:
                     "--corpus", str(corpus), "--out", str(out)]
         else:
             cfg = _write(tmp_path / "bad.json", _config(command, corpus, out, edits))
+            path = Path(cfg)
             if edits.get("seed") == _NOT_UTF8:
-                path = Path(cfg)
                 path.write_bytes(path.read_bytes().replace(b"\\u00ff", b"\xff"))
+            if edits.get("seed") in _RAW_SEEDS:
+                seed = edits["seed"]
+                path.write_text(path.read_text().replace(json.dumps(seed), _RAW_SEEDS[seed]))
             argv = [command, "--config", cfg]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        if edits.get("seed") == _NOT_UTF8:
+        if edits.get("seed") == _NOT_UTF8 or edits.get("seed") in _RAW_SEEDS:
             assert "bad.json" in err, err
         assert not out.exists()
 
@@ -1026,6 +1069,39 @@ class TestAtomicWrites:
         assert "No space left on device" in err
         assert (run / "checkpoint.json").read_bytes() == before
         assert sorted(p.name for p in run.iterdir()) == ["checkpoint.json", "metrics.csv"]
+
+
+class TestParser:
+    def test_successive_calls_parse_on_their_own(self, tmp_path, capsys):
+        """One parser serves every ``main`` call of a process, and each call
+        reads only its own arguments: a flag of an earlier call does not
+        carry over, and the exit codes stay 0, 1 and 2."""
+        assert cli._parser() is cli._parser()
+        corpus = _generate(tmp_path)
+        cfg = _write(tmp_path / "gen.json", {"schema_version": 1, "seed": 5,
+                                             "out_dir": str(tmp_path / "gen"),
+                                             "population": POPULATION})
+        assert main(["generate", "--config", cfg, "--seed", "6",
+                     "--out", str(tmp_path / "seed6")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--seed", "6"])  # no --config
+        assert exc.value.code == 2
+        assert main(["generate", "--config", cfg]) == 0  # the config's seed and out_dir
+        assert (tmp_path / "gen" / "corpus.jsonl").read_bytes() == (
+            corpus / "corpus.jsonl").read_bytes()
+        assert main(["generate", "--config", str(tmp_path / "missing.json")]) == 2
+        train_cfg = _write(
+            tmp_path / "t.json",
+            {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "crash"),
+             "corpus_dir": str(corpus),
+             "dataset": {"target_user": "u000", "ratio_x": 1.0, "grouping": "random"},
+             "train": {**TRAIN, "warmstart_lr": 1e308}},
+        )
+        assert main(["train", "--config", train_cfg]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fd-cases", "many"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestSeedOverride:

@@ -484,6 +484,14 @@ class TestPersistence:
              '{"user_id":"u","x":[0],"y":[2],"split":"train"}'],
             r"line 1: invalid JSON \(Extra data",
         ),
+        "nested_past_the_recursion_limit": (
+            ['{"user_id":"u","x":[0],"y":[1],"split":"train"}', "[" * 100_000 + "]" * 100_000],
+            r"line 2: invalid JSON \(maximum recursion depth",
+        ),
+        "an_integer_of_5000_digits": (
+            ['{"user_id":"u","x":[0],"y":[' + "1" * 5_000 + '],"split":"train"}'],
+            r"line 1: invalid JSON \(Exceeds the limit",
+        ),
         "a_list": (["[1, 2]"], r"line 1: malformed sample \(list indices"),
         "a_string": (['"u"'], r"line 1: malformed sample \(string indices"),
         "null": (["null"], r"line 1: malformed sample \('NoneType'"),

@@ -623,6 +623,42 @@ class TestScoredLossColumns:
         for row, want in zip(values.tolist(), lone):
             assert row == _lone_breakdown_row(want)
 
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_runs_of_different_context_sizes_and_betas(self, rng, method):
+        """Runs whose tables have different row counts (``stack_codes`` with a
+        context size per part) and whose configs differ in beta (``score``
+        with a beta per sequence) each equal their lone
+        ``method_loss_and_grad``: columns and gradient rows bit for bit."""
+        from bfpo.losses import Layout, Stack, encode_batch, score, scored_loss
+        from bfpo.policy import PolicyParams, sequence_log_probs, softmax_tables, stack_codes
+
+        vocab, contexts, betas = 4, (2, 5, 3), (0.4, 1.3, 0.9)
+        policies = [random_params(rng, vocab, c) for c in contexts]
+        references = [random_params(rng, vocab, c) for c in contexts]
+        batches = [_random_batch(rng, vocab, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+                   for _ in contexts]
+        if method is Method.DPO:
+            batches = [_pairs_batch(*b.samples()) for b in batches]
+        configs = [LossConfig(beta=b, alpha=0.3, pi_n=0.8) for b in betas]
+        deltas = [0.2, -0.4, 0.1]
+        codes = stack_codes(
+            [encode_batch(b, c, vocab) for b, c in zip(batches, contexts)], list(contexts), vocab
+        )
+        layout = Layout.build([len(b.pos) for b in batches], [len(b.aux) for b in batches])
+        ref_table = softmax_tables(np.concatenate([r.logits for r in references]))[0]
+        stack = Stack(batches, codes, layout,
+                      None if method is Method.SFT else sequence_log_probs(ref_table, codes))
+        table = PolicyParams(vocab, sum(contexts), np.concatenate([p.logits for p in policies]))
+        scores = score(method, stack, table, np.array(betas)[layout.run])
+        values, grad = scored_loss(method, scores, configs, deltas, want_grad=True)
+        first = 0
+        for run, args in enumerate(zip(batches, policies, references, configs, deltas)):
+            want, want_grad = method_loss_and_grad(method, *args)
+            assert values[run].tolist() == _lone_breakdown_row(want)
+            rows = grad[first:first + contexts[run]]
+            assert rows.tobytes() == want_grad.tobytes()
+            first += contexts[run]
+
     def test_clamp_is_python_max(self):
         """The clamped column is max(0.0, raw): 0.0 for a raw of -0.0 or NaN,
         where np.maximum would give -0.0 or NaN."""

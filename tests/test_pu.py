@@ -44,6 +44,30 @@ class TestSampleUnlabeled:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(fa, fb)
 
+    @pytest.mark.parametrize("n", [1, 10, 10_000])
+    @pytest.mark.parametrize("pi_p", [0.0, 0.3, 1.0])
+    def test_equals_the_boolean_mask_formulation(self, n, pi_p):
+        """The draws placed through index arrays equal two boolean-mask
+        scatters bit for bit, the latent indicator included; pi_p 0 and 1
+        draw no positives and only positives."""
+        spec = default_mixture(pi_p)
+        rng = np.random.default_rng(5)
+        from_positive = rng.random(n) < pi_p
+        k = int(np.count_nonzero(from_positive))
+        values = np.empty(n)
+        values[from_positive] = rng.normal(1.5, 1.0, k)
+        values[~from_positive] = rng.normal(-1.5, 1.0, n - k)
+        got, got_from_positive = sample_unlabeled(spec, n, rng_seed=5)
+        assert got.tobytes() == values.tobytes()
+        assert got_from_positive.tobytes() == from_positive.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 10, 10_000])
+    def test_mixture_components_are_unit_normals(self, n):
+        spec = default_mixture()
+        for sampler, mean in ((spec.p_pos, 1.5), (spec.p_neg, -1.5)):
+            want = np.random.default_rng(9).normal(mean, 1.0, n)
+            assert sampler(np.random.default_rng(9), n).tobytes() == want.tobytes()
+
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             sample_unlabeled(default_mixture(), 0, rng_seed=0)

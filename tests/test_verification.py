@@ -1,18 +1,31 @@
 """The property checks: no false failures, no loosening, and stacked passes
-that equal the per-entry and per-replication loops they replace."""
+that equal the per-case, per-entry and per-replication loops they replace."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from bfpo import losses, verification
 from bfpo.errors import InputError
-from bfpo.losses import BREAKDOWN_COLUMNS, LossConfig, Method, Stack, binary_loss, score, scored_loss
-from bfpo.policy import PolicyParams
+from bfpo.losses import (
+    BREAKDOWN_COLUMNS,
+    Layout,
+    LossConfig,
+    Method,
+    Stack,
+    binary_loss,
+    method_loss_and_grad,
+    score,
+    scored_loss,
+)
+from bfpo.policy import PolicyParams, stack_codes
 from bfpo.pu import CheckResult
+from bfpo.rewards import kto_zrefs
 
-TOTAL = BREAKDOWN_COLUMNS.index("total")
+RAW, TOTAL = BREAKDOWN_COLUMNS.index("pure_neg_raw"), BREAKDOWN_COLUMNS.index("total")
 
 
 def test_dpo_check_passes_where_the_true_gradient_is_zero():
@@ -26,16 +39,19 @@ def test_dpo_check_passes_where_the_true_gradient_is_zero():
 def test_scaled_gradient_fails_on_every_seed(method, monkeypatch):
     """A gradient off by 5% fails the check on each of seeds 0-19.
 
-    Five cases are the first five of the full 50-case run (same stream), and
-    the check reports the worst case, so failing on five fails on fifty.
+    The analytic gradients are the only ``scored_loss`` results the check
+    asks a gradient of, so scaling every gradient it returns scales them and
+    nothing else.  Five cases are the first five of the full 50-case run
+    (same stream), and the check reports the worst case, so failing on five
+    fails on fifty.
     """
-    exact = verification.method_loss_and_grad
+    exact = verification.scored_loss
 
     def scaled(*args, **kwargs):
-        breakdown, grad = exact(*args, **kwargs)
-        return breakdown, 1.05 * grad
+        values, grad = exact(*args, **kwargs)
+        return values, None if grad is None else 1.05 * grad
 
-    monkeypatch.setattr(verification, "method_loss_and_grad", scaled)
+    monkeypatch.setattr(verification, "scored_loss", scaled)
     passed = [
         seed for seed in range(20)
         if verification.run_gradient_fd_check(method, seed=seed, cases=5).passed
@@ -63,63 +79,141 @@ def _case_stream(method: Method, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
 
 
+def _lone_scores(method: Method, case: verification.GradientCase):
+    stack = Stack.of(method, case.batch, case.policy, case.reference)
+    return stack, score(method, stack, case.policy, case.config.beta)
+
+
+def _per_case_fd_errors(method: Method, seed: int, cases: int) -> list[float]:
+    """The oracle: each case's relative error as the check found it one case
+    at a time.  Each draw is screened as a lone stack, the analytic gradient
+    comes from ``method_loss_and_grad``, and the case's 2·C·V perturbed
+    tables are one stack of the case's encoding, tiled."""
+    rng = _case_stream(method, seed)
+    tolerance = verification.FD_TOLERANCE
+    errors = []
+    for _ in range(cases):
+        while True:
+            case = verification.random_gradient_case(method, rng)
+            stack, scores = _lone_scores(method, case)
+            raw = scored_loss(method, scores, [case.config], [case.delta])[0][0, RAW]
+            if method is not Method.CBPO or raw > 0.05:
+                break
+        zrefs = kto_zrefs(scores.rewards).tolist() if method is Method.KTO else None
+        batch, config, delta = case.batch, case.config, case.delta
+        _, analytic = method_loss_and_grad(method, batch, case.policy, case.reference,
+                                           config, delta)
+        largest = 0.0
+
+        def totals(tables: np.ndarray) -> np.ndarray:
+            nonlocal largest
+            runs, vocab = len(tables) // case.policy.context_size, tables.shape[1]
+            tiled = Stack(
+                [batch] * runs,
+                stack_codes([stack.codes] * runs, case.policy.context_size, vocab),
+                Layout.build([len(batch.pos)] * runs, [len(batch.aux)] * runs),
+                None if stack.reference is None else np.tile(stack.reference, runs),
+            )
+            table_scores = score(method, tiled, PolicyParams(vocab, len(tables), tables),
+                                 config.beta)
+            run_zrefs = None if zrefs is None else np.tile(zrefs, runs)
+            values = scored_loss(method, table_scores, [config] * runs, [delta] * runs,
+                                 run_zrefs)[0]
+            largest = max([largest, *np.abs(values[:, TOTAL]).tolist()])
+            return values[:, TOTAL]
+
+        numeric = verification.finite_difference_grad(totals, [case.policy])[0]
+        eps = verification.FD_LOSS_ULPS * np.finfo(np.float64).eps
+        roundoff = eps * largest / verification.FD_STEP * math.sqrt(numeric.size)
+        scale = max(float(np.linalg.norm(numeric)), roundoff / tolerance)
+        errors.append(float(np.linalg.norm(analytic - numeric)) / scale)
+    return errors
+
+
+@pytest.mark.parametrize(
+    "method, seed, cases",
+    [(method, seed, 6) for method in Method for seed in range(5)] + [(Method.DPO, 21, 50)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_stacked_check_equals_the_per_case_loop(method, seed, cases):
+    """The cross-case stacks find the per-case loop's worst relative error
+    exactly, and each case's error on the way.  DPO at seed 21 holds a case
+    whose true gradient is zero, where the error is relative to the
+    round-off bound of the case's own largest loss."""
+    want = _per_case_fd_errors(method, seed, cases)
+    got = verification.run_gradient_fd_check(method, seed=seed, cases=cases)
+    assert got.details["worst_relative_error"] == max([0.0, *want])
+    cases = verification.draw_gradient_cases(method, _case_stream(method, seed), cases)
+    errors = {}
+    for stack in verification._fd_stacks(cases):
+        tolerance = verification.FD_TOLERANCE
+        errors.update(zip(map(id, stack), verification._fd_errors(method, stack, tolerance)))
+    assert [errors[id(case)] for case in cases] == want
+
+
 @pytest.mark.parametrize("seed", [3, 8, 21])
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_stacked_fd_equals_the_per_entry_loop(method, seed, monkeypatch):
-    """Each case's stacked FD gradient equals the per-entry loop bit for bit
+    """Each case's stacked FD gradient, and its analytic one, equal the lone
+    evaluations bit for bit: the per-entry loop, and ``method_loss_and_grad``
     (seed 21 holds the DPO case whose true gradient is zero)."""
-    stacked = []
+    calls = []
     real = verification.finite_difference_grad
 
     def spy(loss_fn, params, step=verification.FD_STEP):
-        stacked.append(real(loss_fn, params, step))
-        return stacked[-1]
+        calls.append((params, real(loss_fn, params, step)))
+        return calls[-1][1]
 
     monkeypatch.setattr(verification, "finite_difference_grad", spy)
     verification.run_gradient_fd_check(method, seed=seed, cases=10)
-    assert len(stacked) == 10
 
-    rng = _case_stream(method, seed)
-    for got in stacked:
-        batch, policy, reference, config, delta, zrefs, _ = verification.random_gradient_case(
-            method, rng
-        )
-        stack = Stack.of(method, batch, policy, reference)
+    cases = verification.draw_gradient_cases(method, _case_stream(method, seed), 10)
+    stacked = [case for stack in verification._fd_stacks(cases) for case in stack]
+    got = [(p, grad) for params, grads in calls for p, grad in zip(params, grads)]
+    assert len(got) == len(stacked) == 10
+    for (params, grad), case in zip(got, stacked):
+        assert params.logits.tobytes() == case.policy.logits.tobytes()
+        stack, scores = _lone_scores(method, case)
+        zrefs = kto_zrefs(scores.rewards) if method is Method.KTO else None
 
         def lone_total():
-            scores = score(method, stack, policy, config.beta)
-            return scored_loss(method, scores, [config], [delta], zrefs)[0][0, TOTAL]
+            lone = score(method, stack, case.policy, case.config.beta)
+            return scored_loss(method, lone, [case.config], [case.delta], zrefs)[0][0, TOTAL]
 
-        assert got.tobytes() == _per_entry_fd(lone_total, policy).tobytes()
+        assert grad.tobytes() == _per_entry_fd(lone_total, case.policy).tobytes()
+        _, analytic = method_loss_and_grad(method, case.batch, case.policy, case.reference,
+                                           case.config, case.delta)
+        assert case.analytic.tobytes() == analytic.tobytes()
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
-def test_fd_case_makes_two_stacks(method, monkeypatch):
-    """A case is scored under its reference twice: once for the FD tables
-    (reusing the stack a KTO or cbpo draw was screened with) and once inside
-    ``method_loss_and_grad`` for the analytic gradient.  Draws that
-    screening rejects make one stack each on top."""
-    made = []
-    real = Stack.of.__func__
+def test_fd_check_scores_cases_in_a_few_stacks(method, monkeypatch):
+    """Fifty cases take a few cross-case stacks, not two or more each: no
+    lone ``Stack.of``, fewer ``score`` passes than one per two cases, and no
+    stack past :data:`verification.CHECK_RUNS` runs."""
+    runs = []
+    real_score = verification.score
 
-    def counting(cls, *args, **kwargs):
-        made.append(args[0])
-        return real(cls, *args, **kwargs)
+    def counting(method, stack, policy, beta):
+        runs.append(len(stack.layout.n_pos))
+        return real_score(method, stack, policy, beta)
 
-    monkeypatch.setattr(Stack, "of", classmethod(counting))
-    cases = 10
-    rng = _case_stream(method, 3)
-    returned = [verification.random_gradient_case(method, rng)[-1] for _ in range(cases)]
-    screening = len(made)
-    made.clear()
-    verification.run_gradient_fd_check(method, seed=3, cases=cases)
-    if method in (Method.KTO, Method.CBPO):
-        assert all(stack is not None for stack in returned)
-        assert len(made) == screening + cases
-    else:
-        assert returned == [None] * cases and screening == 0
-        assert len(made) == 2 * cases
-    assert method is not Method.KTO or len(made) == 2 * cases
+    def lone(*args, **kwargs):
+        raise AssertionError("a lone stack was made")
+
+    monkeypatch.setattr(verification, "score", counting)
+    monkeypatch.setattr(Stack, "of", classmethod(lone))
+    assert verification.run_gradient_fd_check(method, seed=3, cases=50).passed
+    assert len(runs) < 25
+    # A case's table has at most 4 x 5 entries: 40 perturbed tables.
+    assert max(runs) <= max(verification.CHECK_RUNS, 2 * 4 * 5)
+
+
+def test_finite_difference_grad_takes_one_vocabulary():
+    rng = np.random.default_rng(0)
+    params = [PolicyParams(v, 2, rng.normal(size=(2, v))) for v in (3, 4)]
+    with pytest.raises(InputError):
+        verification.finite_difference_grad(lambda tables: np.zeros(len(tables)), params)
 
 
 def _per_replication_clamp(seed, replications=2_000, n=10, alpha=0.9) -> CheckResult:
@@ -163,7 +257,7 @@ def test_clamp_check_equals_the_per_replication_loop(seed):
 def test_clamp_check_spans_several_layouts():
     """A replication count that is no multiple of the layout size scores the
     remainder too."""
-    replications = 2 * verification.CLAMP_RUNS + 37
+    replications = 2 * verification.CHECK_RUNS + 37
     got = verification.run_clamp_check(seed=6, replications=replications, n=3)
     want = _per_replication_clamp(6, replications=replications, n=3)
     assert repr(got.details) == repr(want.details)
