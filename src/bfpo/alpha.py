@@ -96,10 +96,15 @@ class ProxyClassifier:
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Propensity and overlap coefficient, with the set sizes that produced them."""
+    """Propensity and overlap coefficient, with the set sizes that produced them.
+
+    ``alpha_raw`` is the ratio before it was clipped into [0, ALPHA_CAP];
+    ``alpha_clipped`` says whether the clip changed it."""
 
     c_hat: float
     alpha_hat: float
+    alpha_raw: float
+    alpha_clipped: bool
     n_heldout: int
     n_aux: int
 
@@ -193,16 +198,16 @@ def estimate_alpha(
     raw = float(classifier.predict_proba(embeddings).mean()) / c_hat
     if not math.isfinite(raw):  # a diverged proxy; clamping would read it as alpha 0
         raise EstimationError(f"alpha estimate is not finite: {raw}")
-    alpha_hat = raw
     if raw > ALPHA_CAP:
         logger.warning(
             "alpha estimate %.4f exceeds %.2f; clipping for divisor safety", raw, ALPHA_CAP
         )
-        alpha_hat = ALPHA_CAP
-    alpha_hat = max(0.0, alpha_hat)
+    alpha_hat = max(0.0, min(raw, ALPHA_CAP))
     return AlphaEstimate(
         c_hat=c_hat,
         alpha_hat=alpha_hat,
+        alpha_raw=raw,
+        alpha_clipped=alpha_hat != raw,
         n_heldout=n_heldout,
         n_aux=len(aux_samples),
     )

@@ -13,13 +13,17 @@ The checks score draws with softplus as max(x, 0) + log1p(exp(-|x|)): numpy's
 ``np.logaddexp`` is a scalar libm loop, ~7x slower, and the two agree within a
 few ulps. The quadrature truth (pinned to the bit) and ``losses`` (about 20
 values a step, with pinned artifacts) keep ``np.logaddexp``. Replications are
-drawn into blocks of rows, each row on a lone replication's streams (a block of
-one row is the draws themselves), and an unlabeled set's draws are placed
-through index arrays.
+drawn into blocks of rows from one reused PCG64 generator. Before each row's
+draws it is set to the state ``default_rng(seed)`` would build, and a check
+computes those states for all its seeds at once (SeedSequence's hash as array
+ops over the seeds), so every row keeps a lone replication's streams and the
+estimates equal a replication-by-replication loop bit for bit. An unlabeled
+set's draws are placed through index arrays.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,23 +73,29 @@ def sample_unlabeled(
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(rng_seed)
-    from_positive = rng.random(n) < spec.pi_p
-    # Index arrays place the draws in about half the time two boolean-mask
-    # scatters take at n = 10,000 (the same values; no slower at n = 10).
+    values = np.empty(n, dtype=np.float64)
+    return values, _draw_unlabeled(spec, np.random.default_rng(rng_seed), values)
+
+
+def _draw_unlabeled(spec: MixtureSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with unlabeled draws from ``rng`` and return the latent
+    indicator: the uniform flags, then the positives' draws, then the
+    negatives'. Index arrays place the draws in about half the time two
+    boolean-mask scatters take at n = 10,000 (the same values; no slower at
+    n = 10)."""
+    from_positive = rng.random(out.size) < spec.pi_p
     positives = from_positive.nonzero()[0]
     negatives = (~from_positive).nonzero()[0]
-    values = np.empty(n, dtype=np.float64)
-    values[positives] = spec.p_pos(rng, len(positives))
-    values[negatives] = spec.p_neg(rng, len(negatives))
-    return values, from_positive
+    out[positives] = spec.p_pos(rng, len(positives))
+    out[negatives] = spec.p_neg(rng, len(negatives))
+    return from_positive
 
 
 def _mean(values: Sequence[float]) -> float:
     """``np.mean`` bit for bit (the same pairwise ``add.reduce``, then one
     division) without its per-call overhead."""
     values = np.asarray(values, dtype=np.float64)
-    return float(values.sum()) / values.size
+    return float(np.add.reduce(values)) / values.size
 
 
 def negative_risk_pu(
@@ -189,6 +199,74 @@ class CheckResult:
 Estimator = Callable[[Sequence[float], Sequence[float], float], float]
 
 
+# Bulk seeding: ``default_rng(seed)`` builds ``PCG64(SeedSequence(seed))``.
+# SeedSequence hashes the seed's 32-bit words into a 4-word pool and expands it
+# into 4 uint64 words (numpy's ``bit_generator.pyx``), which PCG64 turns into
+# its 128-bit state and increment (``pcg64_set_seed``).
+_M32 = 0xFFFF_FFFF
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+
+
+def _seed_words(seeds: Sequence[int] | np.ndarray, offset: int = 0) -> np.ndarray:
+    """Row i is ``SeedSequence(seeds[i] + offset).generate_state(4, np.uint64)``,
+    computed for all the seeds at once with uint32 array arithmetic."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u" and seeds.itemsize <= 4:
+        seeds = seeds.astype(np.uint64) + offset  # a check's generate_state words
+    else:
+        seeds = [operator.index(s) + offset for s in seeds]
+        if not all(0 <= s < 1 << 64 for s in seeds):
+            raise InputError(f"seeds must lie in [0, 2**64), got {min(seeds)}..{max(seeds)}")
+        seeds = np.array(seeds, dtype=np.uint64)
+    const = 0x43B0_D7E5
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * 0x931E_8875 & _M32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(0xCA01_F9DD) * x - np.uint32(0x4973_F715) * y
+        out ^= out >> np.uint32(16)
+        return out
+
+    # A seed below 2**64 is at most two words; the pool hashes zeros past them.
+    low, high = (seeds & _M32).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = 0x8B51_F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * 0x58F3_8DED & _M32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        halves.append(value.astype(np.uint64))
+    return np.stack([halves[i] | halves[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_state(words: np.ndarray) -> dict:
+    """The ``bit_generator.state`` PCG64 takes from one row of :func:`_seed_words`:
+    state 0 and increment 2 * seq + 1, one step, the initial state added, one
+    more step (mod 2**128)."""
+    state_high, state_low, seq_high, seq_low = words.tolist()
+    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
+    state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _M128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 # A block of replications holds at most this many draws per side (a replication
 # at n >= _BLOCK_CELLS is a block of one row). Blocks of 16,384 were no faster
 # and raised the suite's peak RSS by 0.3 MB.
@@ -198,27 +276,30 @@ _BLOCK_CELLS = 4_096
 def _replicate(
     spec: MixtureSpec, n: int, seeds: np.ndarray, estimator: Estimator
 ) -> np.ndarray:
-    """The estimator's value for each seed: its positives are drawn with
-    ``default_rng(seed)`` and its unlabeled set with ``sample_unlabeled(spec,
-    n, seed + 1)``, into row r of a block; each block's losses are taken at once."""
+    """The estimator's value for each seed: its positives are drawn on
+    ``default_rng(seed)``'s stream and its unlabeled set as ``sample_unlabeled(
+    spec, n, seed + 1)`` draws it, into row r of a block; each block's losses
+    are taken at once. One generator draws every row, set to each stream's
+    state in turn."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
+    pos_words, unlabeled_words = _seed_words(seeds), _seed_words(seeds, offset=1)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     rows = max(1, _BLOCK_CELLS // n)
     estimates = np.empty(len(seeds))
     for start in range(0, len(seeds), rows):
-        block = [int(s) for s in seeds[start:start + rows]]
-        if len(block) == 1:  # the draws are the block's one row: no copy
-            pos = spec.p_pos(np.random.default_rng(block[0]), n)[None]
-            unlabeled = sample_unlabeled(spec, n, block[0] + 1)[0][None]
-        else:
-            pos = np.empty((len(block), n))
-            unlabeled = np.empty((len(block), n))
-            for r, seed in enumerate(block):
-                pos[r] = spec.p_pos(np.random.default_rng(seed), n)
-                unlabeled[r] = sample_unlabeled(spec, n, seed + 1)[0]
+        stop = min(start + rows, len(seeds))
+        pos = np.empty((stop - start, n))
+        unlabeled = np.empty((stop - start, n))
+        for r in range(start, stop):
+            bit_generator.state = _pcg64_state(pos_words[r])
+            pos[r - start] = spec.p_pos(rng, n)
+            bit_generator.state = _pcg64_state(unlabeled_words[r])
+            _draw_unlabeled(spec, rng, unlabeled[r - start])
         pos_losses = logistic_negative_loss(pos)
         unlabeled_losses = logistic_negative_loss(unlabeled)
-        for r in range(len(block)):
+        for r in range(stop - start):
             estimates[start + r] = estimator(pos_losses[r], unlabeled_losses[r], spec.pi_p)
     return estimates
 

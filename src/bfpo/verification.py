@@ -319,6 +319,8 @@ def run_gradient_fd_check(
     and the losses of their perturbed tables from stacks of 2·C·V runs per
     case and at most :data:`CHECK_RUNS` runs.
     """
+    if cases < 1:
+        raise InputError(f"the gradient check needs cases >= 1, got {cases}")
     # Stable per-method stream: str hashes are process-randomized, enum order is not.
     rng = np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
     drawn = draw_gradient_cases(method, rng, cases)
@@ -346,6 +348,10 @@ def run_ema_invariance_check(
     sits at (m+ + x*m-)/(1+x), i.e. off the balanced anchor by
     (x-1)/(x+1) * (m- - m+)/2.
     """
+    if len(set(ratios)) < 2:
+        raise InputError(f"agreement needs at least two distinct ratios, got {tuple(ratios)}")
+    if steps < 1:
+        raise InputError(f"the EMA check needs steps >= 1, got {steps}")
     deltas = []
     joint_gap_errors = []
     for x in ratios:
@@ -387,6 +393,8 @@ def run_clamp_check(
     """
     if n < 1:
         raise InputError(f"the clamp check needs n >= 1 rewards a side, got {n}")
+    if replications < 1:
+        raise InputError(f"the clamp check needs replications >= 1, got {replications}")
     rewards = np.random.default_rng(seed).normal(0.0, 1.0, (replications, 2, n))
     config = LossConfig(alpha=alpha)
     negatives = clamp_violations = 0

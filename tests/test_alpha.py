@@ -186,6 +186,7 @@ class TestEstimateAlpha:
         aux = _samples_from_tokens([[0], [1], [2, 3]])
         est = estimate_alpha(clf, aux, c_hat=0.8, n_heldout=5)
         assert est.alpha_hat == pytest.approx(0.3, abs=1e-9)
+        assert est.alpha_raw == est.alpha_hat and est.alpha_clipped is False
         assert est.n_aux == 3
         assert est.n_heldout == 5
 
@@ -210,6 +211,8 @@ class TestEstimateAlpha:
         with caplog.at_level("WARNING"):
             est = estimate_alpha(clf, aux, c_hat=0.2)
         assert est.alpha_hat == 0.99
+        assert est.alpha_raw == pytest.approx(1.0 / (1.0 + np.exp(-8.0)) / 0.2, rel=1e-12)
+        assert est.alpha_clipped is True
         assert any("clipping" in r.message for r in caplog.records)
 
     def test_nonpositive_propensity_rejected(self):

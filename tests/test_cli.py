@@ -327,12 +327,21 @@ class TestTrain:
 
     def test_alpha_estimate_bytes_pinned(self, tmp_path):
         """sha256 of alpha_estimate.json from the default run with an estimated
-        alpha, recorded before DPO pairs became a (preferred, rejected)
+        alpha, re-derived when the file gained ``alpha_raw`` and
+        ``alpha_clipped``: without those two keys its bytes still hash to the
+        digest recorded before DPO pairs became a (preferred, rejected)
         dataset."""
         out = _train(tmp_path, _generate(tmp_path), train_overrides={"alpha": "estimate"})
-        assert hashlib.sha256((out / "alpha_estimate.json").read_bytes()).hexdigest() == (
-            "3e260035cd6a034cdcf341e24081c0d92b408669c1d7678a549ef767af82f442"
+        raw = (out / "alpha_estimate.json").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "80640d991e16d40da97679db488b18052be0bd0f8b213b4eeeb189c043faa30b"
         )
+        doc = json.loads(raw)
+        assert doc["alpha_raw"] == doc["alpha_hat"] and doc["alpha_clipped"] is False
+        del doc["alpha_raw"], doc["alpha_clipped"]
+        assert hashlib.sha256(
+            (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        ).hexdigest() == "3e260035cd6a034cdcf341e24081c0d92b408669c1d7678a549ef767af82f442"
 
     def test_missing_corpus_exits_2(self, tmp_path):
         cfg = _write(
@@ -447,6 +456,7 @@ class TestEstimateAlpha:
         doc = json.loads((tmp_path / "alpha_out" / "alpha_estimate.json").read_text())
         assert 0.0 <= doc["alpha_hat"] <= 0.99
         assert 0.0 < doc["c_hat"] <= 1.0
+        assert doc["alpha_clipped"] is (doc["alpha_raw"] != doc["alpha_hat"])
 
 
 class TestSweep:

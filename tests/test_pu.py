@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bfpo import pu
 from bfpo.errors import InputError
 from bfpo.pu import (
     MixtureSpec,
@@ -256,6 +257,78 @@ class TestChecks:
         assert result.details["standard_error"] == float(
             loop.std(ddof=1) / np.sqrt(replications)
         )
+
+
+def _bulk_states(seeds, offset=0):
+    """The states the PU checks set on their reused generator for ``seeds``."""
+    return [pu._pcg64_state(row) for row in pu._seed_words(seeds, offset)]
+
+
+class TestBulkSeeding:
+    """The states computed for all of a check's seeds at once equal what
+    ``np.random.default_rng(seed)`` builds, seed by seed."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+    def test_edge_seeds(self):
+        want = [np.random.default_rng(s).bit_generator.state for s in self.EDGES]
+        assert _bulk_states(self.EDGES) == want
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_many_seeds(self, dtype):
+        """generate_state words as a check makes them (uint32) and as 64-bit
+        seeds, which reach the second word of SeedSequence's pool."""
+        seeds = np.random.SeedSequence(12).generate_state(1_500, dtype)
+        want = [np.random.default_rng(int(s)).bit_generator.state for s in seeds]
+        assert _bulk_states(seeds) == want
+
+    def test_offset_seeds_cross_into_a_second_word(self):
+        """The unlabeled side seeds with seed + 1, which is 2**32 for the
+        largest uint32 word."""
+        seeds = np.array([0, 7, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+        want = [np.random.default_rng(int(s) + 1).bit_generator.state for s in seeds]
+        assert _bulk_states(seeds, offset=1) == want
+
+    def test_rows_after_a_leftover_uint32_equal_fresh_generators(self):
+        """An odd count of int32 draws leaves half a 64-bit word buffered
+        (``has_uint32``); the next row's state drops it, as a fresh
+        ``default_rng`` starts without it."""
+        n = 7
+
+        def odd_ints(rng, size):
+            return rng.integers(0, 1_000, size, dtype=np.int32).astype(np.float64)
+
+        spec = MixtureSpec(pi_p=0.5, p_pos=odd_ints, p_neg=odd_ints)
+        rng = np.random.default_rng(0)
+        odd_ints(rng, n)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        seeds = np.random.SeedSequence(3).generate_state(5)
+        loop = []
+        for s in seeds:
+            pos = spec.p_pos(np.random.default_rng(int(s)), n)
+            unlabeled, _ = sample_unlabeled(spec, n, int(s) + 1)
+            loop.append((pos.tolist(), unlabeled.tolist()))
+        seen = []
+
+        def recording(pos_losses, unlabeled_losses, pi):
+            seen.append((pos_losses.tolist(), unlabeled_losses.tolist()))
+            return 0.0
+
+        pu._replicate(spec, n, seeds, recording)
+        assert seen == [
+            (logistic_negative_loss(np.array(p)).tolist(),
+             logistic_negative_loss(np.array(u)).tolist())
+            for p, u in loop
+        ]
+
+    @pytest.mark.parametrize(
+        "seeds, offset",
+        [([-1], 0), ([2**64], 0), ([3, 2**70], 0), ([2**64 - 1], 1), ([0], -1)],
+        ids=["negative", "two_to_the_64", "past_64_bits", "offset_past_64_bits", "offset_below_0"],
+    )
+    def test_out_of_range_seeds_raise(self, seeds, offset):
+        with pytest.raises(InputError):
+            pu._seed_words(seeds, offset)
 
 
 class TestDegenerateArguments:

@@ -279,6 +279,35 @@ def test_clamp_check_fails_on_an_unclamped_objective(monkeypatch):
     assert got.details["clamp_violations"] > 0
 
 
-def test_clamp_check_rejects_empty_batches():
-    with pytest.raises(InputError):
-        verification.run_clamp_check(n=0)
+class TestDegenerateArguments:
+    """Arguments that leave a check nothing to measure raise instead of
+    passing on no evidence or failing inside numpy."""
+
+    @pytest.mark.parametrize(
+        "check, kwargs",
+        [
+            (verification.run_gradient_fd_check, {"method": Method.BCO, "cases": 0}),
+            (verification.run_gradient_fd_check, {"method": Method.CBPO, "cases": -3}),
+            (verification.run_clamp_check, {"n": 0}),
+            (verification.run_clamp_check, {"replications": 0}),
+            (verification.run_clamp_check, {"replications": -1}),
+            (verification.run_ema_invariance_check, {"ratios": ()}),
+            (verification.run_ema_invariance_check, {"ratios": (1.0,)}),
+            (verification.run_ema_invariance_check, {"ratios": (1.5, 1.5)}),
+            (verification.run_ema_invariance_check, {"steps": 0}),
+        ],
+        ids=[
+            "gradient_no_cases",
+            "gradient_negative_cases",
+            "clamp_empty_batches",
+            "clamp_no_replications",
+            "clamp_negative_replications",
+            "ema_no_ratios",
+            "ema_one_ratio",
+            "ema_repeated_ratio",
+            "ema_no_steps",
+        ],
+    )
+    def test_raises(self, check, kwargs):
+        with pytest.raises(InputError):
+            check(**kwargs)
