@@ -18,14 +18,20 @@ draws it is set to the state ``default_rng(seed)`` would build, and a check
 computes those states for all its seeds at once (SeedSequence's hash as array
 ops over the seeds), so every row keeps a lone replication's streams and the
 estimates equal a replication-by-replication loop bit for bit. An unlabeled
-set's draws are placed through index arrays.
+set's draws are placed through index arrays. The convergence and negativity
+checks take a block's estimates at once, with one ``np.add.reduce`` along the
+rows per side: the same pairwise sums as ``negative_risk_pu`` row by row, at
+about 0.06 µs a row against 3 µs (n = 10, timeit). The unbiasedness check
+calls its ``estimator`` (``negative_risk_pu`` by default) row by row, so a
+faulty one can be swapped in. Sizes and replication counts must be integers,
+not bools.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,8 +77,7 @@ def sample_unlabeled(
     Returns the instance values and, for verification only, the latent
     indicator of which component each draw came from.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    n = _count("n", n, 1)
     values = np.empty(n, dtype=np.float64)
     return values, _draw_unlabeled(spec, np.random.default_rng(rng_seed), values)
 
@@ -252,19 +257,21 @@ def _seed_words(seeds: Sequence[int] | np.ndarray, offset: int = 0) -> np.ndarra
     return np.stack([halves[i] | halves[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
 
 
-def _pcg64_state(words: np.ndarray) -> dict:
-    """The ``bit_generator.state`` PCG64 takes from one row of :func:`_seed_words`:
-    state 0 and increment 2 * seq + 1, one step, the initial state added, one
-    more step (mod 2**128)."""
-    state_high, state_low, seq_high, seq_low = words.tolist()
-    inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
-    state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _M128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _pcg64_states(words: np.ndarray) -> Iterator[dict]:
+    """The ``bit_generator.state`` PCG64 takes from each row of
+    :func:`_seed_words`, made as it is read: state 0 and increment
+    2 * seq + 1, one step, the initial state added, one more step (mod
+    2**128)."""
+    for row in words:
+        state_high, state_low, seq_high, seq_low = row.tolist()
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
+        state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _M128
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 # A block of replications holds at most this many draws per side (a replication
@@ -274,15 +281,15 @@ _BLOCK_CELLS = 4_096
 
 
 def _replicate(
-    spec: MixtureSpec, n: int, seeds: np.ndarray, estimator: Estimator
+    spec: MixtureSpec, n: int, seeds: np.ndarray, estimator: Estimator | None = None
 ) -> np.ndarray:
-    """The estimator's value for each seed: its positives are drawn on
+    """The estimate for each seed: its positives are drawn on
     ``default_rng(seed)``'s stream and its unlabeled set as ``sample_unlabeled(
     spec, n, seed + 1)`` draws it, into row r of a block; each block's losses
     are taken at once. One generator draws every row, set to each stream's
-    state in turn."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    state in turn. Without an ``estimator``, each block's estimates are
+    :func:`negative_risk_pu`'s, taken at once: the same pairwise sums per row
+    (``np.add.reduce`` along a block's rows), divisions and difference."""
     pos_words, unlabeled_words = _seed_words(seeds), _seed_words(seeds, offset=1)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
@@ -292,21 +299,33 @@ def _replicate(
         stop = min(start + rows, len(seeds))
         pos = np.empty((stop - start, n))
         unlabeled = np.empty((stop - start, n))
-        for r in range(start, stop):
-            bit_generator.state = _pcg64_state(pos_words[r])
-            pos[r - start] = spec.p_pos(rng, n)
-            bit_generator.state = _pcg64_state(unlabeled_words[r])
-            _draw_unlabeled(spec, rng, unlabeled[r - start])
+        for pos_state, unlabeled_state, pos_row, unlabeled_row in zip(
+            _pcg64_states(pos_words[start:stop]), _pcg64_states(unlabeled_words[start:stop]),
+            pos, unlabeled,
+        ):
+            bit_generator.state = pos_state
+            pos_row[:] = spec.p_pos(rng, n)
+            bit_generator.state = unlabeled_state
+            _draw_unlabeled(spec, rng, unlabeled_row)
         pos_losses = logistic_negative_loss(pos)
         unlabeled_losses = logistic_negative_loss(unlabeled)
-        for r in range(stop - start):
-            estimates[start + r] = estimator(pos_losses[r], unlabeled_losses[r], spec.pi_p)
+        if estimator is None:
+            unlabeled_means = np.add.reduce(unlabeled_losses, axis=1) / n
+            pos_means = np.add.reduce(pos_losses, axis=1) / n
+            estimates[start:stop] = unlabeled_means - spec.pi_p * pos_means
+        else:
+            for r in range(stop - start):
+                estimates[start + r] = estimator(pos_losses[r], unlabeled_losses[r], spec.pi_p)
     return estimates
 
 
-def _check_replications(replications: int, least: int) -> None:
-    if replications < least:
-        raise InputError(f"replications must be >= {least}, got {replications}")
+def _count(name: str, value: int, least: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def run_unbiasedness_check(
@@ -317,7 +336,7 @@ def run_unbiasedness_check(
     estimator: Estimator = negative_risk_pu,
 ) -> CheckResult:
     """Monte-Carlo mean of the estimator must sit within 4 SE of the quadrature truth."""
-    _check_replications(replications, 2)
+    n, replications = _count("n", n, 1), _count("replications", replications, 2)
     spec = default_mixture(pi_p)
     truth = true_weighted_negative_risk(pi_p)
     seeds = np.random.SeedSequence(seed).generate_state(replications)
@@ -346,24 +365,25 @@ def run_convergence_check(
     replications: int = 200,
 ) -> CheckResult:
     """Estimator spread must shrink like 1/sqrt(n): log-log slope -0.5 +/- 0.1."""
-    _check_replications(replications, 2)
-    if len({int(n) for n in ns}) < 2:
+    replications = _count("replications", replications, 2)
+    ns = [_count("each n in ns", n, 1) for n in ns]
+    if len(set(ns)) < 2:
         raise InputError(f"a slope needs at least two distinct ns, got {tuple(ns)}")
     spec = default_mixture(pi_p)
     stds = []
     root = np.random.SeedSequence(seed)
     for child, n in zip(root.spawn(len(ns)), ns):
         seeds = child.generate_state(replications)
-        estimates = _replicate(spec, int(n), seeds, negative_risk_pu)
+        estimates = _replicate(spec, n, seeds)
         stds.append(float(estimates.std(ddof=1)))
-    slope = float(np.polyfit(np.log(np.asarray(ns, float)), np.log(stds), 1)[0])
+    slope = float(np.polyfit(np.log(ns), np.log(stds), 1)[0])
     return CheckResult(
         name="pu_convergence_rate",
         passed=bool(abs(slope + 0.5) <= 0.1),
         details={
             "slope": slope,
             "stds": ", ".join(f"{s:.6g}" for s in stds),
-            "ns": ", ".join(str(int(n)) for n in ns),
+            "ns": ", ".join(map(str, ns)),
             "replications": replications,
         },
     )
@@ -376,10 +396,10 @@ def run_negativity_check(
     replications: int = 2_000,
 ) -> CheckResult:
     """At tiny n the unclamped estimator must go negative in > 1% of replications."""
-    _check_replications(replications, 1)
+    n, replications = _count("n", n, 1), _count("replications", replications, 1)
     spec = default_mixture(pi_p)
     seeds = np.random.SeedSequence(seed).generate_state(replications)
-    estimates = _replicate(spec, n, seeds, negative_risk_pu)
+    estimates = _replicate(spec, n, seeds)
     frequency = float((estimates < 0.0).mean())
     return CheckResult(
         name="pu_negativity_exposure",

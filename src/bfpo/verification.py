@@ -7,12 +7,15 @@ closed-form weighted-mean gaps, direct sign counting) and reports a single
 pass/fail with diagnostic details.
 
 The finite-difference and clamp checks evaluate in stacks (see
-:mod:`bfpo.losses`).  A gradient check draws all its cases first, then scores
-them across cases on the training kernels, one vocabulary size at a time: one
-stack gives every case's analytic gradient, and a few more the losses of
-every case's 2·C·V perturbed tables.  The clamp check's replications are the
-runs of a few many-run layouts.  A run's values do not depend on the other
-runs of its stack, so each equals its lone evaluation.
+:mod:`bfpo.losses`).  A gradient check draws all its cases first, decoding
+their bounded integers and uniforms from the generator's raw PCG64 words (the
+same values and stream as one ``Generator`` call per draw), and encodes them
+with one call per table shape.  It then scores them across cases on the
+training kernels, one vocabulary size at a time: one stack gives every case's
+analytic gradient, and a few more, each case's arrays tiled over its runs,
+the losses of every case's 2·C·V perturbed tables.  The clamp check's
+replications are the runs of a few many-run layouts.  A run's values do not
+depend on the other runs of its stack, so each equals its lone evaluation.
 """
 
 from __future__ import annotations
@@ -26,23 +29,20 @@ import numpy as np
 from .errors import InputError
 from .losses import (
     BREAKDOWN_COLUMNS,
-    Batch,
     Layout,
     LossConfig,
     Method,
     Stack,
     binary_losses,
-    encode_batch,
     score,
     scored_loss,
 )
 from .policy import (
     Encoded,
     PolicyParams,
-    Sample,
+    encode,
     sequence_log_probs,
     softmax_tables,
-    stack_codes,
 )
 from .pu import (
     CheckResult,
@@ -56,7 +56,6 @@ __all__ = [
     "GradientCase",
     "draw_gradient_cases",
     "finite_difference_grad",
-    "random_gradient_case",
     "registered_checks",
     "run_all_checks",
     "run_clamp_check",
@@ -104,7 +103,8 @@ def finite_difference_grad(
     for p in params:
         flat = p.logits.ravel()
         entry = np.arange(flat.size)
-        tables = np.tile(flat, (flat.size, 2, 1))
+        tables = np.empty((flat.size, 2, flat.size))
+        tables[...] = flat
         tables[entry, 0, entry] = flat + step
         tables[entry, 1, entry] = flat - step
         perturbed.append(tables.reshape(-1, p.vocab_size))
@@ -116,29 +116,22 @@ def finite_difference_grad(
     ]
 
 
-def _random_samples(
-    rng: np.random.Generator, vocab: int, count: int, max_len: int = 3
-) -> list[Sample]:
-    samples = []
-    for _ in range(count):
-        x = tuple(rng.integers(0, vocab, int(rng.integers(0, 3))).tolist())
-        y = tuple(rng.integers(0, vocab, int(rng.integers(1, max_len + 1))).tolist())
-        samples.append(Sample(user_id="v", x=x, y=y))
-    return samples
-
-
 @dataclass(eq=False)
 class GradientCase:
     """One randomized instance of a method's gradient check: a batch under a
     policy and a frozen reference, with the objective's config and anchor.
 
-    Scoring the case (:func:`draw_gradient_cases`) fills in the rest: the
-    batch's encoding for the policy's table, each sequence's log-probability
-    under the reference, KTO's leave-one-out anchors (held constant while the
-    logits are perturbed) and the analytic gradient of the total.
+    The batch is ``sequences``, its (prompt, completion) token tuples: the
+    ``n_pos`` positives (for DPO, the preferred completions), then the
+    auxiliaries (the rejected ones, on the same prompts).  Scoring the case
+    (:func:`draw_gradient_cases`) fills in the rest: the sequences' encoding
+    for the policy's table, their log-probabilities under the reference,
+    KTO's leave-one-out anchors (held constant while the logits are
+    perturbed) and the analytic gradient of the total.
     """
 
-    batch: Batch
+    sequences: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    n_pos: int
     policy: PolicyParams
     reference: PolicyParams
     config: LossConfig
@@ -149,30 +142,104 @@ class GradientCase:
     analytic: np.ndarray | None = field(default=None, repr=False)
 
 
-def random_gradient_case(method: Method, rng: np.random.Generator) -> GradientCase:
-    """One randomized draw, not yet screened or scored."""
-    vocab = int(rng.integers(3, 6))
-    context = int(rng.integers(2, 5))
-    policy = PolicyParams(vocab, context, rng.normal(0.0, 1.0, (context, vocab)))
-    reference = PolicyParams(vocab, context, rng.normal(0.0, 1.0, (context, vocab)))
+_HALF_MASK = 0xFFFF_FFFF
+
+
+class _Draws:
+    """A PCG64 generator's bounded-integer and uniform draws, decoded from its
+    raw words as numpy makes them.
+
+    ``rng.integers(low, low + n)`` takes a 32-bit half u of a word, the low
+    half first (the high half waits in the bit generator's buffer,
+    ``has_uint32`` and ``uinteger``), and returns ``low + (u * n >> 32)``, by
+    Lemire's method: while the low 32 bits of ``u * n`` fall below
+    ``2**32 % n`` it takes another half.  ``rng.uniform(a, b)`` takes a whole
+    word w and returns ``a + (b - a) * ((w >> 11) * 2**-53)``.  ``rng.normal``
+    takes whole words and leaves the buffer alone.  So the buffer is read
+    once, carried here and written back by :meth:`close`, and in between
+    ``rng`` reads its stream where these draws leave it.  ``random_raw()``
+    costs about 0.3 µs a word, a sized ``rng.integers`` call about 8 µs.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise InputError("gradient cases are decoded from a PCG64 generator's words")
+        state = rng.bit_generator.state
+        self.rng, self.raw = rng, rng.bit_generator.random_raw
+        self.buffered, self.half = state["has_uint32"], state["uinteger"]
+
+    def below(self, n: int) -> int:
+        """``rng.integers(0, n)`` for 1 < n < 2**32."""
+        threshold = (1 << 32) % n
+        while True:
+            if self.buffered:
+                self.buffered, u = 0, self.half
+            else:
+                word = self.raw()
+                self.buffered, self.half, u = 1, word >> 32, word & _HALF_MASK
+            product = u * n
+            if product & _HALF_MASK >= threshold:
+                return product >> 32
+
+    def uniform(self, low: float, high: float) -> float:
+        """``rng.uniform(low, high)``."""
+        return low + (high - low) * ((self.raw() >> 11) * 2.0**-53)
+
+    def sequences(self, vocab: int, count: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """``count`` (prompt, completion) pairs: a prompt of ``integers(0, 3)``
+        tokens, then a completion of ``integers(1, 4)``, each token
+        ``integers(0, vocab)``."""
+        below = self.below
+        pairs = []
+        for _ in range(count):
+            x = tuple([below(vocab) for _ in range(below(3))])
+            pairs.append((x, tuple([below(vocab) for _ in range(1 + below(3))])))
+        return pairs
+
+    def close(self) -> None:
+        """Hand the carried half back to the bit generator's buffer."""
+        bit_generator = self.rng.bit_generator
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = self.buffered, self.half
+        bit_generator.state = state
+
+
+def _draw_case(method: Method, draws: _Draws) -> GradientCase:
+    """One randomized case, not yet screened or scored: the vocabulary and
+    context sizes, the policy's and the reference's logits (one normal draw),
+    the config, the anchor, then the batch, one side after the other.  A DPO
+    case draws a binary batch first and drops it: its preferred completions
+    come next, then three rejected ones, of which each preferred completion's
+    prompt takes one."""
+    vocab = 3 + draws.below(3)
+    context = 2 + draws.below(3)
+    tables = draws.rng.normal(0.0, 1.0, (2, context, vocab))
     config = LossConfig(
-        beta=float(rng.uniform(0.3, 2.0)),
-        alpha=float(rng.uniform(0.0, 0.9)),
-        pi_n=float(rng.uniform(0.3, 1.0)),
-        lambda_d=float(rng.uniform(0.5, 2.0)),
-        lambda_u=float(rng.uniform(0.5, 2.0)),
+        beta=draws.uniform(0.3, 2.0),
+        alpha=draws.uniform(0.0, 0.9),
+        pi_n=draws.uniform(0.3, 1.0),
+        lambda_d=draws.uniform(0.5, 2.0),
+        lambda_u=draws.uniform(0.5, 2.0),
     )
-    delta = float(rng.uniform(-1.0, 1.0))
-    batch = Batch.of(
-        pos=_random_samples(rng, vocab, int(rng.integers(1, 4))),
-        aux=_random_samples(rng, vocab, int(rng.integers(1, 4))),
-    )
+    delta = draws.uniform(-1.0, 1.0)
+    pos = draws.sequences(vocab, 1 + draws.below(3))
+    aux = draws.sequences(vocab, 1 + draws.below(3))
     if method is Method.DPO:
-        # Each preferred completion, and a rejected one for its prompt.
-        pos = _random_samples(rng, vocab, int(rng.integers(1, 4)))
-        aux = [Sample("v", s.x, t.y) for s, t in zip(pos, _random_samples(rng, vocab, 3))]
-        batch = Batch.of(pos=pos, aux=aux)
-    return GradientCase(batch, policy, reference, config, delta)
+        pos = draws.sequences(vocab, 1 + draws.below(3))
+        aux = [(x, y) for (x, _), (_, y) in zip(pos, draws.sequences(vocab, 3))]
+    return GradientCase(pos + aux, len(pos), PolicyParams(vocab, context, tables[0]),
+                        PolicyParams(vocab, context, tables[1]), config, delta)
+
+
+def _encode_cases(cases: Sequence[GradientCase]) -> None:
+    """Fill in each case's encoding, one :func:`encode` call per table shape."""
+    shapes: dict[tuple[int, int], list[GradientCase]] = {}
+    for case in cases:
+        shapes.setdefault(case.policy.logits.shape, []).append(case)
+    for (context, vocab), group in shapes.items():
+        codes = encode((s for case in group for s in case.sequences), context, vocab)
+        for case, part in zip(group, codes.split([len(c.sequences) for c in group])):
+            case.codes = part
 
 
 def _by_vocab(cases: Sequence[GradientCase]) -> list[list[GradientCase]]:
@@ -183,33 +250,58 @@ def _by_vocab(cases: Sequence[GradientCase]) -> list[list[GradientCase]]:
     return list(groups.values())
 
 
-def _stack(method: Method, runs: Sequence[GradientCase]) -> tuple[Stack, np.ndarray, list, list]:
-    """The runs' stack (cases of one vocabulary size, each encoded), with each
-    sequence's beta and each run's config and anchor.  The reference
-    log-probabilities are the runs' own once scored, else gathered from
-    their stacked reference tables."""
-    codes = stack_codes([c.codes for c in runs], [c.policy.context_size for c in runs],
-                        runs[0].policy.vocab_size)
-    layout = Layout.build([len(c.batch.pos) for c in runs], [len(c.batch.aux) for c in runs])
+def _tile_blocks(sizes: np.ndarray, copies: np.ndarray) -> np.ndarray:
+    """Indices that repeat consecutive blocks of ``sizes[i]`` entries
+    ``copies[i]`` times each, block after block."""
+    block = sizes.repeat(copies)
+    shift = (sizes.cumsum() - sizes).repeat(copies) - (block.cumsum() - block)
+    return np.arange(int(block.sum())) + shift.repeat(block)
+
+
+def _stack(
+    method: Method, cases: Sequence[GradientCase], copies: Sequence[int]
+) -> tuple[Stack, np.ndarray, list, list]:
+    """The stack of ``copies[i]`` runs of case i after those of the cases
+    before it (cases of one vocabulary size, each encoded), each run on its
+    own table of its case's context size, with each sequence's beta and each
+    run's config and anchor.  The cases' arrays are tiled over their runs.
+    The reference log-probabilities are the cases' own once scored, else
+    gathered from their stacked reference tables (one run per case)."""
+    vocab = cases[0].policy.vocab_size
+    runs = np.array(copies)
+    parts = [c.codes for c in cases]
+    n_seqs, n_pos, n_tokens, contexts = np.array(
+        [(p.n, c.n_pos, len(p.rows), c.policy.context_size) for c, p in zip(cases, parts)]).T
+    contexts = contexts.repeat(runs)
+    tokens = _tile_blocks(n_tokens, runs)
+    rows = np.concatenate([p.rows for p in parts])[tokens] + (
+        contexts.cumsum() - contexts).repeat(n_tokens.repeat(runs))
+    tokens = np.concatenate([p.tokens for p in parts])[tokens]
+    sequences = _tile_blocks(n_seqs, runs)
+    lengths = np.concatenate([p.lengths for p in parts])[sequences]
+    codes = Encoded(rows, tokens, rows * vocab + tokens,
+                    np.arange(len(lengths)).repeat(lengths), lengths.cumsum() - lengths, lengths)
+    layout = Layout.build(n_pos.repeat(runs), (n_seqs - n_pos).repeat(runs))
     reference = None
-    if method is not Method.SFT and runs[0].ref_log_probs is None:
-        ref_table = softmax_tables(np.concatenate([c.reference.logits for c in runs]))[0]
+    if method is not Method.SFT and cases[0].ref_log_probs is None:
+        ref_table = softmax_tables(np.concatenate([c.reference.logits for c in cases]))[0]
         reference = sequence_log_probs(ref_table, codes)
     elif method is not Method.SFT:
-        reference = np.concatenate([c.ref_log_probs for c in runs])
-    stack = Stack([c.batch for c in runs], codes, layout, reference)
-    betas = np.array([c.config.beta for c in runs])[layout.run]
-    return stack, betas, [c.config for c in runs], [c.delta for c in runs]
+        reference = np.concatenate([c.ref_log_probs for c in cases])[sequences]
+    # A check's runs hold no sample pools, so the stack names no batches.
+    stack = Stack((), codes, layout, reference)
+    betas = np.array([c.config.beta for c in cases]).repeat(runs)[layout.run]
+    configs = [c.config for c, k in zip(cases, copies) for _ in range(k)]
+    deltas = [c.delta for c, k in zip(cases, copies) for _ in range(k)]
+    return stack, betas, configs, deltas
 
 
 def _score_group(method: Method, cases: Sequence[GradientCase]) -> np.ndarray:
-    """Score drawn cases of one vocabulary size as one stack, a run each,
+    """Score encoded cases of one vocabulary size as one stack, a run each,
     under their own policies: fill in what :class:`GradientCase` leaves to
     scoring, and return the runs' :data:`BREAKDOWN_COLUMNS` rows."""
     vocab = cases[0].policy.vocab_size
-    for case in cases:
-        case.codes = encode_batch(case.batch, case.policy.context_size, vocab)
-    stack, betas, configs, deltas = _stack(method, cases)
+    stack, betas, configs, deltas = _stack(method, cases, [1] * len(cases))
     contexts = [c.policy.context_size for c in cases]
     policy = PolicyParams(vocab, sum(contexts), np.concatenate([c.policy.logits for c in cases]))
     scores = score(method, stack, policy, betas)
@@ -231,25 +323,32 @@ def _score_group(method: Method, cases: Sequence[GradientCase]) -> np.ndarray:
 def draw_gradient_cases(
     method: Method, rng: np.random.Generator, cases: int
 ) -> list[GradientCase]:
-    """The first ``cases`` draws of :func:`random_gradient_case` from ``rng``
-    that pass screening, scored (see :class:`GradientCase`).
+    """The first ``cases`` randomized cases drawn from ``rng`` that pass
+    screening, scored (see :class:`GradientCase`).
 
-    For the clamped method a draw is kept only if its purified term is safely
-    positive, because the acceptance check only covers clamp-inactive regions
-    (the clamped branch has an exactly-zero gradient by construction).  A
-    draw reads the stream alike whether it is kept or not, so each round
-    draws as many cases as are still missing and scores them in one stack
-    per vocabulary size; no round keeps more than are missing.  A KTO batch
-    always holds a positive and an auxiliary, so its leave-one-out anchors
-    always exist.
+    The draws are decoded from ``rng``'s raw PCG64 words (see :class:`_Draws`):
+    each case and ``rng``'s state afterwards are what the same draws made
+    one ``Generator`` call at a time give.  For the clamped method a draw is
+    kept only if its purified term is safely positive, because the acceptance
+    check only covers clamp-inactive regions (the clamped branch has an
+    exactly-zero gradient by construction).  A draw reads the stream alike
+    whether it is kept or not, so each round draws as many cases as are still
+    missing and scores them in one stack per vocabulary size; no round keeps
+    more than are missing.  A KTO batch always holds a positive and an
+    auxiliary, so its leave-one-out anchors always exist.
     """
+    draws = _Draws(rng)
     kept: list[GradientCase] = []
-    while len(kept) < cases:
-        drawn = [random_gradient_case(method, rng) for _ in range(cases - len(kept))]
-        raws = {}
-        for group in _by_vocab(drawn):
-            raws.update(zip(map(id, group), _score_group(method, group)[:, _RAW].tolist()))
-        kept += [c for c in drawn if method is not Method.CBPO or raws[id(c)] > 0.05]
+    try:
+        while len(kept) < cases:
+            drawn = [_draw_case(method, draws) for _ in range(cases - len(kept))]
+            _encode_cases(drawn)
+            raws = {}
+            for group in _by_vocab(drawn):
+                raws.update(zip(map(id, group), _score_group(method, group)[:, _RAW].tolist()))
+            kept += [c for c in drawn if method is not Method.CBPO or raws[id(c)] > 0.05]
+    finally:
+        draws.close()
     return kept
 
 
@@ -273,12 +372,14 @@ def _fd_stacks(cases: Sequence[GradientCase]) -> list[list[GradientCase]]:
 def _fd_errors(method: Method, cases: Sequence[GradientCase], tolerance: float) -> list[float]:
     """Each scored case's relative error (see :func:`run_gradient_fd_check`)
     for cases of one vocabulary size.  Case i's 2·C_i·V perturbed tables are
-    as many runs of one stack, each with its case's batch, reference
+    as many runs of one stack, each with its case's sequences, reference
     log-probabilities, config, anchor and (KTO) leave-one-out anchors, and
     each run's total is its loss."""
-    runs = [case for case in cases for _ in range(2 * case.policy.logits.size)]
-    stack, betas, configs, deltas = _stack(method, runs)
-    zrefs = None if method is not Method.KTO else np.concatenate([c.zrefs for c in runs])
+    copies = [2 * case.policy.logits.size for case in cases]
+    stack, betas, configs, deltas = _stack(method, cases, copies)
+    zrefs = None
+    if method is Method.KTO:
+        zrefs = np.concatenate([np.tile(c.zrefs, k) for c, k in zip(cases, copies)])
     totals = []
 
     def loss_fn(tables: np.ndarray) -> np.ndarray:
@@ -288,7 +389,7 @@ def _fd_errors(method: Method, cases: Sequence[GradientCase], tolerance: float) 
 
     numeric = finite_difference_grad(loss_fn, [c.policy for c in cases])
     eps = FD_LOSS_ULPS * np.finfo(np.float64).eps
-    ends = np.cumsum([2 * c.policy.logits.size for c in cases]).tolist()
+    ends = np.cumsum(copies).tolist()
     errors = []
     for case, grad, lo, hi in zip(cases, numeric, [0] + ends[:-1], ends):
         largest = float(np.abs(totals[0][lo:hi]).max())

@@ -660,6 +660,34 @@ class TestVerify:
         # One entry per registered property.
         assert len(doc["checks"]) == len(names)
 
+    # sha256 of verify_report.json at two seeds (16 holds the DPO case whose
+    # true gradient is zero), recorded from the per-case draws before gradient
+    # cases were decoded from raw words and PU estimates taken per block.
+    VERIFY_SHA256 = {
+        0: "51da7cdcdae86809ff7b417c0fcc85249c6fd988424f4b1214013f10bc164400",
+        16: "aeb9071ea707c8567240d5f6e2cf5498891c3e145f4acee117234910ca21911f",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+    def test_report_bytes_pinned(self, tmp_path, seed):
+        out = tmp_path / "verify"
+        assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+        report = (out / "verify_report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == self.VERIFY_SHA256[seed]
+
+    def test_timing_is_written_apart(self, tmp_path):
+        """Each check's wall seconds and their total go to verify_timing.json,
+        in the report's check order; the report holds no time."""
+        out = tmp_path / "verify"
+        assert main(["verify", "--out", str(out), "--fd-cases", "2"]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        timing = json.loads((out / "verify_timing.json").read_text())
+        assert [c["name"] for c in timing["checks"]] == [c["name"] for c in report["checks"]]
+        seconds = [c["wall_s"] for c in timing["checks"]]
+        assert all(s > 0.0 for s in seconds)
+        assert timing["total_wall_s"] == sum(seconds)
+        assert "wall_s" not in (out / "verify_report.json").read_text()
+
 
 def _truncate_checkpoint(run: Path, corpus: Path) -> None:
     path = run / "checkpoint.json"

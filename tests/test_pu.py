@@ -73,6 +73,8 @@ class TestSampleUnlabeled:
         with pytest.raises(InputError):
             sample_unlabeled(default_mixture(), 0, rng_seed=0)
         with pytest.raises(InputError):
+            sample_unlabeled(default_mixture(), 2.5, rng_seed=0)
+        with pytest.raises(InputError):
             MixtureSpec(pi_p=1.5, p_pos=lambda r, n: r.normal(0, 1, n),
                         p_neg=lambda r, n: r.normal(0, 1, n))
 
@@ -258,10 +260,21 @@ class TestChecks:
             loop.std(ddof=1) / np.sqrt(replications)
         )
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 10_000])
+    def test_block_estimates_equal_negative_risk_pu(self, n):
+        """The convergence and negativity checks' estimates, taken a block at
+        a time, equal ``negative_risk_pu`` row by row, bit for bit: at the
+        edges of numpy's 8-wide pairwise unrolling and its 128-element
+        blocks, and over a block boundary (585 rows a block at n = 7)."""
+        spec = default_mixture(0.7)
+        seeds = np.random.SeedSequence(n).generate_state(20 if n > 1_000 else 600)
+        blocked = pu._replicate(spec, n, seeds)
+        assert blocked.tobytes() == pu._replicate(spec, n, seeds, negative_risk_pu).tobytes()
+
 
 def _bulk_states(seeds, offset=0):
     """The states the PU checks set on their reused generator for ``seeds``."""
-    return [pu._pcg64_state(row) for row in pu._seed_words(seeds, offset)]
+    return list(pu._pcg64_states(pu._seed_words(seeds, offset)))
 
 
 class TestBulkSeeding:
@@ -344,6 +357,18 @@ class TestDegenerateArguments:
             (run_convergence_check, {"ns": (100,), "replications": 20}),
             (run_convergence_check, {"ns": (100, 100), "replications": 20}),
             (run_negativity_check, {"replications": 0}),
+            (run_unbiasedness_check, {"n": 10.5}),
+            (run_unbiasedness_check, {"n": True}),
+            (run_unbiasedness_check, {"n": 0}),
+            (run_unbiasedness_check, {"n": 100, "replications": 2.5}),
+            (run_convergence_check, {"ns": (100.5, 1_000), "replications": 20}),
+            (run_convergence_check, {"ns": (True, 1_000), "replications": 20}),
+            (run_convergence_check, {"ns": (0, 1_000), "replications": 20}),
+            (run_convergence_check, {"ns": (100, 1_000), "replications": 2.5}),
+            (run_negativity_check, {"n": 10.5}),
+            (run_negativity_check, {"n": True}),
+            (run_negativity_check, {"replications": 2.5}),
+            (run_negativity_check, {"replications": True}),
         ],
         ids=[
             "unbiasedness_one_replication",
@@ -352,11 +377,31 @@ class TestDegenerateArguments:
             "convergence_one_n",
             "convergence_repeated_n",
             "negativity_no_replications",
+            "unbiasedness_fractional_n",
+            "unbiasedness_bool_n",
+            "unbiasedness_no_n",
+            "unbiasedness_fractional_replications",
+            "convergence_fractional_n",
+            "convergence_bool_n",
+            "convergence_zero_n",
+            "convergence_fractional_replications",
+            "negativity_fractional_n",
+            "negativity_bool_n",
+            "negativity_fractional_replications",
+            "negativity_bool_replications",
         ],
     )
     def test_raises(self, check, kwargs):
         with pytest.raises(InputError):
             check(**kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        """A numpy integer is a count like an int; the slope is fitted on the
+        sizes drawn."""
+        got = run_convergence_check(ns=(np.int64(100), 400), replications=np.uint32(30))
+        want = run_convergence_check(ns=(100, 400), replications=30)
+        assert got.details == want.details
+        assert got.details["ns"] == "100, 400"
 
 
 class TestRegisteredPuDetails:

@@ -25,6 +25,8 @@ from bfpo.policy import PolicyParams, stack_codes
 from bfpo.pu import CheckResult
 from bfpo.rewards import kto_zrefs
 
+from oracles import OracleCase, batch_of, random_gradient_case
+
 RAW, TOTAL = BREAKDOWN_COLUMNS.index("pure_neg_raw"), BREAKDOWN_COLUMNS.index("total")
 
 
@@ -79,7 +81,7 @@ def _case_stream(method: Method, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
 
 
-def _lone_scores(method: Method, case: verification.GradientCase):
+def _lone_scores(method: Method, case: OracleCase):
     stack = Stack.of(method, case.batch, case.policy, case.reference)
     return stack, score(method, stack, case.policy, case.config.beta)
 
@@ -94,7 +96,7 @@ def _per_case_fd_errors(method: Method, seed: int, cases: int) -> list[float]:
     errors = []
     for _ in range(cases):
         while True:
-            case = verification.random_gradient_case(method, rng)
+            case = random_gradient_case(method, rng)
             stack, scores = _lone_scores(method, case)
             raw = scored_loss(method, scores, [case.config], [case.delta])[0][0, RAW]
             if method is not Method.CBPO or raw > 0.05:
@@ -151,6 +153,81 @@ def test_stacked_check_equals_the_per_case_loop(method, seed, cases):
     assert [errors[id(case)] for case in cases] == want
 
 
+def _per_case_draws(method: Method, rng: np.random.Generator, cases: int) -> list[OracleCase]:
+    """The oracle: draws one ``Generator`` call at a time, each screened as a
+    lone stack, until ``cases`` are kept."""
+    kept = []
+    while len(kept) < cases:
+        case = random_gradient_case(method, rng)
+        _, scores = _lone_scores(method, case)
+        raw = scored_loss(method, scores, [case.config], [case.delta])[0][0, RAW]
+        if method is not Method.CBPO or raw > 0.05:
+            kept.append(case)
+    return kept
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_decoded_cases_equal_the_per_case_draws(method):
+    """Cases decoded from raw PCG64 words equal the per-case loop's field by
+    field, and leave the generator in the loop's state, its buffered half
+    included.  On odd seeds one bounded integer is drawn first, so the
+    decoder starts with a buffered half."""
+    for seed in range(40):
+        want_rng, got_rng = _case_stream(method, seed), _case_stream(method, seed)
+        if seed % 2:
+            want_rng.integers(0, 7)
+            got_rng.integers(0, 7)
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+        want = _per_case_draws(method, want_rng, 6)
+        got = verification.draw_gradient_cases(method, got_rng, 6)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        for case, oracle in zip(got, want, strict=True):
+            pos, aux = oracle.batch.samples()
+            assert case.sequences == [(s.x, s.y) for s in pos + aux]
+            assert case.n_pos == len(pos)
+            assert case.policy.logits.tobytes() == oracle.policy.logits.tobytes()
+            assert case.reference.logits.tobytes() == oracle.reference.logits.tobytes()
+            assert case.policy.logits.shape == oracle.policy.logits.shape
+            assert (case.config, case.delta) == (oracle.config, oracle.delta)
+
+
+def _zero_word_generator() -> np.random.Generator:
+    """A PCG64 generator whose next raw word is 0: PCG64 steps its state
+    (s -> s * a + c) before it outputs, and the state 0 outputs 0, so the
+    state one step before 0 is -c / a (mod 2**128)."""
+    bit_generator = np.random.PCG64(0)
+    state = bit_generator.state
+    inc = state["state"]["inc"]
+    multiplier = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+    state["state"]["state"] = -inc * pow(multiplier, -1, 1 << 128) % (1 << 128)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+def test_decoder_takes_the_lemire_rejection_branch(bound):
+    """A zero half gives a zero product, whose low bits fall below 2**32 % n
+    for n = 3 and 5: both halves of the zero word are rejected and the value
+    comes from the next word.  For n = 4 the threshold is 0, and nothing is
+    rejected."""
+    assert _zero_word_generator().bit_generator.random_raw() == 0
+    want_rng, got_rng = _zero_word_generator(), _zero_word_generator()
+    want = [int(want_rng.integers(0, bound)) for _ in range(5)]
+    draws = verification._Draws(got_rng)
+    got = [draws.below(bound) for _ in range(5)]
+    draws.close()
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if bound == 4:
+        assert want[:2] == [0, 0]
+
+
+def test_decoder_needs_a_pcg64_generator():
+    with pytest.raises(InputError):
+        verification.draw_gradient_cases(
+            Method.BCO, np.random.Generator(np.random.MT19937(0)), 1)
+
+
 @pytest.mark.parametrize("seed", [3, 8, 21])
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_stacked_fd_equals_the_per_entry_loop(method, seed, monkeypatch):
@@ -171,8 +248,10 @@ def test_stacked_fd_equals_the_per_entry_loop(method, seed, monkeypatch):
     stacked = [case for stack in verification._fd_stacks(cases) for case in stack]
     got = [(p, grad) for params, grads in calls for p, grad in zip(params, grads)]
     assert len(got) == len(stacked) == 10
-    for (params, grad), case in zip(got, stacked):
-        assert params.logits.tobytes() == case.policy.logits.tobytes()
+    for (params, grad), drawn in zip(got, stacked):
+        assert params.logits.tobytes() == drawn.policy.logits.tobytes()
+        case = OracleCase(batch_of(drawn), drawn.policy, drawn.reference, drawn.config,
+                          drawn.delta)
         stack, scores = _lone_scores(method, case)
         zrefs = kto_zrefs(scores.rewards) if method is Method.KTO else None
 
@@ -183,7 +262,7 @@ def test_stacked_fd_equals_the_per_entry_loop(method, seed, monkeypatch):
         assert grad.tobytes() == _per_entry_fd(lone_total, case.policy).tobytes()
         _, analytic = method_loss_and_grad(method, case.batch, case.policy, case.reference,
                                            case.config, case.delta)
-        assert case.analytic.tobytes() == analytic.tobytes()
+        assert drawn.analytic.tobytes() == analytic.tobytes()
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
