@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import sys
-import time
 from contextlib import ExitStack
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
@@ -52,7 +51,7 @@ from .trainer import (
     stack_runs,
     train_config_doc,
 )
-from .verification import registered_checks
+from .verification import run_all_checks
 
 SCHEMA_VERSION = 1
 
@@ -519,11 +518,8 @@ def cmd_verify(out: str | None, seed: int | None, fd_cases: int) -> int:
         raise ConfigError(f"verify: --seed must be >= 0, got {seed}")
     if fd_cases < 1:
         raise ConfigError(f"verify: --fd-cases must be >= 1, got {fd_cases}")
-    results, seconds = [], []
-    for check in registered_checks(seed=seed if seed is not None else 0, fd_cases=fd_cases):
-        start = time.perf_counter()
-        results.append(check())
-        seconds.append(time.perf_counter() - start)
+    timed = run_all_checks(seed=seed if seed is not None else 0, fd_cases=fd_cases)
+    results = [r for r, _ in timed]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "checks": [
@@ -537,8 +533,8 @@ def cmd_verify(out: str | None, seed: int | None, fd_cases: int) -> int:
         # Timings differ run to run, so they stay out of the byte-compared report.
         _write_json(out_dir / "verify_timing.json", {
             "schema_version": SCHEMA_VERSION,
-            "checks": [{"name": r.name, "wall_s": s} for r, s in zip(results, seconds)],
-            "total_wall_s": sum(seconds),
+            "checks": [{"name": r.name, "wall_s": s} for r, s in timed],
+            "total_wall_s": sum(s for _, s in timed),
         })
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _pcg64_words as pcg64_words
 from .alpha import embed_all
 from .errors import ConfigError, InputError
 from .files import decode_json, write_atomic
@@ -125,24 +126,6 @@ def _token_partition(spec: PopulationSpec) -> tuple[np.ndarray, list[np.ndarray]
     return shared, users
 
 
-_HALF_BITS = np.uint64(32)
-_HALF_MASK = np.uint64(0xFFFFFFFF)
-
-
-def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``integers(0, n)`` for 1 < n <= 2**32 from one 32-bit half u each.
-
-    Lemire's method: the value is ``(u * n) >> 32``; it is rejected, and the
-    generator draws another half, when the low 32 bits of ``u * n`` fall below
-    ``2**32 % n``.  Returns the values and the rejection mask.  The generator's
-    bounds are the sizes of the prompt pool and of token blocks held in memory,
-    so they never come near 2**32.
-    """
-    product = halves * bounds
-    rejected = (product & _HALF_MASK) < np.uint64(2**32) % bounds
-    return (product >> _HALF_BITS).astype(np.int64), rejected
-
-
 @lru_cache(maxsize=1)
 def _stream_layout(
     n_samples: int, seq_len: int
@@ -195,16 +178,17 @@ def _draws_array(
     """
     word_of_r, word_of_h, high, n_words = layout
     raw = rng.bit_generator.random_raw(n_words)
-    uniforms = (raw[word_of_r] >> np.uint64(11)) * 2.0**-53
-    words = raw[word_of_h]
-    halves = np.where(high, words >> _HALF_BITS, words & _HALF_MASK)
-    from_shared = uniforms < overlap
+    from_shared = pcg64_words.unit(raw[word_of_r]) < overlap
+    low, high_half = pcg64_words.halves(raw[word_of_h])
+    halves = np.where(high, high_half, low)
+    del low, high_half  # freed before the Lemire step makes its temporaries
     bounds = np.empty(halves.shape, dtype=np.uint64)
     bounds[:, 0] = prompt_bound
     bounds[:, 1:] = np.where(from_shared, shared_bound, own_bound)
-    values, rejected = _lemire(halves, bounds)
+    values, rejected = pcg64_words.lemire(halves, bounds)
     if np.any(bounds == 1) or np.any(rejected):
         return None
+    values = values.astype(np.int64)
     return values[:, 0], from_shared, values[:, 1:]
 
 

@@ -371,15 +371,15 @@ class Layout:
         stack, such as a property check's many runs."""
         n_pos, n_aux = np.array(n_pos, np.int64), np.array(n_aux, np.int64)
         sizes = n_pos + n_aux
-        sides = np.stack([n_pos, n_aux], axis=1).ravel()
-        # Each per-sequence array repeats a per-run or per-bin one.
-        run = np.repeat(np.arange(len(sizes)), sizes)
-        pos = np.repeat(np.tile([True, False], len(sizes)), sides)
-        arrays = (n_pos, run, pos, np.repeat(np.arange(len(sides)), sides),
-                  np.repeat(sides, sides), sides, sizes)
+        sides = np.empty(2 * len(sizes), np.int64)
+        sides[0::2], sides[1::2] = n_pos, n_aux
+        # Each per-sequence array follows from its bin: the run is half the
+        # bin, and the positives' bins are the even ones.
+        seg = np.arange(len(sides)).repeat(sides)
+        arrays = (n_pos, seg >> 1, (seg & 1) == 0, seg, sides[seg], sides, sizes)
         for a in arrays:
             a.flags.writeable = False
-        ends = np.cumsum(sizes).tolist()
+        ends = sizes.cumsum().tolist()
         spans = tuple(zip([0] + ends[:-1], ends, n_pos.tolist()))
         return cls(*arrays, spans, bool(sides.all()))
 

@@ -23,7 +23,8 @@ C x V table:
 The kernels never look past a row, so R tables of C rows stacked into one
 (R*C, V) table serve R runs at once: :func:`stack_codes` offsets run r's
 encoded rows by r*C (or by the rows of the runs before it, when the runs'
-tables differ in size), and :func:`ordered_sums` adds each run's values left to
+tables differ in size; runs that share a batch take copies of one encoding),
+and :func:`ordered_sums` adds each run's values left to
 right, as :func:`ordered_sum` adds one run's.
 
 :func:`log_prob`, :func:`step_log_probs`, :func:`log_prob_grad` and
@@ -64,6 +65,7 @@ __all__ = [
     "softmax_tables",
     "stack_codes",
     "step_log_probs",
+    "tile_parts",
     "uniform_params",
 ]
 
@@ -432,21 +434,36 @@ def _encode(
     return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, length_arr)
 
 
+def tile_parts(arrays: Sequence[np.ndarray], copies: Sequence[int]) -> np.ndarray:
+    """``copies[i]`` copies of ``arrays[i]`` in a row, after those of the
+    arrays before it, as one new 1-d array."""
+    return np.concatenate(
+        [a if k == 1 else a[None].repeat(k, 0).ravel() for a, k in zip(arrays, copies)])
+
+
 def stack_codes(
-    parts: Sequence[Encoded], context_sizes: int | Sequence[int], vocab_size: int
+    parts: Sequence[Encoded],
+    context_sizes: int | Sequence[int],
+    vocab_size: int,
+    copies: int | Sequence[int] = 1,
 ) -> Encoded:
     """The encodings of R runs as one, in run order, for their tables stacked
-    into one of V columns: run r's rows are offset by the rows of the runs
-    before it (r*C when ``context_sizes`` is one C for every run, else one
-    context size per part) and its cells by V times that."""
-    lengths = np.concatenate([p.lengths for p in parts])
-    starts = np.cumsum(lengths) - lengths
-    contexts = np.broadcast_to(np.asarray(context_sizes, dtype=np.int64), len(parts))
-    firsts = np.cumsum(contexts) - contexts
-    offsets = np.repeat(firsts, [len(p.rows) for p in parts])
-    rows = np.concatenate([p.rows for p in parts]) + offsets
-    tokens = np.concatenate([p.tokens for p in parts])
-    seq = np.repeat(np.arange(len(lengths)), lengths)
+    into one of V columns: part i serves ``copies`` runs in a row (one each
+    by default, else one count per part), and run r's rows are offset by the
+    rows of the runs before it (r*C when ``context_sizes`` is one C for every
+    part, else one context size per part) and its cells by V times that."""
+    if isinstance(copies, int):
+        copies = [copies] * len(parts)
+    if isinstance(context_sizes, int):
+        context_sizes = [context_sizes] * len(parts)
+    rows = tile_parts([p.rows for p in parts], copies)
+    tokens = tile_parts([p.tokens for p in parts], copies)
+    lengths = tile_parts([p.lengths for p in parts], copies)
+    contexts = np.repeat(context_sizes, copies)
+    run_tokens = np.repeat([len(p.rows) for p in parts], copies)
+    rows += np.repeat(contexts.cumsum() - contexts, run_tokens)
+    starts = lengths.cumsum() - lengths
+    seq = np.arange(len(lengths)).repeat(lengths)
     return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, lengths)
 
 

@@ -8,9 +8,9 @@ pass/fail with diagnostic details.
 
 The finite-difference and clamp checks evaluate in stacks (see
 :mod:`bfpo.losses`).  A gradient check draws all its cases first, decoding
-their bounded integers and uniforms from the generator's raw PCG64 words (the
-same values and stream as one ``Generator`` call per draw), and encodes them
-with one call per table shape.  It then scores them across cases on the
+their bounded integers and uniforms from the generator's raw PCG64 words
+(:mod:`bfpo._pcg64_words`: the same values and stream as one ``Generator``
+call per draw), and encodes them with one call per table shape.  It then scores them across cases on the
 training kernels, one vocabulary size at a time: one stack gives every case's
 analytic gradient, and a few more, each case's arrays tiled over its runs,
 the losses of every case's 2·C·V perturbed tables.  The clamp check's
@@ -21,11 +21,13 @@ depend on the other runs of its stack, so each equals its lone evaluation.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _pcg64_words as pcg64_words
 from .errors import InputError
 from .losses import (
     BREAKDOWN_COLUMNS,
@@ -43,6 +45,8 @@ from .policy import (
     encode,
     sequence_log_probs,
     softmax_tables,
+    stack_codes,
+    tile_parts,
 )
 from .pu import (
     CheckResult,
@@ -142,69 +146,21 @@ class GradientCase:
     analytic: np.ndarray | None = field(default=None, repr=False)
 
 
-_HALF_MASK = 0xFFFF_FFFF
+def _sequences(
+    draws: pcg64_words.Reader, vocab: int, count: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``count`` (prompt, completion) pairs: a prompt of ``integers(0, 3)``
+    tokens, then a completion of ``integers(1, 4)``, each token
+    ``integers(0, vocab)``."""
+    below = draws.below
+    pairs = []
+    for _ in range(count):
+        x = tuple([below(vocab) for _ in range(below(3))])
+        pairs.append((x, tuple([below(vocab) for _ in range(1 + below(3))])))
+    return pairs
 
 
-class _Draws:
-    """A PCG64 generator's bounded-integer and uniform draws, decoded from its
-    raw words as numpy makes them.
-
-    ``rng.integers(low, low + n)`` takes a 32-bit half u of a word, the low
-    half first (the high half waits in the bit generator's buffer,
-    ``has_uint32`` and ``uinteger``), and returns ``low + (u * n >> 32)``, by
-    Lemire's method: while the low 32 bits of ``u * n`` fall below
-    ``2**32 % n`` it takes another half.  ``rng.uniform(a, b)`` takes a whole
-    word w and returns ``a + (b - a) * ((w >> 11) * 2**-53)``.  ``rng.normal``
-    takes whole words and leaves the buffer alone.  So the buffer is read
-    once, carried here and written back by :meth:`close`, and in between
-    ``rng`` reads its stream where these draws leave it.  ``random_raw()``
-    costs about 0.3 µs a word, a sized ``rng.integers`` call about 8 µs.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise InputError("gradient cases are decoded from a PCG64 generator's words")
-        state = rng.bit_generator.state
-        self.rng, self.raw = rng, rng.bit_generator.random_raw
-        self.buffered, self.half = state["has_uint32"], state["uinteger"]
-
-    def below(self, n: int) -> int:
-        """``rng.integers(0, n)`` for 1 < n < 2**32."""
-        threshold = (1 << 32) % n
-        while True:
-            if self.buffered:
-                self.buffered, u = 0, self.half
-            else:
-                word = self.raw()
-                self.buffered, self.half, u = 1, word >> 32, word & _HALF_MASK
-            product = u * n
-            if product & _HALF_MASK >= threshold:
-                return product >> 32
-
-    def uniform(self, low: float, high: float) -> float:
-        """``rng.uniform(low, high)``."""
-        return low + (high - low) * ((self.raw() >> 11) * 2.0**-53)
-
-    def sequences(self, vocab: int, count: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """``count`` (prompt, completion) pairs: a prompt of ``integers(0, 3)``
-        tokens, then a completion of ``integers(1, 4)``, each token
-        ``integers(0, vocab)``."""
-        below = self.below
-        pairs = []
-        for _ in range(count):
-            x = tuple([below(vocab) for _ in range(below(3))])
-            pairs.append((x, tuple([below(vocab) for _ in range(1 + below(3))])))
-        return pairs
-
-    def close(self) -> None:
-        """Hand the carried half back to the bit generator's buffer."""
-        bit_generator = self.rng.bit_generator
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = self.buffered, self.half
-        bit_generator.state = state
-
-
-def _draw_case(method: Method, draws: _Draws) -> GradientCase:
+def _draw_case(method: Method, draws: pcg64_words.Reader) -> GradientCase:
     """One randomized case, not yet screened or scored: the vocabulary and
     context sizes, the policy's and the reference's logits (one normal draw),
     the config, the anchor, then the batch, one side after the other.  A DPO
@@ -222,11 +178,11 @@ def _draw_case(method: Method, draws: _Draws) -> GradientCase:
         lambda_u=draws.uniform(0.5, 2.0),
     )
     delta = draws.uniform(-1.0, 1.0)
-    pos = draws.sequences(vocab, 1 + draws.below(3))
-    aux = draws.sequences(vocab, 1 + draws.below(3))
+    pos = _sequences(draws, vocab, 1 + draws.below(3))
+    aux = _sequences(draws, vocab, 1 + draws.below(3))
     if method is Method.DPO:
-        pos = draws.sequences(vocab, 1 + draws.below(3))
-        aux = [(x, y) for (x, _), (_, y) in zip(pos, draws.sequences(vocab, 3))]
+        pos = _sequences(draws, vocab, 1 + draws.below(3))
+        aux = [(x, y) for (x, _), (_, y) in zip(pos, _sequences(draws, vocab, 3))]
     return GradientCase(pos + aux, len(pos), PolicyParams(vocab, context, tables[0]),
                         PolicyParams(vocab, context, tables[1]), config, delta)
 
@@ -250,47 +206,30 @@ def _by_vocab(cases: Sequence[GradientCase]) -> list[list[GradientCase]]:
     return list(groups.values())
 
 
-def _tile_blocks(sizes: np.ndarray, copies: np.ndarray) -> np.ndarray:
-    """Indices that repeat consecutive blocks of ``sizes[i]`` entries
-    ``copies[i]`` times each, block after block."""
-    block = sizes.repeat(copies)
-    shift = (sizes.cumsum() - sizes).repeat(copies) - (block.cumsum() - block)
-    return np.arange(int(block.sum())) + shift.repeat(block)
-
-
 def _stack(
     method: Method, cases: Sequence[GradientCase], copies: Sequence[int]
 ) -> tuple[Stack, np.ndarray, list, list]:
     """The stack of ``copies[i]`` runs of case i after those of the cases
     before it (cases of one vocabulary size, each encoded), each run on its
     own table of its case's context size, with each sequence's beta and each
-    run's config and anchor.  The cases' arrays are tiled over their runs.
-    The reference log-probabilities are the cases' own once scored, else
-    gathered from their stacked reference tables (one run per case)."""
-    vocab = cases[0].policy.vocab_size
-    runs = np.array(copies)
+    run's config and anchor.  The reference log-probabilities are the cases'
+    own once scored, else gathered from their stacked reference tables (one
+    run per case)."""
     parts = [c.codes for c in cases]
-    n_seqs, n_pos, n_tokens, contexts = np.array(
-        [(p.n, c.n_pos, len(p.rows), c.policy.context_size) for c, p in zip(cases, parts)]).T
-    contexts = contexts.repeat(runs)
-    tokens = _tile_blocks(n_tokens, runs)
-    rows = np.concatenate([p.rows for p in parts])[tokens] + (
-        contexts.cumsum() - contexts).repeat(n_tokens.repeat(runs))
-    tokens = np.concatenate([p.tokens for p in parts])[tokens]
-    sequences = _tile_blocks(n_seqs, runs)
-    lengths = np.concatenate([p.lengths for p in parts])[sequences]
-    codes = Encoded(rows, tokens, rows * vocab + tokens,
-                    np.arange(len(lengths)).repeat(lengths), lengths.cumsum() - lengths, lengths)
-    layout = Layout.build(n_pos.repeat(runs), (n_seqs - n_pos).repeat(runs))
+    contexts = [c.policy.context_size for c in cases]
+    codes = stack_codes(parts, contexts, cases[0].policy.vocab_size, copies)
+    n_pos = np.array([c.n_pos for c in cases])
+    n_aux = np.array([p.n for p in parts]) - n_pos
+    layout = Layout.build(n_pos.repeat(copies), n_aux.repeat(copies))
     reference = None
     if method is not Method.SFT and cases[0].ref_log_probs is None:
         ref_table = softmax_tables(np.concatenate([c.reference.logits for c in cases]))[0]
         reference = sequence_log_probs(ref_table, codes)
     elif method is not Method.SFT:
-        reference = np.concatenate([c.ref_log_probs for c in cases])[sequences]
+        reference = tile_parts([c.ref_log_probs for c in cases], copies)
     # A check's runs hold no sample pools, so the stack names no batches.
     stack = Stack((), codes, layout, reference)
-    betas = np.array([c.config.beta for c in cases]).repeat(runs)[layout.run]
+    betas = np.repeat([c.config.beta for c in cases], copies)[layout.run]
     configs = [c.config for c, k in zip(cases, copies) for _ in range(k)]
     deltas = [c.delta for c, k in zip(cases, copies) for _ in range(k)]
     return stack, betas, configs, deltas
@@ -326,7 +265,8 @@ def draw_gradient_cases(
     """The first ``cases`` randomized cases drawn from ``rng`` that pass
     screening, scored (see :class:`GradientCase`).
 
-    The draws are decoded from ``rng``'s raw PCG64 words (see :class:`_Draws`):
+    The draws are decoded from ``rng``'s raw PCG64 words (see
+    :class:`bfpo._pcg64_words.Reader`):
     each case and ``rng``'s state afterwards are what the same draws made
     one ``Generator`` call at a time give.  For the clamped method a draw is
     kept only if its purified term is safely positive, because the acceptance
@@ -337,7 +277,7 @@ def draw_gradient_cases(
     more than are missing.  A KTO batch always holds a positive and an
     auxiliary, so its leave-one-out anchors always exist.
     """
-    draws = _Draws(rng)
+    draws = pcg64_words.Reader(rng)
     kept: list[GradientCase] = []
     try:
         while len(kept) < cases:
@@ -379,7 +319,7 @@ def _fd_errors(method: Method, cases: Sequence[GradientCase], tolerance: float) 
     stack, betas, configs, deltas = _stack(method, cases, copies)
     zrefs = None
     if method is Method.KTO:
-        zrefs = np.concatenate([np.tile(c.zrefs, k) for c, k in zip(cases, copies)])
+        zrefs = tile_parts([c.zrefs for c in cases], copies)
     totals = []
 
     def loss_fn(tables: np.ndarray) -> np.ndarray:
@@ -389,14 +329,21 @@ def _fd_errors(method: Method, cases: Sequence[GradientCase], tolerance: float) 
 
     numeric = finite_difference_grad(loss_fn, [c.policy for c in cases])
     eps = FD_LOSS_ULPS * np.finfo(np.float64).eps
-    ends = np.cumsum(copies).tolist()
+    firsts = np.cumsum(copies) - copies
+    largest = np.maximum.reduceat(np.abs(totals[0]), firsts).tolist()
     errors = []
-    for case, grad, lo, hi in zip(cases, numeric, [0] + ends[:-1], ends):
-        largest = float(np.abs(totals[0][lo:hi]).max())
-        roundoff = eps * largest / FD_STEP * math.sqrt(grad.size)
-        scale = max(float(np.linalg.norm(grad)), roundoff / tolerance)
-        errors.append(float(np.linalg.norm(case.analytic - grad)) / scale)
+    for case, grad, top in zip(cases, numeric, largest):
+        roundoff = eps * top / FD_STEP * math.sqrt(grad.size)
+        scale = max(_norm(grad), roundoff / tolerance)
+        errors.append(_norm(case.analytic - grad) / scale)
     return errors
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` bit for bit (the same dot product and square
+    root) without its per-call overhead."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
 
 
 def run_gradient_fd_check(
@@ -536,5 +483,10 @@ def registered_checks(seed: int = 0, fd_cases: int = 50) -> list[Callable[[], Ch
     return checks
 
 
-def run_all_checks(seed: int = 0, fd_cases: int = 50) -> list[CheckResult]:
-    return [check() for check in registered_checks(seed=seed, fd_cases=fd_cases)]
+def run_all_checks(seed: int = 0, fd_cases: int = 50) -> list[tuple[CheckResult, float]]:
+    """Every registered check's result, with the wall seconds it took."""
+    timed = []
+    for check in registered_checks(seed=seed, fd_cases=fd_cases):
+        start = time.perf_counter()
+        timed.append((check(), time.perf_counter() - start))
+    return timed

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bfpo import _pcg64_words as pcg64_words
 from bfpo import datagen
 from bfpo.alpha import embed, train_proxy
 from bfpo.datagen import (
@@ -208,7 +209,7 @@ class TestArrayDraws:
         for seed in range(400):
             raw = np.random.default_rng(seed).bit_generator.random_raw(1)[0]
             halves = np.array([raw & 0xFFFFFFFF, raw >> 32], dtype=np.uint64)
-            values, rejected = datagen._lemire(halves, np.full(2, bound, dtype=np.uint64))
+            values, rejected = pcg64_words.lemire(halves, np.full(2, bound, dtype=np.uint64))
             scalar = int(np.random.default_rng(seed).integers(0, bound))
             if not rejected[0]:
                 assert scalar == values[0]

@@ -437,10 +437,34 @@ class TestMethodLoss:
                 loss_fn(Method.DPO, batch, policy, policy, LossConfig(), 0.0)
 
 
+_LAYOUT_SIZES = [
+    ([3], [2]), ([3], [0]), ([0], [2]), ([4, 1, 2], [5, 3, 6]), ([4, 1, 2], [5, 0, 6]),
+]
+
+
 class TestLayout:
-    @pytest.mark.parametrize("n_pos, n_aux", [
-        ([3], [2]), ([3], [0]), ([0], [2]), ([4, 1, 2], [5, 3, 6]), ([4, 1, 2], [5, 0, 6]),
-    ])
+    @pytest.mark.parametrize("n_pos, n_aux", _LAYOUT_SIZES)
+    def test_per_sequence_arrays_follow_the_sides(self, n_pos, n_aux):
+        """Each sequence's run, side, bin and bin size, and each run's span,
+        as a loop over the runs' positives then auxiliaries gives them."""
+        from bfpo.losses import Layout
+
+        layout = Layout.build(n_pos, n_aux)
+        run, pos, seg, count, spans = [], [], [], [], []
+        for r, (p, a) in enumerate(zip(n_pos, n_aux)):
+            spans.append((len(run), len(run) + p + a, p))
+            for positive, size in ((True, p), (False, a)):
+                run += [r] * size
+                pos += [positive] * size
+                seg += [2 * r + (0 if positive else 1)] * size
+                count += [size] * size
+        assert layout.run.tolist() == run and layout.pos.tolist() == pos
+        assert layout.seg.tolist() == seg and layout.count.tolist() == count
+        assert layout.sides.tolist() == [n for pair in zip(n_pos, n_aux) for n in pair]
+        assert layout.sizes.tolist() == [p + a for p, a in zip(n_pos, n_aux)]
+        assert layout.spans == tuple(spans)
+
+    @pytest.mark.parametrize("n_pos, n_aux", _LAYOUT_SIZES)
     def test_both_sides_is_every_bin_non_empty(self, n_pos, n_aux):
         """The guard field, computed once per layout, equals ``sides.all()``
         for a layout made afresh and for the cached one."""

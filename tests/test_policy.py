@@ -20,6 +20,7 @@ from bfpo.policy import (
     sequence_log_probs,
     snapshot_reference,
     softmax_tables,
+    stack_codes,
     step_log_probs,
     uniform_params,
 )
@@ -248,6 +249,21 @@ class TestKernels:
                     np.testing.assert_array_equal(getattr(piece, field), getattr(direct, field))
             assert piece.n == size
             lo += size
+
+    def test_stack_codes_copies_equal_repeated_parts(self, rng):
+        """A part that serves k runs in a row stacks as k copies of itself,
+        each offset by the rows of the runs before it."""
+        contexts, copies = [2, 3, 1], [3, 1, 4]
+        parts = [encode(_random_pairs(rng, 4, n, c), c, 4) for n, c in zip([2, 5, 1], contexts)]
+        got = stack_codes(parts, contexts, 4, copies)
+        repeated = [p for p, k in zip(parts, copies) for _ in range(k)]
+        want = stack_codes(repeated, [c for c, k in zip(contexts, copies) for _ in range(k)], 4)
+        for field in ENCODED_FIELDS:
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        run_of_token = np.repeat(np.arange(8), [p.n for p in repeated])[got.seq]
+        run_contexts = np.repeat(contexts, copies)
+        ends = np.cumsum(run_contexts)[run_of_token]
+        assert (ends - run_contexts[run_of_token] <= got.rows).all() and (got.rows < ends).all()
 
     def test_scatter_grad_bit_identical_to_add_at(self, rng):
         """The bincount scatter equals the np.add.at form it replaced, bit for

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from bfpo import _pcg64_words as pcg64_words
 from bfpo import losses, verification
 from bfpo.errors import InputError
 from bfpo.losses import (
@@ -213,7 +214,7 @@ def test_decoder_takes_the_lemire_rejection_branch(bound):
     assert _zero_word_generator().bit_generator.random_raw() == 0
     want_rng, got_rng = _zero_word_generator(), _zero_word_generator()
     want = [int(want_rng.integers(0, bound)) for _ in range(5)]
-    draws = verification._Draws(got_rng)
+    draws = pcg64_words.Reader(got_rng)
     got = [draws.below(bound) for _ in range(5)]
     draws.close()
     assert got == want
