@@ -37,7 +37,7 @@ from .policy import (
     log_prob_grad,
     snapshot_reference,
 )
-from .pu import MixtureSpec, negative_risk_pu, pu_total_risk, sample_unlabeled
+from .pu import negative_risk_pu, pu_total_risk, sample_unlabeled
 from .rewards import (
     ReferenceState,
     RewardConfig,
@@ -62,7 +62,6 @@ __all__ = [
     "LossBreakdown",
     "LossConfig",
     "Method",
-    "MixtureSpec",
     "NumericError",
     "PolicyParams",
     "PopulationSpec",

@@ -15,32 +15,27 @@ few ulps. The quadrature truth (pinned to the bit) and ``losses`` (about 20
 values a step, with pinned artifacts) keep ``np.logaddexp``. Replications are
 drawn into blocks of rows from one reused PCG64 generator. Before each row's
 draws it is set to the state ``default_rng(seed)`` would build, and a check
-computes those states for all its seeds at once (SeedSequence's hash as array
-ops over the seeds), so every row keeps a lone replication's streams and the
-estimates equal a replication-by-replication loop bit for bit. An unlabeled
-set's draws are placed through index arrays. The convergence and negativity
-checks take a block's estimates at once, with one ``np.add.reduce`` along the
-rows per side: the same pairwise sums as ``negative_risk_pu`` row by row, at
-about 0.06 µs a row against 3 µs (n = 10, timeit). The unbiasedness check
-calls its ``estimator`` (``negative_risk_pu`` by default) row by row, so a
-faulty one can be swapped in. Sizes and replication counts must be integers,
-not bools.
+computes those states for all its seeds at once (see
+:mod:`bfpo._pcg64_words`), so every row keeps a lone replication's streams.
+An unlabeled set's draws are placed through index arrays. A block's
+estimates are taken at once, with one ``np.add.reduce`` along the rows per
+side: the same pairwise sums as ``negative_risk_pu`` row by row, so the
+estimates equal a replication-by-replication loop bit for bit, at about
+0.06 µs a row against 3 µs (n = 10, timeit).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import _pcg64_words as pcg64_words
 from .errors import InputError
 
 __all__ = [
     "CheckResult",
-    "MixtureSpec",
-    "default_mixture",
     "logistic_negative_loss",
     "logistic_positive_loss",
     "negative_risk_pu",
@@ -52,48 +47,45 @@ __all__ = [
     "true_weighted_negative_risk",
 ]
 
-Sampler = Callable[[np.random.Generator, int], np.ndarray]
+# The test mixture: two unit-variance Gaussians on the score axis.
+_POS_MEAN, _NEG_MEAN, _STD = 1.5, -1.5, 1.0
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Unlabeled data model: draw from p_pos with probability pi_p, else p_neg."""
-
-    pi_p: float
-    p_pos: Sampler
-    p_neg: Sampler
-
-    def __post_init__(self) -> None:
-        # Endpoints are admitted so degenerate mixtures stay testable.
-        if not 0.0 <= self.pi_p <= 1.0:
-            raise InputError(f"pi_p must lie in [0, 1], got {self.pi_p}")
-
-
-def sample_unlabeled(
-    spec: MixtureSpec, n: int, rng_seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seed-deterministic unlabeled draws.
+def sample_unlabeled(pi_p: float, n: int, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seed-deterministic unlabeled draws from the test mixture: from the
+    positive component with probability ``pi_p``, else from the negative one.
 
     Returns the instance values and, for verification only, the latent
     indicator of which component each draw came from.
     """
-    n = _count("n", n, 1)
-    values = np.empty(n, dtype=np.float64)
-    return values, _draw_unlabeled(spec, np.random.default_rng(rng_seed), values)
+    # Endpoints are admitted so degenerate mixtures stay testable.
+    if not 0.0 <= pi_p <= 1.0:
+        raise InputError(f"pi_p must lie in [0, 1], got {pi_p}")
+    values = np.empty(_count("n", n, 1), dtype=np.float64)
+    return values, _draw_unlabeled(pi_p, np.random.default_rng(rng_seed), values)
 
 
-def _draw_unlabeled(spec: MixtureSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def _draw_unlabeled(pi_p: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with unlabeled draws from ``rng`` and return the latent
     indicator: the uniform flags, then the positives' draws, then the
     negatives'. Index arrays place the draws in about half the time two
     boolean-mask scatters take at n = 10,000 (the same values; no slower at
     n = 10)."""
-    from_positive = rng.random(out.size) < spec.pi_p
+    from_positive = rng.random(out.size) < pi_p
     positives = from_positive.nonzero()[0]
     negatives = (~from_positive).nonzero()[0]
-    out[positives] = spec.p_pos(rng, len(positives))
-    out[negatives] = spec.p_neg(rng, len(negatives))
+    out[positives] = rng.normal(_POS_MEAN, _STD, len(positives))
+    out[negatives] = rng.normal(_NEG_MEAN, _STD, len(negatives))
     return from_positive
+
+
+def _count(name: str, value: int, least: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -140,7 +132,6 @@ def pu_total_risk(
 # Verification harness
 # ---------------------------------------------------------------------------
 
-_POS_MEAN, _NEG_MEAN, _STD = 1.5, -1.5, 1.0
 # 40 nodes reproduce adaptive quadrature of the same integral on [-40, 40] to
 # the bit; 30 and 60 nodes do not.
 _HERMITE_NODES = 40
@@ -170,15 +161,6 @@ def logistic_positive_loss(x: np.ndarray) -> np.ndarray:
     return np.subtract(out, np.minimum(x, 0.0), out=out)
 
 
-def default_mixture(pi_p: float = 0.3) -> MixtureSpec:
-    """Two unit-variance Gaussians on the score axis, a standard test mixture."""
-    return MixtureSpec(
-        pi_p=pi_p,
-        p_pos=lambda rng, n: rng.normal(_POS_MEAN, _STD, n),
-        p_neg=lambda rng, n: rng.normal(_NEG_MEAN, _STD, n),
-    )
-
-
 def true_weighted_negative_risk(pi_p: float) -> float:
     """Quadrature ground truth for pi_n * E_neg[softplus(x)] under the test mixture.
 
@@ -201,96 +183,29 @@ class CheckResult:
     details: dict[str, float | int | str]
 
 
-Estimator = Callable[[Sequence[float], Sequence[float], float], float]
-
-
-# Bulk seeding: ``default_rng(seed)`` builds ``PCG64(SeedSequence(seed))``.
-# SeedSequence hashes the seed's 32-bit words into a 4-word pool and expands it
-# into 4 uint64 words (numpy's ``bit_generator.pyx``), which PCG64 turns into
-# its 128-bit state and increment (``pcg64_set_seed``).
-_M32 = 0xFFFF_FFFF
-_M128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-
-
-def _seed_words(seeds: Sequence[int] | np.ndarray, offset: int = 0) -> np.ndarray:
-    """Row i is ``SeedSequence(seeds[i] + offset).generate_state(4, np.uint64)``,
-    computed for all the seeds at once with uint32 array arithmetic."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u" and seeds.itemsize <= 4:
-        seeds = seeds.astype(np.uint64) + offset  # a check's generate_state words
-    else:
-        seeds = [operator.index(s) + offset for s in seeds]
-        if not all(0 <= s < 1 << 64 for s in seeds):
-            raise InputError(f"seeds must lie in [0, 2**64), got {min(seeds)}..{max(seeds)}")
-        seeds = np.array(seeds, dtype=np.uint64)
-    const = 0x43B0_D7E5
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * 0x931E_8875 & _M32
-        value *= np.uint32(const)
-        value ^= value >> np.uint32(16)
-        return value
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.uint32(0xCA01_F9DD) * x - np.uint32(0x4973_F715) * y
-        out ^= out >> np.uint32(16)
-        return out
-
-    # A seed below 2**64 is at most two words; the pool hashes zeros past them.
-    low, high = (seeds & _M32).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    pool = [hashmix(word) for word in (low, high, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    const = 0x8B51_F9DD
-    halves = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * 0x58F3_8DED & _M32
-        value *= np.uint32(const)
-        value ^= value >> np.uint32(16)
-        halves.append(value.astype(np.uint64))
-    return np.stack([halves[i] | halves[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
-
-
-def _pcg64_states(words: np.ndarray) -> Iterator[dict]:
-    """The ``bit_generator.state`` PCG64 takes from each row of
-    :func:`_seed_words`, made as it is read: state 0 and increment
-    2 * seq + 1, one step, the initial state added, one more step (mod
-    2**128)."""
-    for row in words:
-        state_high, state_low, seq_high, seq_low = row.tolist()
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
-        state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _M128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
 # A block of replications holds at most this many draws per side (a replication
 # at n >= _BLOCK_CELLS is a block of one row). Blocks of 16,384 were no faster
 # and raised the suite's peak RSS by 0.3 MB.
 _BLOCK_CELLS = 4_096
 
 
-def _replicate(
-    spec: MixtureSpec, n: int, seeds: np.ndarray, estimator: Estimator | None = None
-) -> np.ndarray:
+def _estimates(pos_losses: np.ndarray, unlabeled_losses: np.ndarray, pi_p: float) -> np.ndarray:
+    """:func:`negative_risk_pu` of each row of a block of losses, taken at
+    once: the same pairwise sums per row (``np.add.reduce`` along the rows),
+    divisions and difference."""
+    n = pos_losses.shape[1]
+    pos_means = np.add.reduce(pos_losses, axis=1) / n
+    return np.add.reduce(unlabeled_losses, axis=1) / n - pi_p * pos_means
+
+
+def _replicate(pi_p: float, n: int, seeds: np.ndarray) -> np.ndarray:
     """The estimate for each seed: its positives are drawn on
     ``default_rng(seed)``'s stream and its unlabeled set as ``sample_unlabeled(
-    spec, n, seed + 1)`` draws it, into row r of a block; each block's losses
-    are taken at once. One generator draws every row, set to each stream's
-    state in turn. Without an ``estimator``, each block's estimates are
-    :func:`negative_risk_pu`'s, taken at once: the same pairwise sums per row
-    (``np.add.reduce`` along a block's rows), divisions and difference."""
-    pos_words, unlabeled_words = _seed_words(seeds), _seed_words(seeds, offset=1)
+    pi_p, n, seed + 1)`` draws it, into row r of a block; each block's losses
+    and estimates are taken at once. One generator draws every row, set to
+    each stream's state in turn."""
+    pos_states = pcg64_words.pcg64_states(pcg64_words.seed_words(seeds))
+    unlabeled_states = pcg64_words.pcg64_states(pcg64_words.seed_words(seeds, offset=1))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     rows = max(1, _BLOCK_CELLS // n)
@@ -299,48 +214,24 @@ def _replicate(
         stop = min(start + rows, len(seeds))
         pos = np.empty((stop - start, n))
         unlabeled = np.empty((stop - start, n))
-        for pos_state, unlabeled_state, pos_row, unlabeled_row in zip(
-            _pcg64_states(pos_words[start:stop]), _pcg64_states(unlabeled_words[start:stop]),
-            pos, unlabeled,
-        ):
-            bit_generator.state = pos_state
-            pos_row[:] = spec.p_pos(rng, n)
-            bit_generator.state = unlabeled_state
-            _draw_unlabeled(spec, rng, unlabeled_row)
-        pos_losses = logistic_negative_loss(pos)
-        unlabeled_losses = logistic_negative_loss(unlabeled)
-        if estimator is None:
-            unlabeled_means = np.add.reduce(unlabeled_losses, axis=1) / n
-            pos_means = np.add.reduce(pos_losses, axis=1) / n
-            estimates[start:stop] = unlabeled_means - spec.pi_p * pos_means
-        else:
-            for r in range(stop - start):
-                estimates[start + r] = estimator(pos_losses[r], unlabeled_losses[r], spec.pi_p)
+        for pos_row, unlabeled_row in zip(pos, unlabeled):
+            bit_generator.state = next(pos_states)
+            pos_row[:] = rng.normal(_POS_MEAN, _STD, n)
+            bit_generator.state = next(unlabeled_states)
+            _draw_unlabeled(pi_p, rng, unlabeled_row)
+        estimates[start:stop] = _estimates(
+            logistic_negative_loss(pos), logistic_negative_loss(unlabeled), pi_p
+        )
     return estimates
 
 
-def _count(name: str, value: int, least: int) -> int:
-    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InputError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
-def run_unbiasedness_check(
-    seed: int = 0,
-    pi_p: float = 0.3,
-    n: int = 10_000,
-    replications: int = 200,
-    estimator: Estimator = negative_risk_pu,
-) -> CheckResult:
-    """Monte-Carlo mean of the estimator must sit within 4 SE of the quadrature truth."""
-    n, replications = _count("n", n, 1), _count("replications", replications, 2)
-    spec = default_mixture(pi_p)
+def run_unbiasedness_check(seed: int = 0) -> CheckResult:
+    """Monte-Carlo mean of the estimator must sit within 4 SE of the
+    quadrature truth (200 replications at n = 10,000, pi_p = 0.3)."""
+    pi_p, n, replications = 0.3, 10_000, 200
     truth = true_weighted_negative_risk(pi_p)
     seeds = np.random.SeedSequence(seed).generate_state(replications)
-    estimates = _replicate(spec, n, seeds, estimator)
+    estimates = _replicate(pi_p, n, seeds)
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / np.sqrt(replications))
     deviation = abs(mean - truth)
@@ -358,23 +249,14 @@ def run_unbiasedness_check(
     )
 
 
-def run_convergence_check(
-    seed: int = 1,
-    pi_p: float = 0.3,
-    ns: Sequence[int] = (100, 1_000, 10_000),
-    replications: int = 200,
-) -> CheckResult:
-    """Estimator spread must shrink like 1/sqrt(n): log-log slope -0.5 +/- 0.1."""
-    replications = _count("replications", replications, 2)
-    ns = [_count("each n in ns", n, 1) for n in ns]
-    if len(set(ns)) < 2:
-        raise InputError(f"a slope needs at least two distinct ns, got {tuple(ns)}")
-    spec = default_mixture(pi_p)
+def run_convergence_check(seed: int = 1) -> CheckResult:
+    """Estimator spread must shrink like 1/sqrt(n): log-log slope -0.5 +/- 0.1
+    (200 replications at each of n = 100, 1,000 and 10,000, pi_p = 0.3)."""
+    ns, replications = (100, 1_000, 10_000), 200
     stds = []
     root = np.random.SeedSequence(seed)
     for child, n in zip(root.spawn(len(ns)), ns):
-        seeds = child.generate_state(replications)
-        estimates = _replicate(spec, n, seeds)
+        estimates = _replicate(0.3, n, child.generate_state(replications))
         stds.append(float(estimates.std(ddof=1)))
     slope = float(np.polyfit(np.log(ns), np.log(stds), 1)[0])
     return CheckResult(
@@ -389,18 +271,12 @@ def run_convergence_check(
     )
 
 
-def run_negativity_check(
-    seed: int = 2,
-    pi_p: float = 0.7,
-    n: int = 10,
-    replications: int = 2_000,
-) -> CheckResult:
-    """At tiny n the unclamped estimator must go negative in > 1% of replications."""
-    n, replications = _count("n", n, 1), _count("replications", replications, 1)
-    spec = default_mixture(pi_p)
+def run_negativity_check(seed: int = 2) -> CheckResult:
+    """At tiny n the unclamped estimator must go negative in > 1% of
+    replications (2,000 replications at n = 10, pi_p = 0.7)."""
+    n, replications = 10, 2_000
     seeds = np.random.SeedSequence(seed).generate_state(replications)
-    estimates = _replicate(spec, n, seeds)
-    frequency = float((estimates < 0.0).mean())
+    frequency = float((_replicate(0.7, n, seeds) < 0.0).mean())
     return CheckResult(
         name="pu_negativity_exposure",
         passed=bool(frequency > 0.01),

@@ -1,10 +1,11 @@
 """User-facing property checks: gradient correctness, EMA invariance, clamping.
 
-These are the checks the ``verify`` command runs on a fresh install.  They are
-deliberately re-runnable with any seed: each one draws its own randomized
-instances, compares against an independent oracle (central finite differences,
-closed-form weighted-mean gaps, direct sign counting) and reports a single
-pass/fail with diagnostic details.
+These are the checks the ``verify`` command runs on a fresh install.  Each is
+a fixed protocol, re-runnable with any seed: it takes only its seed (and the
+gradient check its case count, which ``--fd-cases`` sets), draws its own
+randomized instances, compares against an independent oracle (central finite
+differences, closed-form weighted-mean gaps, direct sign counting) and
+reports a single pass/fail with diagnostic details.
 
 The finite-difference and clamp checks evaluate in stacks (see
 :mod:`bfpo.losses`).  A gradient check draws all its cases first, decoding
@@ -50,6 +51,7 @@ from .policy import (
 )
 from .pu import (
     CheckResult,
+    _count,
     run_convergence_check,
     run_negativity_check,
     run_unbiasedness_check,
@@ -309,7 +311,7 @@ def _fd_stacks(cases: Sequence[GradientCase]) -> list[list[GradientCase]]:
     return stacks
 
 
-def _fd_errors(method: Method, cases: Sequence[GradientCase], tolerance: float) -> list[float]:
+def _fd_errors(method: Method, cases: Sequence[GradientCase]) -> list[float]:
     """Each scored case's relative error (see :func:`run_gradient_fd_check`)
     for cases of one vocabulary size.  Case i's 2·C_i·V perturbed tables are
     as many runs of one stack, each with its case's sequences, reference
@@ -334,7 +336,7 @@ def _fd_errors(method: Method, cases: Sequence[GradientCase], tolerance: float) 
     errors = []
     for case, grad, top in zip(cases, numeric, largest):
         roundoff = eps * top / FD_STEP * math.sqrt(grad.size)
-        scale = max(_norm(grad), roundoff / tolerance)
+        scale = max(_norm(grad), roundoff / FD_TOLERANCE)
         errors.append(_norm(case.analytic - grad) / scale)
     return errors
 
@@ -346,12 +348,7 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def run_gradient_fd_check(
-    method: Method,
-    seed: int = 3,
-    cases: int = 50,
-    tolerance: float = FD_TOLERANCE,
-) -> CheckResult:
+def run_gradient_fd_check(method: Method, seed: int = 3, cases: int = 50) -> CheckResult:
     """Analytic gradient vs central finite differences over randomized cases.
 
     The error is relative to the FD gradient's norm, but never to less than the
@@ -359,7 +356,8 @@ def run_gradient_fd_check(
     each loss value is exact only to ``FD_LOSS_ULPS * eps * |loss|``, so each
     central difference is uncertain by that much of the largest loss seen,
     divided by the step.  A gradient that is truly zero then passes; any
-    gradient FD can resolve at this step is judged as before.
+    gradient FD can resolve at this step is judged against
+    :data:`FD_TOLERANCE`.
 
     Every case is drawn first (:func:`draw_gradient_cases`), and the cases of
     each vocabulary size are scored in cross-case stacks on the training
@@ -367,45 +365,36 @@ def run_gradient_fd_check(
     and the losses of their perturbed tables from stacks of 2·C·V runs per
     case and at most :data:`CHECK_RUNS` runs.
     """
-    if cases < 1:
-        raise InputError(f"the gradient check needs cases >= 1, got {cases}")
+    cases = _count("cases", cases, 1)
     # Stable per-method stream: str hashes are process-randomized, enum order is not.
     rng = np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
     drawn = draw_gradient_cases(method, rng, cases)
     errors = {}
     for stack in _fd_stacks(drawn):
-        errors.update(zip(map(id, stack), _fd_errors(method, stack, tolerance)))
+        errors.update(zip(map(id, stack), _fd_errors(method, stack)))
     worst = max([0.0, *(errors[id(case)] for case in drawn)])
     return CheckResult(
         name=f"gradient_fd_{method.value}",
-        passed=bool(worst < tolerance),
-        details={"worst_relative_error": worst, "cases": cases, "tolerance": tolerance},
+        passed=bool(worst < FD_TOLERANCE),
+        details={"worst_relative_error": worst, "cases": cases, "tolerance": FD_TOLERANCE},
     )
 
 
-def run_ema_invariance_check(
-    ratios: Sequence[float] = (0.5, 1.0, 1.5),
-    pos_mean: float = 0.4,
-    aux_mean: float = -0.6,
-    decay: float = 0.9,
-    steps: int = 400,
-) -> CheckResult:
+def run_ema_invariance_check() -> CheckResult:
     """Decoupled EMA anchors must agree across batch ratios; joint means must not.
 
     With constant per-set reward means m+ and m-, the joint pooled batch mean
     sits at (m+ + x*m-)/(1+x), i.e. off the balanced anchor by
-    (x-1)/(x+1) * (m- - m+)/2.
+    (x-1)/(x+1) * (m- - m+)/2.  The means are 0.4 and -0.6, the ratios x 0.5,
+    1 and 1.5, and each anchor takes 400 updates at decay 0.9.
     """
-    if len(set(ratios)) < 2:
-        raise InputError(f"agreement needs at least two distinct ratios, got {tuple(ratios)}")
-    if steps < 1:
-        raise InputError(f"the EMA check needs steps >= 1, got {steps}")
+    ratios, pos_mean, aux_mean = (0.5, 1.0, 1.5), 0.4, -0.6
     deltas = []
     joint_gap_errors = []
     for x in ratios:
         n_pos, n_aux = 2, max(1, round(2 * x))
-        state = ReferenceState(decay=decay)
-        for _ in range(steps):
+        state = ReferenceState(decay=0.9)
+        for _ in range(400):
             state = ema_update(state, pos_mean, aux_mean)
         deltas.append(delta_ema(state))
         joint = (n_pos * pos_mean + n_aux * aux_mean) / (n_pos + n_aux)
@@ -424,27 +413,20 @@ def run_ema_invariance_check(
     )
 
 
-def run_clamp_check(
-    seed: int = 4,
-    replications: int = 2_000,
-    n: int = 10,
-    alpha: float = 0.9,
-) -> CheckResult:
+def run_clamp_check(seed: int = 4) -> CheckResult:
     """The purified term must go negative on small batches, and the clamp must
     then keep it out of the objective: a replication whose raw term is
     negative but whose total is not exactly its ``l_pos`` is a violation.
 
-    Each replication draws n positive rewards, then n auxiliary ones, at
-    delta 0; one draw of every replication's rewards reads the same stream.
-    The replications are scored as the runs of a few layouts of at most
-    :data:`CHECK_RUNS` runs each.
+    Each of 2,000 replications draws n = 10 positive rewards, then 10
+    auxiliary ones, scored by cbpo at alpha 0.9 and delta 0; one draw of
+    every replication's rewards reads the same stream.  The replications are
+    scored as the runs of a few layouts of at most :data:`CHECK_RUNS` runs
+    each.
     """
-    if n < 1:
-        raise InputError(f"the clamp check needs n >= 1 rewards a side, got {n}")
-    if replications < 1:
-        raise InputError(f"the clamp check needs replications >= 1, got {replications}")
+    replications, n = 2_000, 10
     rewards = np.random.default_rng(seed).normal(0.0, 1.0, (replications, 2, n))
-    config = LossConfig(alpha=alpha)
+    config = LossConfig(alpha=0.9)
     negatives = clamp_violations = 0
     for lo in range(0, replications, CHECK_RUNS):
         chunk = rewards[lo : lo + CHECK_RUNS]

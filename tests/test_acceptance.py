@@ -174,7 +174,7 @@ class TestCriterion2Gradients:
         start = time.time()
         worst = {}
         for method in Method:
-            result = run_gradient_fd_check(method, seed=3, cases=50, tolerance=1e-4)
+            result = run_gradient_fd_check(method, seed=3)
             worst[method.value] = result.details["worst_relative_error"]
         elapsed = time.time() - start
         overall = max(worst.values())
@@ -189,8 +189,8 @@ class TestCriterion2Gradients:
 class TestCriterion3PuUnbiasedness:
     def test_monte_carlo_and_rate(self):
         start = time.time()
-        unbiased = run_unbiasedness_check(seed=0, n=10_000, replications=200)
-        rate = run_convergence_check(seed=1, ns=(100, 1_000, 10_000), replications=200)
+        unbiased = run_unbiasedness_check(seed=0)
+        rate = run_convergence_check(seed=1)
         elapsed = time.time() - start
         _report(
             3,
@@ -203,7 +203,7 @@ class TestCriterion3PuUnbiasedness:
 
 class TestCriterion5EmaInvariance:
     def test_batch_composition(self):
-        result = run_ema_invariance_check(ratios=(0.5, 1.0, 1.5))
+        result = run_ema_invariance_check()
         _report(
             5,
             result.passed,
@@ -398,7 +398,7 @@ class TestCriterion4ClampNecessity:
     """Runs last so the training-step scan covers every pooled run above."""
 
     def test_negative_exposure_and_training_clamp(self, pool):
-        exposure = run_clamp_check(seed=4, replications=2_000, n=10, alpha=0.9)
+        exposure = run_clamp_check(seed=4)
         pool.result(0.8, "cbpo", "estimate", 0)  # ensure at least one run
         rows = pool.all_metrics
         violations = sum(1 for r in rows if r["pure_neg_clamped"] < 0.0)

@@ -7,16 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from bfpo import _pcg64_words as pcg64_words
 from bfpo import pu
 from bfpo.errors import InputError
 from bfpo.pu import (
-    MixtureSpec,
-    default_mixture,
     logistic_negative_loss,
     logistic_positive_loss,
     negative_risk_pu,
     pu_total_risk,
-    run_convergence_check,
     run_negativity_check,
     run_unbiasedness_check,
     sample_unlabeled,
@@ -27,21 +25,21 @@ from bfpo.verification import registered_checks
 
 class TestSampleUnlabeled:
     def test_degenerate_all_positive(self):
-        values, from_pos = sample_unlabeled(default_mixture(pi_p=1.0), 500, rng_seed=0)
+        values, from_pos = sample_unlabeled(1.0, 500, rng_seed=0)
         assert from_pos.all()
         assert values.shape == (500,)
 
     def test_binomial_concentration(self):
         """Latent positive fraction lands within 3 binomial sigmas of pi_p."""
         n, pi_p = 100_000, 0.3
-        _, from_pos = sample_unlabeled(default_mixture(pi_p=pi_p), n, rng_seed=1)
+        _, from_pos = sample_unlabeled(pi_p, n, rng_seed=1)
         frac = from_pos.mean()
         bound = 3 * np.sqrt(pi_p * (1 - pi_p) / n)
         assert abs(frac - pi_p) < bound
 
     def test_seed_determinism(self):
-        a, fa = sample_unlabeled(default_mixture(), 1000, rng_seed=7)
-        b, fb = sample_unlabeled(default_mixture(), 1000, rng_seed=7)
+        a, fa = sample_unlabeled(0.3, 1000, rng_seed=7)
+        b, fb = sample_unlabeled(0.3, 1000, rng_seed=7)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(fa, fb)
 
@@ -51,32 +49,33 @@ class TestSampleUnlabeled:
         """The draws placed through index arrays equal two boolean-mask
         scatters bit for bit, the latent indicator included; pi_p 0 and 1
         draw no positives and only positives."""
-        spec = default_mixture(pi_p)
         rng = np.random.default_rng(5)
         from_positive = rng.random(n) < pi_p
         k = int(np.count_nonzero(from_positive))
         values = np.empty(n)
         values[from_positive] = rng.normal(1.5, 1.0, k)
         values[~from_positive] = rng.normal(-1.5, 1.0, n - k)
-        got, got_from_positive = sample_unlabeled(spec, n, rng_seed=5)
+        got, got_from_positive = sample_unlabeled(pi_p, n, rng_seed=5)
         assert got.tobytes() == values.tobytes()
         assert got_from_positive.tobytes() == from_positive.tobytes()
 
     @pytest.mark.parametrize("n", [1, 10, 10_000])
     def test_mixture_components_are_unit_normals(self, n):
-        spec = default_mixture()
-        for sampler, mean in ((spec.p_pos, 1.5), (spec.p_neg, -1.5)):
-            want = np.random.default_rng(9).normal(mean, 1.0, n)
-            assert sampler(np.random.default_rng(9), n).tobytes() == want.tobytes()
+        """At pi_p 1 every draw comes from N(1.5, 1), at pi_p 0 from
+        N(-1.5, 1), after the n uniform flags."""
+        for pi_p, mean in ((1.0, 1.5), (0.0, -1.5)):
+            rng = np.random.default_rng(9)
+            rng.random(n)
+            want = rng.normal(mean, 1.0, n)
+            assert sample_unlabeled(pi_p, n, rng_seed=9)[0].tobytes() == want.tobytes()
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
-            sample_unlabeled(default_mixture(), 0, rng_seed=0)
+            sample_unlabeled(0.3, 0, rng_seed=0)
         with pytest.raises(InputError):
-            sample_unlabeled(default_mixture(), 2.5, rng_seed=0)
+            sample_unlabeled(0.3, 2.5, rng_seed=0)
         with pytest.raises(InputError):
-            MixtureSpec(pi_p=1.5, p_pos=lambda r, n: r.normal(0, 1, n),
-                        p_neg=lambda r, n: r.normal(0, 1, n))
+            sample_unlabeled(1.5, 10, rng_seed=0)
 
 
 class TestSoftplus:
@@ -125,14 +124,13 @@ class TestNegativeRiskPu:
     def test_monte_carlo_oracle(self):
         """Estimator mean over mixture draws matches pi_n * E_neg[loss]."""
         pi_p, n, reps = 0.3, 20_000, 40
-        spec = default_mixture(pi_p)
         truth = true_weighted_negative_risk(pi_p)
         rng = np.random.default_rng(5)
         estimates = []
         for _ in range(reps):
             seed = int(rng.integers(2**31))
-            pos = spec.p_pos(np.random.default_rng(seed), n)
-            unl, _ = sample_unlabeled(spec, n, seed + 1)
+            pos = np.random.default_rng(seed).normal(1.5, 1.0, n)
+            unl, _ = sample_unlabeled(pi_p, n, seed + 1)
             estimates.append(
                 negative_risk_pu(
                     logistic_negative_loss(pos).tolist(),
@@ -173,11 +171,10 @@ class TestPuTotalRisk:
     def test_fully_labeled_oracle(self):
         """Matches pi_p R+_p + pi_n R-_n computed with oracle negatives."""
         pi_p, n = 0.3, 100_000
-        spec = default_mixture(pi_p)
         rng = np.random.default_rng(9)
-        pos = spec.p_pos(rng, n)
-        neg = spec.p_neg(rng, n)
-        unl, _ = sample_unlabeled(spec, n, rng_seed=10)
+        pos = rng.normal(1.5, 1.0, n)
+        neg = rng.normal(-1.5, 1.0, n)
+        unl, _ = sample_unlabeled(pi_p, n, rng_seed=10)
 
         estimate = pu_total_risk(
             logistic_positive_loss(pos).tolist(),
@@ -210,71 +207,64 @@ class TestQuadratureTruth:
         assert truth == value
 
 
+def _per_replication_estimates(pi_p, n, seeds):
+    """The oracle: each replication drawn alone, its positives on
+    ``default_rng(seed)`` and its unlabeled set by ``sample_unlabeled`` at
+    seed + 1, and estimated by ``negative_risk_pu``."""
+    loop = []
+    for s in seeds:
+        pos = np.random.default_rng(int(s)).normal(1.5, 1.0, n)
+        unlabeled, _ = sample_unlabeled(pi_p, n, int(s) + 1)
+        loop.append(negative_risk_pu(
+            logistic_negative_loss(pos), logistic_negative_loss(unlabeled), pi_p
+        ))
+    return np.array(loop)
+
+
 class TestChecks:
     def test_unbiasedness_check_passes(self):
-        result = run_unbiasedness_check(seed=0, n=2_000, replications=60)
+        result = run_unbiasedness_check(seed=0)
         assert result.passed, result.details
 
     def test_negativity_exposure_at_small_n(self):
-        result = run_negativity_check(seed=2, n=10, replications=500)
+        result = run_negativity_check(seed=2)
         assert result.passed
         assert result.details["negative_frequency"] > 0.01
 
-    def test_sign_error_is_caught(self):
+    def test_sign_error_is_caught(self, monkeypatch):
         """A flipped correction sign must fail the unbiasedness check."""
 
         def broken(pos_losses, unlabeled_losses, pi_p):
-            return float(np.mean(unlabeled_losses) + pi_p * np.mean(pos_losses))
+            n = pos_losses.shape[1]
+            return unlabeled_losses.sum(axis=1) / n + pi_p * pos_losses.sum(axis=1) / n
 
-        result = run_unbiasedness_check(seed=0, n=2_000, replications=60, estimator=broken)
-        assert not result.passed
+        monkeypatch.setattr(pu, "_estimates", broken)
+        assert not run_unbiasedness_check(seed=0).passed
 
     @pytest.mark.parametrize("n, replications", [(1_000, 37), (10, 500), (20_000, 3)])
     def test_blocked_estimates_equal_a_loop(self, n, replications):
         """Replications scored in blocks (4 rows at n = 1,000, 409 at n = 10,
         one at n = 20,000; none a divisor of the count) equal a loop that draws
         and scores each replication alone, bit for bit and in order."""
-        pi_p, seed = 0.3, 8
-        spec = default_mixture(pi_p)
-        loop = []
-        for s in np.random.SeedSequence(seed).generate_state(replications):
-            pos = spec.p_pos(np.random.default_rng(int(s)), n)
-            unlabeled, _ = sample_unlabeled(spec, n, int(s) + 1)
-            loop.append(negative_risk_pu(
-                logistic_negative_loss(pos), logistic_negative_loss(unlabeled), pi_p
-            ))
-        seen = []
-
-        def recording(pos_losses, unlabeled_losses, pi):
-            assert len(pos_losses) == len(unlabeled_losses) == n
-            seen.append(negative_risk_pu(pos_losses, unlabeled_losses, pi))
-            return seen[-1]
-
-        result = run_unbiasedness_check(
-            seed=seed, pi_p=pi_p, n=n, replications=replications, estimator=recording
-        )
-        assert seen == loop
-        loop = np.array(loop)
-        assert result.details["estimate_mean"] == float(loop.mean())
-        assert result.details["standard_error"] == float(
-            loop.std(ddof=1) / np.sqrt(replications)
-        )
+        pi_p = 0.3
+        seeds = np.random.SeedSequence(8).generate_state(replications)
+        loop = _per_replication_estimates(pi_p, n, seeds)
+        assert pu._replicate(pi_p, n, seeds).tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 10_000])
     def test_block_estimates_equal_negative_risk_pu(self, n):
-        """The convergence and negativity checks' estimates, taken a block at
-        a time, equal ``negative_risk_pu`` row by row, bit for bit: at the
+        """The checks' estimates, taken a block at a time, equal
+        ``negative_risk_pu`` replication by replication, bit for bit: at the
         edges of numpy's 8-wide pairwise unrolling and its 128-element
         blocks, and over a block boundary (585 rows a block at n = 7)."""
-        spec = default_mixture(0.7)
         seeds = np.random.SeedSequence(n).generate_state(20 if n > 1_000 else 600)
-        blocked = pu._replicate(spec, n, seeds)
-        assert blocked.tobytes() == pu._replicate(spec, n, seeds, negative_risk_pu).tobytes()
+        loop = _per_replication_estimates(0.7, n, seeds)
+        assert pu._replicate(0.7, n, seeds).tobytes() == loop.tobytes()
 
 
 def _bulk_states(seeds, offset=0):
     """The states the PU checks set on their reused generator for ``seeds``."""
-    return list(pu._pcg64_states(pu._seed_words(seeds, offset)))
+    return list(pcg64_words.pcg64_states(pcg64_words.seed_words(seeds, offset)))
 
 
 class TestBulkSeeding:
@@ -302,38 +292,6 @@ class TestBulkSeeding:
         want = [np.random.default_rng(int(s) + 1).bit_generator.state for s in seeds]
         assert _bulk_states(seeds, offset=1) == want
 
-    def test_rows_after_a_leftover_uint32_equal_fresh_generators(self):
-        """An odd count of int32 draws leaves half a 64-bit word buffered
-        (``has_uint32``); the next row's state drops it, as a fresh
-        ``default_rng`` starts without it."""
-        n = 7
-
-        def odd_ints(rng, size):
-            return rng.integers(0, 1_000, size, dtype=np.int32).astype(np.float64)
-
-        spec = MixtureSpec(pi_p=0.5, p_pos=odd_ints, p_neg=odd_ints)
-        rng = np.random.default_rng(0)
-        odd_ints(rng, n)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        seeds = np.random.SeedSequence(3).generate_state(5)
-        loop = []
-        for s in seeds:
-            pos = spec.p_pos(np.random.default_rng(int(s)), n)
-            unlabeled, _ = sample_unlabeled(spec, n, int(s) + 1)
-            loop.append((pos.tolist(), unlabeled.tolist()))
-        seen = []
-
-        def recording(pos_losses, unlabeled_losses, pi):
-            seen.append((pos_losses.tolist(), unlabeled_losses.tolist()))
-            return 0.0
-
-        pu._replicate(spec, n, seeds, recording)
-        assert seen == [
-            (logistic_negative_loss(np.array(p)).tolist(),
-             logistic_negative_loss(np.array(u)).tolist())
-            for p, u in loop
-        ]
-
     @pytest.mark.parametrize(
         "seeds, offset",
         [([-1], 0), ([2**64], 0), ([3, 2**70], 0), ([2**64 - 1], 1), ([0], -1)],
@@ -341,67 +299,7 @@ class TestBulkSeeding:
     )
     def test_out_of_range_seeds_raise(self, seeds, offset):
         with pytest.raises(InputError):
-            pu._seed_words(seeds, offset)
-
-
-class TestDegenerateArguments:
-    """Arguments that leave a check nothing to measure raise instead of
-    returning a NaN or a slope through one point."""
-
-    @pytest.mark.parametrize(
-        "check, kwargs",
-        [
-            (run_unbiasedness_check, {"n": 100, "replications": 1}),
-            (run_unbiasedness_check, {"n": 100, "replications": 0}),
-            (run_convergence_check, {"ns": (100, 1_000), "replications": 1}),
-            (run_convergence_check, {"ns": (100,), "replications": 20}),
-            (run_convergence_check, {"ns": (100, 100), "replications": 20}),
-            (run_negativity_check, {"replications": 0}),
-            (run_unbiasedness_check, {"n": 10.5}),
-            (run_unbiasedness_check, {"n": True}),
-            (run_unbiasedness_check, {"n": 0}),
-            (run_unbiasedness_check, {"n": 100, "replications": 2.5}),
-            (run_convergence_check, {"ns": (100.5, 1_000), "replications": 20}),
-            (run_convergence_check, {"ns": (True, 1_000), "replications": 20}),
-            (run_convergence_check, {"ns": (0, 1_000), "replications": 20}),
-            (run_convergence_check, {"ns": (100, 1_000), "replications": 2.5}),
-            (run_negativity_check, {"n": 10.5}),
-            (run_negativity_check, {"n": True}),
-            (run_negativity_check, {"replications": 2.5}),
-            (run_negativity_check, {"replications": True}),
-        ],
-        ids=[
-            "unbiasedness_one_replication",
-            "unbiasedness_no_replications",
-            "convergence_one_replication",
-            "convergence_one_n",
-            "convergence_repeated_n",
-            "negativity_no_replications",
-            "unbiasedness_fractional_n",
-            "unbiasedness_bool_n",
-            "unbiasedness_no_n",
-            "unbiasedness_fractional_replications",
-            "convergence_fractional_n",
-            "convergence_bool_n",
-            "convergence_zero_n",
-            "convergence_fractional_replications",
-            "negativity_fractional_n",
-            "negativity_bool_n",
-            "negativity_fractional_replications",
-            "negativity_bool_replications",
-        ],
-    )
-    def test_raises(self, check, kwargs):
-        with pytest.raises(InputError):
-            check(**kwargs)
-
-    def test_numpy_integers_are_counts(self):
-        """A numpy integer is a count like an int; the slope is fitted on the
-        sizes drawn."""
-        got = run_convergence_check(ns=(np.int64(100), 400), replications=np.uint32(30))
-        want = run_convergence_check(ns=(100, 400), replications=30)
-        assert got.details == want.details
-        assert got.details["ns"] == "100, 400"
+            pcg64_words.seed_words(seeds, offset)
 
 
 class TestRegisteredPuDetails:

@@ -3,13 +3,14 @@ that equal the per-case, per-entry and per-replication loops they replace."""
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from bfpo import _pcg64_words as pcg64_words
-from bfpo import losses, verification
+from bfpo import losses, pu, verification
 from bfpo.errors import InputError
 from bfpo.losses import (
     BREAKDOWN_COLUMNS,
@@ -29,6 +30,30 @@ from bfpo.rewards import kto_zrefs
 from oracles import OracleCase, batch_of, random_gradient_case
 
 RAW, TOTAL = BREAKDOWN_COLUMNS.index("pure_neg_raw"), BREAKDOWN_COLUMNS.index("total")
+
+
+def test_each_check_takes_only_what_verify_varies():
+    """The suite is a fixed protocol: ``bfpo verify`` sets the seed and the
+    gradient check's case count, and no check takes anything else."""
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(verification.registered_checks) == ["seed", "fd_cases"]
+    assert params(verification.run_gradient_fd_check) == ["method", "seed", "cases"]
+    assert params(verification.run_ema_invariance_check) == []
+    checks = {
+        name: getattr(module, name)
+        for module in (pu, verification)
+        for name in dir(module)
+        if name.startswith("run_") and name.endswith("_check")
+    }
+    others = set(checks) - {"run_gradient_fd_check", "run_ema_invariance_check"}
+    assert others == {"run_unbiasedness_check", "run_convergence_check",
+                      "run_negativity_check", "run_clamp_check"}
+    assert {name: params(checks[name]) for name in others} == {
+        name: ["seed"] for name in others
+    }
 
 
 def test_dpo_check_passes_where_the_true_gradient_is_zero():
@@ -149,8 +174,7 @@ def test_stacked_check_equals_the_per_case_loop(method, seed, cases):
     cases = verification.draw_gradient_cases(method, _case_stream(method, seed), cases)
     errors = {}
     for stack in verification._fd_stacks(cases):
-        tolerance = verification.FD_TOLERANCE
-        errors.update(zip(map(id, stack), verification._fd_errors(method, stack, tolerance)))
+        errors.update(zip(map(id, stack), verification._fd_errors(method, stack)))
     assert [errors[id(case)] for case in cases] == want
 
 
@@ -296,11 +320,12 @@ def test_finite_difference_grad_takes_one_vocabulary():
         verification.finite_difference_grad(lambda tables: np.zeros(len(tables)), params)
 
 
-def _per_replication_clamp(seed, replications=2_000, n=10, alpha=0.9) -> CheckResult:
+def _per_replication_clamp(seed) -> CheckResult:
     """The oracle: the clamp check as one draw pair and one lone
     :func:`binary_loss` per replication."""
+    replications, n = 2_000, 10
     rng = np.random.default_rng(seed)
-    config = LossConfig(alpha=alpha)
+    config = LossConfig(alpha=0.9)
     negatives = clamp_violations = 0
     for _ in range(replications):
         pos = rng.normal(0.0, 1.0, n).tolist()
@@ -334,12 +359,12 @@ def test_clamp_check_equals_the_per_replication_loop(seed):
     assert got.details["negative_raw_frequency"] > 0.01
 
 
-def test_clamp_check_spans_several_layouts():
-    """A replication count that is no multiple of the layout size scores the
-    remainder too."""
-    replications = 2 * verification.CHECK_RUNS + 37
-    got = verification.run_clamp_check(seed=6, replications=replications, n=3)
-    want = _per_replication_clamp(6, replications=replications, n=3)
+def test_clamp_check_spans_several_layouts(monkeypatch):
+    """A layout size that does not divide the replication count (2,000 = 13 x
+    150 + 50) scores the remainder too."""
+    monkeypatch.setattr(verification, "CHECK_RUNS", 150)
+    got = verification.run_clamp_check(seed=6)
+    want = _per_replication_clamp(6)
     assert repr(got.details) == repr(want.details)
 
 
@@ -360,34 +385,27 @@ def test_clamp_check_fails_on_an_unclamped_objective(monkeypatch):
 
 
 class TestDegenerateArguments:
-    """Arguments that leave a check nothing to measure raise instead of
-    passing on no evidence or failing inside numpy."""
+    """A case count that leaves the gradient check nothing to measure, or that
+    is not an integer, raises instead of passing on no evidence or failing
+    inside ``range``."""
 
     @pytest.mark.parametrize(
-        "check, kwargs",
+        "method, cases",
         [
-            (verification.run_gradient_fd_check, {"method": Method.BCO, "cases": 0}),
-            (verification.run_gradient_fd_check, {"method": Method.CBPO, "cases": -3}),
-            (verification.run_clamp_check, {"n": 0}),
-            (verification.run_clamp_check, {"replications": 0}),
-            (verification.run_clamp_check, {"replications": -1}),
-            (verification.run_ema_invariance_check, {"ratios": ()}),
-            (verification.run_ema_invariance_check, {"ratios": (1.0,)}),
-            (verification.run_ema_invariance_check, {"ratios": (1.5, 1.5)}),
-            (verification.run_ema_invariance_check, {"steps": 0}),
+            (Method.BCO, 0),
+            (Method.CBPO, -3),
+            (Method.BCO, True),
+            (Method.BCO, 2.5),
+            (Method.BCO, 2.0),
         ],
         ids=[
             "gradient_no_cases",
             "gradient_negative_cases",
-            "clamp_empty_batches",
-            "clamp_no_replications",
-            "clamp_negative_replications",
-            "ema_no_ratios",
-            "ema_one_ratio",
-            "ema_repeated_ratio",
-            "ema_no_steps",
+            "gradient_bool_cases",
+            "gradient_fractional_cases",
+            "gradient_float_cases",
         ],
     )
-    def test_raises(self, check, kwargs):
+    def test_raises(self, method, cases):
         with pytest.raises(InputError):
-            check(**kwargs)
+            verification.run_gradient_fd_check(method, cases=cases)
