@@ -292,6 +292,25 @@ class TestBulkSeeding:
         want = [np.random.default_rng(int(s) + 1).bit_generator.state for s in seeds]
         assert _bulk_states(seeds, offset=1) == want
 
+    def test_rows_after_a_leftover_uint32_equal_fresh_generators(self):
+        """An odd count of int32 draws leaves half a 64-bit word buffered
+        (``has_uint32``); the next row's state drops it, as a fresh
+        ``default_rng`` starts without it."""
+        n = 7
+        rng = np.random.default_rng(0)
+        rng.integers(0, 1_000, n, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        seeds = np.random.SeedSequence(3).generate_state(5)
+        seen = []
+        for state in _bulk_states(seeds, offset=1):
+            rng.bit_generator.state = state
+            seen.append(rng.integers(0, 1_000, n, dtype=np.int32).tolist())
+            assert rng.bit_generator.state["has_uint32"] == 1
+        assert seen == [
+            np.random.default_rng(int(s) + 1).integers(0, 1_000, n, dtype=np.int32).tolist()
+            for s in seeds
+        ]
+
     @pytest.mark.parametrize(
         "seeds, offset",
         [([-1], 0), ([2**64], 0), ([3, 2**70], 0), ([2**64 - 1], 1), ([0], -1)],
@@ -300,6 +319,67 @@ class TestBulkSeeding:
     def test_out_of_range_seeds_raise(self, seeds, offset):
         with pytest.raises(InputError):
             pcg64_words.seed_words(seeds, offset)
+
+
+class TestDegenerateArguments:
+    """Arguments that leave the sampler or an estimator nothing to measure,
+    or that are not what they name, raise instead of returning a NaN or
+    failing inside numpy."""
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (sample_unlabeled, (0.3, 0, 0)),
+            (sample_unlabeled, (0.3, -4, 0)),
+            (sample_unlabeled, (0.3, 10.5, 0)),
+            (sample_unlabeled, (0.3, 10.0, 0)),
+            (sample_unlabeled, (0.3, np.float64(10.0), 0)),
+            (sample_unlabeled, (0.3, True, 0)),
+            (sample_unlabeled, (0.3, np.True_, 0)),
+            (sample_unlabeled, (0.3, "10", 0)),
+            (sample_unlabeled, (-0.1, 10, 0)),
+            (sample_unlabeled, (1.5, 10, 0)),
+            (sample_unlabeled, (float("nan"), 10, 0)),
+            (negative_risk_pu, ([0.1], [], 0.3)),
+            (negative_risk_pu, ([0.1], [0.2], -0.1)),
+            (negative_risk_pu, ([0.1], [0.2], 1.5)),
+            (pu_total_risk, ([], [0.1], [0.2], 0.3)),
+            (pu_total_risk, ([0.1], [], [0.2], 0.3)),
+            (pu_total_risk, ([0.1], [0.1], [], 0.3)),
+            (pu_total_risk, ([0.1], [0.1], [0.2], 1.5)),
+        ],
+        ids=[
+            "sample_no_n",
+            "sample_negative_n",
+            "sample_fractional_n",
+            "sample_float_n",
+            "sample_numpy_float_n",
+            "sample_bool_n",
+            "sample_numpy_bool_n",
+            "sample_string_n",
+            "sample_pi_below_0",
+            "sample_pi_above_1",
+            "sample_nan_pi",
+            "negative_risk_no_unlabeled",
+            "negative_risk_pi_below_0",
+            "negative_risk_pi_above_1",
+            "total_risk_no_positives",
+            "total_risk_no_positives_as_negative",
+            "total_risk_no_unlabeled",
+            "total_risk_pi_above_1",
+        ],
+    )
+    def test_raises(self, fn, args):
+        with pytest.raises(InputError):
+            fn(*args)
+
+    def test_numpy_integers_are_counts(self):
+        """A numpy integer is a count like an int: the same draws."""
+        want = sample_unlabeled(0.3, 100, rng_seed=4)
+        for n in (np.int64(100), np.uint32(100), np.int8(100)):
+            got = sample_unlabeled(0.3, n, rng_seed=4)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestRegisteredPuDetails:

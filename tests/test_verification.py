@@ -397,6 +397,10 @@ class TestDegenerateArguments:
             (Method.BCO, True),
             (Method.BCO, 2.5),
             (Method.BCO, 2.0),
+            (Method.BCO, np.float64(2.0)),
+            (Method.BCO, np.True_),
+            (Method.BCO, "2"),
+            (Method.BCO, None),
         ],
         ids=[
             "gradient_no_cases",
@@ -404,8 +408,30 @@ class TestDegenerateArguments:
             "gradient_bool_cases",
             "gradient_fractional_cases",
             "gradient_float_cases",
+            "gradient_numpy_float_cases",
+            "gradient_numpy_bool_cases",
+            "gradient_string_cases",
+            "gradient_none_cases",
         ],
     )
     def test_raises(self, method, cases):
         with pytest.raises(InputError):
             verification.run_gradient_fd_check(method, cases=cases)
+
+    def test_numpy_integers_are_counts(self):
+        """A numpy integer is a case count like an int, and the report holds
+        it as an int."""
+        want = verification.run_gradient_fd_check(Method.BCO, seed=7, cases=2)
+        got = verification.run_gradient_fd_check(Method.BCO, seed=7, cases=np.int64(2))
+        assert repr(got.details) == repr(want.details)
+        assert type(got.details["cases"]) is int
+
+
+def test_ema_check_runs_its_fixed_protocol():
+    """The EMA check's anchors agree to round-off across the three ratios it
+    always takes, and it reports those ratios."""
+    got = verification.run_ema_invariance_check()
+    assert got.passed
+    assert got.details["ratios"] == "0.5, 1.0, 1.5"
+    assert got.details["delta_spread"] < 1e-9
+    assert got.details["worst_joint_gap_error"] < 1e-9
