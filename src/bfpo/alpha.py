@@ -6,6 +6,10 @@ held-out target samples estimates the constant labeling propensity c; dividing
 the mean output on the auxiliary pool by c yields the density of target-like
 preference content inside that pool, which calibrates the purified negative
 loss.
+
+Samples come as tables; :func:`train_proxy` and :func:`estimate_alpha` take the
+auxiliary pool as its :func:`embed_all` rows.  :func:`embed` of one ``Sample``
+is the reference that each row of :func:`embed_all` equals.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -120,11 +123,10 @@ def embed(sample: Sample, vocab_size: int) -> np.ndarray:
     return counts / norm
 
 
-def embed_all(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
-    """Row i is :func:`embed` of ``samples[i]``, bit for bit: one ``np.bincount``
+def embed_all(table: SampleTable, vocab_size: int) -> np.ndarray:
+    """Row i is :func:`embed` of ``table[i]``, bit for bit: one ``np.bincount``
     over ``row * vocab_size + token`` of the table's completion column, then
     each row divided by its norm."""
-    table = SampleTable.of(samples)
     n = len(table)
     tokens = _check_range(table.y_tokens, vocab_size, "completion")
     rows = np.repeat(np.arange(n), table.y_lengths)
@@ -136,30 +138,21 @@ def embed_all(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
     return counts / norms[:, None]
 
 
-def _embedded(samples: Sequence[Sample] | np.ndarray, vocab_size: int) -> np.ndarray:
-    """:func:`embed_all` of the samples, or the rows themselves if given as an array."""
-    return samples if isinstance(samples, np.ndarray) else embed_all(samples, vocab_size)
-
-
 def train_proxy(
-    target_samples: Sequence[Sample],
-    aux_samples: Sequence[Sample] | np.ndarray,
+    target: SampleTable,
+    aux_embeddings: np.ndarray,
     epochs: int,
     lr: float,
     seed: int,
     vocab_size: int,
 ) -> ProxyClassifier:
     """Fit the target-vs-auxiliary logistic classifier by full-batch gradient
-    descent; the auxiliary pool may come as its :func:`embed_all` rows."""
-    if len(target_samples) == 0 or len(aux_samples) == 0:
+    descent; the auxiliary pool comes as its :func:`embed_all` rows."""
+    if len(target) == 0 or len(aux_embeddings) == 0:
         raise InputError("both classes must be non-empty")
     _check_knobs(InputError, epochs=epochs, lr=lr)
-    features = np.concatenate(
-        [embed_all(target_samples, vocab_size), _embedded(aux_samples, vocab_size)]
-    )
-    labels = np.concatenate(
-        [np.ones(len(target_samples)), np.zeros(len(aux_samples))]
-    )
+    features = np.concatenate([embed_all(target, vocab_size), aux_embeddings])
+    labels = np.concatenate([np.ones(len(target)), np.zeros(len(aux_embeddings))])
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 1e-3, vocab_size)
     bias = 0.0
@@ -172,30 +165,27 @@ def train_proxy(
     return clf
 
 
-def estimate_propensity(
-    classifier: ProxyClassifier, heldout_target_samples: Sequence[Sample]
-) -> float:
+def estimate_propensity(classifier: ProxyClassifier, heldout_target: SampleTable) -> float:
     """Mean classifier output over held-out target samples."""
-    if len(heldout_target_samples) == 0:
+    if len(heldout_target) == 0:
         raise InputError("held-out target set must be non-empty")
-    embeddings = embed_all(heldout_target_samples, classifier.vocab_size)
+    embeddings = embed_all(heldout_target, classifier.vocab_size)
     return float(classifier.predict_proba(embeddings).mean())
 
 
 def estimate_alpha(
     classifier: ProxyClassifier,
-    aux_samples: Sequence[Sample] | np.ndarray,
+    aux_embeddings: np.ndarray,
     c_hat: float,
     n_heldout: int = 0,
 ) -> AlphaEstimate:
     """Mean auxiliary prediction divided by the propensity, capped for divisor
-    safety; the auxiliary pool may come as its :func:`embed_all` rows."""
+    safety; the auxiliary pool comes as its :func:`embed_all` rows."""
     if not c_hat > 0.0:  # NaN too
         raise EstimationError(f"propensity must be positive, got {c_hat}")
-    if len(aux_samples) == 0:
+    if len(aux_embeddings) == 0:
         raise InputError("auxiliary set must be non-empty")
-    embeddings = _embedded(aux_samples, classifier.vocab_size)
-    raw = float(classifier.predict_proba(embeddings).mean()) / c_hat
+    raw = float(classifier.predict_proba(aux_embeddings).mean()) / c_hat
     if not math.isfinite(raw):  # a diverged proxy; clamping would read it as alpha 0
         raise EstimationError(f"alpha estimate is not finite: {raw}")
     if raw > ALPHA_CAP:
@@ -209,31 +199,30 @@ def estimate_alpha(
         alpha_raw=raw,
         alpha_clipped=alpha_hat != raw,
         n_heldout=n_heldout,
-        n_aux=len(aux_samples),
+        n_aux=len(aux_embeddings),
     )
 
 
 def split_heldout(
-    samples: Sequence[Sample], fraction: float, seed: int
+    table: SampleTable, fraction: float, seed: int
 ) -> tuple[SampleTable, SampleTable]:
     """Seeded disjoint (train, heldout) split of the rows, each in order;
     heldout gets ceil(fraction * n)."""
     _check_knobs(InputError, heldout_fraction=fraction)
-    if len(samples) < 2:
+    if len(table) < 2:
         raise InputError("need at least 2 samples to split off a held-out set")
-    order = np.random.default_rng(seed).permutation(len(samples))
-    n_held = max(1, math.ceil(fraction * len(samples)))
-    if n_held >= len(samples):
-        n_held = len(samples) - 1
-    held = np.zeros(len(samples), dtype=bool)
+    order = np.random.default_rng(seed).permutation(len(table))
+    n_held = max(1, math.ceil(fraction * len(table)))
+    if n_held >= len(table):
+        n_held = len(table) - 1
+    held = np.zeros(len(table), dtype=bool)
     held[order[:n_held]] = True
-    table = SampleTable.of(samples)
     return table.take(np.flatnonzero(~held)), table.take(np.flatnonzero(held))
 
 
 def run_alpha_estimation(
-    target_samples: Sequence[Sample],
-    aux_samples: Sequence[Sample],
+    target: SampleTable,
+    aux: SampleTable,
     vocab_size: int,
     heldout_fraction: float = DEFAULT_HELDOUT_FRACTION,
     epochs: int = DEFAULT_EPOCHS,
@@ -246,8 +235,8 @@ def run_alpha_estimation(
     The auxiliary pool is embedded once, for the training and the estimate.
     Knobs outside :class:`EstimatorConfig`'s ranges raise ``InputError``.
     """
-    train, heldout = split_heldout(target_samples, heldout_fraction, seed)
-    aux = embed_all(aux_samples, vocab_size)
-    classifier = train_proxy(train, aux, epochs, lr, seed, vocab_size)
+    train, heldout = split_heldout(target, heldout_fraction, seed)
+    aux_embeddings = embed_all(aux, vocab_size)
+    classifier = train_proxy(train, aux_embeddings, epochs, lr, seed, vocab_size)
     c_hat = estimate_propensity(classifier, heldout)
-    return estimate_alpha(classifier, aux, c_hat, n_heldout=len(heldout))
+    return estimate_alpha(classifier, aux_embeddings, c_hat, n_heldout=len(heldout))

@@ -433,6 +433,8 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
         delta_modes = _value(doc, "delta_modes", list[str], "sweep config")
     else:
         delta_modes = [base_train.delta_mode]
+    if not delta_modes:
+        raise ConfigError("sweep config: delta_modes must be non-empty")
 
     # Every grid point is cast and checked before anything is written.
     tasks = []

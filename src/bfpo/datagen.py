@@ -34,7 +34,7 @@ from . import _pcg64_words as pcg64_words
 from .alpha import embed_all
 from .errors import ConfigError, InputError
 from .files import decode_json, write_atomic
-from .policy import Sample, SampleTable
+from .policy import SampleTable
 from .schema import from_doc
 
 __all__ = [
@@ -263,8 +263,7 @@ def generate_population(spec: PopulationSpec) -> dict[str, SampleTable]:
 class UserDataset:
     """A target user's positive history plus the selected auxiliary pool.
 
-    Both sides are tables (a list of samples is taken through
-    :meth:`SampleTable.of`); each split view is cut on first use, then kept.
+    Both sides are tables; each split view is cut on first use, then kept.
     """
 
     target_user: str
@@ -272,10 +271,6 @@ class UserDataset:
     h_aux: SampleTable
     ratio_x: float
     grouping: str = "random"
-
-    def __post_init__(self) -> None:
-        self.h_tar = SampleTable.of(self.h_tar)
-        self.h_aux = SampleTable.of(self.h_aux)
 
     @cached_property
     def tar_train(self) -> SampleTable:
@@ -298,9 +293,8 @@ class UserDataset:
         return sorted(self.h_aux.user_ids[u] for u in set(self.h_aux.user.tolist()))
 
 
-def user_mean_embedding(samples: Sequence[Sample], vocab_size: int) -> np.ndarray:
+def user_mean_embedding(table: SampleTable, vocab_size: int) -> np.ndarray:
     """Mean bag-of-tokens embedding of a user's training history."""
-    table = SampleTable.of(samples)
     train = table.split_rows("train")
     if not len(train):
         train = table
@@ -313,7 +307,7 @@ def _round_half_up(value: float) -> int:
 
 
 def build_user_dataset(
-    population: dict[str, Sequence[Sample]],
+    population: dict[str, SampleTable],
     target_user: str,
     ratio_x: float,
     grouping: str,
@@ -333,11 +327,10 @@ def build_user_dataset(
         raise InputError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
     if ratio_x <= 0:
         raise InputError(f"ratio_x must be positive, got {ratio_x}")
-    tables = {uid: SampleTable.of(samples) for uid, samples in population.items()}
-    h_tar = tables[target_user]
+    h_tar = population[target_user]
     n_aux = _round_half_up(ratio_x * len(h_tar))
-    others = sorted(uid for uid in tables if uid != target_user)
-    available = sum(len(tables[uid]) for uid in others)
+    others = sorted(uid for uid in population if uid != target_user)
+    available = sum(len(population[uid]) for uid in others)
     if n_aux > available:
         raise InputError(
             f"need {n_aux} auxiliary samples but only {available} available"
@@ -346,12 +339,12 @@ def build_user_dataset(
     if grouping == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
         idx = np.sort(rng.choice(available, size=n_aux, replace=False))
-        h_aux = SampleTable.concat([tables[uid] for uid in others]).take(idx)
+        h_aux = SampleTable.concat([population[uid] for uid in others]).take(idx)
     else:
         target_emb = user_mean_embedding(h_tar, vocab_size)
         distances = []
         for uid in others:
-            emb = user_mean_embedding(tables[uid], vocab_size)
+            emb = user_mean_embedding(population[uid], vocab_size)
             distances.append((float(np.linalg.norm(emb - target_emb)), uid))
         reverse = grouping == "unique"
         distances.sort(key=lambda pair: (-pair[0], pair[1]) if reverse else pair)
@@ -359,7 +352,7 @@ def build_user_dataset(
         for _, uid in distances:
             if need <= 0:
                 break
-            parts.append(tables[uid][:need])
+            parts.append(population[uid][:need])
             need -= len(parts[-1])
         h_aux = SampleTable.concat(parts)
     return UserDataset(
@@ -394,13 +387,13 @@ def truncate_history(dataset: UserDataset, fraction: float) -> UserDataset:
 # ---------------------------------------------------------------------------
 
 
-def save_corpus(population: dict[str, Sequence[Sample]], path: str | Path) -> None:
+def save_corpus(population: dict[str, SampleTable], path: str | Path) -> None:
     """One sample per line, canonical user order, byte-stable: each line is
     ``json.dumps`` of ``{"user_id", "x", "y", "split"}`` with separators
     ``(",", ":")``, written field by field (user ids quoted by ``json.dumps``)."""
     lines = []
     for uid in sorted(population):
-        table = SampleTable.of(population[uid])
+        table = population[uid]
         quoted = [json.dumps(user_id) for user_id in table.user_ids]
         xs, xo = table.x_tokens.tolist(), table.x_offsets.tolist()
         ys, yo = table.y_tokens.tolist(), table.y_offsets.tolist()

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 from .errors import InputError
 from .policy import (
     PolicyParams,
-    Sample,
     SampleTable,
     encode_table,
     ordered_sum,
@@ -59,7 +57,7 @@ def _pair_accuracy(tar_rewards: list[float], aux_rewards: list[float]) -> float:
 def evaluate_policy(
     policy: PolicyParams,
     reference: PolicyParams,
-    population: dict[str, Sequence[Sample]],
+    population: dict[str, SampleTable],
     target_user: str,
     aux_user_ids: list[str],
     beta: float,
@@ -73,7 +71,7 @@ def evaluate_policy(
     for uid in aux_user_ids:
         if uid not in population:
             raise InputError(f"user {uid!r} missing from corpus")
-    tables = [SampleTable.of(population[uid]) for uid in [target_user, *aux_user_ids]]
+    tables = [population[uid] for uid in [target_user, *aux_user_ids]]
     # The target's held-out rows, then each auxiliary user's in turn.
     held = SampleTable.concat(tables).split_rows("heldout")
     n_tar = int(tables[0].heldout.sum())

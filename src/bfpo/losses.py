@@ -59,7 +59,9 @@ from .policy import (
     Encoded,
     PolicyParams,
     Sample,
+    SampleTable,
     encode,
+    encode_table,
     ordered_sum,
     ordered_sums,
     scatter_grad,
@@ -130,7 +132,7 @@ _RAW, _TOTAL = BREAKDOWN_COLUMNS.index("pure_neg_raw"), BREAKDOWN_COLUMNS.index(
 
 @dataclass(eq=False)
 class Batch:
-    """One run's optimization step: index arrays into two pools.
+    """One run's optimization step: index arrays into two pools, as tables.
 
     ``pos`` indexes ``pos_pool`` (the target samples) and ``aux`` indexes
     ``aux_pool`` (the auxiliary samples).  A DPO batch is shaped the same way:
@@ -142,19 +144,19 @@ class Batch:
 
     pos: np.ndarray
     aux: np.ndarray
-    pos_pool: Sequence[Sample] = ()
-    aux_pool: Sequence[Sample] = ()
+    pos_pool: SampleTable
+    aux_pool: SampleTable
 
     @classmethod
     def of(cls, pos: Sequence[Sample] = (), aux: Sequence[Sample] = ()) -> "Batch":
         """A batch of exactly these samples; for DPO, ``aux[i]`` is the
         rejected completion of ``pos[i]``'s prompt."""
-        return cls(np.arange(len(pos)), np.arange(len(aux)), list(pos), list(aux))
+        return cls(np.arange(len(pos)), np.arange(len(aux)), SampleTable.of(pos),
+                   SampleTable.of(aux))
 
-    def samples(self) -> tuple[list[Sample], list[Sample]]:
-        """The positives and auxiliaries, looked up by index."""
-        pos = [self.pos_pool[i] for i in self.pos.tolist()]
-        return pos, [self.aux_pool[i] for i in self.aux.tolist()]
+    def samples(self) -> tuple[SampleTable, SampleTable]:
+        """The positives and auxiliaries, taken from the pools by index."""
+        return self.pos_pool.take(self.pos), self.aux_pool.take(self.aux)
 
 
 @dataclass(frozen=True)
@@ -331,8 +333,7 @@ def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
 def encode_batch(batch: Batch, context_size: int, vocab_size: int) -> Encoded:
     """The batch's sequences as one encoding: the positives then the
     auxiliaries (for DPO, every preferred then every rejected completion)."""
-    pos, aux = batch.samples()
-    return encode(((s.x, s.y) for s in pos + aux), context_size, vocab_size)
+    return encode_table(SampleTable.concat(batch.samples()), context_size, vocab_size)
 
 
 @dataclass(frozen=True, eq=False)

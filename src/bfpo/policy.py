@@ -115,7 +115,8 @@ def _token_array(tokens: Iterable[int]) -> np.ndarray:
 
 @dataclass(eq=False)
 class SampleTable(Sequence[Sample]):
-    """Samples as columns: the shape of a population and of a dataset's sides.
+    """Samples as columns: the data path's one sample format, from a
+    population to a dataset's sides and a batch's pools.
 
     Row i's prompt is ``x_tokens[x_offsets[i]:x_offsets[i + 1]]`` and its
     completion ``y_tokens[y_offsets[i]:y_offsets[i + 1]]`` (int64; a loaded
@@ -136,9 +137,8 @@ class SampleTable(Sequence[Sample]):
 
     @classmethod
     def of(cls, samples: Sequence[Sample]) -> "SampleTable":
-        """The table of ``samples``, in order; a table is returned as it is."""
-        if isinstance(samples, SampleTable):
-            return samples
+        """The table of ``samples``, in order: the adapter for callers that
+        hold :class:`Sample` objects."""
         samples = list(samples)
         splits = {s.split for s in samples}
         if not splits <= {"train", "heldout"}:
@@ -241,8 +241,8 @@ class SampleTable(Sequence[Sample]):
             x = tuple(x)
             yield Sample(user_id, prompts.setdefault(x, x), tuple(y), split)
 
-    def __add__(self, other: Sequence[Sample]) -> "SampleTable":
-        return SampleTable.concat([self, SampleTable.of(other)])
+    def __add__(self, other: "SampleTable") -> "SampleTable":
+        return SampleTable.concat([self, other])
 
     def __eq__(self, other: object) -> bool:
         """Equal rows: the same tokens, users and splits in the same order."""

@@ -62,7 +62,6 @@ from .losses import (
 from .policy import (
     Encoded,
     PolicyParams,
-    Sample,
     StepCodes,
     encode_table,
     ordered_sums,
@@ -322,11 +321,9 @@ def make_batches(dataset: UserDataset, config: TrainConfig, epoch_seed: int) -> 
     if len(pos) == 0:
         raise InputError("target training split is empty")
     chunks = _chunks(rng.permutation(len(pos)), config.batch_size_pos)
-
-    if config.method is Method.SFT:
-        return [Batch(c, _NONE, pos) for c in chunks]
-
     aux = dataset.aux_train
+    if config.method is Method.SFT:
+        return [Batch(c, _NONE, pos, aux) for c in chunks]
     if config.method is Method.DPO:
         if len(aux) != len(pos):
             raise ConfigError(f"DPO: {len(pos)} preferred completions for {len(aux)} rejected")
@@ -400,22 +397,17 @@ def stack_batches(
 
 
 def _diagnostic_dump(batch: Batch, breakdown: np.ndarray | None, state: RunState) -> dict:
-    pos, aux = batch.samples()
+    pos, aux = ([dict(zip(("user_id", "x", "y", "split"), row)) for row in side.rows()]
+                for side in batch.samples())
     dpo = state.config.method is Method.DPO
-
-    def _samples(samples: Sequence[Sample]) -> list[dict]:
-        return [{**vars(s), "x": list(s.x), "y": list(s.y)} for s in samples]
-
-    # A DPO batch's samples are its pairs' completions: it is dumped as pairs.
+    # A DPO batch's rows are its pairs' completions: it is dumped as pairs.
     dump = {
         "step": state.step,
         "epoch": state.epoch,
         "method": state.config.method.value,
-        "pos": [] if dpo else _samples(pos),
-        "aux": [] if dpo else _samples(aux),
-        "pairs": [
-            {"x": list(w.x), "y_w": list(w.y), "y_l": list(l.y)} for w, l in zip(pos, aux) if dpo
-        ],
+        "pos": [] if dpo else pos,
+        "aux": [] if dpo else aux,
+        "pairs": [{"x": w["x"], "y_w": w["y"], "y_l": l["y"]} for w, l in zip(pos, aux) if dpo],
     }
     if breakdown is not None:
         dump["breakdown"] = dict(zip(BREAKDOWN_COLUMNS, breakdown.tolist()))
@@ -663,7 +655,7 @@ def run_many(
             sft = replace(
                 config, method=Method.SFT, epochs=config.warmstart_epochs, learning_rate=warm_lr
             )
-            aux_as_target = replace(dataset, h_tar=aux_train, h_aux=[])
+            aux_as_target = replace(dataset, h_tar=aux_train, h_aux=aux_train[:0])
             aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
             warm.append(_PhaseRun(sft, aux_as_target, aux_codes,
                                   np.random.default_rng(ss_warm), policy))

@@ -20,13 +20,13 @@ from bfpo.alpha import (
 )
 from bfpo.datagen import build_user_dataset
 from bfpo.errors import EstimationError, InputError
-from bfpo.policy import Sample
+from bfpo.policy import Sample, SampleTable
 
 from conftest import small_population
 
 
-def _samples_from_tokens(token_lists, user="u"):
-    return [Sample(user, (0,), tuple(toks)) for toks in token_lists]
+def _table_from_tokens(token_lists, user="u"):
+    return SampleTable.of([Sample(user, (0,), tuple(toks)) for toks in token_lists])
 
 
 def logit(p: float) -> float:
@@ -64,17 +64,17 @@ class TestEmbedAll:
             ]
             samples.append(Sample("u", (0,), (vocab - 1,) * 5))
             expected = np.stack([embed(s, vocab) for s in samples])
-            assert embed_all(samples, vocab).tobytes() == expected.tobytes()
+            assert embed_all(SampleTable.of(samples), vocab).tobytes() == expected.tobytes()
 
     def test_population_samples(self):
         spec, pop = small_population(0.6, seed=5, vocab=24)
         samples = [s for uid in sorted(pop) for s in pop[uid]]
         expected = np.stack([embed(s, 24) for s in samples])
-        assert embed_all(samples, 24).tobytes() == expected.tobytes()
+        assert embed_all(SampleTable.of(samples), 24).tobytes() == expected.tobytes()
 
     def test_empty_completion_is_a_zero_row(self):
         samples = [Sample("u", (0,), ()), Sample("u", (0,), (1,))]
-        out = embed_all(samples, 3)
+        out = embed_all(SampleTable.of(samples), 3)
         np.testing.assert_array_equal(out, np.stack([embed(s, 3) for s in samples]))
         np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
 
@@ -82,16 +82,17 @@ class TestEmbedAll:
     def test_out_of_range_token_rejected(self, token):
         """A token past the vocabulary would otherwise count in the next row."""
         with pytest.raises(InputError):
-            embed_all([Sample("u", (0,), (0, token)), Sample("u", (0,), (1,))], 4)
+            embed_all(SampleTable.of([Sample("u", (0,), (0, token)), Sample("u", (0,), (1,))]), 4)
 
 
 class TestTrainProxy:
     def test_separable_sets(self):
         """Disjoint token supports: held-out accuracy above 0.95."""
         rng = np.random.default_rng(0)
-        target = _samples_from_tokens(rng.integers(0, 4, (300, 5)).tolist(), "t")
-        aux = _samples_from_tokens(rng.integers(4, 8, (300, 5)).tolist(), "a")
-        clf = train_proxy(target[:240], aux[:240], epochs=300, lr=2.0, seed=0, vocab_size=8)
+        target = _table_from_tokens(rng.integers(0, 4, (300, 5)).tolist(), "t")
+        aux = _table_from_tokens(rng.integers(4, 8, (300, 5)).tolist(), "a")
+        clf = train_proxy(target[:240], embed_all(aux[:240], 8), epochs=300, lr=2.0, seed=0,
+                          vocab_size=8)
         held = target[240:] + aux[240:]
         labels = np.array([1] * 60 + [0] * 60)
         preds = clf.predict_proba(np.stack([embed(s, 8) for s in held])) > 0.5
@@ -100,25 +101,26 @@ class TestTrainProxy:
     def test_identical_distributions(self):
         """Indistinguishable classes: mean prediction near one half on both."""
         rng = np.random.default_rng(1)
-        target = _samples_from_tokens(rng.integers(0, 8, (400, 5)).tolist(), "t")
-        aux = _samples_from_tokens(rng.integers(0, 8, (400, 5)).tolist(), "a")
-        clf = train_proxy(target, aux, epochs=100, lr=1.0, seed=0, vocab_size=8)
+        target = _table_from_tokens(rng.integers(0, 8, (400, 5)).tolist(), "t")
+        aux = _table_from_tokens(rng.integers(0, 8, (400, 5)).tolist(), "a")
+        clf = train_proxy(target, embed_all(aux, 8), epochs=100, lr=1.0, seed=0, vocab_size=8)
         for group in (target, aux):
             mean_pred = clf.predict_proba(np.stack([embed(s, 8) for s in group])).mean()
             assert abs(mean_pred - 0.5) < 0.05
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(2)
-        target = _samples_from_tokens(rng.integers(0, 4, (50, 4)).tolist(), "t")
-        aux = _samples_from_tokens(rng.integers(2, 6, (50, 4)).tolist(), "a")
-        a = train_proxy(target, aux, epochs=50, lr=1.0, seed=9, vocab_size=6)
-        b = train_proxy(target, aux, epochs=50, lr=1.0, seed=9, vocab_size=6)
+        target = _table_from_tokens(rng.integers(0, 4, (50, 4)).tolist(), "t")
+        aux = _table_from_tokens(rng.integers(2, 6, (50, 4)).tolist(), "a")
+        a = train_proxy(target, embed_all(aux, 6), epochs=50, lr=1.0, seed=9, vocab_size=6)
+        b = train_proxy(target, embed_all(aux, 6), epochs=50, lr=1.0, seed=9, vocab_size=6)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
     def test_empty_class_rejected(self):
+        aux = embed_all(_table_from_tokens([[0]]), 4)
         with pytest.raises(InputError):
-            train_proxy([], _samples_from_tokens([[0]]), 10, 1.0, 0, 4)
+            train_proxy(_table_from_tokens([]), aux, 10, 1.0, 0, 4)
 
 
 def _masked_proba(clf: ProxyClassifier, embeddings: np.ndarray) -> np.ndarray:
@@ -150,7 +152,7 @@ class TestPredictProba:
 
     def test_equals_the_masked_form_on_embeddings(self, rng):
         clf = ProxyClassifier(weights=rng.normal(0, 3, 6), bias=-0.4)
-        embeddings = embed_all(_samples_from_tokens(rng.integers(0, 6, (200, 4)).tolist()), 6)
+        embeddings = embed_all(_table_from_tokens(rng.integers(0, 6, (200, 4)).tolist()), 6)
         got = clf.predict_proba(embeddings)
         assert got.tobytes() == _masked_proba(clf, embeddings).tobytes()
 
@@ -158,33 +160,33 @@ class TestPredictProba:
 class TestPropensity:
     def test_constant_classifier(self):
         clf = ProxyClassifier(weights=np.zeros(4), bias=logit(0.8))
-        samples = _samples_from_tokens([[0], [1, 2], [3]])
+        samples = _table_from_tokens([[0], [1, 2], [3]])
         assert estimate_propensity(clf, samples) == pytest.approx(0.8, abs=1e-12)
 
     def test_mean_of_two_outputs(self):
         """Outputs 0.6 and ~1.0 average to ~0.8."""
         clf = ProxyClassifier(weights=np.array([logit(0.6), 40.0]), bias=0.0)
-        samples = _samples_from_tokens([[0], [1]])
+        samples = _table_from_tokens([[0], [1]])
         assert estimate_propensity(clf, samples) == pytest.approx(0.8, abs=1e-6)
 
     def test_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
         clf = ProxyClassifier(weights=rng.normal(0, 1, 6), bias=0.1)
-        samples = _samples_from_tokens(rng.integers(0, 6, (30, 4)).tolist())
+        samples = _table_from_tokens(rng.integers(0, 6, (30, 4)).tolist())
         c = estimate_propensity(clf, samples)
         assert 0.0 < c < 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            estimate_propensity(ProxyClassifier(np.zeros(2), 0.0), [])
+            estimate_propensity(ProxyClassifier(np.zeros(2), 0.0), _table_from_tokens([]))
 
 
 class TestEstimateAlpha:
     def test_formula_arithmetic(self):
         """mean g(aux) = 0.24 with c_hat = 0.8 gives alpha_hat = 0.3."""
         clf = ProxyClassifier(weights=np.zeros(4), bias=logit(0.24))
-        aux = _samples_from_tokens([[0], [1], [2, 3]])
-        est = estimate_alpha(clf, aux, c_hat=0.8, n_heldout=5)
+        aux = _table_from_tokens([[0], [1], [2, 3]])
+        est = estimate_alpha(clf, embed_all(aux, 4), c_hat=0.8, n_heldout=5)
         assert est.alpha_hat == pytest.approx(0.3, abs=1e-9)
         assert est.alpha_raw == est.alpha_hat and est.alpha_clipped is False
         assert est.n_aux == 3
@@ -192,24 +194,24 @@ class TestEstimateAlpha:
 
     def test_same_distribution_high_alpha(self):
         rng = np.random.default_rng(4)
-        target = _samples_from_tokens(rng.integers(0, 8, (500, 5)).tolist(), "t")
-        aux = _samples_from_tokens(rng.integers(0, 8, (500, 5)).tolist(), "a")
+        target = _table_from_tokens(rng.integers(0, 8, (500, 5)).tolist(), "t")
+        aux = _table_from_tokens(rng.integers(0, 8, (500, 5)).tolist(), "a")
         est = run_alpha_estimation(target, aux, vocab_size=8, epochs=100, lr=1.0, seed=0)
         assert est.alpha_hat >= 0.8
 
     def test_disjoint_support_low_alpha(self):
         rng = np.random.default_rng(5)
-        target = _samples_from_tokens(rng.integers(0, 4, (500, 5)).tolist(), "t")
-        aux = _samples_from_tokens(rng.integers(4, 8, (500, 5)).tolist(), "a")
+        target = _table_from_tokens(rng.integers(0, 4, (500, 5)).tolist(), "t")
+        aux = _table_from_tokens(rng.integers(4, 8, (500, 5)).tolist(), "a")
         est = run_alpha_estimation(target, aux, vocab_size=8, epochs=300, lr=2.0, seed=0)
         assert est.alpha_hat <= 0.1
 
     def test_clipping_with_warning(self, caplog):
         """Aux more target-like than the held-out targets: clipped at 0.99."""
         clf = ProxyClassifier(weights=np.array([8.0, -8.0]), bias=0.0)
-        aux = _samples_from_tokens([[0], [0]])
+        aux = _table_from_tokens([[0], [0]])
         with caplog.at_level("WARNING"):
-            est = estimate_alpha(clf, aux, c_hat=0.2)
+            est = estimate_alpha(clf, embed_all(aux, 2), c_hat=0.2)
         assert est.alpha_hat == 0.99
         assert est.alpha_raw == pytest.approx(1.0 / (1.0 + np.exp(-8.0)) / 0.2, rel=1e-12)
         assert est.alpha_clipped is True
@@ -218,7 +220,7 @@ class TestEstimateAlpha:
     def test_nonpositive_propensity_rejected(self):
         clf = ProxyClassifier(weights=np.zeros(2), bias=0.0)
         with pytest.raises(EstimationError):
-            estimate_alpha(clf, _samples_from_tokens([[0]]), c_hat=0.0)
+            estimate_alpha(clf, embed_all(_table_from_tokens([[0]]), 2), c_hat=0.0)
 
     @pytest.mark.parametrize("weight, c_hat", [(0.0, float("nan")), (float("nan"), 0.5)])
     def test_non_finite_estimate_rejected(self, weight, c_hat):
@@ -226,22 +228,22 @@ class TestEstimateAlpha:
         clamping to alpha 0."""
         clf = ProxyClassifier(weights=np.full(2, weight), bias=0.0)
         with pytest.raises(EstimationError):
-            estimate_alpha(clf, _samples_from_tokens([[0]]), c_hat=c_hat)
+            estimate_alpha(clf, embed_all(_table_from_tokens([[0]]), 2), c_hat=c_hat)
 
 
 class TestSplitHeldout:
     def test_disjoint_and_complete(self):
-        samples = _samples_from_tokens([[i] for i in range(10)])
+        samples = _table_from_tokens([[i] for i in range(10)])
         train, held = split_heldout(samples, 0.2, seed=0)
         assert len(held) == 2
         assert len(train) == 8
         # The halves are tables, whose rows are built afresh on each read, so
         # a row is told by its completion, unique to each sample here.
         assert {s.y for s in train}.isdisjoint({s.y for s in held})
-        assert sorted(train + held, key=lambda s: s.y) == samples
+        assert sorted(train + held, key=lambda s: s.y) == list(samples)
 
     def test_deterministic(self):
-        samples = _samples_from_tokens([[i] for i in range(10)])
+        samples = _table_from_tokens([[i] for i in range(10)])
         a = split_heldout(samples, 0.3, seed=5)
         b = split_heldout(samples, 0.3, seed=5)
         assert a == b
@@ -287,10 +289,10 @@ class TestRunAlphaEstimation:
         assert [s is ds.aux_train for s in seen].count(True) == 1
 
         monkeypatch.undo()
-        clf = train_proxy(train, ds.aux_train, alpha_mod.DEFAULT_EPOCHS, alpha_mod.DEFAULT_LR,
-                          3, 24)
+        aux = embed_all(ds.aux_train, 24)
+        clf = train_proxy(train, aux, alpha_mod.DEFAULT_EPOCHS, alpha_mod.DEFAULT_LR, 3, 24)
         c_hat = estimate_propensity(clf, heldout)
-        assert got == estimate_alpha(clf, ds.aux_train, c_hat, n_heldout=len(heldout))
+        assert got == estimate_alpha(clf, aux, c_hat, n_heldout=len(heldout))
 
     @pytest.mark.parametrize(
         "knobs",

@@ -318,6 +318,31 @@ class TestTrain:
             "6ad56f2e3cd40a02478a17f66a36a507f79b49eb59e34477d7368fab532bbde0"
         )
 
+    @pytest.mark.parametrize("train, method, n_aux, digest", [
+        ({"warmstart_lr": 1e308}, "sft", 0,
+         "fd811340775221c2927049dcac888ebf54ff3c2ef530f47df71653cf2cc559bd"),
+        ({"learning_rate": 1e308, "warmstart_lr": 0.1}, "cbpo", TRAIN["batch_size_pos"],
+         "be173f80196a5ce2ac44c26731610f8c26ae359d2af397d6322c53417c673538"),
+    ], ids=["sft_warm_start", "cbpo_method_phase"])
+    def test_diverging_sample_dump_bytes_pinned(self, tmp_path, train, method, n_aux, digest):
+        """A diverging SFT warm start dumps its batch's positives (auxiliary
+        samples) and no auxiliaries; a diverging cbpo step dumps both sides;
+        sha256 recorded while the dump still iterated Sample objects."""
+        corpus = _generate(tmp_path)
+        cfg = _write(
+            tmp_path / "t.json",
+            {"schema_version": 1, "seed": 5, "out_dir": str(tmp_path / "crash"),
+             "corpus_dir": str(corpus),
+             "dataset": {"target_user": "u000", "ratio_x": 1.0, "grouping": "random"},
+             "train": {**TRAIN, **train}},
+        )
+        assert main(["train", "--config", cfg]) == 1
+        path = tmp_path / "crash" / "diagnostic_dump.json"
+        dump = json.loads(path.read_text())
+        assert dump["method"] == method and dump["pairs"] == []
+        assert (len(dump["pos"]), len(dump["aux"])) == (TRAIN["batch_size_pos"], n_aux)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_alpha_estimate_written(self, tmp_path):
         corpus = _generate(tmp_path)
         out = _train(tmp_path, corpus, out="est", train_overrides={"alpha": "estimate"})
@@ -867,6 +892,7 @@ class TestMalformedInputExits2:
             ("evaluate", _replace_file("checkpoint.json", _DEEP_JSON), {}),
             ("evaluate", _replace_file("checkpoint.json", f'{{"step":{_LONG_INT}}}'), {}),
             ("train", _replace_file("population_spec.json", _DEEP_JSON), {}),
+            ("sweep", None, {"delta_modes": []}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -897,7 +923,7 @@ class TestMalformedInputExits2:
              "generate_config_nested_deep", "train_config_nested_deep",
              "sweep_config_int_of_5000_digits", "estimate_alpha_config_int_of_5000_digits",
              "checkpoint_nested_deep", "checkpoint_int_of_5000_digits",
-             "population_spec_nested_deep"],
+             "population_spec_nested_deep", "sweep_delta_modes_empty"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -963,6 +989,18 @@ class TestMalformedInputExits2:
         assert err.startswith("error: ") and "--fd-cases" in err and err.count("\n") == 1, err
         assert not out.exists()
 
+
+    def test_sweep_empty_delta_modes_at_two_workers(self, tmp_path, capsys):
+        """An empty ``delta_modes`` list is a usage error at any worker count,
+        not a process pool of no workers that leaves sweep_partial.csv."""
+        out = tmp_path / "bad"
+        cfg = _write(tmp_path / "bad.json",
+                     _config("sweep", tmp_path / "corpus", out, {"delta_modes": []}))
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delta_modes" in err and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_sweep_needs_a_worker(self, tmp_path, capsys, workers):

@@ -11,7 +11,7 @@ from scipy import stats
 
 from bfpo import _pcg64_words as pcg64_words
 from bfpo import datagen
-from bfpo.alpha import embed, train_proxy
+from bfpo.alpha import embed, embed_all, train_proxy
 from bfpo.datagen import (
     PopulationSpec,
     build_user_dataset,
@@ -64,7 +64,8 @@ class TestGeneratePopulation:
         for seed in range(5):
             spec, pop = small_population(0.4, seed=seed, vocab=24)
             for samples in pop.values():
-                for subset in (samples, [s for s in samples if s.split == "heldout"]):
+                heldout = SampleTable.of([s for s in samples if s.split == "heldout"])
+                for subset in (samples, heldout):
                     train = [s for s in subset if s.split == "train"] or subset
                     acc = np.zeros(24)
                     for s in train:
@@ -100,7 +101,7 @@ class TestGeneratePopulation:
         spec, pop = small_population(0.0, seed=6, n_users=4, vocab=24,
                                      samples_per_user=100)
         ds = build_user_dataset(pop, sorted(pop)[0], 1.0, "random", 6, 24)
-        clf = train_proxy(ds.tar_train, ds.aux_train, epochs=300, lr=2.0,
+        clf = train_proxy(ds.tar_train, embed_all(ds.aux_train, 24), epochs=300, lr=2.0,
                           seed=0, vocab_size=24)
         held = ds.tar_heldout + ds.aux_heldout
         labels = np.array([1] * len(ds.tar_heldout) + [0] * len(ds.aux_heldout))

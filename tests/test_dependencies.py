@@ -44,3 +44,35 @@ def test_cli_import_leaves_out_scipy_and_the_process_pool():
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
     assert "concurrent.futures.process" not in loaded
     assert "numpy.polynomial" not in loaded
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads: not in code, in a quoted
+    annotation or in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # A quoted annotation or an ``__all__`` entry names what it reads.
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "bfpo").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_import(path):
+    """A module imports only names it uses, so a cut leaves no dead import."""
+    assert _unused_imports(path) == []

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bfpo import trainer
-from bfpo.alpha import embed_all, run_alpha_estimation
+from bfpo.cli import main
+from bfpo.alpha import embed, embed_all, run_alpha_estimation
 from bfpo.datagen import (
     GROUPINGS,
     PopulationSpec,
@@ -50,10 +52,6 @@ class TestSampleTable:
         with pytest.raises(IndexError):
             table[len(ROWS)]
 
-    def test_of_passes_a_table_through(self):
-        table = SampleTable.of(ROWS)
-        assert SampleTable.of(table) is table
-
     def test_take(self):
         table = SampleTable.of(ROWS)
         assert list(table.take([4, 0, 2])) == [ROWS[4], ROWS[0], ROWS[2]]
@@ -71,7 +69,7 @@ class TestSampleTable:
         # The parts know different users: ("b",) and ("a", "b").
         joined = SampleTable.of(ROWS[:1]) + SampleTable.of(ROWS[1:])
         assert list(joined) == ROWS
-        assert list(table[3:] + ROWS[:3]) == ROWS[3:] + ROWS[:3]
+        assert list(table[3:] + SampleTable.of(ROWS[:3])) == ROWS[3:] + ROWS[:3]
         assert list(SampleTable.concat([table[3:], table[:0], table[:1]])) == ROWS[3:] + ROWS[:1]
         assert list(SampleTable.concat([])) == []
 
@@ -112,7 +110,7 @@ class TestSampleTable:
 
     def test_embed_all_reads_the_columns(self):
         assert embed_all(SampleTable.of(ROWS), VOCAB).tobytes() == (
-            embed_all(list(ROWS), VOCAB).tobytes()
+            np.stack([embed(s, VOCAB) for s in ROWS]).tobytes()
         )
 
     def test_corpus_roundtrip(self, tmp_path):
@@ -128,11 +126,9 @@ class TestSampleTable:
         }
 
 
-@pytest.mark.parametrize("method", list(Method))
-def test_the_data_path_builds_no_sample(monkeypatch, method):
-    """Generation, selection, truncation, alpha estimation, a run of each
-    method (DPO's pair synthesis included) and its evaluation read columns:
-    not one Sample is built."""
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every Sample built while the test runs."""
     built = []
     init = Sample.__init__
 
@@ -141,6 +137,14 @@ def test_the_data_path_builds_no_sample(monkeypatch, method):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Sample, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_the_data_path_builds_no_sample(built, method):
+    """Generation, selection, truncation, alpha estimation, a run of each
+    method (DPO's pair synthesis included) and its evaluation read columns:
+    not one Sample is built."""
     spec = PopulationSpec(n_users=6, vocab_size=24, overlap_lambda=0.5, samples_per_user=40,
                           prompt_pool_size=10, seq_len=6, seed=0)
     population = generate_population(spec)
@@ -158,3 +162,38 @@ def test_the_data_path_builds_no_sample(monkeypatch, method):
     assert built == []
     population["u000"][0]  # the count does see a Sample when one is built
     assert len(built) == 1
+
+
+def test_the_cli_builds_no_sample(built, tmp_path):
+    """generate, train, evaluate, estimate-alpha, a one-worker sweep and the
+    diagnostic dump of a diverging train read columns: not one Sample is
+    built."""
+    population = {"n_users": 4, "vocab_size": 24, "overlap_lambda": 0.5,
+                  "samples_per_user": 20, "prompt_pool_size": 8, "seq_len": 5}
+    dataset = {"target_user": "u000", "ratio_x": 1.0, "grouping": "unique"}
+    train = {"method": "cbpo", "alpha": "estimate", "epochs": 1, "batch_size_pos": 4,
+             "context_size": 4, "warmstart_epochs": 1}
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+
+    def command(name, doc, *flags):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"schema_version": 1, "seed": 0, **doc}))
+        return main([name, "--config", str(path), *flags])
+
+    assert command("generate", {"out_dir": str(corpus), "population": population}) == 0
+    assert command("train", {"out_dir": str(run), "corpus_dir": str(corpus),
+                             "dataset": dataset, "train": train}) == 0
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.json"),
+                 "--corpus", str(corpus), "--out", str(tmp_path / "eval")]) == 0
+    assert command("estimate-alpha", {"out_dir": str(tmp_path / "alpha"),
+                                      "corpus_dir": str(corpus), "dataset": dataset}) == 0
+    assert command("sweep", {"out_dir": str(tmp_path / "sweep"), "axis": "method",
+                             "grid": ["dpo", "kto"], "n_seeds": 1, "population": population,
+                             "dataset": dataset, "train": train}, "--workers", "1") == 0
+    crash = tmp_path / "crash"
+    diverging = {**train, "learning_rate": 1e308, "warmstart_lr": 0.1}
+    assert command("train", {"out_dir": str(crash), "corpus_dir": str(corpus),
+                             "dataset": dataset, "train": diverging}) == 1
+    dump = json.loads((crash / "diagnostic_dump.json").read_text())
+    assert dump["pos"] and dump["aux"]
+    assert built == []

@@ -17,6 +17,7 @@ from bfpo.losses import BREAKDOWN_COLUMNS, Batch, Method, Stack, score
 from bfpo.policy import (
     Encoded,
     Sample,
+    SampleTable,
     bucket,
     encode,
     ordered_sum,
@@ -370,7 +371,8 @@ class TestSynthDpoPairs:
                    tuple(int(t) for t in rng.integers(0, vocab, int(rng.integers(1, 4)))))
             for _ in range(40)
         ]
-        ds = UserDataset(target_user="t", h_tar=samples, h_aux=[], ratio_x=1.0)
+        table = SampleTable.of(samples)
+        ds = UserDataset(target_user="t", h_tar=table, h_aux=table[:0], ratio_x=1.0)
         budget = int(rng.integers(1, 4))
         want_pairs, want_skipped, want_rng = _synth_with_sample_completion(
             ds, policy, case, budget
@@ -384,8 +386,8 @@ class TestSynthDpoPairs:
         shared = Sample("t", (0,), (1, 2))
         ds = UserDataset(
             target_user="t",
-            h_tar=[shared] * 6,
-            h_aux=[Sample("o", (0,), (3,))] * 6,
+            h_tar=SampleTable.of([shared] * 6),
+            h_aux=SampleTable.of([Sample("o", (0,), (3,))] * 6),
             ratio_x=1.0,
         )
         policy = uniform_params(4, 4)
@@ -411,7 +413,8 @@ class TestSynthDpoPairs:
             "o": [Sample("o", (0,), tuple(int(v) for v in rng.integers(0, 4, 2)))
                   for _ in range(n)],
         }
-        ds = UserDataset(target_user="t", h_tar=pop["t"], h_aux=pop["o"], ratio_x=1.0)
+        ds = UserDataset(target_user="t", h_tar=SampleTable.of(pop["t"]),
+                         h_aux=SampleTable.of(pop["o"]), ratio_x=1.0)
         policy = uniform_params(4, 2)
         _, skipped = synth_dpo_pairs(ds, policy, seed=1, budget=1)
         rate = skipped / n
@@ -499,7 +502,7 @@ class TestRun:
         assert len(method) == len(result.metrics)
         for config, total, (_, aux) in warm:
             assert (config.method, config.learning_rate, config.epochs) == (Method.SFT, 0.05, 2)
-            assert total == 2 * per_epoch and aux == []
+            assert total == 2 * per_epoch and len(aux) == 0
         # Each warm-start epoch visits every auxiliary sample once.
         for epoch in range(2):
             steps = warm[epoch * per_epoch : (epoch + 1) * per_epoch]
@@ -509,7 +512,7 @@ class TestRun:
 
     def test_empty_warm_start_pool(self):
         spec, ds = _dataset()
-        no_aux = UserDataset(ds.target_user, ds.h_tar, [], ds.ratio_x)
+        no_aux = UserDataset(ds.target_user, ds.h_tar, ds.h_aux[:0], ds.ratio_x)
         with pytest.raises(InputError, match="warm-start sample pool is empty"):
             run(no_aux, self._config(method=Method.SFT), spec.vocab_size)
         result = run(no_aux, self._config(method=Method.SFT, warmstart_epochs=0),
