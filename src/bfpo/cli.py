@@ -18,8 +18,9 @@ import json
 import sys
 from contextlib import ExitStack
 from dataclasses import MISSING, asdict, fields, replace
+from itertools import chain
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .alpha import EstimatorConfig, run_alpha_estimation
 from .datagen import (
@@ -408,6 +409,50 @@ def _sweep_unit(
     return rows
 
 
+def _run_shard(shard: list, conn: Any) -> None:
+    """A forked child's work: send each unit's rows of ``shard`` down ``conn``,
+    or the exception that stopped it."""
+    try:
+        for unit in shard:
+            conn.send(_sweep_unit(unit))
+    except Exception as exc:
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+def _start_shard(shard: list, stack: ExitStack) -> Iterator[list[tuple[int, dict]]]:
+    """Fork a child that runs ``shard`` (inherited, not pickled) and return
+    its units' rows as they arrive.  The child is killed and joined when
+    ``stack`` closes, on every way out of the sweep."""
+    # Imported here, so that only a sweep of more than one worker loads it.
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_run_shard, args=(shard, send), daemon=True)
+    child.start()
+    stack.callback(child.join)
+    stack.callback(child.kill)
+    stack.enter_context(receive)
+    # Closed here, so that the pipe ends when the child does.
+    send.close()
+    return _received(receive, len(shard))
+
+
+def _received(conn: Any, n_units: int) -> Iterator[list[tuple[int, dict]]]:
+    """The rows of a child's ``n_units`` units, as they arrive; a unit's
+    exception is raised again here."""
+    for _ in range(n_units):
+        try:
+            done = conn.recv()
+        except EOFError:
+            raise EngineError("a sweep worker stopped before sending its rows") from None
+        if isinstance(done, Exception):
+            raise done
+        yield done
+
+
 def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int) -> int:
     if workers < 1:
         raise ConfigError(f"sweep: --workers must be >= 1, got {workers}")
@@ -454,9 +499,9 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
                 ))
     # So is each distinct dataset, and each task's run on it: a bad target
     # user or ratio_x, or a dataset a task cannot train, fails here.  The
-    # units then train on these populations and datasets: on the frozen
-    # acceptance config a pickle round trip of one of each takes about 0.3 ms,
-    # and building them again about 1.6 ms.  So the sweep holds every seed's
+    # units then train on these populations and datasets (building them again
+    # costs about 1.6 ms each on the frozen acceptance config, and a forked
+    # child inherits them).  So the sweep holds every seed's
     # population and datasets until it ends, and its memory grows with
     # n_seeds times the dataset configs (BENCH_cli_io.json, sweep_memory).
     configs = list(dict.fromkeys(task.dataset for task in tasks))
@@ -473,8 +518,10 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
 
     # Tasks that differ only in seed and alpha can train in lockstep.  Each
     # such group, ordered by seed, is cut into units of at most one stack and
-    # at most ceil(n / workers) tasks.  The pool hands the units out as workers
-    # come free, and sweep_partial.csv gets each unit's rows in unit order.
+    # at most ceil(n / workers) tasks, and the units are dealt round-robin
+    # into one shard per worker.  This process runs shard 0 and a forked child
+    # each other shard; sweep_partial.csv gets this process's rows as each of
+    # its units finishes, then each child's as they arrive.
     groups: dict[tuple, list[int]] = {}
     for i, task in enumerate(tasks):
         groups.setdefault((lockstep_key(task.train), task.dataset), []).append(i)
@@ -489,21 +536,17 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
              for i in members[lo : lo + size]]
             for lo in range(0, len(members), size)
         ]
+    n_shards = min(workers, len(units))
+    shards = [units[k::n_shards] for k in range(n_shards)]
 
     partial_path = out_dir / "sweep_partial.csv"
     rows: list[dict | None] = [None] * len(tasks)
     with partial_path.open("w", newline="") as fh, ExitStack() as stack:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
-        fh.flush()
-        mapper = map
-        if workers > 1:
-            # Imported here, so that no other command pays for the pool's modules.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(units)))
-            mapper = stack.enter_context(pool).map
-        for done in mapper(_sweep_unit, units):
+        fh.flush()  # so that a forked child inherits no buffered bytes
+        children = [_start_shard(shard, stack) for shard in shards[1:]]
+        for done in chain(map(_sweep_unit, shards[0]), *children):
             for index, row in done:
                 rows[index] = row
                 writer.writerow([row[c] for c in SWEEP_COLUMNS])

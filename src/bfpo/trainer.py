@@ -24,7 +24,8 @@ table: run r's encoded rows are offset by r*C, so each kernel and the AdamW
 update serve the whole group with one call.  A method phase scores its
 stacked encoding under the runs' frozen references once, and each step's
 :class:`~bfpo.losses.Stack` carries its slice.  The warm start's config is the
-SFT method's, so runs that differ only in the method warm up in one group.
+SFT method's, so runs that differ only in alpha or the method, on one seed
+and dataset, share one warm start, trained once.
 What differs between runs stays per run: the alpha, the EMA, the left-to-right
 batch sums, the generators, batches, metrics rows and trained results, and the
 DPO pairs and alpha estimate made between the phases.  The learning rate and
@@ -630,8 +631,10 @@ def run_many(
     Each phase (the warm start, then the method) groups the runs whose config
     agrees in every field but ``seed`` and ``alpha`` and whose epochs have as
     many steps; a group trains as one stacked (R*C, V) table through
-    :func:`train_step`.  The warm start's config is the SFT method's, so runs
-    that differ only in the method warm up together.  Every run's result
+    :func:`train_step`.  Each distinct warm start (the same SFT config by
+    :func:`lockstep_key`, seed and dataset object) trains once, and every run
+    that has it starts from its policy: runs that differ only in alpha or the
+    method share one.  Every run's result
     equals training it alone, bit for bit.  Alpha estimation and DPO pair
     synthesis run per run between the phases.  Every run is checked by
     :func:`check_trainable` first, so an untrainable one fails before any
@@ -639,39 +642,42 @@ def run_many(
     """
     if len(datasets) != len(configs):
         raise ConfigError(f"{len(datasets)} datasets for {len(configs)} configs")
-    warm: list[_PhaseRun] = []
+    warm: dict[tuple, _PhaseRun] = {}  # by SFT config, seed and dataset
     methods: list[_PhaseRun] = []
-    between: list[tuple[np.random.SeedSequence, np.random.SeedSequence]] = []
+    between: list[tuple[np.random.SeedSequence, np.random.SeedSequence, _PhaseRun | None]] = []
     for dataset, config in zip(datasets, configs):
         check_trainable(dataset, config)
         ss_warm, ss_method, ss_pairs, ss_alpha = np.random.SeedSequence(config.seed).spawn(4)
-        between.append((ss_pairs, ss_alpha))
         # Bucket rows depend on context_size, so the data is encoded once per run.
         tar_train, aux_train = dataset.tar_train, dataset.aux_train
         codes = encode_table(tar_train + aux_train, config.context_size, vocab_size)
         policy = uniform_params(vocab_size, config.context_size)
+        warm_run = None
         if config.warmstart_epochs > 0:
             warm_lr = config.learning_rate if config.warmstart_lr is None else config.warmstart_lr
             sft = replace(
                 config, method=Method.SFT, epochs=config.warmstart_epochs, learning_rate=warm_lr
             )
-            aux_as_target = replace(dataset, h_tar=aux_train, h_aux=aux_train[:0])
-            aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
-            warm.append(_PhaseRun(sft, aux_as_target, aux_codes,
-                                  np.random.default_rng(ss_warm), policy))
+            key = (lockstep_key(sft), config.seed, id(dataset))
+            if key not in warm:
+                aux_as_target = replace(dataset, h_tar=aux_train, h_aux=aux_train[:0])
+                aux_codes = codes.split([len(tar_train), len(aux_train)])[1]
+                warm[key] = _PhaseRun(sft, aux_as_target, aux_codes,
+                                      np.random.default_rng(ss_warm), policy)
+            warm_run = warm[key]
+        between.append((ss_pairs, ss_alpha, warm_run))
         methods.append(_PhaseRun(config, dataset, codes,
                                  np.random.default_rng(ss_method), policy))
     try:
-        _train_phase(warm, vocab_size)
+        _train_phase(list(warm.values()), vocab_size)
     except NumericError as exc:
         raise NumericError(f"warm start: {exc}", exc.details) from exc
 
-    warmed = iter(warm)
     prepared = []
-    for job, (ss_pairs, ss_alpha) in zip(methods, between):
+    for job, (ss_pairs, ss_alpha, warm_run) in zip(methods, between):
         config, dataset = job.config, job.dataset
-        if config.warmstart_epochs > 0:
-            job.policy = next(warmed).policy
+        if warm_run is not None:
+            job.policy = warm_run.policy
         job.reference = snapshot_reference(job.policy)
         alpha_estimate: AlphaEstimate | None = None
         if config.method in (Method.CBPO, Method.CBPO_RAW):

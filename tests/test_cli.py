@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -601,6 +602,76 @@ class TestSweep:
         # Units run seed by seed: the first seed's two runs finished.
         assert [(r["seed"], r["value"]) for r in rows] == [("3", "0.0"), ("3", "0.5")]
         assert not (tmp_path / "sw10" / "sweep.csv").exists()
+
+    def _two_worker_sweep(self, tmp_path, monkeypatch, capsys, out, in_parent=None,
+                          in_child=None):
+        """A two-worker sweep of two units (seed 3 in this process, seed 4 in
+        the child) whose ``run_many`` first calls ``in_parent`` here and
+        ``in_child`` in the child; its exit code, its stderr lines and the
+        rows of sweep_partial.csv.  No sweep.csv is written and no child is
+        left running."""
+        import multiprocessing
+
+        import bfpo.cli as cli_mod
+
+        parent = os.getpid()
+        real = cli_mod.run_many
+
+        def faulty(datasets, configs, vocab_size):
+            fault = in_parent if os.getpid() == parent else in_child
+            if fault is not None:
+                fault()
+            return real(datasets, configs, vocab_size)
+
+        monkeypatch.setattr(cli_mod, "run_many", faulty)
+        cfg = self._sweep_cfg(tmp_path, None, "alpha", [0.0, 0.5], out, n_seeds=2)
+        capsys.readouterr()
+        code = main(["sweep", "--config", cfg, "--workers", "2"])
+        err = capsys.readouterr().err
+        with (tmp_path / out / "sweep_partial.csv").open() as fh:
+            rows = [(r["seed"], r["value"]) for r in csv.DictReader(fh)]
+        assert not (tmp_path / out / "sweep.csv").exists()
+        assert multiprocessing.active_children() == []
+        return code, err.splitlines(), rows
+
+    @staticmethod
+    def _boom():
+        raise NumericError("boom")
+
+    def test_failed_unit_in_a_child_keeps_the_parents_rows(self, tmp_path, monkeypatch, capsys):
+        """A NumericError in the child's unit is raised again in this process:
+        exit 1 with one ``numeric failure:`` line, and the rows this process
+        finished kept in sweep_partial.csv."""
+        code, lines, rows = self._two_worker_sweep(
+            tmp_path, monkeypatch, capsys, "sw12", in_child=self._boom
+        )
+        assert code == 1
+        assert lines == ["numeric failure: boom"]
+        assert rows == [("3", "0.0"), ("3", "0.5")]
+
+    def test_killed_worker_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        """A child that dies (here by ``os._exit``, as a signal or the OOM
+        killer would end it) is an EngineError: exit 1 with one ``error:``
+        line and no traceback, and sweep_partial.csv kept."""
+        code, lines, rows = self._two_worker_sweep(
+            tmp_path, monkeypatch, capsys, "sw13", in_child=lambda: os._exit(9)
+        )
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert rows == [("3", "0.0"), ("3", "0.5")]
+
+    def test_failed_unit_in_the_parent_stops_the_child(self, tmp_path, monkeypatch, capsys):
+        """When this process's own unit fails, a child still at work is
+        stopped at once, not waited for."""
+        t0 = time.monotonic()
+        code, lines, rows = self._two_worker_sweep(
+            tmp_path, monkeypatch, capsys, "sw14", in_parent=self._boom,
+            in_child=lambda: time.sleep(60),
+        )
+        assert code == 1
+        assert lines == ["numeric failure: boom"]
+        assert rows == []
+        assert time.monotonic() - t0 < 30
 
     # sha256 of sweep.csv for one n_seeds 2 sweep per axis, recorded from the
     # commit before sweeps trained their runs in lockstep.

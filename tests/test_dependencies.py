@@ -31,10 +31,11 @@ def test_imports_only_stdlib_numpy_and_bfpo(path):
     assert _imported_roots(path) <= ALLOWED, sorted(_imported_roots(path) - ALLOWED)
 
 
-def test_cli_import_leaves_out_scipy_and_the_process_pool():
-    """``import bfpo.cli`` in a fresh interpreter loads neither scipy, nor the
-    process pool, which only ``bfpo sweep --workers`` above 1 uses, nor
-    ``numpy.polynomial``, which only the PU quadrature truth uses."""
+def test_cli_import_leaves_out_scipy_and_multiprocessing():
+    """``import bfpo.cli`` in a fresh interpreter loads neither scipy, nor
+    ``multiprocessing``, which only ``bfpo sweep --workers`` above 1 uses, nor
+    any ``concurrent.futures`` module, nor ``numpy.polynomial``, which only
+    the PU quadrature truth uses."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, bfpo.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -42,7 +43,8 @@ def test_cli_import_leaves_out_scipy_and_the_process_pool():
     loaded = set(proc.stdout.split())
     assert "bfpo.cli" in loaded
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
-    assert "concurrent.futures.process" not in loaded
+    assert not {m for m in loaded if m == "multiprocessing" or m.startswith("multiprocessing.")}
+    assert not {m for m in loaded if m.startswith("concurrent.futures")}
     assert "numpy.polynomial" not in loaded
 
 

@@ -663,6 +663,41 @@ class TestRunMany:
         )
         assert len(widths) < sum(w for _, w in widths)
 
+    @pytest.mark.parametrize("case, warm_widths", [
+        ("four_alphas", [1]), ("two_seeds", [2]), ("six_methods", [1]),
+    ])
+    def test_each_distinct_warm_start_trains_once(self, monkeypatch, case, warm_widths):
+        """Runs that agree in their SFT config, seed and dataset share one warm
+        start: an alpha sweep's four runs, or the six methods, train one warm
+        run (two seeds, two); each result still equals its run alone."""
+        import bfpo.trainer as trainer_mod
+
+        spec, runs = self._runs(Method.CBPO)
+        ds, base = runs[0]
+        if case == "six_methods":
+            configs = [replace(base, method=method) for method in Method]
+        else:
+            seeds = [0, 1] if case == "two_seeds" else [0]
+            configs = [replace(base, seed=seed, alpha=alpha)
+                       for seed in seeds for alpha in (0.0, 0.25, 0.5, 0.75)]
+        alone = [run(ds, cfg, spec.vocab_size) for cfg in configs]
+        widths = []
+        real = trainer_mod._train_epochs
+
+        def spy(phase_runs, vocab_size):
+            if phase_runs[0].config.learning_rate == 0.05:  # the warm start's
+                widths.append(len(phase_runs))
+            real(phase_runs, vocab_size)
+
+        monkeypatch.setattr(trainer_mod, "_train_epochs", spy)
+        together = run_many([ds] * len(configs), configs, spec.vocab_size)
+        assert widths == warm_widths
+        for a, b in zip(alone, together):
+            for name in ("policy", "reference"):
+                assert getattr(a, name).logits.tobytes() == getattr(b, name).logits.tobytes()
+            assert repr(a.metrics) == repr(b.metrics)
+            assert a.alpha_resolved == b.alpha_resolved
+
     def test_run_is_run_many_of_one(self):
         spec, runs = self._runs(Method.CBPO)
         ds, cfg = runs[1]
@@ -874,7 +909,7 @@ class TestFrozenConfigDigests:
                                   spec.vocab_size)
         return spec.vocab_size, {1.0: full, 0.25: truncate_history(full, 0.25)}
 
-    @pytest.mark.parametrize("method, history, delta_mode, digest", [
+    DIGESTS = [
         ("sft", 1.0, "ema",
          "b59d0afb2e41dc400b73fa2fbee788c35c103cc05d519e1a8aeaec6d4e2be918"),
         ("dpo", 1.0, "ema",
@@ -889,20 +924,40 @@ class TestFrozenConfigDigests:
          "f170e542e41b9a78c31fb2fefbb52a56b234a261ac2715cf240f45ee2b185595"),
         ("cbpo", 0.25, "batch",
          "d5cb256aea3fa43aa831e4a69e30aa82d31096c4f60c426f2aa1670eb072a0e5"),
-    ])
-    def test_run_digest(self, datasets, method, history, delta_mode, digest):
-        vocab, by_history = datasets
-        config = TrainConfig(
+    ]
+
+    @staticmethod
+    def _config(method, delta_mode):
+        return TrainConfig(
             method=Method(method), alpha="estimate", seed=3, delta_mode=delta_mode, epochs=14,
             batch_size_pos=8, learning_rate=0.2, beta=0.075, ema_decay=0.9,
             warmstart_epochs=2, warmstart_lr=0.2, alpha_estimator_epochs=60,
         )
-        result = run(by_history[history], config, vocab)
+
+    @staticmethod
+    def _digest(result):
         h = hashlib.sha256()
         for table in (result.policy.logits, result.reference.logits, result.opt.m, result.opt.v):
             h.update(table.tobytes())
         h.update(json.dumps(result.metrics).encode())
-        assert h.hexdigest() == digest
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("method, history, delta_mode, digest", DIGESTS)
+    def test_run_digest(self, datasets, method, history, delta_mode, digest):
+        vocab, by_history = datasets
+        result = run(by_history[history], self._config(method, delta_mode), vocab)
+        assert self._digest(result) == digest
+
+    def test_run_many_keeps_every_digest(self, datasets):
+        """The seven runs through one run_many call, where the six on the full
+        history share one warm start, give the same digests."""
+        vocab, by_history = datasets
+        results = run_many(
+            [by_history[history] for _, history, _, _ in self.DIGESTS],
+            [self._config(method, mode) for method, _, mode, _ in self.DIGESTS],
+            vocab,
+        )
+        assert [self._digest(r) for r in results] == [d for *_, d in self.DIGESTS]
 
 
 class TestConfigValidation:
