@@ -3,8 +3,8 @@
 All commands read strict JSON configs (unknown keys are errors, a schema
 version is required), write only under the configured output directory, and are
 byte-reproducible for fixed seeds.  Exit codes: 0 success, 1 property or
-experiment failure or a failed file operation (an ``OSError``, such as a full
-disk), 2 usage/validation error.
+experiment failure, a failed file operation (an ``OSError``, such as a full
+disk) or a failed allocation (a ``MemoryError``), 2 usage/validation error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .trainer import (
     TrainConfig,
     check_trainable,
     load_checkpoint,
-    lockstep_key,
     run,
     run_many,
     save_checkpoint,
@@ -368,11 +367,10 @@ class _SweepTask(NamedTuple):
 def _sweep_unit(
     unit: list[tuple[int, _SweepTask, dict[str, SampleTable], UserDataset]],
 ) -> list[tuple[int, dict]]:
-    """One unit of a sweep: indexed grid points that differ only in seed and
-    alpha, each with its seed's population and its dataset as the sweep built
-    them for its checks.  Train the runs through one
-    :func:`bfpo.trainer.run_many` call and evaluate each.  Returns each task's
-    index and ``sweep.csv`` row."""
+    """One unit of a sweep: indexed grid points, each with its seed's
+    population and its dataset as the sweep built them for its checks.  Train
+    the runs through one :func:`bfpo.trainer.run_many` call and evaluate each.
+    Returns each task's index and ``sweep.csv`` row."""
     results = run_many(
         [dataset for _, _, _, dataset in unit], [task.train for _, task, _, _ in unit],
         unit[0][1].spec.vocab_size,
@@ -498,44 +496,32 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
                     axis, value, replace(spec, seed=run_seed), dataset_cfg, train_cfg
                 ))
     # So is each distinct dataset, and each task's run on it: a bad target
-    # user or ratio_x, or a dataset a task cannot train, fails here.  The
-    # units then train on these populations and datasets (building them again
-    # costs about 1.6 ms each on the frozen acceptance config, and a forked
-    # child inherits them).  So the sweep holds every seed's
-    # population and datasets until it ends, and its memory grows with
-    # n_seeds times the dataset configs (BENCH_cli_io.json, sweep_memory).
+    # user or ratio_x, or a dataset a task cannot train, fails here.  Each
+    # task joins the work list, seed by seed, with its seed's population and
+    # its dataset: the units train on these (building them again costs about
+    # 1.6 ms each on the frozen acceptance config, and a forked child
+    # inherits them).  So the sweep holds every seed's population and
+    # datasets until it ends, and its memory grows with n_seeds times the
+    # dataset configs (BENCH_cli_io.json, sweep_memory).
     configs = list(dict.fromkeys(task.dataset for task in tasks))
-    population_of: dict[int, dict[str, SampleTable]] = {}
-    dataset_of: dict[tuple[int, DatasetConfig], UserDataset] = {}
+    work = []
     for run_seed in range(base_seed, base_seed + n_seeds):
-        population = population_of[run_seed] = generate_population(replace(spec, seed=run_seed))
-        for cfg in configs:
-            dataset_of[run_seed, cfg] = _build_dataset(population, spec, cfg, run_seed)
-        for task in tasks:
+        population = generate_population(replace(spec, seed=run_seed))
+        built = {cfg: _build_dataset(population, spec, cfg, run_seed) for cfg in configs}
+        for i, task in enumerate(tasks):
             if task.spec.seed == run_seed:
-                check_trainable(dataset_of[run_seed, task.dataset], task.train)
+                check_trainable(built[task.dataset], task.train)
+                work.append((i, task, population, built[task.dataset]))
     out_dir = _resolve_out(doc, out, "sweep config")
 
-    # Tasks that differ only in seed and alpha can train in lockstep.  Each
-    # such group, ordered by seed, is cut into units of at most one stack and
-    # at most ceil(n / workers) tasks, and the units are dealt round-robin
-    # into one shard per worker.  This process runs shard 0 and a forked child
-    # each other shard; sweep_partial.csv gets this process's rows as each of
-    # its units finishes, then each child's as they arrive.
-    groups: dict[tuple, list[int]] = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault((lockstep_key(task.train), task.dataset), []).append(i)
-    share = -(-len(tasks) // workers)
-    units = []
-    for members in groups.values():
-        members.sort(key=lambda i: tasks[i].spec.seed)
-        size = min(share, stack_runs(tasks[members[0]].train.context_size, spec.vocab_size))
-        units += [
-            [(i, tasks[i], population_of[tasks[i].spec.seed],
-              dataset_of[tasks[i].spec.seed, tasks[i].dataset])
-             for i in members[lo : lo + size]]
-            for lo in range(0, len(members), size)
-        ]
+    # The work list is cut into contiguous units of at most one stack and at
+    # most ceil(n / workers) tasks; run_many decides which of a unit's runs
+    # train together.  The units are dealt round-robin into one shard per
+    # worker.  This process runs shard 0 and a forked child each other
+    # shard; sweep_partial.csv gets this process's rows as each of its units
+    # finishes, then each child's as they arrive.
+    size = min(-(-len(work) // workers), stack_runs(base_train.context_size, spec.vocab_size))
+    units = [work[lo : lo + size] for lo in range(0, len(work), size)]
     n_shards = min(workers, len(units))
     shards = [units[k::n_shards] for k in range(n_shards)]
 
@@ -657,6 +643,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 

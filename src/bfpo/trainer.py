@@ -179,6 +179,11 @@ class TrainConfig:
             raise ConfigError(f"warmstart_lr must be >= 0, got {self.warmstart_lr}")
         if self.method is Method.KTO and self.batch_size_pos + (self.batch_size_aux or 1) < 2:
             raise ConfigError("KTO needs a combined batch size of >= 2")
+        b1, b2, eps = self.momentum_params
+        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
+            raise ConfigError(f"momentum_params betas must lie in [0, 1), got {b1} and {b2}")
+        if not eps > 0.0:
+            raise ConfigError(f"momentum_params eps must be positive, got {eps}")
         if self.dpo_rejection_budget < 1:
             raise ConfigError("dpo_rejection_budget must be >= 1")
         try:
@@ -538,7 +543,8 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
     stacked in blocks of about :data:`PLAN_TOKENS` tokens, one
     :func:`stack_batches` call a block.  Each run is left
     holding its trained policy, EMA, AdamW state and one metrics row per
-    step."""
+    step.  A policy left non-finite by the last update raises
+    :class:`NumericError` with its run's dump of the last batch."""
     config = runs[0].config
     context = config.context_size
     steps = runs[0].steps_per_epoch()
@@ -573,6 +579,14 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
             state.epoch = first + k // steps
             state, values = train_step(state, stack)
             logged.append((state.step, state.epoch, values, state.last_delta, state.ema))
+    # train_step checks each update's loss and gradient, and the next step
+    # reads the policy it made; the phase's last update is checked here.
+    if not np.logical_and.reduce(np.isfinite(state.policy.logits), axis=None):
+        r = int(np.argmin(np.isfinite(state.policy.logits).reshape(len(runs), -1).all(axis=1)))
+        raise NumericError(
+            f"non-finite policy after the update of step {state.step}",
+            details=_diagnostic_dump(stack.batches[r], values[r], state),
+        )
     # The metrics rows, from each step's loss columns, once the phase is done.
     method = config.method.value
     for step, epoch, values, deltas, emas in logged:

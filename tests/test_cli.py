@@ -7,6 +7,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -123,6 +124,27 @@ class TestGenerate:
             {"seed": 0, "out_dir": str(tmp_path / "o"), "population": POPULATION},
         )
         assert main(["generate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 72.8 TiB for an array"),
+         "error: out of memory (Unable to allocate 72.8 TiB for an array)"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy_message", "no_message"])
+    def test_memory_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                error, line):
+        """An allocation that fails is one ``error:`` line and exit 1, not a
+        traceback.  A patched generator fails here; a vocab_size of 1e13
+        passes every check and fails in numpy."""
+        def no_memory(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "generate_population", no_memory)
+        cfg = _write(tmp_path / "gen.json", {"schema_version": 1, "seed": 5,
+                                             "out_dir": str(tmp_path / "c"),
+                                             "population": POPULATION})
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 class TestTrain:
@@ -343,6 +365,39 @@ class TestTrain:
         assert dump["method"] == method and dump["pairs"] == []
         assert (len(dump["pos"]), len(dump["aux"])) == (TRAIN["batch_size_pos"], n_aux)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("train, method, step, n_aux, phase", [
+        ({"method": "bco", "epochs": 1, "batch_size_pos": 8, "learning_rate": 1.7e308,
+          "warmstart_lr": 0.2, "weight_decay": 100}, "bco", 1, 8, ""),
+        ({"method": "bco", "epochs": 1, "batch_size_pos": 100, "warmstart_epochs": 2,
+          "warmup_fraction": 1.0, "warmstart_lr": 1.7e308, "weight_decay": 100},
+         "sft", 2, 0, "warm start: "),
+    ], ids=["method_phase", "warm_start"])
+    def test_last_update_divergence_writes_dump(self, tmp_path, capsys, train, method, step,
+                                                n_aux, phase):
+        """A phase whose last AdamW update overflows (no later step reads the
+        policy) exits 1 with one ``aborted:`` line naming the step, and a dump
+        of that step's batch, not 2 as a usage error."""
+        corpus = _generate(tmp_path, seed=0, n_users=4, samples_per_user=10,
+                           prompt_pool_size=4, seq_len=3)
+        cfg = _write(
+            tmp_path / "t.json",
+            {"schema_version": 1, "seed": 0, "out_dir": str(tmp_path / "crash"),
+             "corpus_dir": str(corpus),
+             "dataset": {"target_user": "u000", "ratio_x": 1.0, "grouping": "random"},
+             "train": train},
+        )
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(
+            f"aborted: {phase}non-finite policy after the update of step {step} (dump at "
+        )
+        dump = json.loads((tmp_path / "crash" / "diagnostic_dump.json").read_text())
+        assert (dump["method"], dump["step"]) == (method, step)
+        assert len(dump["aux"]) == n_aux and math.isfinite(dump["breakdown"]["total"])
+        assert os.listdir(tmp_path / "crash") == ["diagnostic_dump.json"]
 
     def test_alpha_estimate_written(self, tmp_path):
         corpus = _generate(tmp_path)
@@ -719,15 +774,51 @@ class TestSweep:
         def unit_spy(unit):
             before = dict(calls)
             rows = real_unit(unit)
-            in_units.append({name: calls[name] - before[name] for name in calls})
+            in_units.append({"tasks": len(unit),
+                             **{name: calls[name] - before[name] for name in calls}})
             return rows
 
         monkeypatch.setattr(cli_mod, "_sweep_unit", unit_spy)
         cfg = self._sweep_cfg(tmp_path, None, "ratio_x", [0.5, 1.0], "sw11", n_seeds=2)
         assert main(["sweep", "--config", cfg]) == 0
         assert calls == {"generate_population": 2, "build_user_dataset": 4}
-        # One unit per dataset, each training both seeds.
-        assert in_units == [{"generate_population": 0, "build_user_dataset": 0}] * 2
+        # One unit of both datasets and both seeds.
+        assert in_units == [{"tasks": 4, "generate_population": 0, "build_user_dataset": 0}]
+
+    @staticmethod
+    def _spy_phases(monkeypatch):
+        """Each ``_train_epochs`` call's phase ("warm" or "method") and run
+        count; a warm run is the one without a frozen reference."""
+        import bfpo.trainer as trainer_mod
+
+        calls = []
+        real = trainer_mod._train_epochs
+
+        def spy(runs, vocab_size):
+            calls.append(("warm" if runs[0].reference is None else "method", len(runs)))
+            real(runs, vocab_size)
+
+        monkeypatch.setattr(trainer_mod, "_train_epochs", spy)
+        return calls
+
+    def test_method_sweep_trains_one_warm_start_per_seed(self, tmp_path, monkeypatch):
+        """The six methods of a seed share its warm start: a 6-method x 2-seed
+        sweep trains 2 warm runs, and sweep.csv keeps its pinned bytes."""
+        calls = self._spy_phases(monkeypatch)
+        grid, _, digest = self.PINNED_SWEEPS["method"]
+        cfg = self._sweep_cfg(tmp_path, None, "method", grid, "pin", n_seeds=2)
+        assert main(["sweep", "--config", cfg, "--workers", "1"]) == 0
+        assert sum(n for phase, n in calls if phase == "warm") == 2
+        assert hashlib.sha256((tmp_path / "pin" / "sweep.csv").read_bytes()).hexdigest() == digest
+
+    def test_ratio_points_of_a_seed_share_one_stack(self, tmp_path, monkeypatch):
+        """The three ratio_x points of one seed differ in their datasets but
+        not in their method phase's steps, so that phase trains as one 3-run
+        stack."""
+        calls = self._spy_phases(monkeypatch)
+        cfg = self._sweep_cfg(tmp_path, None, "ratio_x", [0.5, 1.0, 1.5], "sw15")
+        assert main(["sweep", "--config", cfg]) == 0
+        assert [n for phase, n in calls if phase == "method"] == [3]
 
 
 class TestCsvCells:
@@ -964,6 +1055,14 @@ class TestMalformedInputExits2:
             ("evaluate", _replace_file("checkpoint.json", f'{{"step":{_LONG_INT}}}'), {}),
             ("train", _replace_file("population_spec.json", _DEEP_JSON), {}),
             ("sweep", None, {"delta_modes": []}),
+            ("train", None, {"train": {"momentum_params": [1.0, 0.999, 1e-8]}}),
+            ("train", None, {"train": {"momentum_params": [0.9, 1.0, 1e-8]}}),
+            ("train", None, {"train": {"momentum_params": [0.9, 0.999, 0.0]}}),
+            ("train", None, {"train": {"momentum_params": [1.5, 0.999, 1e-8]}}),
+            ("train", None, {"train": {"momentum_params": [-0.1, 0.999, 1e-8]}}),
+            ("train", None, {"train": {"momentum_params": [0.9, -0.5, 1e-8]}}),
+            ("train", None, {"train": {"momentum_params": [0.9, 0.999, -1.0]}}),
+            ("sweep", None, {"train": {"momentum_params": [0.9, 1.0, 1e-8]}}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -994,7 +1093,10 @@ class TestMalformedInputExits2:
              "generate_config_nested_deep", "train_config_nested_deep",
              "sweep_config_int_of_5000_digits", "estimate_alpha_config_int_of_5000_digits",
              "checkpoint_nested_deep", "checkpoint_int_of_5000_digits",
-             "population_spec_nested_deep", "sweep_delta_modes_empty"],
+             "population_spec_nested_deep", "sweep_delta_modes_empty",
+             "momentum_b1_one", "momentum_b2_one", "momentum_eps_zero", "momentum_b1_above_1",
+             "momentum_b1_negative", "momentum_b2_negative", "momentum_eps_negative",
+             "sweep_momentum_b2_one"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)

@@ -78,3 +78,44 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_import(path):
     """A module imports only names it uses, so a cut leaves no dead import."""
     assert _unused_imports(path) == []
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads: as a name, an attribute, or inside a quoted
+    annotation or an ``__all__`` entry."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read |= _read_names(quoted)
+    return read
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level names ``tree`` defines with one leading underscore."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in defined if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_unread_private_name():
+    """Every private module-level name in ``src/bfpo`` is read somewhere in
+    ``src/bfpo``, so a cut leaves no helper alive only for its tests."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((SRC / "bfpo").glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = {f"{name}: {d}" for name, tree in trees.items()
+              for d in _private_definitions(tree) - read}
+    assert sorted(unread) == []

@@ -698,6 +698,30 @@ class TestRunMany:
             assert repr(a.metrics) == repr(b.metrics)
             assert a.alpha_resolved == b.alpha_resolved
 
+    @pytest.mark.parametrize("phase", ["warm", "method"])
+    def test_divergent_last_update_raises_numeric_error(self, phase):
+        """A phase whose last AdamW update overflows raises NumericError naming
+        the step, with a dump of that step's batch, not the InputError of the
+        non-finite policy it would build.  Each phase here is one batch an
+        epoch; the warm start's second update is its first at the full lr."""
+        spec, runs = self._runs(Method.BCO)
+        ds, cfg = runs[0]
+        if phase == "warm":
+            cfg = replace(cfg, warmstart_epochs=2, batch_size_pos=1000, warmup_fraction=1.0,
+                          warmstart_lr=1e300, weight_decay=100.0)
+            match, method, step, pool = "warm start: non-finite", "sft", 2, ds.aux_train
+        else:
+            cfg = replace(cfg, epochs=1, batch_size_pos=1000, learning_rate=1.7e308,
+                          weight_decay=100.0)
+            match, method, step, pool = "non-finite", "bco", 1, ds.tar_train
+        with pytest.raises(NumericError, match=f"^{match} policy after the update of step {step}$"
+                           ) as err:
+            run_many([ds, ds], [cfg, replace(cfg, seed=1)], spec.vocab_size)
+        details = err.value.details
+        assert (details["method"], details["step"], len(details["pos"])) == (
+            method, step, len(pool)
+        )
+
     def test_run_is_run_many_of_one(self):
         spec, runs = self._runs(Method.CBPO)
         ds, cfg = runs[1]
@@ -990,6 +1014,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{name} must be >= "):
             TrainConfig(**{name: value})
         assert TrainConfig(alpha_estimator_lr=0.0).alpha_estimator_lr == 0.0
+
+    @pytest.mark.parametrize("momentum", [
+        (math.nan, 0.999, 1e-8), (0.9, math.nan, 1e-8), (0.9, 0.999, math.nan),
+    ])
+    def test_nan_momentum_params_rejected(self, momentum):
+        """A library call may pass NaN, which no range comparison admits (a
+        config cannot: its numbers are finite); the ranges themselves are
+        rows of tests/test_cli.py::TestMalformedInputExits2."""
+        with pytest.raises(ConfigError, match="^momentum_params "):
+            TrainConfig(momentum_params=momentum)
 
     def test_method_coercion(self):
         assert TrainConfig(method="bco").method is Method.BCO
