@@ -20,7 +20,7 @@ from contextlib import ExitStack
 from dataclasses import MISSING, asdict, fields, replace
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .alpha import EstimatorConfig, run_alpha_estimation
 from .datagen import (
@@ -167,13 +167,14 @@ def _resolve_out(doc: dict, override: str | None, where: str) -> Path:
     return path
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    """``rows`` as CSV cells, each written as ``str`` writes it (a float as its
-    shortest round-trip repr, a numpy float as the same digits)."""
+def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``rows``, each its cells in ``columns`` order, as CSV, each cell written
+    as ``str`` writes it (a float as its shortest round-trip repr, a numpy
+    float as the same digits)."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
+    writer.writerows(rows)
     write_atomic(path, text.getvalue())
 
 
@@ -268,13 +269,13 @@ def cmd_train(config_path: str, out: str | None, seed: int | None) -> int:
         return 1
     meta = _run_meta(dataset, spec, dataset_cfg, train_cfg)
     save_checkpoint(out_dir / "checkpoint.json", result, train_cfg, spec.vocab_size, meta)
-    _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, result.metrics)
+    _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, result.metrics_table.rows())
     if result.alpha_estimate is not None:
         _write_json(
             out_dir / "alpha_estimate.json",
             {"schema_version": SCHEMA_VERSION, **asdict(result.alpha_estimate)},
         )
-    print(f"trained {train_cfg.method.value} for {len(result.metrics)} steps -> {out_dir}")
+    print(f"trained {train_cfg.method.value} for {len(result.metrics_table)} steps -> {out_dir}")
     return 0
 
 
@@ -387,7 +388,7 @@ def _sweep_unit(
             beta=task.train.beta,
             method=task.train.method.value,
             config_hash=meta["config_hash"],
-            checkpoint_step=len(result.metrics),
+            checkpoint_step=len(result.metrics_table),
         )
         rows.append((index, {
             "axis": task.axis,
@@ -519,14 +520,16 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
     # train together.  The units are dealt round-robin into one shard per
     # worker.  This process runs shard 0 and a forked child each other
     # shard; sweep_partial.csv gets this process's rows as each of its units
-    # finishes, then each child's as they arrive.
+    # finishes, then each child's as they arrive.  Once every row is in,
+    # sweep.csv is written while the children are still exiting; they are
+    # killed and joined after it, as on every other way out.
     size = min(-(-len(work) // workers), stack_runs(base_train.context_size, spec.vocab_size))
     units = [work[lo : lo + size] for lo in range(0, len(work), size)]
     n_shards = min(workers, len(units))
     shards = [units[k::n_shards] for k in range(n_shards)]
 
     partial_path = out_dir / "sweep_partial.csv"
-    rows: list[dict | None] = [None] * len(tasks)
+    rows: list[list | None] = [None] * len(tasks)
     with partial_path.open("w", newline="") as fh, ExitStack() as stack:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
@@ -534,12 +537,11 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
         children = [_start_shard(shard, stack) for shard in shards[1:]]
         for done in chain(map(_sweep_unit, shards[0]), *children):
             for index, row in done:
-                rows[index] = row
-                writer.writerow([row[c] for c in SWEEP_COLUMNS])
+                rows[index] = [row[c] for c in SWEEP_COLUMNS]
+                writer.writerow(rows[index])
             fh.flush()
-
-    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
-    partial_path.unlink()
+        _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
+        partial_path.unlink()
     print(f"wrote {len(rows)} rows to {out_dir / 'sweep.csv'}")
     return 0
 

@@ -16,7 +16,8 @@ l_tar_neg are the negative-label means over the auxiliaries and the positives.
 The purified term subtracts the positives' expected share, scaled by the
 overlap coefficient alpha, from the auxiliary negative-label loss; clamping it
 at zero keeps the flexible policy from exploiting a negative risk estimate.
-:func:`binary_loss` reads (alpha, divisor, clamped) from one per-method table:
+:func:`loss_terms` reads each run's (alpha, divisor, clamped) from one
+per-method table, once for as long as the run's config holds:
 
     bco       (0,     1,         no)
     cbpo_raw  (alpha, pi_n,      no)
@@ -37,7 +38,8 @@ to right (:func:`bfpo.policy.ordered_sums`) and use its own alpha and anchor,
 so a run's values do not depend on the other runs of its stack; KTO's anchors
 come from :func:`bfpo.rewards.kto_zrefs`, run by run.  :func:`scored_loss`
 returns each run's breakdown as a row of columns (:data:`BREAKDOWN_COLUMNS`),
-so a stack of thousands of runs builds no :class:`LossBreakdown`.  No training path
+so a stack of thousands of runs builds no :class:`LossBreakdown`, and reads
+each run's constants from its :func:`loss_terms`, not from its config.  No training path
 calls the scalar :func:`loss_positive`, :func:`loss_negative`,
 :func:`dpo_loss`, :func:`kto_loss`, or :func:`bfpo.rewards.implicit_reward`
 and :func:`bfpo.rewards.kto_zref`: they are the reference implementations the
@@ -84,6 +86,7 @@ __all__ = [
     "dpo_loss",
     "encode_batch",
     "kto_loss",
+    "loss_terms",
     "loss_negative",
     "loss_positive",
     "method_loss",
@@ -171,7 +174,7 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         # alpha = 1 (total overlap) is representable for the unclamped
-        # objective; the clamped one rejects it (see binary_loss).
+        # objective; the clamped one rejects it (see loss_terms).
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (0.0 < self.pi_n <= 1.0):
@@ -259,6 +262,19 @@ def _binary_terms(method: Method, config: LossConfig) -> tuple[float, float, boo
     return config.alpha, 1.0 - config.alpha, True
 
 
+def loss_terms(method: Method, configs: Sequence[LossConfig]) -> list[tuple]:
+    """Each run's constants of ``method``'s objective, as :func:`scored_loss`
+    reads them: (alpha, divisor, clamped) for the BCO family, (lambda_d,
+    lambda_u) for KTO and () for SFT and DPO.  A caller builds them once for
+    as long as its configs hold (the trainer once a phase), so a config the
+    clamped objective cannot use raises its :class:`ConfigError` there."""
+    if method is Method.KTO:
+        return [(c.lambda_d, c.lambda_u) for c in configs]
+    if method in (Method.SFT, Method.DPO):
+        return [()] * len(configs)
+    return [_binary_terms(method, c) for c in configs]
+
+
 def _binary_row(
     terms: tuple[float, float, bool], l_pos: float, l_aux_neg: float, l_tar_neg: float
 ) -> tuple[float, ...]:
@@ -271,30 +287,17 @@ def _binary_row(
     return l_pos, l_aux_neg, l_tar_neg, raw, kept, l_pos + (kept if clamped else raw) / divisor
 
 
-def _binary_columns(
-    method: Method, configs: Sequence[LossConfig], z: np.ndarray, layout: Layout
-) -> tuple[np.ndarray, list[tuple[float, float, bool]]]:
-    """Each run's BCO-family breakdown columns from the anchored rewards ``z``
-    (reward minus delta) of its positives and auxiliaries, and its (alpha,
-    divisor, clamped).  The means add left to right, so they equal the
-    per-sample loops of :func:`loss_positive` and :func:`loss_negative` bit
-    for bit."""
-    terms = [_binary_terms(method, c) for c in configs]
+def binary_losses(z: np.ndarray, layout: Layout, terms: Sequence[tuple]) -> np.ndarray:
+    """A BCO-family objective for each run of ``layout``, as the rows of
+    :data:`BREAKDOWN_COLUMNS`: ``z`` holds every sequence's anchored reward
+    (reward minus delta), run r's under its :func:`loss_terms` ``terms[r]``.
+    The means add left to right, so they equal the per-sample loops of
+    :func:`loss_positive` and :func:`loss_negative` bit for bit."""
     # Bin 2r holds run r's positives, bin 2r + 1 its auxiliaries.
     bins = len(layout.sides)
     pos_loss = (ordered_sums(np.logaddexp(0.0, -z), layout.seg, bins) / layout.sides).tolist()
     neg_loss = (ordered_sums(np.logaddexp(0.0, z), layout.seg, bins) / layout.sides).tolist()
-    rows = list(map(_binary_row, terms, pos_loss[0::2], neg_loss[1::2], neg_loss[0::2]))
-    return np.array(rows), terms
-
-
-def binary_losses(
-    method: Method, z: np.ndarray, layout: Layout, configs: Sequence[LossConfig]
-) -> np.ndarray:
-    """A BCO-family objective for each run of ``layout``, as the rows of
-    :data:`BREAKDOWN_COLUMNS`: ``z`` holds every sequence's anchored reward
-    (reward minus delta), run r's under ``configs[r]``."""
-    return _binary_columns(method, configs, z, layout)[0]
+    return np.array(list(map(_binary_row, terms, pos_loss[0::2], neg_loss[1::2], neg_loss[0::2])))
 
 
 def binary_loss(
@@ -313,7 +316,7 @@ def binary_loss(
         raise InputError("aux_rewards must be non-empty")
     z = np.concatenate([pos, aux]) - delta
     layout = Layout.of([len(pos)], [len(aux)])
-    return LossBreakdown.of(method, binary_losses(method, z, layout, [config])[0])
+    return LossBreakdown.of(method, binary_losses(z, layout, [_binary_terms(method, config)])[0])
 
 
 def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
@@ -471,7 +474,8 @@ def method_loss(
     """Evaluate one method's loss on a batch (no gradient)."""
     stack = Stack.of(method, batch, policy, reference_policy)
     scores = score(method, stack, policy, config.beta)
-    return LossBreakdown.of(method, scored_loss(method, scores, [config], [delta], zrefs)[0][0])
+    terms = loss_terms(method, [config])
+    return LossBreakdown.of(method, scored_loss(method, scores, terms, [delta], zrefs)[0][0])
 
 
 def method_loss_and_grad(
@@ -485,14 +489,15 @@ def method_loss_and_grad(
     """Loss breakdown plus the analytic gradient of the total w.r.t. the logits."""
     stack = Stack.of(method, batch, policy, reference_policy)
     scores = score(method, stack, policy, config.beta)
-    values, grad = scored_loss(method, scores, [config], [delta], want_grad=True)
+    values, grad = scored_loss(method, scores, loss_terms(method, [config]), [delta],
+                               want_grad=True)
     return LossBreakdown.of(method, values[0]), grad
 
 
 def scored_loss(
     method: Method,
     scores: Scores,
-    configs: Sequence[LossConfig],
+    terms: Sequence[tuple],
     deltas: Sequence[float],
     zrefs: Sequence[float] | None = None,
     want_grad: bool = False,
@@ -503,8 +508,8 @@ def scored_loss(
     per-sequence weights on d log p / d logits, then one scatter onto the
     stacked table.
 
-    ``configs[r]`` is run r's objective and ``deltas[r]`` its anchor (BCO
-    family); ``zrefs`` overrides KTO's leave-one-out anchors.
+    ``terms[r]`` is run r's :func:`loss_terms` and ``deltas[r]`` its anchor
+    (BCO family); ``zrefs`` overrides KTO's leave-one-out anchors.
     """
     layout = scores.stack.layout
     run, pos = layout.run, layout.pos
@@ -550,7 +555,7 @@ def scored_loss(
         denominator = 1.0 + e
         v = np.where(pos == (gap >= 0), 1.0 / denominator, e / denominator)
         # Per (run, side) bin: lambda_d on the positives, lambda_u on the rest.
-        lambdas = np.array([x for c in configs for x in (c.lambda_d, c.lambda_u)])[layout.seg]
+        lambdas = np.array(terms).ravel()[layout.seg]
         values[:, _TOTAL] = ordered_sums(lambdas * (1.0 - v), run, runs) / layout.sizes
         if want_grad:
             # v = sigmoid(+-gap) has dv/dr = +-v(1 - v) = +-sigmoid(gap)sigmoid(-gap).
@@ -559,7 +564,7 @@ def scored_loss(
 
     else:
         z = scores.rewards - np.array(deltas)[layout.run]
-        values, terms = _binary_columns(method, configs, z, layout)
+        values = binary_losses(z, layout, terms)
         if want_grad:
             # total = l_pos + scale * (l_aux_neg - alpha * l_tar_neg), where scale
             # is 1/divisor, or 0 (a zero subgradient) once the clamp is active, and

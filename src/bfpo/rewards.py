@@ -24,6 +24,8 @@ __all__ = [
     "delta_bco",
     "delta_ema",
     "delta_joint",
+    "ema_anchor",
+    "ema_fold",
     "ema_update",
     "implicit_reward",
     "kto_zref",
@@ -131,6 +133,13 @@ def kto_zrefs(batch_rewards: np.ndarray) -> np.ndarray:
     return np.where(z > 0.0, z, 0.0)
 
 
+def ema_fold(ema: float, batch_mean: float, decay: float) -> float:
+    """One set's decoupled EMA after folding in a batch's mean: the one update
+    formula, which :func:`ema_update`, the trainer's per-run floats and the
+    invariance check all run."""
+    return decay * ema + (1.0 - decay) * batch_mean
+
+
 def ema_update(
     state: ReferenceState, batch_pos_mean: float, batch_aux_mean: float
 ) -> ReferenceState:
@@ -143,15 +152,18 @@ def ema_update(
     if not state.initialized:
         return ReferenceState(float(batch_pos_mean), float(batch_aux_mean), d, True)
     return ReferenceState(
-        d * state.ema_pos + (1.0 - d) * batch_pos_mean,
-        d * state.ema_aux + (1.0 - d) * batch_aux_mean,
-        d,
-        True,
+        ema_fold(state.ema_pos, batch_pos_mean, d), ema_fold(state.ema_aux, batch_aux_mean, d),
+        d, True,
     )
 
 
+def ema_anchor(ema_pos: float, ema_aux: float) -> float:
+    """The decoupled-EMA anchor: the mean of the two sets' statistics."""
+    return 0.5 * (ema_pos + ema_aux)
+
+
 def delta_ema(state: ReferenceState) -> float:
-    """Mean of the two decoupled EMA statistics."""
+    """:func:`ema_anchor` of an updated state's statistics."""
     if not state.initialized:
         raise StateError("reference state queried before the first EMA update")
-    return 0.5 * (state.ema_pos + state.ema_aux)
+    return ema_anchor(state.ema_pos, state.ema_aux)

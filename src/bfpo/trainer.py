@@ -11,11 +11,15 @@ a pure function of (dataset, config, seed): batch order, the optimizer
 trajectory and the metrics log reproduce byte-identically.
 
 A phase is planned in blocks of epochs, each of about :data:`PLAN_TOKENS`
-tokens: :func:`make_batches` draws a block's epochs (a run's generator draws
-only the epoch seeds, so the stream is the per-epoch loop's), then one
-:func:`stack_batches` call gathers all of the block's steps, holding only the
-arrays a step reads.  A lone run's step is dozens of numpy calls on small
-arrays, so :func:`train_step` avoids what costs more than their arithmetic.
+tokens: :func:`make_batches` draws a block's epochs as index arrays (a run's
+generator draws only the epoch seeds, so the stream is the per-epoch loop's),
+then one :func:`stack_batches` call gathers all of the block's steps, holding
+only the arrays a step reads.  A lone run's step is dozens of numpy calls on
+small arrays, so :func:`train_step` avoids what costs more than their
+arithmetic and builds no Python object per run: the phase's
+:class:`RunState` holds each run's EMA pair as floats and its loss terms,
+fixed when the phase starts, and each step's loss columns, anchors and EMAs
+go into one :class:`MetricsTable` per run, whose rows are built when read.
 
 :func:`run_many` trains R runs in lockstep.  In each phase, runs whose config
 agrees in every field but ``seed`` and ``alpha`` and whose epochs have as many
@@ -26,9 +30,9 @@ stacked encoding under the runs' frozen references once, and each step's
 :class:`~bfpo.losses.Stack` carries its slice.  The warm start's config is the
 SFT method's, so runs that differ only in alpha or the method, on one seed
 and dataset, share one warm start, trained once.
-What differs between runs stays per run: the alpha, the EMA, the left-to-right
-batch sums, the generators, batches, metrics rows and trained results, and the
-DPO pairs and alpha estimate made between the phases.  The learning rate and
+What differs between runs stays per run: the alpha and loss terms, the EMA,
+the left-to-right batch sums, the generators, batches, metrics tables and
+trained results, and the DPO pairs and alpha estimate made between the phases.  The learning rate and
 AdamW's step count are shared scalars, since a group's runs step together.
 :func:`run` is the case R = 1; every run's result equals training it alone,
 bit for bit.
@@ -36,13 +40,14 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, AlphaEstimate, EstimatorConfig, r
 from .datagen import UserDataset
 from .errors import ConfigError, InputError, NumericError
 from .files import decode_json, write_atomic
+from . import rewards
 from .losses import (
     BREAKDOWN_COLUMNS,
     Batch,
@@ -57,12 +63,14 @@ from .losses import (
     Layout,
     Method,
     Stack,
+    loss_terms,
     score,
     scored_loss,
 )
 from .policy import (
     Encoded,
     PolicyParams,
+    SampleTable,
     StepCodes,
     encode_table,
     ordered_sums,
@@ -72,12 +80,14 @@ from .policy import (
     stack_codes,
     uniform_params,
 )
-from .rewards import ReferenceState, delta_ema, ema_update
+from .rewards import ReferenceState
 from .schema import cast
 
 __all__ = [
     "AdamState",
+    "Batches",
     "METRICS_COLUMNS",
+    "MetricsTable",
     "RunState",
     "TrainConfig",
     "TrainResult",
@@ -102,7 +112,7 @@ logger = logging.getLogger(__name__)
 _NONE = np.zeros(0, dtype=np.int64)  # an empty index array
 
 METRICS_COLUMNS = ("step", "epoch", "method", *BREAKDOWN_COLUMNS, "delta", "ema_pos", "ema_aux")
-_TOTAL = BREAKDOWN_COLUMNS.index("total")
+_TOTAL, _DELTA = BREAKDOWN_COLUMNS.index("total"), len(BREAKDOWN_COLUMNS)
 
 _BINARY_METHODS = (Method.KTO, Method.BCO, Method.CBPO_RAW, Method.CBPO)
 
@@ -234,9 +244,13 @@ class RunState:
     is a lone run.
 
     Run r owns rows r*C to (r+1)*C of the stacked policy and AdamW moment
-    tables, and entry r of ``alphas``, ``ema`` and ``last_delta``.  The runs
-    share ``config`` and the step count, so the learning rate and AdamW's
-    ``t`` are shared scalars.  Each step's stack carries the frozen reference.
+    tables, entry r of ``alphas``, ``terms`` and ``last_delta``, and entries
+    2r and 2r + 1 of ``ema``, its positive and auxiliary EMA statistics as
+    floats (None until the first update seeds them).  ``terms`` are the runs'
+    :func:`~bfpo.losses.loss_terms`, fixed for the phase when the state is
+    made.  The runs share ``config`` and the step count, so the learning rate
+    and AdamW's ``t`` are shared scalars.  Each step's stack carries the
+    frozen reference.
     """
 
     policy: PolicyParams
@@ -246,32 +260,65 @@ class RunState:
     total_steps: int
     step: int = 0
     epoch: int = 0
-    ema: list[ReferenceState] = field(init=False)
+    ema: list[float] | None = None
     last_delta: list[float] = field(init=False)
-    loss_configs: list[LossConfig] = field(init=False, repr=False)
+    terms: list[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = self.config
-        self.loss_configs = [
+        self.terms = loss_terms(c.method, [
             LossConfig(beta=c.beta, alpha=a, pi_n=c.pi_n, lambda_d=c.lambda_d,
                        lambda_u=c.lambda_u)
             for a in self.alphas
-        ]
-        self.ema = [ReferenceState(decay=c.ema_decay) for _ in self.alphas]
+        ])
         self.last_delta = [0.0] * len(self.alphas)
+
+    def references(self) -> list[ReferenceState]:
+        """Each run's EMA statistics as a :class:`~bfpo.rewards.ReferenceState`."""
+        decay = self.config.ema_decay
+        if self.ema is None:
+            return [ReferenceState(decay=decay) for _ in self.alphas]
+        return [ReferenceState(p, a, decay, True) for p, a in zip(self.ema[0::2], self.ema[1::2])]
+
+
+@dataclass(frozen=True, eq=False)
+class MetricsTable:
+    """A run's per-step metrics as one table: row k is step k + 1, of epoch
+    ``k // steps_per_epoch``, and holds the float columns of
+    :data:`METRICS_COLUMNS` (those after step, epoch and method)."""
+
+    method: Method
+    steps_per_epoch: int
+    values: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def rows(self) -> list[list]:
+        """Each step's :data:`METRICS_COLUMNS` values, in order."""
+        name, per_epoch = self.method.value, self.steps_per_epoch
+        return [[k + 1, k // per_epoch, name, *row] for k, row in enumerate(self.values.tolist())]
 
 
 @dataclass
 class TrainResult:
+    """A trained run.  ``metrics_table`` holds its method phase's metrics;
+    ``metrics`` is the same as one dict a step, keyed by
+    :data:`METRICS_COLUMNS`, built when it is first read."""
+
     policy: PolicyParams
     reference: PolicyParams
     ema: ReferenceState
     opt: "AdamState"
-    metrics: list[dict]
+    metrics_table: MetricsTable
     alpha_estimate: AlphaEstimate | None
     alpha_resolved: float
     aux_user_ids: list[str]
     dpo_pairs_skipped: int = 0
+
+    @functools.cached_property
+    def metrics(self) -> list[dict]:
+        return [dict(zip(METRICS_COLUMNS, row)) for row in self.metrics_table.rows()]
 
 
 def _lr_at(step: int, total_steps: int, base: float, warmup_fraction: float) -> float:
@@ -312,39 +359,77 @@ def _adamw_apply(
     params.logits -= step
 
 
-def _chunks(order: np.ndarray, size: int) -> list[np.ndarray]:
-    return [order[lo : lo + size] for lo in range(0, len(order), size)]
+class Batches(NamedTuple):
+    """A run's batches as index arrays into two pools: batch k takes the next
+    ``n_pos[k]`` entries of ``pos`` (indices into ``pos_pool``) and the next
+    ``n_aux[k]`` of ``aux`` (into ``aux_pool``)."""
+
+    pos: np.ndarray
+    aux: np.ndarray
+    n_pos: np.ndarray
+    n_aux: np.ndarray
+    pos_pool: SampleTable
+    aux_pool: SampleTable
+
+    def join(self, *later: "Batches") -> "Batches":
+        """These batches, then those of ``later`` epochs of the same run."""
+        arrays = (np.concatenate(parts) for parts in zip(*(e[:4] for e in (self, *later))))
+        return Batches(*arrays, self.pos_pool, self.aux_pool)
+
+    def batch(self, k: int) -> Batch:
+        """Batch k as a :class:`~bfpo.losses.Batch`."""
+        pos, aux = (side[counts[:k].sum() : counts[: k + 1].sum()]
+                    for side, counts in ((self.pos, self.n_pos), (self.aux, self.n_aux)))
+        return Batch(pos, aux, self.pos_pool, self.aux_pool)
 
 
-def make_batches(dataset: UserDataset, config: TrainConfig, epoch_seed: int) -> list[Batch]:
+def make_batches(dataset: UserDataset, config: TrainConfig, epoch_seed: int) -> Batches:
     """Seeded per-epoch batches: one epoch is one pass over the target side.
     A DPO dataset holds the run's pairs, the preferred completions as its
     target side and the rejected ones, in the same order, as its auxiliary
     side, so a DPO batch takes the same indices from both.
     :func:`stack_batches` encodes the batches."""
     rng = np.random.default_rng(epoch_seed)
-    pos = dataset.tar_train
+    pos, aux = dataset.tar_train, dataset.aux_train
     if len(pos) == 0:
         raise InputError("target training split is empty")
-    chunks = _chunks(rng.permutation(len(pos)), config.batch_size_pos)
-    aux = dataset.aux_train
+    order = rng.permutation(len(pos))
+    steps = -(-len(pos) // config.batch_size_pos)
+    n_pos = np.full(steps, config.batch_size_pos)
+    n_pos[-1] = len(pos) - config.batch_size_pos * (steps - 1)
     if config.method is Method.SFT:
-        return [Batch(c, _NONE, pos, aux) for c in chunks]
+        return Batches(order, _NONE, n_pos, np.zeros(steps, np.int64), pos, aux)
     if config.method is Method.DPO:
         if len(aux) != len(pos):
             raise ConfigError(f"DPO: {len(pos)} preferred completions for {len(aux)} rejected")
-        return [Batch(c, c, pos, aux) for c in chunks]
+        return Batches(order, order, n_pos, n_pos, pos, aux)
     if len(aux) == 0:
         raise InputError("auxiliary training split is empty")
     aux_order = rng.permutation(len(aux))
     bs_aux = config.resolved_aux_batch(dataset.ratio_x)
     # The auxiliary side cycles through its permutation across the epoch.
-    aux_idx = aux_order[np.arange(len(chunks) * bs_aux) % len(aux)].reshape(-1, bs_aux)
-    return [Batch(c, a, pos, aux) for c, a in zip(chunks, aux_idx)]
+    aux_idx = aux_order[np.arange(steps * bs_aux) % len(aux)]
+    return Batches(order, aux_idx, n_pos, np.full(steps, bs_aux), pos, aux)
+
+
+class _StepBatches(Sequence):
+    """Batch k of each run's :class:`Batches`, built only when read: a
+    diagnostic dump reads one."""
+
+    __slots__ = ("batches", "k")
+
+    def __init__(self, batches: Sequence[Batches], k: int) -> None:
+        self.batches, self.k = batches, k
+
+    def __len__(self) -> int:
+        return len(self.batches)
+
+    def __getitem__(self, r: int) -> Batch:
+        return self.batches[r].batch(self.k)
 
 
 def stack_batches(
-    batches: Sequence[Sequence[Batch]],
+    batches: Sequence[Batches],
     codes: Encoded,
     firsts: Sequence[int],
     reference: np.ndarray | None,
@@ -353,27 +438,33 @@ def stack_batches(
     """R runs' batches in lockstep: step k stacks every run's k-th batch.
 
     ``batches[r]`` is run r's batches, one or more :func:`make_batches`
-    epochs.  ``codes`` is the runs' encodings stacked by
+    epochs (:meth:`Batches.join`).  ``codes`` is the runs' encodings stacked by
     :func:`bfpo.policy.stack_codes` for a table of ``vocab_size`` columns, run
     r's from sequence ``firsts[r]``: each the encoding of the pools its
     batches index, ``tar_train`` then ``aux_train`` of its dataset (for DPO,
     the preferred then the rejected completions), and ``reference`` their
-    reference log-probabilities (None for SFT).  One pass gathers every step's
-    sequences into a plan of the arrays a step reads, per token its row, cell
-    and sequence (numbered from 0 in its step), per sequence its length and
-    reference value; each step's :class:`~bfpo.policy.StepCodes` and
-    reference are slices of it.
+    reference log-probabilities (None for SFT).  One pass over index arrays
+    gathers every step's sequences into a plan of the arrays a step reads,
+    per token its row, cell and sequence (numbered from 0 in its step), per
+    sequence its length and reference value; each step's
+    :class:`~bfpo.policy.StepCodes` and reference are slices of it, and its
+    runs' batches are built only when read.
     """
-    if len({len(b) for b in batches}) != 1:
+    steps = len(batches[0].n_pos)
+    if any(len(b.n_pos) != steps for b in batches):
         raise ConfigError("runs stepped in lockstep need the same number of batches")
-    steps = list(zip(*batches))
     # A batch's sequences: its positives, then its auxiliaries, whose pool
-    # follows the positives' in the encoding.
-    parts = [a for step in steps for b in step for a in (b.pos, b.aux)]
-    counts = np.fromiter(map(len, parts), np.int64, len(parts))
-    bases = [(first, first + len(b[0].pos_pool)) for b, first in zip(batches, firsts)]
-    index = np.concatenate(parts) + np.repeat(np.tile(np.ravel(bases), len(steps)), counts)
-    counts = counts.reshape(len(steps), len(batches), 2)
+    # follows the positives' in the encoding.  ``source`` holds each run's
+    # sides one after the other, each side's steps in order; the plan takes
+    # step by step, run by run, positives then auxiliaries.
+    counts = np.array([(b.n_pos, b.n_aux) for b in batches])  # (run, side, step)
+    source = np.concatenate([side + base for b, first in zip(batches, firsts)
+                             for side, base in ((b.pos, first), (b.aux, first + len(b.pos_pool)))])
+    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape).transpose(2, 0, 1)
+    counts = counts.transpose(2, 0, 1)  # (step, run, side)
+    flat = counts.ravel()
+    index = np.repeat(starts.ravel() - (np.cumsum(flat) - flat), flat)
+    index = source[index + np.arange(len(index))]
     sizes = counts.sum(axis=(1, 2))
     seq_ends = np.cumsum(sizes)
     lengths = codes.lengths[index]
@@ -390,13 +481,13 @@ def stack_batches(
     refs = None if reference is None else reference[index]
     return [
         Stack(
-            step,
+            _StepBatches(batches, k),
             StepCodes(rows[lo:hi], cells[lo:hi], seq[lo:hi], lengths[a:b], vocab_size),
             Layout.of(*sides),
             None if refs is None else refs[a:b],
         )
-        for step, sides, a, b, lo, hi in zip(
-            steps, counts.transpose(0, 2, 1).tolist(), seq_bounds, seq_bounds[1:],
+        for k, sides, a, b, lo, hi in zip(
+            range(steps), counts.transpose(0, 2, 1).tolist(), seq_bounds, seq_bounds[1:],
             tok_bounds, tok_bounds[1:],
         )
     ]
@@ -422,10 +513,12 @@ def _diagnostic_dump(batch: Batch, breakdown: np.ndarray | None, state: RunState
 
 def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
     """One optimization step of every run of the stack; each run's EMA is
-    updated before its anchor is read.  Returns each run's loss breakdown, as
-    the rows of :func:`bfpo.losses.scored_loss`'s columns."""
+    updated (by :func:`bfpo.rewards.ema_fold`) before its anchor is read.
+    Returns each run's loss breakdown, as the rows of
+    :func:`bfpo.losses.scored_loss`'s columns."""
     state.step += 1
-    method = state.config.method
+    config = state.config
+    method = config.method
     layout = batch.layout
     runs = len(layout.n_pos)
     if method in _BINARY_METHODS and not layout.both_sides:
@@ -433,8 +526,7 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
             f"{method.value} step needs non-empty positive and auxiliary sides"
         )
     # One reward pass, shared by the EMA anchors and the losses.
-    scores = score(method, batch, state.policy, state.config.beta)
-    delta = [0.0] * runs
+    scores = score(method, batch, state.policy, config.beta)
     if method in _BINARY_METHODS:
         # Bin 2r adds run r's positive rewards, bin 2r + 1 its auxiliary ones.
         means = (ordered_sums(scores.rewards, layout.seg, 2 * runs) / layout.sides).tolist()
@@ -444,14 +536,18 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
                 f"non-finite batch rewards at step {state.step}",
                 details=_diagnostic_dump(batch.batches[bad], None, state),
             )
-        state.ema = list(map(ema_update, state.ema, means[0::2], means[1::2]))
-        if state.config.delta_mode == "ema":
-            delta = list(map(delta_ema, state.ema))
+        if state.ema is None:  # the first update seeds the EMAs with the means
+            state.ema = means
+        else:
+            fold, decay = rewards.ema_fold, config.ema_decay
+            state.ema = [fold(ema, mean, decay) for ema, mean in zip(state.ema, means)]
+        if config.delta_mode == "ema":
+            state.last_delta = list(map(rewards.ema_anchor, state.ema[0::2], state.ema[1::2]))
         else:  # delta_joint of each run's batch
-            delta = (ordered_sums(scores.rewards, layout.run, runs) / layout.sizes).tolist()
-    state.last_delta = delta
+            state.last_delta = (ordered_sums(scores.rewards, layout.run, runs)
+                                / layout.sizes).tolist()
 
-    values, grad = scored_loss(method, scores, state.loss_configs, delta, want_grad=True)
+    values, grad = scored_loss(method, scores, state.terms, state.last_delta, want_grad=True)
     grad_finite = np.logical_and.reduce(np.isfinite(grad), axis=None)
     if not (all(map(math.isfinite, values[:, _TOTAL].tolist())) and grad_finite):
         finite = np.isfinite(grad.reshape(runs, -1)).all(axis=1) & np.isfinite(values[:, _TOTAL])
@@ -460,13 +556,8 @@ def train_step(state: RunState, batch: Stack) -> tuple[RunState, np.ndarray]:
             f"non-finite loss or gradient at step {state.step}",
             details=_diagnostic_dump(batch.batches[r], values[r], state),
         )
-    lr = _lr_at(
-        state.step, state.total_steps, state.config.learning_rate, state.config.warmup_fraction
-    )
-    _adamw_apply(
-        state.policy, grad, state.opt, lr, state.config.momentum_params,
-        state.config.weight_decay,
-    )
+    lr = _lr_at(state.step, state.total_steps, config.learning_rate, config.warmup_fraction)
+    _adamw_apply(state.policy, grad, state.opt, lr, config.momentum_params, config.weight_decay)
     return state, values
 
 
@@ -530,7 +621,7 @@ class _PhaseRun:
     alpha: float = 0.0
     ema: ReferenceState | None = None
     opt: AdamState | None = None
-    metrics: list[dict] = field(default_factory=list)
+    metrics_table: MetricsTable | None = None
 
     def steps_per_epoch(self) -> int:
         return math.ceil(len(self.dataset.tar_train) / self.config.batch_size_pos)
@@ -541,10 +632,11 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
     :func:`train_step` from a fresh optimizer and EMA, for the runs of one
     lockstep group, stepped with the first run's config; the epochs are
     stacked in blocks of about :data:`PLAN_TOKENS` tokens, one
-    :func:`stack_batches` call a block.  Each run is left
-    holding its trained policy, EMA, AdamW state and one metrics row per
-    step.  A policy left non-finite by the last update raises
-    :class:`NumericError` with its run's dump of the last batch."""
+    :func:`stack_batches` call a block.  Each run is left holding its trained
+    policy, EMA, AdamW state and :class:`MetricsTable`, whose rows the steps'
+    loss columns, anchors and EMAs fill once the phase is done.  A policy left
+    non-finite by the last update raises :class:`NumericError` with its run's
+    dump of the last batch."""
     config = runs[0].config
     context = config.context_size
     steps = runs[0].steps_per_epoch()
@@ -565,20 +657,22 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
         # The references are frozen: score every sequence under them once.
         ref_table = softmax_tables(np.concatenate([r.reference.logits for r in runs]))[0]
         reference = sequence_log_probs(ref_table, codes)
-    logged = []  # per step: (step, epoch, loss columns, deltas, EMAs)
+    losses, deltas, emas = [], [], []  # per step: (R, 6) loss columns, R anchors, 2R EMAs
     # An epoch is counted as many tokens as the encoding: each target once,
     # and auxiliaries at the dataset's ratio.
     block = max(1, PLAN_TOKENS // len(codes.cells))
     for first in range(0, config.epochs, block):
         epochs = range(first, min(first + block, config.epochs))
         batches = [
-            [b for _ in epochs for b in make_batches(r.dataset, r.config, _epoch_seed(r.rng))]
+            Batches.join(*[make_batches(r.dataset, r.config, _epoch_seed(r.rng)) for _ in epochs])
             for r in runs
         ]
         for k, stack in enumerate(stack_batches(batches, codes, firsts, reference, vocab_size)):
             state.epoch = first + k // steps
             state, values = train_step(state, stack)
-            logged.append((state.step, state.epoch, values, state.last_delta, state.ema))
+            losses.append(values)
+            deltas += state.last_delta
+            emas += state.ema or ()
     # train_step checks each update's loss and gradient, and the next step
     # reads the policy it made; the phase's last update is checked here.
     if not np.logical_and.reduce(np.isfinite(state.policy.logits), axis=None):
@@ -587,19 +681,19 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
             f"non-finite policy after the update of step {state.step}",
             details=_diagnostic_dump(stack.batches[r], values[r], state),
         )
-    # The metrics rows, from each step's loss columns, once the phase is done.
-    method = config.method.value
-    for step, epoch, values, deltas, emas in logged:
-        for r, row, delta, ema in zip(runs, values.tolist(), deltas, emas):
-            ema_pair = (ema.ema_pos, ema.ema_aux) if ema.initialized else (0.0, 0.0)
-            r.metrics.append(
-                dict(zip(METRICS_COLUMNS, (step, epoch, method, *row, delta, *ema_pair)))
-            )
-    for i, (r, ema) in enumerate(zip(runs, state.ema)):
+    # Run r's table: its loss columns, anchor and EMA pair (0.0, 0.0 if never
+    # updated) at each step.
+    table = np.zeros((len(runs), len(losses), len(METRICS_COLUMNS) - 3))
+    table[..., :_DELTA] = np.transpose(losses, (1, 0, 2))
+    table[..., _DELTA] = np.reshape(deltas, (len(losses), -1)).T
+    if emas:
+        table[..., _DELTA + 1:] = np.reshape(emas, (len(losses), -1, 2)).transpose(1, 0, 2)
+    for i, (r, ema) in enumerate(zip(runs, state.references())):
         own = slice(i * context, (i + 1) * context)
         r.policy = PolicyParams(vocab_size, context, state.policy.logits[own].copy())
         r.ema = ema
         r.opt = AdamState(m=state.opt.m[own].copy(), v=state.opt.v[own].copy(), t=state.opt.t)
+        r.metrics_table = MetricsTable(config.method, steps, table[i])
 
 
 def _train_phase(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
@@ -725,7 +819,7 @@ def run_many(
             reference=job.reference,
             ema=job.ema,
             opt=job.opt,
-            metrics=job.metrics,
+            metrics_table=job.metrics_table,
             alpha_estimate=alpha_estimate,
             alpha_resolved=job.alpha,
             aux_user_ids=dataset.aux_user_ids,
@@ -803,7 +897,7 @@ def save_checkpoint(
     doc = {
         "schema_version": 1,
         "vocab_size": vocab_size,
-        "step": len(result.metrics),
+        "step": len(result.metrics_table),
         "policy": _params_doc(result.policy),
         "reference": _params_doc(result.reference),
         "ema": {

@@ -37,6 +37,7 @@ from .losses import (
     Method,
     Stack,
     binary_losses,
+    loss_terms,
     score,
     scored_loss,
 )
@@ -56,7 +57,8 @@ from .pu import (
     run_negativity_check,
     run_unbiasedness_check,
 )
-from .rewards import ReferenceState, delta_ema, ema_update, kto_zrefs
+from . import rewards
+from .rewards import kto_zrefs
 
 __all__ = [
     "GradientCase",
@@ -162,6 +164,14 @@ def _sequences(
     return pairs
 
 
+def _drawn_params(table: np.ndarray) -> PolicyParams:
+    """A table of a normal draw (finite float64 of its own shape) as
+    PolicyParams, without the checks the constructor would repeat on it."""
+    params = object.__new__(PolicyParams)
+    (params.context_size, params.vocab_size), params.logits = table.shape, table
+    return params
+
+
 def _draw_case(method: Method, draws: pcg64_words.Reader) -> GradientCase:
     """One randomized case, not yet screened or scored: the vocabulary and
     context sizes, the policy's and the reference's logits (one normal draw),
@@ -185,8 +195,8 @@ def _draw_case(method: Method, draws: pcg64_words.Reader) -> GradientCase:
     if method is Method.DPO:
         pos = _sequences(draws, vocab, 1 + draws.below(3))
         aux = [(x, y) for (x, _), (_, y) in zip(pos, _sequences(draws, vocab, 3))]
-    return GradientCase(pos + aux, len(pos), PolicyParams(vocab, context, tables[0]),
-                        PolicyParams(vocab, context, tables[1]), config, delta)
+    return GradientCase(pos + aux, len(pos), _drawn_params(tables[0]), _drawn_params(tables[1]),
+                        config, delta)
 
 
 def _encode_cases(cases: Sequence[GradientCase]) -> None:
@@ -214,9 +224,9 @@ def _stack(
     """The stack of ``copies[i]`` runs of case i after those of the cases
     before it (cases of one vocabulary size, each encoded), each run on its
     own table of its case's context size, with each sequence's beta and each
-    run's config and anchor.  The reference log-probabilities are the cases'
-    own once scored, else gathered from their stacked reference tables (one
-    run per case)."""
+    run's :func:`~bfpo.losses.loss_terms` and anchor.  The reference
+    log-probabilities are the cases' own once scored, else gathered from
+    their stacked reference tables (one run per case)."""
     parts = [c.codes for c in cases]
     contexts = [c.policy.context_size for c in cases]
     codes = stack_codes(parts, contexts, cases[0].policy.vocab_size, copies)
@@ -232,9 +242,10 @@ def _stack(
     # A check's runs hold no sample pools, so the stack names no batches.
     stack = Stack((), codes, layout, reference)
     betas = np.repeat([c.config.beta for c in cases], copies)[layout.run]
-    configs = [c.config for c, k in zip(cases, copies) for _ in range(k)]
+    terms = loss_terms(method, [c.config for c in cases])
+    terms = [t for t, k in zip(terms, copies) for _ in range(k)]
     deltas = [c.delta for c, k in zip(cases, copies) for _ in range(k)]
-    return stack, betas, configs, deltas
+    return stack, betas, terms, deltas
 
 
 def _score_group(method: Method, cases: Sequence[GradientCase]) -> np.ndarray:
@@ -242,7 +253,7 @@ def _score_group(method: Method, cases: Sequence[GradientCase]) -> np.ndarray:
     under their own policies: fill in what :class:`GradientCase` leaves to
     scoring, and return the runs' :data:`BREAKDOWN_COLUMNS` rows."""
     vocab = cases[0].policy.vocab_size
-    stack, betas, configs, deltas = _stack(method, cases, [1] * len(cases))
+    stack, betas, terms, deltas = _stack(method, cases, [1] * len(cases))
     contexts = [c.policy.context_size for c in cases]
     policy = PolicyParams(vocab, sum(contexts), np.concatenate([c.policy.logits for c in cases]))
     scores = score(method, stack, policy, betas)
@@ -250,7 +261,7 @@ def _score_group(method: Method, cases: Sequence[GradientCase]) -> np.ndarray:
     zrefs = None
     if method is Method.KTO:
         zrefs = np.concatenate([kto_zrefs(scores.rewards[a:b]) for a, b, _ in spans])
-    values, grad = scored_loss(method, scores, configs, deltas, zrefs, want_grad=True)
+    values, grad = scored_loss(method, scores, terms, deltas, zrefs, want_grad=True)
     row_ends = np.cumsum(contexts).tolist()
     for case, (a, b, _), lo, hi in zip(cases, spans, [0] + row_ends[:-1], row_ends):
         case.analytic = grad[lo:hi]
@@ -318,7 +329,7 @@ def _fd_errors(method: Method, cases: Sequence[GradientCase]) -> list[float]:
     log-probabilities, config, anchor and (KTO) leave-one-out anchors, and
     each run's total is its loss."""
     copies = [2 * case.policy.logits.size for case in cases]
-    stack, betas, configs, deltas = _stack(method, cases, copies)
+    stack, betas, terms, deltas = _stack(method, cases, copies)
     zrefs = None
     if method is Method.KTO:
         zrefs = tile_parts([c.zrefs for c in cases], copies)
@@ -326,7 +337,7 @@ def _fd_errors(method: Method, cases: Sequence[GradientCase]) -> list[float]:
 
     def loss_fn(tables: np.ndarray) -> np.ndarray:
         scores = score(method, stack, PolicyParams(tables.shape[1], len(tables), tables), betas)
-        totals.append(scored_loss(method, scores, configs, deltas, zrefs)[0][:, _TOTAL])
+        totals.append(scored_loss(method, scores, terms, deltas, zrefs)[0][:, _TOTAL])
         return totals[-1]
 
     numeric = finite_difference_grad(loss_fn, [c.policy for c in cases])
@@ -386,17 +397,20 @@ def run_ema_invariance_check() -> CheckResult:
     With constant per-set reward means m+ and m-, the joint pooled batch mean
     sits at (m+ + x*m-)/(1+x), i.e. off the balanced anchor by
     (x-1)/(x+1) * (m- - m+)/2.  The means are 0.4 and -0.6, the ratios x 0.5,
-    1 and 1.5, and each anchor takes 400 updates at decay 0.9.
+    1 and 1.5, and each anchor takes 400 updates at decay 0.9: the first
+    seeds both statistics with the means, as the trainer's does, and the rest
+    run the trainer's formula, :func:`bfpo.rewards.ema_fold`.
     """
     ratios, pos_mean, aux_mean = (0.5, 1.0, 1.5), 0.4, -0.6
     deltas = []
     joint_gap_errors = []
     for x in ratios:
         n_pos, n_aux = 2, max(1, round(2 * x))
-        state = ReferenceState(decay=0.9)
-        for _ in range(400):
-            state = ema_update(state, pos_mean, aux_mean)
-        deltas.append(delta_ema(state))
+        ema_pos, ema_aux = pos_mean, aux_mean
+        for _ in range(399):
+            ema_pos = rewards.ema_fold(ema_pos, pos_mean, 0.9)
+            ema_aux = rewards.ema_fold(ema_aux, aux_mean, 0.9)
+        deltas.append(rewards.ema_anchor(ema_pos, ema_aux))
         joint = (n_pos * pos_mean + n_aux * aux_mean) / (n_pos + n_aux)
         predicted_gap = ((x - 1.0) / (x + 1.0)) * (aux_mean - pos_mean) / 2.0
         joint_gap_errors.append(abs(joint - 0.5 * (pos_mean + aux_mean) - predicted_gap))
@@ -426,12 +440,12 @@ def run_clamp_check(seed: int = 4) -> CheckResult:
     """
     replications, n = 2_000, 10
     rewards = np.random.default_rng(seed).normal(0.0, 1.0, (replications, 2, n))
-    config = LossConfig(alpha=0.9)
+    (terms,) = loss_terms(Method.CBPO, [LossConfig(alpha=0.9)])
     negatives = clamp_violations = 0
     for lo in range(0, replications, CHECK_RUNS):
         chunk = rewards[lo : lo + CHECK_RUNS]
         layout = Layout.build([n] * len(chunk), [n] * len(chunk))
-        values = binary_losses(Method.CBPO, chunk.ravel(), layout, [config] * len(chunk))
+        values = binary_losses(chunk.ravel(), layout, [terms] * len(chunk))
         negative = values[:, _RAW] < 0.0
         leaked = values[:, _TOTAL] != values[:, _L_POS]
         negatives += int(np.count_nonzero(negative))

@@ -829,7 +829,7 @@ class TestCsvCells:
 
         row = {"a": np.float64(0.1), "b": 0.1, "c": -0.0, "d": float("nan"),
                "e": float("inf"), "f": 1e-300, "g": 3, "h": "x,y", "i": 2 / 3}
-        _write_csv(tmp_path / "t.csv", list(row), [row])
+        _write_csv(tmp_path / "t.csv", list(row), [list(row.values())])
         assert (tmp_path / "t.csv").read_text() == (
             "a,b,c,d,e,f,g,h,i\n0.1,0.1,-0.0,nan,inf,1e-300,3,\"x,y\",0.6666666666666666\n"
         )

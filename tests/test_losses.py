@@ -17,6 +17,7 @@ from bfpo.losses import (
     kto_loss,
     loss_negative,
     loss_positive,
+    loss_terms,
     method_loss,
     method_loss_and_grad,
     sft_loss,
@@ -550,7 +551,8 @@ class TestKernelLossValues:
                                                 [len(b.aux) for b in batches]),
                       None if method is Method.SFT else sequence_log_probs(ref_table, codes))
         table = PolicyParams(vocab, 4 * context, np.concatenate([p.logits for p in policies]))
-        got, _ = scored_loss(method, score(method, stack, table, beta), configs, deltas)
+        got, _ = scored_loss(method, score(method, stack, table, beta),
+                                 loss_terms(method, configs), deltas)
 
         rcfg = RewardConfig(beta=beta)
         reordered = False  # whether np.sum would give some mean another value
@@ -631,7 +633,8 @@ class TestScoredLossColumns:
         for args, want in zip(zip(batches, policies, references, configs, deltas), lone):
             batch, policy, reference, config, delta = args
             stack = Stack.of(method, batch, policy, reference)
-            values, _ = scored_loss(method, score(method, stack, policy, beta), [config], [delta])
+            values, _ = scored_loss(method, score(method, stack, policy, beta),
+                                   loss_terms(method, [config]), [delta])
             assert values.shape == (1, len(BREAKDOWN_COLUMNS))
             assert values[0].tolist() == _lone_breakdown_row(want)
             assert values[0, :unused].tolist() == [0.0] * unused
@@ -642,7 +645,8 @@ class TestScoredLossColumns:
                                                 [len(b.aux) for b in batches]),
                       None if method is Method.SFT else sequence_log_probs(ref_table, codes))
         table = PolicyParams(vocab, 3 * context, np.concatenate([p.logits for p in policies]))
-        values, _ = scored_loss(method, score(method, stack, table, beta), configs, deltas)
+        values, _ = scored_loss(method, score(method, stack, table, beta),
+                                 loss_terms(method, configs), deltas)
         assert values.shape == (3, len(BREAKDOWN_COLUMNS))
         for row, want in zip(values.tolist(), lone):
             assert row == _lone_breakdown_row(want)
@@ -674,7 +678,8 @@ class TestScoredLossColumns:
                       None if method is Method.SFT else sequence_log_probs(ref_table, codes))
         table = PolicyParams(vocab, sum(contexts), np.concatenate([p.logits for p in policies]))
         scores = score(method, stack, table, np.array(betas)[layout.run])
-        values, grad = scored_loss(method, scores, configs, deltas, want_grad=True)
+        values, grad = scored_loss(method, scores, loss_terms(method, configs), deltas,
+                                   want_grad=True)
         first = 0
         for run, args in enumerate(zip(batches, policies, references, configs, deltas)):
             want, want_grad = method_loss_and_grad(method, *args)
@@ -721,7 +726,8 @@ class TestScoredLossColumns:
             if trial % 2:
                 zrefs = rng.normal(0.0, 1.0, len(rewards)).tolist()
             scores = Scores(Stack([], None, layout, None), 1.0, None, None, rewards)
-            got = scored_loss(Method.KTO, scores, configs, [0.0] * runs, zrefs)[0][:, total]
+            got = scored_loss(Method.KTO, scores, loss_terms(Method.KTO, configs), [0.0] * runs,
+                              zrefs)[0][:, total]
             for (a, b, p), config, value in zip(layout.spans, configs, got.tolist()):
                 anchors = kto_zrefs(rewards[a:b]) if zrefs is None else zrefs[a:b]
                 want = kto_loss(rewards[a:b].tolist(), [1] * p + [-1] * (b - a - p),

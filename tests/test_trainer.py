@@ -83,17 +83,34 @@ def _named_sequences(batch):
     return [(s.x, s.y) for s in pos + aux]
 
 
+def _steps(batches):
+    """A make_batches plan cut by its counts into one Batch a step, each
+    equal to the plan's own ``batch(k)``."""
+    def cut(side, counts):
+        return np.split(side, np.cumsum(counts)[:-1])
+
+    steps = [Batch(pos, aux, batches.pos_pool, batches.aux_pool)
+             for pos, aux in zip(cut(batches.pos, batches.n_pos), cut(batches.aux, batches.n_aux))]
+    assert all(_same_batch(batches.batch(k), b) for k, b in enumerate(steps))
+    return steps
+
+
+def _same_batch(got, want):
+    return (got.pos.tolist(), got.aux.tolist()) == (want.pos.tolist(), want.aux.tolist()) and (
+        got.pos_pool is want.pos_pool and got.aux_pool is want.aux_pool)
+
+
 class TestMakeBatches:
     def test_batch_count(self):
         spec, ds = _dataset(samples_per_user=12)  # 10 train samples per side
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, alpha=0.0)
         batches = make_batches(ds, cfg, 0)
-        assert len(batches) == 5
+        assert batches.n_pos.tolist() == [2] * 5 and len(_steps(batches)) == 5
 
     def test_fixed_per_batch_ratio(self):
         spec, ds = _dataset(samples_per_user=12)
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, batch_size_aux=3, alpha=0.0)
-        for batch in make_batches(ds, cfg, 1):
+        for batch in _steps(make_batches(ds, cfg, 1)):
             assert len(batch.aux) == 3
 
     def test_epoch_seed_determinism(self):
@@ -102,13 +119,14 @@ class TestMakeBatches:
         codes = _codes(ds, cfg, spec.vocab_size)
         a = make_batches(ds, cfg, 42)
         b = make_batches(ds, cfg, 42)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.pos.tolist() == y.pos.tolist() and x.aux.tolist() == y.aux.tolist()
+        assert len(_steps(a)) == len(_steps(b))
+        for x, y in zip(_steps(a), _steps(b)):
+            assert _same_batch(x, y)
             assert x.samples() == y.samples()
         stacks = [stack_batches([e], codes, [0], None, spec.vocab_size) for e in (a, b)]
         for x, y in zip(*stacks):
             np.testing.assert_array_equal(x.codes.cells, y.codes.cells)
+            assert _same_batch(x.batches[0], y.batches[0])
 
     def test_dpo_sides_of_unequal_length_are_config_error(self):
         """A DPO dataset pairs its i-th preferred completion with its i-th
@@ -128,7 +146,8 @@ class TestMakeBatches:
     def test_aux_cycles_when_short(self):
         spec, ds = _dataset(samples_per_user=12, ratio=0.5)
         cfg = TrainConfig(method=Method.BCO, batch_size_pos=2, batch_size_aux=4, alpha=0.0)
-        batches = make_batches(ds, cfg, 0)
+        plan = make_batches(ds, cfg, 0)
+        batches = _steps(plan)
         assert all(len(b.aux) == 4 for b in batches)
         # The auxiliary side runs through one permutation, then starts it again.
         n_aux = len(ds.aux_train)
@@ -137,7 +156,8 @@ class TestMakeBatches:
         assert sorted(cycle[:n_aux].tolist()) == list(range(n_aux))
         np.testing.assert_array_equal(cycle, cycle[np.arange(len(cycle)) % n_aux])
         codes = _codes(ds, cfg, spec.vocab_size)
-        for b, stack in zip(batches, stack_batches([batches], codes, [0], None, spec.vocab_size)):
+        for b, stack in zip(batches, stack_batches([plan], codes, [0], None, spec.vocab_size)):
+            assert _same_batch(stack.batches[0], b)
             _assert_encodes(stack.codes, _named_sequences(b), cfg.context_size, spec.vocab_size)
 
     def test_unequal_epochs_cannot_stack(self):
@@ -171,7 +191,7 @@ class TestMakeBatches:
                 ds = replace(ds, h_tar=ds.h_tar[:kept], h_aux=ds.h_aux[:kept])
             codes = _codes(ds, cfg, vocab)
             runs.append((ds, cfg, codes, make_batches(ds, cfg, 7 + r)))
-        assert len(runs[0][3]) == len(runs[1][3])
+        assert len(runs[0][3].n_pos) == len(runs[1][3].n_pos)
         stacked = stack_codes([r[2] for r in runs], context, vocab)
         table = np.random.default_rng(0).normal(size=(2 * context, vocab))
         reference = None if method is Method.SFT else sequence_log_probs(table, stacked)
@@ -184,12 +204,14 @@ class TestMakeBatches:
                 want = sequence_log_probs(table, stack.codes)
                 assert stack.reference.tobytes() == want.tobytes()
         binary = method not in (Method.SFT, Method.DPO)
-        for r, (ds, cfg, _, batches) in enumerate(runs):
+        for r, (ds, cfg, _, plan) in enumerate(runs):
             n_pos = len(ds.tar_train)
             n_aux = cfg.resolved_aux_batch(ds.ratio_x) if binary else 0
+            batches = _steps(plan)
             assert sorted(np.concatenate([b.pos for b in batches]).tolist()) == list(range(n_pos))
             for b, stack in zip(batches, stacks):
-                assert stack.batches[r] is b
+                assert len(stack.batches) == 2 and _same_batch(stack.batches[r], b)
+                assert _same_batch(stack.batches[r - 2], b)
                 if method is Method.DPO:  # each preferred completion's rejected one
                     assert b.aux.tolist() == b.pos.tolist()
                 else:
@@ -233,8 +255,9 @@ class TestTrainStep:
 
         state = self._state(method=Method.CBPO, lr=0.01)
         reference = snapshot_reference(state.policy)
-        # Pre-seeded EMA keeps the anchor above the (zero) initial rewards.
-        state.ema = [ReferenceState(ema_pos=1.0, ema_aux=1.0, decay=0.99, initialized=True)]
+        # Pre-seeded EMA statistics (the run's positive, then auxiliary) keep
+        # the anchor above the (zero) initial rewards.
+        state.ema = [1.0, 1.0]
         sample = Sample("u", (0,), (1, 1))
         batch = Batch.of(pos=[sample], aux=[Sample("v", (0,), (2,))])
         rcfg = RewardConfig(beta=state.config.beta)
@@ -253,7 +276,8 @@ class TestTrainStep:
         train_step(state, self._stack(state, batch))
         # First step: policy == reference, so rewards are zero and the seeded
         # EMA makes the anchor exactly zero.
-        assert state.ema[0].initialized
+        assert state.ema == [0.0, 0.0]
+        assert state.references() == [ReferenceState(0.0, 0.0, 0.9, True)]
         assert state.last_delta == [0.0]
 
     def test_ema_batch_means_add_left_to_right(self):
@@ -276,7 +300,7 @@ class TestTrainStep:
         rewards = score(Method.BCO, batch, state.policy, 1.0).rewards
         pos_r, aux_r = rewards[:24], rewards[24:]
         train_step(state, batch)
-        assert (state.ema[0].ema_pos, state.ema[0].ema_aux) == (
+        assert tuple(state.ema) == (
             ordered_sum(pos_r) / 24, ordered_sum(aux_r) / 24
         )
         assert (float(np.sum(pos_r)), float(np.sum(aux_r))) != (
@@ -1065,3 +1089,119 @@ class TestCheckpoint:
         save_checkpoint(a, result, config, spec.vocab_size, meta)
         save_checkpoint(b, result, config, spec.vocab_size, meta)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestObjectBudgets:
+    """What a phase builds: its EMAs stay floats, its loss terms are fixed
+    once and its metrics stay one table, whose rows are built only when read."""
+
+    @staticmethod
+    def _frozen(method="cbpo", history=1.0, delta_mode="ema"):
+        from bfpo.datagen import PopulationSpec, generate_population
+
+        spec = PopulationSpec(n_users=8, vocab_size=72, overlap_lambda=0.8,
+                              samples_per_user=150, prompt_pool_size=20, seq_len=8, seed=3)
+        full = build_user_dataset(generate_population(spec), "u000", 1.5, "random", 3,
+                                  spec.vocab_size)
+        dataset = full if history == 1.0 else truncate_history(full, history)
+        return spec.vocab_size, dataset, TestFrozenConfigDigests._config(method, delta_mode)
+
+    def test_a_lone_run_builds_one_reference_state_a_phase(self, monkeypatch):
+        """A lone frozen-config run (210 method steps) makes a ReferenceState
+        at the end of its warm start and of its method phase, none a step."""
+        vocab, dataset, config = self._frozen()
+        made = []
+        init = ReferenceState.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceState, "__init__", counting)
+        result = run(dataset, replace(config, alpha=0.5), vocab)
+        assert len(result.metrics_table) == 210
+        assert len(made) == 2 and result.ema.initialized
+
+    def test_binary_terms_once_per_run_a_phase(self, monkeypatch):
+        """The BCO family's (alpha, divisor, clamped) is fixed when a phase's
+        state is made: once per run, however many steps the phase takes,
+        and a config the clamped objective cannot use fails there."""
+        import bfpo.losses as losses_mod
+
+        calls = []
+        real = losses_mod._binary_terms
+        monkeypatch.setattr(losses_mod, "_binary_terms",
+                            lambda method, config: calls.append(method) or real(method, config))
+        spec, ds = _dataset()
+        configs = [TrainConfig(method=method, alpha=0.3, seed=seed, epochs=2, batch_size_pos=4,
+                               context_size=4, warmstart_epochs=1)
+                   for method in (Method.BCO, Method.CBPO_RAW, Method.CBPO) for seed in (0, 1)]
+        results = run_many([ds] * len(configs), configs, spec.vocab_size)
+        assert all(len(r.metrics_table) > 1 for r in results)
+        assert Counter(calls) == {Method.BCO: 2, Method.CBPO_RAW: 2, Method.CBPO: 2}
+        policy = uniform_params(spec.vocab_size, 4)
+        with pytest.raises(ConfigError, match="alpha < 1"):
+            RunState(policy=policy, opt=AdamState.zeros(policy.logits.shape),
+                     config=configs[-1], alphas=[1.0], total_steps=1)
+
+    def test_a_sweep_builds_no_metrics_rows(self, tmp_path, monkeypatch):
+        """``bfpo sweep --workers 1`` reads each run's step count, not its
+        rows; ``bfpo train`` builds its one table's rows, for metrics.csv."""
+        import bfpo.trainer as trainer_mod
+        from bfpo.cli import main
+
+        built = []
+        rows = trainer_mod.MetricsTable.rows
+        monkeypatch.setattr(trainer_mod.MetricsTable, "rows",
+                            lambda table: built.append(len(table)) or rows(table))
+        population = {"n_users": 4, "vocab_size": 24, "overlap_lambda": 0.5,
+                      "samples_per_user": 20, "prompt_pool_size": 8, "seq_len": 5}
+        dataset = {"target_user": "u000", "ratio_x": 1.0, "grouping": "unique"}
+        train = {"method": "cbpo", "epochs": 2, "batch_size_pos": 4, "context_size": 4,
+                 "warmstart_epochs": 1}
+
+        def command(name, doc, *flags):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"schema_version": 1, "seed": 0, **doc}))
+            return main([name, "--config", str(path), *flags])
+
+        assert command("sweep", {"out_dir": str(tmp_path / "sweep"), "axis": "alpha",
+                                 "grid": [0.0, 0.5], "n_seeds": 2, "population": population,
+                                 "dataset": dataset, "train": train}, "--workers", "1") == 0
+        assert built == []
+        assert command("generate", {"out_dir": str(tmp_path / "corpus"),
+                                    "population": population}) == 0
+        assert command("train", {"out_dir": str(tmp_path / "run"),
+                                 "corpus_dir": str(tmp_path / "corpus"), "dataset": dataset,
+                                 "train": {**train, "alpha": 0.5}}) == 0
+        assert len(built) == 1 and built[0] > 1
+
+    @pytest.mark.parametrize("method, history, delta_mode",
+                             [(m, h, d) for m, h, d, _ in TestFrozenConfigDigests.DIGESTS])
+    def test_metrics_rows_equal_the_per_step_dicts(self, monkeypatch, method, history,
+                                                   delta_mode):
+        """A result's metrics rows equal the dicts a row-per-step log made of
+        each method step's step, epoch, loss columns, anchor and EMA pair
+        ((0.0, 0.0) before any update), for all six methods and criterion
+        10's quarter-history batch-anchor case."""
+        import bfpo.trainer as trainer_mod
+
+        vocab, dataset, config = self._frozen(method, history, delta_mode)
+        steps = []
+        step = trainer_mod.train_step
+
+        def spy(state, batch):
+            state, values = step(state, batch)
+            ema = (0.0, 0.0) if state.ema is None else tuple(state.ema)
+            steps.append((state, state.step, state.epoch, values[0].tolist(),
+                          state.last_delta[0], ema))
+            return state, values
+
+        monkeypatch.setattr(trainer_mod, "train_step", spy)
+        result = run(dataset, config, vocab)
+        method_phase = steps[-1][0]
+        want = [dict(zip(METRICS_COLUMNS, (n, epoch, method, *row, delta, *ema)))
+                for state, n, epoch, row, delta, ema in steps if state is method_phase]
+        assert len(want) == len(result.metrics_table) > 0
+        assert repr(result.metrics) == repr(want)
+        assert result.metrics_table.rows() == [list(row.values()) for row in want]

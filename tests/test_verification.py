@@ -19,6 +19,7 @@ from bfpo.losses import (
     Method,
     Stack,
     binary_loss,
+    loss_terms,
     method_loss_and_grad,
     score,
     scored_loss,
@@ -124,7 +125,7 @@ def _per_case_fd_errors(method: Method, seed: int, cases: int) -> list[float]:
         while True:
             case = random_gradient_case(method, rng)
             stack, scores = _lone_scores(method, case)
-            raw = scored_loss(method, scores, [case.config], [case.delta])[0][0, RAW]
+            raw = scored_loss(method, scores, loss_terms(method, [case.config]), [case.delta])[0][0, RAW]
             if method is not Method.CBPO or raw > 0.05:
                 break
         zrefs = kto_zrefs(scores.rewards).tolist() if method is Method.KTO else None
@@ -145,8 +146,8 @@ def _per_case_fd_errors(method: Method, seed: int, cases: int) -> list[float]:
             table_scores = score(method, tiled, PolicyParams(vocab, len(tables), tables),
                                  config.beta)
             run_zrefs = None if zrefs is None else np.tile(zrefs, runs)
-            values = scored_loss(method, table_scores, [config] * runs, [delta] * runs,
-                                 run_zrefs)[0]
+            values = scored_loss(method, table_scores, loss_terms(method, [config]) * runs,
+                                 [delta] * runs, run_zrefs)[0]
             largest = max([largest, *np.abs(values[:, TOTAL]).tolist()])
             return values[:, TOTAL]
 
@@ -185,7 +186,7 @@ def _per_case_draws(method: Method, rng: np.random.Generator, cases: int) -> lis
     while len(kept) < cases:
         case = random_gradient_case(method, rng)
         _, scores = _lone_scores(method, case)
-        raw = scored_loss(method, scores, [case.config], [case.delta])[0][0, RAW]
+        raw = scored_loss(method, scores, loss_terms(method, [case.config]), [case.delta])[0][0, RAW]
         if method is not Method.CBPO or raw > 0.05:
             kept.append(case)
     return kept
@@ -282,7 +283,7 @@ def test_stacked_fd_equals_the_per_entry_loop(method, seed, monkeypatch):
 
         def lone_total():
             lone = score(method, stack, case.policy, case.config.beta)
-            return scored_loss(method, lone, [case.config], [case.delta], zrefs)[0][0, TOTAL]
+            return scored_loss(method, lone, loss_terms(method, [case.config]), [case.delta], zrefs)[0][0, TOTAL]
 
         assert grad.tobytes() == _per_entry_fd(lone_total, case.policy).tobytes()
         _, analytic = method_loss_and_grad(method, case.batch, case.policy, case.reference,
@@ -435,3 +436,35 @@ def test_ema_check_runs_its_fixed_protocol():
     assert got.details["ratios"] == "0.5, 1.0, 1.5"
     assert got.details["delta_spread"] < 1e-9
     assert got.details["worst_joint_gap_error"] < 1e-9
+
+
+def test_one_ema_formula_trains_and_is_checked(monkeypatch):
+    """The trainer's EMA update and the invariance check run the one formula,
+    ``rewards.ema_fold``: an undamped fold (the statistic divided by
+    1 - decay, so it grows tenfold a batch at decay 0.9) moves a training
+    run's ema_pos column and overflows the check's anchors, failing it."""
+    from bfpo import rewards
+    from bfpo.datagen import build_user_dataset
+    from bfpo.trainer import TrainConfig, run
+
+    from conftest import small_population
+
+    spec, population = small_population(0.5, 0)
+    dataset = build_user_dataset(population, "u000", 1.0, "random", 0, spec.vocab_size)
+    config = TrainConfig(method=Method.CBPO, alpha=0.3, epochs=1, batch_size_pos=4,
+                         context_size=4, warmstart_epochs=0, ema_decay=0.9)
+
+    def ema_pos():
+        return [row["ema_pos"] for row in run(dataset, config, spec.vocab_size).metrics]
+
+    def undamped(ema, batch_mean, decay):
+        return ema / (1.0 - decay) + batch_mean
+
+    good, checked = ema_pos(), verification.run_ema_invariance_check()
+    assert checked.passed
+    monkeypatch.setattr(rewards, "ema_fold", undamped)
+    bad, broken = ema_pos(), verification.run_ema_invariance_check()
+    # The first update seeds the statistics with the batch means either way.
+    assert bad[0] == good[0] and bad[1:] != good[1:]
+    assert abs(bad[-1]) > 1e3 * abs(good[-1])
+    assert not broken.passed and math.isnan(broken.details["delta_spread"])
