@@ -9,7 +9,8 @@ loss.
 
 Samples come as tables; :func:`train_proxy` and :func:`estimate_alpha` take the
 auxiliary pool as its :func:`embed_all` rows.  :func:`embed` of one ``Sample``
-is the reference that each row of :func:`embed_all` equals.
+is the reference that each row of :func:`embed_all` equals; a table's rows are
+built from their nonzero entries, with no n x V count table.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class AlphaEstimate:
 def embed(sample: Sample, vocab_size: int) -> np.ndarray:
     """L2-normalized token-frequency vector of the completion."""
     counts = np.bincount(
-        np.asarray(sample.y, dtype=np.int64), minlength=vocab_size
+        _check_range(sample.y, vocab_size, "completion"), minlength=vocab_size
     ).astype(np.float64)
     norm = math.sqrt(float((counts * counts).sum()))
     if norm == 0.0:
@@ -123,19 +124,24 @@ def embed(sample: Sample, vocab_size: int) -> np.ndarray:
     return counts / norm
 
 
+def _bag_entries(tokens: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tuple:
+    """Row, token and value of the nonzero embedding entries of completions
+    (``tokens``, ``lengths[i]`` in row i), by row, then token: each key ``row *
+    V + token``'s count over its row's norm, an exact integer sum as when dense."""
+    tokens = _check_range(tokens, vocab_size, "completion")  # else it counts in another row
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    keys, counts = np.unique(rows * vocab_size + tokens, return_counts=True)
+    rows = keys // vocab_size
+    norms = np.sqrt(np.bincount(rows, weights=counts * counts))
+    return rows, keys - rows * vocab_size, counts / norms[rows]
+
+
 def embed_all(table: SampleTable, vocab_size: int) -> np.ndarray:
-    """Row i is :func:`embed` of ``table[i]``, bit for bit: one ``np.bincount``
-    over ``row * vocab_size + token`` of the table's completion column, then
-    each row divided by its norm."""
-    n = len(table)
-    tokens = _check_range(table.y_tokens, vocab_size, "completion")
-    rows = np.repeat(np.arange(n), table.y_lengths)
-    counts = np.bincount(
-        rows * vocab_size + tokens, minlength=n * vocab_size
-    ).reshape(n, vocab_size).astype(np.float64)
-    norms = np.sqrt((counts * counts).sum(axis=1))
-    norms[norms == 0.0] = 1.0
-    return counts / norms[:, None]
+    """Row i is :func:`embed` of ``table[i]``, bit for bit: the :func:`_bag_entries` in zeros."""
+    rows, tokens, values = _bag_entries(table.y_tokens, table.y_lengths, vocab_size)
+    out = np.zeros((len(table), vocab_size))
+    out[rows, tokens] = values
+    return out
 
 
 def train_proxy(

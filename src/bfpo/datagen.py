@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _pcg64_words as pcg64_words
-from .alpha import embed_all
+from .alpha import _bag_entries
 from .errors import ConfigError, InputError
 from .files import decode_json, write_atomic
 from .policy import SampleTable
@@ -294,12 +294,13 @@ class UserDataset:
 
 
 def user_mean_embedding(table: SampleTable, vocab_size: int) -> np.ndarray:
-    """Mean bag-of-tokens embedding of a user's training history."""
-    train = table.split_rows("train")
-    if not len(train):
-        train = table
-    # Summed row by row, as adding each sample's embedding in turn would.
-    return embed_all(train, vocab_size).sum(axis=0) / len(train)
+    """Mean bag-of-tokens embedding of a user's training history (all rows if
+    none is in train).  ``np.bincount`` adds each :func:`~bfpo.alpha._bag_entries`
+    value to its column in row order, as adding each sample's embedding would."""
+    train = ~table.heldout | table.heldout.all()
+    keep = np.repeat(train, table.y_lengths)
+    _, tokens, values = _bag_entries(table.y_tokens[keep], table.y_lengths[train], vocab_size)
+    return np.bincount(tokens, weights=values, minlength=vocab_size) / np.count_nonzero(train)
 
 
 def _round_half_up(value: float) -> int:

@@ -399,7 +399,8 @@ def run_ema_invariance_check() -> CheckResult:
     (x-1)/(x+1) * (m- - m+)/2.  The means are 0.4 and -0.6, the ratios x 0.5,
     1 and 1.5, and each anchor takes 400 updates at decay 0.9: the first
     seeds both statistics with the means, as the trainer's does, and the rest
-    run the trainer's formula, :func:`bfpo.rewards.ema_fold`.
+    run the trainer's formula, :func:`bfpo.rewards.ema_fold`.  Each anchor must
+    also sit at 0.5 * (m+ + m-), which a wrong but finite fold misses.
     """
     ratios, pos_mean, aux_mean = (0.5, 1.0, 1.5), 0.4, -0.6
     deltas = []
@@ -416,13 +417,15 @@ def run_ema_invariance_check() -> CheckResult:
         joint_gap_errors.append(abs(joint - 0.5 * (pos_mean + aux_mean) - predicted_gap))
     spread = max(deltas) - min(deltas)
     worst_gap_error = max(joint_gap_errors)
+    anchor_error = max(abs(d - 0.5 * (pos_mean + aux_mean)) for d in deltas)
     return CheckResult(
         name="ema_batch_invariance",
-        passed=bool(spread < 1e-9 and worst_gap_error < 1e-9),
+        passed=bool(spread < 1e-9 and worst_gap_error < 1e-9 and anchor_error < 1e-9),
         details={
             "delta_spread": spread,
             "worst_joint_gap_error": worst_gap_error,
             "ratios": ", ".join(str(r) for r in ratios),
+            "anchor_error": anchor_error,
         },
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from bfpo.alpha import (
     split_heldout,
     train_proxy,
 )
-from bfpo.datagen import build_user_dataset
+from bfpo.datagen import build_user_dataset, user_mean_embedding
 from bfpo.errors import EstimationError, InputError
 from bfpo.policy import Sample, SampleTable
 
@@ -53,6 +54,13 @@ class TestEmbed:
             e = embed(Sample("u", (0,), y), vocab_size=6)
             assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("token", [-1, 3, 5])
+    def test_out_of_range_token_rejected(self, token):
+        """As for :func:`embed_all`: a token past the vocabulary would lengthen
+        the vector, and a negative one would reach ``np.bincount``."""
+        with pytest.raises(InputError):
+            embed(Sample("u", (0,), (0, token)), 3)
+
 
 class TestEmbedAll:
     def test_equals_stacked_embed(self, rng):
@@ -83,6 +91,49 @@ class TestEmbedAll:
         """A token past the vocabulary would otherwise count in the next row."""
         with pytest.raises(InputError):
             embed_all(SampleTable.of([Sample("u", (0,), (0, token)), Sample("u", (0,), (1,))]), 4)
+
+    def test_zero_rows(self):
+        out = embed_all(SampleTable.of([]), 5)
+        assert out.shape == (0, 5) and out.dtype == np.float64
+
+    def test_repeated_token_counts(self):
+        """A token repeated in one completion is one entry with its count."""
+        samples = [Sample("u", (0,), (2, 1, 2, 2)), Sample("u", (0,), (0, 0))]
+        out = embed_all(SampleTable.of(samples), 3)
+        assert out.tobytes() == np.stack([embed(s, 3) for s in samples]).tobytes()
+        np.testing.assert_allclose(out, [[0.0, 1 / math.sqrt(10), 3 / math.sqrt(10)],
+                                         [1.0, 0.0, 0.0]])
+
+
+class TestEmbeddingMemory:
+    """Token bags are embedded from their nonzero entries: no n x V count
+    table is built beside the output, and a mean embedding builds none at all."""
+
+    @staticmethod
+    def _peak_bytes(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(1, 9, 5_000)
+        return SampleTable.from_rows(
+            ["u"] * 5_000, [(0,)] * 5_000,
+            [rng.integers(0, 1_024, n).tolist() for n in lengths], [False] * 5_000,
+        )
+
+    def test_user_mean_embedding_peak(self, table):
+        # A dense 5,000 x 1,024 table of counts alone is 41 MB.
+        assert self._peak_bytes(user_mean_embedding, table, 1_024) < 4e6
+
+    def test_embed_all_peak(self, table):
+        output_bytes = 5_000 * 1_024 * 8
+        assert self._peak_bytes(embed_all, table, 1_024) < 1.25 * output_bytes
 
 
 class TestTrainProxy:

@@ -849,10 +849,12 @@ class TestVerify:
 
     # sha256 of verify_report.json at two seeds (16 holds the DPO case whose
     # true gradient is zero), recorded from the per-case draws before gradient
-    # cases were decoded from raw words and PU estimates taken per block.
+    # cases were decoded from raw words and PU estimates taken per block, then
+    # re-recorded when the EMA check gained its ``anchor_error`` detail (the
+    # report without that key is byte-identical to the one pinned before).
     VERIFY_SHA256 = {
-        0: "51da7cdcdae86809ff7b417c0fcc85249c6fd988424f4b1214013f10bc164400",
-        16: "aeb9071ea707c8567240d5f6e2cf5498891c3e145f4acee117234910ca21911f",
+        0: "f9f9ba3a3c4d3842e802438ce39e96a6d56ea7d7efbe60a39ea08a59e3e3f410",
+        16: "8c0b9d1f7296b8fa6e72010b3a9477806c8a6e5aa43d3a65b83c2f40c64b9d5e",
     }
 
     @pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))

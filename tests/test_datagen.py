@@ -24,7 +24,7 @@ from bfpo.datagen import (
     user_mean_embedding,
 )
 from bfpo.errors import InputError
-from bfpo.policy import SampleTable
+from bfpo.policy import Sample, SampleTable
 
 from conftest import small_population
 
@@ -60,18 +60,31 @@ class TestGeneratePopulation:
 
     def test_user_mean_embedding_equals_the_sum_loop(self):
         """The mean of the batched embeddings equals adding each sample's
-        ``embed`` in turn, bit for bit, with and without a train split."""
+        ``embed`` in turn, bit for bit, with and without a train split, and
+        with empty completions among the rows."""
+        ys = [(), (3, 3, 1), (), (0,), (4, 4, 4, 4), (1, 2), ()]
+        tables = [SampleTable.of([Sample("u", (0,), y, split) for y in ys])
+                  for split in ("train", "heldout")]
         for seed in range(5):
             spec, pop = small_population(0.4, seed=seed, vocab=24)
             for samples in pop.values():
                 heldout = SampleTable.of([s for s in samples if s.split == "heldout"])
-                for subset in (samples, heldout):
-                    train = [s for s in subset if s.split == "train"] or subset
-                    acc = np.zeros(24)
-                    for s in train:
-                        acc += embed(s, 24)
-                    expected = acc / len(train)
-                    assert user_mean_embedding(subset, 24).tobytes() == expected.tobytes()
+                tables += [samples, heldout]
+        for subset in tables:
+            train = [s for s in subset if s.split == "train"] or subset
+            acc = np.zeros(24)
+            for s in train:
+                acc += embed(s, 24)
+            expected = acc / len(train)
+            assert user_mean_embedding(subset, 24).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("token", [-1, 5])
+    def test_user_mean_embedding_rejects_out_of_range_tokens(self, token):
+        """Counted by ``row * V + token``, a token past the vocabulary would
+        count in the next row's first column, a negative one in the row before."""
+        table = SampleTable.of([Sample("u", (0,), (0, token)), Sample("u", (0,), (1,))])
+        with pytest.raises(InputError):
+            user_mean_embedding(table, 5)
 
     def test_zero_overlap_maximizes_user_distance(self):
         """Pairwise mean-embedding distances decrease with overlap."""

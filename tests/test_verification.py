@@ -436,6 +436,23 @@ def test_ema_check_runs_its_fixed_protocol():
     assert got.details["ratios"] == "0.5, 1.0, 1.5"
     assert got.details["delta_spread"] < 1e-9
     assert got.details["worst_joint_gap_error"] < 1e-9
+    assert got.details["anchor_error"] == 0.0
+
+
+def test_ema_check_fails_a_finite_wrong_fold(monkeypatch):
+    """A sign-flipped fold stays finite and folds the same inputs at every
+    ratio, so the anchors' spread stays 0; the anchors' distance from the
+    balanced mean fails the check."""
+    from bfpo import rewards
+
+    def flipped(ema, batch_mean, decay):
+        return decay * ema - (1.0 - decay) * batch_mean
+
+    monkeypatch.setattr(rewards, "ema_fold", flipped)
+    got = verification.run_ema_invariance_check()
+    assert not got.passed
+    assert got.details["delta_spread"] == 0.0
+    assert got.details["anchor_error"] == pytest.approx(0.2)
 
 
 def test_one_ema_formula_trains_and_is_checked(monkeypatch):
