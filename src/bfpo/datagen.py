@@ -263,7 +263,9 @@ def generate_population(spec: PopulationSpec) -> dict[str, SampleTable]:
 class UserDataset:
     """A target user's positive history plus the selected auxiliary pool.
 
-    Both sides are tables; each split view is cut on first use, then kept.
+    Both sides are tables; each side's training rows are cut on first use,
+    then kept.  The held-out rows are read from the population by
+    :func:`bfpo.evaluation.evaluate_policy`.
     """
 
     target_user: str
@@ -277,16 +279,8 @@ class UserDataset:
         return self.h_tar.split_rows("train")
 
     @cached_property
-    def tar_heldout(self) -> SampleTable:
-        return self.h_tar.split_rows("heldout")
-
-    @cached_property
     def aux_train(self) -> SampleTable:
         return self.h_aux.split_rows("train")
-
-    @cached_property
-    def aux_heldout(self) -> SampleTable:
-        return self.h_aux.split_rows("heldout")
 
     @property
     def aux_user_ids(self) -> list[str]:

@@ -15,10 +15,6 @@ class ConfigError(EngineError, ValueError):
     """Invalid or internally inconsistent configuration."""
 
 
-class StateError(EngineError, RuntimeError):
-    """Operation attempted in the wrong lifecycle state."""
-
-
 class NumericError(EngineError, ArithmeticError):
     """Non-finite values appeared where finite numbers are required.
 

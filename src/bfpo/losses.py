@@ -325,7 +325,7 @@ def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
         raise InputError("SFT batch must be non-empty")
     codes = encode(((s.x, s.y) for s in batch), policy.context_size, policy.vocab_size)
     log_table, _ = softmax_tables(policy.logits)
-    return -ordered_sum(sequence_log_probs(log_table, codes)) / len(codes.tokens)
+    return -ordered_sum(sequence_log_probs(log_table, codes)) / len(codes.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +398,10 @@ class Stack:
     ``batches[r]`` is run r's batch and ``codes`` every run's
     :func:`encode_batch` encoding in run order, stacked by
     :func:`bfpo.policy.stack_codes` for the runs' (R*C, V) table, as
-    ``layout`` places it (a trainer step's is a
-    :class:`~bfpo.policy.StepCodes` slice of its phase plan); ``reference`` is
-    each sequence's log-probability under its run's frozen reference (None
-    for SFT, which reads none).
+    ``layout`` places it (a trainer step's is a slice of its phase plan:
+    rows, cells, sequence numbers and lengths, the arrays the kernels read);
+    ``reference`` is each sequence's log-probability under its run's frozen
+    reference (None for SFT, which reads none).
     """
 
     batches: Sequence[Batch]

@@ -10,9 +10,10 @@ Training, evaluation and the losses run on table-level kernels over the whole
 C x V table:
 
 * :func:`encode` turns (prompt, completion) pairs, and :func:`encode_table` the
-  rows of a :class:`SampleTable`, into int arrays (bucket row, token id, flat
-  cell ``row * V + token``, sequence index); both end in one array core, the
-  one place token ranges and empty completions are checked;
+  rows of a :class:`SampleTable`, into an :class:`Encoded`: int arrays (bucket
+  row, flat cell ``row * V + token``, sequence index, and each sequence's
+  length); both end in one array core, the one place token ranges and empty
+  completions are checked;
 * :func:`softmax_tables` normalizes every row at once;
 * :func:`sequence_log_probs` gathers per-token log-probabilities from the
   flattened table by cell and sums them per sequence with ``np.bincount``;
@@ -50,7 +51,6 @@ __all__ = [
     "PolicyParams",
     "Sample",
     "SampleTable",
-    "StepCodes",
     "bucket",
     "encode",
     "encode_table",
@@ -312,20 +312,19 @@ def _check_range(tokens: Sequence[int], vocab_size: int, name: str) -> np.ndarra
 class Encoded:
     """Sequences as flat int arrays, one entry per completion token.
 
-    Token ``k`` sits in bucket row ``rows[k]``, has id ``tokens[k]``, is entry
-    ``cells[k] = rows[k] * V + tokens[k]`` of the flattened C x V table and
-    belongs to sequence ``seq[k]``.  A sequence's tokens are contiguous and in
-    position order, from ``starts[i]`` for ``lengths[i]`` entries.  Nothing
-    writes to an encoding once made (the class is not frozen only because the
-    trainer's phase plan makes one per step, and a frozen dataclass is five
-    times slower to construct).
+    Token ``k`` sits in bucket row ``rows[k]``, is entry ``cells[k] = rows[k]
+    * V + token`` of the flattened C x V table and belongs to sequence
+    ``seq[k]``.  A sequence's tokens are contiguous and in position order,
+    ``lengths[i]`` entries after those of the sequences before it.  These are
+    the arrays the kernels read: a trainer step's encoding is a slice of its
+    phase plan's.  Nothing writes to an encoding once made (the class is not
+    frozen only because the plan makes one per step, and a frozen dataclass
+    is five times slower to construct).
     """
 
     rows: np.ndarray
-    tokens: np.ndarray
     cells: np.ndarray
     seq: np.ndarray
-    starts: np.ndarray
     lengths: np.ndarray
 
     @property
@@ -340,38 +339,14 @@ class Encoded:
         seq_firsts = seq_ends - sizes
         tok_bounds = np.concatenate([[0], np.cumsum(self.lengths)])
         tok_firsts, tok_ends = tok_bounds[seq_firsts], tok_bounds[seq_ends]
-        # Every part's first sequence and token, repeated over its tokens and
-        # its sequences, renumber all parts at once.
+        # Every part's first sequence, repeated over its tokens, renumbers all
+        # parts at once.
         seq = self.seq - np.repeat(seq_firsts, tok_ends - tok_firsts)
-        starts = self.starts - np.repeat(tok_firsts, sizes)
         return [
-            Encoded(self.rows[lo:hi], self.tokens[lo:hi], self.cells[lo:hi],
-                    seq[lo:hi], starts[a:b], self.lengths[a:b])
+            Encoded(self.rows[lo:hi], self.cells[lo:hi], seq[lo:hi], self.lengths[a:b])
             for a, b, lo, hi in zip(seq_firsts.tolist(), seq_ends.tolist(),
                                     tok_firsts.tolist(), tok_ends.tolist())
         ]
-
-
-class StepCodes(Encoded):
-    """One step's encoding as the trainer's phase plan holds it: ``rows``,
-    ``cells``, ``seq`` and ``lengths``, the arrays a step reads, as slices of
-    the plan's.  ``tokens`` (``cells - rows * vocab_size``) and ``starts`` are
-    derived when read, so a plan holds three arrays per token, not four."""
-
-    def __init__(
-        self, rows: np.ndarray, cells: np.ndarray, seq: np.ndarray, lengths: np.ndarray,
-        vocab_size: int,
-    ) -> None:
-        self.rows, self.cells, self.seq, self.lengths = rows, cells, seq, lengths
-        self.vocab_size = vocab_size
-
-    @property
-    def tokens(self) -> np.ndarray:
-        return self.cells - self.rows * self.vocab_size
-
-    @property
-    def starts(self) -> np.ndarray:
-        return np.cumsum(self.lengths) - self.lengths
 
 
 def encode(
@@ -431,7 +406,7 @@ def _encode(
     first = np.asarray(firsts, dtype=np.int64)[seq]
     # bucket(), vectorized: every operand is a small non-negative int64.
     rows = ((first + 1) * _MIX_A + position * _MIX_B) % context_size
-    return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, length_arr)
+    return Encoded(rows, rows * vocab_size + tokens, seq, length_arr)
 
 
 def tile_parts(arrays: Sequence[np.ndarray], copies: Sequence[int]) -> np.ndarray:
@@ -457,14 +432,15 @@ def stack_codes(
     if isinstance(context_sizes, int):
         context_sizes = [context_sizes] * len(parts)
     rows = tile_parts([p.rows for p in parts], copies)
-    tokens = tile_parts([p.tokens for p in parts], copies)
+    cells = tile_parts([p.cells for p in parts], copies)
     lengths = tile_parts([p.lengths for p in parts], copies)
     contexts = np.repeat(context_sizes, copies)
     run_tokens = np.repeat([len(p.rows) for p in parts], copies)
-    rows += np.repeat(contexts.cumsum() - contexts, run_tokens)
-    starts = lengths.cumsum() - lengths
+    offsets = np.repeat(contexts.cumsum() - contexts, run_tokens)
+    rows += offsets
+    cells += offsets * vocab_size
     seq = np.arange(len(lengths)).repeat(lengths)
-    return Encoded(rows, tokens, rows * vocab_size + tokens, seq, starts, lengths)
+    return Encoded(rows, cells, seq, lengths)
 
 
 def softmax_tables(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,9 +37,7 @@ from .errors import InputError
 __all__ = [
     "CheckResult",
     "logistic_negative_loss",
-    "logistic_positive_loss",
     "negative_risk_pu",
-    "pu_total_risk",
     "run_convergence_check",
     "run_negativity_check",
     "run_unbiasedness_check",
@@ -106,28 +104,6 @@ def negative_risk_pu(
     return _mean(unlabeled_losses) - pi_p * _mean(pos_losses)
 
 
-def pu_total_risk(
-    pos_losses_as_pos: Sequence[float],
-    pos_losses_as_neg: Sequence[float],
-    unlabeled_losses_as_neg: Sequence[float],
-    pi_p: float,
-) -> float:
-    """pi_p * R_pos + (unlabeled negative risk corrected for positive leakage)."""
-    if (
-        len(pos_losses_as_pos) == 0
-        or len(pos_losses_as_neg) == 0
-        or len(unlabeled_losses_as_neg) == 0
-    ):
-        raise InputError("loss lists must be non-empty")
-    if not 0.0 <= pi_p <= 1.0:
-        raise InputError(f"pi_p must lie in [0, 1], got {pi_p}")
-    return (
-        pi_p * _mean(pos_losses_as_pos)
-        + _mean(unlabeled_losses_as_neg)
-        - pi_p * _mean(pos_losses_as_neg)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Verification harness
 # ---------------------------------------------------------------------------
@@ -137,28 +113,15 @@ def pu_total_risk(
 _HERMITE_NODES = 40
 
 
-def _log1p_exp_neg_abs(x: np.ndarray) -> np.ndarray:
-    """log1p(exp(-|x|)) in one new array: the part of softplus both signs share."""
+def logistic_negative_loss(x: np.ndarray) -> np.ndarray:
+    """softplus(x) = max(x, 0) + log1p(exp(-|x|)), in one new array: the
+    negative-label logistic loss of a score x."""
+    x = np.asarray(x, dtype=np.float64)
     out = np.abs(x, out=np.empty_like(x))
     np.negative(out, out=out)
     np.exp(out, out=out)
-    return np.log1p(out, out=out)
-
-
-def logistic_negative_loss(x: np.ndarray) -> np.ndarray:
-    """softplus(x) = max(x, 0) + log1p(exp(-|x|)): the negative-label logistic
-    loss of a score x."""
-    x = np.asarray(x, dtype=np.float64)
-    out = _log1p_exp_neg_abs(x)
+    np.log1p(out, out=out)
     return np.add(out, np.maximum(x, 0.0), out=out)
-
-
-def logistic_positive_loss(x: np.ndarray) -> np.ndarray:
-    """softplus(-x) = max(-x, 0) + log1p(exp(-|x|)): the positive-label
-    logistic loss of a score x."""
-    x = np.asarray(x, dtype=np.float64)
-    out = _log1p_exp_neg_abs(x)
-    return np.subtract(out, np.minimum(x, 0.0), out=out)
 
 
 def true_weighted_negative_risk(pi_p: float) -> float:

@@ -2,9 +2,14 @@
 
 The reward of a completion is the beta-scaled log-ratio of the live policy to a
 frozen reference policy.  All binary-feedback objectives anchor that reward to
-a scalar reference point delta; this module provides the batch-mean anchor, the
-leave-one-out clipped anchor, and the decoupled-EMA anchor that stays invariant
-to batch-level imbalance between positive and auxiliary samples.
+a scalar reference point delta; this module provides the pooled batch-mean
+anchor (:func:`delta_joint`), the leave-one-out clipped anchor
+(:func:`kto_zrefs`), and the decoupled-EMA anchor (:func:`ema_fold` and
+:func:`ema_anchor`) that stays invariant to batch-level imbalance between
+positive and auxiliary samples.  The trainer folds each run's EMAs as floats
+with :func:`ema_fold` and takes the pooled means with per-run sums;
+:func:`implicit_reward`, :func:`delta_joint` and :func:`kto_zref` are the
+references its kernels are tested against.
 """
 
 from __future__ import annotations
@@ -15,18 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError, StateError
+from .errors import InputError
 from .policy import PolicyParams, log_prob, ordered_sum
 
 __all__ = [
     "ReferenceState",
     "RewardConfig",
-    "delta_bco",
-    "delta_ema",
     "delta_joint",
     "ema_anchor",
     "ema_fold",
-    "ema_update",
     "implicit_reward",
     "kto_zref",
     "kto_zrefs",
@@ -46,11 +48,12 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class ReferenceState:
-    """Decoupled EMA statistics of positive-set and auxiliary-set rewards.
+    """Decoupled EMA statistics of positive-set and auxiliary-set rewards, as a
+    trained run's result and checkpoint hold them.
 
-    Before the first update the state is uninitialized and delta queries fail;
-    the first update seeds both EMAs with the raw batch means so training does
-    not start from an artificial zero anchor.
+    A run that took no binary-feedback step is uninitialized; the first step
+    seeds both EMAs with the raw batch means so training does not start from
+    an artificial zero anchor.
     """
 
     ema_pos: float = 0.0
@@ -83,27 +86,17 @@ def implicit_reward(
     return config.beta * (log_prob(policy, x, y) - log_prob(reference_policy, x, y))
 
 
-def _mean(values: Sequence[float], name: str) -> float:
-    if len(values) == 0:
-        raise InputError(f"{name} must be non-empty")
-    return ordered_sum(np.asarray(values, dtype=np.float64)) / len(values)
-
-
-def delta_bco(pos_rewards: Sequence[float], aux_rewards: Sequence[float]) -> float:
-    """Mean of the two per-set reward means."""
-    return 0.5 * (_mean(pos_rewards, "pos_rewards") + _mean(aux_rewards, "aux_rewards"))
-
-
 def delta_joint(pos_rewards: Sequence[float], aux_rewards: Sequence[float]) -> float:
-    """Pooled mean over both sets jointly.
+    """Pooled mean over both sets jointly: the ``delta_mode="batch"`` anchor.
 
-    Unlike :func:`delta_bco` this estimator shifts toward whichever set
+    Unlike :func:`ema_anchor` this estimator shifts toward whichever set
     dominates the batch, which is exactly the imbalance sensitivity the
     decoupled EMA removes.
     """
     if len(pos_rewards) == 0 or len(aux_rewards) == 0:
         raise InputError("both reward sets must be non-empty")
-    return _mean(list(pos_rewards) + list(aux_rewards), "rewards")
+    rewards = np.asarray(list(pos_rewards) + list(aux_rewards), dtype=np.float64)
+    return ordered_sum(rewards) / len(rewards)
 
 
 def kto_zref(batch_rewards: Sequence[float], index: int) -> float:
@@ -135,35 +128,12 @@ def kto_zrefs(batch_rewards: np.ndarray) -> np.ndarray:
 
 def ema_fold(ema: float, batch_mean: float, decay: float) -> float:
     """One set's decoupled EMA after folding in a batch's mean: the one update
-    formula, which :func:`ema_update`, the trainer's per-run floats and the
-    invariance check all run."""
+    formula, which the trainer's per-run floats and the invariance check both
+    run."""
     return decay * ema + (1.0 - decay) * batch_mean
-
-
-def ema_update(
-    state: ReferenceState, batch_pos_mean: float, batch_aux_mean: float
-) -> ReferenceState:
-    """Fold one batch's per-set reward means into the decoupled EMAs."""
-    if not (math.isfinite(batch_pos_mean) and math.isfinite(batch_aux_mean)):
-        raise NumericError(
-            f"non-finite batch reward means ({batch_pos_mean}, {batch_aux_mean})"
-        )
-    d = state.decay
-    if not state.initialized:
-        return ReferenceState(float(batch_pos_mean), float(batch_aux_mean), d, True)
-    return ReferenceState(
-        ema_fold(state.ema_pos, batch_pos_mean, d), ema_fold(state.ema_aux, batch_aux_mean, d),
-        d, True,
-    )
 
 
 def ema_anchor(ema_pos: float, ema_aux: float) -> float:
     """The decoupled-EMA anchor: the mean of the two sets' statistics."""
     return 0.5 * (ema_pos + ema_aux)
 
-
-def delta_ema(state: ReferenceState) -> float:
-    """:func:`ema_anchor` of an updated state's statistics."""
-    if not state.initialized:
-        raise StateError("reference state queried before the first EMA update")
-    return ema_anchor(state.ema_pos, state.ema_aux)

@@ -71,7 +71,6 @@ from .policy import (
     Encoded,
     PolicyParams,
     SampleTable,
-    StepCodes,
     encode_table,
     ordered_sums,
     sequence_log_probs,
@@ -181,6 +180,13 @@ class TrainConfig:
                 raise ConfigError(f"alpha must lie in [0, 1), got {self.alpha}")
         if not 0.0 < self.pi_n <= 1.0:
             raise ConfigError(f"pi_n must lie in (0, 1], got {self.pi_n}")
+        # The KTO loss weights and AdamW's weight decay (a negative decay would
+        # grow the weights).
+        for name in ("lambda_d", "lambda_u", "weight_decay"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ConfigError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
         if self.context_size < 1:
             raise ConfigError("context_size must be >= 1")
         if self.warmstart_epochs < 0:
@@ -433,21 +439,20 @@ def stack_batches(
     codes: Encoded,
     firsts: Sequence[int],
     reference: np.ndarray | None,
-    vocab_size: int,
 ) -> list[Stack]:
     """R runs' batches in lockstep: step k stacks every run's k-th batch.
 
     ``batches[r]`` is run r's batches, one or more :func:`make_batches`
     epochs (:meth:`Batches.join`).  ``codes`` is the runs' encodings stacked by
-    :func:`bfpo.policy.stack_codes` for a table of ``vocab_size`` columns, run
-    r's from sequence ``firsts[r]``: each the encoding of the pools its
-    batches index, ``tar_train`` then ``aux_train`` of its dataset (for DPO,
-    the preferred then the rejected completions), and ``reference`` their
-    reference log-probabilities (None for SFT).  One pass over index arrays
+    :func:`bfpo.policy.stack_codes`, run r's from sequence ``firsts[r]``:
+    each the encoding of the pools its batches index, ``tar_train`` then
+    ``aux_train`` of its dataset (for DPO, the preferred then the rejected
+    completions), and ``reference`` their reference log-probabilities (None
+    for SFT).  One pass over index arrays
     gathers every step's sequences into a plan of the arrays a step reads,
     per token its row, cell and sequence (numbered from 0 in its step), per
     sequence its length and reference value; each step's
-    :class:`~bfpo.policy.StepCodes` and reference are slices of it, and its
+    :class:`~bfpo.policy.Encoded` and reference are slices of it, and its
     runs' batches are built only when read.
     """
     steps = len(batches[0].n_pos)
@@ -471,7 +476,8 @@ def stack_batches(
     ends = np.cumsum(lengths)
     # Each sequence's tokens, read from where they sit in ``codes`` (the
     # positions are freed before the sequence numbers are made).
-    where = np.repeat(codes.starts[index] - (ends - lengths), lengths)
+    token_starts = np.cumsum(codes.lengths) - codes.lengths
+    where = np.repeat(token_starts[index] - (ends - lengths), lengths)
     where += np.arange(len(where))
     rows, cells = codes.rows[where], codes.cells[where]
     del where
@@ -482,7 +488,7 @@ def stack_batches(
     return [
         Stack(
             _StepBatches(batches, k),
-            StepCodes(rows[lo:hi], cells[lo:hi], seq[lo:hi], lengths[a:b], vocab_size),
+            Encoded(rows[lo:hi], cells[lo:hi], seq[lo:hi], lengths[a:b]),
             Layout.of(*sides),
             None if refs is None else refs[a:b],
         )
@@ -583,10 +589,10 @@ def synth_dpo_pairs(
     codes = encode_table(table, policy.context_size, policy.vocab_size)
     cdf = np.cumsum(softmax_tables(policy.logits)[1], axis=1)
     cdf /= cdf[:, -1:]
-    tokens = codes.tokens.tolist()
+    tokens, offsets = table.y_tokens.tolist(), table.y_offsets
     kept, rejected = [], []  # the kept rows, and their candidates end to end
-    row_cdfs = np.split(cdf[codes.rows], codes.starts[1:])
-    for i, (start, row_cdf) in enumerate(zip(codes.starts.tolist(), row_cdfs)):
+    row_cdfs = np.split(cdf[codes.rows], offsets[1:-1])
+    for i, (start, row_cdf) in enumerate(zip(offsets[:-1].tolist(), row_cdfs)):
         completion = tokens[start : start + len(row_cdf)]
         for _ in range(budget):
             candidate = (row_cdf <= rng.random(len(completion))[:, None]).sum(axis=1).tolist()
@@ -667,7 +673,7 @@ def _train_epochs(runs: Sequence[_PhaseRun], vocab_size: int) -> None:
             Batches.join(*[make_batches(r.dataset, r.config, _epoch_seed(r.rng)) for _ in epochs])
             for r in runs
         ]
-        for k, stack in enumerate(stack_batches(batches, codes, firsts, reference, vocab_size)):
+        for k, stack in enumerate(stack_batches(batches, codes, firsts, reference)):
             state.epoch = first + k // steps
             state, values = train_step(state, stack)
             losses.append(values)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import errno
 import hashlib
@@ -1065,6 +1066,14 @@ class TestMalformedInputExits2:
             ("train", None, {"train": {"momentum_params": [0.9, -0.5, 1e-8]}}),
             ("train", None, {"train": {"momentum_params": [0.9, 0.999, -1.0]}}),
             ("sweep", None, {"train": {"momentum_params": [0.9, 1.0, 1e-8]}}),
+            ("train", None, {"train": {"warmup_fraction": -3.0}}),
+            ("train", None, {"train": {"warmup_fraction": 7.0}}),
+            ("train", None, {"train": {"weight_decay": -5.0}}),
+            ("train", None, {"train": {"lambda_d": -1.0}}),
+            ("train", None, {"train": {"lambda_u": -0.5}}),
+            ("sweep", None, {"train": {"warmup_fraction": 7.0}}),
+            ("sweep", None, {"train": {"weight_decay": -5.0}}),
+            ("sweep", None, {"train": {"lambda_d": -1.0}}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -1098,7 +1107,10 @@ class TestMalformedInputExits2:
              "population_spec_nested_deep", "sweep_delta_modes_empty",
              "momentum_b1_one", "momentum_b2_one", "momentum_eps_zero", "momentum_b1_above_1",
              "momentum_b1_negative", "momentum_b2_negative", "momentum_eps_negative",
-             "sweep_momentum_b2_one"],
+             "sweep_momentum_b2_one", "warmup_fraction_negative", "warmup_fraction_above_1",
+             "weight_decay_negative", "lambda_d_negative", "lambda_u_negative",
+             "sweep_warmup_fraction_above_1", "sweep_weight_decay_negative",
+             "sweep_lambda_d_negative"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)
@@ -1295,6 +1307,24 @@ class TestReadmeExamples:
             _block(DatasetConfig, doc["dataset"], "dataset")
         if "train" in doc:
             _block(TrainConfig, doc["train"], "train", required={"method"}, seed=seed)
+
+    def test_library_use_runs_as_written(self, capsys):
+        """The "Library use" snippet runs, and the package root exports
+        exactly the names it imports."""
+        import bfpo
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Library use", 1)[1]
+        (snippet,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+        imported = [alias.name for node in ast.walk(ast.parse(snippet))
+                    if isinstance(node, ast.ImportFrom) and node.module == "bfpo"
+                    for alias in node.names]
+        assert bfpo.__all__ == imported
+        namespace = {}
+        exec(compile(snippet, "README.md", "exec"), namespace)
+        report = namespace["report"]
+        assert capsys.readouterr().out == f"{report.heldout_nll} {report.delta_logp_aux}\n"
+        assert math.isfinite(report.heldout_nll)
 
 
 class TestAtomicWrites:

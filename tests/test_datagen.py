@@ -116,8 +116,9 @@ class TestGeneratePopulation:
         ds = build_user_dataset(pop, sorted(pop)[0], 1.0, "random", 6, 24)
         clf = train_proxy(ds.tar_train, embed_all(ds.aux_train, 24), epochs=300, lr=2.0,
                           seed=0, vocab_size=24)
-        held = ds.tar_heldout + ds.aux_heldout
-        labels = np.array([1] * len(ds.tar_heldout) + [0] * len(ds.aux_heldout))
+        tar_held, aux_held = ds.h_tar.split_rows("heldout"), ds.h_aux.split_rows("heldout")
+        held = tar_held + aux_held
+        labels = np.array([1] * len(tar_held) + [0] * len(aux_held))
         preds = clf.predict_proba(np.stack([embed(s, 24) for s in held])) > 0.5
         assert (preds == labels).mean() > 0.95
 

@@ -35,12 +35,17 @@ def test_cli_import_leaves_out_scipy_and_multiprocessing():
     """``import bfpo.cli`` in a fresh interpreter loads neither scipy, nor
     ``multiprocessing``, which only ``bfpo sweep --workers`` above 1 uses, nor
     any ``concurrent.futures`` module, nor ``numpy.polynomial``, which only
-    the PU quadrature truth uses."""
+    the PU quadrature truth uses.  Before it, ``import bfpo`` loads neither
+    the PU checks nor the property-check suite, which only ``bfpo verify``
+    runs."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, bfpo.cli; print(' '.join(sorted(sys.modules)))"
+    probe = ("import sys, bfpo; print(' '.join(sorted(sys.modules))); "
+             "import bfpo.cli; print(' '.join(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    loaded = set(proc.stdout.split())
+    package, loaded = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "bfpo.trainer" in package
+    assert not package & {"bfpo.pu", "bfpo.verification"}
     assert "bfpo.cli" in loaded
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
     assert not {m for m in loaded if m == "multiprocessing" or m.startswith("multiprocessing.")}

@@ -177,7 +177,7 @@ class TestValidation:
             s.user_id = "v"
 
 
-ENCODED_FIELDS = ("rows", "tokens", "cells", "seq", "starts", "lengths")
+ENCODED_FIELDS = ("rows", "cells", "seq", "lengths")
 
 
 def _random_pairs(rng, vocab, count, context):
@@ -209,10 +209,11 @@ class TestKernels:
     def test_rows_match_bucket(self, rng):
         pairs = _random_pairs(rng, 6, 20, 3) + [((), (1, 2, 3))]
         codes = encode(pairs, 3, 6)
+        ends = np.cumsum(codes.lengths).tolist()
         for i, (x, y) in enumerate(pairs):
-            span = slice(codes.starts[i], codes.starts[i] + codes.lengths[i])
+            span = slice(ends[i] - len(y), ends[i])
             assert codes.rows[span].tolist() == [bucket(x, t, 3) for t in range(len(y))]
-            assert codes.tokens[span].tolist() == list(y)
+            assert (codes.cells[span] - codes.rows[span] * 6).tolist() == list(y)
             assert set(codes.seq[span].tolist()) == {i}
 
     def test_scatter_grad_matches_weighted_log_prob_grads(self, rng):
@@ -234,7 +235,8 @@ class TestKernels:
     def test_cells_index_the_flat_table(self, rng):
         pairs = _random_pairs(rng, 5, 12, 3)
         codes = encode(pairs, 3, 5)
-        np.testing.assert_array_equal(codes.cells, codes.rows * 5 + codes.tokens)
+        tokens = [t for _, y in pairs for t in y]
+        np.testing.assert_array_equal(codes.cells, codes.rows * 5 + tokens)
 
     def test_split_equals_encoding_each_run(self, rng):
         pairs = _random_pairs(rng, 5, 12, 3)
@@ -282,8 +284,9 @@ class TestKernels:
             row_weights = np.bincount(codes.rows, token_weights, minlength=context)
             want = -row_weights[:, None] * probs
             own = np.zeros_like(want)
-            np.add.at(own, (codes.rows, codes.tokens), token_weights)
-            rows, tokens = codes.rows, codes.tokens
+            rows = codes.rows
+            tokens = codes.cells - rows * vocab
+            np.add.at(own, (rows, tokens), token_weights)
             row = row_weights[rows]
             want[rows, tokens] = (own[rows, tokens] - row) + row * (1.0 - probs[rows, tokens])
             np.testing.assert_array_equal(scatter_grad(probs, codes, weights), want)

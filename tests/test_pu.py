@@ -12,9 +12,7 @@ from bfpo import pu
 from bfpo.errors import InputError
 from bfpo.pu import (
     logistic_negative_loss,
-    logistic_positive_loss,
     negative_risk_pu,
-    pu_total_risk,
     run_negativity_check,
     run_unbiasedness_check,
     sample_unlabeled,
@@ -79,14 +77,11 @@ class TestSampleUnlabeled:
 
 
 class TestSoftplus:
-    """The losses are max(+-x, 0) + log1p(exp(-|x|)), not np.logaddexp."""
+    """The loss is max(x, 0) + log1p(exp(-|x|)), not np.logaddexp."""
 
-    LOSSES = [
-        (logistic_negative_loss, lambda x: np.logaddexp(0.0, x)),
-        (logistic_positive_loss, lambda x: np.logaddexp(0.0, -x)),
-    ]
+    LOSSES = [(logistic_negative_loss, lambda x: np.logaddexp(0.0, x))]
 
-    @pytest.mark.parametrize("loss, reference", LOSSES, ids=["negative", "positive"])
+    @pytest.mark.parametrize("loss, reference", LOSSES, ids=["negative"])
     @pytest.mark.parametrize("draw", ["normal", "uniform"])
     def test_within_4_ulps_of_logaddexp(self, loss, reference, draw):
         rng = np.random.default_rng(11)
@@ -94,7 +89,7 @@ class TestSoftplus:
         got, want = loss(x), reference(x)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
-    @pytest.mark.parametrize("loss, reference", LOSSES, ids=["negative", "positive"])
+    @pytest.mark.parametrize("loss, reference", LOSSES, ids=["negative"])
     def test_exact_at_the_edges_and_quiet(self, loss, reference):
         x = np.array([0.0, -0.0, 710.0, -710.0, 745.0, -745.0, np.inf, -np.inf])
         with warnings.catch_warnings():
@@ -107,7 +102,6 @@ class TestSoftplus:
     def test_input_is_left_alone(self):
         x = np.array([-2.0, 0.5, 3.0])
         logistic_negative_loss(x)
-        logistic_positive_loss(x)
         np.testing.assert_array_equal(x, [-2.0, 0.5, 3.0])
 
 
@@ -151,46 +145,9 @@ class TestNegativeRiskPu:
         """Each mean is a sum over a length: the same pairwise reduction and one
         division that np.mean makes, also past numpy's 8,192-element blocks."""
         rng = np.random.default_rng(size)
-        a, b, c = rng.normal(0.0, 3.0, (3, size))
+        a, b = rng.normal(0.0, 3.0, (2, size))
         assert negative_risk_pu(a, b, 0.3) == float(np.mean(b) - 0.3 * np.mean(a))
         assert negative_risk_pu(a.tolist(), b.tolist(), 0.3) == negative_risk_pu(a, b, 0.3)
-        assert pu_total_risk(a, b, c, 0.3) == float(
-            0.3 * np.mean(a) + np.mean(c) - 0.3 * np.mean(b)
-        )
-
-
-class TestPuTotalRisk:
-    def test_pi_zero_reduces_to_unlabeled_mean(self):
-        assert pu_total_risk([1.0], [1.0], [0.2, 0.4], 0.0) == pytest.approx(0.3, abs=1e-15)
-
-    def test_constant_loss_identity(self):
-        c = 0.7
-        out = pu_total_risk([c] * 3, [c] * 3, [c] * 5, 0.3)
-        assert out == pytest.approx(c, abs=1e-12)
-
-    def test_fully_labeled_oracle(self):
-        """Matches pi_p R+_p + pi_n R-_n computed with oracle negatives."""
-        pi_p, n = 0.3, 100_000
-        rng = np.random.default_rng(9)
-        pos = rng.normal(1.5, 1.0, n)
-        neg = rng.normal(-1.5, 1.0, n)
-        unl, _ = sample_unlabeled(pi_p, n, rng_seed=10)
-
-        estimate = pu_total_risk(
-            logistic_positive_loss(pos).tolist(),
-            logistic_negative_loss(pos).tolist(),
-            logistic_negative_loss(unl).tolist(),
-            pi_p,
-        )
-        oracle = pi_p * logistic_positive_loss(pos).mean() + (1 - pi_p) * (
-            logistic_negative_loss(neg).mean()
-        )
-        # Both sides are averages over ~1e5 draws; allow 3 combined sigmas.
-        spread = 3 * (
-            logistic_negative_loss(unl).std() / np.sqrt(n)
-            + logistic_negative_loss(neg).std() / np.sqrt(n)
-        )
-        assert abs(estimate - oracle) < spread
 
 
 class TestQuadratureTruth:
@@ -343,10 +300,6 @@ class TestDegenerateArguments:
             (negative_risk_pu, ([0.1], [], 0.3)),
             (negative_risk_pu, ([0.1], [0.2], -0.1)),
             (negative_risk_pu, ([0.1], [0.2], 1.5)),
-            (pu_total_risk, ([], [0.1], [0.2], 0.3)),
-            (pu_total_risk, ([0.1], [], [0.2], 0.3)),
-            (pu_total_risk, ([0.1], [0.1], [], 0.3)),
-            (pu_total_risk, ([0.1], [0.1], [0.2], 1.5)),
         ],
         ids=[
             "sample_no_n",
@@ -363,10 +316,6 @@ class TestDegenerateArguments:
             "negative_risk_no_unlabeled",
             "negative_risk_pi_below_0",
             "negative_risk_pi_above_1",
-            "total_risk_no_positives",
-            "total_risk_no_positives_as_negative",
-            "total_risk_no_unlabeled",
-            "total_risk_pi_above_1",
         ],
     )
     def test_raises(self, fn, args):

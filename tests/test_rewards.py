@@ -7,15 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from bfpo.errors import InputError, NumericError, StateError
+from bfpo.errors import InputError
 from bfpo.policy import bucket, ordered_sum, ordered_sums, snapshot_reference
 from bfpo.rewards import (
     ReferenceState,
     RewardConfig,
-    delta_bco,
-    delta_ema,
     delta_joint,
-    ema_update,
+    ema_anchor,
+    ema_fold,
     implicit_reward,
     kto_zref,
     kto_zrefs,
@@ -78,7 +77,6 @@ class TestLeftToRightSum:
         assert ordered_sum(np.array(values)) == 0.0
         assert math.fsum(values) == 1.0
         assert delta_joint(values[:2], values[2:]) == 0.0
-        assert delta_bco(values, [0.0]) == 0.0
 
     def test_per_group_sums_equal_ordered_sum(self):
         """ordered_sums adds each group's values left to right from 0.0, as
@@ -104,21 +102,6 @@ class TestLeftToRightSum:
         assert got.tobytes() == want.tobytes()
         assert math.copysign(1.0, got[0]) == 1.0  # 0.0 + -0.0 is +0.0
         assert float(np.sum(wide)) != want[-1]
-
-
-class TestDeltaBco:
-    def test_symmetric_means(self):
-        assert delta_bco([1.0], [-1.0]) == 0.0
-
-    def test_arithmetic(self):
-        assert delta_bco([0.4], [0.2]) == pytest.approx(0.3, abs=1e-15)
-
-    def test_duplication_invariance(self):
-        assert delta_bco([0.1, 0.5], [0.2]) == delta_bco([0.1, 0.5, 0.1, 0.5], [0.2])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            delta_bco([], [0.1])
 
 
 class TestKtoZref:
@@ -168,48 +151,20 @@ class TestKtoZref:
 
 class TestEma:
     def test_initialized_update(self):
-        state = ReferenceState(ema_pos=0.0, ema_aux=0.0, decay=0.9, initialized=True)
-        state = ema_update(state, 1.0, 0.0)
-        assert state.ema_pos == pytest.approx(0.1, abs=1e-15)
-
-    def test_first_update_seeds(self):
-        state = ema_update(ReferenceState(decay=0.9), 0.7, -0.3)
-        assert state.initialized
-        assert (state.ema_pos, state.ema_aux) == (0.7, -0.3)
+        assert ema_fold(0.0, 1.0, 0.9) == pytest.approx(0.1, abs=1e-15)
 
     def test_geometric_convergence_oracle(self):
         """Gap shrinks as decay^k: below 1e-6 after ceil(ln 1e-6 / ln decay) steps."""
         decay = 0.9
-        state = ema_update(ReferenceState(decay=decay), 0.0, 0.0)
-        steps = math.ceil(math.log(1e-6) / math.log(decay))
-        for _ in range(steps):
-            state = ema_update(state, 1.0, -0.5)
-        assert abs(state.ema_pos - 1.0) < 1e-6
-        assert abs(state.ema_aux + 0.5) < 1e-6
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            ema_update(ReferenceState(), float("nan"), 0.0)
+        ema_pos = ema_aux = 0.0
+        for _ in range(math.ceil(math.log(1e-6) / math.log(decay))):
+            ema_pos, ema_aux = ema_fold(ema_pos, 1.0, decay), ema_fold(ema_aux, -0.5, decay)
+        assert abs(ema_pos - 1.0) < 1e-6
+        assert abs(ema_aux + 0.5) < 1e-6
 
     def test_bad_decay(self):
         with pytest.raises(InputError):
             ReferenceState(decay=1.0)
-
-
-class TestDeltaEma:
-    def test_symmetry_and_arithmetic(self):
-        state = ReferenceState(ema_pos=0.4, ema_aux=-0.4, initialized=True)
-        assert delta_ema(state) == 0.0
-        state = ReferenceState(ema_pos=0.6, ema_aux=0.2, initialized=True)
-        assert delta_ema(state) == pytest.approx(0.4, abs=1e-15)
-
-    def test_agrees_with_delta_bco(self):
-        state = ReferenceState(ema_pos=0.37, ema_aux=-0.11, initialized=True)
-        assert delta_ema(state) == delta_bco([0.37], [-0.11])
-
-    def test_uninitialized_is_error(self):
-        with pytest.raises(StateError):
-            delta_ema(ReferenceState())
 
 
 class TestBatchCompositionInvariance:
@@ -222,11 +177,14 @@ class TestBatchCompositionInvariance:
         deltas = []
         for x in (0.5, 1.0, 1.5):
             n_pos, n_aux = 2, round(2 * x)
-            state = ReferenceState(decay=0.9)
+            # The first step seeds each EMA with its batch mean, as the trainer does.
+            ema_pos, ema_aux = pos_mean, aux_mean
             for _ in range(300):
-                state = ema_update(state, pos_mean, aux_mean)
-            deltas.append(delta_ema(state))
+                ema_pos = ema_fold(ema_pos, pos_mean, 0.9)
+                ema_aux = ema_fold(ema_aux, aux_mean, 0.9)
+            deltas.append(ema_anchor(ema_pos, ema_aux))
             joint = delta_joint([pos_mean] * n_pos, [aux_mean] * n_aux)
             predicted = ((x - 1.0) / (x + 1.0)) * (aux_mean - pos_mean) / 2.0
             assert joint - balanced == pytest.approx(predicted, abs=1e-12)
         assert max(deltas) - min(deltas) < 1e-9
+        assert max(abs(d - balanced) for d in deltas) < 1e-9

@@ -99,7 +99,7 @@ class TestSampleTable:
         table = SampleTable.of(ROWS)
         want = encode([(s.x, s.y) for s in ROWS], 3, VOCAB)
         got = encode_table(table, 3, VOCAB)
-        for name in ("rows", "tokens", "cells", "seq", "starts", "lengths"):
+        for name in ("rows", "cells", "seq", "lengths"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         with pytest.raises(InputError, match="empty completion"):
             encode_table(SampleTable.of([Sample("a", (0,), ())]), 3, VOCAB)

@@ -64,7 +64,7 @@ def _codes(ds, cfg, vocab):
 
 def _assert_encodes(piece, pairs, context, vocab):
     direct = encode(pairs, context, vocab)
-    for name in ("rows", "tokens", "cells", "seq", "starts", "lengths"):
+    for name in ("rows", "cells", "seq", "lengths"):
         np.testing.assert_array_equal(getattr(piece, name), getattr(direct, name))
 
 
@@ -72,8 +72,7 @@ def _run_pieces(stack, context, vocab):
     """Each run's part of a stack's encoding, its row offset taken off."""
     pieces = stack.codes.split(stack.layout.sizes.tolist())
     return [
-        Encoded(p.rows - r * context, p.tokens, p.cells - r * context * vocab, p.seq,
-                p.starts, p.lengths)
+        Encoded(p.rows - r * context, p.cells - r * context * vocab, p.seq, p.lengths)
         for r, p in enumerate(pieces)
     ]
 
@@ -123,7 +122,7 @@ class TestMakeBatches:
         for x, y in zip(_steps(a), _steps(b)):
             assert _same_batch(x, y)
             assert x.samples() == y.samples()
-        stacks = [stack_batches([e], codes, [0], None, spec.vocab_size) for e in (a, b)]
+        stacks = [stack_batches([e], codes, [0], None) for e in (a, b)]
         for x, y in zip(*stacks):
             np.testing.assert_array_equal(x.codes.cells, y.codes.cells)
             assert _same_batch(x.batches[0], y.batches[0])
@@ -156,7 +155,7 @@ class TestMakeBatches:
         assert sorted(cycle[:n_aux].tolist()) == list(range(n_aux))
         np.testing.assert_array_equal(cycle, cycle[np.arange(len(cycle)) % n_aux])
         codes = _codes(ds, cfg, spec.vocab_size)
-        for b, stack in zip(batches, stack_batches([plan], codes, [0], None, spec.vocab_size)):
+        for b, stack in zip(batches, stack_batches([plan], codes, [0], None)):
             assert _same_batch(stack.batches[0], b)
             _assert_encodes(stack.codes, _named_sequences(b), cfg.context_size, spec.vocab_size)
 
@@ -168,7 +167,7 @@ class TestMakeBatches:
         with pytest.raises(ConfigError, match="same number of batches"):
             stack_batches([make_batches(ds, cfg, 0), make_batches(ds, short, 0)],
                         stack_codes([codes, codes], cfg.context_size, spec.vocab_size),
-                        [0, codes.n], None, spec.vocab_size)
+                        [0, codes.n], None)
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("bs_pos, bs_aux, ratio", [(3, None, 1.0), (4, 7, 0.5), (64, 2, 2.0)])
@@ -195,8 +194,7 @@ class TestMakeBatches:
         stacked = stack_codes([r[2] for r in runs], context, vocab)
         table = np.random.default_rng(0).normal(size=(2 * context, vocab))
         reference = None if method is Method.SFT else sequence_log_probs(table, stacked)
-        stacks = stack_batches([r[3] for r in runs], stacked, [0, runs[0][2].n], reference,
-                               vocab)
+        stacks = stack_batches([r[3] for r in runs], stacked, [0, runs[0][2].n], reference)
         for stack in stacks:
             if method is Method.SFT:
                 assert stack.reference is None
@@ -279,6 +277,27 @@ class TestTrainStep:
         assert state.ema == [0.0, 0.0]
         assert state.references() == [ReferenceState(0.0, 0.0, 0.9, True)]
         assert state.last_delta == [0.0]
+
+    def test_batch_delta_is_delta_joint(self, rng):
+        """delta_mode="batch" anchors a step at delta_joint of its per-sample
+        implicit rewards, positives then auxiliaries, bit for bit."""
+        from bfpo.rewards import RewardConfig, delta_joint, ema_anchor, implicit_reward
+
+        state = self._state(method=Method.CBPO, delta_mode="batch")
+        state.policy = random_params(rng, 6, state.config.context_size)
+        reference = random_params(rng, 6, state.config.context_size)
+
+        def samples(user, n):
+            return [Sample(user, (int(rng.integers(6)),), tuple(rng.integers(6, size=3).tolist()))
+                    for _ in range(n)]
+
+        batch = Batch.of(pos=samples("u", 9), aux=samples("v", 13))
+        config = RewardConfig(beta=state.config.beta)
+        pos, aux = ([implicit_reward(state.policy, reference, config, s.x, s.y) for s in side]
+                    for side in batch.samples())
+        train_step(state, Stack.of(Method.CBPO, batch, state.policy, reference))
+        assert state.last_delta == [delta_joint(pos, aux)]
+        assert state.last_delta != [ema_anchor(*state.ema)]
 
     def test_ema_batch_means_add_left_to_right(self):
         """The EMA is seeded with left-to-right batch means; numpy's pairwise
