@@ -297,9 +297,11 @@ class TestDegenerateArguments:
             (sample_unlabeled, (-0.1, 10, 0)),
             (sample_unlabeled, (1.5, 10, 0)),
             (sample_unlabeled, (float("nan"), 10, 0)),
+            (negative_risk_pu, ([], [0.1], 0.3)),
             (negative_risk_pu, ([0.1], [], 0.3)),
             (negative_risk_pu, ([0.1], [0.2], -0.1)),
             (negative_risk_pu, ([0.1], [0.2], 1.5)),
+            (negative_risk_pu, ([0.1], [0.2], float("nan"))),
         ],
         ids=[
             "sample_no_n",
@@ -313,9 +315,11 @@ class TestDegenerateArguments:
             "sample_pi_below_0",
             "sample_pi_above_1",
             "sample_nan_pi",
+            "negative_risk_no_positives",
             "negative_risk_no_unlabeled",
             "negative_risk_pi_below_0",
             "negative_risk_pi_above_1",
+            "negative_risk_nan_pi",
         ],
     )
     def test_raises(self, fn, args):

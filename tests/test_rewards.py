@@ -104,6 +104,32 @@ class TestLeftToRightSum:
         assert float(np.sum(wide)) != want[-1]
 
 
+class TestDeltaJoint:
+    def test_symmetric_sets_anchor_at_zero(self):
+        assert delta_joint([1.0], [-1.0]) == 0.0
+
+    def test_arithmetic(self):
+        assert delta_joint([0.4], [0.2]) == pytest.approx(0.3, abs=1e-15)
+
+    def test_duplicating_both_sets_leaves_it(self):
+        """Dyadic rewards make every sum exact, so the means agree bit for bit."""
+        assert delta_joint([0.5, 0.25], [0.125]) == delta_joint(
+            [0.5, 0.25, 0.5, 0.25], [0.125, 0.125]
+        )
+
+    def test_dominant_set_pulls_it(self):
+        """The pooled mean weights each set by its size: tripling the
+        positives moves the anchor from 0 to halfway toward them."""
+        assert delta_joint([1.0] * 3, [-1.0]) == 0.5
+
+    @pytest.mark.parametrize(
+        "pos, aux", [([], [0.1]), ([0.1], [])], ids=["no_positives", "no_auxiliaries"]
+    )
+    def test_empty_rejected(self, pos, aux):
+        with pytest.raises(InputError):
+            delta_joint(pos, aux)
+
+
 class TestKtoZref:
     def test_leave_one_out(self):
         assert kto_zref([0.5, -0.2, 0.3], 0) == pytest.approx(0.05, abs=1e-12)
@@ -153,6 +179,9 @@ class TestEma:
     def test_initialized_update(self):
         assert ema_fold(0.0, 1.0, 0.9) == pytest.approx(0.1, abs=1e-15)
 
+    def test_decay_weights_the_old_statistic(self):
+        assert ema_fold(1.0, 0.0, 0.9) == 0.9
+
     def test_geometric_convergence_oracle(self):
         """Gap shrinks as decay^k: below 1e-6 after ceil(ln 1e-6 / ln decay) steps."""
         decay = 0.9
@@ -165,6 +194,16 @@ class TestEma:
     def test_bad_decay(self):
         with pytest.raises(InputError):
             ReferenceState(decay=1.0)
+
+
+class TestEmaAnchor:
+    def test_symmetry_and_arithmetic(self):
+        assert ema_anchor(0.4, -0.4) == 0.0
+        assert ema_anchor(0.6, 0.2) == pytest.approx(0.4, abs=1e-15)
+
+    def test_agrees_with_delta_joint_of_one_each(self):
+        """With one reward per set the two anchors are the same mean."""
+        assert ema_anchor(0.37, -0.11) == delta_joint([0.37], [-0.11])
 
 
 class TestBatchCompositionInvariance:

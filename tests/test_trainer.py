@@ -350,6 +350,27 @@ class TestTrainStep:
             with pytest.raises(InputError, match="non-empty positive and auxiliary sides"):
                 train_step(state, stack)
 
+    def test_non_finite_rewards_dump_the_run_that_made_them(self):
+        """In a lockstep stack of two, NaN logits in run 1's rows abort the
+        step before any EMA moves, and the dump holds run 1's batch."""
+        from bfpo.losses import Layout, encode_batch
+
+        batches = [Batch.of(pos=[Sample(u, (0,), (1,))], aux=[Sample(v, (0,), (2,))])
+                   for u, v in (("u0", "v0"), ("u1", "v1"))]
+        config = TrainConfig(method=Method.CBPO, alpha=0.0)
+        context = config.context_size
+        policy = uniform_params(6, 2 * context)
+        policy.logits[context:] = np.nan
+        state = RunState(policy=policy, opt=AdamState.zeros(policy.logits.shape),
+                         config=config, alphas=[0.0, 0.0], total_steps=10)
+        codes = stack_codes([encode_batch(b, context, 6) for b in batches], context, 6)
+        stack = Stack(batches, codes, Layout.of([1, 1], [1, 1]), np.zeros(codes.n))
+        with pytest.raises(NumericError, match="^non-finite batch rewards at step 1$") as err:
+            train_step(state, stack)
+        assert state.ema is None
+        assert err.value.details["pos"][0]["user_id"] == "u1"
+        assert err.value.details["aux"][0]["user_id"] == "v1"
+
     def test_non_finite_loss_aborts_with_dump(self):
         state = self._state()
         state.policy.logits[0, 0] = 1.0  # make it mutable sanity
