@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError, InputError
 from .policy import Sample, SampleTable, _check_range
+from .schema import Interval, check, check_args, declared
 
 __all__ = [
     "AlphaEstimate",
@@ -46,35 +47,22 @@ DEFAULT_HELDOUT_FRACTION = 0.2
 # training keeps the ratio calibrated against the generator's overlap knob.
 DEFAULT_EPOCHS = 30
 DEFAULT_LR = 1.0
-
-
-def _check_knobs(
-    error: type[Exception],
-    heldout_fraction: float = DEFAULT_HELDOUT_FRACTION,
-    epochs: int = DEFAULT_EPOCHS,
-    lr: float = DEFAULT_LR,
-) -> None:
-    """The estimator's range rule, for the config (``ConfigError``) and for
-    library calls (``InputError``) alike."""
-    # Each message starts with the knob's name (the train config prefixes it).
-    if not 0.0 < heldout_fraction < 1.0:
-        raise error(f"heldout_fraction must lie in (0, 1), got {heldout_fraction}")
-    if not epochs >= 1:
-        raise error(f"epochs must be >= 1, got {epochs}")
-    if not lr >= 0.0:  # lr 0 is allowed, as for the train config's learning_rate
-        raise error(f"lr must be >= 0, got {lr}")
+# The estimator's ranges that the train config's alpha_estimator_* fields
+# share; lr 0 is allowed, as for the train config's learning_rate.
+ESTIMATOR_EPOCHS = Interval(1)
+ESTIMATOR_LR = Interval(0)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """The proxy classifier's knobs, as :func:`run_alpha_estimation` takes them."""
 
-    heldout_fraction: float = DEFAULT_HELDOUT_FRACTION
-    epochs: int = DEFAULT_EPOCHS
-    lr: float = DEFAULT_LR
+    heldout_fraction: float = declared(Interval(0, 1, "()"), DEFAULT_HELDOUT_FRACTION)
+    epochs: int = declared(ESTIMATOR_EPOCHS, DEFAULT_EPOCHS)
+    lr: float = declared(ESTIMATOR_LR, DEFAULT_LR)
 
     def __post_init__(self) -> None:
-        _check_knobs(ConfigError, self.heldout_fraction, self.epochs, self.lr)
+        check(self, ConfigError)
 
 
 @dataclass
@@ -156,7 +144,7 @@ def train_proxy(
     descent; the auxiliary pool comes as its :func:`embed_all` rows."""
     if len(target) == 0 or len(aux_embeddings) == 0:
         raise InputError("both classes must be non-empty")
-    _check_knobs(InputError, epochs=epochs, lr=lr)
+    check_args(EstimatorConfig, InputError, epochs=epochs, lr=lr)
     features = np.concatenate([embed_all(target, vocab_size), aux_embeddings])
     labels = np.concatenate([np.ones(len(target)), np.zeros(len(aux_embeddings))])
     rng = np.random.default_rng(seed)
@@ -214,7 +202,7 @@ def split_heldout(
 ) -> tuple[SampleTable, SampleTable]:
     """Seeded disjoint (train, heldout) split of the rows, each in order;
     heldout gets ceil(fraction * n)."""
-    _check_knobs(InputError, heldout_fraction=fraction)
+    check_args(EstimatorConfig, InputError, heldout_fraction=fraction)
     if len(table) < 2:
         raise InputError("need at least 2 samples to split off a held-out set")
     order = np.random.default_rng(seed).permutation(len(table))

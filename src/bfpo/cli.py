@@ -17,13 +17,14 @@ import io
 import json
 import sys
 from contextlib import ExitStack
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .alpha import EstimatorConfig, run_alpha_estimation
 from .datagen import (
+    SEED,
     DatasetConfig,
     PopulationSpec,
     UserDataset,
@@ -39,7 +40,7 @@ from .errors import ConfigError, EngineError, InputError, NumericError
 from .evaluation import evaluate_policy
 from .files import decode_json, write_atomic
 from .policy import SampleTable
-from .schema import cast, from_doc
+from .schema import NON_EMPTY, Interval, OneOf, cast, check, declared, from_doc, require
 from .trainer import (
     METRICS_COLUMNS,
     TrainConfig,
@@ -77,6 +78,20 @@ SWEEP_COLUMNS = (
 )
 
 
+@dataclass(frozen=True)
+class SweepKeys:
+    """A sweep config's own top-level keys besides its blocks; ``delta_modes``
+    None sweeps the train block's ``delta_mode`` alone."""
+
+    axis: str = declared(OneOf(SWEEP_AXES))
+    grid: list = declared(NON_EMPTY)
+    n_seeds: int = declared(Interval(1))
+    delta_modes: list[str] | None = declared(NON_EMPTY, None)
+
+    def __post_init__(self) -> None:
+        check(self, ConfigError)
+
+
 # ---------------------------------------------------------------------------
 # Strict config parsing
 # ---------------------------------------------------------------------------
@@ -110,8 +125,7 @@ def _load_config(
     _check_keys(doc, required | {*optional, "out_dir"}, required, where)
     run_seed = _value(doc, "seed", int, where)
     run_seed = run_seed if seed is None else seed
-    if run_seed < 0:
-        raise ConfigError(f"{where}: seed must be >= 0, got {run_seed}")
+    require(SEED, f"{where}: seed", run_seed, ConfigError)
     return doc, run_seed
 
 
@@ -453,32 +467,20 @@ def _received(conn: Any, n_units: int) -> Iterator[list[tuple[int, dict]]]:
 
 
 def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int) -> int:
-    if workers < 1:
-        raise ConfigError(f"sweep: --workers must be >= 1, got {workers}")
+    require(Interval(1), "sweep: --workers", workers, ConfigError)
     doc, base_seed = _load_config(
         config_path, seed, "sweep config",
         {"axis", "grid", "n_seeds", "population", "dataset", "train"}, ("delta_modes",),
     )
-    axis = _value(doc, "axis", str, "sweep config")
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep config: axis must be one of {SWEEP_AXES}, got {axis!r}")
-    grid = _value(doc, "grid", list, "sweep config")
-    if not grid:
-        raise ConfigError("sweep config: grid must be non-empty")
-    n_seeds = _value(doc, "n_seeds", int, "sweep config")
-    if n_seeds < 1:
-        raise ConfigError("sweep config: n_seeds must be >= 1")
+    names = [f.name for f in fields(SweepKeys) if f.name in doc]
+    keys = _block(SweepKeys, {name: doc[name] for name in names}, "sweep config")
+    axis, grid, n_seeds = keys.axis, keys.grid, keys.n_seeds
     spec = _block(PopulationSpec, doc["population"], "sweep config: population", seed=base_seed)
     _block(DatasetConfig, doc["dataset"], "sweep config: dataset")
     base_train = _block(
         TrainConfig, doc["train"], "sweep config: train", required={"method"}, seed=base_seed
     )
-    if "delta_modes" in doc:
-        delta_modes = _value(doc, "delta_modes", list[str], "sweep config")
-    else:
-        delta_modes = [base_train.delta_mode]
-    if not delta_modes:
-        raise ConfigError("sweep config: delta_modes must be non-empty")
+    delta_modes = keys.delta_modes or [base_train.delta_mode]
 
     # Every grid point is cast and checked before anything is written.
     tasks = []
@@ -547,10 +549,9 @@ def cmd_sweep(config_path: str, out: str | None, seed: int | None, workers: int)
 
 
 def cmd_verify(out: str | None, seed: int | None, fd_cases: int) -> int:
-    if seed is not None and seed < 0:
-        raise ConfigError(f"verify: --seed must be >= 0, got {seed}")
-    if fd_cases < 1:
-        raise ConfigError(f"verify: --fd-cases must be >= 1, got {fd_cases}")
+    if seed is not None:
+        require(SEED, "verify: --seed", seed, ConfigError)
+    require(Interval(1), "verify: --fd-cases", fd_cases, ConfigError)
     timed = run_all_checks(seed=seed if seed is not None else 0, fd_cases=fd_cases)
     results = [r for r, _ in timed]
     doc = {

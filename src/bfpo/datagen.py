@@ -34,8 +34,8 @@ from . import _pcg64_words as pcg64_words
 from .alpha import _bag_entries
 from .errors import ConfigError, InputError
 from .files import decode_json, write_atomic
-from .policy import SampleTable
-from .schema import from_doc
+from .policy import VOCAB_SIZE, SampleTable
+from .schema import Interval, OneOf, check, check_args, declared, from_doc
 
 __all__ = [
     "DatasetConfig",
@@ -55,6 +55,8 @@ PROMPT_LEN = 3
 HELDOUT_FRACTION = 0.2
 SHARED_FRACTION = 0.5
 GROUPINGS = ("random", "unique", "non_unique")
+# A seed that numpy's SeedSequence takes, which the train and run configs take too.
+SEED = Interval(0)
 
 
 @dataclass(frozen=True)
@@ -63,41 +65,28 @@ class DatasetConfig:
     :func:`build_user_dataset` and :func:`truncate_history` besides the data."""
 
     target_user: str
-    ratio_x: float
-    grouping: str
-    history_fraction: float = 1.0
+    ratio_x: float = declared(Interval(0, ends="()"))
+    grouping: str = declared(OneOf(GROUPINGS))
+    history_fraction: float = declared(Interval(0, 1, "(]"), 1.0)
 
     def __post_init__(self) -> None:
-        if self.grouping not in GROUPINGS:
-            raise ConfigError(f"grouping must be one of {GROUPINGS}, got {self.grouping!r}")
-        if not self.ratio_x > 0:
-            raise ConfigError(f"ratio_x must be positive, got {self.ratio_x}")
-        if not 0.0 < self.history_fraction <= 1.0:
-            raise ConfigError(f"history_fraction must lie in (0, 1], got {self.history_fraction}")
+        check(self, ConfigError)
 
 
 @dataclass(frozen=True)
 class PopulationSpec:
     """Knobs of the synthetic population; generation is a pure function of these."""
 
-    n_users: int
-    vocab_size: int
-    overlap_lambda: float
-    samples_per_user: int
-    prompt_pool_size: int
-    seq_len: int
-    seed: int
+    n_users: int = declared(Interval(1))
+    vocab_size: int = declared(VOCAB_SIZE)
+    overlap_lambda: float = declared(Interval(0, 1))
+    samples_per_user: int = declared(Interval(1))
+    prompt_pool_size: int = declared(Interval(1))
+    seq_len: int = declared(Interval(1))
+    seed: int = declared(SEED)
 
     def __post_init__(self) -> None:
-        for name in ("n_users", "vocab_size", "samples_per_user", "prompt_pool_size", "seq_len"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.overlap_lambda <= 1.0:
-            raise InputError(
-                f"overlap_lambda must lie in [0, 1], got {self.overlap_lambda}"
-            )
-        if self.vocab_size < 2:
-            raise InputError("vocab_size must be >= 2")
+        check(self, InputError)
 
 
 def _user_id(index: int, n_users: int) -> str:
@@ -318,10 +307,7 @@ def build_user_dataset(
     """
     if target_user not in population:
         raise InputError(f"unknown target user {target_user!r}")
-    if grouping not in GROUPINGS:
-        raise InputError(f"grouping must be one of {GROUPINGS}, got {grouping!r}")
-    if ratio_x <= 0:
-        raise InputError(f"ratio_x must be positive, got {ratio_x}")
+    check_args(DatasetConfig, InputError, grouping=grouping, ratio_x=ratio_x)
     h_tar = population[target_user]
     n_aux = _round_half_up(ratio_x * len(h_tar))
     others = sorted(uid for uid in population if uid != target_user)
@@ -361,8 +347,7 @@ def build_user_dataset(
 
 def truncate_history(dataset: UserDataset, fraction: float) -> UserDataset:
     """Keep the first ceil(fraction * |H_tar|) target samples, rescale the pool."""
-    if not 0.0 < fraction <= 1.0:
-        raise InputError(f"fraction must lie in (0, 1], got {fraction}")
+    check_args(DatasetConfig, InputError, history_fraction=fraction)
     n_keep = math.ceil(fraction * len(dataset.h_tar))
     if n_keep == 0:
         raise InputError("truncation would leave no target samples")

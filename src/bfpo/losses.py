@@ -70,7 +70,8 @@ from .policy import (
     sequence_log_probs,
     softmax_tables,
 )
-from .rewards import kto_zref, kto_zrefs
+from .rewards import BETA, kto_zref, kto_zrefs
+from .schema import Interval, check, declared
 
 __all__ = [
     "BREAKDOWN_COLUMNS",
@@ -162,23 +163,26 @@ class Batch:
         return self.pos_pool.take(self.pos), self.aux_pool.take(self.aux)
 
 
+# The ranges the train config shares: the negative prior, and KTO's weights of
+# the desirable and undesirable terms.
+PI_N = Interval(0, 1, "(]")
+LAMBDA = Interval(0)
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Everything the objectives need beyond the batch itself."""
 
-    beta: float = 1.0
-    alpha: float = 0.0
-    pi_n: float = 1.0
-    lambda_d: float = 1.0
-    lambda_u: float = 1.0
+    beta: float = declared(BETA, 1.0)
+    # alpha = 1 (total overlap) is representable for the unclamped objective;
+    # the clamped one rejects it (see loss_terms).
+    alpha: float = declared(Interval(0, 1), 0.0)
+    pi_n: float = declared(PI_N, 1.0)
+    lambda_d: float = declared(LAMBDA, 1.0)
+    lambda_u: float = declared(LAMBDA, 1.0)
 
     def __post_init__(self) -> None:
-        # alpha = 1 (total overlap) is representable for the unclamped
-        # objective; the clamped one rejects it (see loss_terms).
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (0.0 < self.pi_n <= 1.0):
-            raise ConfigError(f"pi_n must lie in (0, 1], got {self.pi_n}")
+        check(self, ConfigError)
 
 
 def _sigmoid(z: float) -> float:

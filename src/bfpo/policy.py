@@ -45,6 +45,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
+from .schema import Interval, check, declared
 
 __all__ = [
     "Encoded",
@@ -76,6 +77,10 @@ _MIX_A = 2654435761
 _MIX_B = 40503
 
 _EMPTY_COMPLETION = "empty completion: |y| = 0 is rejected at ingestion"
+
+# The table shape's ranges, which the population spec and train config share.
+VOCAB_SIZE = Interval(2)
+CONTEXT_SIZE = Interval(1)
 
 
 @dataclass(frozen=True)
@@ -265,15 +270,12 @@ class SampleTable(Sequence[Sample]):
 class PolicyParams:
     """Unnormalized per-position token scores, shape (context_size, vocab_size)."""
 
-    vocab_size: int
-    context_size: int
+    vocab_size: int = declared(VOCAB_SIZE)
+    context_size: int = declared(CONTEXT_SIZE)
     logits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 2:
-            raise InputError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.context_size < 1:
-            raise InputError(f"context_size must be >= 1, got {self.context_size}")
+        check(self, InputError)
         self.logits = np.asarray(self.logits, dtype=np.float64)
         if self.logits.shape != (self.context_size, self.vocab_size):
             raise InputError(

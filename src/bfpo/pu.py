@@ -33,6 +33,7 @@ import numpy as np
 
 from . import _pcg64_words as pcg64_words
 from .errors import InputError
+from .schema import Interval, require
 
 __all__ = [
     "CheckResult",
@@ -47,6 +48,9 @@ __all__ = [
 
 # The test mixture: two unit-variance Gaussians on the score axis.
 _POS_MEAN, _NEG_MEAN, _STD = 1.5, -1.5, 1.0
+# The positive prior; the endpoints are admitted so degenerate mixtures stay
+# testable.
+_PI_P = Interval(0, 1)
 
 
 def sample_unlabeled(pi_p: float, n: int, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,9 +60,7 @@ def sample_unlabeled(pi_p: float, n: int, rng_seed: int) -> tuple[np.ndarray, np
     Returns the instance values and, for verification only, the latent
     indicator of which component each draw came from.
     """
-    # Endpoints are admitted so degenerate mixtures stay testable.
-    if not 0.0 <= pi_p <= 1.0:
-        raise InputError(f"pi_p must lie in [0, 1], got {pi_p}")
+    require(_PI_P, "pi_p", pi_p, InputError)
     values = np.empty(_count("n", n, 1), dtype=np.float64)
     return values, _draw_unlabeled(pi_p, np.random.default_rng(rng_seed), values)
 
@@ -81,8 +83,7 @@ def _count(name: str, value: int, least: int) -> int:
     """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InputError(f"{name} must be >= {least}, got {value}")
+    require(Interval(least), name, value, InputError)
     return int(value)
 
 
@@ -99,8 +100,7 @@ def negative_risk_pu(
     """Estimate pi_n * R_n from negative-label losses on positive and unlabeled sets."""
     if len(pos_losses) == 0 or len(unlabeled_losses) == 0:
         raise InputError("loss lists must be non-empty")
-    if not 0.0 <= pi_p <= 1.0:
-        raise InputError(f"pi_p must lie in [0, 1], got {pi_p}")
+    require(_PI_P, "pi_p", pi_p, InputError)
     return _mean(unlabeled_losses) - pi_p * _mean(pos_losses)
 
 

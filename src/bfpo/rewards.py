@@ -14,7 +14,6 @@ references its kernels are tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .policy import PolicyParams, log_prob, ordered_sum
+from .schema import Interval, check, declared
 
 __all__ = [
     "ReferenceState",
@@ -35,15 +35,20 @@ __all__ = [
 ]
 
 
+# The reward scale, which the loss and train configs take too.
+BETA = Interval(0, ends="()")
+# The decay of the decoupled EMAs, which the train config takes too.
+EMA_DECAY = Interval(0, 1, "()")
+
+
 @dataclass(frozen=True)
 class RewardConfig:
     """Scaling of the policy/reference log-ratio."""
 
-    beta: float = 1.0
+    beta: float = declared(BETA, 1.0)
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise InputError(f"beta must be a positive finite real, got {self.beta}")
+        check(self, InputError)
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,11 @@ class ReferenceState:
 
     ema_pos: float = 0.0
     ema_aux: float = 0.0
-    decay: float = 0.99
+    decay: float = declared(EMA_DECAY, 0.99)
     initialized: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.decay < 1.0):
-            raise InputError(f"decay must lie in (0, 1), got {self.decay}")
+        check(self, InputError)
 
 
 def implicit_reward(

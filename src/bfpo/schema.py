@@ -1,21 +1,115 @@
-"""One caster from JSON documents to config dataclasses.
+"""One schema for the config dataclasses: each field's type and rule.
 
 Every config block (population, dataset, train, estimator) is read through
 :func:`from_doc`, which takes each field's type from the dataclass itself, so
 no module keeps its own list of fields or casts; top-level config values go
-through :func:`cast`, the same rules for one value.
+through :func:`cast`, the same rules for one value.  A field's range or choice
+set is declared once, with the field (:func:`declared`): an :class:`Interval`,
+a :class:`OneOf` or :data:`NON_EMPTY`, whose ``str`` states it as the error
+messages and the README do.  Each config's ``__post_init__`` calls
+:func:`check`, and a library function holds its arguments to the same rules
+with :func:`check_args`.
 """
 
 from __future__ import annotations
 
 import math
 import types
-from dataclasses import fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
-__all__ = ["cast", "from_doc"]
+__all__ = ["Interval", "NON_EMPTY", "OneOf", "cast", "check", "check_args", "declared",
+           "from_doc", "require", "rules"]
+
+_RULE = "rule"  # the field metadata key of a declared rule
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Numbers from ``lo`` to ``hi`` (None: no upper end), each end closed or
+    open as ``ends`` says (``"(]"``: lo < v <= hi); a float must be finite."""
+
+    lo: float
+    hi: float | None = None
+    ends: str = "[]"
+
+    def admits(self, value: Any) -> bool:
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
+        if not (value >= self.lo if self.ends[0] == "[" else value > self.lo):
+            return False
+        return self.hi is None or (value <= self.hi if self.ends[1] == "]" else value < self.hi)
+
+    def __str__(self) -> str:
+        if self.hi is None:
+            return f"must be {'>=' if self.ends[0] == '[' else '>'} {self.lo}"
+        return f"must lie in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
+
+
+class OneOf(tuple):
+    """One of the choices this tuple holds."""
+
+    def admits(self, value: Any) -> bool:
+        return value in self
+
+    def __str__(self) -> str:
+        return f"must be one of {tuple(self)}"
+
+
+class _NonEmpty:
+    def admits(self, value: Any) -> bool:
+        return isinstance(value, (list, tuple)) and len(value) > 0
+
+    def __str__(self) -> str:
+        return "must be non-empty"
+
+
+NON_EMPTY = _NonEmpty()  # a list or tuple of at least one item
+Rule = Union[Interval, OneOf, _NonEmpty]
+
+
+def declared(rule: Rule, default: Any = MISSING) -> Any:
+    """A dataclass field that :func:`check` holds to ``rule``."""
+    return field(default=default, metadata={_RULE: rule})
+
+
+@cache
+def rules(cls: type) -> Mapping[str, tuple[Rule, tuple[type, ...]]]:
+    """Each declared field of the dataclass ``cls``, in field order, resolved
+    once per class (read-only, as every caller shares it): its rule, and the
+    types whose values skip it, None and str where the field's union type
+    admits them (an unset ``batch_size_aux``, alpha's ``"estimate"``)."""
+    table = {}
+    for f, (_, tp) in zip(fields(cls), _field_types(cls)):
+        if _RULE in f.metadata:
+            union = get_origin(tp) in (Union, types.UnionType)
+            passes = tuple(a for a in get_args(tp) if union and a in (type(None), str))
+            table[f.name] = (f.metadata[_RULE], passes)
+    return types.MappingProxyType(table)
+
+
+def require(rule: Rule, name: str, value: Any, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name``, ``value`` and ``rule`` unless ``rule``
+    admits ``value``."""
+    if not rule.admits(value):
+        raise error(f"{name} {rule}, got {repr(value) if isinstance(value, str) else value}")
+
+
+def check_args(cls: type, error: type[Exception], **values: Any) -> None:
+    """Hold each of ``values`` to the rule of the ``cls`` field of its name."""
+    for name, value in values.items():
+        require(rules(cls)[name][0], name, value, error)
+
+
+def check(instance: Any, error: type[Exception]) -> None:
+    """Hold each declared field of the dataclass ``instance`` to its rule, in
+    field order."""
+    for name, (rule, passes) in rules(type(instance)).items():
+        value = getattr(instance, name)
+        if not isinstance(value, passes):
+            require(rule, name, value, error)
 
 
 def from_doc(cls: type, doc: dict) -> Any:
@@ -28,8 +122,9 @@ def from_doc(cls: type, doc: dict) -> Any:
     ``X | None`` passes None through, ``float | str`` passes a string through,
     a fixed-length tuple takes a list of exactly that length, and ``list[X]`` a
     list of any length (``list`` leaves the items as they are).  A value that
-    does not cast raises ``ValueError`` naming the field; the dataclass's own
-    ``__post_init__`` checks ranges.
+    does not cast raises ``ValueError`` naming the field; a value that casts
+    but breaks its field's declared rule raises the error type of ``cls``'s
+    :func:`check`.
     """
     kwargs = {}
     for name, tp in _field_types(cls):

@@ -51,13 +51,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, AlphaEstimate, EstimatorConfig, run_alpha_estimation
-from .datagen import UserDataset
+from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, ESTIMATOR_EPOCHS, ESTIMATOR_LR
+from .alpha import AlphaEstimate, run_alpha_estimation
+from .datagen import SEED, UserDataset
 from .errors import ConfigError, InputError, NumericError
 from .files import decode_json, write_atomic
 from . import rewards
 from .losses import (
     BREAKDOWN_COLUMNS,
+    LAMBDA,
+    PI_N,
     Batch,
     LossConfig,
     Layout,
@@ -68,6 +71,7 @@ from .losses import (
     scored_loss,
 )
 from .policy import (
+    CONTEXT_SIZE,
     Encoded,
     PolicyParams,
     SampleTable,
@@ -80,7 +84,7 @@ from .policy import (
     uniform_params,
 )
 from .rewards import ReferenceState
-from .schema import cast
+from .schema import Interval, OneOf, cast, check, declared, require
 
 __all__ = [
     "AdamState",
@@ -131,81 +135,43 @@ PLAN_TOKENS = 16384
 class TrainConfig:
     """Everything a run depends on besides the dataset itself."""
 
-    method: Method = Method.CBPO
-    epochs: int = 3
-    batch_size_pos: int = 8
-    batch_size_aux: int | None = None  # None: round(batch_size_pos * dataset ratio)
-    learning_rate: float = 0.2
-    beta: float = 0.1
-    alpha: float | str = "estimate"
-    ema_decay: float = 0.9
-    seed: int = 0
+    method: Method = declared(OneOf(tuple(m.value for m in Method)), Method.CBPO)
+    epochs: int = declared(Interval(1), 3)
+    batch_size_pos: int = declared(Interval(1), 8)
+    batch_size_aux: int | None = declared(Interval(1), None)  # None: batch_size_pos * ratio_x
+    # learning_rate 0 is allowed: a null step still logs losses.
+    learning_rate: float = declared(Interval(0), 0.2)
+    beta: float = declared(rewards.BETA, 0.1)
+    alpha: float | str = declared(Interval(0, 1, "[)"), "estimate")
+    ema_decay: float = declared(rewards.EMA_DECAY, 0.9)
+    seed: int = declared(SEED, 0)
     momentum_params: tuple[float, float, float] = (0.9, 0.999, 1e-8)
-    context_size: int = 8
-    pi_n: float = 1.0
-    lambda_d: float = 1.0
-    lambda_u: float = 1.0
-    delta_mode: str = "ema"  # "ema" or "batch" (joint per-batch mean)
-    weight_decay: float = 0.01
-    warmup_fraction: float = 0.1
-    warmstart_epochs: int = 2
-    warmstart_lr: float | None = None
-    dpo_rejection_budget: int = 16
-    alpha_estimator_epochs: int = DEFAULT_EPOCHS
-    alpha_estimator_lr: float = DEFAULT_LR
+    context_size: int = declared(CONTEXT_SIZE, 8)
+    pi_n: float = declared(PI_N, 1.0)
+    lambda_d: float = declared(LAMBDA, 1.0)
+    lambda_u: float = declared(LAMBDA, 1.0)
+    delta_mode: str = declared(OneOf(("ema", "batch")), "ema")  # "batch": joint per-batch mean
+    # AdamW's decoupled weight decay: a negative one would grow the weights.
+    weight_decay: float = declared(Interval(0), 0.01)
+    warmup_fraction: float = declared(Interval(0, 1), 0.1)
+    warmstart_epochs: int = declared(Interval(0), 2)
+    warmstart_lr: float | None = declared(Interval(0), None)
+    dpo_rejection_budget: int = declared(Interval(1), 16)
+    alpha_estimator_epochs: int = declared(ESTIMATOR_EPOCHS, DEFAULT_EPOCHS)
+    alpha_estimator_lr: float = declared(ESTIMATOR_LR, DEFAULT_LR)
 
     def __post_init__(self) -> None:
-        self.method = Method(self.method)
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        # learning_rate 0 is allowed: a null step still logs losses.
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size_pos < 1:
-            raise ConfigError("batch_size_pos must be >= 1")
-        if self.batch_size_aux is not None and self.batch_size_aux < 1:
-            raise ConfigError("batch_size_aux must be >= 1")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ConfigError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")
-        if self.delta_mode not in ("ema", "batch"):
-            raise ConfigError(f"delta_mode must be 'ema' or 'batch', got {self.delta_mode!r}")
         if isinstance(self.alpha, str):
             if self.alpha != "estimate":
                 raise ConfigError(f"alpha must be a number or 'estimate', got {self.alpha!r}")
         else:
             self.alpha = float(self.alpha)
-            if not 0.0 <= self.alpha < 1.0:
-                raise ConfigError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 < self.pi_n <= 1.0:
-            raise ConfigError(f"pi_n must lie in (0, 1], got {self.pi_n}")
-        # The KTO loss weights and AdamW's weight decay (a negative decay would
-        # grow the weights).
-        for name in ("lambda_d", "lambda_u", "weight_decay"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ConfigError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
-        if self.context_size < 1:
-            raise ConfigError("context_size must be >= 1")
-        if self.warmstart_epochs < 0:
-            raise ConfigError("warmstart_epochs must be >= 0")
-        if self.warmstart_lr is not None and self.warmstart_lr < 0:
-            raise ConfigError(f"warmstart_lr must be >= 0, got {self.warmstart_lr}")
-        if self.method is Method.KTO and self.batch_size_pos + (self.batch_size_aux or 1) < 2:
-            raise ConfigError("KTO needs a combined batch size of >= 2")
-        b1, b2, eps = self.momentum_params
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError(f"momentum_params betas must lie in [0, 1), got {b1} and {b2}")
-        if not eps > 0.0:
-            raise ConfigError(f"momentum_params eps must be positive, got {eps}")
-        if self.dpo_rejection_budget < 1:
-            raise ConfigError("dpo_rejection_budget must be >= 1")
-        try:
-            EstimatorConfig(epochs=self.alpha_estimator_epochs, lr=self.alpha_estimator_lr)
-        except ConfigError as exc:
-            raise ConfigError(f"alpha_estimator_{exc}") from exc
+        check(self, ConfigError)
+        self.method = Method(self.method)
+        # AdamW's (b1, b2, eps), each part named in the message.
+        betas, eps = Interval(0, 1, "[)"), Interval(0, ends="()")
+        for part, value, rule in zip(("b1", "b2", "eps"), self.momentum_params, (betas, betas, eps)):
+            require(rule, f"momentum_params {part}", value, ConfigError)
 
     def resolved_aux_batch(self, ratio_x: float) -> int:
         if self.batch_size_aux is not None:
@@ -906,12 +872,7 @@ def save_checkpoint(
         "step": len(result.metrics_table),
         "policy": _params_doc(result.policy),
         "reference": _params_doc(result.reference),
-        "ema": {
-            "ema_pos": result.ema.ema_pos,
-            "ema_aux": result.ema.ema_aux,
-            "decay": result.ema.decay,
-            "initialized": result.ema.initialized,
-        },
+        "ema": asdict(result.ema),
         "optimizer": {
             "m": result.opt.m.tolist(),
             "v": result.opt.v.tolist(),

@@ -1081,11 +1081,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("momentum", [
         (math.nan, 0.999, 1e-8), (0.9, math.nan, 1e-8), (0.9, 0.999, math.nan),
+        (math.inf, 0.999, 1e-8), (0.9, 0.999, math.inf),
     ])
     def test_nan_momentum_params_rejected(self, momentum):
-        """A library call may pass NaN, which no range comparison admits (a
-        config cannot: its numbers are finite); the ranges themselves are
-        rows of tests/test_cli.py::TestMalformedInputExits2."""
+        """A library call may pass NaN or an infinity (a config cannot: its
+        numbers are finite), which each part's rule rejects; the ranges
+        themselves are rows of tests/test_cli.py::TestMalformedInputExits2."""
         with pytest.raises(ConfigError, match="^momentum_params "):
             TrainConfig(momentum_params=momentum)
 
