@@ -7,10 +7,10 @@ the mean output on the auxiliary pool by c yields the density of target-like
 preference content inside that pool, which calibrates the purified negative
 loss.
 
-Samples come as tables; :func:`train_proxy` and :func:`estimate_alpha` take the
-auxiliary pool as its :func:`embed_all` rows.  :func:`embed` of one ``Sample``
-is the reference that each row of :func:`embed_all` equals; a table's rows are
-built from their nonzero entries, with no n x V count table.
+Samples come as tables.  :func:`run_alpha_estimation` scatters each pool's
+nonzero entries once into one feature table (training targets, auxiliary pool,
+held-out targets) whose blocks the proxy reads; :func:`embed` of one ``Sample``
+is the reference that each row of :func:`embed_all`, the one-pool table, equals.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError, InputError
 from .policy import Sample, SampleTable, _check_range
-from .schema import Interval, check, check_args, declared
+from .schema import Interval, check, check_args, declared, require
 
 __all__ = [
     "AlphaEstimate",
@@ -51,6 +51,8 @@ DEFAULT_LR = 1.0
 # share; lr 0 is allowed, as for the train config's learning_rate.
 ESTIMATOR_EPOCHS = Interval(1)
 ESTIMATOR_LR = Interval(0)
+# A seed as numpy's SeedSequence takes it: every config's and library call's seed.
+SEED = Interval(0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,6 @@ class ProxyClassifier:
 
     weights: np.ndarray
     bias: float
-
-    @property
-    def vocab_size(self) -> int:
-        return int(self.weights.shape[0])
 
     def predict_proba(self, embeddings: np.ndarray) -> np.ndarray:
         z = embeddings @ self.weights + self.bias
@@ -124,57 +122,56 @@ def _bag_entries(tokens: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tu
     return rows, keys - rows * vocab_size, counts / norms[rows]
 
 
-def embed_all(table: SampleTable, vocab_size: int) -> np.ndarray:
-    """Row i is :func:`embed` of ``table[i]``, bit for bit: the :func:`_bag_entries` in zeros."""
-    rows, tokens, values = _bag_entries(table.y_tokens, table.y_lengths, vocab_size)
-    out = np.zeros((len(table), vocab_size))
-    out[rows, tokens] = values
+def _embed_pools(pools: list[SampleTable], vocab_size: int) -> np.ndarray:
+    """The pools' :func:`embed_all` rows one block after another, in one zeroed
+    table: each pool's :func:`_bag_entries` scattered at its row offset."""
+    out = np.zeros((sum(map(len, pools)), vocab_size))
+    offset = 0
+    for pool in pools:
+        rows, tokens, values = _bag_entries(pool.y_tokens, pool.y_lengths, vocab_size)
+        out[offset : offset + len(pool)][rows, tokens] = values
+        offset += len(pool)
     return out
 
 
+def embed_all(table: SampleTable, vocab_size: int) -> np.ndarray:
+    """Row i is :func:`embed` of ``table[i]``, bit for bit."""
+    return _embed_pools([table], vocab_size)
+
+
 def train_proxy(
-    target: SampleTable,
-    aux_embeddings: np.ndarray,
-    epochs: int,
-    lr: float,
-    seed: int,
-    vocab_size: int,
+    features: np.ndarray, n_target: int, epochs: int, lr: float, seed: int
 ) -> ProxyClassifier:
     """Fit the target-vs-auxiliary logistic classifier by full-batch gradient
-    descent; the auxiliary pool comes as its :func:`embed_all` rows."""
-    if len(target) == 0 or len(aux_embeddings) == 0:
+    descent on the embedded rows ``features``: rows ``[0, n_target)`` are the
+    target (label 1), the rest the auxiliary pool (label 0)."""
+    if not 0 < n_target < len(features):
         raise InputError("both classes must be non-empty")
     check_args(EstimatorConfig, InputError, epochs=epochs, lr=lr)
-    features = np.concatenate([embed_all(target, vocab_size), aux_embeddings])
-    labels = np.concatenate([np.ones(len(target)), np.zeros(len(aux_embeddings))])
+    require(SEED, "seed", seed, InputError)
+    labels = np.zeros(len(features))
+    labels[:n_target] = 1.0
     rng = np.random.default_rng(seed)
-    weights = rng.normal(0.0, 1e-3, vocab_size)
-    bias = 0.0
-    n = len(labels)
-    clf = ProxyClassifier(weights=weights, bias=bias)
+    clf = ProxyClassifier(weights=rng.normal(0.0, 1e-3, features.shape[1]), bias=0.0)
     for _ in range(epochs):
         residual = clf.predict_proba(features) - labels
-        clf.weights = clf.weights - lr * (features.T @ residual) / n
+        clf.weights = clf.weights - lr * (features.T @ residual) / len(features)
         clf.bias = clf.bias - lr * float(residual.mean())
     return clf
 
 
-def estimate_propensity(classifier: ProxyClassifier, heldout_target: SampleTable) -> float:
-    """Mean classifier output over held-out target samples."""
-    if len(heldout_target) == 0:
+def estimate_propensity(classifier: ProxyClassifier, heldout_embeddings: np.ndarray) -> float:
+    """Mean classifier output over the embedded held-out target rows."""
+    if len(heldout_embeddings) == 0:
         raise InputError("held-out target set must be non-empty")
-    embeddings = embed_all(heldout_target, classifier.vocab_size)
-    return float(classifier.predict_proba(embeddings).mean())
+    return float(classifier.predict_proba(heldout_embeddings).mean())
 
 
 def estimate_alpha(
-    classifier: ProxyClassifier,
-    aux_embeddings: np.ndarray,
-    c_hat: float,
-    n_heldout: int = 0,
+    classifier: ProxyClassifier, aux_embeddings: np.ndarray, c_hat: float, n_heldout: int = 0
 ) -> AlphaEstimate:
-    """Mean auxiliary prediction divided by the propensity, capped for divisor
-    safety; the auxiliary pool comes as its :func:`embed_all` rows."""
+    """Mean prediction over the embedded auxiliary rows divided by the
+    propensity, capped for divisor safety."""
     if not c_hat > 0.0:  # NaN too
         raise EstimationError(f"propensity must be positive, got {c_hat}")
     if len(aux_embeddings) == 0:
@@ -187,14 +184,9 @@ def estimate_alpha(
             "alpha estimate %.4f exceeds %.2f; clipping for divisor safety", raw, ALPHA_CAP
         )
     alpha_hat = max(0.0, min(raw, ALPHA_CAP))
-    return AlphaEstimate(
-        c_hat=c_hat,
-        alpha_hat=alpha_hat,
-        alpha_raw=raw,
-        alpha_clipped=alpha_hat != raw,
-        n_heldout=n_heldout,
-        n_aux=len(aux_embeddings),
-    )
+    return AlphaEstimate(c_hat=c_hat, alpha_hat=alpha_hat, alpha_raw=raw,
+                         alpha_clipped=alpha_hat != raw, n_heldout=n_heldout,
+                         n_aux=len(aux_embeddings))
 
 
 def split_heldout(
@@ -203,6 +195,7 @@ def split_heldout(
     """Seeded disjoint (train, heldout) split of the rows, each in order;
     heldout gets ceil(fraction * n)."""
     check_args(EstimatorConfig, InputError, heldout_fraction=fraction)
+    require(SEED, "seed", seed, InputError)
     if len(table) < 2:
         raise InputError("need at least 2 samples to split off a held-out set")
     order = np.random.default_rng(seed).permutation(len(table))
@@ -226,11 +219,13 @@ def run_alpha_estimation(
     """Full pipeline: split, train the proxy, estimate the propensity, then alpha.
 
     The held-out slice used for the propensity never enters classifier training.
-    The auxiliary pool is embedded once, for the training and the estimate.
-    Knobs outside :class:`EstimatorConfig`'s ranges raise ``InputError``.
+    Each pool is embedded once, into one table: training targets, auxiliary
+    pool, held-out targets.  Knobs outside :class:`EstimatorConfig`'s ranges,
+    or a seed outside :data:`SEED`, raise ``InputError``.
     """
     train, heldout = split_heldout(target, heldout_fraction, seed)
-    aux_embeddings = embed_all(aux, vocab_size)
-    classifier = train_proxy(train, aux_embeddings, epochs, lr, seed, vocab_size)
-    c_hat = estimate_propensity(classifier, heldout)
-    return estimate_alpha(classifier, aux_embeddings, c_hat, n_heldout=len(heldout))
+    features = _embed_pools([train, aux, heldout], vocab_size)
+    n_fit = len(train) + len(aux)
+    classifier = train_proxy(features[:n_fit], len(train), epochs, lr, seed)
+    c_hat = estimate_propensity(classifier, features[n_fit:])
+    return estimate_alpha(classifier, features[len(train) : n_fit], c_hat, n_heldout=len(heldout))

@@ -22,9 +22,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .alpha import EstimatorConfig, run_alpha_estimation
+from .alpha import SEED, EstimatorConfig, run_alpha_estimation
 from .datagen import (
-    SEED,
     DatasetConfig,
     PopulationSpec,
     UserDataset,

@@ -31,11 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from . import _pcg64_words as pcg64_words
-from .alpha import _bag_entries
+from .alpha import SEED, _bag_entries
 from .errors import ConfigError, InputError
 from .files import decode_json, write_atomic
 from .policy import VOCAB_SIZE, SampleTable
-from .schema import Interval, OneOf, check, check_args, declared, from_doc
+from .schema import Interval, OneOf, check, check_args, declared, from_doc, require
 
 __all__ = [
     "DatasetConfig",
@@ -55,8 +55,6 @@ PROMPT_LEN = 3
 HELDOUT_FRACTION = 0.2
 SHARED_FRACTION = 0.5
 GROUPINGS = ("random", "unique", "non_unique")
-# A seed that numpy's SeedSequence takes, which the train and run configs take too.
-SEED = Interval(0)
 
 
 @dataclass(frozen=True)
@@ -308,6 +306,7 @@ def build_user_dataset(
     if target_user not in population:
         raise InputError(f"unknown target user {target_user!r}")
     check_args(DatasetConfig, InputError, grouping=grouping, ratio_x=ratio_x)
+    require(SEED, "seed", seed, InputError)
     h_tar = population[target_user]
     n_aux = _round_half_up(ratio_x * len(h_tar))
     others = sorted(uid for uid in population if uid != target_user)

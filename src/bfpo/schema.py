@@ -14,6 +14,7 @@ with :func:`check_args`.
 from __future__ import annotations
 
 import math
+import numbers
 import types
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
@@ -29,13 +30,17 @@ _RULE = "rule"  # the field metadata key of a declared rule
 @dataclass(frozen=True)
 class Interval:
     """Numbers from ``lo`` to ``hi`` (None: no upper end), each end closed or
-    open as ``ends`` says (``"(]"``: lo < v <= hi); a float must be finite."""
+    open as ``ends`` says (``"(]"``: lo < v <= hi); a float must be finite,
+    and an ``integer`` interval takes only integers, not a bool."""
 
     lo: float
     hi: float | None = None
     ends: str = "[]"
+    integer: bool = False
 
     def admits(self, value: Any) -> bool:
+        if self.integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            return False
         if isinstance(value, float) and not math.isfinite(value):
             return False
         if not (value >= self.lo if self.ends[0] == "[" else value > self.lo):
@@ -44,7 +49,8 @@ class Interval:
 
     def __str__(self) -> str:
         if self.hi is None:
-            return f"must be {'>=' if self.ends[0] == '[' else '>'} {self.lo}"
+            op = ">=" if self.ends[0] == "[" else ">"
+            return f"must be {'an integer ' * self.integer}{op} {self.lo}"
         return f"must lie in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
 
 

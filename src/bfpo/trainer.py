@@ -52,8 +52,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, ESTIMATOR_EPOCHS, ESTIMATOR_LR
-from .alpha import AlphaEstimate, run_alpha_estimation
-from .datagen import SEED, UserDataset
+from .alpha import SEED, AlphaEstimate, run_alpha_estimation
+from .datagen import UserDataset
 from .errors import ConfigError, InputError, NumericError
 from .files import decode_json, write_atomic
 from . import rewards

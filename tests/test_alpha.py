@@ -30,6 +30,11 @@ def _table_from_tokens(token_lists, user="u"):
     return SampleTable.of([Sample(user, (0,), tuple(toks)) for toks in token_lists])
 
 
+def _features(target: SampleTable, aux: SampleTable, vocab: int) -> np.ndarray:
+    """The proxy's training rows, target then auxiliary, embedded pool by pool."""
+    return np.concatenate([embed_all(target, vocab), embed_all(aux, vocab)])
+
+
 def logit(p: float) -> float:
     return math.log(p / (1 - p))
 
@@ -135,6 +140,13 @@ class TestEmbeddingMemory:
         output_bytes = 5_000 * 1_024 * 8
         assert self._peak_bytes(embed_all, table, 1_024) < 1.25 * output_bytes
 
+    def test_run_alpha_estimation_peak(self, table):
+        """An estimate builds one (n_train + n_aux + n_heldout, V) feature
+        table, with no per-pool tables beside it and no stacked copy."""
+        target, aux = table[:2_000], table[2_000:4_000]
+        table_bytes = 4_000 * 1_024 * 8
+        assert self._peak_bytes(run_alpha_estimation, target, aux, 1_024) < 1.25 * table_bytes
+
 
 class TestTrainProxy:
     def test_separable_sets(self):
@@ -142,8 +154,8 @@ class TestTrainProxy:
         rng = np.random.default_rng(0)
         target = _table_from_tokens(rng.integers(0, 4, (300, 5)).tolist(), "t")
         aux = _table_from_tokens(rng.integers(4, 8, (300, 5)).tolist(), "a")
-        clf = train_proxy(target[:240], embed_all(aux[:240], 8), epochs=300, lr=2.0, seed=0,
-                          vocab_size=8)
+        clf = train_proxy(_features(target[:240], aux[:240], 8), 240, epochs=300, lr=2.0,
+                          seed=0)
         held = target[240:] + aux[240:]
         labels = np.array([1] * 60 + [0] * 60)
         preds = clf.predict_proba(np.stack([embed(s, 8) for s in held])) > 0.5
@@ -154,7 +166,7 @@ class TestTrainProxy:
         rng = np.random.default_rng(1)
         target = _table_from_tokens(rng.integers(0, 8, (400, 5)).tolist(), "t")
         aux = _table_from_tokens(rng.integers(0, 8, (400, 5)).tolist(), "a")
-        clf = train_proxy(target, embed_all(aux, 8), epochs=100, lr=1.0, seed=0, vocab_size=8)
+        clf = train_proxy(_features(target, aux, 8), len(target), epochs=100, lr=1.0, seed=0)
         for group in (target, aux):
             mean_pred = clf.predict_proba(np.stack([embed(s, 8) for s in group])).mean()
             assert abs(mean_pred - 0.5) < 0.05
@@ -163,15 +175,16 @@ class TestTrainProxy:
         rng = np.random.default_rng(2)
         target = _table_from_tokens(rng.integers(0, 4, (50, 4)).tolist(), "t")
         aux = _table_from_tokens(rng.integers(2, 6, (50, 4)).tolist(), "a")
-        a = train_proxy(target, embed_all(aux, 6), epochs=50, lr=1.0, seed=9, vocab_size=6)
-        b = train_proxy(target, embed_all(aux, 6), epochs=50, lr=1.0, seed=9, vocab_size=6)
+        a = train_proxy(_features(target, aux, 6), 50, epochs=50, lr=1.0, seed=9)
+        b = train_proxy(_features(target, aux, 6), 50, epochs=50, lr=1.0, seed=9)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
-    def test_empty_class_rejected(self):
-        aux = embed_all(_table_from_tokens([[0]]), 4)
-        with pytest.raises(InputError):
-            train_proxy(_table_from_tokens([]), aux, 10, 1.0, 0, 4)
+    @pytest.mark.parametrize("n_target", [0, 2], ids=["no_target", "no_aux"])
+    def test_empty_class_rejected(self, n_target):
+        features = embed_all(_table_from_tokens([[0], [1]]), 4)
+        with pytest.raises(InputError, match="both classes"):
+            train_proxy(features, n_target, 10, 1.0, 0)
 
 
 def _masked_proba(clf: ProxyClassifier, embeddings: np.ndarray) -> np.ndarray:
@@ -211,25 +224,25 @@ class TestPredictProba:
 class TestPropensity:
     def test_constant_classifier(self):
         clf = ProxyClassifier(weights=np.zeros(4), bias=logit(0.8))
-        samples = _table_from_tokens([[0], [1, 2], [3]])
+        samples = embed_all(_table_from_tokens([[0], [1, 2], [3]]), 4)
         assert estimate_propensity(clf, samples) == pytest.approx(0.8, abs=1e-12)
 
     def test_mean_of_two_outputs(self):
         """Outputs 0.6 and ~1.0 average to ~0.8."""
         clf = ProxyClassifier(weights=np.array([logit(0.6), 40.0]), bias=0.0)
-        samples = _table_from_tokens([[0], [1]])
+        samples = embed_all(_table_from_tokens([[0], [1]]), 2)
         assert estimate_propensity(clf, samples) == pytest.approx(0.8, abs=1e-6)
 
     def test_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
         clf = ProxyClassifier(weights=rng.normal(0, 1, 6), bias=0.1)
-        samples = _table_from_tokens(rng.integers(0, 6, (30, 4)).tolist())
+        samples = embed_all(_table_from_tokens(rng.integers(0, 6, (30, 4)).tolist()), 6)
         c = estimate_propensity(clf, samples)
         assert 0.0 < c < 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            estimate_propensity(ProxyClassifier(np.zeros(2), 0.0), _table_from_tokens([]))
+            estimate_propensity(ProxyClassifier(np.zeros(2), 0.0), np.zeros((0, 2)))
 
 
 class TestEstimateAlpha:
@@ -319,31 +332,64 @@ class TestOverlapRecovery:
 
 
 class TestRunAlphaEstimation:
+    @staticmethod
+    def _dataset():
+        _, pop = small_population(0.5, 3, n_users=6, vocab=24, samples_per_user=100)
+        return build_user_dataset(pop, sorted(pop)[0], 1.5, "random", 3, 24)
+
     def test_embeds_each_pool_once(self, monkeypatch):
-        """The auxiliary pool is embedded once, for the proxy's training and for
-        the estimate, and the estimate equals embedding it for each."""
+        """Each pool's bag entries are found once per estimate, and no 2-D
+        array is concatenated; the estimate equals the piecewise pipeline, which
+        embeds each pool on its own and stacks the proxy's training rows."""
         from bfpo import alpha as alpha_mod
 
-        _, pop = small_population(0.5, 3, n_users=6, vocab=24, samples_per_user=100)
-        ds = build_user_dataset(pop, sorted(pop)[0], 1.5, "random", 3, 24)
-        seen = []
-        real = alpha_mod.embed_all
+        ds = self._dataset()
+        entries, stacked = [], []
+        real_entries, real_concatenate = alpha_mod._bag_entries, np.concatenate
 
-        def spy(samples, vocab_size):
-            seen.append(samples)
-            return real(samples, vocab_size)
+        def entries_spy(tokens, lengths, vocab_size):
+            entries.append(len(lengths))
+            return real_entries(tokens, lengths, vocab_size)
 
-        monkeypatch.setattr(alpha_mod, "embed_all", spy)
+        def concatenate_spy(arrays, *args, **kwargs):
+            out = real_concatenate(arrays, *args, **kwargs)
+            stacked.append(out.ndim)
+            return out
+
+        monkeypatch.setattr(alpha_mod, "_bag_entries", entries_spy)
+        monkeypatch.setattr(np, "concatenate", concatenate_spy)
         got = run_alpha_estimation(ds.tar_train, ds.aux_train, 24, seed=3)
-        train, heldout = split_heldout(ds.tar_train, alpha_mod.DEFAULT_HELDOUT_FRACTION, 3)
-        assert sorted(map(len, seen)) == sorted([len(train), len(heldout), len(ds.aux_train)])
-        assert [s is ds.aux_train for s in seen].count(True) == 1
-
         monkeypatch.undo()
-        aux = embed_all(ds.aux_train, 24)
-        clf = train_proxy(train, aux, alpha_mod.DEFAULT_EPOCHS, alpha_mod.DEFAULT_LR, 3, 24)
-        c_hat = estimate_propensity(clf, heldout)
-        assert got == estimate_alpha(clf, aux, c_hat, n_heldout=len(heldout))
+        train, heldout = split_heldout(ds.tar_train, alpha_mod.DEFAULT_HELDOUT_FRACTION, 3)
+        assert entries == [len(train), len(ds.aux_train), len(heldout)]
+        assert 2 not in stacked
+
+        features = _features(train, ds.aux_train, 24)
+        clf = train_proxy(features, len(train), alpha_mod.DEFAULT_EPOCHS, alpha_mod.DEFAULT_LR, 3)
+        c_hat = estimate_propensity(clf, embed_all(heldout, 24))
+        assert got == estimate_alpha(clf, embed_all(ds.aux_train, 24), c_hat, len(heldout))
+
+    def test_table_blocks_are_each_pools_embedding(self, monkeypatch):
+        """The one table is the training targets', then the auxiliary pool's,
+        then the held-out targets' :func:`embed_all` rows, bit for bit."""
+        from bfpo import alpha as alpha_mod
+
+        ds = self._dataset()
+        tables = []
+        real = alpha_mod._embed_pools
+
+        def spy(pools, vocab_size):
+            tables.append(real(pools, vocab_size))
+            return tables[-1]
+
+        monkeypatch.setattr(alpha_mod, "_embed_pools", spy)
+        run_alpha_estimation(ds.tar_train, ds.aux_train, 24, seed=3)
+        monkeypatch.undo()
+        (table,) = tables
+        train, heldout = split_heldout(ds.tar_train, alpha_mod.DEFAULT_HELDOUT_FRACTION, 3)
+        blocks = np.split(table, np.cumsum([len(train), len(ds.aux_train)]))
+        for block, pool in zip(blocks, (train, ds.aux_train, heldout), strict=True):
+            assert block.tobytes() == embed_all(pool, 24).tobytes()
 
     @pytest.mark.parametrize(
         "knobs",

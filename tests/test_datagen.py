@@ -114,8 +114,8 @@ class TestGeneratePopulation:
         spec, pop = small_population(0.0, seed=6, n_users=4, vocab=24,
                                      samples_per_user=100)
         ds = build_user_dataset(pop, sorted(pop)[0], 1.0, "random", 6, 24)
-        clf = train_proxy(ds.tar_train, embed_all(ds.aux_train, 24), epochs=300, lr=2.0,
-                          seed=0, vocab_size=24)
+        features = np.concatenate([embed_all(ds.tar_train, 24), embed_all(ds.aux_train, 24)])
+        clf = train_proxy(features, len(ds.tar_train), epochs=300, lr=2.0, seed=0)
         tar_held, aux_held = ds.h_tar.split_rows("heldout"), ds.h_aux.split_rows("heldout")
         held = tar_held + aux_held
         labels = np.array([1] * len(tar_held) + [0] * len(aux_held))

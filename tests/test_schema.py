@@ -15,7 +15,7 @@ import pytest
 
 import bfpo
 from bfpo import schema
-from bfpo.alpha import EstimatorConfig, split_heldout, train_proxy
+from bfpo.alpha import EstimatorConfig, run_alpha_estimation, split_heldout, train_proxy
 from bfpo.cli import SweepKeys
 from bfpo.datagen import (
     SEED,
@@ -239,14 +239,21 @@ def _library_calls():
     _, pop = small_population(0.5, 3, n_users=4, vocab=24, samples_per_user=40)
     target = sorted(pop)[0]
     ds = build_user_dataset(pop, target, 1.0, "random", 3, 24)
-    aux = np.zeros((len(ds.aux_train), 24))
+    features, n_target = np.zeros((len(ds.tar_train) + len(ds.aux_train), 24)), len(ds.tar_train)
     return {
         "ratio_x": lambda v: build_user_dataset(pop, target, v, "random", 3, 24),
         "grouping": lambda v: build_user_dataset(pop, target, 1.0, v, 3, 24),
         "history_fraction": lambda v: truncate_history(ds, v),
         "heldout_fraction": lambda v: split_heldout(ds.tar_train, v, 3),
-        "epochs": lambda v: train_proxy(ds.tar_train, aux, v, 1.0, 3, 24),
-        "lr": lambda v: train_proxy(ds.tar_train, aux, 30, v, 3, 24),
+        "epochs": lambda v: train_proxy(features, n_target, v, 1.0, 3),
+        "lr": lambda v: train_proxy(features, n_target, 30, v, 3),
+        "seed": {
+            "build_user_dataset": lambda v: build_user_dataset(pop, target, 1.0, "random", v, 24),
+            "split_heldout": lambda v: split_heldout(ds.tar_train, 0.2, v),
+            "run_alpha_estimation": lambda v: run_alpha_estimation(
+                ds.tar_train, ds.aux_train, 24, seed=v),
+            "train_proxy": lambda v: train_proxy(features, n_target, 30, 1.0, v),
+        },
     }
 
 
@@ -265,6 +272,21 @@ def test_library_arguments_take_the_declared_rule(cls, name, value):
         cls(**{**base, name: value})
     with pytest.raises(InputError) as call_error:
         _library_calls()[name](value)
+    assert str(call_error.value) == str(config_error.value)
+
+
+@pytest.mark.parametrize("value", [-1, True, 2.5], ids=repr)
+@pytest.mark.parametrize(
+    "call", ["build_user_dataset", "split_heldout", "run_alpha_estimation", "train_proxy"]
+)
+def test_bare_seed_takes_the_seed_rule(call, value):
+    """A library function's bare seed is held to the population spec's seed
+    rule: numpy would otherwise raise a bare ValueError at -1 and TypeError at
+    2.5, and take True as seed 1."""
+    with pytest.raises(InputError) as config_error:
+        PopulationSpec(**{**POPULATION, "seed": value})
+    with pytest.raises(InputError, match="^seed ") as call_error:
+        _library_calls()["seed"][call](value)
     assert str(call_error.value) == str(config_error.value)
 
 
