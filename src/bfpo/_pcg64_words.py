@@ -18,12 +18,16 @@ taken, when the low 32 bits of ``u * n`` fall below ``2**32 % n``.
 ``random()`` takes a whole word w and returns ``(w >> 11) * 2**-53``, and so
 does ``uniform(a, b)`` before it scales that to ``a + (b - a) * r``; neither
 touches the buffer.  The word functions work alike on Python ints and on
-numpy uint64 arrays.
+numpy uint64 arrays.  Code that reads many halves at once views the words as
+native-order uint32 pairs, where a word's low half is element
+:data:`LOW_HALF` of its pair.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,6 +36,7 @@ from .errors import InputError
 
 HALF_BITS = 32
 HALF_MASK = 0xFFFF_FFFF
+LOW_HALF = 0 if sys.byteorder == "little" else 1
 _M128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 
@@ -112,6 +117,14 @@ def lemire(half, n):
 def unit(word):
     """``random()`` from one word."""
     return (word >> 11) * 2.0**-53
+
+
+def unit_threshold(p: float) -> int:
+    """The least word w with ``unit(w) >= p``, for p in [0, 1]: ``unit(w) <
+    p`` exactly when ``w < unit_threshold(p)``, as ``unit(w)`` is an integer
+    ``w >> 11`` times 2**-53 and ``p * 2**53`` is exact.  It is 2**64 at
+    p = 1, above every word."""
+    return math.ceil(p * 2**53) << 11
 
 
 class Reader:

@@ -77,11 +77,15 @@ class ProxyClassifier:
     def predict_proba(self, embeddings: np.ndarray) -> np.ndarray:
         z = embeddings @ self.weights + self.bias
         # 1 / (1 + exp(-z)) where z >= 0 and e / (1 + e), e = exp(z), elsewhere
-        # (NaN too): one exp of -|z|, which never overflows.
+        # (NaN too): one exp of -|z|, which never overflows, taken in place,
+        # and one divide of 1 or e by e + 1.
         pos = z >= 0
-        e = np.exp(np.where(pos, -z, z))
-        denominator = 1.0 + e
-        return np.where(pos, 1.0 / denominator, e / denominator)
+        e = np.where(pos, -z, z)
+        np.exp(e, out=e)
+        numerator = np.where(pos, 1.0, e)
+        e += 1.0
+        numerator /= e
+        return numerator
 
 
 @dataclass(frozen=True)
@@ -149,14 +153,15 @@ def train_proxy(
         raise InputError("both classes must be non-empty")
     check_args(EstimatorConfig, InputError, epochs=epochs, lr=lr)
     require(SEED, "seed", seed, InputError)
-    labels = np.zeros(len(features))
-    labels[:n_target] = 1.0
     rng = np.random.default_rng(seed)
     clf = ProxyClassifier(weights=rng.normal(0.0, 1e-3, features.shape[1]), bias=0.0)
+    n = len(features)
     for _ in range(epochs):
-        residual = clf.predict_proba(features) - labels
-        clf.weights = clf.weights - lr * (features.T @ residual) / len(features)
-        clf.bias = clf.bias - lr * float(residual.mean())
+        # The prediction less the label: 1 in the target block, 0 after it.
+        residual = clf.predict_proba(features)
+        residual[:n_target] -= 1.0
+        clf.weights = clf.weights - lr * (features.T @ residual) / n
+        clf.bias = clf.bias - lr * float(np.add.reduce(residual) / n)  # np.mean's bits
     return clf
 
 

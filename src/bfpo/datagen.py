@@ -12,8 +12,12 @@ sample one ``integers(0, prompt_pool_size)``, then per token one ``random()``
 to pick the shared or the user's own block and one ``integers(0, block size)``.
 The generator makes the same draws with array operations
 (:func:`_draws_array`): it reads one block of raw 64-bit words and lays the
-loop's call sequence onto it, so the population is equal to the loop's for
-every spec.  Where that layout does not hold (a bound of 1, for which
+loop's call sequence onto it (:func:`_stream_layout`: the word of each
+``random()`` and the half of each ``integers``, indexed into the words viewed
+as uint32 pairs).  ``random() < overlap`` becomes an integer compare of the
+word with ``unit_threshold(overlap)``, and ``integers(0, n)`` Lemire's product
+of the half and n, so the population is equal to the loop's for every spec.
+Where that layout does not hold (a bound of 1 that a draw uses, for which
 ``integers`` draws nothing, or a rejected Lemire draw), the user is drawn by
 the loop instead.
 """
@@ -114,9 +118,7 @@ def _token_partition(spec: PopulationSpec) -> tuple[np.ndarray, list[np.ndarray]
 
 
 @lru_cache(maxsize=1)
-def _stream_layout(
-    n_samples: int, seq_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _stream_layout(n_samples: int, seq_len: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Where each call of :func:`_draws_loop` reads the raw word stream.
 
     The loop's calls, in order, are per sample ``H (R H) * seq_len``, where R
@@ -124,24 +126,22 @@ def _stream_layout(
     half.  PCG64 serves halves low half first from a word it then keeps in a
     buffer, so every second H takes the high half of the word the H before it
     took, whatever Rs came in between.  Returns the word index of every R,
-    shape (n_samples, seq_len); the word index and high-half flag of every H,
-    shape (n_samples, 1 + seq_len), prompt draw first; and the word count.
-    The last shape's layout is kept (a process generates populations of one
-    shape), so its arrays are read-only.
+    shape (n_samples, seq_len); the half index of every H into the words
+    viewed as native-order uint32 pairs (word ``i``'s low half is ``2 * i +
+    LOW_HALF``), shape (n_samples, 1 + seq_len), prompt draw first; and the
+    word count.  The last shape's layout is kept (a process generates
+    populations of one shape), so its arrays are read-only.
     """
     step = 1 + 2 * seq_len
     is_half = np.ones(n_samples * step, dtype=bool)
     is_half[np.arange(n_samples)[:, None] * step + 1 + 2 * np.arange(seq_len)] = False
-    half_rank = np.cumsum(is_half) - 1
-    high = half_rank[is_half] % 2 == 1
+    high = (np.cumsum(is_half)[is_half] - 1) % 2 == 1
     new_word = ~is_half
     new_word[is_half] = ~high
     word = np.cumsum(new_word) - 1
-    half_word = word[is_half]
-    half_word[high] = half_word[np.flatnonzero(high) - 1]
-    shape = (n_samples, 1 + seq_len)
-    arrays = (word[~is_half].reshape(n_samples, seq_len), half_word.reshape(shape),
-              high.reshape(shape))
+    half = 2 * word[is_half] + pcg64_words.LOW_HALF
+    half[high] = half[np.flatnonzero(high) - 1] + 1 - 2 * pcg64_words.LOW_HALF
+    arrays = (word[~is_half].reshape(n_samples, seq_len), half.reshape(n_samples, 1 + seq_len))
     for array in arrays:
         array.flags.writeable = False
     return (*arrays, int(word[-1]) + 1)
@@ -149,7 +149,7 @@ def _stream_layout(
 
 def _draws_array(
     rng: np.random.Generator,
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray, int],
+    layout: tuple[np.ndarray, np.ndarray, int],
     overlap: float,
     prompt_bound: int,
     shared_bound: int,
@@ -158,24 +158,38 @@ def _draws_array(
     """The draws of :func:`_draws_loop`, from one block of raw words read as
     ``layout`` (the :func:`_stream_layout` of the sample count and length).
 
+    A token comes from the shared block where its R word is below
+    ``unit_threshold(overlap)``: ``random() < overlap`` in integers.  Each
+    ``integers(0, n)`` is Lemire's product of its half and n; the products'
+    low halves are screened against the largest of the three bounds' limits
+    ``2**32 % n``, and only on a hit is each draw checked against its own.
     Returns None, leaving the caller to run the loop on a fresh generator,
-    when a bound is 1 or a draw is rejected.  Every value before the first
-    such draw is computed exactly as the loop computes it, so the first one is
-    always found.
+    when a draw uses a bound of 1 or is rejected.  Every value before the
+    first such draw is computed exactly as the loop computes it, so the first
+    one is always found.
     """
-    word_of_r, word_of_h, high, n_words = layout
+    word_of_r, half_of_h, n_words = layout
     raw = rng.bit_generator.random_raw(n_words)
-    from_shared = pcg64_words.unit(raw[word_of_r]) < overlap
-    low, high_half = pcg64_words.halves(raw[word_of_h])
-    halves = np.where(high, high_half, low)
-    del low, high_half  # freed before the Lemire step makes its temporaries
-    bounds = np.empty(halves.shape, dtype=np.uint64)
-    bounds[:, 0] = prompt_bound
-    bounds[:, 1:] = np.where(from_shared, shared_bound, own_bound)
-    values, rejected = pcg64_words.lemire(halves, bounds)
-    if np.any(bounds == 1) or np.any(rejected):
+    from_shared = raw[word_of_r] < pcg64_words.unit_threshold(overlap)
+
+    def per_draw(of_prompt: int, of_own: int, of_shared: int, dtype: type) -> np.ndarray:
+        """Each H's value of three: the prompt draw's, then each token's own or shared."""
+        out = np.empty(half_of_h.shape, dtype=dtype)
+        out[:, 0] = of_prompt
+        out[:, 1:] = np.array([of_own, of_shared], dtype=dtype).take(from_shared.view(np.uint8))
+        return out
+
+    bounds = (prompt_bound, own_bound, shared_bound)
+    product = per_draw(*bounds, np.uint64)
+    if 1 in bounds and np.any(product == 1):
+        return None  # integers(0, 1) draws nothing
+    product *= raw.view(np.uint32)[half_of_h]
+    limits = [(1 << pcg64_words.HALF_BITS) % n for n in bounds]
+    low = product.view(np.uint32)[:, pcg64_words.LOW_HALF :: 2]
+    if low.min() < max(limits) and np.any(low < per_draw(*limits, np.uint32)):
         return None
-    values = values.astype(np.int64)
+    product >>= pcg64_words.HALF_BITS
+    values = product.view(np.int64)
     return values[:, 0], from_shared, values[:, 1:]
 
 
@@ -236,11 +250,10 @@ def generate_population(spec: PopulationSpec) -> dict[str, SampleTable]:
                 spec.samples_per_user, spec.seq_len, spec.overlap_lambda, *bounds,
             )
         prompt, from_shared, index = draws
-        tokens = np.where(
-            from_shared, shared.take(index, mode="clip"), own.take(index, mode="clip")
-        )
+        # The user's block, then the shared one: shared index i is entry len(own) + i.
+        tokens = np.concatenate((own, shared)).take(index + from_shared * len(own))
         population[uid] = SampleTable(
-            prompts[prompt].ravel(), x_offsets, tokens.ravel(), y_offsets,
+            prompts.take(prompt, axis=0).ravel(), x_offsets, tokens.ravel(), y_offsets,
             np.full(n, u), user_ids, heldout,
         )
     return population

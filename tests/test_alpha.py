@@ -180,11 +180,41 @@ class TestTrainProxy:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
+    @pytest.mark.parametrize("n_rows", [61, 63])
+    @pytest.mark.parametrize("one_row", ["target", "aux"])
+    def test_equals_the_labels_formula(self, one_row, n_rows):
+        """Bit for bit the epoch loop with a labels array and ``np.mean``.
+        (At these row counts, a mean taken as a product with ``1 / n`` moves
+        the fit's last bits in one of the two class splits.)"""
+        rng = np.random.default_rng(3)
+        features = embed_all(_table_from_tokens(rng.integers(0, 9, (n_rows, 6)).tolist()), 9)
+        n_target = 1 if one_row == "target" else n_rows - 1
+        got = train_proxy(features, n_target, epochs=40, lr=1.5, seed=4)
+        want = _labels_formula_proxy(features, n_target, epochs=40, lr=1.5, seed=4)
+        assert got.weights.view(np.uint64).tolist() == want.weights.view(np.uint64).tolist()
+        assert got.bias.hex() == want.bias.hex()
+
     @pytest.mark.parametrize("n_target", [0, 2], ids=["no_target", "no_aux"])
     def test_empty_class_rejected(self, n_target):
         features = embed_all(_table_from_tokens([[0], [1]]), 4)
         with pytest.raises(InputError, match="both classes"):
             train_proxy(features, n_target, 10, 1.0, 0)
+
+
+def _labels_formula_proxy(
+    features: np.ndarray, n_target: int, epochs: int, lr: float, seed: int
+) -> ProxyClassifier:
+    """The proxy's epochs with the residual taken against a labels array and
+    the bias stepped by its ``np.mean``: the reference form."""
+    labels = np.zeros(len(features))
+    labels[:n_target] = 1.0
+    rng = np.random.default_rng(seed)
+    clf = ProxyClassifier(weights=rng.normal(0.0, 1e-3, features.shape[1]), bias=0.0)
+    for _ in range(epochs):
+        residual = clf.predict_proba(features) - labels
+        clf.weights = clf.weights - lr * (features.T @ residual) / len(features)
+        clf.bias = clf.bias - lr * float(residual.mean())
+    return clf
 
 
 def _masked_proba(clf: ProxyClassifier, embeddings: np.ndarray) -> np.ndarray:

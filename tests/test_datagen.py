@@ -200,6 +200,30 @@ class TestArrayDraws:
         assert generate_population(spec) == _loop_population(spec, monkeypatch)
         assert held == [True] * spec.n_users
 
+    @pytest.mark.parametrize(
+        "overlap", [0.0, 2**-53, float(np.nextafter(0.5, 0)), 0.5, 1 - 2**-53, 1.0]
+    )
+    def test_overlap_on_and_beside_the_unit_grid(self, overlap):
+        """The shared-or-own flag compares raw words with an integer
+        threshold; at overlaps on and one step beside random()'s 2**-53 grid
+        it picks what ``random() < overlap`` picks."""
+        layout = datagen._stream_layout(40, 6)
+        for seed in range(3):
+            drawn = datagen._draws_array(np.random.default_rng(seed), layout, overlap, 7, 9, 5)
+            expected = datagen._draws_loop(np.random.default_rng(seed), 40, 6, overlap, 7, 9, 5)
+            assert drawn is not None
+            for a, b in zip(drawn, expected):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("overlap", [0.0, 2**-53, 0.3, float(np.nextafter(0.5, 0)), 0.5, 1.0])
+    def test_unit_threshold_splits_words_as_random_does(self, overlap):
+        """``w < unit_threshold(p)`` exactly when ``unit(w) < p``, at the
+        threshold's own word and the words beside it."""
+        threshold = pcg64_words.unit_threshold(overlap)
+        for word in (threshold - 2049, threshold - 1, threshold, threshold + 2047):
+            if 0 <= word < 2**64:
+                assert (word < threshold) == (pcg64_words.unit(word) < overlap)
+
     def test_corpus_matches_the_per_token_generator(self, tmp_path):
         """SHA-256 of corpora written by the per-token generator before the
         array draws replaced it."""
@@ -238,11 +262,21 @@ class TestArrayDraws:
             assert rejections == 0
 
     @pytest.mark.parametrize(
-        "bounds", [(3 * 2**30, 5, 7), (9, 2**31 + 1, 3 * 2**30), (2**32, 2**32 - 1, 2**32)]
+        "bounds, n_held",
+        [
+            ((3 * 2**30, 5, 7), 26),
+            ((9, 2**31 + 1, 3 * 2**30), 3),
+            ((2**32, 2**32 - 1, 2**32), 60),
+            ((5, 3 * 2**30, 7), 29),
+            ((7, 5, 3 * 2**30), 21),
+        ],
     )
-    def test_rejections_are_detected(self, bounds):
+    def test_rejections_are_detected(self, bounds, n_held):
         """Bounds near 2**32 force rejections: wherever the array draws hold
-        they equal the scalar calls, and every rejection makes them give way."""
+        they equal the scalar calls, and every rejection makes them give way.
+        A draw of a small bound whose product falls below a large bound's
+        limit is no rejection: the array draws hold on exactly the seeds they
+        held on when each draw was checked against its own limit."""
         held = 0
         for seed in range(60):
             layout = datagen._stream_layout(3, 2)
@@ -252,21 +286,24 @@ class TestArrayDraws:
                 held += 1
                 for a, b in zip(drawn, expected):
                     np.testing.assert_array_equal(a, b)
-        if bounds[0] == 3 * 2**30:
-            assert 0 < held < 60
-        if bounds == (2**32, 2**32 - 1, 2**32):
-            assert held == 60
+        assert held == n_held
 
     def test_stream_layout_reads_each_word_once(self):
-        """Every word is read by one random() or by two integers() halves."""
+        """Every word is read by one random() or by two integers() halves,
+        and the halves alternate low then high within a word."""
         for n_samples, seq_len in [(1, 1), (3, 2), (4, 5), (5, 8)]:
-            word_of_r, word_of_h, high, n_words = datagen._stream_layout(n_samples, seq_len)
+            word_of_r, half_of_h, n_words = datagen._stream_layout(n_samples, seq_len)
+            assert half_of_h.shape == (n_samples, 1 + seq_len)
+            word_of_h, half = np.divmod(half_of_h, 2)
+            high = half != pcg64_words.LOW_HALF
             uses = np.bincount(word_of_r.ravel(), minlength=n_words) * 2
             uses += np.bincount(word_of_h.ravel(), minlength=n_words)
             tail = np.zeros(n_words, dtype=bool)
             tail[word_of_h.ravel()[-1]] = not high.ravel()[-1]
             assert np.all(uses[~tail] == 2) and np.all(uses[tail] == 1)
             assert high.ravel()[::2].sum() == 0 and high.ravel()[1::2].all()
+            pairs = word_of_h.ravel()[: 2 * (word_of_h.size // 2)].reshape(-1, 2)
+            assert np.array_equal(pairs[:, 0], pairs[:, 1])
 
     def test_stream_layout_is_shared_and_read_only(self, monkeypatch):
         """Populations of one shape read one cached layout, which refuses
@@ -285,7 +322,7 @@ class TestArrayDraws:
         assert len(layouts) == 2 * spec.n_users
         assert all(layout is layouts[0] for layout in layouts)
         assert layouts[0] is datagen._stream_layout(spec.samples_per_user, spec.seq_len)
-        for array in layouts[0][:3]:
+        for array in layouts[0][:2]:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0
