@@ -37,9 +37,9 @@ from .datagen import (
 )
 from .errors import ConfigError, EngineError, InputError, NumericError
 from .evaluation import evaluate_policy
-from .files import decode_json, write_atomic
+from .files import SCHEMA_VERSION, read_document, write_atomic
 from .policy import SampleTable
-from .schema import NON_EMPTY, Interval, OneOf, cast, check, declared, from_doc, require
+from .schema import NON_EMPTY, Interval, OneOf, cast, check, check_keys, declared, from_doc, require
 from .trainer import (
     METRICS_COLUMNS,
     TrainConfig,
@@ -52,8 +52,6 @@ from .trainer import (
     train_config_doc,
 )
 from .verification import run_all_checks
-
-SCHEMA_VERSION = 1
 
 SWEEP_AXES = ("alpha", "ratio_x", "history_fraction", "grouping", "method")
 
@@ -105,36 +103,16 @@ def _load_config(
     Besides the command's own keys, every config has ``schema_version`` and
     ``seed`` and may have ``out_dir``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except OSError as exc:  # a directory, say
-        raise ConfigError(f"config {path} is not readable: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}") from exc
-    doc = decode_json(text, ConfigError, f"config {path}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{where}: schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
-        )
+    doc = read_document(path, ConfigError, "config")
     required = required | {"schema_version", "seed"}
-    _check_keys(doc, required | {*optional, "out_dir"}, required, where)
+    try:
+        check_keys(doc, required, required | {*optional, "out_dir"})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     run_seed = _value(doc, "seed", int, where)
     run_seed = run_seed if seed is None else seed
     require(SEED, f"{where}: seed", run_seed, ConfigError)
     return doc, run_seed
-
-
-def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = sorted(required - set(doc))
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
 
 
 def _value(doc: dict, key: str, tp: Any, where: str) -> Any:
@@ -152,13 +130,11 @@ def _block(cls: type, doc: Any, where: str, required: set[str] | None = None, **
     command supplies, such as the seed); the required keys are ``required``,
     by default the fields without a default.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
     names = {f.name for f in fields(cls)}
     if required is None:
         required = {f.name for f in fields(cls) if f.default is MISSING}
-    _check_keys(doc, names - set(fixed), required - set(fixed), where)
     try:
+        check_keys(cast(dict, doc), required - set(fixed), names - set(fixed))
         return from_doc(cls, {**doc, **fixed})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -213,13 +189,8 @@ def cmd_generate(config_path: str, out: str | None, seed: int | None) -> int:
 
 
 def _load_corpus_dir(corpus_dir: str | Path) -> tuple[dict, PopulationSpec]:
-    corpus_dir = Path(corpus_dir)
-    corpus_path = corpus_dir / "corpus.jsonl"
-    spec_path = corpus_dir / "population_spec.json"
-    if not corpus_path.exists() or not spec_path.exists():
-        raise ConfigError(f"corpus directory {corpus_dir} is missing corpus.jsonl or population_spec.json")
-    spec = load_population_spec(spec_path)
-    return load_corpus(corpus_path, spec.vocab_size), spec
+    spec = load_population_spec(Path(corpus_dir) / "population_spec.json")
+    return load_corpus(Path(corpus_dir) / "corpus.jsonl", spec.vocab_size), spec
 
 
 def _build_dataset(

@@ -37,7 +37,7 @@ import numpy as np
 from . import _pcg64_words as pcg64_words
 from .alpha import SEED, _bag_entries
 from .errors import ConfigError, InputError
-from .files import decode_json, write_atomic
+from .files import SCHEMA_VERSION, decode_json, read_document, write_atomic
 from .policy import VOCAB_SIZE, SampleTable
 from .schema import Interval, OneOf, check, check_args, declared, from_doc, require
 
@@ -406,7 +406,10 @@ def load_corpus(path: str | Path, vocab_size: int) -> dict[str, SampleTable]:
     in [0, vocab_size).  A fault raises :class:`InputError` naming the first
     bad line.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:  # a directory, say
+        raise InputError(f"corpus {path} is not readable: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -488,19 +491,12 @@ def _token_fault(tokens: Sequence, vocab_size: int) -> str | None:
 
 
 def save_population_spec(spec: PopulationSpec, path: str | Path) -> None:
-    doc = {"schema_version": 1, **asdict(spec)}
+    doc = {"schema_version": SCHEMA_VERSION, **asdict(spec)}
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_population_spec(path: str | Path) -> PopulationSpec:
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:
-        raise InputError(f"population spec {path} is not readable: {exc}") from exc
-    doc = decode_json(text, InputError, f"population spec {path}")
-    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
-        version = doc.get("schema_version") if isinstance(doc, dict) else None
-        raise InputError(f"unsupported population spec version {version}")
+    doc = read_document(path, InputError, "population spec")
     try:
         return from_doc(PopulationSpec, doc)
     except (TypeError, ValueError) as exc:

@@ -1,5 +1,6 @@
 """Artifact files are replaced whole: a reader sees the old file or the new
-one.  Every JSON document read back is decoded by :func:`decode_json`."""
+one.  Every versioned JSON document is read by :func:`read_document`, and
+only it and the corpus reader, once per line, call :func:`decode_json`."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import uuid
 from pathlib import Path
 from typing import Any
 
-__all__ = ["decode_json", "write_atomic"]
+__all__ = ["SCHEMA_VERSION", "decode_json", "read_document", "write_atomic"]
+
+SCHEMA_VERSION = 1  # of every JSON document written and read back
 
 
 def decode_json(text: str, error: type[Exception], where: str) -> Any:
@@ -21,6 +24,25 @@ def decode_json(text: str, error: type[Exception], where: str) -> Any:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise error(f"{where}: invalid JSON ({exc})") from exc
+
+
+def read_document(path: str | Path, error: type[Exception], what: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``, whose ``schema_version`` is
+    :data:`SCHEMA_VERSION`; any other file raises ``error`` naming ``what``."""
+    where = f"{what} {path}"
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where} is not UTF-8 text: {exc.reason}") from exc
+    except (OSError, ValueError) as exc:  # missing, a directory, a NUL in the path
+        raise error(f"{where} is not readable: {getattr(exc, 'strerror', None) or exc}") from exc
+    doc = decode_json(text, error, where)
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object")
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1
+        raise error(f"{where}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    return doc
 
 
 def write_atomic(path: str | Path, text: str) -> None:

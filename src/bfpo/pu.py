@@ -61,7 +61,8 @@ def sample_unlabeled(pi_p: float, n: int, rng_seed: int) -> tuple[np.ndarray, np
     indicator of which component each draw came from.
     """
     require(_PI_P, "pi_p", pi_p, InputError)
-    values = np.empty(_count("n", n, 1), dtype=np.float64)
+    require(Interval(1, integer=True), "n", n, InputError)
+    values = np.empty(n, dtype=np.float64)
     return values, _draw_unlabeled(pi_p, np.random.default_rng(rng_seed), values)
 
 
@@ -77,14 +78,6 @@ def _draw_unlabeled(pi_p: float, rng: np.random.Generator, out: np.ndarray) -> n
     out[positives] = rng.normal(_POS_MEAN, _STD, len(positives))
     out[negatives] = rng.normal(_NEG_MEAN, _STD, len(negatives))
     return from_positive
-
-
-def _count(name: str, value: int, least: int) -> int:
-    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    require(Interval(least), name, value, InputError)
-    return int(value)
 
 
 def _mean(values: Sequence[float]) -> float:

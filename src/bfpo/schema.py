@@ -1,14 +1,15 @@
-"""One schema for the config dataclasses: each field's type and rule.
+"""One schema for the documents read back: each field's type and rule.
 
-Every config block (population, dataset, train, estimator) is read through
-:func:`from_doc`, which takes each field's type from the dataclass itself, so
-no module keeps its own list of fields or casts; top-level config values go
-through :func:`cast`, the same rules for one value.  A field's range or choice
-set is declared once, with the field (:func:`declared`): an :class:`Interval`,
-a :class:`OneOf` or :data:`NON_EMPTY`, whose ``str`` states it as the error
-messages and the README do.  Each config's ``__post_init__`` calls
-:func:`check`, and a library function holds its arguments to the same rules
-with :func:`check_args`.
+Every config block (population, dataset, train, estimator) and every
+checkpoint is read through :func:`from_doc`, which takes each field's type
+from the dataclass itself, so no module keeps its own list of fields or casts;
+top-level config values go through :func:`cast`, the same rules for one value,
+and :func:`check_keys` is the one missing- and unknown-key check.  A field's
+range or choice set is declared once, with the field (:func:`declared`): an
+:class:`Interval`, a :class:`OneOf` or :data:`NON_EMPTY`, whose ``str`` states
+it as the error messages and the README do.  Each config's ``__post_init__``
+calls :func:`check`, and a library function holds its arguments to the same
+rules with :func:`check_args`.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ from __future__ import annotations
 import math
 import numbers
 import types
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
-from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
+from itertools import chain
+from typing import Any, Collection, Mapping, Union, get_args, get_origin, get_type_hints
 
-__all__ = ["Interval", "NON_EMPTY", "OneOf", "cast", "check", "check_args", "declared",
-           "from_doc", "require", "rules"]
+import numpy as np
+
+__all__ = ["Interval", "NON_EMPTY", "OneOf", "cast", "check", "check_args", "check_keys",
+           "declared", "from_doc", "require", "rules"]
 
 _RULE = "rule"  # the field metadata key of a declared rule
 
@@ -118,6 +122,16 @@ def check(instance: Any, error: type[Exception]) -> None:
             require(rule, name, value, error)
 
 
+def check_keys(doc: Mapping, required: Collection[str],
+               allowed: Collection[str] | None = None) -> None:
+    """Raise ``ValueError`` if ``doc`` has a key outside ``allowed`` (None:
+    any other key is ignored) or lacks one of ``required``."""
+    unknown = set() if allowed is None else set(doc) - set(allowed)
+    for fault, keys in (("unknown", unknown), ("missing", set(required) - set(doc))):
+        if keys:
+            raise ValueError(f"{fault} keys {sorted(keys)}")
+
+
 def from_doc(cls: type, doc: dict) -> Any:
     """``cls(**kwargs)`` from the fields of ``cls`` present in ``doc``, each cast
     to its declared type; keys that are not fields are the caller's to check.
@@ -127,10 +141,12 @@ def from_doc(cls: type, doc: dict) -> Any:
     a bool field takes only a bool.
     ``X | None`` passes None through, ``float | str`` passes a string through,
     a fixed-length tuple takes a list of exactly that length, and ``list[X]`` a
-    list of any length (``list`` leaves the items as they are).  A value that
-    does not cast raises ``ValueError`` naming the field; a value that casts
-    but breaks its field's declared rule raises the error type of ``cls``'s
-    :func:`check`.
+    list of any length (``list`` leaves the items as they are).  A ``dict`` takes
+    an object; an ``np.ndarray`` a list of equal-length rows of JSON numbers, as
+    float64; a dataclass an object with all its fields (other keys ignored).
+    A value that does not cast raises ``ValueError`` naming the field; a value
+    that casts but breaks its field's declared rule raises the error type of
+    ``cls``'s :func:`check`.
     """
     kwargs = {}
     for name, tp in _field_types(cls):
@@ -190,4 +206,20 @@ def cast(tp: Any, value: Any) -> Any:
         raise ValueError(f"expected a finite number, got {value!r}")
     if tp in (int, float, str) or issubclass(tp, Enum):
         return tp(value)
+    if tp is dict or is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"expected an object, got {type(value).__name__}")
+        if tp is dict:
+            return dict(value)
+        check_keys(value, [name for name, _ in _field_types(tp)])
+        return from_doc(tp, value)
+    if tp is np.ndarray:
+        if type(value) is not list or not all(type(row) is list for row in value):
+            raise ValueError("expected a list of rows")
+        if not {*map(type, chain.from_iterable(value))} <= {int, float}:
+            raise ValueError("expected rows of numbers only")
+        try:
+            return np.array(value, dtype=np.float64)  # rows of unequal length raise ValueError
+        except OverflowError as exc:
+            raise ValueError(f"a number is out of range ({exc})") from exc
     raise TypeError(f"unsupported field type {tp}")

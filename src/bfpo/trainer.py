@@ -36,6 +36,9 @@ trained results, and the DPO pairs and alpha estimate made between the phases.  
 AdamW's step count are shared scalars, since a group's runs step together.
 :func:`run` is the case R = 1; every run's result equals training it alone,
 bit for bit.
+
+A :class:`Checkpoint` is written as each block's ``asdict`` and read back by
+:func:`bfpo.schema.cast`, so this module keeps no list of a block's fields.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -55,7 +57,7 @@ from .alpha import DEFAULT_EPOCHS, DEFAULT_LR, ESTIMATOR_EPOCHS, ESTIMATOR_LR
 from .alpha import SEED, AlphaEstimate, run_alpha_estimation
 from .datagen import UserDataset
 from .errors import ConfigError, InputError, NumericError
-from .files import decode_json, write_atomic
+from .files import SCHEMA_VERSION, read_document, write_atomic
 from . import rewards
 from .losses import (
     BREAKDOWN_COLUMNS,
@@ -72,6 +74,7 @@ from .losses import (
 )
 from .policy import (
     CONTEXT_SIZE,
+    VOCAB_SIZE,
     Encoded,
     PolicyParams,
     SampleTable,
@@ -814,44 +817,19 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
 
 @dataclass
 class Checkpoint:
+    """A trained run as ``checkpoint.json`` holds it (its ``optimizer`` as ``opt``)."""
+
     policy: PolicyParams
     reference: PolicyParams
     ema: ReferenceState
     opt: AdamState
-    step: int
-    vocab_size: int
+    step: int = declared(Interval(0, integer=True))
+    vocab_size: int = declared(VOCAB_SIZE)
     config: dict
     dataset_meta: dict
 
-
-def _params_doc(params: PolicyParams) -> dict:
-    return {
-        "vocab_size": params.vocab_size,
-        "context_size": params.context_size,
-        "logits": params.logits.tolist(),
-    }
-
-
-def _table_from_doc(rows: object, name: str) -> np.ndarray:
-    """A checkpoint table as float64: a list of rows of equal length whose
-    entries are JSON numbers (an int or a float, not a bool or a string).
-    Raises ``ValueError`` naming the table."""
-    if type(rows) is not list or not all(type(row) is list for row in rows):
-        raise ValueError(f"{name} must be a list of rows")
-    if not {*map(type, chain.from_iterable(rows))} <= {int, float}:
-        raise ValueError(f"{name} must hold only numbers")
-    try:
-        return np.array(rows, dtype=np.float64)  # rows of unequal length raise ValueError
-    except OverflowError as exc:
-        raise ValueError(f"{name} holds a number out of range ({exc})") from exc
-
-
-def _params_from_doc(doc: dict, name: str) -> PolicyParams:
-    return PolicyParams(
-        vocab_size=cast(int, doc["vocab_size"]),
-        context_size=cast(int, doc["context_size"]),
-        logits=_table_from_doc(doc["logits"], f"{name}.logits"),
-    )
+    def __post_init__(self) -> None:
+        check(self, InputError)
 
 
 def train_config_doc(config: TrainConfig) -> dict:
@@ -866,56 +844,28 @@ def save_checkpoint(
     vocab_size: int,
     dataset_meta: dict,
 ) -> None:
+    """Write ``result`` as a :class:`Checkpoint` document (sorted keys, one line)."""
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "vocab_size": vocab_size,
         "step": len(result.metrics_table),
-        "policy": _params_doc(result.policy),
-        "reference": _params_doc(result.reference),
+        "policy": asdict(result.policy),
+        "reference": asdict(result.reference),
         "ema": asdict(result.ema),
-        "optimizer": {
-            "m": result.opt.m.tolist(),
-            "v": result.opt.v.tolist(),
-            "t": result.opt.t,
-        },
+        "optimizer": asdict(result.opt),
         "config": {**train_config_doc(config), "alpha_resolved": result.alpha_resolved},
         "dataset_meta": dataset_meta,
     }
-    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a missing, truncated or malformed file is an InputError.
-    Its scalars are cast by the config rules (:func:`bfpo.schema.cast`)."""
+    """Read a checkpoint by the schema of :class:`Checkpoint`
+    (:func:`bfpo.schema.cast`); a missing, truncated or malformed file is an
+    InputError."""
+    doc = read_document(path, InputError, "checkpoint")
     try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:
-        raise InputError(f"checkpoint {path} is not readable: {exc}") from exc
-    doc = decode_json(text, InputError, f"checkpoint {path}")
-    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
-        version = doc.get("schema_version") if isinstance(doc, dict) else None
-        raise InputError(f"unsupported checkpoint version {version}")
-    try:
-        ema_doc = doc["ema"]
-        opt_doc = doc["optimizer"]
-        return Checkpoint(
-            policy=_params_from_doc(doc["policy"], "policy"),
-            reference=_params_from_doc(doc["reference"], "reference"),
-            ema=ReferenceState(
-                ema_pos=cast(float, ema_doc["ema_pos"]),
-                ema_aux=cast(float, ema_doc["ema_aux"]),
-                decay=cast(float, ema_doc["decay"]),
-                initialized=cast(bool, ema_doc["initialized"]),
-            ),
-            opt=AdamState(
-                m=_table_from_doc(opt_doc["m"], "optimizer.m"),
-                v=_table_from_doc(opt_doc["v"], "optimizer.v"),
-                t=cast(int, opt_doc["t"]),
-            ),
-            step=cast(int, doc["step"]),
-            vocab_size=cast(int, doc["vocab_size"]),
-            config=dict(doc["config"]),
-            dataset_meta=dict(doc["dataset_meta"]),
-        )
+        doc["opt"] = doc.pop("optimizer")
+        return cast(Checkpoint, doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"checkpoint {path} is malformed: {exc!r}") from exc

@@ -52,13 +52,13 @@ from .policy import (
 )
 from .pu import (
     CheckResult,
-    _count,
     run_convergence_check,
     run_negativity_check,
     run_unbiasedness_check,
 )
 from . import rewards
 from .rewards import kto_zrefs
+from .schema import Interval, require
 
 __all__ = [
     "GradientCase",
@@ -376,7 +376,7 @@ def run_gradient_fd_check(method: Method, seed: int = 3, cases: int = 50) -> Che
     and the losses of their perturbed tables from stacks of 2·C·V runs per
     case and at most :data:`CHECK_RUNS` runs.
     """
-    cases = _count("cases", cases, 1)
+    require(Interval(1, integer=True), "cases", cases, InputError)
     # Stable per-method stream: str hashes are process-randomized, enum order is not.
     rng = np.random.default_rng(np.random.SeedSequence([seed, list(Method).index(method)]))
     drawn = draw_gradient_cases(method, rng, cases)
@@ -387,7 +387,7 @@ def run_gradient_fd_check(method: Method, seed: int = 3, cases: int = 50) -> Che
     return CheckResult(
         name=f"gradient_fd_{method.value}",
         passed=bool(worst < FD_TOLERANCE),
-        details={"worst_relative_error": worst, "cases": cases, "tolerance": FD_TOLERANCE},
+        details={"worst_relative_error": worst, "cases": int(cases), "tolerance": FD_TOLERANCE},
     )
 
 

@@ -885,11 +885,27 @@ def _truncate_checkpoint(run: Path, corpus: Path) -> None:
     path.write_text(text[: len(text) // 2])
 
 
-def _drop_ema(run: Path, corpus: Path) -> None:
-    path = run / "checkpoint.json"
-    doc = json.loads(path.read_text())
-    del doc["ema"]
-    path.write_text(json.dumps(doc))
+def _rewrite_checkpoint(edit):
+    """Apply ``edit`` to the run's checkpoint document, in place."""
+    def corrupt(run: Path, corpus: Path) -> None:
+        path = run / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+_drop_ema = _rewrite_checkpoint(lambda doc: doc.pop("ema"))
+
+
+def _drop_from_checkpoint(block: str, key: str):
+    return _rewrite_checkpoint(lambda doc: doc[block].pop(key))
+
+
+def _checkpoint_block_as_pairs(block: str):
+    """The checkpoint's ``block`` as a list of [key, value] pairs, which
+    ``dict()`` would take for the object."""
+    return _rewrite_checkpoint(lambda doc: doc.update({block: [*map(list, doc[block].items())]}))
 
 
 def _edit_corpus_token(side: str, value):
@@ -943,12 +959,12 @@ def _replace_file(name: str, text: str):
 
 def _edit_checkpoint(block: str | None = None, **edits):
     """Update the checkpoint's top level, or its ``block``, with ``edits``."""
-    def corrupt(run: Path, corpus: Path) -> None:
-        path = run / "checkpoint.json"
-        doc = json.loads(path.read_text())
-        (doc if block is None else doc[block]).update(edits)
-        path.write_text(json.dumps(doc))
-    return corrupt
+    return _rewrite_checkpoint(lambda doc: (doc if block is None else doc[block]).update(edits))
+
+
+def _corpus_a_directory(run: Path, corpus: Path) -> None:
+    (corpus / "corpus.jsonl").unlink()
+    (corpus / "corpus.jsonl").mkdir()
 
 
 def _edit_checkpoint_config(**edits):
@@ -957,12 +973,9 @@ def _edit_checkpoint_config(**edits):
 
 def _edit_checkpoint_logit(table: str, value):
     """Set the first cell of the checkpoint's ``table`` (policy or reference) logits."""
-    def corrupt(run: Path, corpus: Path) -> None:
-        path = run / "checkpoint.json"
-        doc = json.loads(path.read_text())
+    def edit(doc: dict) -> None:
         doc[table]["logits"][0][0] = value
-        path.write_text(json.dumps(doc))
-    return corrupt
+    return _rewrite_checkpoint(edit)
 
 
 def _config(command: str, corpus: Path, out: Path, edits: dict) -> dict:
@@ -1074,6 +1087,14 @@ class TestMalformedInputExits2:
             ("sweep", None, {"train": {"warmup_fraction": 7.0}}),
             ("sweep", None, {"train": {"weight_decay": -5.0}}),
             ("sweep", None, {"train": {"lambda_d": -1.0}}),
+            ("evaluate", _edit_checkpoint(step=-5), {}),
+            ("evaluate", _checkpoint_block_as_pairs("config"), {}),
+            ("evaluate", _checkpoint_block_as_pairs("dataset_meta"), {}),
+            ("evaluate", _drop_from_checkpoint("ema", "decay"), {}),
+            ("evaluate", _drop_from_checkpoint("optimizer", "t"), {}),
+            ("train", _corpus_a_directory, {}),
+            ("generate", None, {"schema_version": True}),
+            ("evaluate", _edit_checkpoint(schema_version=True), {}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -1110,7 +1131,11 @@ class TestMalformedInputExits2:
              "sweep_momentum_b2_one", "warmup_fraction_negative", "warmup_fraction_above_1",
              "weight_decay_negative", "lambda_d_negative", "lambda_u_negative",
              "sweep_warmup_fraction_above_1", "sweep_weight_decay_negative",
-             "sweep_lambda_d_negative"],
+             "sweep_lambda_d_negative", "checkpoint_step_negative",
+             "checkpoint_config_as_pairs", "checkpoint_dataset_meta_as_pairs",
+             "checkpoint_ema_without_decay", "checkpoint_optimizer_without_t",
+             "corpus_a_directory", "config_schema_version_bool",
+             "checkpoint_schema_version_bool"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)

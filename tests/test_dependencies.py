@@ -124,3 +124,43 @@ def test_no_unread_private_name():
     unread = {f"{name}: {d}" for name, tree in trees.items()
               for d in _private_definitions(tree) - read}
     assert sorted(unread) == []
+
+
+def _callers(tree: ast.AST, name: str) -> list[str | None]:
+    """The innermost function around each call of ``name`` (as ``name(...)``
+    or ``x.name(...)``) in ``tree``; None for a call at module level."""
+    found = []
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append(func)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_documents_are_read_through_one_reader():
+    """JSON is decoded in one place: ``json.loads`` only by ``decode_json``,
+    which only ``files.read_document`` (every versioned document) and
+    ``datagen.load_corpus`` (once per JSONL line) call.  The schema version is
+    defined once, in ``files``, and no module writes it as a literal."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((SRC / "bfpo").glob("*.py"))}
+    calls = {fn: sorted(f"{module}.{caller}" for module, tree in trees.items()
+                        for caller in _callers(tree, fn))
+             for fn in ("loads", "decode_json")}
+    assert calls == {"loads": ["files.decode_json"],
+                     "decode_json": ["datagen.load_corpus", "files.read_document"]}
+    defined = sorted(module for module, tree in trees.items() for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == "SCHEMA_VERSION"
+                     and isinstance(node.ctx, ast.Store))
+    assert defined == ["files"]
+    literal = sorted(module for module, tree in trees.items() for node in ast.walk(tree)
+                     if isinstance(node, ast.Dict) and any(
+                         isinstance(k, ast.Constant) and k.value == "schema_version"
+                         and isinstance(v, ast.Constant) for k, v in zip(node.keys, node.values)))
+    assert literal == []

@@ -26,9 +26,10 @@ from bfpo.datagen import (
 )
 from bfpo.errors import ConfigError, InputError
 from bfpo.losses import LossConfig, Method
+from bfpo.policy import PolicyParams, uniform_params
 from bfpo.rewards import ReferenceState, RewardConfig
-from bfpo.schema import Interval, OneOf, cast, from_doc, rules
-from bfpo.trainer import TrainConfig
+from bfpo.schema import Interval, OneOf, cast, check_keys, from_doc, rules
+from bfpo.trainer import AdamState, Checkpoint, TrainConfig
 
 from conftest import small_population
 
@@ -100,6 +101,43 @@ class TestFromDoc:
             with pytest.raises((TypeError, ValueError)):
                 cast(tp, value)
 
+    def test_objects_are_dicts_not_pairs(self):
+        assert cast(dict, {"a": 1}) == {"a": 1}
+        for value in ([["a", 1]], "a", None):
+            with pytest.raises(ValueError, match="expected an object"):
+                cast(dict, value)
+
+    def test_tables(self):
+        """A checkpoint table: equal-length rows of JSON numbers, as float64."""
+        table = cast(np.ndarray, [[1, 2.5], [-3, 0]])
+        assert table.dtype == np.float64 and table.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
+        for value in ([1, 2], [[1, True]], [["1"]], [[None]], [[1], [1, 2]], "[[1]]",
+                      [[10 ** 400]]):
+            with pytest.raises(ValueError):
+                cast(np.ndarray, value)
+
+    def test_nested_blocks_need_every_field(self):
+        """A dataclass value is an object holding every field, defaults or not;
+        its other keys are ignored, and its own rules hold."""
+        doc = {"ema_pos": 1, "ema_aux": -0.5, "decay": 0.9, "initialized": True, "extra": 0}
+        assert cast(ReferenceState, doc) == ReferenceState(1.0, -0.5, 0.9, True)
+        with pytest.raises(ValueError, match=r"^missing keys \['decay'\]$"):
+            cast(ReferenceState, {k: v for k, v in doc.items() if k != "decay"})
+        with pytest.raises(InputError, match="^decay must "):
+            cast(ReferenceState, {**doc, "decay": 1.5})
+        with pytest.raises(ValueError, match="^logits: expected a list of rows"):
+            cast(PolicyParams, {"vocab_size": 2, "context_size": 1, "logits": [0.0, 0.0]})
+        params = cast(PolicyParams, {"vocab_size": 2, "context_size": 1, "logits": [[0, 1]]})
+        assert params.logits.tolist() == [[0.0, 1.0]]
+
+    def test_check_keys(self):
+        check_keys({"a": 1, "b": 2}, {"a"})
+        check_keys({"a": 1}, {"a"}, {"a", "b"})
+        with pytest.raises(ValueError, match=r"^missing keys \['b', 'c'\]$"):
+            check_keys({"a": 1}, {"a", "b", "c"})
+        with pytest.raises(ValueError, match=r"^unknown keys \['z'\]$"):
+            check_keys({"a": 1, "z": 0}, {"a", "b"}, {"a", "b"})
+
     def test_type_hints_are_resolved_once_per_class(self, monkeypatch):
         resolved = []
         real = schema.get_type_hints
@@ -130,7 +168,7 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-# Every config class, its error type, and the values of its fields without a
+# Every class whose fields declare rules, its error type, and the values of its fields without a
 # default.
 CONFIGS = {
     TrainConfig: (ConfigError, {}),
@@ -141,6 +179,10 @@ CONFIGS = {
     ReferenceState: (InputError, {}),
     RewardConfig: (InputError, {}),
     SweepKeys: (ConfigError, {"axis": "alpha", "grid": [0.0], "n_seeds": 1}),
+    Checkpoint: (InputError, {
+        "policy": uniform_params(4, 2), "reference": uniform_params(4, 2),
+        "ema": ReferenceState(), "opt": AdamState.zeros((2, 4)), "step": 0, "vocab_size": 4,
+        "config": {}, "dataset_meta": {}}),
 }
 
 
