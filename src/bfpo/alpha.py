@@ -10,7 +10,8 @@ loss.
 Samples come as tables.  :func:`run_alpha_estimation` scatters each pool's
 nonzero entries once into one feature table (training targets, auxiliary pool,
 held-out targets) whose blocks the proxy reads; :func:`embed` of one ``Sample``
-is the reference that each row of :func:`embed_all`, the one-pool table, equals.
+is the reference that each row of a pool's block equals (``embed_all`` in
+``tests/oracles.py`` is the one-pool table).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "EstimatorConfig",
     "ProxyClassifier",
     "embed",
-    "embed_all",
     "estimate_alpha",
     "estimate_propensity",
     "run_alpha_estimation",
@@ -127,7 +127,7 @@ def _bag_entries(tokens: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tu
 
 
 def _embed_pools(pools: list[SampleTable], vocab_size: int) -> np.ndarray:
-    """The pools' :func:`embed_all` rows one block after another, in one zeroed
+    """The pools' :func:`embed` rows one block after another, in one zeroed
     table: each pool's :func:`_bag_entries` scattered at its row offset."""
     out = np.zeros((sum(map(len, pools)), vocab_size))
     offset = 0
@@ -136,11 +136,6 @@ def _embed_pools(pools: list[SampleTable], vocab_size: int) -> np.ndarray:
         out[offset : offset + len(pool)][rows, tokens] = values
         offset += len(pool)
     return out
-
-
-def embed_all(table: SampleTable, vocab_size: int) -> np.ndarray:
-    """Row i is :func:`embed` of ``table[i]``, bit for bit."""
-    return _embed_pools([table], vocab_size)
 
 
 def train_proxy(

@@ -39,11 +39,10 @@ so a run's values do not depend on the other runs of its stack; KTO's anchors
 come from :func:`bfpo.rewards.kto_zrefs`, run by run.  :func:`scored_loss`
 returns each run's breakdown as a row of columns (:data:`BREAKDOWN_COLUMNS`),
 so a stack of thousands of runs builds no :class:`LossBreakdown`, and reads
-each run's constants from its :func:`loss_terms`, not from its config.  No training path
-calls the scalar :func:`loss_positive`, :func:`loss_negative`,
-:func:`dpo_loss`, :func:`kto_loss`, or :func:`bfpo.rewards.implicit_reward`
-and :func:`bfpo.rewards.kto_zref`: they are the reference implementations the
-kernels are tested against.
+each run's constants from its :func:`loss_terms`, not from its config.  The
+per-sample reference implementations that the kernels are tested against
+(the scalar sigmoid losses, the DPO and KTO losses, the one-run BCO-family
+and SFT losses) live in ``tests/oracles.py``; no command runs them.
 """
 
 from __future__ import annotations
@@ -60,17 +59,14 @@ from .errors import ConfigError, InputError
 from .policy import (
     Encoded,
     PolicyParams,
-    Sample,
     SampleTable,
-    encode,
     encode_table,
-    ordered_sum,
     ordered_sums,
     scatter_grad,
     sequence_log_probs,
     softmax_tables,
 )
-from .rewards import BETA, kto_zref, kto_zrefs
+from .rewards import BETA, kto_zrefs
 from .schema import Interval, check, declared
 
 __all__ = [
@@ -82,19 +78,13 @@ __all__ = [
     "Method",
     "Scores",
     "Stack",
-    "binary_loss",
     "binary_losses",
-    "dpo_loss",
     "encode_batch",
-    "kto_loss",
     "loss_terms",
-    "loss_negative",
-    "loss_positive",
     "method_loss",
     "method_loss_and_grad",
     "score",
     "scored_loss",
-    "sft_loss",
 ]
 
 
@@ -151,13 +141,6 @@ class Batch:
     pos_pool: SampleTable
     aux_pool: SampleTable
 
-    @classmethod
-    def of(cls, pos: Sequence[Sample] = (), aux: Sequence[Sample] = ()) -> "Batch":
-        """A batch of exactly these samples; for DPO, ``aux[i]`` is the
-        rejected completion of ``pos[i]``'s prompt."""
-        return cls(np.arange(len(pos)), np.arange(len(aux)), SampleTable.of(pos),
-                   SampleTable.of(aux))
-
     def samples(self) -> tuple[SampleTable, SampleTable]:
         """The positives and auxiliaries, taken from the pools by index."""
         return self.pos_pool.take(self.pos), self.aux_pool.take(self.aux)
@@ -185,13 +168,6 @@ class LossConfig:
         check(self, ConfigError)
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 def _sigmoids(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigmoid(z), sigmoid(-z)) elementwise, each without cancellation."""
     e = np.exp(-np.abs(z))
@@ -199,58 +175,6 @@ def _sigmoids(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     big, small = 1.0 / denominator, e / denominator
     up = z >= 0
     return np.where(up, big, small), np.where(up, small, big)
-
-
-def _neg_log_sigmoid(z: float) -> float:
-    # -log sigmoid(z) = softplus(-z), stable on both tails.
-    return float(np.logaddexp(0.0, -z))
-
-
-def loss_positive(reward: float, delta: float) -> float:
-    """-log sigmoid(reward - delta); strictly decreasing in the reward."""
-    return _neg_log_sigmoid(reward - delta)
-
-
-def loss_negative(reward: float, delta: float) -> float:
-    """-log sigmoid(-(reward - delta)); the reflection of :func:`loss_positive`."""
-    return _neg_log_sigmoid(-(reward - delta))
-
-
-def dpo_loss(reward_w: float, reward_l: float) -> float:
-    """-log sigmoid(reward_w - reward_l) for a paired comparison."""
-    return _neg_log_sigmoid(reward_w - reward_l)
-
-
-def kto_loss(
-    rewards: Sequence[float],
-    labels: Sequence[int],
-    lambda_d: float = 1.0,
-    lambda_u: float = 1.0,
-    zrefs: Sequence[float] | None = None,
-) -> float:
-    """Mean of w(y) * (1 - v(y)) with per-sample leave-one-out anchors.
-
-    ``zrefs`` overrides the internally computed leave-one-out anchors; the
-    gradient code and its finite-difference checks use this to hold the anchors
-    constant while the rewards vary.
-    """
-    if len(rewards) != len(labels):
-        raise InputError("rewards and labels must have equal length")
-    if len(rewards) < 2:
-        raise InputError("the leave-one-out anchor needs a batch of size >= 2")
-    if any(lab not in (1, -1) for lab in labels):
-        raise InputError("labels must be +1 or -1")
-    if zrefs is None:
-        zrefs = [kto_zref(rewards, i) for i in range(len(rewards))]
-    elif len(zrefs) != len(rewards):
-        raise InputError("zrefs must match the batch length")
-    total = 0.0
-    for r, lab, z in zip(rewards, labels, zrefs):
-        if lab == 1:
-            total += lambda_d * (1.0 - _sigmoid(r - z))
-        else:
-            total += lambda_u * (1.0 - _sigmoid(z - r))
-    return total / len(rewards)
 
 
 def _binary_terms(method: Method, config: LossConfig) -> tuple[float, float, bool]:
@@ -296,40 +220,12 @@ def binary_losses(z: np.ndarray, layout: Layout, terms: Sequence[tuple]) -> np.n
     :data:`BREAKDOWN_COLUMNS`: ``z`` holds every sequence's anchored reward
     (reward minus delta), run r's under its :func:`loss_terms` ``terms[r]``.
     The means add left to right, so they equal the per-sample loops of
-    :func:`loss_positive` and :func:`loss_negative` bit for bit."""
+    ``loss_positive`` and ``loss_negative`` (``tests/oracles.py``) bit for bit."""
     # Bin 2r holds run r's positives, bin 2r + 1 its auxiliaries.
     bins = len(layout.sides)
     pos_loss = (ordered_sums(np.logaddexp(0.0, -z), layout.seg, bins) / layout.sides).tolist()
     neg_loss = (ordered_sums(np.logaddexp(0.0, z), layout.seg, bins) / layout.sides).tolist()
     return np.array(list(map(_binary_row, terms, pos_loss[0::2], neg_loss[1::2], neg_loss[0::2])))
-
-
-def binary_loss(
-    method: Method,
-    pos_rewards: Sequence[float],
-    aux_rewards: Sequence[float],
-    delta: float,
-    config: LossConfig,
-) -> LossBreakdown:
-    """A BCO-family objective: l_pos + clamp?(l_aux_neg - alpha*l_tar_neg)/divisor."""
-    pos = np.asarray(pos_rewards, dtype=np.float64)
-    aux = np.asarray(aux_rewards, dtype=np.float64)
-    if len(pos) == 0:
-        raise InputError("pos_rewards must be non-empty")
-    if len(aux) == 0:
-        raise InputError("aux_rewards must be non-empty")
-    z = np.concatenate([pos, aux]) - delta
-    layout = Layout.of([len(pos)], [len(aux)])
-    return LossBreakdown.of(method, binary_losses(z, layout, [_binary_terms(method, config)])[0])
-
-
-def sft_loss(policy: PolicyParams, batch: Sequence[Sample]) -> float:
-    """Per-token cross-entropy: total negative log-probability over total tokens."""
-    if len(batch) == 0:
-        raise InputError("SFT batch must be non-empty")
-    codes = encode(((s.x, s.y) for s in batch), policy.context_size, policy.vocab_size)
-    log_table, _ = softmax_tables(policy.logits)
-    return -ordered_sum(sequence_log_probs(log_table, codes)) / len(codes.cells)
 
 
 # ---------------------------------------------------------------------------

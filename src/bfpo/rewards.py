@@ -1,15 +1,16 @@
-"""Implicit rewards and the three reference-point ("delta") estimators.
+"""Implicit rewards and the reference-point ("delta") estimators.
 
 The reward of a completion is the beta-scaled log-ratio of the live policy to a
 frozen reference policy.  All binary-feedback objectives anchor that reward to
-a scalar reference point delta; this module provides the pooled batch-mean
-anchor (:func:`delta_joint`), the leave-one-out clipped anchor
-(:func:`kto_zrefs`), and the decoupled-EMA anchor (:func:`ema_fold` and
-:func:`ema_anchor`) that stays invariant to batch-level imbalance between
-positive and auxiliary samples.  The trainer folds each run's EMAs as floats
-with :func:`ema_fold` and takes the pooled means with per-run sums;
-:func:`implicit_reward`, :func:`delta_joint` and :func:`kto_zref` are the
-references its kernels are tested against.
+a scalar reference point delta.  This module provides the leave-one-out
+clipped anchor (:func:`kto_zrefs`) and the decoupled-EMA anchor
+(:func:`ema_fold` and :func:`ema_anchor`), which stays invariant to
+batch-level imbalance between positive and auxiliary samples.  The trainer
+folds each run's EMAs as floats with :func:`ema_fold`, and takes the pooled
+batch-mean anchor (``delta_mode="batch"``) with per-run sums.
+:func:`implicit_reward` is the per-sample reward its kernels are tested
+against; the loop forms of the pooled anchor (``delta_joint``) and of the
+leave-one-out anchor (``kto_zref``) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .policy import PolicyParams, log_prob, ordered_sum
+from .policy import PolicyParams, log_prob
 from .schema import Interval, check, declared
 
 __all__ = [
     "ReferenceState",
     "RewardConfig",
-    "delta_joint",
     "ema_anchor",
     "ema_fold",
     "implicit_reward",
-    "kto_zref",
     "kto_zrefs",
 ]
 
@@ -90,37 +89,11 @@ def implicit_reward(
     return config.beta * (log_prob(policy, x, y) - log_prob(reference_policy, x, y))
 
 
-def delta_joint(pos_rewards: Sequence[float], aux_rewards: Sequence[float]) -> float:
-    """Pooled mean over both sets jointly: the ``delta_mode="batch"`` anchor.
-
-    Unlike :func:`ema_anchor` this estimator shifts toward whichever set
-    dominates the batch, which is exactly the imbalance sensitivity the
-    decoupled EMA removes.
-    """
-    if len(pos_rewards) == 0 or len(aux_rewards) == 0:
-        raise InputError("both reward sets must be non-empty")
-    rewards = np.asarray(list(pos_rewards) + list(aux_rewards), dtype=np.float64)
-    return ordered_sum(rewards) / len(rewards)
-
-
-def kto_zref(batch_rewards: Sequence[float], index: int) -> float:
-    """Leave-one-out batch mean, clipped at zero."""
-    if len(batch_rewards) < 2:
-        raise InputError("leave-one-out reference needs a batch of size >= 2")
-    if not 0 <= index < len(batch_rewards):
-        raise InputError(f"index {index} out of range for batch of {len(batch_rewards)}")
-    total = 0.0
-    for i, v in enumerate(batch_rewards):
-        if i != index:
-            total += float(v)
-    return max(0.0, total / (len(batch_rewards) - 1))
-
-
 def kto_zrefs(batch_rewards: np.ndarray) -> np.ndarray:
-    """:func:`kto_zref` of every index, bit for bit (KTO's z_ref, Ethayarajh et
-    al. 2024, arXiv:2402.01306): ``np.cumsum`` adds row i of the reward matrix,
-    diagonal zeroed, in the loop's order, and the clip maps NaN to 0.0 as
-    ``max(0.0, nan)`` does."""
+    """``kto_zref`` (``tests/oracles.py``) of every index, bit for bit (KTO's
+    z_ref, Ethayarajh et al. 2024, arXiv:2402.01306): ``np.cumsum`` adds row
+    i of the reward matrix, diagonal zeroed, in the loop's order, and the
+    clip maps NaN to 0.0 as ``max(0.0, nan)`` does."""
     n = len(batch_rewards)
     if n < 2:
         raise InputError("the leave-one-out anchor needs a batch of size >= 2")

@@ -817,7 +817,10 @@ def run(dataset: UserDataset, config: TrainConfig, vocab_size: int) -> TrainResu
 
 @dataclass
 class Checkpoint:
-    """A trained run as ``checkpoint.json`` holds it (its ``optimizer`` as ``opt``)."""
+    """A trained run as ``checkpoint.json`` holds it (its ``optimizer`` as ``opt``).
+
+    The policy and the reference are ``vocab_size`` wide, and AdamW's moments
+    have the policy's shape."""
 
     policy: PolicyParams
     reference: PolicyParams
@@ -830,6 +833,15 @@ class Checkpoint:
 
     def __post_init__(self) -> None:
         check(self, InputError)
+        for name in ("policy", "reference"):
+            width = getattr(self, name).vocab_size
+            if width != self.vocab_size:
+                raise InputError(f"{name} is {width} wide, but vocab_size is {self.vocab_size}")
+        shape = self.policy.logits.shape
+        for name in ("m", "v"):
+            if getattr(self.opt, name).shape != shape:
+                raise InputError(f"optimizer {name} has shape {getattr(self.opt, name).shape}, "
+                                 f"not the policy's {shape}")
 
 
 def train_config_doc(config: TrainConfig) -> dict:

@@ -20,7 +20,7 @@ from bfpo.datagen import (
     generate_population,
     truncate_history,
 )
-from bfpo.losses import LossConfig, Method, binary_loss
+from bfpo.losses import LossConfig, Method
 from bfpo.evaluation import evaluate_policy
 from bfpo.pu import run_convergence_check, run_unbiasedness_check
 from bfpo.trainer import TrainConfig, run, run_many
@@ -31,6 +31,7 @@ from bfpo.verification import (
 )
 
 from conftest import small_population
+from oracles import binary_loss
 
 SEEDS = (0, 1, 2, 3, 4)
 

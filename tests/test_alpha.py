@@ -12,7 +12,6 @@ import pytest
 from bfpo.alpha import (
     ProxyClassifier,
     embed,
-    embed_all,
     estimate_alpha,
     estimate_propensity,
     run_alpha_estimation,
@@ -24,6 +23,7 @@ from bfpo.errors import EstimationError, InputError
 from bfpo.policy import Sample, SampleTable
 
 from conftest import small_population
+from oracles import embed_all
 
 
 def _table_from_tokens(token_lists, user="u"):

@@ -902,6 +902,16 @@ def _drop_from_checkpoint(block: str, key: str):
     return _rewrite_checkpoint(lambda doc: doc[block].pop(key))
 
 
+def _widen_checkpoint_tables(doc: dict) -> None:
+    """One more column in every table, policy and reference as wide as their
+    ``vocab_size`` says, and the top-level ``vocab_size`` left as it is."""
+    for block in ("policy", "reference"):
+        doc[block]["vocab_size"] += 1
+        doc[block]["logits"] = [row + [0.0] for row in doc[block]["logits"]]
+    for moment in ("m", "v"):
+        doc["optimizer"][moment] = [row + [0.0] for row in doc["optimizer"][moment]]
+
+
 def _checkpoint_block_as_pairs(block: str):
     """The checkpoint's ``block`` as a list of [key, value] pairs, which
     ``dict()`` would take for the object."""
@@ -1095,6 +1105,8 @@ class TestMalformedInputExits2:
             ("train", _corpus_a_directory, {}),
             ("generate", None, {"schema_version": True}),
             ("evaluate", _edit_checkpoint(schema_version=True), {}),
+            ("evaluate", _rewrite_checkpoint(_widen_checkpoint_tables), {}),
+            ("evaluate", _edit_checkpoint("optimizer", m=[[1.0]]), {}),
         ],
         ids=["truncated_checkpoint", "checkpoint_without_ema", "ratio_x_not_a_number",
              "corpus_token_past_vocab", "n_users_not_an_integer", "samples_per_user_bool",
@@ -1135,7 +1147,8 @@ class TestMalformedInputExits2:
              "checkpoint_config_as_pairs", "checkpoint_dataset_meta_as_pairs",
              "checkpoint_ema_without_decay", "checkpoint_optimizer_without_t",
              "corpus_a_directory", "config_schema_version_bool",
-             "checkpoint_schema_version_bool"],
+             "checkpoint_schema_version_bool", "checkpoint_tables_wider_than_vocab_size",
+             "checkpoint_optimizer_m_not_the_policys_shape"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, corrupt, edits):
         corpus = _generate(tmp_path)

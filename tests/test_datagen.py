@@ -11,7 +11,7 @@ from scipy import stats
 
 from bfpo import _pcg64_words as pcg64_words
 from bfpo import datagen
-from bfpo.alpha import embed, embed_all, train_proxy
+from bfpo.alpha import embed, train_proxy
 from bfpo.datagen import (
     PopulationSpec,
     build_user_dataset,
@@ -27,6 +27,7 @@ from bfpo.errors import InputError
 from bfpo.policy import Sample, SampleTable
 
 from conftest import small_population
+from oracles import embed_all
 
 
 class TestGeneratePopulation:

@@ -9,11 +9,12 @@ import pytest
 from bfpo.datagen import build_user_dataset
 from bfpo.errors import InputError
 from bfpo.evaluation import evaluate_policy
-from bfpo.losses import Method, sft_loss
+from bfpo.losses import Method
 from bfpo.policy import snapshot_reference, uniform_params
 from bfpo.trainer import TrainConfig, run
 
 from conftest import random_params, small_population
+from oracles import sft_loss
 
 
 class TestWarmStartBaseline:

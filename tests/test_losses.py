@@ -9,23 +9,25 @@ import pytest
 
 from bfpo.errors import ConfigError, InputError
 from bfpo.losses import (
-    Batch,
     LossConfig,
     Method,
-    binary_loss,
-    dpo_loss,
-    kto_loss,
-    loss_negative,
-    loss_positive,
     loss_terms,
     method_loss,
     method_loss_and_grad,
-    sft_loss,
 )
 from bfpo.policy import Sample, log_prob, snapshot_reference, uniform_params
-from bfpo.rewards import kto_zref
 
 from conftest import random_params
+from oracles import (
+    batch_of,
+    binary_loss,
+    dpo_loss,
+    kto_loss,
+    kto_zref,
+    loss_negative,
+    loss_positive,
+    sft_loss,
+)
 
 LOG2 = math.log(2.0)
 
@@ -256,14 +258,14 @@ def _random_batch(rng, vocab, n_pos, n_aux):
             for _ in range(n)
         ]
 
-    return Batch.of(pos=mk(n_pos), aux=mk(n_aux))
+    return batch_of(pos=mk(n_pos), aux=mk(n_aux))
 
 
 def _pairs_batch(pos, aux):
     """A DPO batch pairing each ``pos[i]`` with ``aux[i]``'s completion as the
     rejected one for its prompt (as many pairs as the shorter side)."""
     rejected = [Sample(p.user_id, p.x, a.y) for p, a in zip(pos, aux)]
-    return Batch.of(pos=pos[: len(rejected)], aux=rejected)
+    return batch_of(pos=pos[: len(rejected)], aux=rejected)
 
 
 class TestGradients:
@@ -274,7 +276,7 @@ class TestGradients:
         policy = uniform_params(2, 1)
         policy.logits[0] = [5.0, -5.0]
         reference = uniform_params(2, 1)
-        batch = Batch.of(pos=[Sample("u", (0,), (0,))], aux=[Sample("u", (0,), (1,))])
+        batch = batch_of(pos=[Sample("u", (0,), (0,))], aux=[Sample("u", (0,), (1,))])
         config = LossConfig(beta=1.0, alpha=0.9)
         breakdown, grad = method_loss_and_grad(
             Method.CBPO, batch, policy, reference, config, 0.0
@@ -328,7 +330,7 @@ class TestGradients:
         grads = {}
         for method in (Method.CBPO, Method.CBPO_RAW):
             for aux in ([(1,), (2, 2)], [(2, 1, 2), (1, 1)]):
-                batch = Batch.of(pos=pos, aux=[Sample("v", (0,), y) for y in aux])
+                batch = batch_of(pos=pos, aux=[Sample("v", (0,), y) for y in aux])
                 breakdown, grads[method, aux[0]] = method_loss_and_grad(
                     method, batch, policy, reference, config, 0.0
                 )
@@ -340,8 +342,8 @@ class TestGradients:
         policy = random_params(rng, 4, 3)
         reference = snapshot_reference(policy)  # all rewards are 0
         long, short = Sample("u", (0,), (1, 2)), Sample("u", (0,), (3,))
-        pair = Batch.of(pos=[long], aux=[short])
-        swapped = Batch.of(pos=[short], aux=[long])
+        pair = batch_of(pos=[long], aux=[short])
+        swapped = batch_of(pos=[short], aux=[long])
         config = LossConfig(beta=1.0)
         _, g1 = method_loss_and_grad(Method.DPO, pair, policy, reference, config, 0.0)
         _, g2 = method_loss_and_grad(Method.DPO, swapped, policy, reference, config, 0.0)
@@ -356,7 +358,7 @@ class TestGradients:
         other = Sample("u", (0,), (1,))
         config = LossConfig(beta=1.0, alpha=0.3)
         _, grad = method_loss_and_grad(
-            Method.CBPO, Batch.of(pos=[sample], aux=[other]), policy, reference, config, 0.5
+            Method.CBPO, batch_of(pos=[sample], aux=[other]), policy, reference, config, 0.5
         )
         before = log_prob(policy, sample.x, sample.y)
         policy.logits -= 0.05 * grad

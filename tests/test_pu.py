@@ -12,13 +12,12 @@ from bfpo import pu
 from bfpo.errors import InputError
 from bfpo.pu import (
     logistic_negative_loss,
-    negative_risk_pu,
     run_negativity_check,
     run_unbiasedness_check,
-    sample_unlabeled,
     true_weighted_negative_risk,
 )
 from bfpo.verification import registered_checks
+from oracles import negative_risk_pu, sample_unlabeled
 
 
 class TestSampleUnlabeled:

@@ -12,15 +12,14 @@ from bfpo.policy import bucket, ordered_sum, ordered_sums, snapshot_reference
 from bfpo.rewards import (
     ReferenceState,
     RewardConfig,
-    delta_joint,
     ema_anchor,
     ema_fold,
     implicit_reward,
-    kto_zref,
     kto_zrefs,
 )
 
 from conftest import random_params
+from oracles import delta_joint, kto_zref
 
 
 class TestImplicitReward:

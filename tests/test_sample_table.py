@@ -10,7 +10,7 @@ import pytest
 
 from bfpo import trainer
 from bfpo.cli import main
-from bfpo.alpha import embed, embed_all, run_alpha_estimation
+from bfpo.alpha import embed, run_alpha_estimation
 from bfpo.datagen import (
     GROUPINGS,
     PopulationSpec,
@@ -24,6 +24,7 @@ from bfpo.errors import InputError
 from bfpo.evaluation import evaluate_policy
 from bfpo.losses import Method
 from bfpo.policy import Sample, SampleTable, encode, encode_table
+from oracles import embed_all
 
 # Ragged rows, two users interleaved: an empty prompt, completions of lengths
 # 1 and 5, and both splits.

@@ -46,6 +46,7 @@ from bfpo.trainer import (
 )
 
 from conftest import random_params, small_population
+from oracles import batch_of
 
 
 def _dataset(lam=0.5, seed=0, ratio=1.0, **kw):
@@ -239,7 +240,7 @@ class TestTrainStep:
     def test_null_step_at_zero_lr(self):
         state = self._state(lr=0.0)
         before = state.policy.logits.copy()
-        batch = Batch.of(pos=[Sample("u", (0,), (1, 2))], aux=[Sample("v", (1,), (3,))])
+        batch = batch_of(pos=[Sample("u", (0,), (1, 2))], aux=[Sample("v", (1,), (3,))])
         _, values = train_step(state, self._stack(state, batch))
         np.testing.assert_array_equal(state.policy.logits, before)
         assert values.shape == (1, len(BREAKDOWN_COLUMNS))
@@ -248,8 +249,8 @@ class TestTrainStep:
     def test_single_step_descends_positive_loss(self):
         """With the reward below the anchor, one small step lowers the
         positive-label loss of that sample."""
-        from bfpo.losses import loss_positive
         from bfpo.rewards import RewardConfig, implicit_reward
+        from oracles import loss_positive
 
         state = self._state(method=Method.CBPO, lr=0.01)
         reference = snapshot_reference(state.policy)
@@ -257,7 +258,7 @@ class TestTrainStep:
         # the anchor above the (zero) initial rewards.
         state.ema = [1.0, 1.0]
         sample = Sample("u", (0,), (1, 1))
-        batch = Batch.of(pos=[sample], aux=[Sample("v", (0,), (2,))])
+        batch = batch_of(pos=[sample], aux=[Sample("v", (0,), (2,))])
         rcfg = RewardConfig(beta=state.config.beta)
 
         def pos_loss():
@@ -270,7 +271,7 @@ class TestTrainStep:
 
     def test_ema_updated_before_delta_read(self):
         state = self._state(method=Method.BCO)
-        batch = Batch.of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
+        batch = batch_of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
         train_step(state, self._stack(state, batch))
         # First step: policy == reference, so rewards are zero and the seeded
         # EMA makes the anchor exactly zero.
@@ -281,7 +282,8 @@ class TestTrainStep:
     def test_batch_delta_is_delta_joint(self, rng):
         """delta_mode="batch" anchors a step at delta_joint of its per-sample
         implicit rewards, positives then auxiliaries, bit for bit."""
-        from bfpo.rewards import RewardConfig, delta_joint, ema_anchor, implicit_reward
+        from bfpo.rewards import RewardConfig, ema_anchor, implicit_reward
+        from oracles import delta_joint
 
         state = self._state(method=Method.CBPO, delta_mode="batch")
         state.policy = random_params(rng, 6, state.config.context_size)
@@ -291,7 +293,7 @@ class TestTrainStep:
             return [Sample(user, (int(rng.integers(6)),), tuple(rng.integers(6, size=3).tolist()))
                     for _ in range(n)]
 
-        batch = Batch.of(pos=samples("u", 9), aux=samples("v", 13))
+        batch = batch_of(pos=samples("u", 9), aux=samples("v", 13))
         config = RewardConfig(beta=state.config.beta)
         pos, aux = ([implicit_reward(state.policy, reference, config, s.x, s.y) for s in side]
                     for side in batch.samples())
@@ -314,7 +316,7 @@ class TestTrainStep:
             policy=random_params(rng, 6, config.context_size),
             opt=AdamState.zeros((4, 6)), config=config, alphas=[0.0], total_steps=1,
         )
-        batch = Stack.of(Method.BCO, Batch.of(pos=samples("u"), aux=samples("v")),
+        batch = Stack.of(Method.BCO, batch_of(pos=samples("u"), aux=samples("v")),
                          state.policy, reference)
         rewards = score(Method.BCO, batch, state.policy, 1.0).rewards
         pos_r, aux_r = rewards[:24], rewards[24:]
@@ -334,9 +336,9 @@ class TestTrainStep:
         stack of two."""
         from bfpo.losses import Layout, encode_batch
 
-        full = Batch.of(pos=[Sample("u", (0,), (1,)), Sample("u", (1,), (2,))],
+        full = batch_of(pos=[Sample("u", (0,), (1,)), Sample("u", (1,), (2,))],
                         aux=[Sample("v", (0,), (3,))])
-        no_aux = Batch.of(pos=[Sample("u", (0,), (1, 2))])
+        no_aux = batch_of(pos=[Sample("u", (0,), (1, 2))])
         config = TrainConfig(method=method, alpha=0.0)
         context = config.context_size
         for batches in ([no_aux], [full, no_aux]):
@@ -355,7 +357,7 @@ class TestTrainStep:
         step before any EMA moves, and the dump holds run 1's batch."""
         from bfpo.losses import Layout, encode_batch
 
-        batches = [Batch.of(pos=[Sample(u, (0,), (1,))], aux=[Sample(v, (0,), (2,))])
+        batches = [batch_of(pos=[Sample(u, (0,), (1,))], aux=[Sample(v, (0,), (2,))])
                    for u, v in (("u0", "v0"), ("u1", "v1"))]
         config = TrainConfig(method=Method.CBPO, alpha=0.0)
         context = config.context_size
@@ -375,7 +377,7 @@ class TestTrainStep:
         state = self._state()
         state.policy.logits[0, 0] = 1.0  # make it mutable sanity
         state.policy.logits[:] = np.nan
-        batch = Batch.of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
+        batch = batch_of(pos=[Sample("u", (0,), (1,))], aux=[Sample("v", (0,), (2,))])
         with pytest.raises(NumericError) as err:
             train_step(state, self._stack(state, batch))
         assert err.value.details is not None
@@ -616,7 +618,7 @@ class TestRun:
         assert steps == []
 
     def test_sft_method_runs_and_improves_target_fit(self):
-        from bfpo.losses import sft_loss
+        from oracles import sft_loss
 
         spec, ds = _dataset()
         result = run(ds, self._config(method=Method.SFT, epochs=3), spec.vocab_size)

@@ -18,7 +18,6 @@ from bfpo.losses import (
     LossConfig,
     Method,
     Stack,
-    binary_loss,
     loss_terms,
     method_loss_and_grad,
     score,
@@ -28,7 +27,7 @@ from bfpo.policy import PolicyParams, stack_codes
 from bfpo.pu import CheckResult
 from bfpo.rewards import kto_zrefs
 
-from oracles import OracleCase, batch_of, random_gradient_case
+from oracles import OracleCase, binary_loss, case_batch, random_gradient_case
 
 RAW, TOTAL = BREAKDOWN_COLUMNS.index("pure_neg_raw"), BREAKDOWN_COLUMNS.index("total")
 
@@ -276,7 +275,7 @@ def test_stacked_fd_equals_the_per_entry_loop(method, seed, monkeypatch):
     assert len(got) == len(stacked) == 10
     for (params, grad), drawn in zip(got, stacked):
         assert params.logits.tobytes() == drawn.policy.logits.tobytes()
-        case = OracleCase(batch_of(drawn), drawn.policy, drawn.reference, drawn.config,
+        case = OracleCase(case_batch(drawn), drawn.policy, drawn.reference, drawn.config,
                           drawn.delta)
         stack, scores = _lone_scores(method, case)
         zrefs = kto_zrefs(scores.rewards) if method is Method.KTO else None
